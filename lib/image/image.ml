@@ -171,7 +171,7 @@ let r_bool r = r_u64 r <> 0
 
 let r_str r =
   let n = r_u64 r in
-  if n < 0 || r.pos + n > String.length r.data then raise Short;
+  if n < 0 || n > String.length r.data - r.pos then raise Short;
   let s = String.sub r.data r.pos n in
   r.pos <- r.pos + n;
   s
@@ -200,7 +200,7 @@ let r_region r =
   let r_base = r_u64 r in
   let r_size = r_u64 r in
   let n = r_u64 r in
-  if n < 0 || r.pos + (8 * n) > String.length r.data then raise Short;
+  if n < 0 || n > (String.length r.data - r.pos) / 8 then raise Short;
   let r_words = Array.init n (fun _ -> r_u64 r) in
   { r_name; r_kind; r_base; r_size; r_words }
 
@@ -509,20 +509,12 @@ let kind_of_string = function
   | s -> invalid_arg ("Image: unknown region kind " ^ s)
 
 let capture_region asp (r : Region.t) =
-  let words = r.Region.size / Addr.word_size in
-  let arr = Array.make words 0 in
-  let i = ref 0 in
-  let () =
-    Aspace.fold_words asp r.Region.base ~words ~init:() ~f:(fun () w ->
-        arr.(!i) <- w;
-        incr i)
-  in
   {
     r_name = r.Region.name;
     r_kind = Region.kind_to_string r.Region.kind;
     r_base = r.Region.base;
     r_size = r.Region.size;
-    r_words = arr;
+    r_words = Aspace.read_words asp r.Region.base ~words:(r.Region.size / Addr.word_size);
   }
 
 let heap_image_of h =
@@ -660,12 +652,7 @@ let install_aspace saved asp =
              (kind_of_string s.r_kind)))
     saved.pi_regions;
   (* contents *)
-  List.iter
-    (fun s ->
-      Array.iteri
-        (fun i w -> Aspace.write_word_untracked asp (Addr.add_words s.r_base i) w)
-        s.r_words)
-    saved.pi_regions;
+  List.iter (fun s -> Aspace.write_words_untracked asp s.r_base s.r_words) saved.pi_regions;
   (* dirty-tracking state *)
   Aspace.set_write_seq asp saved.pi_write_seq;
   List.iter

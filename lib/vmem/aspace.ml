@@ -5,9 +5,21 @@
    other. Dirtiness is tracked per page as a last-write generation against
    the space-wide write sequence; consumers own named epochs (saved marks)
    instead of one global soft-dirty bit, so the startup checkpoint, pre-copy
-   delta rounds and benches cannot clobber each other's view. *)
+   delta rounds and benches cannot clobber each other's view.
+
+   A page that has not been stored to since it was mapped is backed, like
+   the kernel's shared zero page, by one immutable all-zero array: mapping
+   and forking cost no page copies, and a page gets a private array of its
+   own only on its first store of a non-zero word. Frame records and their
+   refcounts stay one per page whatever array backs them, so sharing,
+   copy-on-write and residency are counted exactly as for private arrays. *)
 
 type frame = { mutable words : int array; mutable refs : int }
+
+(* Never written: every store below goes through [unshare]/[writable]. *)
+let zero_words = Array.make Addr.words_per_page 0
+
+let private_copy w = if w == zero_words then zero_words else Array.copy w
 
 type page = {
   mutable frame : frame;
@@ -45,7 +57,7 @@ let clone t =
     (fun k p ->
       Hashtbl.add pages k
         {
-          frame = { words = Array.copy p.frame.words; refs = 1 };
+          frame = { words = private_copy p.frame.words; refs = 1 };
           touched = p.touched;
           last_write_seq = p.last_write_seq;
           inherited = p.inherited;
@@ -136,7 +148,7 @@ let map t ?(name = "") placement ~size kind =
   for i = 0 to npages - 1 do
     Hashtbl.replace t.pages (first_page + i)
       {
-        frame = { words = Array.make Addr.words_per_page 0; refs = 1 };
+        frame = { words = zero_words; refs = 1 };
         touched = false;
         last_write_seq = 0;
         inherited = false;
@@ -187,25 +199,35 @@ let read_word t a =
 (* Copy-on-write: any store through a page whose frame is shared first gives
    the page a private copy, so a remapped image can never mutate the image
    it borrowed the frame from. The copy is host-side bookkeeping — the
-   simulated program pays only its ordinary write cost. *)
-let cow (p : page) =
+   simulated program pays only its ordinary write cost. A shared zero page
+   stays on the zero array until something non-zero is stored. *)
+let unshare (p : page) =
   if p.frame.refs > 1 then begin
     p.frame.refs <- p.frame.refs - 1;
-    p.frame <- { words = Array.copy p.frame.words; refs = 1 }
+    p.frame <- { words = private_copy p.frame.words; refs = 1 }
   end
+
+(* The page's private array, materialising a zero page. *)
+let writable (p : page) =
+  unshare p;
+  if p.frame.words == zero_words then p.frame.words <- Array.make Addr.words_per_page 0;
+  p.frame.words
+
+(* A store of 0 into a zero page stores nothing. *)
+let store (p : page) i v =
+  unshare p;
+  if v <> 0 || p.frame.words != zero_words then (writable p).(i) <- v
 
 let write_word t a v =
   let p = page_for t a in
-  cow p;
-  p.frame.words.(Addr.word_index a) <- v;
+  store p (Addr.word_index a) v;
   p.touched <- true;
   t.wseq <- t.wseq + 1;
   p.last_write_seq <- t.wseq
 
 let write_word_untracked t a v =
   let p = page_for t a in
-  cow p;
-  p.frame.words.(Addr.word_index a) <- v;
+  store p (Addr.word_index a) v;
   p.touched <- true
 
 let fold_words t a ~words ~init ~f =
@@ -227,7 +249,35 @@ let fold_words t a ~words ~init ~f =
     !acc
   end
 
-let copy_words ~src src_addr ~dst dst_addr ~words =
+(* Visit [\[a, a + words)] a page at a time: [f page i pos n] for each run
+   of [n] words that starts at word [i] of [page] and [pos] words into the
+   range. *)
+let iter_runs t a ~words f =
+  let pos = ref 0 and addr = ref a in
+  while !pos < words do
+    let p = page_for t !addr in
+    let i = Addr.word_index !addr in
+    let n = min (words - !pos) (Addr.words_per_page - i) in
+    f p i !pos n;
+    pos := !pos + n;
+    addr := Addr.add_words !addr n
+  done
+
+let all_zero (a : int array) pos n =
+  let rec go i = i >= pos + n || (a.(i) = 0 && go (i + 1)) in
+  go pos
+
+(* Store [n] words of [src] from [pos] at word [i] of the page; a run of
+   zeros into a zero page stores nothing. *)
+let store_run (p : page) i (src : int array) pos n =
+  unshare p;
+  if p.frame.words != zero_words || not (src == zero_words || all_zero src pos n) then
+    Array.blit src pos (writable p) i n;
+  p.touched <- true
+
+(* Walk [\[src_addr, src_addr + words)] and the destination range in the
+   largest runs that stay within one page on both sides. *)
+let copy_runs ~src src_addr ~dst dst_addr ~words f =
   let remaining = ref words in
   let sa = ref src_addr and da = ref dst_addr in
   while !remaining > 0 do
@@ -236,32 +286,29 @@ let copy_words ~src src_addr ~dst dst_addr ~words =
     let n =
       min !remaining (min (Addr.words_per_page - si) (Addr.words_per_page - di))
     in
-    cow dp;
-    Array.blit sp.frame.words si dp.frame.words di n;
-    dp.touched <- true;
+    store_run dp di sp.frame.words si n;
+    f dp n;
     remaining := !remaining - n;
     sa := Addr.add_words !sa n;
     da := Addr.add_words !da n
   done
 
+let copy_words ~src src_addr ~dst dst_addr ~words =
+  copy_runs ~src src_addr ~dst dst_addr ~words (fun _ _ -> ())
+
 let copy_words_tracked ~src src_addr ~dst dst_addr ~words =
-  let remaining = ref words in
-  let sa = ref src_addr and da = ref dst_addr in
-  while !remaining > 0 do
-    let sp = page_for src !sa and dp = page_for dst !da in
-    let si = Addr.word_index !sa and di = Addr.word_index !da in
-    let n =
-      min !remaining (min (Addr.words_per_page - si) (Addr.words_per_page - di))
-    in
-    cow dp;
-    Array.blit sp.frame.words si dp.frame.words di n;
-    dp.touched <- true;
-    dst.wseq <- dst.wseq + n;
-    dp.last_write_seq <- dst.wseq;
-    remaining := !remaining - n;
-    sa := Addr.add_words !sa n;
-    da := Addr.add_words !da n
-  done
+  copy_runs ~src src_addr ~dst dst_addr ~words (fun dp n ->
+      dst.wseq <- dst.wseq + n;
+      dp.last_write_seq <- dst.wseq)
+
+let read_words t a ~words =
+  let out = Array.make words 0 in
+  iter_runs t a ~words (fun p i pos n ->
+      if p.frame.words != zero_words then Array.blit p.frame.words i out pos n);
+  out
+
+let write_words_untracked t a src =
+  iter_runs t a ~words:(Array.length src) (fun p i pos n -> store_run p i src pos n)
 
 (* ------------------------------------------------------------------ *)
 (* Dirty epochs *)
@@ -384,7 +431,7 @@ let detach_shared t =
       if p.frame.refs > 1 then begin
         incr n;
         p.frame.refs <- p.frame.refs - 1;
-        p.frame <- { words = Array.copy p.frame.words; refs = 1 }
+        p.frame <- { words = private_copy p.frame.words; refs = 1 }
       end)
     t.pages;
   !n

@@ -11,6 +11,13 @@
     write through either page copies the frame first (copy-on-write), so
     neither image can mutate the other.
 
+    A page nobody has stored a non-zero word to since it was mapped is
+    backed by one shared, immutable all-zero array, as a kernel backs such
+    pages with its zero page. This is host-side only: the frame record and
+    its refcount are still per page, so {!shared_frame_count},
+    {!resident_bytes} and copy-on-write behave as if every page had its own
+    zeroed frame.
+
     Dirtiness mirrors the Linux soft-dirty mechanism MCR builds on, but is
     generation-based: every tracked write bumps the space-wide {!write_seq}
     and stamps the page. A consumer owns a named {e epoch} — a saved mark —
@@ -37,7 +44,9 @@ val layout_bias : t -> int
 
 val clone : t -> t
 (** Deep copy: pages, regions, epochs and dirty stamps. Every cloned page
-    gets a private frame. Used by process spawn (the fork analog). *)
+    gets a private frame; only pages holding non-zero words copy their
+    contents, zero pages stay on the shared zero array. Used by process
+    spawn (the fork analog). *)
 
 type placement =
   | Fixed of Addr.t  (** Map exactly here (MAP_FIXED); fails on overlap. *)
@@ -45,7 +54,9 @@ type placement =
 
 val map : t -> ?name:string -> placement -> size:int -> Region.kind -> Addr.t
 (** [map t placement ~size kind] creates a zeroed mapping and returns its
-    base. [size] is rounded up to whole pages.
+    base. [size] is rounded up to whole pages. The pages start on the
+    shared zero array, so mapping allocates no page contents; each page
+    gets its own array on its first non-zero store.
     @raise Invalid_argument on overlap with an existing region. *)
 
 val unmap : t -> Addr.t -> unit
@@ -92,6 +103,17 @@ val copy_words_tracked : src:t -> Addr.t -> dst:t -> Addr.t -> words:int -> unit
     by one per word and each page's last-write stamp is the sequence value
     after the final word written to it. Used for in-place copies the
     program could itself have made. *)
+
+val read_words : t -> Addr.t -> words:int -> int array
+(** [read_words t a ~words] is the [words] consecutive words starting at
+    [a], copied a page at a time. @raise Fault as {!read_word}. *)
+
+val write_words_untracked : t -> Addr.t -> int array -> unit
+(** [write_words_untracked t a src] stores [src] at [a], a page at a time,
+    with the semantics of one {!write_word_untracked} per word: every page
+    the range covers is touched, no dirty stamp moves. A page still on the
+    zero array stays there when its part of [src] is all zeros.
+    @raise Fault as {!read_word}. *)
 
 (** {2 Dirty epochs} *)
 

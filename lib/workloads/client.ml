@@ -32,3 +32,23 @@ let close fd = ignore (K.syscall (S.Close { fd }))
    generous virtual deadline doubles as a hang detector *)
 let drive ?(max_s = 3600) kernel pred =
   K.run_until kernel ~max_ns:(K.clock_ns kernel + (max_s * 1_000_000_000)) pred
+
+(* Completion wait over a fixed set of spawned processes. A process never
+   revives ([K.alive] only goes from true to false), so a cursor over the
+   spawn order only moves forward and stays exact: each poll costs
+   amortised O(1), where re-scanning every process before each scheduler
+   step would cost O(procs). *)
+type exits = { procs : K.proc array; mutable next : int }
+
+let exits procs = { procs = Array.of_list procs; next = 0 }
+
+let all_exited w =
+  let n = Array.length w.procs in
+  while w.next < n && not (K.alive w.procs.(w.next)) do
+    w.next <- w.next + 1
+  done;
+  w.next = n
+
+let drive_until_exited ?max_s kernel procs =
+  let w = exits procs in
+  drive ?max_s kernel (fun () -> all_exited w)

@@ -41,7 +41,7 @@ let run kernel ~port ~users ?(retrievals = 1) ~file () =
                 let _ = cmd "QUIT" in
                 Client.close fd))
   in
-  ignore (Client.drive kernel (fun () -> List.for_all (fun p -> not (K.alive p)) clients));
+  ignore (Client.drive_until_exited kernel clients);
   {
     Bench_result.requests = !ok;
     errors = !errors;

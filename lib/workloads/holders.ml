@@ -1,33 +1,27 @@
 module K = Mcr_simos.Kernel
 module S = Mcr_simos.Sysdefs
 
-type t = {
-  kernel : K.t;
-  sem : string;
-  n : int;
-  mutable ready : int;
-  mutable procs : K.proc list;
-}
+type t = { kernel : K.t; sem : string; n : int; ready : int ref; exits : Client.exits }
 
 let uid = ref 0
 
 let make kernel n prologue epilogue =
   incr uid;
-  let t =
-    { kernel; sem = Printf.sprintf "holders.release.%d" !uid; n; ready = 0; procs = [] }
-  in
-  t.procs <-
+  let sem = Printf.sprintf "holders.release.%d" !uid in
+  let ready = ref 0 in
+  let procs =
     List.init n (fun i ->
         Client.spawn kernel
           (Printf.sprintf "holder-%d-%d" !uid i)
           (fun _ ->
             match prologue i with
             | Some fd ->
-                t.ready <- t.ready + 1;
-                ignore (K.syscall (S.Sem_wait { name = t.sem; timeout_ns = None }));
+                incr ready;
+                ignore (K.syscall (S.Sem_wait { name = sem; timeout_ns = None }));
                 epilogue fd
-            | None -> ()));
-  t
+            | None -> ()))
+  in
+  { kernel; sem; n; ready; exits = Client.exits procs }
 
 let open_http kernel ~port ~n =
   make kernel n
@@ -70,11 +64,11 @@ let open_ssh kernel ~port ~n =
       ignore (Client.recv fd);
       Client.close fd)
 
-let connected t = t.ready
+let connected t = !(t.ready)
 
 let close_all t =
   for _ = 1 to t.n do
     K.post_semaphore t.kernel t.sem
   done
 
-let all_done t = List.for_all (fun p -> not (K.alive p)) t.procs
+let all_done t = Client.all_exited t.exits

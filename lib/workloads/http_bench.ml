@@ -27,7 +27,7 @@ let run kernel ~port ?(concurrency = 4) ?(think_ns = 0) ~requests ~path () =
                   Client.close fd)
             done))
   in
-  ignore (Client.drive kernel (fun () -> List.for_all (fun p -> not (K.alive p)) clients));
+  ignore (Client.drive_until_exited kernel clients);
   {
     Bench_result.requests = !ok;
     errors = !errors;

@@ -46,7 +46,7 @@ type t = {
   records : record option array;
   offsets : int array;
   base : int ref;  (* absolute schedule origin, set once spawning is done *)
-  procs : K.proc list;
+  exits : Client.exits;
 }
 
 let contains haystack needle =
@@ -150,7 +150,7 @@ let start kernel ~server ?(seed = 1) ?metrics ?trace ~rate ~requests () =
       records = Array.make requests None;
       offsets;
       base;
-      procs = [];
+      exits = Client.exits [];
     }
   in
   let span_name =
@@ -233,9 +233,9 @@ let start kernel ~server ?(seed = 1) ?metrics ?trace ~rate ~requests () =
                 }))
   in
   base := K.clock_ns kernel;
-  { t with procs }
+  { t with exits = Client.exits procs }
 
-let finished t = List.for_all (fun p -> not (K.alive p)) t.procs
+let finished t = Client.all_exited t.exits
 let drive ?max_s t = ignore (Client.drive ?max_s t.kernel (fun () -> finished t))
 
 let issued t = !(t.issued)

@@ -31,7 +31,7 @@ let run kernel ~port ~sessions ?(commands = 3) () =
                 let _ = cmd "EXIT" in
                 Client.close fd))
   in
-  ignore (Client.drive kernel (fun () -> List.for_all (fun p -> not (K.alive p)) clients));
+  ignore (Client.drive_until_exited kernel clients);
   {
     Bench_result.requests = !ok;
     errors = !errors;

@@ -132,6 +132,21 @@ let u64_le n =
 
 let w_str s = u64_le (String.length s) ^ s
 
+(* A length field of max_int once overflowed the bounds check, so decode
+   raised Invalid_argument from String.sub instead of returning a typed
+   error. *)
+let test_huge_length_fields () =
+  let header = "MCRIMAGE" ^ u64_le 1 ^ u64_le 1 ^ "META" in
+  check_rejected "section name length max_int"
+    (Image.Truncated { section = "META" })
+    (header ^ u64_le max_int ^ "xx");
+  check_rejected "section payload length max_int"
+    (Image.Truncated { section = "meta" })
+    (header ^ w_str "meta" ^ u64_le max_int ^ "xx");
+  check_rejected "negative length"
+    (Image.Truncated { section = "META" })
+    (header ^ u64_le (-1) ^ "xx")
+
 let test_unknown_section_skipped () =
   (* forward compatibility: a same-format image carrying a section tag we
      do not know decodes fine — the unknown section is skipped *)
@@ -395,6 +410,7 @@ let () =
           Alcotest.test_case "layout names sections" `Quick test_layout_names_sections;
           Alcotest.test_case "corruption goldens" `Quick test_corruption_goldens;
           Alcotest.test_case "unknown section skipped" `Quick test_unknown_section_skipped;
+          Alcotest.test_case "huge length fields" `Quick test_huge_length_fields;
         ] );
       ( "restore",
         [

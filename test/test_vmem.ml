@@ -332,6 +332,205 @@ let prop_dirty_iff_written =
       in
       Aspace.epoch_dirty_pages sp ~name:"startup" = expected)
 
+(* ------------------------------------------------------------------ *)
+(* Model-based: zero pages, copy-on-write and remap against a plain model
+
+   Three address spaces, each with three two-page slots at fixed bases.
+   The model keeps every mapped slot's words in an array and gives every
+   page a frame id with a reference count, so the remapped (shared) pages
+   are exactly the pages whose id is referenced more than once. *)
+
+let m_spaces = 3
+let m_slots = 3
+let m_slot_words = 2 * Addr.words_per_page
+let m_slot_base j = (j + 1) * 16 * Addr.page_size
+
+type m_loc = int * int * int (* space, slot, word (or page) within the slot *)
+
+type m_op =
+  | M_map of int * int
+  | M_unmap of int * int
+  | M_clone of int * int (* src space, dst space; dst is emptied first *)
+  | M_write of bool * m_loc * int (* tracked *)
+  | M_copy of bool * m_loc * m_loc * int (* tracked, src, dst, words *)
+  | M_write_run of m_loc * int array
+  | M_share of m_loc * m_loc (* src page, dst page: copy, then remap *)
+  | M_detach of int
+
+let show_loc (s, j, w) = Printf.sprintf "%d/%d/%d" s j w
+
+let show_op = function
+  | M_map (s, j) -> Printf.sprintf "map %d/%d" s j
+  | M_unmap (s, j) -> Printf.sprintf "unmap %d/%d" s j
+  | M_clone (s, d) -> Printf.sprintf "clone %d->%d" s d
+  | M_write (t, l, v) -> Printf.sprintf "write%s %s=%d" (if t then "" else "_u") (show_loc l) v
+  | M_copy (t, a, b, n) ->
+      Printf.sprintf "copy%s %s->%s x%d" (if t then "_t" else "") (show_loc a) (show_loc b) n
+  | M_write_run (l, a) -> Printf.sprintf "write_run %s x%d" (show_loc l) (Array.length a)
+  | M_share (a, b) -> Printf.sprintf "share %s->%s" (show_loc a) (show_loc b)
+  | M_detach s -> Printf.sprintf "detach %d" s
+
+let m_op_gen =
+  let open QCheck.Gen in
+  let space = int_bound (m_spaces - 1) and slot = int_bound (m_slots - 1) in
+  let loc = triple space slot (int_bound (m_slot_words - 1)) in
+  let page = triple space slot (int_bound 1) in
+  let value = frequency [ (3, return 0); (2, int_range 1 9) ] in
+  frequency
+    [
+      (2, map2 (fun s j -> M_map (s, j)) space slot);
+      (1, map2 (fun s j -> M_unmap (s, j)) space slot);
+      (1, map2 (fun s d -> M_clone (s, d)) space space);
+      (6, map3 (fun t l v -> M_write (t, l, v)) bool loc value);
+      (3, map3 (fun (t, a) b n -> M_copy (t, a, b, n)) (pair bool loc) loc (int_bound 1200));
+      (2, map2 (fun l a -> M_write_run (l, a)) loc (array_size (int_bound 700) value));
+      (3, map2 (fun a b -> M_share (a, b)) page page);
+      (1, map (fun s -> M_detach s) space);
+    ]
+
+let prop_zero_page_model =
+  QCheck.Test.make ~name:"aspace agrees with a page-table model" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+       QCheck.Gen.(list_size (int_range 1 60) m_op_gen))
+    (fun ops ->
+      let real = Array.init m_spaces (fun _ -> Aspace.create ()) in
+      let words = Array.make_matrix m_spaces m_slots None in
+      let ids = Array.make_matrix m_spaces m_slots [||] in
+      let refs = Hashtbl.create 64 in
+      let next_id = ref 0 in
+      let fresh () =
+        incr next_id;
+        Hashtbl.replace refs !next_id 1;
+        !next_id
+      in
+      let count id = Hashtbl.find refs id in
+      let bump id d = Hashtbl.replace refs id (count id + d) in
+      let mapped s j = words.(s).(j) <> None in
+      let addr j w = Addr.add_words (m_slot_base j) w in
+      (* a store through a page gives it a private frame first *)
+      let break s j p =
+        let id = ids.(s).(j).(p) in
+        if count id > 1 then begin
+          bump id (-1);
+          ids.(s).(j).(p) <- fresh ()
+        end
+      in
+      let break_range s j w n =
+        for p = w / Addr.words_per_page to (w + n - 1) / Addr.words_per_page do
+          break s j p
+        done
+      in
+      let map s j =
+        ignore (Aspace.map real.(s) (Aspace.Fixed (m_slot_base j)) ~size:(2 * 4096) Region.Heap);
+        words.(s).(j) <- Some (Array.make m_slot_words 0);
+        ids.(s).(j) <- Array.init 2 (fun _ -> fresh ())
+      in
+      let unmap s j =
+        Aspace.unmap real.(s) (m_slot_base j);
+        Array.iter (fun id -> bump id (-1)) ids.(s).(j);
+        words.(s).(j) <- None
+      in
+      let content s j = Option.get words.(s).(j) in
+      let detached = ref true in
+      let step = function
+        | M_map (s, j) -> if not (mapped s j) then map s j
+        | M_unmap (s, j) -> if mapped s j then unmap s j
+        | M_clone (s, d) ->
+            if s <> d then begin
+              for j = 0 to m_slots - 1 do
+                if mapped d j then unmap d j
+              done;
+              real.(d) <- Aspace.clone real.(s);
+              for j = 0 to m_slots - 1 do
+                words.(d).(j) <- Option.map Array.copy words.(s).(j);
+                if mapped s j then ids.(d).(j) <- Array.init 2 (fun _ -> fresh ())
+              done
+            end
+        | M_write (tracked, (s, j, w), v) ->
+            if mapped s j then begin
+              (if tracked then Aspace.write_word else Aspace.write_word_untracked)
+                real.(s) (addr j w) v;
+              break_range s j w 1;
+              (content s j).(w) <- v
+            end
+        | M_copy (tracked, (s1, j1, w1), (s2, j2, w2), n) ->
+            let n = min n (min (m_slot_words - w1) (m_slot_words - w2)) in
+            if mapped s1 j1 && mapped s2 j2 && (s1, j1) <> (s2, j2) && n > 0 then begin
+              (if tracked then Aspace.copy_words_tracked else Aspace.copy_words)
+                ~src:real.(s1) (addr j1 w1) ~dst:real.(s2) (addr j2 w2) ~words:n;
+              break_range s2 j2 w2 n;
+              Array.blit (content s1 j1) w1 (content s2 j2) w2 n
+            end
+        | M_write_run ((s, j, w), a) ->
+            let a = Array.sub a 0 (min (Array.length a) (m_slot_words - w)) in
+            if mapped s j && Array.length a > 0 then begin
+              Aspace.write_words_untracked real.(s) (addr j w) a;
+              break_range s j w (Array.length a);
+              Array.blit a 0 (content s j) w (Array.length a)
+            end
+        | M_share ((s1, j1, p1), (s2, j2, p2)) ->
+            if mapped s1 j1 && mapped s2 j2 then begin
+              let w1 = p1 * Addr.words_per_page and w2 = p2 * Addr.words_per_page in
+              let src = addr j1 w1 and dst = addr j2 w2 in
+              Aspace.copy_words ~src:real.(s1) src ~dst:real.(s2) dst ~words:Addr.words_per_page;
+              Aspace.share_page ~src:real.(s1) src ~dst:real.(s2) dst;
+              break s2 j2 p2;
+              Array.blit (content s1 j1) w1 (content s2 j2) w2 Addr.words_per_page;
+              let id = ids.(s1).(j1).(p1) in
+              if ids.(s2).(j2).(p2) <> id then begin
+                bump ids.(s2).(j2).(p2) (-1);
+                bump id 1;
+                ids.(s2).(j2).(p2) <- id
+              end
+            end
+        | M_detach s ->
+            let n = ref 0 in
+            for j = 0 to m_slots - 1 do
+              if mapped s j then
+                for p = 0 to 1 do
+                  let id = ids.(s).(j).(p) in
+                  if count id > 1 then begin
+                    incr n;
+                    bump id (-1);
+                    ids.(s).(j).(p) <- fresh ()
+                  end
+                done
+            done;
+            if Aspace.detach_shared real.(s) <> !n then detached := false
+      in
+      List.iter step ops;
+      let reads_agree = ref true in
+      for s = 0 to m_spaces - 1 do
+        for j = 0 to m_slots - 1 do
+          match words.(s).(j) with
+          | None -> if Aspace.is_mapped_word real.(s) (addr j 0) then reads_agree := false
+          | Some a ->
+              if Aspace.read_words real.(s) (addr j 0) ~words:m_slot_words <> a then
+                reads_agree := false;
+              Array.iteri
+                (fun w v -> if Aspace.read_word real.(s) (addr j w) <> v then reads_agree := false)
+                a
+        done
+      done;
+      let shared_agree =
+        List.for_all
+          (fun s ->
+            let expected = ref 0 in
+            for j = 0 to m_slots - 1 do
+              if mapped s j then Array.iter (fun id -> if count id > 1 then incr expected) ids.(s).(j)
+            done;
+            Aspace.shared_frame_count real.(s) = !expected)
+          (List.init m_spaces Fun.id)
+      in
+      (* the zero array behind every unwritten page was never written *)
+      let fresh_zero =
+        let sp = Aspace.create () in
+        let base = Aspace.map sp (Aspace.Near Region.Heap) ~size:(4 * 4096) Region.Heap in
+        Array.for_all (( = ) 0) (Aspace.read_words sp base ~words:(4 * Addr.words_per_page))
+      in
+      !reads_agree && shared_agree && fresh_zero && !detached)
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "mcr_vmem"
@@ -393,5 +592,6 @@ let () =
           Alcotest.test_case "clone is deep" `Quick test_clone_deep;
           Alcotest.test_case "copy words across spaces" `Quick test_copy_words_across_spaces;
           Alcotest.test_case "resident bytes" `Quick test_resident_bytes;
+          qt prop_zero_page_model;
         ] );
     ]

@@ -2,6 +2,7 @@
    including Figure 3 mechanics (update under held connections). *)
 
 module K = Mcr_simos.Kernel
+module S = Mcr_simos.Sysdefs
 module Manager = Mcr_core.Manager
 module W = Mcr_workloads
 module Testbed = Mcr_workloads.Testbed
@@ -60,6 +61,45 @@ let test_update_under_held_connections server =
   Alcotest.(check bool) "holders complete on new version" true (Holders.all_done h);
   ignore m2
 
+(* The shared completion wait: clients exiting out of spawn order must not
+   end it early, and a client killed from outside ends it exactly when it
+   is the last one to die. *)
+let test_completion_wait () =
+  let kernel = K.create () in
+  let ms = 1_000_000 in
+  let sleep ns = ignore (K.syscall (S.Nanosleep { ns })) in
+  let sleepers =
+    List.map
+      (fun d -> W.Client.spawn kernel (Printf.sprintf "sleep-%d" d) (fun _ -> sleep (d * ms)))
+      [ 30; 10; 20 ]
+  in
+  let blocked =
+    W.Client.spawn kernel "blocked" (fun _ ->
+        ignore (K.syscall (S.Sem_wait { name = "never-posted"; timeout_ns = None })))
+  in
+  let killed_at = ref (-1) in
+  let _killer =
+    W.Client.spawn kernel "killer" (fun _ ->
+        sleep (40 * ms);
+        Alcotest.(check bool) "blocked client alive until killed" true (K.alive blocked);
+        K.kill_process kernel blocked ~status:9;
+        killed_at := K.clock_ns kernel)
+  in
+  let w = W.Client.exits (sleepers @ [ blocked ]) in
+  let start = K.clock_ns kernel in
+  Alcotest.(check bool) "not done before running" false (W.Client.all_exited w);
+  (* the 10 and 20 ms clients are gone, the first-spawned one is not *)
+  Alcotest.(check bool) "out-of-order exits do not end the wait" false
+    (K.run_until kernel ~max_ns:(start + (25 * ms)) (fun () -> W.Client.all_exited w));
+  Alcotest.(check bool) "a live client holds the wait" false
+    (K.run_until kernel ~max_ns:(start + (35 * ms)) (fun () -> W.Client.all_exited w));
+  Alcotest.(check bool) "every sleeper exited" true
+    (List.for_all (fun p -> not (K.alive p)) sleepers);
+  Alcotest.(check bool) "wait ends" true (W.Client.drive kernel (fun () -> W.Client.all_exited w));
+  Alcotest.(check bool) "the kill happened" true (!killed_at >= 0);
+  Alcotest.(check int) "wait ends at the kill" !killed_at (K.clock_ns kernel);
+  Alcotest.(check bool) "and stays ended" true (W.Client.all_exited w)
+
 let test_profiling_workload_runs server =
   let kernel = K.create () in
   let profiler = Mcr_quiesce.Profiler.create kernel in
@@ -91,6 +131,7 @@ let () =
           Alcotest.test_case "http (httpd)" `Quick test_httpd_bench_completes;
           Alcotest.test_case "ftp" `Quick test_ftp_bench_completes;
           Alcotest.test_case "ssh" `Quick test_ssh_bench_completes;
+          Alcotest.test_case "completion wait" `Quick test_completion_wait;
         ] );
       ("holders", per_server "lifecycle" test_holders_lifecycle);
       ("fig3-mechanics", per_server "update under holds" test_update_under_held_connections);
