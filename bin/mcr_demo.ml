@@ -86,7 +86,7 @@ let run_single server requests conns fail_update fault_seed quiesce_deadline_ms
   Printf.printf "signalling live update via mcr-ctl (to %s %s)...\n%!"
     target.Mcr_program.Progdef.prog target.Mcr_program.Progdef.version_tag;
   let reply = ref None in
-  Ctl.exec kernel ~path:(Manager.ctl_path m) Ctl.Update
+  Ctl.exec kernel ~path:(Manager.ctl_path m) Ctl.Frame.Update
     ~on_result:(fun r ->
       reply := Some (match r with Ok "" -> "OK" | Ok p -> p | Error e -> Format.asprintf "%a" Ctl.pp_error e))
     ();

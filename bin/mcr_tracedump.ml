@@ -61,7 +61,7 @@ let run server requests conns openloop out format =
     (Manager.version m).Mcr_program.Progdef.version_tag
     (Testbed.final_version server).Mcr_program.Progdef.version_tag;
   let reply = ref None in
-  Ctl.exec kernel ~path:(Manager.ctl_path m) Ctl.Update
+  Ctl.exec kernel ~path:(Manager.ctl_path m) Ctl.Frame.Update
     ~on_result:(fun r ->
       reply := Some (match r with Ok "" -> "OK" | Ok p -> p | Error e -> Format.asprintf "%a" Ctl.pp_error e))
     ();

@@ -45,91 +45,7 @@ let request_v kernel ?(version = protocol_version) ~path ~command ~on_result () 
 let hello kernel ?version ~path ~on_result () =
   request_v kernel ?version ~path ~command:"" ~on_result ()
 
-(* ------------------------------------------------------------------ *)
-(* The typed command surface: one variant, one encoder, one request
-   function. The string spellings below ARE the wire protocol — the
-   legacy request_* helpers are thin wrappers over the same encoder. *)
-
-type command =
-  | Update
-  | Stats
-  | Explain of int option
-  | Deadlines of { quiesce_ns : int option; update_ns : int option }
-  | Retry of { retries : int; backoff_ns : int }
-  | Fault_arm of int option
-  | Precopy of { enabled : bool; max_rounds : int option; threshold_words : int option }
-  | Workers of int
-  | Remap of bool
-  | Slo of { downtime_ns : int option; total_ns : int option }
-  | Save of string
-  | Restore of string
-  | Raw of string
-
-let ns_arg = function None -> "-" | Some ns -> string_of_int ns
-
-let command_to_string = function
-  | Update -> "UPDATE"
-  | Stats -> "STATS"
-  | Explain None -> "EXPLAIN LAST"
-  | Explain (Some n) -> Printf.sprintf "EXPLAIN %d" n
-  | Deadlines { quiesce_ns; update_ns } ->
-      Printf.sprintf "DEADLINES %s %s" (ns_arg quiesce_ns) (ns_arg update_ns)
-  | Retry { retries; backoff_ns } -> Printf.sprintf "RETRY %d %d" retries backoff_ns
-  | Fault_arm None -> "FAULT OFF"
-  | Fault_arm (Some s) -> Printf.sprintf "FAULT %d" s
-  | Precopy { enabled = false; _ } -> "PRECOPY OFF"
-  | Precopy { enabled = true; max_rounds; threshold_words } -> (
-      match (max_rounds, threshold_words) with
-      | None, None -> "PRECOPY ON"
-      | Some r, None -> Printf.sprintf "PRECOPY ON %d" r
-      | r, Some w ->
-          Printf.sprintf "PRECOPY ON %d %d"
-            (Option.value r ~default:Policy.default.Policy.precopy_max_rounds)
-            w)
-  | Workers n -> Printf.sprintf "WORKERS %d" n
-  | Remap enabled -> if enabled then "REMAP ON" else "REMAP OFF"
-  | Slo { downtime_ns; total_ns } ->
-      Printf.sprintf "SLO %s %s" (ns_arg downtime_ns) (ns_arg total_ns)
-  | Save path -> "SAVE " ^ path
-  | Restore path -> "RESTORE " ^ path
-  | Raw s -> s
-
 let exec kernel ?version ~path command ~on_result () =
-  request_v kernel ?version ~path ~command:(command_to_string command) ~on_result ()
-
-(* ------------------------------------------------------------------ *)
-(* Legacy per-command helpers (thin wrappers, raw transport) *)
-
-let request_update kernel ~path ~on_reply =
-  request kernel ~path ~command:(command_to_string Update) ~on_reply
-
-let request_stats kernel ~path ~on_reply =
-  request kernel ~path ~command:(command_to_string Stats) ~on_reply
-
-let request_deadlines kernel ~path ~quiesce_ns ~update_ns ~on_reply =
-  request kernel ~path ~command:(command_to_string (Deadlines { quiesce_ns; update_ns })) ~on_reply
-
-let request_retry kernel ~path ~retries ~backoff_ns ~on_reply =
-  request kernel ~path ~command:(command_to_string (Retry { retries; backoff_ns })) ~on_reply
-
-let request_fault kernel ~path ~seed ~on_reply =
-  request kernel ~path ~command:(command_to_string (Fault_arm seed)) ~on_reply
-
-let request_precopy kernel ~path ~enabled ?max_rounds ?threshold_words ~on_reply () =
-  request kernel ~path
-    ~command:(command_to_string (Precopy { enabled; max_rounds; threshold_words }))
-    ~on_reply
-
-let request_workers kernel ~path ~workers ~on_reply =
-  request kernel ~path ~command:(command_to_string (Workers workers)) ~on_reply
-
-let request_remap kernel ~path ~enabled ~on_reply =
-  request kernel ~path ~command:(command_to_string (Remap enabled)) ~on_reply
-
-let request_slo kernel ~path ~downtime_ns ~total_ns ~on_reply =
-  request kernel ~path ~command:(command_to_string (Slo { downtime_ns; total_ns })) ~on_reply
-
-let request_explain kernel ?version ~path ~nth ~on_result () =
-  exec kernel ?version ~path (Explain nth) ~on_result ()
+  request_v kernel ?version ~path ~command:(Frame.command_to_string command) ~on_result ()
 
 let update_pending m = Manager.update_requested m

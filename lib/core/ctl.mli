@@ -1,28 +1,24 @@
 (** The mcr-ctl client side.
 
     "The mcr-ctl tool allows users to signal live updates to the MCR
-    backend using Unix domain sockets" (Section 8). {!request_update}
-    spawns a client process in the simulated kernel that connects to the
-    manager's control socket, sends UPDATE, and reports the reply. The
-    reply arrives only after the update commits or rolls back, so the tool
-    observes the atomic outcome. {!request_stats} sends STATS instead and
-    receives the manager's current metrics snapshot immediately — it never
-    waits on an update.
+    backend using Unix domain sockets" (Section 8). {!exec} spawns a client
+    process in the simulated kernel that connects to the manager's control
+    socket, sends one typed {!Frame.command} and reports the typed reply.
+    An [UPDATE] reply arrives only after the update commits or rolls back,
+    so the tool observes the atomic outcome; [STATS] replies immediately
+    with the manager's current metrics snapshot.
 
-    {b Protocol versioning.} Since protocol version 1 a client may open
-    with a [HELLO <version> <command>] frame; the server then answers with
-    a uniform response frame — ["OK"] (optionally followed by a payload) on
-    success, ["ERR <reason>"] on refusal, and specifically
-    ["ERR version <server_version>"] when the client's version is not
-    supported. {!request_v} speaks this framing and surfaces the outcome as
-    a typed [result]. Frames without a HELLO prefix take the legacy path:
-    raw commands, raw payloads, and ["FAIL <reason>"] for a refused
-    UPDATE — exactly what pre-versioning clients expect. The wire format is
-    documented in doc/OBSERVABILITY.md. *)
+    {b Protocol.} Every request opens with a [HELLO <version> <command>]
+    frame; the server answers with a uniform response frame — ["OK"]
+    (optionally followed by a payload) on success, ["ERR <reason>"] on
+    refusal, and specifically ["ERR version <server_version>"] when the
+    client's version is not supported. A frame without a HELLO is refused
+    with ["ERR hello required"]. The wire format is documented in
+    doc/OBSERVABILITY.md. *)
 
 module Frame = Frame
-(** The frame encoder/decoder both sides share (re-exported for clients
-    that want to speak the protocol directly). *)
+(** The command type and frame codec both sides share (re-exported for
+    clients that want to speak the protocol directly). *)
 
 val protocol_version : int
 (** The protocol version this client speaks (= {!Manager.protocol_version}). *)
@@ -35,12 +31,19 @@ type error = Frame.error =
 
 val pp_error : Format.formatter -> error -> unit
 
-val request :
-  Mcr_simos.Kernel.t -> path:string -> command:string -> on_reply:(string -> unit) -> unit
-(** {b Legacy raw transport.} Spawn a client process that sends [command]
-    over the control socket and passes the raw reply to [on_reply] (or
-    "ERR <err>" if the connection failed). Drive the kernel afterwards.
-    New code should prefer {!request_v}. *)
+val exec :
+  Mcr_simos.Kernel.t ->
+  ?version:int ->
+  path:string ->
+  Frame.command ->
+  on_result:((string, error) result -> unit) ->
+  unit ->
+  unit
+(** Send one typed command over the versioned protocol and parse the
+    uniform response: [Ok payload] (the payload is [""] for plain "OK"
+    acknowledgements), or [Error _] with the typed failure — an [UPDATE]
+    that rolled back answers [Error (Refused reason)], whose reason parses
+    with {!Mcr_error.of_string}. Drive the kernel afterwards. *)
 
 val request_v :
   Mcr_simos.Kernel.t ->
@@ -50,11 +53,9 @@ val request_v :
   on_result:((string, error) result -> unit) ->
   unit ->
   unit
-(** Send [command] wrapped in a versioned HELLO frame ([?version] defaults
-    to {!protocol_version}) and parse the uniform response: [Ok payload]
-    (the payload is [""] for plain "OK" acknowledgements), or [Error _]
-    with the typed failure. An empty [command] sends a bare handshake —
-    see {!hello}. Drive the kernel afterwards. *)
+(** The versioned transport under {!exec}: send [command] wrapped in a
+    HELLO frame ([?version] defaults to {!protocol_version}). An empty
+    [command] sends a bare handshake — see {!hello}. *)
 
 val hello :
   Mcr_simos.Kernel.t ->
@@ -66,154 +67,11 @@ val hello :
 (** Bare version handshake: [Ok server_version_string] when the server
     accepts our version, [Error (Version_mismatch _)] otherwise. *)
 
-(** {1 Typed commands}
-
-    Every control-socket command as a variant. {!command_to_string} is the
-    single wire encoder (its output is the protocol documented in
-    doc/OBSERVABILITY.md); {!exec} sends one command over the versioned
-    framing. The [request_*] helpers below are thin wrappers kept for
-    existing callers — new code should build a {!command}. *)
-
-type command =
-  | Update  (** Perform a live update; replies when it commits or rolls back. *)
-  | Stats  (** Rendered metrics snapshot; never waits on an update. *)
-  | Explain of int option
-      (** Flight record as JSON ([None] = newest, [Some n] with [n] = 1 the
-          newest). *)
-  | Deadlines of { quiesce_ns : int option; update_ns : int option }
-      (** Set ([None] clears) the lineage's default deadlines. *)
-  | Retry of { retries : int; backoff_ns : int }
-  | Fault_arm of int option
-      (** Arm a seeded fault plan for subsequent updates; [None] disarms. *)
-  | Precopy of { enabled : bool; max_rounds : int option; threshold_words : int option }
-  | Workers of int  (** Transfer worker-pool size. *)
-  | Remap of bool  (** Zero-copy page remap on/off. *)
-  | Slo of { downtime_ns : int option; total_ns : int option }
-  | Save of string
-      (** Write a persistent checkpoint image of the running program to the
-          given {e host} path; replies [OK <fingerprint>]. *)
-  | Restore of string
-      (** Install the image at the given host path over the running
-          program in place; replies
-          [OK paired=<n> skipped=<n> unmatched=<n> fingerprint=<f>]. *)
-  | Raw of string
-      (** Escape hatch: send the string verbatim (e.g. a [FLEET ...]
-          command on an orchestrator socket). *)
-
-val command_to_string : command -> string
-(** The wire spelling — the single encoder both {!exec} and the legacy
-    helpers share. *)
-
-val exec :
-  Mcr_simos.Kernel.t ->
-  ?version:int ->
-  path:string ->
-  command ->
-  on_result:((string, error) result -> unit) ->
-  unit ->
-  unit
-(** Send one typed command over the versioned protocol
-    ({!request_v} of {!command_to_string}). Drive the kernel afterwards. *)
-
-(** {1 Legacy helpers} *)
-
-val request_update :
-  Mcr_simos.Kernel.t -> path:string -> on_reply:(string -> unit) -> unit
-(** Spawn the client. Drive the kernel afterwards; [on_reply] fires with
-    "OK" or "FAIL <reason>" when the manager responds (or "ERR <err>" if
-    the connection failed). For typed outcomes use
-    [request_v ~command:"UPDATE"], whose refusal reasons parse with
-    {!Mcr_error.of_string}. *)
-
-val request_stats :
-  Mcr_simos.Kernel.t -> path:string -> on_reply:(string -> unit) -> unit
-(** Ask the manager for a rendered metrics snapshot ({!Mcr_obs.Metrics.render}).
-    Replies immediately even while an update is in flight. *)
-
-val request_deadlines :
-  Mcr_simos.Kernel.t ->
-  path:string ->
-  quiesce_ns:int option ->
-  update_ns:int option ->
-  on_reply:(string -> unit) ->
-  unit
-(** Set the manager's default quiescence / whole-update deadlines
-    ([DEADLINES <q|-> <u|->]; [None] clears one). Replies "OK" or
-    "ERR usage: ...". *)
-
-val request_retry :
-  Mcr_simos.Kernel.t ->
-  path:string ->
-  retries:int ->
-  backoff_ns:int ->
-  on_reply:(string -> unit) ->
-  unit
-(** Set the manager's default retry policy ([RETRY <n> <backoff_ns>]). *)
-
-val request_fault :
-  Mcr_simos.Kernel.t ->
-  path:string ->
-  seed:int option ->
-  on_reply:(string -> unit) ->
-  unit
-(** Arm ([FAULT <seed>]) or disarm ([FAULT OFF]) a seeded fault plan for
-    subsequent updates — {!Mcr_fault.Fault.of_seed} applied per update. *)
-
-val request_precopy :
-  Mcr_simos.Kernel.t ->
-  path:string ->
-  enabled:bool ->
-  ?max_rounds:int ->
-  ?threshold_words:int ->
-  on_reply:(string -> unit) ->
-  unit ->
-  unit
-(** Enable ([PRECOPY ON [max_rounds] [threshold_words]]) or disable
-    ([PRECOPY OFF]) pre-copy for subsequent updates on this manager
-    lineage. *)
-
-val request_workers :
-  Mcr_simos.Kernel.t ->
-  path:string ->
-  workers:int ->
-  on_reply:(string -> unit) ->
-  unit
-(** Set the transfer worker-pool size for subsequent updates on this
-    manager lineage ([WORKERS <count>]). Replies "OK" or
-    "ERR usage: WORKERS <count>" for a count below 1. *)
-
-val request_remap :
-  Mcr_simos.Kernel.t ->
-  path:string ->
-  enabled:bool ->
-  on_reply:(string -> unit) ->
-  unit
-(** Enable ([REMAP ON]) or disable ([REMAP OFF]) the zero-copy page remap
-    for subsequent updates on this manager lineage. *)
-
-val request_slo :
-  Mcr_simos.Kernel.t ->
-  path:string ->
-  downtime_ns:int option ->
-  total_ns:int option ->
-  on_reply:(string -> unit) ->
-  unit
-(** Set (or clear, with [None]) the lineage's SLO budgets
-    ([SLO <downtime_ns|-> <total_ns|->]). Subsequent updates evaluate them
-    into their flight records and count [mcr_slo_violations_total]. *)
-
-val request_explain :
-  Mcr_simos.Kernel.t ->
-  ?version:int ->
-  path:string ->
-  nth:int option ->
-  on_result:((string, error) result -> unit) ->
-  unit ->
-  unit
-(** Fetch a flight record as JSON over the versioned protocol
-    ([EXPLAIN LAST] for [nth = None], [EXPLAIN <n>] otherwise; [n] = 1 is
-    the newest record). [Ok json] parses with {!Mcr_obs.Flight.of_json};
-    an empty recorder answers [Error (Refused "no flight records")]. *)
+val request :
+  Mcr_simos.Kernel.t -> path:string -> command:string -> on_reply:(string -> unit) -> unit
+(** Raw transport: send [command] verbatim, with no HELLO framing, and
+    pass the raw reply to [on_reply] (or "ERR <err>" if the connection
+    failed). Servers refuse such frames with ["ERR hello required"]. *)
 
 val update_pending : Manager.t -> bool
 (** Whether the manager has an outstanding mcr-ctl UPDATE request —

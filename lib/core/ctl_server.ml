@@ -30,14 +30,13 @@ let spawn kernel proc ?(name = "mcr-ctl") ~path ~dispatch () =
                    (match K.syscall (S.Read { fd = conn; max = 256; nonblock = false }) with
                    | S.Ok_data raw -> begin
                        match Frame.parse_request raw with
-                       | `Legacy cmd -> reply (dispatch ~versioned:false cmd)
-                       | `Malformed_hello -> reply (Frame.err "malformed hello")
-                       | `Hello (v, _) when v <> Frame.protocol_version ->
+                       | Error reason -> reply (Frame.err reason)
+                       | Ok (v, _) when v <> Frame.protocol_version ->
                            reply
                              (Frame.err (Printf.sprintf "version %d" Frame.protocol_version))
-                       | `Hello (_, None) | `Hello (_, Some "") ->
+                       | Ok (_, (None | Some "")) ->
                            reply (Frame.ok_inline (string_of_int Frame.protocol_version))
-                       | `Hello (_, Some cmd) -> reply (dispatch ~versioned:true cmd)
+                       | Ok (_, Some cmd) -> reply (dispatch cmd)
                      end
                    | _ -> ());
                    ignore (K.syscall (S.Close { fd = conn }));

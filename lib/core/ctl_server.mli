@@ -25,14 +25,14 @@ val spawn :
   Mcr_simos.Kernel.proc ->
   ?name:string ->
   path:string ->
-  dispatch:(versioned:bool -> string -> string) ->
+  dispatch:(string -> string) ->
   unit ->
   unit
 (** [spawn kernel proc ~path ~dispatch ()] starts a controller thread
     (named [?name], default ["mcr-ctl"]) in [proc] listening on the
     Unix-domain socket [path], binding via {!bind} (stale names are
     unlinked at bind time, on the listener thread; binding over a live
-    listener is still refused). Per connection, [dispatch ~versioned cmd] must return
-    the complete reply frame: callers build versioned replies with
-    {!Frame.ok}/{!Frame.ok_payload}/{!Frame.err} and downgrade legacy ones
-    themselves ([versioned] is false for pre-HELLO clients). *)
+    listener is still refused). A frame without a HELLO gets
+    ["ERR hello required"]. For each versioned command, [dispatch cmd]
+    must return the complete reply frame, built with
+    {!Frame.ok}/{!Frame.ok_inline}/{!Frame.ok_payload}/{!Frame.err}. *)

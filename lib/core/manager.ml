@@ -94,6 +94,26 @@ let make_mset metrics =
     m_aborted = Metrics.counter metrics "mcr_requests_aborted_total";
   }
 
+(* What a manager shares with every manager descended from it by updates:
+   the metrics registry (counters accumulate over the whole lineage), the
+   trace sink, the control-socket path, the policy mcr-ctl commands adjust
+   between updates, and the flight recorder ring (one record per update
+   attempt, newest first, capped) so EXPLAIN works against whichever
+   incarnation is serving. *)
+type lineage = {
+  metrics : Metrics.t;
+  mset : mset;
+  trace : Trace.t option;
+  ctl_path : string;
+  mutable policy : Policy.t;
+  mutable flight_log : Flight.record list;
+  mutable flight_seq : int;
+}
+
+(* One incarnation's controller thread: an UPDATE request parks the
+   listener on [sem] until the host loop posts [result]. *)
+type ctl = { sem : string; mutable pending : bool; mutable result : string }
+
 type t = {
   kernel : K.t;
   instr : Instr.t;
@@ -102,22 +122,8 @@ type t = {
   root_image : P.image;
   members : P.image list ref;
   log_source : log_source;
-  ctl_path : string;
-  ctl_pending : bool ref;
-  ctl_result : string ref;
-  ctl_sem : string;
-  trace : Trace.t option;
-  metrics : Metrics.t;
-  mset : mset;
-  (* Shared (and mutable) across the manager lineage — mcr-ctl commands
-     adjust it between updates, and the manager a commit returns keeps
-     honouring it. *)
-  policy : Policy.t ref;
-  (* The flight recorder ring: one record per update attempt, newest first,
-     capped. Shared across the lineage like the metrics registry so
-     EXPLAIN works against whichever incarnation is serving. *)
-  flight_log : Flight.record list ref;
-  flight_seq : int ref;
+  ctl : ctl;
+  lin : lineage;
 }
 
 type report = {
@@ -143,23 +149,26 @@ type report = {
   client_latency : Mcr_util.Stats.hist_summary option;
 }
 
+let live members = List.filter (fun (im : P.image) -> K.alive im.P.i_proc) !members
 let kernel t = t.kernel
 let root_proc t = t.root_proc
 let root_image t = t.root_image
 let version t = t.prog_version
-let images t = List.filter (fun (im : P.image) -> K.alive im.P.i_proc) !(t.members)
-let ctl_path t = t.ctl_path
-let update_requested t = !(t.ctl_pending)
-let trace t = t.trace
-let metrics (t : t) = t.metrics
-let policy t = !(t.policy)
-let set_policy t p = t.policy := p
+let images t = live t.members
+let ctl_path t = t.lin.ctl_path
+let update_requested t = t.ctl.pending
+let trace t = t.lin.trace
+let metrics (t : t) = t.lin.metrics
+let policy t = t.lin.policy
+let set_policy t p = t.lin.policy <- p
 
-let metrics_snapshot (t : t) =
-  Metrics.set t.mset.m_processes (List.length (images t));
-  Metrics.snapshot t.metrics
+(* refreshes the process gauge first *)
+let snapshot lin members =
+  Metrics.set lin.mset.m_processes (List.length (live members));
+  Metrics.snapshot lin.metrics
 
-let flight_records t = !(t.flight_log)
+let metrics_snapshot (t : t) = snapshot t.lin t.members
+let flight_records t = t.lin.flight_log
 
 (* ------------------------------------------------------------------ *)
 (* Image bookkeeping hooks *)
@@ -184,296 +193,118 @@ let track_members ?trace members (img : P.image) =
 (* ------------------------------------------------------------------ *)
 (* Controller thread (the libmcr side of mcr-ctl) *)
 
-(* Policy commands accepted over the control socket. [None] means the
-   command is not a policy command (generic ERR). *)
-let policy_command policy cmd =
-  let words =
-    String.split_on_char ' ' (String.trim cmd) |> List.filter (fun s -> s <> "")
-  in
-  let ns_opt = function
-    | "-" -> Ok None
-    | s -> (
-        match int_of_string_opt s with
-        | Some n when n > 0 -> Ok (Some n)
-        | _ -> Error ())
-  in
-  match words with
-  | "DEADLINES" :: rest -> begin
-      match rest with
-      | [ q; u ] -> begin
-          match (ns_opt q, ns_opt u) with
-          | Ok q, Ok u ->
-              policy := Policy.with_deadlines ~quiesce_ns:q ~update_ns:u !policy;
-              Some "OK"
-          | _ -> Some "ERR usage: DEADLINES <quiesce_ns|-> <update_ns|->"
-        end
-      | _ -> Some "ERR usage: DEADLINES <quiesce_ns|-> <update_ns|->"
-    end
-  | "RETRY" :: rest -> begin
-      match rest with
-      | [ n; b ] -> begin
-          match (int_of_string_opt n, int_of_string_opt b) with
-          | Some n, Some b when n >= 0 && b >= 0 ->
-              policy := { !policy with Policy.retries = n; retry_backoff_ns = b };
-              Some "OK"
-          | _ -> Some "ERR usage: RETRY <count> <backoff_ns>"
-        end
-      | _ -> Some "ERR usage: RETRY <count> <backoff_ns>"
-    end
-  | "FAULT" :: rest -> begin
-      match rest with
-      | [ "OFF" ] ->
-          policy := Policy.with_fault_seed None !policy;
-          Some "OK"
-      | [ s ] -> begin
-          match int_of_string_opt s with
-          | Some seed ->
-              policy := Policy.with_fault_seed (Some seed) !policy;
-              Some "OK"
-          | None -> Some "ERR usage: FAULT <seed>|OFF"
-        end
-      | _ -> Some "ERR usage: FAULT <seed>|OFF"
-    end
-  | "PRECOPY" :: rest -> begin
-      let usage = "ERR usage: PRECOPY ON [max_rounds] [threshold_words] | OFF" in
-      match rest with
-      | [ "OFF" ] ->
-          policy := Policy.with_precopy false !policy;
-          Some "OK"
-      | "ON" :: knobs -> begin
-          let apply ?max_rounds ?threshold_words () =
-            match Policy.with_precopy ?max_rounds ?threshold_words true !policy with
-            | p ->
-                policy := p;
-                Some "OK"
-            | exception Invalid_argument _ -> Some usage
-          in
-          match knobs with
-          | [] -> apply ()
-          | [ r ] -> begin
-              match int_of_string_opt r with
-              | Some r -> apply ~max_rounds:r ()
-              | None -> Some usage
-            end
-          | [ r; w ] -> begin
-              match (int_of_string_opt r, int_of_string_opt w) with
-              | Some r, Some w -> apply ~max_rounds:r ~threshold_words:w ()
-              | _ -> Some usage
-            end
-          | _ -> Some usage
-        end
-      | _ -> Some usage
-    end
-  | "WORKERS" :: rest -> begin
-      let usage = "ERR usage: WORKERS <count>" in
-      match rest with
-      | [ n ] -> begin
-          match int_of_string_opt n with
-          | Some n when n >= 1 ->
-              policy := Policy.with_transfer_workers n !policy;
-              Some "OK"
-          | Some _ | None -> Some usage
-        end
-      | _ -> Some usage
-    end
-  | "REMAP" :: rest -> begin
-      let usage = "ERR usage: REMAP ON|OFF" in
-      match rest with
-      | [ "ON" ] ->
-          policy := Policy.with_transfer_remap true !policy;
-          Some "OK"
-      | [ "OFF" ] ->
-          policy := Policy.with_transfer_remap false !policy;
-          Some "OK"
-      | _ -> Some usage
-    end
-  | "SLO" :: rest -> begin
-      let usage = "ERR usage: SLO <downtime_ns|-> <total_ns|->" in
-      match rest with
-      | [ d; u ] -> begin
-          match (ns_opt d, ns_opt u) with
-          | Ok d, Ok u ->
-              policy := Policy.with_slo ~downtime_ns:d ~total_ns:u !policy;
-              Some "OK"
-          | _ -> Some usage
-        end
-      | _ -> Some usage
-    end
-  | "PARKING" :: rest -> begin
-      let usage = "ERR usage: PARKING ON [drain_ns] | OFF" in
-      match rest with
-      | [ "OFF" ] ->
-          policy := Policy.with_request_parking false !policy;
-          Some "OK"
-      | [ "ON" ] ->
-          policy := Policy.with_request_parking true !policy;
-          Some "OK"
-      | [ "ON"; d ] -> begin
-          match int_of_string_opt d with
-          | Some d when d >= 0 ->
-              policy := Policy.with_request_parking ~drain_ns:d true !policy;
-              Some "OK"
-          | Some _ | None -> Some usage
-        end
-      | _ -> Some usage
-    end
-  | _ -> None
-
 (* SAVE/RESTORE serve persistent checkpoint images over the control
    socket. Dispatch runs on the controller thread of the cooperative
    scheduler, so the capture instant is atomic by construction: no other
    simulated thread can interleave a write between two captured words.
    The image file itself lives on the host filesystem — it must survive
-   kernel teardown. *)
-let checkpoint_command ~live ~policy cmd =
-  let words =
-    String.split_on_char ' ' (String.trim cmd) |> List.filter (fun s -> s <> "")
-  in
-  match words with
-  | "SAVE" :: rest -> (
-      match rest with
-      | [ path ] -> (
-          match live () with
-          | [] -> Some (Error "program not running")
-          | members -> (
-              let kernel = (List.hd members).P.i_kernel in
-              match
-                Image.save kernel ~path ~members
-                  ~policy_text:(Policy.to_kv !policy) ()
-              with
-              | Ok img -> Some (Ok (string_of_int (Image.fingerprint img)))
-              | Error e -> Some (Error (Image.error_to_string e))))
-      | _ -> Some (Error "usage: SAVE <path>"))
-  | "RESTORE" :: rest -> (
-      match rest with
-      | [ path ] -> (
-          match Image.read ~path with
-          | Error e -> Some (Error (Image.error_to_string e))
-          | Ok img -> (
-              match live () with
-              | [] -> Some (Error "program not running")
-              | members -> (
-                  match Image.install img ~members with
-                  | Ok r ->
-                      Some
-                        (Ok
-                           (Printf.sprintf "paired=%d skipped=%d unmatched=%d fingerprint=%d"
-                              r.Image.paired_procs r.Image.skipped_saved_procs
-                              r.Image.unmatched_live_procs (Image.fingerprint img)))
-                  | Error e -> Some (Error (Image.error_to_string e)))))
-      | _ -> Some (Error "usage: RESTORE <path>"))
-  | _ -> None
+   kernel teardown. [save_image]/[restore_image] are the host-side
+   spellings. *)
+let save_members kernel policy members ~path =
+  match members with
+  | [] -> Error "program not running"
+  | members ->
+      Result.map_error Image.error_to_string
+        (Image.save kernel ~path ~members ~policy_text:(Policy.to_kv policy) ())
 
-(* EXPLAIN serves the flight-recorder ring: 1 is the newest record. *)
-let explain_nth flight_log n =
-  match List.nth_opt !flight_log (n - 1) with
-  | Some r -> Ok (Flight.to_json r)
-  | None ->
-      Error
-        (if !flight_log = [] then "no flight records"
-         else Printf.sprintf "no flight record %d" n)
+let install_members img members =
+  match members with
+  | [] -> Error "program not running"
+  | members -> Result.map_error Image.error_to_string (Image.install img ~members)
 
-let spawn_ctl kernel proc ~ctl_path ~ctl_pending ~ctl_result ~ctl_sem ~stats ~explain ~policy
-    ~checkpoint =
-  let dispatch ~versioned cmd =
-    let has_prefix p =
-      String.length cmd >= String.length p && String.sub cmd 0 (String.length p) = p
-    in
-    if has_prefix "UPDATE" then begin
-      ctl_pending := true;
-      ignore (K.syscall (S.Sem_wait { name = ctl_sem; timeout_ns = None }));
-      if versioned then !ctl_result else Frame.legacy_update_frame !ctl_result
-    end
-    else if has_prefix "STATS" then
-      (* metrics snapshots are cheap and never block on the update
-         semaphore: reply immediately *)
-      if versioned then Frame.ok_payload (stats ()) else stats ()
-    else if has_prefix "EXPLAIN" then begin
-      let arg = String.trim (String.sub cmd 7 (String.length cmd - 7)) in
-      let nth =
-        match arg with
-        | "" | "LAST" -> Some 1
-        | s -> (
-            match int_of_string_opt s with Some n when n >= 1 -> Some n | _ -> None)
-      in
-      match nth with
-      | None -> if versioned then Frame.err "usage: EXPLAIN [LAST|<n>]" else "ERR"
-      | Some n -> (
-          match explain n with
-          | Ok json ->
-              (* legacy connections get the raw payload, like legacy STATS *)
-              if versioned then Frame.ok_payload json else json
-          | Error e -> if versioned then Frame.err e else "ERR")
-    end
-    else begin
-      match checkpoint cmd with
-      | Some (Ok v) -> if versioned then Frame.ok_inline v else "OK"
-      | Some (Error e) -> if versioned then Frame.err e else "ERR"
-      | None -> (
-          match policy_command policy cmd with
-          | Some r -> r
-          | None -> if versioned then "ERR unknown command" else "ERR")
-    end
+let dispatch kernel lin ctl members cmd =
+  let set f =
+    lin.policy <- f lin.policy;
+    Frame.ok
   in
-  Ctl_server.spawn kernel proc ~path:ctl_path ~dispatch ()
+  let reply = function Ok v -> Frame.ok_inline v | Error e -> Frame.err e in
+  match Frame.command_of_string cmd with
+  | Error e -> Frame.err e
+  | Ok Frame.Update ->
+      ctl.pending <- true;
+      ignore (K.syscall (S.Sem_wait { name = ctl.sem; timeout_ns = None }));
+      ctl.result
+  (* metrics snapshots are cheap and never block on the update semaphore *)
+  | Ok Frame.Stats -> Frame.ok_payload (Metrics.render (snapshot lin members))
+  (* EXPLAIN serves the flight-recorder ring: 1 is the newest record *)
+  | Ok (Frame.Explain n) -> (
+      let n = Option.value n ~default:1 in
+      match List.nth_opt lin.flight_log (n - 1) with
+      | Some r -> Frame.ok_payload (Flight.to_json r)
+      | None ->
+          Frame.err
+            (if lin.flight_log = [] then "no flight records"
+             else Printf.sprintf "no flight record %d" n))
+  | Ok (Frame.Save path) ->
+      reply
+        (Result.map
+           (fun img -> string_of_int (Image.fingerprint img))
+           (save_members kernel lin.policy (live members) ~path))
+  | Ok (Frame.Restore path) ->
+      reply
+        (Result.bind (Result.map_error Image.error_to_string (Image.read ~path)) (fun img ->
+             Result.map
+               (fun r ->
+                 Printf.sprintf "paired=%d skipped=%d unmatched=%d fingerprint=%d"
+                   r.Image.paired_procs r.Image.skipped_saved_procs r.Image.unmatched_live_procs
+                   (Image.fingerprint img))
+               (install_members img (live members))))
+  | Ok (Frame.Deadlines { quiesce_ns; update_ns }) ->
+      set (Policy.with_deadlines ~quiesce_ns ~update_ns)
+  | Ok (Frame.Retry { retries; backoff_ns }) -> set (Policy.with_retries ~backoff_ns retries)
+  | Ok (Frame.Fault_arm seed) -> set (Policy.with_fault_seed seed)
+  | Ok (Frame.Precopy { enabled; max_rounds; threshold_words }) ->
+      set (Policy.with_precopy ?max_rounds ?threshold_words enabled)
+  | Ok (Frame.Workers n) -> set (Policy.with_transfer_workers n)
+  | Ok (Frame.Remap enabled) -> set (Policy.with_transfer_remap enabled)
+  | Ok (Frame.Slo { downtime_ns; total_ns }) -> set (Policy.with_slo ~downtime_ns ~total_ns)
+  | Ok (Frame.Parking { enabled; drain_ns }) ->
+      set (Policy.with_request_parking ?drain_ns enabled)
+  | Ok (Frame.Raw _) -> Frame.err "unknown command"
+
+(* Start [proc]'s controller thread on the lineage's socket (Ctl_server
+   unlinks a stale socket name before binding). *)
+let spawn_ctl kernel proc lin members =
+  let ctl = { sem = Printf.sprintf "mcr.ctl.done.%d" (K.pid proc); pending = false; result = "" } in
+  Ctl_server.spawn kernel proc ~path:lin.ctl_path ~dispatch:(dispatch kernel lin ctl members) ();
+  ctl
 
 (* ------------------------------------------------------------------ *)
 (* Launch *)
 
-let stats_text ~metrics ~mset ~live () =
-  Metrics.set mset.m_processes (List.length (live ()));
-  Metrics.render (Metrics.snapshot metrics)
-
-let make_manager kernel instr prog_version root_proc root_image members log_source ~trace
-    ~metrics ~policy =
-  let mset = make_mset metrics in
-  let ctl_path = "/run/mcr/" ^ prog_version.P.prog ^ ".sock" in
-  let ctl_pending = ref false in
-  let ctl_result = ref "" in
-  let ctl_sem = Printf.sprintf "mcr.ctl.done.%d" (K.pid root_proc) in
-  let flight_log = ref [] in
-  let flight_seq = ref 0 in
-  let live () = List.filter (fun (im : P.image) -> K.alive im.P.i_proc) !members in
-  (* Ctl_server.spawn unlinks a stale socket name before binding *)
-  spawn_ctl kernel root_proc ~ctl_path ~ctl_pending ~ctl_result ~ctl_sem
-    ~stats:(stats_text ~metrics ~mset ~live)
-    ~explain:(explain_nth flight_log) ~policy
-    ~checkpoint:(checkpoint_command ~live ~policy);
-  {
-    kernel;
-    instr;
-    prog_version;
-    root_proc;
-    root_image;
-    members;
-    log_source;
-    ctl_path;
-    ctl_pending;
-    ctl_result;
-    ctl_sem;
-    trace;
-    metrics;
-    mset;
-    policy;
-    flight_log;
-    flight_seq;
-  }
-
-let launch kernel ?(instr = Instr.full) ?profiler ?trace ?policy prog_version =
-  let members = ref [] in
-  let image_slot = ref None in
+let launch kernel ?(instr = Instr.full) ?profiler ?trace ?(policy = Policy.default)
+    prog_version =
+  let members = ref [] and image_slot = ref None in
   let proc =
     Loader.launch kernel ~instr ?profiler prog_version ~on_image:(fun img ->
         image_slot := Some img;
         track_members ?trace members img)
   in
-  let image =
-    match !image_slot with Some i -> i | None -> invalid_arg "Manager.launch: no image"
-  in
+  let image = Option.get !image_slot in
   let recorder = Record.start kernel image in
-  let base = Option.value policy ~default:Policy.default in
-  make_manager kernel instr prog_version proc image members (Recorder recorder) ~trace
-    ~metrics:(Metrics.create ()) ~policy:(ref base)
+  let metrics = Metrics.create () in
+  let lin =
+    {
+      metrics;
+      mset = make_mset metrics;
+      trace;
+      ctl_path = "/run/mcr/" ^ prog_version.P.prog ^ ".sock";
+      policy;
+      flight_log = [];
+      flight_seq = 0;
+    }
+  in
+  {
+    kernel;
+    instr;
+    prog_version;
+    root_proc = proc;
+    root_image = image;
+    members;
+    log_source = Recorder recorder;
+    ctl = spawn_ctl kernel proc lin members;
+    lin;
+  }
 
 let wait_startup t ?(max_ns = 10_000_000_000) () =
   K.run_until t.kernel
@@ -504,41 +335,23 @@ let quiesce_only t =
 
 (* ------------------------------------------------------------------ *)
 (* Persistent checkpoint images (host-side API; the ctl spellings are
-   SAVE/RESTORE, handled by [checkpoint_command]) *)
+   SAVE/RESTORE, handled by [dispatch]) *)
 
+(* with no live process this quiesces trivially and [f] reports "program
+   not running" *)
 let with_quiesced t f =
-  if images t = [] then Error "program not running"
-  else begin
-    let t0 = K.clock_ns t.kernel in
-    request_all t;
-    let ok =
-      K.run_until t.kernel ~max_ns:(t0 + 5_000_000_000) (fun () -> all_quiesced t)
-    in
-    if not ok then begin
-      release_all t;
-      Error (Err.to_string Err.Quiescence_did_not_converge)
-    end
-    else begin
-      let r = f () in
-      release_all t;
-      r
-    end
-  end
+  request_all t;
+  let ok =
+    K.run_until t.kernel ~max_ns:(K.clock_ns t.kernel + 5_000_000_000) (fun () -> all_quiesced t)
+  in
+  let r = if ok then f () else Error (Err.to_string Err.Quiescence_did_not_converge) in
+  release_all t;
+  r
 
 let save_image t ~path =
-  with_quiesced t (fun () ->
-      match
-        Image.save t.kernel ~path ~members:(images t)
-          ~policy_text:(Policy.to_kv !(t.policy)) ()
-      with
-      | Ok img -> Ok img
-      | Error e -> Error (Image.error_to_string e))
+  with_quiesced t (fun () -> save_members t.kernel t.lin.policy (images t) ~path)
 
-let restore_image t img =
-  with_quiesced t (fun () ->
-      match Image.install img ~members:(images t) with
-      | Ok rep -> Ok rep
-      | Error e -> Error (Image.error_to_string e))
+let restore_image t img = with_quiesced t (fun () -> install_members img (images t))
 
 (* ------------------------------------------------------------------ *)
 (* Read-only measurement hooks *)
@@ -552,16 +365,11 @@ let merge_side (a : Objgraph.side) (b : Objgraph.side) =
   a.Objgraph.targ_lib <- a.Objgraph.targ_lib + b.Objgraph.targ_lib
 
 let trace_statistics t =
-  let acc =
-    {
-      Objgraph.precise =
-        { Objgraph.ptr = 0; src_static = 0; src_dynamic = 0; targ_static = 0; targ_dynamic = 0;
-          targ_lib = 0 };
-      likely =
-        { Objgraph.ptr = 0; src_static = 0; src_dynamic = 0; targ_static = 0; targ_dynamic = 0;
-          targ_lib = 0 };
-    }
+  let zero () =
+    { Objgraph.ptr = 0; src_static = 0; src_dynamic = 0; targ_static = 0; targ_dynamic = 0;
+      targ_lib = 0 }
   in
+  let acc = { Objgraph.precise = zero (); likely = zero () } in
   List.iter
     (fun im ->
       let a = Objgraph.analyze im in
@@ -629,956 +437,863 @@ let memory_stats t =
 (* ------------------------------------------------------------------ *)
 (* The live update *)
 
-let respond_ctl t result =
-  if !(t.ctl_pending) then begin
-    t.ctl_result := result;
-    K.post_semaphore t.kernel t.ctl_sem;
-    (* let the controller thread deliver the reply *)
-    K.run_for t.kernel 5_000_000;
-    t.ctl_pending := false
+(* The new version, once the restart stage has launched it. *)
+type restarted = {
+  new_proc : K.proc;
+  new_root : P.image;
+  new_members : P.image list ref;
+  new_ctl : ctl;
+  rep : Replayer.t;
+  logs : Logdefs.plog list;
+  (* while set, processes the new version forks start with quiescence
+     requested, like its root *)
+  in_update : bool ref;
+  (* pre-copy staging per process pair, kept for the in-window transfer *)
+  sessions : (Logdefs.proc_key, Transfer.precopy) Hashtbl.t;
+}
+
+(* One update attempt. Stages fill it in as they run; [finish] reads it
+   on every exit. Each in-window flight segment in [attr] is measured
+   independently, at the point it elapses, so the components summing to
+   the downtime (measured from [window_start]) is a real cross-check, not
+   an identity. Recording never touches the clock. *)
+type attempt = {
+  t : t;
+  k : K.t;
+  tr : Trace.t option;
+  mpid : int;
+  pol : Policy.t;
+  fault : Fault.t option;
+  target : P.version;
+  t0 : int;
+  pstats0 : K.parking_stats;
+  (* The service-interruption window opens when quiescence is requested:
+     immediately for single-shot updates, only after the pre-copy rounds
+     otherwise. Failures before the window opens cost zero downtime. *)
+  mutable window_start : int option;
+  mutable parked : bool;
+  mutable quiesce_ns : int;
+  mutable cm_ns : int;
+  mutable st_ns : int;
+  mutable rounds : Flight.round list;  (* pre-copy rounds, newest first *)
+  mutable attr : Flight.attribution;
+  mutable transfers : (Logdefs.proc_key * Transfer.outcome) list;  (* newest first *)
+  (* persistent checkpoint image of the old version, snapped at its
+     quiescent point when the policy asks for one; written with the flight
+     record attached once the attempt ends, commit or rollback (a
+     rolled-back attempt's image is what [mcr-postmortem --replay] feeds
+     on) *)
+  mutable image : Image.t option;
+  mutable restarted : restarted option;
+}
+
+type 'a stage_result = ('a, Err.rollback_reason * string) result
+
+let clock a = K.clock_ns a.k
+let downtime a = match a.window_start with Some w -> clock a - w | None -> 0
+
+let deadline_exceeded a =
+  match a.pol.Policy.update_deadline_ns with Some d -> clock a - a.t0 >= d | None -> false
+
+let precopy_bytes a =
+  List.fold_left (fun acc r -> acc + (r.Flight.r_words * Addr.word_size)) 0 a.rounds
+
+let sum_transfers a f = List.fold_left (fun acc (_, o) -> acc + f o) 0 a.transfers
+let transfer_conflicts a = List.concat_map (fun (_, o) -> o.Transfer.conflicts) (List.rev a.transfers)
+let instant a name args = Trace.instant a.tr ~pid:a.mpid ~cat:"stage" ~args name
+
+(* Run [f] inside the named stage span; [f] returns its value and the
+   span's closing args. The elapsed virtual time is observed into [hist]
+   and returned. *)
+let stage a ?hist name f =
+  Trace.span_begin a.tr ~pid:a.mpid ~cat:"stage" name;
+  let start = clock a in
+  let v, args = f () in
+  Trace.span_end a.tr ~pid:a.mpid ~cat:"stage" ~args name;
+  let elapsed = clock a - start in
+  Option.iter (fun h -> Metrics.observe h elapsed) hist;
+  (v, elapsed)
+
+(* ---- in-flight request parking. Listeners are parked (new connections
+   queue kernel-side instead of getting ECONNREFUSED) just before the
+   window opens, the old version gets a bounded drain to finish requests
+   it already accepted, and whichever version survives the attempt
+   unparks — listener descriptors are shared across versions, so the
+   parked queue drains into the survivor's accept backlog. ---- *)
+let park a =
+  if a.pol.Policy.request_parking then begin
+    let n =
+      List.fold_left (fun acc (im : P.image) -> acc + K.park_listeners a.k im.P.i_proc) 0
+        (images a.t)
+    in
+    a.parked <- true;
+    instant a "park" [ ("listeners", string_of_int n) ];
+    if a.pol.Policy.drain_ns > 0 then K.run_for a.k a.pol.Policy.drain_ns
   end
 
-let reinit_ctx (im : P.image) th =
-  { P.kernel = im.P.i_kernel; thread = th; proc = im.P.i_proc; image = im }
+let unpark a imgs =
+  if a.parked then begin
+    let n =
+      List.fold_left (fun acc (im : P.image) -> acc + K.unpark_listeners a.k im.P.i_proc) 0 imgs
+    in
+    a.parked <- false;
+    instant a "unpark" [ ("resumed", string_of_int n) ]
+  end
 
-(* The whole pipeline in one pass. Without pre-copy the stage order is the
-   paper's checkpoint/restart/restore: quiesce -> restart+replay ->
+(* Clamp a stage's horizon to the whole-update deadline. *)
+let bounded a horizon =
+  match a.pol.Policy.update_deadline_ns with Some d -> min horizon (a.t0 + d) | None -> horizon
+
+(* Fault injection. [refusal a p]: while [p] stays armed, barriers given
+   this refusal decline quiescence. [consume a p]: fire [p] once. *)
+let refusal a point =
+  match a.fault with
+  | Some f when Fault.fires f point -> Some (fun () -> Fault.fires f point)
+  | _ -> None
+
+let consume a point = match a.fault with Some f -> Fault.consume f point | None -> false
+
+let set_refusals imgs f =
+  List.iter (fun (im : P.image) -> Barrier.set_refusal im.P.i_barrier f) imgs
+
+(* ---- checkpoint: quiesce the running version; the window opens here.
+   Shared by both stage orders. Quiescence is measured from the window
+   opening, after park and drain. ---- *)
+let quiesce a : unit stage_result =
+  let t = a.t in
+  let ok, _ =
+    stage a "quiesce" (fun () ->
+        (* park first, then drain: new arrivals queue kernel-side while the
+           old version finishes what it already accepted, so the barrier
+           finds the accept loops idle instead of mid-request *)
+        park a;
+        (* fault injection: while armed, old-version threads decline the
+           barrier *)
+        let refuse = refusal a Fault.Quiesce_refusal in
+        if Option.is_some refuse then set_refusals (images t) refuse;
+        let wstart = clock a in
+        a.window_start <- Some wstart;
+        request_all t;
+        let max_ns =
+          bounded a
+            (wstart + Option.value a.pol.Policy.quiesce_deadline_ns ~default:5_000_000_000)
+        in
+        let ok = K.run_until a.k ~max_ns (fun () -> all_quiesced t) in
+        ignore (consume a Fault.Quiesce_refusal);
+        set_refusals (images t) None;
+        (ok, [ ("converged", if ok then "yes" else "no") ]))
+  in
+  (* attribution: all in-window time so far is quiescence wait, converged
+     or not *)
+  let waited = downtime a in
+  a.attr <- { a.attr with Flight.a_quiesce_ns = waited };
+  if ok then begin
+    a.quiesce_ns <- waited;
+    Metrics.observe t.lin.mset.m_quiesce_h waited;
+    if a.pol.Policy.image_dir <> None then
+      a.image <-
+        Some
+          (Image.capture a.k ~members:(images t) ~policy_text:(Policy.to_kv a.pol)
+             ~target_tag:a.target.P.version_tag ())
+  end;
+  let failed reason = Error (reason, "quiesce") in
+  if deadline_exceeded a then failed Err.Update_deadline_exceeded
+  else if not ok then
+    failed
+      (Barrier.failure_reason
+         ~deadline_hit:
+           (Option.fold ~none:false ~some:(fun d -> waited >= d) a.pol.Policy.quiesce_deadline_ns))
+  else Ok ()
+
+let new_quiesced r =
+  match live r.new_members with
+  | [] -> false
+  | imgs ->
+      List.for_all
+        (fun (im : P.image) -> im.P.i_startup_complete && Barrier.quiesced im.P.i_barrier)
+        imgs
+
+(* ---- restart: launch the new version under replay. Without pre-copy
+   this elapses inside the window. ---- *)
+let restart a : restarted stage_result =
+  let t = a.t and k = a.k in
+  let (r, startup_ok), cm_ns =
+    stage a ~hist:t.lin.mset.m_cm_h "restart_replay" (fun () ->
+        let t1 = clock a in
+        let logs =
+          match t.log_source with Recorder r -> Record.logs r | Replayed r -> Replayer.new_logs r
+        in
+        (* global inheritance: every reserved-range descriptor from every
+           old process, deduplicated (separability makes numbers globally
+           unique). Reserved-range descriptors are created during startup,
+           so the set is stable whether or not the old version is still
+           serving (pre-copy). *)
+        let inherited =
+          List.fold_left
+            (fun acc (im : P.image) ->
+              List.fold_left
+                (fun acc fd ->
+                  if fd >= reserved_fd_base && not (List.mem_assoc fd acc) then
+                    (fd, im.P.i_proc) :: acc
+                  else acc)
+                acc (K.fds im.P.i_proc))
+            [] (images t)
+          |> List.rev
+        in
+        let new_members = ref [] and root_slot = ref None and in_update = ref true in
+        (* fault injection: new-version threads decline their startup
+           barrier *)
+        let arm_startup_hang (img : P.image) =
+          let refuse = refusal a Fault.Startup_hang in
+          if Option.is_some refuse then Barrier.set_refusal img.P.i_barrier refuse
+        in
+        let new_proc =
+          Loader.launch k ~instr:t.instr a.target ~on_image:(fun img ->
+              root_slot := Some img;
+              track_members ?trace:a.tr new_members img;
+              (* reinitiate quiescence detection before startup runs, so
+                 the new version is never exposed to external events
+                 (Section 5) *)
+              Barrier.request img.P.i_barrier;
+              arm_startup_hang img;
+              img.P.i_child_hooks <-
+                (fun child ->
+                  if !in_update then begin
+                    Barrier.request child.P.i_barrier;
+                    arm_startup_hang child
+                  end)
+                :: img.P.i_child_hooks)
+        in
+        List.iter
+          (fun (fd, src) -> ignore (K.transfer_fd k ~src ~fd ~dst:new_proc ~at:fd))
+          inherited;
+        let rep =
+          Replayer.start k ?trace:a.tr ?fault:a.fault (Option.get !root_slot) ~logs
+            ~inherited:(List.map fst inherited)
+        in
+        (* fault injection: syscall-level failures, scoped to new-version
+           processes so the serving old version never sees them *)
+        (match a.fault with
+        | Some f
+          when List.exists
+                 (function Fault.Syscall_failure _ -> true | _ -> false)
+                 (Fault.armed f) ->
+            K.set_fault_hook k
+              (Some
+                 (fun th call ->
+                   let pid = K.pid (K.thread_proc th) in
+                   if List.exists (fun (im : P.image) -> K.pid im.P.i_proc = pid) !new_members
+                   then Fault.syscall_result f ~call
+                   else None))
+        | _ -> ());
+        (* the new version gets its own controller thread; its replayed
+           unix_listen inherits the control socket *)
+        let r =
+          {
+            new_proc;
+            new_root = Option.get !root_slot;
+            new_members;
+            new_ctl = spawn_ctl k new_proc t.lin new_members;
+            rep;
+            logs;
+            in_update;
+            sessions = Hashtbl.create 8;
+          }
+        in
+        a.restarted <- Some r;
+        (* fault injection: kill the new version mid-startup *)
+        if consume a Fault.Startup_crash then begin
+          ignore (K.run_until k ~max_ns:(clock a + 50_000_000) (fun () -> false));
+          if K.alive new_proc then K.kill_process k new_proc ~status:139
+        end;
+        let ok =
+          K.run_until k ~max_ns:(bounded a (t1 + 10_000_000_000)) (fun () ->
+              new_quiesced r || (not (K.alive new_proc)) || Replayer.conflicts rep <> [])
+        in
+        ignore (consume a Fault.Startup_hang);
+        set_refusals !new_members None;
+        ((r, ok), []))
+  in
+  a.cm_ns <- cm_ns;
+  (* attribution: under pre-copy, restart+replay runs while the old
+     version still serves *)
+  if not a.pol.Policy.precopy then a.attr <- { a.attr with Flight.a_restart_ns = cm_ns };
+  let failed reason = Error (reason, "restart_replay") in
+  if not (K.alive r.new_proc) then failed Err.Startup_crashed
+  else
+    match Replayer.rollback_reason r.rep with
+    | Some reason -> failed reason
+    | None ->
+        if deadline_exceeded a then failed Err.Update_deadline_exceeded
+        else if not (startup_ok && new_quiesced r) then failed Err.Startup_not_quiescent
+        else Ok r
+
+let old_proc_of_key a r key =
+  match key with
+  | Logdefs.Root -> Some a.t.root_proc
+  | _ ->
+      List.find_map
+        (fun (l : Logdefs.plog) ->
+          if l.Logdefs.key = key then K.find_proc a.k l.Logdefs.pid else None)
+        r.logs
+
+let image_of_live = function
+  | Some p when K.alive p -> Option.map (fun im -> (p, im)) (P.image_of_proc p)
+  | _ -> None
+
+let precopy_epoch = "mcr.precopy"
+
+(* ---- pre-copy: speculative tracing + staging rounds, old version still
+   serving. Staging is host-side only (no new-version writes), so aborting
+   here needs no undo; each round's speculative copy cost elapses on the
+   clock concurrently with service. ---- *)
+let precopy a r ~on_precopy_round : unit stage_result =
+  let dirty_only = a.pol.Policy.dirty_only and workers = a.pol.Policy.transfer_workers in
+  let max_rounds = max 1 a.pol.Policy.precopy_max_rounds in
+  let threshold = max 0 a.pol.Policy.precopy_threshold_words in
+  (* one pair's round: trace the old image and stage its delta; returns
+     the pair's critical-path cost and staged words *)
+  let stage_pair key =
+    match image_of_live (old_proc_of_key a r key) with
+    | None -> (0, 0)
+    | Some (_, oi) ->
+        let aspace = oi.P.i_aspace in
+        let since = Aspace.epoch_find aspace ~name:precopy_epoch in
+        let analysis = Objgraph.analyze ?trace:a.tr ?cost_since:since oi in
+        let session =
+          match Hashtbl.find_opt r.sessions key with
+          | Some s -> s
+          | None ->
+              let s = Transfer.precopy_create () in
+              Hashtbl.replace r.sessions key s;
+              s
+        in
+        let rs =
+          Transfer.precopy_round session ~old_image:oi ~analysis ?since ~dirty_only ~workers ()
+        in
+        (* staging is host-side (no program ran), so the write sequence is
+           unchanged since [since] was read: resetting now is the same mark *)
+        Aspace.epoch_reset aspace ~name:precopy_epoch;
+        (* within a pair the worker pool shards the round, so the pair pays
+           its critical path *)
+        (Objgraph.trace_critical_ns analysis ~workers + rs.Transfer.round_cost_ns,
+         rs.Transfer.round_words)
+  in
+  let rec round n =
+    if deadline_exceeded a then Error (Err.Update_deadline_exceeded, "precopy")
+    else begin
+      (* rounds run per pair in parallel, like transfers *)
+      let cost, delta =
+        List.fold_left
+          (fun (cost, delta) (key, _) ->
+            let c, w = stage_pair key in
+            (max cost c, delta + w))
+          (0, 0) (Replayer.pairs r.rep)
+      in
+      instant a "precopy.round"
+        [ ("round", string_of_int n); ("delta_words", string_of_int delta);
+          ("cost_ns", string_of_int cost) ];
+      a.rounds <- { Flight.r_words = delta; r_cost_ns = cost } :: a.rounds;
+      (* the old version keeps serving while the speculative copy elapses —
+         this is the whole point *)
+      K.run_for a.k cost;
+      Option.iter (fun f -> f n) on_precopy_round;
+      if n >= 2 && delta <= threshold then Ok ()
+      else if n >= max_rounds then
+        if max_rounds = 1 || delta <= threshold then Ok ()
+        else Error (Err.Precopy_diverged, "precopy")
+      else round (n + 1)
+    end
+  in
+  fst
+    (stage a "precopy" (fun () ->
+         (* each attempt is a fresh pre-copy session: forget any epoch a
+            previous (rolled-back) attempt left on the old images so round
+            one stages the full copy set and pays full tracing *)
+         List.iter
+           (fun (im : P.image) -> Aspace.epoch_remove im.P.i_aspace ~name:precopy_epoch)
+           (images a.t);
+         let res = round 1 in
+         (res, [ ("rounds", string_of_int (List.length a.rounds)) ])))
+
+(* One old/new process pair's mutable tracing and transfer; returns its
+   critical-path cost. *)
+let transfer_pair a r (oldp, oi) (newp, ni) key new_pid =
+  let pol = a.pol and mset = a.t.lin.mset in
+  let cost_since =
+    (* the pre-copy epoch discounts in-window tracing only if this
+       attempt's rounds actually paid for it *)
+    if Hashtbl.mem r.sessions key then Aspace.epoch_find oi.P.i_aspace ~name:precopy_epoch
+    else None
+  in
+  let analysis = Objgraph.analyze ?trace:a.tr ?cost_since ?fault:a.fault oi in
+  let o =
+    Transfer.run ~old_image:oi ~new_image:ni ~analysis ~dirty_only:pol.Policy.dirty_only
+      ~remap:pol.Policy.transfer_remap ?precopy:(Hashtbl.find_opt r.sessions key)
+      ~workers:pol.Policy.transfer_workers ?trace:a.tr ?fault:a.fault ()
+  in
+  a.transfers <- (key, o) :: a.transfers;
+  Metrics.incr mset.m_transfer_pairs;
+  Metrics.incr ~by:o.Transfer.transferred_objects mset.m_transferred_objects;
+  Metrics.incr ~by:o.Transfer.transferred_words mset.m_transferred_words;
+  Metrics.incr ~by:o.Transfer.remapped_words mset.m_remapped_words;
+  Metrics.incr ~by:o.Transfer.skipped_clean_words mset.m_skipped_clean_words;
+  (* tracing and copying each run sharded across the worker pool, so the
+     pair pays the max over shards of each phase, not the sum *)
+  let pair_cost = o.Transfer.trace_critical_ns + o.Transfer.cost_ns in
+  Metrics.observe mset.m_pair_cost_h pair_cost;
+  let pair = Format.asprintf "%a" Logdefs.pp_key key in
+  (* pair transfers run in parallel — the charged time is the max across
+     pairs, so a begin/end pair cannot represent one; a Complete event
+     carries the pair's own duration instead *)
+  Trace.complete a.tr ~pid:new_pid ~cat:"stage"
+    ~args:
+      [ ("pair", pair); ("words", string_of_int o.Transfer.transferred_words);
+        ("objects", string_of_int o.Transfer.transferred_objects);
+        ("workers", string_of_int o.Transfer.workers) ]
+    ~dur_ns:pair_cost "transfer.pair";
+  Metrics.set mset.m_workers_g o.Transfer.workers;
+  if o.Transfer.workers > 1 then
+    Array.iteri
+      (fun s words ->
+        Metrics.observe mset.m_shard_words_h words;
+        Trace.complete a.tr ~pid:new_pid ~cat:"stage"
+          ~args:[ ("pair", pair); ("shard", string_of_int s); ("words", string_of_int words) ]
+          ~dur_ns:(o.Transfer.trace_shard_ns.(s) + o.Transfer.shard_cost_ns.(s))
+          "transfer.shard")
+      o.Transfer.shard_words;
+  (* post-startup descriptors (open connections) move to the paired
+     process at the same numbers *)
+  List.iter
+    (fun fd ->
+      if fd < reserved_fd_base then ignore (K.transfer_fd a.k ~src:oldp ~fd ~dst:newp ~at:fd))
+    (K.fds oldp);
+  (o, pair_cost)
+
+(* ---- restore: mutable tracing, in waves so reinit handlers can re-create
+   volatile processes that then get their own transfer ---- *)
+let state_transfer a r : unit stage_result =
+  let k = a.k in
+  let handlers_ok, st_ns =
+    stage a ~hist:a.t.lin.mset.m_st_h "state_transfer" (fun () ->
+        let start = clock a in
+        let done_pairs = Hashtbl.create 8 in
+        let max_pair_cost = ref 0 and pairs = ref 0 in
+        (* transfer every pair not transferred yet; true if any was *)
+        let wave () =
+          List.filter (fun (key, _) -> not (Hashtbl.mem done_pairs key)) (Replayer.pairs r.rep)
+          |> List.fold_left
+               (fun worked (key, new_pid) ->
+                 Hashtbl.replace done_pairs key ();
+                 match
+                   ( image_of_live (old_proc_of_key a r key),
+                     image_of_live (K.find_proc k new_pid) )
+                 with
+                 | Some old_side, Some new_side ->
+                     let o, cost = transfer_pair a r old_side new_side key new_pid in
+                     incr pairs;
+                     if cost > !max_pair_cost then begin
+                       max_pair_cost := cost;
+                       (* attribution follows the critical pair: its copy
+                          critical path is the max shard, and whatever
+                          cost_ns adds on top of that is the worker pool's
+                          spawn/join overhead *)
+                       let copy =
+                         if o.Transfer.workers > 1 then
+                           Array.fold_left max 0 o.Transfer.shard_cost_ns
+                         else o.Transfer.cost_ns
+                       in
+                       a.attr <-
+                         {
+                           a.attr with
+                           Flight.a_trace_ns = o.Transfer.trace_critical_ns;
+                           a_copy_ns = copy;
+                           a_spawn_join_ns = o.Transfer.cost_ns - copy;
+                         }
+                     end;
+                     true
+                 | _ -> worked)
+               false
+        in
+        ignore (wave ());
+        (* volatile quiescent states: run the new version's reinit handlers *)
+        let handler_threads =
+          (* fault injection: a handler that spins forever without
+             blocking. Each iteration makes a syscall (so the thread dies
+             with its process after rollback) and charges time (so the
+             clock reaches the settling horizon) *)
+          (if not (consume a Fault.Reinit_hang) then []
+           else
+             [
+               K.spawn_thread k r.new_root.P.i_proc ~name:"reinit:fault-hang" (fun th ->
+                   K.push_frame th "reinit:fault-hang";
+                   let rec spin () =
+                     ignore (K.syscall S.Getpid);
+                     K.charge k 50_000_000;
+                     spin ()
+                   in
+                   spin ());
+             ])
+          @ List.concat_map
+              (fun (im : P.image) ->
+                List.map
+                  (fun (name, run) ->
+                    K.spawn_thread k im.P.i_proc ~name:("reinit:" ^ name) (fun th ->
+                        K.push_frame th ("reinit:" ^ name);
+                        run { P.kernel = im.P.i_kernel; thread = th; proc = im.P.i_proc; image = im }))
+                  (P.reinit_handlers im.P.i_version))
+              (live r.new_members)
+        in
+        (* wait until every handler has run to completion (or parked) AND
+           the processes they re-created have quiesced — the bare
+           new_quiesced predicate holds trivially before the handlers get
+           scheduled *)
+        let handlers_settled () =
+          List.for_all
+            (fun th -> (not (K.thread_alive th)) || K.blocked_in th <> None)
+            handler_threads
+        in
+        let handlers_ok =
+          K.run_until k
+            ~max_ns:(clock a + 2_000_000_000)
+            (fun () -> handlers_settled () && new_quiesced r)
+        in
+        let rec more_waves n =
+          if wave () && n < 4 then begin
+            ignore (K.run_until k ~max_ns:(clock a + 1_000_000_000) (fun () -> new_quiesced r));
+            more_waves (n + 1)
+          end
+        in
+        more_waves 0;
+        (* parallel multiprocess transfer: the slowest pair bounds the
+           parallel phase; the coordinator adds a constant (relinking the
+           program and prelinking shared libraries for the remapped
+           immutable objects, Section 6 — already prepaid under pre-copy)
+           plus a per-process channel setup cost. Everything that elapsed
+           on the clock so far was reinit-handler settling (the transfer
+           waves themselves only accumulate charges). *)
+        let relink = if a.pol.Policy.precopy then 0 else relink_ns in
+        let channel = 2_000_000 * !pairs in
+        a.attr <-
+          {
+            a.attr with
+            Flight.a_handlers_ns = clock a - start;
+            a_relink_ns = relink;
+            a_channel_ns = channel;
+          };
+        (* Dedicated-core accounting keeps client machines live through the
+           copy window — their connect/backoff timers fire inside it, which
+           is what the latency bench measures. Single-core accounting (the
+           default) freezes them, preserving historical downtime numbers. *)
+        (if a.pol.Policy.concurrent_transfer then K.charge_concurrent else K.charge)
+          k
+          (!max_pair_cost + relink + channel);
+        (handlers_ok, [ ("pairs", string_of_int !pairs) ]))
+  in
+  a.st_ns <- st_ns;
+  let failed reason = Error (reason, "state_transfer") in
+  if deadline_exceeded a then failed Err.Update_deadline_exceeded
+  else if not handlers_ok then failed Err.Reinit_not_quiesced
+  else
+    match Transfer.rollback_reason (transfer_conflicts a) with
+    | Some reason -> failed reason
+    | None -> Ok ()
+
+(* A dying version's images: detach any frames they share with the
+   survivor (zero-copy remap) so no shared frame outlives the window and
+   the survivor owns its memory, then terminate them. *)
+let retire k imgs ~status =
+  List.iter
+    (fun (im : P.image) ->
+      ignore (Aspace.detach_shared im.P.i_aspace);
+      if K.alive im.P.i_proc then K.kill_process k im.P.i_proc ~status)
+    imgs
+
+let respond_ctl t result =
+  if t.ctl.pending then begin
+    t.ctl.result <- result;
+    K.post_semaphore t.kernel t.ctl.sem;
+    (* let the controller thread deliver the reply *)
+    K.run_for t.kernel 5_000_000;
+    t.ctl.pending <- false
+  end
+
+let explain a reason ~stage =
+  {
+    Flight.e_reason = Err.to_string reason;
+    e_stage = stage;
+    e_conflicts =
+      List.map
+        (fun (c : Err.conflict_obj) ->
+          {
+            Flight.c_kind = c.Err.co_kind;
+            c_addr = c.Err.co_addr;
+            c_ty = c.Err.co_ty;
+            c_callstack = c.Err.co_callstack;
+            c_shard = c.Err.co_shard;
+            c_round = c.Err.co_round;
+            c_detail = c.Err.co_detail;
+          })
+        (Err.conflict_objs reason);
+    e_fault =
+      Option.bind a.fault (fun f ->
+          match Fault.fired f with [] -> None | fired -> Some (String.concat "," fired));
+  }
+
+(* Append the attempt's flight record to the lineage ring, evaluate the
+   SLO, and write the captured checkpoint image with the record attached.
+   The teardown segment is the tail from [teardown_from] (entry to
+   [finish]) to now. *)
+let record_flight a ~attempt ~prior ~teardown_from outcome =
+  let lin = a.t.lin and pol = a.pol in
+  let seq = lin.flight_seq + 1 in
+  lin.flight_seq <- seq;
+  let total_ns = clock a - a.t0 and dt = downtime a in
+  let slo =
+    match (pol.Policy.slo_downtime_ns, pol.Policy.slo_total_ns) with
+    | None, None -> None
+    | d, u ->
+        Some
+          {
+            Flight.s_downtime_budget_ns = d;
+            s_total_budget_ns = u;
+            s_downtime_ok = (match d with Some b -> dt <= b | None -> true);
+            s_total_ok = (match u with Some b -> total_ns <= b | None -> true);
+          }
+  in
+  (match slo with
+  | Some s when Flight.slo_violated s -> Metrics.incr lin.mset.m_slo_violations
+  | _ -> ());
+  let record =
+    {
+      Flight.f_seq = seq;
+      f_attempt = attempt;
+      f_prog = a.t.prog_version.P.prog;
+      f_from = a.t.prog_version.P.version_tag;
+      f_to = a.target.P.version_tag;
+      f_success = Result.is_ok outcome;
+      f_start_ns = a.t0;
+      f_total_ns = total_ns;
+      f_downtime_ns = dt;
+      f_precopy = pol.Policy.precopy;
+      f_workers = pol.Policy.transfer_workers;
+      f_remapped_words = sum_transfers a (fun o -> o.Transfer.remapped_words);
+      f_skipped_clean_words = sum_transfers a (fun o -> o.Transfer.skipped_clean_words);
+      f_rounds = List.rev a.rounds;
+      f_attribution =
+        {
+          a.attr with
+          Flight.a_teardown_ns =
+            (match a.window_start with Some _ -> clock a - teardown_from | None -> 0);
+        };
+      f_slo = slo;
+      f_explanation =
+        (match outcome with Ok () -> None | Error (reason, stage) -> Some (explain a reason ~stage));
+      f_prior = prior;
+    }
+  in
+  lin.flight_log <- record :: List.filteri (fun i _ -> i < 31) lin.flight_log;
+  (match (pol.Policy.image_dir, a.image) with
+  | Some dir, Some img -> (
+      let img = Image.with_flight_json img (Flight.to_json record) in
+      let sanitize c =
+        match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '.' | '-' | '_' -> c | _ -> '-'
+      in
+      let base = String.map sanitize a.t.prog_version.P.prog in
+      let path = Filename.concat dir (Printf.sprintf "%s-update-%d.mcrimg" base seq) in
+      match Image.write img ~path with
+      | Ok () -> instant a "image.write" [ ("path", path) ]
+      | Error e ->
+          Logs.warn (fun m ->
+              m "checkpoint image write to %s failed: %s" path (Image.error_to_string e)))
+  | _ -> ());
+  record
+
+(* The single exit of every attempt: commit (release the new version,
+   terminate the old), rollback (terminate the new version, resume the
+   old) or failure before restart (resume the old). Closes the spans,
+   answers a pending mcr-ctl UPDATE, folds the attempt into the metrics
+   and the flight recorder, and builds the report. *)
+let finish a ~attempt ~prior outcome =
+  let t = a.t and k = a.k and mset = a.t.lin.mset in
+  let teardown_from = clock a in
+  let failure = match outcome with Ok () -> None | Error (reason, _) -> Some reason in
+  let survivor =
+    match (a.restarted, failure) with
+    | Some r, None ->
+        Trace.span_begin a.tr ~pid:a.mpid ~cat:"stage" "commit";
+        respond_ctl t "OK";
+        retire k (images t) ~status:0;
+        (* the update window is over: close the transfer's dirty epoch on
+           the surviving images so the next update starts it afresh *)
+        List.iter
+          (fun (im : P.image) -> Aspace.epoch_reset im.P.i_aspace ~name:"mcr.transfer")
+          (live r.new_members);
+        r.in_update := false;
+        K.set_fault_hook k None;
+        List.iter (fun (im : P.image) -> Barrier.release im.P.i_barrier) (live r.new_members);
+        {
+          t with
+          prog_version = a.target;
+          root_proc = r.new_proc;
+          root_image = r.new_root;
+          members = r.new_members;
+          log_source = Replayed r.rep;
+          ctl = r.new_ctl;
+        }
+    | Some r, Some reason ->
+        r.in_update := false;
+        K.set_fault_hook k None;
+        Trace.span_begin a.tr ~pid:a.mpid ~cat:"stage"
+          ~args:[ ("reason", Err.to_string reason) ]
+          "rollback";
+        retire k !(r.new_members) ~status:1;
+        release_all t;
+        t
+    | None, _ ->
+        release_all t;
+        t
+  in
+  (* whichever version survives serves: parked connections drain FIFO into
+     its accept backlogs (the listener descriptors are shared across
+     versions, so the queue is already its own) *)
+  unpark a (images survivor);
+  (* this attempt's conservation ledger entry *)
+  let s = K.parking_stats k in
+  let parked = s.K.parked - a.pstats0.K.parked
+  and resumed = s.K.resumed - a.pstats0.K.resumed
+  and aborted = s.K.aborted - a.pstats0.K.aborted in
+  Metrics.incr ~by:parked mset.m_parked;
+  Metrics.incr ~by:resumed mset.m_resumed;
+  Metrics.incr ~by:aborted mset.m_aborted;
+  (match failure with
+  | None -> Metrics.incr mset.m_commits
+  | Some reason ->
+      respond_ctl t ("ERR " ^ Err.to_string reason);
+      Metrics.incr mset.m_rollbacks;
+      Metrics.incr (Metrics.counter t.lin.metrics (Err.metric_name reason)));
+  let replay_conflicts =
+    match (a.restarted, failure) with
+    | Some r, Some _ -> Replayer.conflicts r.rep
+    | _ -> []
+  in
+  (* empty on commit: any transfer conflict rolls the attempt back *)
+  let transfer_conflicts = transfer_conflicts a in
+  let calls f = match a.restarted with Some r -> f r.rep | None -> 0 in
+  Metrics.incr ~by:(calls Replayer.replayed_calls) mset.m_replayed;
+  Metrics.incr ~by:(calls Replayer.live_calls) mset.m_live;
+  Metrics.incr ~by:(List.length replay_conflicts) mset.m_replay_conflicts;
+  Metrics.incr ~by:(List.length transfer_conflicts) mset.m_transfer_conflicts;
+  Metrics.observe mset.m_total_h (clock a - a.t0);
+  Metrics.observe mset.m_downtime_h (downtime a);
+  Metrics.observe mset.m_precopy_rounds_h (List.length a.rounds);
+  if precopy_bytes a > 0 then Metrics.incr ~by:(precopy_bytes a) mset.m_precopy_bytes;
+  if Option.is_some a.restarted then
+    Trace.span_end a.tr ~pid:a.mpid ~cat:"stage"
+      (if Option.is_none failure then "commit" else "rollback");
+  Option.iter (fun reason -> instant a "update.fail" [ ("reason", Err.to_string reason) ]) failure;
+  Trace.span_end a.tr ~pid:a.mpid ~cat:"stage" "update";
+  let flight = record_flight a ~attempt ~prior ~teardown_from outcome in
+  ( survivor,
+    {
+      success = Option.is_none failure;
+      (* before restart, everything so far was the checkpoint stage *)
+      quiesce_ns = (if Option.is_none a.restarted then clock a - a.t0 else a.quiesce_ns);
+      control_migration_ns = a.cm_ns;
+      state_transfer_ns = a.st_ns;
+      total_ns = clock a - a.t0;
+      downtime_ns = downtime a;
+      precopy_rounds = List.length a.rounds;
+      precopy_bytes = precopy_bytes a;
+      replayed_calls = calls Replayer.replayed_calls;
+      live_calls = calls Replayer.live_calls;
+      replay_conflicts;
+      transfer_conflicts;
+      transfers = List.rev a.transfers;
+      failure;
+      metrics = metrics_snapshot survivor;
+      flight;
+      parked_requests = parked;
+      resumed_requests = resumed;
+      aborted_requests = aborted;
+      client_latency =
+        Option.map Metrics.hist_snapshot_summary
+          (Metrics.find_histogram (Metrics.snapshot t.lin.metrics) "mcr_request_latency_ns");
+    } )
+
+(* One attempt as a chain of stages. Without pre-copy the stage order is
+   the paper's checkpoint/restart/restore: quiesce -> restart+replay ->
    transfer -> commit, and the service-interruption window is the whole
    update. With [pol.precopy] the old version keeps serving while the new
    version starts up and delta rounds speculatively stage the reachable
    graph; only then does quiescence open the window, so downtime is the
    final delta, not the bulk transfer. *)
-let update_once t ~(pol : Policy.t) ?(attempt = 0) ?(prior = []) ?fault ?on_precopy_round
-    new_version =
+let update_once t ~pol ~attempt ~prior ?fault ?on_precopy_round target =
   let k = t.kernel in
   let t0 = K.clock_ns k in
-  let tr = t.trace in
-  (match fault with Some f -> Fault.set_trace f tr | None -> ());
-  let mpid = K.pid t.root_proc in
-  let dirty_only = pol.Policy.dirty_only in
-  let workers = pol.Policy.transfer_workers in
-  let quiesce_deadline_ns = pol.Policy.quiesce_deadline_ns in
-  let update_deadline_ns = pol.Policy.update_deadline_ns in
-  let precopy_enabled = pol.Policy.precopy in
-  (* The service-interruption window opens when quiescence is requested:
-     immediately for single-shot updates, only after the pre-copy rounds
-     otherwise. Failures before the window opens cost zero downtime. *)
-  let window_start = ref (if precopy_enabled then None else Some t0) in
-  let downtime_ns () =
-    match !window_start with Some w -> K.clock_ns k - w | None -> 0
+  Option.iter (fun f -> Fault.set_trace f t.lin.trace) fault;
+  let a =
+    {
+      t;
+      k;
+      tr = t.lin.trace;
+      mpid = K.pid t.root_proc;
+      pol;
+      fault;
+      target;
+      t0;
+      pstats0 = K.parking_stats k;
+      window_start = (if pol.Policy.precopy then None else Some t0);
+      parked = false;
+      quiesce_ns = 0;
+      cm_ns = 0;
+      st_ns = 0;
+      rounds = [];
+      attr =
+        {
+          Flight.a_quiesce_ns = 0;
+          a_restart_ns = 0;
+          a_trace_ns = 0;
+          a_copy_ns = 0;
+          a_spawn_join_ns = 0;
+          a_relink_ns = 0;
+          a_channel_ns = 0;
+          a_handlers_ns = 0;
+          a_teardown_ns = 0;
+        };
+      transfers = [];
+      image = None;
+      restarted = None;
+    }
   in
-  let precopy_rounds_done = ref 0 in
-  let precopy_bytes_staged = ref 0 in
-  (* ---- in-flight request parking. Listeners are parked (new connections
-     queue kernel-side instead of getting ECONNREFUSED) just before the
-     window opens, the old version gets a bounded drain to finish requests
-     it already accepted, and whichever version survives the attempt
-     unparks — listener descriptors are shared across versions, so the
-     parked queue drains into the survivor's accept backlog. ---- *)
-  let parking_enabled = pol.Policy.request_parking in
-  let pstats0 = K.parking_stats k in
-  let parked_engaged = ref false in
-  let member_procs imgs = List.map (fun (im : P.image) -> im.P.i_proc) imgs in
-  let park_members () =
-    if parking_enabled then begin
-      let n =
-        List.fold_left
-          (fun acc p -> acc + K.park_listeners k p)
-          0
-          (member_procs (images t))
-      in
-      parked_engaged := true;
-      Trace.instant tr ~pid:mpid ~cat:"stage"
-        ~args:[ ("listeners", string_of_int n) ]
-        "park";
-      if pol.Policy.drain_ns > 0 then K.run_for k pol.Policy.drain_ns
-    end
-  in
-  let unpark_members imgs =
-    if !parked_engaged then begin
-      let n =
-        List.fold_left (fun acc p -> acc + K.unpark_listeners k p) 0 (member_procs imgs)
-      in
-      parked_engaged := false;
-      Trace.instant tr ~pid:mpid ~cat:"stage"
-        ~args:[ ("resumed", string_of_int n) ]
-        "unpark"
-    end
-  in
-  (* this attempt's conservation ledger entry, folded into the metrics and
-     the report on every exit path *)
-  let note_parking () =
-    let s = K.parking_stats k in
-    let pk = s.K.parked - pstats0.K.parked in
-    let rs = s.K.resumed - pstats0.K.resumed in
-    let ab = s.K.aborted - pstats0.K.aborted in
-    Metrics.incr ~by:pk t.mset.m_parked;
-    Metrics.incr ~by:rs t.mset.m_resumed;
-    Metrics.incr ~by:ab t.mset.m_aborted;
-    (pk, rs, ab)
-  in
-  let client_latency () =
-    Option.map Metrics.hist_snapshot_summary
-      (Metrics.find_histogram (Metrics.snapshot t.metrics) "mcr_request_latency_ns")
-  in
-  let note_rollback reason =
-    Metrics.incr t.mset.m_rollbacks;
-    Metrics.incr (Metrics.counter t.metrics (Err.metric_name reason))
-  in
-  let observe_end () =
-    Metrics.observe t.mset.m_total_h (K.clock_ns k - t0);
-    Metrics.observe t.mset.m_downtime_h (downtime_ns ());
-    Metrics.observe t.mset.m_precopy_rounds_h !precopy_rounds_done;
-    if !precopy_bytes_staged > 0 then
-      Metrics.incr ~by:!precopy_bytes_staged t.mset.m_precopy_bytes
-  in
-  let deadline_exceeded () =
-    match update_deadline_ns with Some d -> K.clock_ns k - t0 >= d | None -> false
-  in
-  (* ---- flight recorder accumulators. Each in-window segment is measured
-     independently, at the point it elapses, so the components summing to
-     downtime_ns is a real cross-check (property-tested to hold exactly on
-     every pipeline path), not an identity. Recording itself never touches
-     the clock. ---- *)
-  (* persistent checkpoint image of the old version, snapped at its
-     quiescent point when the policy asks for one; the flight record is
-     attached and the file written once the attempt completes, success or
-     rollback (a rolled-back attempt's image is exactly what
-     [mcr-postmortem --replay] feeds on) *)
-  let captured_image = ref None in
-  let fb_quiesce = ref 0 in
-  let fb_restart = ref 0 in
-  let fb_trace = ref 0 in
-  let fb_copy = ref 0 in
-  let fb_spawn_join = ref 0 in
-  let fb_relink = ref 0 in
-  let fb_channel = ref 0 in
-  let fb_handlers = ref 0 in
-  let fb_rounds = ref [] in
-  (* word counters, not durations: never part of the attribution sum *)
-  let fb_remapped_words = ref 0 in
-  let fb_skipped_clean_words = ref 0 in
-  (* set on entry to every exit path (commit, rollback, pre-restart
-     failure); the tail from there to the record build — ctl reply
-     delivery, kills, releases — is the teardown segment *)
-  let teardown_from = ref t0 in
-  let explain reason ~stage =
-    Some
-      {
-        Flight.e_reason = Err.to_string reason;
-        e_stage = stage;
-        e_conflicts =
-          List.map
-            (fun (c : Err.conflict_obj) ->
-              {
-                Flight.c_kind = c.Err.co_kind;
-                c_addr = c.Err.co_addr;
-                c_ty = c.Err.co_ty;
-                c_callstack = c.Err.co_callstack;
-                c_shard = c.Err.co_shard;
-                c_round = c.Err.co_round;
-                c_detail = c.Err.co_detail;
-              })
-            (Err.conflict_objs reason);
-        e_fault =
-          (match fault with
-          | Some f -> (
-              match Fault.fired f with
-              | [] -> None
-              | fired -> Some (String.concat "," fired))
-          | None -> None);
-      }
-  in
-  let build_flight ~success ~explanation =
-    let seq = !(t.flight_seq) + 1 in
-    t.flight_seq := seq;
-    let teardown =
-      match !window_start with Some _ -> K.clock_ns k - !teardown_from | None -> 0
-    in
-    let total_ns = K.clock_ns k - t0 in
-    let dt = downtime_ns () in
-    let slo =
-      match (pol.Policy.slo_downtime_ns, pol.Policy.slo_total_ns) with
-      | None, None -> None
-      | d, u ->
-          Some
-            {
-              Flight.s_downtime_budget_ns = d;
-              s_total_budget_ns = u;
-              s_downtime_ok = (match d with Some b -> dt <= b | None -> true);
-              s_total_ok = (match u with Some b -> total_ns <= b | None -> true);
-            }
-    in
-    (match slo with
-    | Some s when Flight.slo_violated s -> Metrics.incr t.mset.m_slo_violations
-    | _ -> ());
-    let record =
-      {
-        Flight.f_seq = seq;
-        f_attempt = attempt;
-        f_prog = t.prog_version.P.prog;
-        f_from = t.prog_version.P.version_tag;
-        f_to = new_version.P.version_tag;
-        f_success = success;
-        f_start_ns = t0;
-        f_total_ns = total_ns;
-        f_downtime_ns = dt;
-        f_precopy = precopy_enabled;
-        f_workers = workers;
-        f_remapped_words = !fb_remapped_words;
-        f_skipped_clean_words = !fb_skipped_clean_words;
-        f_rounds = List.rev !fb_rounds;
-        f_attribution =
-          {
-            Flight.a_quiesce_ns = !fb_quiesce;
-            a_restart_ns = !fb_restart;
-            a_trace_ns = !fb_trace;
-            a_copy_ns = !fb_copy;
-            a_spawn_join_ns = !fb_spawn_join;
-            a_relink_ns = !fb_relink;
-            a_channel_ns = !fb_channel;
-            a_handlers_ns = !fb_handlers;
-            a_teardown_ns = teardown;
-          };
-        f_slo = slo;
-        f_explanation = explanation;
-        f_prior = prior;
-      }
-    in
-    let kept = List.filteri (fun i _ -> i < 31) !(t.flight_log) in
-    t.flight_log := record :: kept;
-    (match (pol.Policy.image_dir, !captured_image) with
-    | Some dir, Some img -> (
-        let img = Image.with_flight_json img (Flight.to_json record) in
-        let sanitize c =
-          match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '.' | '-' | '_' -> c | _ -> '-'
-        in
-        let base = String.map sanitize t.prog_version.P.prog in
-        let path = Filename.concat dir (Printf.sprintf "%s-update-%d.mcrimg" base seq) in
-        match Image.write img ~path with
-        | Ok () -> Trace.instant tr ~pid:mpid ~cat:"stage" ~args:[ ("path", path) ] "image.write"
-        | Error e ->
-            Logs.warn (fun m ->
-                m "checkpoint image write to %s failed: %s" path (Image.error_to_string e)))
-    | _ -> ());
-    record
-  in
-  Metrics.incr t.mset.m_updates;
-  Trace.span_begin tr ~pid:mpid ~cat:"stage"
+  Metrics.incr t.lin.mset.m_updates;
+  Trace.span_begin a.tr ~pid:a.mpid ~cat:"stage"
     ~args:
-      [ ("from", t.prog_version.P.version_tag); ("to", new_version.P.version_tag);
+      [ ("from", t.prog_version.P.version_tag); ("to", target.P.version_tag);
         ("prog", t.prog_version.P.prog) ]
     "update";
-  let fail_before_restart ~stage reason =
-    teardown_from := K.clock_ns k;
-    let reason_s = Err.to_string reason in
-    release_all t;
-    unpark_members (images t);
-    let parked_requests, resumed_requests, aborted_requests = note_parking () in
-    respond_ctl t ("ERR " ^ reason_s);
-    note_rollback reason;
-    observe_end ();
-    Trace.instant tr ~pid:mpid ~cat:"stage" ~args:[ ("reason", reason_s) ] "update.fail";
-    Trace.span_end tr ~pid:mpid ~cat:"stage" "update";
-    let flight = build_flight ~success:false ~explanation:(explain reason ~stage) in
-    ( t,
-      {
-        success = false;
-        quiesce_ns = K.clock_ns k - t0;
-        control_migration_ns = 0;
-        state_transfer_ns = 0;
-        total_ns = K.clock_ns k - t0;
-        downtime_ns = downtime_ns ();
-        precopy_rounds = !precopy_rounds_done;
-        precopy_bytes = !precopy_bytes_staged;
-        replayed_calls = 0;
-        live_calls = 0;
-        replay_conflicts = [];
-        transfer_conflicts = [];
-        transfers = [];
-        failure = Some reason;
-        metrics = metrics_snapshot t;
-        flight;
-        parked_requests;
-        resumed_requests;
-        aborted_requests;
-        client_latency = client_latency ();
-      } )
-  in
-  (* a manager whose processes are gone (already updated away from, or
-     crashed) cannot be updated *)
-  if images t = [] then fail_before_restart ~stage:"init" Err.Program_not_running
-  else begin
-  let set_refusals imgs f =
-    List.iter (fun (im : P.image) -> Barrier.set_refusal im.P.i_barrier f) imgs
-  in
-  (* ---- checkpoint: quiesce the running version. Shared by both stage
-     orders; the window opens here. ---- *)
-  let quiesce_ns = ref 0 in
-  let do_quiesce () =
-    Trace.span_begin tr ~pid:mpid ~cat:"stage" "quiesce";
-    (* park first, then drain: new arrivals queue kernel-side while the old
-       version finishes what it already accepted, so the barrier finds the
-       accept loops idle instead of mid-request *)
-    park_members ();
-    (* fault injection: while armed, old-version threads decline the barrier *)
-    (match fault with
-    | Some f when Fault.fires f Fault.Quiesce_refusal ->
-        set_refusals (images t) (Some (fun () -> Fault.fires f Fault.Quiesce_refusal))
-    | _ -> ());
-    let wstart = K.clock_ns k in
-    window_start := Some wstart;
-    request_all t;
-    let quiesce_budget = Option.value quiesce_deadline_ns ~default:5_000_000_000 in
-    let max_ns =
-      match update_deadline_ns with
-      | Some u -> min (wstart + quiesce_budget) (t0 + u)
-      | None -> wstart + quiesce_budget
-    in
-    let quiesce_ok = K.run_until k ~max_ns (fun () -> all_quiesced t) in
-    (match fault with
-    | Some f ->
-        ignore (Fault.consume f Fault.Quiesce_refusal);
-        set_refusals (images t) None
-    | None -> ());
-    Trace.span_end tr ~pid:mpid ~cat:"stage"
-      ~args:[ ("converged", (if quiesce_ok then "yes" else "no")) ]
-      "quiesce";
-    if quiesce_ok then begin
-      quiesce_ns := K.clock_ns k - wstart;
-      Metrics.observe t.mset.m_quiesce_h !quiesce_ns;
-      if pol.Policy.image_dir <> None then
-        captured_image :=
-          Some
-            (Image.capture k ~members:(images t) ~policy_text:(Policy.to_kv pol)
-               ~target_tag:new_version.P.version_tag ())
-    end;
-    (* attribution: all in-window time so far is quiescence wait, converged
-       or not *)
-    fb_quiesce := K.clock_ns k - wstart;
-    quiesce_ok
-  in
-  let quiesce_failure_reason () =
-    if deadline_exceeded () then Err.Update_deadline_exceeded
+  let ( let* ) = Result.bind in
+  let outcome =
+    (* a manager whose processes are gone (already updated away from, or
+       crashed) cannot be updated *)
+    if images t = [] then Error (Err.Program_not_running, "init")
     else
-      let elapsed =
-        match !window_start with Some w -> K.clock_ns k - w | None -> 0
+      let* () = if pol.Policy.precopy then Ok () else quiesce a in
+      let* r = restart a in
+      let* () =
+        if not pol.Policy.precopy then Ok ()
+        else
+          let* () = precopy a r ~on_precopy_round in
+          (* relinking the program and prelinking shared libraries for the
+             remapped immutable objects depends only on the new binary —
+             prepay it too, with the old version still serving; then the
+             window opens and pays only the delta *)
+          K.run_for k relink_ns;
+          quiesce a
       in
-      Barrier.failure_reason
-        ~deadline_hit:
-          (match quiesce_deadline_ns with Some d -> elapsed >= d | None -> false)
+      state_transfer a r
   in
-  let pre_quiesce_failed =
-    if precopy_enabled then None
-    else if not (do_quiesce ()) then Some (quiesce_failure_reason ())
-    else if deadline_exceeded () then Some Err.Update_deadline_exceeded
-    else None
-  in
-  match pre_quiesce_failed with
-  | Some reason -> fail_before_restart ~stage:"quiesce" reason
-  | None -> begin
-    let t1 = K.clock_ns k in
-    let logs =
-      match t.log_source with
-      | Recorder r -> Record.logs r
-      | Replayed r -> Replayer.new_logs r
-    in
-    (* global inheritance: every reserved-range descriptor from every old
-       process, deduplicated (separability makes numbers globally unique).
-       Reserved-range descriptors are created during startup, so the set is
-       stable whether or not the old version is still serving (pre-copy). *)
-    let inherited : (int * K.proc) list =
-      List.fold_left
-        (fun acc (im : P.image) ->
-          List.fold_left
-            (fun acc fd ->
-              if fd >= reserved_fd_base && not (List.mem_assoc fd acc) then
-                (fd, im.P.i_proc) :: acc
-              else acc)
-            acc
-            (K.fds im.P.i_proc))
-        [] (images t)
-      |> List.rev
-    in
-    (* ---- restart: launch the new version under replay ---- *)
-    Trace.span_begin tr ~pid:mpid ~cat:"stage" "restart_replay";
-    let new_members = ref [] in
-    let new_root_slot = ref None in
-    let in_update = ref true in
-    (* fault injection: new-version threads decline their startup barrier *)
-    let arm_startup_hang (img : P.image) =
-      match fault with
-      | Some f when Fault.fires f Fault.Startup_hang ->
-          Barrier.set_refusal img.P.i_barrier
-            (Some (fun () -> Fault.fires f Fault.Startup_hang))
-      | _ -> ()
-    in
-    let new_proc =
-      Loader.launch k ~instr:t.instr new_version ~on_image:(fun img ->
-          new_root_slot := Some img;
-          track_members ?trace:tr new_members img;
-          (* reinitiate quiescence detection before startup runs, so the new
-             version is never exposed to external events (Section 5) *)
-          Barrier.request img.P.i_barrier;
-          arm_startup_hang img;
-          img.P.i_child_hooks <-
-            (fun child ->
-              if !in_update then begin
-                Barrier.request child.P.i_barrier;
-                arm_startup_hang child
-              end)
-            :: img.P.i_child_hooks)
-    in
-    let new_root_image = Option.get !new_root_slot in
-    List.iter
-      (fun (fd, src) -> ignore (K.transfer_fd k ~src ~fd ~dst:new_proc ~at:fd))
-      inherited;
-    let rep =
-      Replayer.start k ?trace:tr ?fault new_root_image ~logs
-        ~inherited:(List.map fst inherited)
-    in
-    let old_proc_of_key key =
-      match key with
-      | Logdefs.Root -> Some t.root_proc
-      | _ ->
-          List.find_map
-            (fun (l : Logdefs.plog) ->
-              if l.Logdefs.key = key then K.find_proc k l.Logdefs.pid else None)
-            logs
-    in
-    (* fault injection: syscall-level failures, scoped to new-version
-       processes so the serving old version never sees them *)
-    (match fault with
-    | Some f
-      when List.exists
-             (function Fault.Syscall_failure _ -> true | _ -> false)
-             (Fault.armed f) ->
-        K.set_fault_hook k
-          (Some
-             (fun th call ->
-               let pid = K.pid (K.thread_proc th) in
-               if List.exists (fun (im : P.image) -> K.pid im.P.i_proc = pid) !new_members
-               then Fault.syscall_result f ~call
-               else None))
-    | _ -> ());
-    (* the new version gets its own controller thread; its replayed
-       unix_listen inherits the control socket *)
-    let new_ctl_pending = ref false in
-    let new_ctl_result = ref "" in
-    let new_ctl_sem = Printf.sprintf "mcr.ctl.done.%d" (K.pid new_proc) in
-    let live_new () =
-      List.filter (fun (im : P.image) -> K.alive im.P.i_proc) !new_members
-    in
-    spawn_ctl k new_proc ~ctl_path:t.ctl_path ~ctl_pending:new_ctl_pending
-      ~ctl_result:new_ctl_result ~ctl_sem:new_ctl_sem
-      ~stats:(stats_text ~metrics:t.metrics ~mset:t.mset ~live:live_new)
-      ~explain:(explain_nth t.flight_log) ~policy:t.policy
-      ~checkpoint:(checkpoint_command ~live:live_new ~policy:t.policy);
-    let new_quiesced () =
-      match live_new () with
-      | [] -> false
-      | imgs ->
-          List.for_all
-            (fun (im : P.image) ->
-              im.P.i_startup_complete && Barrier.quiesced im.P.i_barrier)
-            imgs
-    in
-    let rollback reason ~stage ~cm_ns ~st_ns ~transfers ~transfer_conflicts =
-      teardown_from := K.clock_ns k;
-      let reason_s = Err.to_string reason in
-      in_update := false;
-      K.set_fault_hook k None;
-      Trace.span_begin tr ~pid:mpid ~cat:"stage" ~args:[ ("reason", reason_s) ] "rollback";
-      List.iter
-        (fun (im : P.image) ->
-          (* remapped pages in the dying new image may still share frames
-             with the surviving old image: give the survivor sole ownership
-             so no shared frame outlives the window *)
-          ignore (Aspace.detach_shared im.P.i_aspace);
-          if K.alive im.P.i_proc then K.kill_process k im.P.i_proc ~status:1)
-        !new_members;
-      release_all t;
-      unpark_members (images t);
-      let parked_requests, resumed_requests, aborted_requests = note_parking () in
-      respond_ctl t ("ERR " ^ reason_s);
-      note_rollback reason;
-      Metrics.incr ~by:(Replayer.replayed_calls rep) t.mset.m_replayed;
-      Metrics.incr ~by:(Replayer.live_calls rep) t.mset.m_live;
-      Metrics.incr ~by:(List.length (Replayer.conflicts rep)) t.mset.m_replay_conflicts;
-      Metrics.incr ~by:(List.length transfer_conflicts) t.mset.m_transfer_conflicts;
-      observe_end ();
-      Trace.span_end tr ~pid:mpid ~cat:"stage" "rollback";
-      Trace.instant tr ~pid:mpid ~cat:"stage" ~args:[ ("reason", reason_s) ] "update.fail";
-      Trace.span_end tr ~pid:mpid ~cat:"stage" "update";
-      let flight = build_flight ~success:false ~explanation:(explain reason ~stage) in
-      ( t,
-        {
-          success = false;
-          quiesce_ns = !quiesce_ns;
-          control_migration_ns = cm_ns;
-          state_transfer_ns = st_ns;
-          total_ns = K.clock_ns k - t0;
-          downtime_ns = downtime_ns ();
-          precopy_rounds = !precopy_rounds_done;
-          precopy_bytes = !precopy_bytes_staged;
-          replayed_calls = Replayer.replayed_calls rep;
-          live_calls = Replayer.live_calls rep;
-          replay_conflicts = Replayer.conflicts rep;
-          transfer_conflicts;
-          transfers;
-          failure = Some reason;
-          metrics = metrics_snapshot t;
-          flight;
-          parked_requests;
-          resumed_requests;
-          aborted_requests;
-          client_latency = client_latency ();
-        } )
-    in
-    (* fault injection: kill the new version mid-startup *)
-    (match fault with
-    | Some f when Fault.consume f Fault.Startup_crash ->
-        ignore (K.run_until k ~max_ns:(K.clock_ns k + 50_000_000) (fun () -> false));
-        if K.alive new_proc then K.kill_process k new_proc ~status:139
-    | _ -> ());
-    let startup_max =
-      let cap = t1 + 10_000_000_000 in
-      match update_deadline_ns with Some d -> min cap (t0 + d) | None -> cap
-    in
-    let startup_ok =
-      K.run_until k ~max_ns:startup_max (fun () ->
-          new_quiesced ()
-          || (not (K.alive new_proc))
-          || Replayer.conflicts rep <> [])
-    in
-    (match fault with
-    | Some f ->
-        ignore (Fault.consume f Fault.Startup_hang);
-        List.iter (fun (im : P.image) -> Barrier.set_refusal im.P.i_barrier None)
-          !new_members
-    | None -> ());
-    let t2 = K.clock_ns k in
-    let cm_ns = t2 - t1 in
-    (* attribution: restart+replay elapses inside the window only for
-       single-shot updates; under pre-copy it runs while the old version
-       still serves *)
-    if not precopy_enabled then fb_restart := cm_ns;
-    Trace.span_end tr ~pid:mpid ~cat:"stage" "restart_replay";
-    Metrics.observe t.mset.m_cm_h cm_ns;
-    if not (K.alive new_proc) then
-      rollback Err.Startup_crashed ~stage:"restart_replay" ~cm_ns ~st_ns:0 ~transfers:[]
-        ~transfer_conflicts:[]
-    else begin
-      match Replayer.rollback_reason rep with
-      | Some reason ->
-          rollback reason ~stage:"restart_replay" ~cm_ns ~st_ns:0 ~transfers:[]
-            ~transfer_conflicts:[]
-      | None ->
-    if deadline_exceeded () then
-      rollback Err.Update_deadline_exceeded ~stage:"restart_replay" ~cm_ns ~st_ns:0
-        ~transfers:[] ~transfer_conflicts:[]
-    else if not (startup_ok && new_quiesced ()) then
-      rollback Err.Startup_not_quiescent ~stage:"restart_replay" ~cm_ns ~st_ns:0
-        ~transfers:[] ~transfer_conflicts:[]
-    else begin
-      (* ---- pre-copy: speculative tracing + staging rounds, old version
-         still serving. Staging is host-side only (no new-version writes),
-         so aborting here needs no undo; each round's speculative copy cost
-         elapses on the clock concurrently with service. ---- *)
-      let sessions : (Logdefs.proc_key, Transfer.precopy) Hashtbl.t = Hashtbl.create 8 in
-      let precopy_epoch = "mcr.precopy" in
-      let precopy_result =
-        if not precopy_enabled then Ok ()
-        else begin
-          Trace.span_begin tr ~pid:mpid ~cat:"stage" "precopy";
-          (* each attempt is a fresh pre-copy session: forget any epoch a
-             previous (rolled-back) attempt left on the old images so round
-             one stages the full copy set and pays full tracing *)
-          List.iter
-            (fun (im : P.image) -> Aspace.epoch_remove im.P.i_aspace ~name:precopy_epoch)
-            (images t);
-          let max_rounds = max 1 pol.Policy.precopy_max_rounds in
-          let threshold = max 0 pol.Policy.precopy_threshold_words in
-          let rec round r =
-            if deadline_exceeded () then Error Err.Update_deadline_exceeded
-            else begin
-              incr precopy_rounds_done;
-              let round_cost = ref 0 in
-              let round_delta = ref 0 in
-              List.iter
-                (fun (key, _new_pid) ->
-                  match old_proc_of_key key with
-                  | Some oldp when K.alive oldp -> begin
-                      match P.image_of_proc oldp with
-                      | Some oi ->
-                          let aspace = oi.P.i_aspace in
-                          let since = Aspace.epoch_find aspace ~name:precopy_epoch in
-                          let analysis = Objgraph.analyze ?trace:tr ?cost_since:since oi in
-                          let session =
-                            match Hashtbl.find_opt sessions key with
-                            | Some s -> s
-                            | None ->
-                                let s = Transfer.precopy_create () in
-                                Hashtbl.replace sessions key s;
-                                s
-                          in
-                          let rs =
-                            Transfer.precopy_round session ~old_image:oi ~analysis ?since
-                              ~dirty_only ~workers ()
-                          in
-                          (* staging is host-side (no program ran), so the
-                             write sequence is unchanged since [since] was
-                             read: resetting now is the same mark *)
-                          Aspace.epoch_reset aspace ~name:precopy_epoch;
-                          (* rounds run per-pair in parallel, like transfers;
-                             within a pair the worker pool shards the round,
-                             so the pair pays its critical path *)
-                          round_cost :=
-                            max !round_cost
-                              (Objgraph.trace_critical_ns analysis ~workers
-                              + rs.Transfer.round_cost_ns);
-                          round_delta := !round_delta + rs.Transfer.round_words;
-                          precopy_bytes_staged :=
-                            !precopy_bytes_staged + (rs.Transfer.round_words * Addr.word_size)
-                      | None -> ()
-                    end
-                  | _ -> ())
-                (Replayer.pairs rep);
-              Trace.instant tr ~pid:mpid ~cat:"stage"
-                ~args:
-                  [ ("round", string_of_int r);
-                    ("delta_words", string_of_int !round_delta);
-                    ("cost_ns", string_of_int !round_cost) ]
-                "precopy.round";
-              fb_rounds :=
-                { Flight.r_words = !round_delta; r_cost_ns = !round_cost } :: !fb_rounds;
-              (* the old version keeps serving while the speculative copy
-                 elapses — this is the whole point *)
-              K.run_for k !round_cost;
-              (match on_precopy_round with Some f -> f r | None -> ());
-              if r >= 2 && !round_delta <= threshold then Ok ()
-              else if r >= max_rounds then begin
-                if max_rounds = 1 || !round_delta <= threshold then Ok ()
-                else Error Err.Precopy_diverged
-              end
-              else round (r + 1)
-            end
-          in
-          let res = round 1 in
-          Trace.span_end tr ~pid:mpid ~cat:"stage"
-            ~args:[ ("rounds", string_of_int !precopy_rounds_done) ]
-            "precopy";
-          res
-        end
-      in
-      let window_failed =
-        match precopy_result with
-        | Error reason -> Some (reason, "precopy")
-        | Ok () ->
-            if not precopy_enabled then None
-            else begin
-              (* relinking the program and prelinking shared libraries for
-                 the remapped immutable objects depends only on the new
-                 binary, all fixed before the window — prepay it too, with
-                 the old version still serving *)
-              K.run_for k relink_ns;
-              (* ---- the window opens: quiesce, pay only the delta ---- *)
-              if not (do_quiesce ()) then Some (quiesce_failure_reason (), "quiesce")
-              else if deadline_exceeded () then Some (Err.Update_deadline_exceeded, "quiesce")
-              else None
-            end
-      in
-      match window_failed with
-      | Some (reason, stage) ->
-          rollback reason ~stage ~cm_ns ~st_ns:0 ~transfers:[] ~transfer_conflicts:[]
-      | None -> begin
-      (* ---- restore: mutable tracing, in waves so reinit handlers can
-         re-create volatile processes that then get their own transfer ---- *)
-      Trace.span_begin tr ~pid:mpid ~cat:"stage" "state_transfer";
-      let t2' = K.clock_ns k in
-      let done_pairs = Hashtbl.create 8 in
-      let transfers = ref [] in
-      let transfer_conflicts = ref [] in
-      let max_pair_cost = ref 0 in
-      let pairs_done = ref 0 in
-      let transfer_wave () =
-        let fresh =
-          List.filter (fun (key, _) -> not (Hashtbl.mem done_pairs key)) (Replayer.pairs rep)
-        in
-        let worked = ref false in
-        List.iter
-          (fun (key, new_pid) ->
-            Hashtbl.replace done_pairs key ();
-            match (old_proc_of_key key, K.find_proc k new_pid) with
-            | Some oldp, Some newp when K.alive oldp && K.alive newp -> begin
-                match (P.image_of_proc oldp, P.image_of_proc newp) with
-                | Some oi, Some ni ->
-                    worked := true;
-                    let cost_since =
-                      (* the pre-copy epoch discounts in-window tracing only
-                         if this attempt's rounds actually paid for it *)
-                      if Hashtbl.mem sessions key then
-                        Aspace.epoch_find oi.P.i_aspace ~name:precopy_epoch
-                      else None
-                    in
-                    let analysis = Objgraph.analyze ?trace:tr ?cost_since ?fault oi in
-                    let outcome =
-                      Transfer.run ~old_image:oi ~new_image:ni ~analysis ~dirty_only
-                        ~remap:pol.Policy.transfer_remap
-                        ?precopy:(Hashtbl.find_opt sessions key)
-                        ~workers ?trace:tr ?fault ()
-                    in
-                    (* per-pair critical path: tracing and copying each run
-                       sharded across the worker pool, so the pair pays the
-                       max over shards of each phase, not the sum *)
-                    let pair_cost =
-                      outcome.Transfer.trace_critical_ns + outcome.Transfer.cost_ns
-                    in
-                    if pair_cost > !max_pair_cost then begin
-                      max_pair_cost := pair_cost;
-                      (* attribution follows the critical pair: its copy
-                         critical path is the max shard, and whatever
-                         cost_ns adds on top of that is the worker pool's
-                         spawn/join overhead *)
-                      let copy_crit =
-                        if outcome.Transfer.workers > 1 then
-                          Array.fold_left max 0 outcome.Transfer.shard_cost_ns
-                        else outcome.Transfer.cost_ns
-                      in
-                      fb_trace := outcome.Transfer.trace_critical_ns;
-                      fb_copy := copy_crit;
-                      fb_spawn_join := outcome.Transfer.cost_ns - copy_crit
-                    end;
-                    transfers := (key, outcome) :: !transfers;
-                    (* O(total-conflicts): accumulate reversed, reverse once
-                       at the consumption points *)
-                    transfer_conflicts :=
-                      List.rev_append outcome.Transfer.conflicts !transfer_conflicts;
-                    incr pairs_done;
-                    Metrics.incr t.mset.m_transfer_pairs;
-                    Metrics.incr ~by:outcome.Transfer.transferred_objects
-                      t.mset.m_transferred_objects;
-                    Metrics.incr ~by:outcome.Transfer.transferred_words
-                      t.mset.m_transferred_words;
-                    Metrics.incr ~by:outcome.Transfer.remapped_words
-                      t.mset.m_remapped_words;
-                    Metrics.incr ~by:outcome.Transfer.skipped_clean_words
-                      t.mset.m_skipped_clean_words;
-                    fb_remapped_words :=
-                      !fb_remapped_words + outcome.Transfer.remapped_words;
-                    fb_skipped_clean_words :=
-                      !fb_skipped_clean_words + outcome.Transfer.skipped_clean_words;
-                    Metrics.observe t.mset.m_pair_cost_h pair_cost;
-                    (* pair transfers run in parallel — the charged time is
-                       the max across pairs, so a begin/end pair cannot
-                       represent one; a Complete event carries the pair's
-                       own duration instead *)
-                    Trace.complete tr ~pid:new_pid ~cat:"stage"
-                      ~args:
-                        [ ("pair", Format.asprintf "%a" Logdefs.pp_key key);
-                          ("words", string_of_int outcome.Transfer.transferred_words);
-                          ("objects", string_of_int outcome.Transfer.transferred_objects);
-                          ("workers", string_of_int outcome.Transfer.workers) ]
-                      ~dur_ns:pair_cost "transfer.pair";
-                    Metrics.set t.mset.m_workers_g outcome.Transfer.workers;
-                    if outcome.Transfer.workers > 1 then
-                      Array.iteri
-                        (fun s words ->
-                          Metrics.observe t.mset.m_shard_words_h words;
-                          Trace.complete tr ~pid:new_pid ~cat:"stage"
-                            ~args:
-                              [ ("pair", Format.asprintf "%a" Logdefs.pp_key key);
-                                ("shard", string_of_int s);
-                                ("words", string_of_int words) ]
-                            ~dur_ns:
-                              (outcome.Transfer.trace_shard_ns.(s)
-                              + outcome.Transfer.shard_cost_ns.(s))
-                            "transfer.shard")
-                        outcome.Transfer.shard_words;
-                    (* post-startup descriptors (open connections) move to
-                       the paired process at the same numbers *)
-                    List.iter
-                      (fun fd ->
-                        if fd < reserved_fd_base then
-                          ignore (K.transfer_fd k ~src:oldp ~fd ~dst:newp ~at:fd))
-                      (K.fds oldp)
-                | _, _ -> ()
-              end
-            | _, _ -> ())
-          fresh;
-        !worked
-      in
-      ignore (transfer_wave ());
-      (* volatile quiescent states: run the new version's reinit handlers *)
-      let handler_threads =
-        (* fault injection: a handler that spins forever without blocking.
-           Each iteration makes a syscall (so the thread dies with its
-           process after rollback) and charges time (so the clock reaches
-           the settling horizon) *)
-        let injected =
-          match fault with
-          | Some f when Fault.consume f Fault.Reinit_hang ->
-              [
-                K.spawn_thread k new_root_image.P.i_proc ~name:"reinit:fault-hang"
-                  (fun th ->
-                    K.push_frame th "reinit:fault-hang";
-                    let rec spin () =
-                      ignore (K.syscall S.Getpid);
-                      K.charge k 50_000_000;
-                      spin ()
-                    in
-                    spin ());
-              ]
-          | _ -> []
-        in
-        injected
-        @ List.concat_map
-            (fun (im : P.image) ->
-              List.map
-                (fun (name, run) ->
-                  K.spawn_thread k im.P.i_proc ~name:("reinit:" ^ name) (fun th ->
-                      K.push_frame th ("reinit:" ^ name);
-                      run (reinit_ctx im th)))
-                (P.reinit_handlers im.P.i_version))
-            (live_new ())
-      in
-      (* wait until every handler has run to completion (or parked) AND the
-         processes they re-created have quiesced — the bare new_quiesced
-         predicate holds trivially before the handlers get scheduled *)
-      let handlers_settled () =
-        List.for_all
-          (fun th -> (not (K.thread_alive th)) || K.blocked_in th <> None)
-          handler_threads
-      in
-      let handlers_ok =
-        K.run_until k
-          ~max_ns:(K.clock_ns k + 2_000_000_000)
-          (fun () -> handlers_settled () && new_quiesced ())
-      in
-      let waves = ref 0 in
-      while transfer_wave () && !waves < 4 do
-        incr waves;
-        ignore (K.run_until k ~max_ns:(K.clock_ns k + 1_000_000_000) new_quiesced)
-      done;
-      (* attribution: everything that elapsed on the clock since the
-         state-transfer phase opened was reinit-handler settling (the
-         transfer waves themselves only accumulate charges) *)
-      fb_handlers := K.clock_ns k - t2';
-      (* parallel multiprocess transfer: the slowest pair bounds the
-         parallel phase; the coordinator adds a constant (relinking the
-         program and prelinking shared libraries for the remapped immutable
-         objects, Section 6 — already prepaid under pre-copy) plus a
-         per-process channel setup cost *)
-      fb_relink := (if precopy_enabled then 0 else relink_ns);
-      fb_channel := 2_000_000 * !pairs_done;
-      (* Dedicated-core accounting keeps client machines live through the
-         copy window — their connect/backoff timers fire inside it, which
-         is what the latency bench measures. Single-core accounting (the
-         default) freezes them, preserving historical downtime numbers. *)
-      (if pol.Policy.concurrent_transfer then K.charge_concurrent else K.charge)
-        k
-        (!max_pair_cost + !fb_relink + !fb_channel);
-      let t3 = K.clock_ns k in
-      let st_ns = t3 - t2' in
-      Trace.span_end tr ~pid:mpid ~cat:"stage"
-        ~args:[ ("pairs", string_of_int !pairs_done) ]
-        "state_transfer";
-      Metrics.observe t.mset.m_st_h st_ns;
-      if deadline_exceeded () then
-        rollback Err.Update_deadline_exceeded ~stage:"state_transfer" ~cm_ns ~st_ns
-          ~transfers:!transfers ~transfer_conflicts:(List.rev !transfer_conflicts)
-      else if not handlers_ok then
-        rollback Err.Reinit_not_quiesced ~stage:"state_transfer" ~cm_ns ~st_ns
-          ~transfers:!transfers ~transfer_conflicts:(List.rev !transfer_conflicts)
-      else begin
-        match Transfer.rollback_reason (List.rev !transfer_conflicts) with
-        | Some reason ->
-            rollback reason ~stage:"state_transfer" ~cm_ns ~st_ns ~transfers:!transfers
-              ~transfer_conflicts:(List.rev !transfer_conflicts)
-        | None -> begin
-        (* ---- commit ---- *)
-        teardown_from := K.clock_ns k;
-        Trace.span_begin tr ~pid:mpid ~cat:"stage" "commit";
-        respond_ctl t "OK";
-        List.iter
-          (fun (im : P.image) ->
-            (* the old image dies: detach any frames it shares with the new
-               image (zero-copy remap) so the survivor owns its memory *)
-            ignore (Aspace.detach_shared im.P.i_aspace);
-            if K.alive im.P.i_proc then K.kill_process k im.P.i_proc ~status:0)
-          (images t);
-        (* the update window is over: close the transfer's dirty epoch on
-           the surviving images so the next update starts it afresh *)
-        List.iter
-          (fun (im : P.image) ->
-            Aspace.epoch_reset im.P.i_aspace ~name:"mcr.transfer")
-          (live_new ());
-        in_update := false;
-        K.set_fault_hook k None;
-        List.iter (fun (im : P.image) -> Barrier.release im.P.i_barrier) (live_new ());
-        (* the survivor serves: parked connections drain FIFO into its
-           accept backlogs (the listener descriptors were shared across
-           versions, so the queue is already its own) *)
-        unpark_members (live_new ());
-        let parked_requests, resumed_requests, aborted_requests = note_parking () in
-        let new_t =
-          {
-            kernel = k;
-            instr = t.instr;
-            prog_version = new_version;
-            root_proc = new_proc;
-            root_image = new_root_image;
-            members = new_members;
-            log_source = Replayed rep;
-            ctl_path = t.ctl_path;
-            ctl_pending = new_ctl_pending;
-            ctl_result = new_ctl_result;
-            ctl_sem = new_ctl_sem;
-            trace = tr;
-            metrics = t.metrics;
-            mset = t.mset;
-            policy = t.policy;
-            flight_log = t.flight_log;
-            flight_seq = t.flight_seq;
-          }
-        in
-        Metrics.incr t.mset.m_commits;
-        Metrics.incr ~by:(Replayer.replayed_calls rep) t.mset.m_replayed;
-        Metrics.incr ~by:(Replayer.live_calls rep) t.mset.m_live;
-        observe_end ();
-        Trace.span_end tr ~pid:mpid ~cat:"stage" "commit";
-        Trace.span_end tr ~pid:mpid ~cat:"stage" "update";
-        let flight = build_flight ~success:true ~explanation:None in
-        ( new_t,
-          {
-            success = true;
-            quiesce_ns = !quiesce_ns;
-            control_migration_ns = cm_ns;
-            state_transfer_ns = st_ns;
-            total_ns = K.clock_ns k - t0;
-            downtime_ns = downtime_ns ();
-            precopy_rounds = !precopy_rounds_done;
-            precopy_bytes = !precopy_bytes_staged;
-            replayed_calls = Replayer.replayed_calls rep;
-            live_calls = Replayer.live_calls rep;
-            replay_conflicts = [];
-            transfer_conflicts = [];
-            transfers = List.rev !transfers;
-            failure = None;
-            metrics = metrics_snapshot new_t;
-            flight;
-            parked_requests;
-            resumed_requests;
-            aborted_requests;
-            client_latency = client_latency ();
-          } )
-        end
-      end
-      end
-    end
-    end
-  end
-  end
+  finish a ~attempt ~prior outcome
 
 (* Public entry point: resolve the effective policy (manager's stored
    policy, overridden for this call by [?policy]), then run [update_once]
@@ -1586,7 +1301,7 @@ let update_once t ~(pol : Policy.t) ?(attempt = 0) ?(prior = []) ?fault ?on_prec
    consumed by attempt [n] is gone on attempt [n+1], so transient injected
    failures are exactly the ones retry recovers from. *)
 let update t ?policy ?fault ?on_precopy_round new_version =
-  let pol = match policy with Some p -> p | None -> !(t.policy) in
+  let pol = match policy with Some p -> p | None -> t.lin.policy in
   let fault =
     match fault with
     | Some _ as s -> s
@@ -1599,7 +1314,7 @@ let update t ?policy ?fault ?on_precopy_round new_version =
     in
     if rep.success || n >= pol.Policy.retries then (t', rep)
     else begin
-      Metrics.incr (Metrics.counter t.metrics "mcr_update_retries_total");
+      Metrics.incr (Metrics.counter t.lin.metrics "mcr_update_retries_total");
       (* linear backoff in virtual time before the next attempt *)
       ignore
         (K.run_until k
@@ -1611,3 +1326,4 @@ let update t ?policy ?fault ?on_precopy_round new_version =
     end
   in
   attempt 0 []
+

@@ -334,22 +334,18 @@ let failover_instance t i sb =
 (* ------------------------------------------------------------------ *)
 (* Control plane *)
 
-let dispatch t ~versioned cmd =
+let dispatch t cmd =
   let words =
     String.split_on_char ' ' (String.trim cmd) |> List.filter (fun s -> s <> "")
   in
   match words with
   | "FLEET" :: rest -> begin
       match rest with
-      | [ "STATUS" ] ->
-          let s = status_text t in
-          if versioned then Frame.ok_payload s else s
+      | [ "STATUS" ] -> Frame.ok_payload (status_text t)
       | [ "EXPLAIN" ] -> begin
           match !(t.last_summary) with
-          | Some s ->
-              let json = Fleet_flight.to_json s in
-              if versioned then Frame.ok_payload json else json
-          | None -> if versioned then Frame.err "no rollouts" else "ERR"
+          | Some s -> Frame.ok_payload (Fleet_flight.to_json s)
+          | None -> Frame.err "no rollouts"
         end
       | [ "ROLLOUT" ] ->
           (* mirror the manager's UPDATE: park until the host loop runs the
@@ -361,28 +357,23 @@ let dispatch t ~versioned cmd =
           (* safe in-dispatch: the listener runs on the control-plane
              kernel, so the instance kernels are idle host-side state *)
           match int_of_string_opt is with
-          | None -> if versioned then Frame.err "usage: FLEET SAVE <i> <path>" else "ERR"
+          | None -> Frame.err "usage: FLEET SAVE <i> <path>"
           | Some i -> (
               match save_instance t i ~path with
-              | Ok img ->
-                  if versioned then Frame.ok_inline (string_of_int (Image.fingerprint img))
-                  else "OK"
-              | Error e -> if versioned then Frame.err e else "ERR")
+              | Ok img -> Frame.ok_inline (string_of_int (Image.fingerprint img))
+              | Error e -> Frame.err e)
         end
       | [ "MIGRATE"; is; path ] -> begin
           match int_of_string_opt is with
-          | None -> if versioned then Frame.err "usage: FLEET MIGRATE <i> <path>" else "ERR"
+          | None -> Frame.err "usage: FLEET MIGRATE <i> <path>"
           | Some i -> (
               match migrate_instance t i ~path with
-              | Ok fp -> if versioned then Frame.ok_inline (string_of_int fp) else "OK"
-              | Error e -> if versioned then Frame.err e else "ERR")
+              | Ok fp -> Frame.ok_inline (string_of_int fp)
+              | Error e -> Frame.err e)
         end
-      | _ ->
-          if versioned then
-            Frame.err "usage: FLEET STATUS|ROLLOUT|EXPLAIN|SAVE <i> <path>|MIGRATE <i> <path>"
-          else "ERR"
+      | _ -> Frame.err "usage: FLEET STATUS|ROLLOUT|EXPLAIN|SAVE <i> <path>|MIGRATE <i> <path>"
     end
-  | _ -> if versioned then Frame.err "unknown command" else "ERR"
+  | _ -> Frame.err "unknown command"
 
 let respond_rollout t frame =
   if !(t.ctl_pending) then begin
@@ -450,7 +441,7 @@ let create ?(policy = Fleet_policy.default) ?relaunch ~prog ~n ~spawn ~health ~t
   Metrics.set fmset.fm_size n;
   Metrics.set fmset.fm_serving n;
   Ctl_server.spawn ctl_kernel ctl_proc ~name:"fleet-ctl" ~path:t.ctl_path
-    ~dispatch:(fun ~versioned cmd -> dispatch t ~versioned cmd)
+    ~dispatch:(dispatch t)
     ();
   t
 

@@ -234,7 +234,7 @@ let execute fleet =
 let request_over_ctl fleet =
   let kernel = Fleet.ctl_kernel fleet in
   let result = ref None in
-  Ctl.exec kernel ~path:(Fleet.ctl_path fleet) (Ctl.Raw "FLEET ROLLOUT")
+  Ctl.exec kernel ~path:(Fleet.ctl_path fleet) (Frame.Raw "FLEET ROLLOUT")
     ~on_result:(fun r -> result := Some r)
     ();
   ignore

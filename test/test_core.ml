@@ -7,6 +7,7 @@ module S = Mcr_simos.Sysdefs
 module P = Mcr_program.Progdef
 module Manager = Mcr_core.Manager
 module Ctl = Mcr_core.Ctl
+module Frame = Mcr_core.Frame
 module Listing1 = Mcr_servers.Listing1
 module Testbed = Mcr_workloads.Testbed
 module Aspace = Mcr_vmem.Aspace
@@ -44,6 +45,17 @@ let request kernel =
     (K.run_until kernel ~max_ns:(K.clock_ns kernel + 60_000_000_000) (fun () -> not (K.alive p)));
   Option.value !reply ~default:"NONE"
 
+(* Send one ctl command to [m] and drive the kernel until it answers. *)
+let ctl kernel m cmd =
+  let reply = ref None in
+  Ctl.exec kernel ~path:(Manager.ctl_path m) cmd ~on_result:(fun r -> reply := Some r) ();
+  ignore
+    (K.run_until kernel ~max_ns:(K.clock_ns kernel + 10_000_000_000) (fun () -> !reply <> None));
+  !reply
+
+let stats_text kernel m =
+  match ctl kernel m Frame.Stats with Some (Ok text) -> text | _ -> ""
+
 let test_accessors () =
   let kernel, m = boot () in
   Alcotest.(check string) "version tag" "1.0" (Manager.version m).P.version_tag;
@@ -56,7 +68,7 @@ let test_accessors () =
 
 let test_update_requested_lifecycle () =
   let kernel, m = boot () in
-  Ctl.request_update kernel ~path:(Manager.ctl_path m) ~on_reply:(fun _ -> ());
+  Ctl.exec kernel ~path:(Manager.ctl_path m) Frame.Update ~on_result:(fun _ -> ()) ();
   ignore
     (K.run_until kernel
        ~max_ns:(K.clock_ns kernel + 10_000_000_000)
@@ -65,6 +77,26 @@ let test_update_requested_lifecycle () =
   let _m2, report = Manager.update m (Listing1.v2 ()) in
   Alcotest.(check bool) "update ok" true report.Manager.success;
   Alcotest.(check bool) "request cleared by the reply" false (Manager.update_requested m)
+
+let test_prefixed_commands_refused () =
+  (* regression: commands used to be matched by prefix, so UPDATEX started
+     a live update and STATSfoo answered with stats *)
+  let kernel, m = boot () in
+  List.iter
+    (fun command ->
+      let reply = ref None in
+      Ctl.request_v kernel ~path:(Manager.ctl_path m) ~command
+        ~on_result:(fun r -> reply := Some r)
+        ();
+      ignore
+        (K.run_until kernel
+           ~max_ns:(K.clock_ns kernel + 10_000_000_000)
+           (fun () -> !reply <> None || Manager.update_requested m));
+      Alcotest.(check bool) (command ^ " refused as unknown") true
+        (!reply = Some (Error (Ctl.Refused "unknown command")));
+      Alcotest.(check bool) (command ^ " requests no update") false
+        (Manager.update_requested m))
+    [ "UPDATEX"; "STATSfoo"; "EXPLAINX" ]
 
 let test_trace_statistics_read_only () =
   (* taking Table 2 statistics must not disturb service or state *)
@@ -130,11 +162,7 @@ let test_stats_command () =
   let kernel, m = boot () in
   ignore (request kernel);
   (* before any update: counters registered, zero updates *)
-  let reply = ref None in
-  Ctl.request_stats kernel ~path:(Manager.ctl_path m) ~on_reply:(fun x -> reply := Some x);
-  ignore
-    (K.run_until kernel ~max_ns:(K.clock_ns kernel + 10_000_000_000) (fun () -> !reply <> None));
-  let text = Option.value !reply ~default:"" in
+  let text = stats_text kernel m in
   Alcotest.(check bool) "reply mentions update counter" true
     (contains text "mcr_updates_total");
   Alcotest.(check bool) "reply mentions process gauge" true
@@ -150,12 +178,8 @@ let test_stats_command () =
   Alcotest.(check (option int)) "commit counted"
     (Some 1)
     (List.assoc_opt "mcr_update_commits_total" snap.Mcr_obs.Metrics.counters);
-  let reply2 = ref None in
-  Ctl.request_stats kernel ~path:(Manager.ctl_path m2) ~on_reply:(fun x -> reply2 := Some x);
-  ignore
-    (K.run_until kernel ~max_ns:(K.clock_ns kernel + 10_000_000_000) (fun () -> !reply2 <> None));
   Alcotest.(check bool) "post-update STATS served" true
-    (contains (Option.value !reply2 ~default:"") "mcr_update_commits_total")
+    (contains (stats_text kernel m2) "mcr_update_commits_total")
 
 let test_report_totals_consistent () =
   let kernel, m = boot () in
@@ -240,19 +264,11 @@ let test_back_to_back_reflects_mutations () =
 let test_remap_ctl_command () =
   let kernel, m = boot () in
   Alcotest.(check bool) "remap off by default" false (Manager.policy m).Policy.transfer_remap;
-  let reply = ref None in
-  Ctl.request_remap kernel ~path:(Manager.ctl_path m) ~enabled:true ~on_reply:(fun x ->
-      reply := Some x);
-  ignore
-    (K.run_until kernel ~max_ns:(K.clock_ns kernel + 10_000_000_000) (fun () -> !reply <> None));
-  Alcotest.(check (option string)) "REMAP ON acknowledged" (Some "OK") !reply;
+  Alcotest.(check bool) "REMAP ON acknowledged" true
+    (ctl kernel m (Frame.Remap true) = Some (Ok ""));
   Alcotest.(check bool) "policy flipped" true (Manager.policy m).Policy.transfer_remap;
-  let reply2 = ref None in
-  Ctl.request_remap kernel ~path:(Manager.ctl_path m) ~enabled:false ~on_reply:(fun x ->
-      reply2 := Some x);
-  ignore
-    (K.run_until kernel ~max_ns:(K.clock_ns kernel + 10_000_000_000) (fun () -> !reply2 <> None));
-  Alcotest.(check (option string)) "REMAP OFF acknowledged" (Some "OK") !reply2;
+  Alcotest.(check bool) "REMAP OFF acknowledged" true
+    (ctl kernel m (Frame.Remap false) = Some (Ok ""));
   Alcotest.(check bool) "policy restored" false (Manager.policy m).Policy.transfer_remap;
   (* and the lineage still updates cleanly afterwards *)
   let _m2, r = Manager.update m (Listing1.v2 ()) in
@@ -265,6 +281,7 @@ let () =
         [
           Alcotest.test_case "accessors" `Quick test_accessors;
           Alcotest.test_case "update_requested lifecycle" `Quick test_update_requested_lifecycle;
+          Alcotest.test_case "prefixed commands refused" `Quick test_prefixed_commands_refused;
           Alcotest.test_case "trace stats read-only" `Quick test_trace_statistics_read_only;
           Alcotest.test_case "memory stats shape" `Quick test_memory_stats_shape;
           Alcotest.test_case "quiesce_only repeatable" `Quick test_quiesce_only_repeatable;

@@ -201,19 +201,18 @@ let test_policy_over_ctl () =
   let kernel = K.create () in
   let m = launch_listing1 kernel in
   let path = Manager.ctl_path m in
-  let replies = ref [] in
-  let ask req =
-    req kernel ~path ~on_reply:(fun r -> replies := r :: !replies);
-    drive kernel (fun () -> !replies <> [])
+  let ask cmd =
+    let reply = ref None in
+    Ctl.exec kernel ~path cmd ~on_result:(fun r -> reply := Some r) ();
+    drive kernel (fun () -> !reply <> None);
+    !reply
   in
-  ask (Ctl.request_deadlines ~quiesce_ns:(Some 400_000_000) ~update_ns:None);
-  Alcotest.(check (list string)) "DEADLINES ok" [ "OK" ] !replies;
-  replies := [];
-  ask (Ctl.request_retry ~retries:0 ~backoff_ns:1_000_000);
-  Alcotest.(check (list string)) "RETRY ok" [ "OK" ] !replies;
-  replies := [];
-  ask (Ctl.request_fault ~seed:None);
-  Alcotest.(check (list string)) "FAULT OFF ok" [ "OK" ] !replies;
+  let ok = Some (Ok "") in
+  Alcotest.(check bool) "DEADLINES ok" true
+    (ask (Ctl.Frame.Deadlines { quiesce_ns = Some 400_000_000; update_ns = None }) = ok);
+  Alcotest.(check bool) "RETRY ok" true
+    (ask (Ctl.Frame.Retry { retries = 0; backoff_ns = 1_000_000 }) = ok);
+  Alcotest.(check bool) "FAULT OFF ok" true (ask (Ctl.Frame.Fault_arm None) = ok);
   (* the policy deadline applies without per-call arguments *)
   let m2, report =
     Manager.update m ~fault:(Fault.script [ Fault.Quiesce_refusal ]) (Listing1.v2 ())
@@ -222,9 +221,10 @@ let test_policy_over_ctl () =
     (Some "quiescence deadline exceeded")
     (Option.map Mcr_error.to_string report.Manager.failure);
   (* malformed policy commands answer with usage, not silence *)
-  replies := [];
-  ask (fun kernel ~path ~on_reply -> Ctl.request kernel ~path ~command:"DEADLINES x" ~on_reply);
-  Alcotest.(check bool) "usage error" true (contains (List.hd !replies) "ERR usage");
+  Alcotest.(check bool) "usage error" true
+    (match ask (Ctl.Frame.Raw "DEADLINES x") with
+    | Some (Error (Ctl.Refused r)) -> contains r "usage"
+    | _ -> false);
   ignore m2
 
 let test_stale_ctl_socket_relaunch () =
@@ -244,13 +244,13 @@ let test_stale_ctl_socket_relaunch () =
   Alcotest.(check string) "same ctl path" path (Manager.ctl_path m2);
   assert (Manager.wait_startup m2 ());
   let reply = ref None in
-  Ctl.request_stats kernel ~path ~on_reply:(fun r -> reply := Some r);
+  Ctl.exec kernel ~path Ctl.Frame.Stats ~on_result:(fun r -> reply := Some r) ();
   drive kernel (fun () -> !reply <> None);
   match !reply with
-  | Some r ->
+  | Some (Ok r) ->
       Alcotest.(check bool) "relaunched controller answers STATS" true
         (contains r "mcr_updates_total")
-  | None -> Alcotest.fail "no STATS reply after relaunch"
+  | _ -> Alcotest.fail "no STATS reply after relaunch"
 
 let test_syscall_fault_invariant () =
   (* ENOSPC/ECONNRESET analogs during new-version startup: whatever the

@@ -304,12 +304,17 @@ let test_stale_socket_rebind () =
       ()
   in
   Ctl_server.spawn kernel p2 ~name:"fleet-ctl" ~path
-    ~dispatch:(fun ~versioned:_ cmd -> if cmd = "PING" then "PONG" else "ERR")
+    ~dispatch:(fun cmd -> if cmd = "PING" then Frame.ok_inline "PONG" else Frame.err "?")
     ();
   let reply = ref None in
-  Ctl.request kernel ~path ~command:"PING" ~on_reply:(fun r -> reply := Some r);
+  Ctl.exec kernel ~path (Frame.Raw "PING") ~on_result:(fun r -> reply := Some r) ();
   drive kernel (fun () -> !reply <> None);
-  Alcotest.(check (option string)) "second incarnation answers" (Some "PONG") !reply
+  Alcotest.(check bool) "second incarnation answers" true (!reply = Some (Ok "PONG"));
+  (* a frame without the HELLO handshake is refused before dispatch *)
+  let raw = ref None in
+  Ctl.request kernel ~path ~command:"PING" ~on_reply:(fun r -> raw := Some r);
+  drive kernel (fun () -> !raw <> None);
+  Alcotest.(check (option string)) "raw frame refused" (Some "ERR hello required") !raw
 
 (* ------------------------------------------------------------------ *)
 (* Summary codec *)
@@ -457,9 +462,9 @@ let prop_frame_decoders_total =
     QCheck.(string_gen Gen.char)
     (fun s ->
       (match Frame.parse_request s with
-      | `Hello _ | `Malformed_hello -> ()
-      | `Legacy raw ->
-          if raw <> s then QCheck.Test.fail_reportf "legacy frame not passed through");
+      | Ok _ | Error ("malformed hello" | "hello required") -> ()
+      | Error e -> QCheck.Test.fail_reportf "unexpected request refusal %S" e);
+      ignore (Frame.command_of_string s);
       (match Frame.parse_reply ~version:1 s with
       | Ok _ | Error (Frame.Version_mismatch _) | Error (Frame.Refused _)
       | Error (Frame.Transport _) -> ());
@@ -470,8 +475,8 @@ let prop_malformed_hello_typed =
     QCheck.(map (fun v -> "HELLO " ^ v) (string_gen_of_size Gen.(1 -- 8) Gen.printable))
     (fun frame ->
       match Frame.parse_request frame with
-      | `Hello _ | `Malformed_hello -> true
-      | `Legacy _ -> QCheck.Test.fail_reportf "HELLO-prefixed frame classified as legacy")
+      | Ok _ | Error "malformed hello" -> true
+      | Error e -> QCheck.Test.fail_reportf "HELLO-prefixed frame refused with %S" e)
 
 (* ------------------------------------------------------------------ *)
 

@@ -30,20 +30,20 @@ let contains haystack needle =
 
 let test_frame_requests () =
   (match Frame.parse_request "HELLO 1 UPDATE" with
-  | `Hello (1, Some "UPDATE") -> ()
+  | Ok (1, Some "UPDATE") -> ()
   | _ -> Alcotest.fail "HELLO 1 UPDATE");
   (match Frame.parse_request "HELLO 3" with
-  | `Hello (3, None) -> ()
+  | Ok (3, None) -> ()
   | _ -> Alcotest.fail "bare HELLO is a handshake");
   (match Frame.parse_request "HELLO 1 EXPLAIN 2" with
-  | `Hello (1, Some "EXPLAIN 2") -> ()
+  | Ok (1, Some "EXPLAIN 2") -> ()
   | _ -> Alcotest.fail "command keeps its arguments");
   (match Frame.parse_request "HELLO x UPDATE" with
-  | `Malformed_hello -> ()
+  | Error "malformed hello" -> ()
   | _ -> Alcotest.fail "non-integer version is malformed");
   (match Frame.parse_request "UPDATE" with
-  | `Legacy "UPDATE" -> ()
-  | _ -> Alcotest.fail "raw command takes the legacy path");
+  | Error "hello required" -> ()
+  | _ -> Alcotest.fail "a raw command is refused");
   Alcotest.(check string) "hello_frame with command" "HELLO 1 STATS"
     (Frame.hello_frame ~version:1 ~command:"STATS");
   Alcotest.(check string) "hello_frame bare" "HELLO 1"
@@ -66,13 +66,79 @@ let test_frame_replies () =
   (match parse (Frame.err "no flight records") with
   | Error (Frame.Refused "no flight records") -> ()
   | _ -> Alcotest.fail "refusal");
-  (match parse "gibberish" with
+  match parse "gibberish" with
   | Error (Frame.Transport _) -> ()
-  | _ -> Alcotest.fail "unexpected frame is a transport error");
-  Alcotest.(check string) "legacy UPDATE downgrade" "FAIL busy"
-    (Frame.legacy_update_frame (Frame.err "busy"));
-  Alcotest.(check string) "legacy OK passthrough" "OK"
-    (Frame.legacy_update_frame Frame.ok)
+  | _ -> Alcotest.fail "unexpected frame is a transport error"
+
+let test_command_decoding () =
+  let decodes s c =
+    Alcotest.(check bool) (s ^ " decodes") true (Frame.command_of_string s = Ok c)
+  in
+  decodes "UPDATE" Frame.Update;
+  decodes "  STATS " Frame.Stats;
+  decodes "EXPLAIN" (Frame.Explain None);
+  decodes "EXPLAIN 3" (Frame.Explain (Some 3));
+  decodes "DEADLINES - 400" (Frame.Deadlines { quiesce_ns = None; update_ns = Some 400 });
+  decodes "PRECOPY ON 3" (Frame.Precopy { enabled = true; max_rounds = Some 3; threshold_words = None });
+  decodes "PARKING ON 0" (Frame.Parking { enabled = true; drain_ns = Some 0 });
+  decodes "PARKING OFF" (Frame.Parking { enabled = false; drain_ns = None });
+  List.iter
+    (fun (s, reason) ->
+      Alcotest.(check (result reject string)) s (Error reason)
+        (Result.map (fun _ -> ()) (Frame.command_of_string s)))
+    [
+      ("UPDATEX", "unknown command");
+      ("STATSfoo", "unknown command");
+      ("", "unknown command");
+      ("UPDATE now", "usage: UPDATE");
+      ("EXPLAIN 0", "usage: EXPLAIN [LAST|<n>]");
+      ("DEADLINES 0 -", "usage: DEADLINES <quiesce_ns|-> <update_ns|->");
+      ("RETRY -1 5", "usage: RETRY <count> <backoff_ns>");
+      ("FAULT -", "usage: FAULT <seed>|OFF");
+      ("PRECOPY ON 0", "usage: PRECOPY ON [max_rounds] [threshold_words] | OFF");
+      ("PRECOPY ON 2 -1", "usage: PRECOPY ON [max_rounds] [threshold_words] | OFF");
+      ("WORKERS 0", "usage: WORKERS <count>");
+      ("REMAP", "usage: REMAP ON|OFF");
+      ("SLO - 0", "usage: SLO <downtime_ns|-> <total_ns|->");
+      ("PARKING ON -1", "usage: PARKING ON [drain_ns] | OFF");
+      ("SAVE", "usage: SAVE <path>");
+      ("RESTORE a b", "usage: RESTORE <path>");
+    ]
+
+(* Every command the decoder accepts, as a generator. *)
+let command_gen =
+  let open QCheck.Gen in
+  let pos = int_range 1 1_000_000_000 and nat = int_range 0 1_000_000 in
+  let word = string_size ~gen:(char_range 'a' 'z') (int_range 1 12) in
+  oneof
+    [
+      return Frame.Update;
+      return Frame.Stats;
+      map (fun n -> Frame.Explain n) (opt pos);
+      map2 (fun q u -> Frame.Deadlines { quiesce_ns = q; update_ns = u }) (opt pos) (opt pos);
+      map2 (fun retries backoff_ns -> Frame.Retry { retries; backoff_ns }) nat nat;
+      map (fun s -> Frame.Fault_arm s) (opt int);
+      map3
+        (fun enabled max_rounds threshold_words ->
+          Frame.Precopy { enabled; max_rounds; threshold_words })
+        bool (opt pos) (opt nat);
+      map (fun n -> Frame.Workers n) pos;
+      map (fun b -> Frame.Remap b) bool;
+      map2 (fun d u -> Frame.Slo { downtime_ns = d; total_ns = u }) (opt pos) (opt pos);
+      map2 (fun enabled drain_ns -> Frame.Parking { enabled; drain_ns }) bool (opt nat);
+      map (fun p -> Frame.Save ("/tmp/" ^ p)) word;
+      map (fun p -> Frame.Restore ("/tmp/" ^ p)) word;
+    ]
+
+let prop_command_codec =
+  QCheck.Test.make ~name:"command codec: total decoder, stable round-trip" ~count:1000
+    QCheck.(pair (make ~print:Frame.command_to_string command_gen) (string_gen Gen.char))
+    (fun (c, junk) ->
+      ignore (Frame.command_of_string junk);
+      let s = Frame.command_to_string c in
+      match Frame.command_of_string s with
+      | Ok c' -> Frame.command_to_string c' = s
+      | Error e -> QCheck.Test.fail_reportf "%S does not decode: %s" s e)
 
 (* ------------------------------------------------------------------ *)
 (* Attribution reconciliation: the property the recorder exists for *)
@@ -203,7 +269,7 @@ let explain_scenario () =
 
 let request_explain kernel m2 ~nth =
   let result = ref None in
-  Ctl.request_explain kernel ~path:(Manager.ctl_path m2) ~nth
+  Ctl.exec kernel ~path:(Manager.ctl_path m2) (Frame.Explain nth)
     ~on_result:(fun r -> result := Some r)
     ();
   drive kernel (fun () -> !result <> None);
@@ -372,6 +438,8 @@ let () =
         [
           Alcotest.test_case "request parsing" `Quick test_frame_requests;
           Alcotest.test_case "reply parsing" `Quick test_frame_replies;
+          Alcotest.test_case "command decoding" `Quick test_command_decoding;
+          qt prop_command_codec;
         ] );
       ( "attribution",
         [

@@ -220,7 +220,7 @@ let test_ctl_save_restore () =
   let ctl = Manager.ctl_path m in
   let path = tmp_image "ctl" in
   let reply = ref None in
-  Ctl.exec kernel ~path:ctl (Ctl.Save path) ~on_result:(fun r -> reply := Some r) ();
+  Ctl.exec kernel ~path:ctl (Ctl.Frame.Save path) ~on_result:(fun r -> reply := Some r) ();
   drive kernel (fun () -> !reply <> None);
   let fp =
     match !reply with
@@ -232,7 +232,7 @@ let test_ctl_save_restore () =
   ignore (Testbed.benchmark kernel Testbed.Httpd ~scale:3_000 ());
   (* ...then restore in place over the control socket *)
   let reply = ref None in
-  Ctl.exec kernel ~path:ctl (Ctl.Restore path) ~on_result:(fun r -> reply := Some r) ();
+  Ctl.exec kernel ~path:ctl (Ctl.Frame.Restore path) ~on_result:(fun r -> reply := Some r) ();
   drive kernel (fun () -> !reply <> None);
   (match !reply with
   | Some (Ok s) ->
@@ -250,7 +250,7 @@ let test_ctl_save_bad_path () =
   let m = Testbed.launch kernel Testbed.Httpd in
   let reply = ref None in
   Ctl.exec kernel ~path:(Manager.ctl_path m)
-    (Ctl.Save "/nonexistent-dir/x.mcrimg")
+    (Ctl.Frame.Save "/nonexistent-dir/x.mcrimg")
     ~on_result:(fun r -> reply := Some r)
     ();
   drive kernel (fun () -> !reply <> None);

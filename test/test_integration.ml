@@ -222,12 +222,14 @@ let test_ctl_roundtrip () =
   let kernel, m = boot () in
   ignore (request kernel);
   let reply = ref None in
-  Ctl.request_update kernel ~path:(Manager.ctl_path m) ~on_reply:(fun r -> reply := Some r);
+  Ctl.exec kernel ~path:(Manager.ctl_path m) Ctl.Frame.Update
+    ~on_result:(fun r -> reply := Some r)
+    ();
   drive kernel (fun () -> Manager.update_requested m);
   let m2, report = Manager.update m (Listing1.v2 ()) in
   Alcotest.(check bool) "update ok" true report.Manager.success;
   drive kernel (fun () -> !reply <> None);
-  Alcotest.(check (option string)) "ctl client told OK" (Some "OK") !reply;
+  Alcotest.(check bool) "ctl client told OK" true (!reply = Some (Ok ""));
   Alcotest.(check string) "new version serves" "hi/v2:2" (request kernel);
   ignore m2
 
@@ -235,14 +237,17 @@ let test_ctl_failure_reply () =
   let kernel, m = boot () in
   ignore (request kernel);
   let reply = ref None in
-  Ctl.request_update kernel ~path:(Manager.ctl_path m) ~on_reply:(fun r -> reply := Some r);
+  Ctl.exec kernel ~path:(Manager.ctl_path m) Ctl.Frame.Update
+    ~on_result:(fun r -> reply := Some r)
+    ();
   drive kernel (fun () -> Manager.update_requested m);
   let _, report = Manager.update m (Listing1.v2 ~variant:`Omit_listen ()) in
   Alcotest.(check bool) "update failed" false report.Manager.success;
   drive kernel (fun () -> !reply <> None);
-  (match !reply with
-  | Some r -> Alcotest.(check bool) "FAIL reply" true (String.length r >= 4 && String.sub r 0 4 = "FAIL")
-  | None -> Alcotest.fail "no ctl reply");
+  (match (!reply, report.Manager.failure) with
+  | Some (Error (Ctl.Refused r)), Some reason ->
+      Alcotest.(check string) "refusal names the rollback reason" (Mcr_error.to_string reason) r
+  | _ -> Alcotest.fail "expected a refused UPDATE");
   Alcotest.(check string) "old still serves" "hi/v1:2" (request kernel)
 
 let test_config_change_across_update () =

@@ -303,22 +303,25 @@ let test_ctl_precopy_knob () =
   let kernel = K.create () in
   let m = launch_listing1 kernel in
   let path = Manager.ctl_path m in
-  let reply = ref None in
-  Ctl.request_precopy kernel ~path ~enabled:true ~max_rounds:3 ~threshold_words:100_000
-    ~on_reply:(fun r -> reply := Some r)
-    ();
-  drive kernel (fun () -> !reply <> None);
-  Alcotest.(check (option string)) "PRECOPY ON acknowledged" (Some "OK") !reply;
+  let ask cmd =
+    let reply = ref None in
+    Ctl.exec kernel ~path cmd ~on_result:(fun r -> reply := Some r) ();
+    drive kernel (fun () -> !reply <> None);
+    !reply
+  in
+  Alcotest.(check bool) "PRECOPY ON acknowledged" true
+    (ask
+       (Ctl.Frame.Precopy { enabled = true; max_rounds = Some 3; threshold_words = Some 100_000 })
+    = Some (Ok ""));
   Alcotest.(check bool) "policy updated" true (Manager.policy m).Policy.precopy;
   Alcotest.(check int) "rounds knob" 3 (Manager.policy m).Policy.precopy_max_rounds;
   let _, report = Manager.update m (Listing1.v2 ()) in
   Alcotest.(check bool) "update committed" true report.Manager.success;
   Alcotest.(check bool) "pre-copy actually ran" true (report.Manager.precopy_rounds >= 1);
   (* and OFF disarms it *)
-  reply := None;
-  Ctl.request_precopy kernel ~path ~enabled:false ~on_reply:(fun r -> reply := Some r) ();
-  drive kernel (fun () -> !reply <> None);
-  Alcotest.(check (option string)) "PRECOPY OFF acknowledged" (Some "OK") !reply;
+  Alcotest.(check bool) "PRECOPY OFF acknowledged" true
+    (ask (Ctl.Frame.Precopy { enabled = false; max_rounds = None; threshold_words = None })
+    = Some (Ok ""));
   Alcotest.(check bool) "policy cleared" false (Manager.policy m).Policy.precopy
 
 (* ------------------------------------------------------------------ *)

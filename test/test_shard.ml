@@ -189,26 +189,19 @@ let test_ctl_workers_knob () =
   let kernel = K.create () in
   let m = launch_listing1 kernel in
   let path = Manager.ctl_path m in
-  let reply = ref None in
-  let ask f =
-    reply := None;
-    f ();
-    drive kernel (fun () -> !reply <> None)
+  let ask cmd =
+    let reply = ref None in
+    Ctl.exec kernel ~path cmd ~on_result:(fun r -> reply := Some r) ();
+    drive kernel (fun () -> !reply <> None);
+    !reply
   in
-  ask (fun () ->
-      Ctl.request_workers kernel ~path ~workers:3 ~on_reply:(fun r -> reply := Some r));
-  Alcotest.(check (option string)) "WORKERS 3 acknowledged" (Some "OK") !reply;
+  let usage = Some (Error (Ctl.Refused "usage: WORKERS <count>")) in
+  Alcotest.(check bool) "WORKERS 3 acknowledged" true (ask (Ctl.Frame.Workers 3) = Some (Ok ""));
   Alcotest.(check int) "policy updated" 3 (Manager.policy m).Policy.transfer_workers;
-  ask (fun () ->
-      Ctl.request_workers kernel ~path ~workers:0 ~on_reply:(fun r -> reply := Some r));
-  Alcotest.(check (option string)) "WORKERS 0 refused" (Some "ERR usage: WORKERS <count>")
-    !reply;
+  Alcotest.(check bool) "WORKERS 0 refused" true (ask (Ctl.Frame.Workers 0) = usage);
   Alcotest.(check int) "policy unchanged on refusal" 3
     (Manager.policy m).Policy.transfer_workers;
-  ask (fun () ->
-      Ctl.request kernel ~path ~command:"WORKERS" ~on_reply:(fun r -> reply := Some r));
-  Alcotest.(check (option string)) "bare WORKERS refused"
-    (Some "ERR usage: WORKERS <count>") !reply;
+  Alcotest.(check bool) "bare WORKERS refused" true (ask (Ctl.Frame.Raw "WORKERS") = usage);
   (* the knob drives the next update: commits and reports the pool size *)
   let _, report = Manager.update m (Listing1.v2 ()) in
   Alcotest.(check bool) "update with workers=3 committed" true report.Manager.success;
