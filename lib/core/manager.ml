@@ -118,7 +118,6 @@ type t = {
   kernel : K.t;
   instr : Instr.t;
   prog_version : P.version;
-  root_proc : K.proc;
   root_image : P.image;
   members : P.image list ref;
   log_source : log_source;
@@ -151,7 +150,7 @@ type report = {
 
 let live members = List.filter (fun (im : P.image) -> K.alive im.P.i_proc) !members
 let kernel t = t.kernel
-let root_proc t = t.root_proc
+let root_proc t = t.root_image.P.i_proc
 let root_image t = t.root_image
 let version t = t.prog_version
 let images t = live t.members
@@ -201,16 +200,14 @@ let track_members ?trace members (img : P.image) =
    kernel teardown. [save_image]/[restore_image] are the host-side
    spellings. *)
 let save_members kernel policy members ~path =
-  match members with
-  | [] -> Error "program not running"
-  | members ->
-      Result.map_error Image.error_to_string
-        (Image.save kernel ~path ~members ~policy_text:(Policy.to_kv policy) ())
+  if members = [] then Error "program not running"
+  else
+    Result.map_error Image.error_to_string
+      (Image.save kernel ~path ~members ~policy_text:(Policy.to_kv policy) ())
 
 let install_members img members =
-  match members with
-  | [] -> Error "program not running"
-  | members -> Result.map_error Image.error_to_string (Image.install img ~members)
+  if members = [] then Error "program not running"
+  else Result.map_error Image.error_to_string (Image.install img ~members)
 
 let dispatch kernel lin ctl members cmd =
   let set f =
@@ -265,7 +262,8 @@ let dispatch kernel lin ctl members cmd =
 (* Start [proc]'s controller thread on the lineage's socket (Ctl_server
    unlinks a stale socket name before binding). *)
 let spawn_ctl kernel proc lin members =
-  let ctl = { sem = Printf.sprintf "mcr.ctl.done.%d" (K.pid proc); pending = false; result = "" } in
+  let sem = Printf.sprintf "mcr.ctl.done.%d" (K.pid proc) in
+  let ctl = { sem; pending = false; result = "" } in
   Ctl_server.spawn kernel proc ~path:lin.ctl_path ~dispatch:(dispatch kernel lin ctl members) ();
   ctl
 
@@ -298,7 +296,6 @@ let launch kernel ?(instr = Instr.full) ?profiler ?trace ?(policy = Policy.defau
     kernel;
     instr;
     prog_version;
-    root_proc = proc;
     root_image = image;
     members;
     log_source = Recorder recorder;
@@ -356,27 +353,8 @@ let restore_image t img = with_quiesced t (fun () -> install_members img (images
 (* ------------------------------------------------------------------ *)
 (* Read-only measurement hooks *)
 
-let merge_side (a : Objgraph.side) (b : Objgraph.side) =
-  a.Objgraph.ptr <- a.Objgraph.ptr + b.Objgraph.ptr;
-  a.Objgraph.src_static <- a.Objgraph.src_static + b.Objgraph.src_static;
-  a.Objgraph.src_dynamic <- a.Objgraph.src_dynamic + b.Objgraph.src_dynamic;
-  a.Objgraph.targ_static <- a.Objgraph.targ_static + b.Objgraph.targ_static;
-  a.Objgraph.targ_dynamic <- a.Objgraph.targ_dynamic + b.Objgraph.targ_dynamic;
-  a.Objgraph.targ_lib <- a.Objgraph.targ_lib + b.Objgraph.targ_lib
-
 let trace_statistics t =
-  let zero () =
-    { Objgraph.ptr = 0; src_static = 0; src_dynamic = 0; targ_static = 0; targ_dynamic = 0;
-      targ_lib = 0 }
-  in
-  let acc = { Objgraph.precise = zero (); likely = zero () } in
-  List.iter
-    (fun im ->
-      let a = Objgraph.analyze im in
-      merge_side acc.Objgraph.precise a.Objgraph.stats.Objgraph.precise;
-      merge_side acc.Objgraph.likely a.Objgraph.stats.Objgraph.likely)
-    (images t);
-  acc
+  Objgraph.sum_stats (List.map (fun im -> (Objgraph.analyze im).Objgraph.stats) (images t))
 
 type memory_stats = {
   app_bytes : int;
@@ -439,7 +417,6 @@ let memory_stats t =
 
 (* The new version, once the restart stage has launched it. *)
 type restarted = {
-  new_proc : K.proc;
   new_root : P.image;
   new_members : P.image list ref;
   new_ctl : ctl;
@@ -459,9 +436,6 @@ type restarted = {
    an identity. Recording never touches the clock. *)
 type attempt = {
   t : t;
-  k : K.t;
-  tr : Trace.t option;
-  mpid : int;
   pol : Policy.t;
   fault : Fault.t option;
   target : P.version;
@@ -478,18 +452,15 @@ type attempt = {
   mutable rounds : Flight.round list;  (* pre-copy rounds, newest first *)
   mutable attr : Flight.attribution;
   mutable transfers : (Logdefs.proc_key * Transfer.outcome) list;  (* newest first *)
-  (* persistent checkpoint image of the old version, snapped at its
-     quiescent point when the policy asks for one; written with the flight
-     record attached once the attempt ends, commit or rollback (a
-     rolled-back attempt's image is what [mcr-postmortem --replay] feeds
-     on) *)
+  (* checkpoint image of the old version at its quiescent point, written
+     with the flight record attached once the attempt ends *)
   mutable image : Image.t option;
   mutable restarted : restarted option;
 }
 
 type 'a stage_result = ('a, Err.rollback_reason * string) result
 
-let clock a = K.clock_ns a.k
+let clock a = K.clock_ns a.t.kernel
 let downtime a = match a.window_start with Some w -> clock a - w | None -> 0
 
 let deadline_exceeded a =
@@ -499,17 +470,26 @@ let precopy_bytes a =
   List.fold_left (fun acc r -> acc + (r.Flight.r_words * Addr.word_size)) 0 a.rounds
 
 let sum_transfers a f = List.fold_left (fun acc (_, o) -> acc + f o) 0 a.transfers
-let transfer_conflicts a = List.concat_map (fun (_, o) -> o.Transfer.conflicts) (List.rev a.transfers)
-let instant a name args = Trace.instant a.tr ~pid:a.mpid ~cat:"stage" ~args name
+let transfer_conflicts a =
+  List.concat_map (fun (_, o) -> o.Transfer.conflicts) (List.rev a.transfers)
+(* stage events go on the old root's pid *)
+let instant a name args =
+  Trace.instant a.t.lin.trace ~pid:(K.pid (root_proc a.t)) ~cat:"stage" ~args name
+
+let span_begin a ?args name =
+  Trace.span_begin a.t.lin.trace ~pid:(K.pid (root_proc a.t)) ~cat:"stage" ?args name
+
+let span_end a ?args name =
+  Trace.span_end a.t.lin.trace ~pid:(K.pid (root_proc a.t)) ~cat:"stage" ?args name
 
 (* Run [f] inside the named stage span; [f] returns its value and the
    span's closing args. The elapsed virtual time is observed into [hist]
    and returned. *)
 let stage a ?hist name f =
-  Trace.span_begin a.tr ~pid:a.mpid ~cat:"stage" name;
+  span_begin a name;
   let start = clock a in
   let v, args = f () in
-  Trace.span_end a.tr ~pid:a.mpid ~cat:"stage" ~args name;
+  span_end a ~args name;
   let elapsed = clock a - start in
   Option.iter (fun h -> Metrics.observe h elapsed) hist;
   (v, elapsed)
@@ -523,20 +503,21 @@ let stage a ?hist name f =
 let park a =
   if a.pol.Policy.request_parking then begin
     let n =
-      List.fold_left (fun acc (im : P.image) -> acc + K.park_listeners a.k im.P.i_proc) 0
+      List.fold_left (fun acc (im : P.image) -> acc + K.park_listeners a.t.kernel im.P.i_proc) 0
         (images a.t)
     in
     a.parked <- true;
     instant a "park" [ ("listeners", string_of_int n) ];
-    if a.pol.Policy.drain_ns > 0 then K.run_for a.k a.pol.Policy.drain_ns
+    if a.pol.Policy.drain_ns > 0 then K.run_for a.t.kernel a.pol.Policy.drain_ns
   end
 
 let unpark a imgs =
   if a.parked then begin
     let n =
-      List.fold_left (fun acc (im : P.image) -> acc + K.unpark_listeners a.k im.P.i_proc) 0 imgs
+      List.fold_left
+        (fun acc (im : P.image) -> acc + K.unpark_listeners a.t.kernel im.P.i_proc)
+        0 imgs
     in
-    a.parked <- false;
     instant a "unpark" [ ("resumed", string_of_int n) ]
   end
 
@@ -569,8 +550,7 @@ let quiesce a : unit stage_result =
         park a;
         (* fault injection: while armed, old-version threads decline the
            barrier *)
-        let refuse = refusal a Fault.Quiesce_refusal in
-        if Option.is_some refuse then set_refusals (images t) refuse;
+        set_refusals (images t) (refusal a Fault.Quiesce_refusal);
         let wstart = clock a in
         a.window_start <- Some wstart;
         request_all t;
@@ -578,7 +558,7 @@ let quiesce a : unit stage_result =
           bounded a
             (wstart + Option.value a.pol.Policy.quiesce_deadline_ns ~default:5_000_000_000)
         in
-        let ok = K.run_until a.k ~max_ns (fun () -> all_quiesced t) in
+        let ok = K.run_until a.t.kernel ~max_ns (fun () -> all_quiesced t) in
         ignore (consume a Fault.Quiesce_refusal);
         set_refusals (images t) None;
         (ok, [ ("converged", if ok then "yes" else "no") ]))
@@ -593,7 +573,7 @@ let quiesce a : unit stage_result =
     if a.pol.Policy.image_dir <> None then
       a.image <-
         Some
-          (Image.capture a.k ~members:(images t) ~policy_text:(Policy.to_kv a.pol)
+          (Image.capture a.t.kernel ~members:(images t) ~policy_text:(Policy.to_kv a.pol)
              ~target_tag:a.target.P.version_tag ())
   end;
   let failed reason = Error (reason, "quiesce") in
@@ -602,7 +582,7 @@ let quiesce a : unit stage_result =
     failed
       (Barrier.failure_reason
          ~deadline_hit:
-           (Option.fold ~none:false ~some:(fun d -> waited >= d) a.pol.Policy.quiesce_deadline_ns))
+           (match a.pol.Policy.quiesce_deadline_ns with Some d -> waited >= d | None -> false))
   else Ok ()
 
 let new_quiesced r =
@@ -616,7 +596,7 @@ let new_quiesced r =
 (* ---- restart: launch the new version under replay. Without pre-copy
    this elapses inside the window. ---- *)
 let restart a : restarted stage_result =
-  let t = a.t and k = a.k in
+  let t = a.t and k = a.t.kernel in
   let (r, startup_ok), cm_ns =
     stage a ~hist:t.lin.mset.m_cm_h "restart_replay" (fun () ->
         let t1 = clock a in
@@ -644,13 +624,12 @@ let restart a : restarted stage_result =
         (* fault injection: new-version threads decline their startup
            barrier *)
         let arm_startup_hang (img : P.image) =
-          let refuse = refusal a Fault.Startup_hang in
-          if Option.is_some refuse then Barrier.set_refusal img.P.i_barrier refuse
+          Barrier.set_refusal img.P.i_barrier (refusal a Fault.Startup_hang)
         in
         let new_proc =
           Loader.launch k ~instr:t.instr a.target ~on_image:(fun img ->
               root_slot := Some img;
-              track_members ?trace:a.tr new_members img;
+              track_members ?trace:a.t.lin.trace new_members img;
               (* reinitiate quiescence detection before startup runs, so
                  the new version is never exposed to external events
                  (Section 5) *)
@@ -668,7 +647,7 @@ let restart a : restarted stage_result =
           (fun (fd, src) -> ignore (K.transfer_fd k ~src ~fd ~dst:new_proc ~at:fd))
           inherited;
         let rep =
-          Replayer.start k ?trace:a.tr ?fault:a.fault (Option.get !root_slot) ~logs
+          Replayer.start k ?trace:a.t.lin.trace ?fault:a.fault (Option.get !root_slot) ~logs
             ~inherited:(List.map fst inherited)
         in
         (* fault injection: syscall-level failures, scoped to new-version
@@ -690,7 +669,6 @@ let restart a : restarted stage_result =
            unix_listen inherits the control socket *)
         let r =
           {
-            new_proc;
             new_root = Option.get !root_slot;
             new_members;
             new_ctl = spawn_ctl k new_proc t.lin new_members;
@@ -719,7 +697,7 @@ let restart a : restarted stage_result =
      version still serves *)
   if not a.pol.Policy.precopy then a.attr <- { a.attr with Flight.a_restart_ns = cm_ns };
   let failed reason = Error (reason, "restart_replay") in
-  if not (K.alive r.new_proc) then failed Err.Startup_crashed
+  if not (K.alive r.new_root.P.i_proc) then failed Err.Startup_crashed
   else
     match Replayer.rollback_reason r.rep with
     | Some reason -> failed reason
@@ -730,11 +708,11 @@ let restart a : restarted stage_result =
 
 let old_proc_of_key a r key =
   match key with
-  | Logdefs.Root -> Some a.t.root_proc
+  | Logdefs.Root -> Some (root_proc a.t)
   | _ ->
       List.find_map
         (fun (l : Logdefs.plog) ->
-          if l.Logdefs.key = key then K.find_proc a.k l.Logdefs.pid else None)
+          if l.Logdefs.key = key then K.find_proc a.t.kernel l.Logdefs.pid else None)
         r.logs
 
 let image_of_live = function
@@ -759,15 +737,13 @@ let precopy a r ~on_precopy_round : unit stage_result =
     | Some (_, oi) ->
         let aspace = oi.P.i_aspace in
         let since = Aspace.epoch_find aspace ~name:precopy_epoch in
-        let analysis = Objgraph.analyze ?trace:a.tr ?cost_since:since oi in
+        let analysis = Objgraph.analyze ?trace:a.t.lin.trace ?cost_since:since oi in
         let session =
           match Hashtbl.find_opt r.sessions key with
           | Some s -> s
-          | None ->
-              let s = Transfer.precopy_create () in
-              Hashtbl.replace r.sessions key s;
-              s
+          | None -> Transfer.precopy_create ()
         in
+        Hashtbl.replace r.sessions key session;
         let rs =
           Transfer.precopy_round session ~old_image:oi ~analysis ?since ~dirty_only ~workers ()
         in
@@ -796,7 +772,7 @@ let precopy a r ~on_precopy_round : unit stage_result =
       a.rounds <- { Flight.r_words = delta; r_cost_ns = cost } :: a.rounds;
       (* the old version keeps serving while the speculative copy elapses —
          this is the whole point *)
-      K.run_for a.k cost;
+      K.run_for a.t.kernel cost;
       Option.iter (fun f -> f n) on_precopy_round;
       if n >= 2 && delta <= threshold then Ok ()
       else if n >= max_rounds then
@@ -826,11 +802,11 @@ let transfer_pair a r (oldp, oi) (newp, ni) key new_pid =
     if Hashtbl.mem r.sessions key then Aspace.epoch_find oi.P.i_aspace ~name:precopy_epoch
     else None
   in
-  let analysis = Objgraph.analyze ?trace:a.tr ?cost_since ?fault:a.fault oi in
+  let analysis = Objgraph.analyze ?trace:a.t.lin.trace ?cost_since ?fault:a.fault oi in
   let o =
     Transfer.run ~old_image:oi ~new_image:ni ~analysis ~dirty_only:pol.Policy.dirty_only
       ~remap:pol.Policy.transfer_remap ?precopy:(Hashtbl.find_opt r.sessions key)
-      ~workers:pol.Policy.transfer_workers ?trace:a.tr ?fault:a.fault ()
+      ~workers:pol.Policy.transfer_workers ?trace:a.t.lin.trace ?fault:a.fault ()
   in
   a.transfers <- (key, o) :: a.transfers;
   Metrics.incr mset.m_transfer_pairs;
@@ -846,7 +822,7 @@ let transfer_pair a r (oldp, oi) (newp, ni) key new_pid =
   (* pair transfers run in parallel — the charged time is the max across
      pairs, so a begin/end pair cannot represent one; a Complete event
      carries the pair's own duration instead *)
-  Trace.complete a.tr ~pid:new_pid ~cat:"stage"
+  Trace.complete a.t.lin.trace ~pid:new_pid ~cat:"stage"
     ~args:
       [ ("pair", pair); ("words", string_of_int o.Transfer.transferred_words);
         ("objects", string_of_int o.Transfer.transferred_objects);
@@ -857,7 +833,7 @@ let transfer_pair a r (oldp, oi) (newp, ni) key new_pid =
     Array.iteri
       (fun s words ->
         Metrics.observe mset.m_shard_words_h words;
-        Trace.complete a.tr ~pid:new_pid ~cat:"stage"
+        Trace.complete a.t.lin.trace ~pid:new_pid ~cat:"stage"
           ~args:[ ("pair", pair); ("shard", string_of_int s); ("words", string_of_int words) ]
           ~dur_ns:(o.Transfer.trace_shard_ns.(s) + o.Transfer.shard_cost_ns.(s))
           "transfer.shard")
@@ -866,14 +842,15 @@ let transfer_pair a r (oldp, oi) (newp, ni) key new_pid =
      process at the same numbers *)
   List.iter
     (fun fd ->
-      if fd < reserved_fd_base then ignore (K.transfer_fd a.k ~src:oldp ~fd ~dst:newp ~at:fd))
+      if fd < reserved_fd_base then
+        ignore (K.transfer_fd a.t.kernel ~src:oldp ~fd ~dst:newp ~at:fd))
     (K.fds oldp);
   (o, pair_cost)
 
 (* ---- restore: mutable tracing, in waves so reinit handlers can re-create
    volatile processes that then get their own transfer ---- *)
 let state_transfer a r : unit stage_result =
-  let k = a.k in
+  let k = a.t.kernel in
   let handlers_ok, st_ns =
     stage a ~hist:a.t.lin.mset.m_st_h "state_transfer" (fun () ->
         let start = clock a in
@@ -940,7 +917,7 @@ let state_transfer a r : unit stage_result =
                   (fun (name, run) ->
                     K.spawn_thread k im.P.i_proc ~name:("reinit:" ^ name) (fun th ->
                         K.push_frame th ("reinit:" ^ name);
-                        run { P.kernel = im.P.i_kernel; thread = th; proc = im.P.i_proc; image = im }))
+                        run { P.kernel = k; thread = th; proc = im.P.i_proc; image = im }))
                   (P.reinit_handlers im.P.i_version))
               (live r.new_members)
         in
@@ -948,15 +925,12 @@ let state_transfer a r : unit stage_result =
            the processes they re-created have quiesced — the bare
            new_quiesced predicate holds trivially before the handlers get
            scheduled *)
-        let handlers_settled () =
-          List.for_all
-            (fun th -> (not (K.thread_alive th)) || K.blocked_in th <> None)
-            handler_threads
-        in
         let handlers_ok =
-          K.run_until k
-            ~max_ns:(clock a + 2_000_000_000)
-            (fun () -> handlers_settled () && new_quiesced r)
+          K.run_until k ~max_ns:(clock a + 2_000_000_000) (fun () ->
+              List.for_all
+                (fun th -> (not (K.thread_alive th)) || K.blocked_in th <> None)
+                handler_threads
+              && new_quiesced r)
         in
         let rec more_waves n =
           if wave () && n < 4 then begin
@@ -1053,12 +1027,13 @@ let record_flight a ~attempt ~prior ~teardown_from outcome =
     match (pol.Policy.slo_downtime_ns, pol.Policy.slo_total_ns) with
     | None, None -> None
     | d, u ->
+        let within budget v = match budget with Some b -> v <= b | None -> true in
         Some
           {
             Flight.s_downtime_budget_ns = d;
             s_total_budget_ns = u;
-            s_downtime_ok = (match d with Some b -> dt <= b | None -> true);
-            s_total_ok = (match u with Some b -> total_ns <= b | None -> true);
+            s_downtime_ok = within d dt;
+            s_total_ok = within u total_ns;
           }
   in
   (match slo with
@@ -1088,7 +1063,9 @@ let record_flight a ~attempt ~prior ~teardown_from outcome =
         };
       f_slo = slo;
       f_explanation =
-        (match outcome with Ok () -> None | Error (reason, stage) -> Some (explain a reason ~stage));
+        (match outcome with
+        | Ok () -> None
+        | Error (reason, stage) -> Some (explain a reason ~stage));
       f_prior = prior;
     }
   in
@@ -1115,27 +1092,27 @@ let record_flight a ~attempt ~prior ~teardown_from outcome =
    answers a pending mcr-ctl UPDATE, folds the attempt into the metrics
    and the flight recorder, and builds the report. *)
 let finish a ~attempt ~prior outcome =
-  let t = a.t and k = a.k and mset = a.t.lin.mset in
+  let t = a.t and k = a.t.kernel and mset = a.t.lin.mset in
   let teardown_from = clock a in
   let failure = match outcome with Ok () -> None | Error (reason, _) -> Some reason in
   let survivor =
     match (a.restarted, failure) with
     | Some r, None ->
-        Trace.span_begin a.tr ~pid:a.mpid ~cat:"stage" "commit";
+        span_begin a "commit";
         respond_ctl t "OK";
         retire k (images t) ~status:0;
-        (* the update window is over: close the transfer's dirty epoch on
-           the surviving images so the next update starts it afresh *)
-        List.iter
-          (fun (im : P.image) -> Aspace.epoch_reset im.P.i_aspace ~name:"mcr.transfer")
-          (live r.new_members);
         r.in_update := false;
         K.set_fault_hook k None;
-        List.iter (fun (im : P.image) -> Barrier.release im.P.i_barrier) (live r.new_members);
+        List.iter
+          (fun (im : P.image) ->
+            (* the update window is over: close the transfer's dirty epoch
+               on the survivor so the next update starts it afresh *)
+            Aspace.epoch_reset im.P.i_aspace ~name:"mcr.transfer";
+            Barrier.release im.P.i_barrier)
+          (live r.new_members);
         {
           t with
           prog_version = a.target;
-          root_proc = r.new_proc;
           root_image = r.new_root;
           members = r.new_members;
           log_source = Replayed r.rep;
@@ -1144,9 +1121,7 @@ let finish a ~attempt ~prior outcome =
     | Some r, Some reason ->
         r.in_update := false;
         K.set_fault_hook k None;
-        Trace.span_begin a.tr ~pid:a.mpid ~cat:"stage"
-          ~args:[ ("reason", Err.to_string reason) ]
-          "rollback";
+        span_begin a ~args:[ ("reason", Err.to_string reason) ] "rollback";
         retire k !(r.new_members) ~status:1;
         release_all t;
         t
@@ -1189,10 +1164,11 @@ let finish a ~attempt ~prior outcome =
   Metrics.observe mset.m_precopy_rounds_h (List.length a.rounds);
   if precopy_bytes a > 0 then Metrics.incr ~by:(precopy_bytes a) mset.m_precopy_bytes;
   if Option.is_some a.restarted then
-    Trace.span_end a.tr ~pid:a.mpid ~cat:"stage"
-      (if Option.is_none failure then "commit" else "rollback");
-  Option.iter (fun reason -> instant a "update.fail" [ ("reason", Err.to_string reason) ]) failure;
-  Trace.span_end a.tr ~pid:a.mpid ~cat:"stage" "update";
+    span_end a (if Option.is_none failure then "commit" else "rollback");
+  Option.iter
+    (fun reason -> instant a "update.fail" [ ("reason", Err.to_string reason) ])
+    failure;
+  span_end a "update";
   let flight = record_flight a ~attempt ~prior ~teardown_from outcome in
   ( survivor,
     {
@@ -1235,9 +1211,6 @@ let update_once t ~pol ~attempt ~prior ?fault ?on_precopy_round target =
   let a =
     {
       t;
-      k;
-      tr = t.lin.trace;
-      mpid = K.pid t.root_proc;
       pol;
       fault;
       target;
@@ -1267,7 +1240,7 @@ let update_once t ~pol ~attempt ~prior ?fault ?on_precopy_round target =
     }
   in
   Metrics.incr t.lin.mset.m_updates;
-  Trace.span_begin a.tr ~pid:a.mpid ~cat:"stage"
+  span_begin a
     ~args:
       [ ("from", t.prog_version.P.version_tag); ("to", target.P.version_tag);
         ("prog", t.prog_version.P.prog) ]
@@ -1301,11 +1274,9 @@ let update_once t ~pol ~attempt ~prior ?fault ?on_precopy_round target =
    consumed by attempt [n] is gone on attempt [n+1], so transient injected
    failures are exactly the ones retry recovers from. *)
 let update t ?policy ?fault ?on_precopy_round new_version =
-  let pol = match policy with Some p -> p | None -> t.lin.policy in
+  let pol = Option.value policy ~default:t.lin.policy in
   let fault =
-    match fault with
-    | Some _ as s -> s
-    | None -> Option.map Fault.of_seed pol.Policy.fault_seed
+    if Option.is_some fault then fault else Option.map Fault.of_seed pol.Policy.fault_seed
   in
   let k = t.kernel in
   let rec attempt n prior =

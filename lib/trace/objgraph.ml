@@ -556,6 +556,23 @@ let trace_critical_ns t ~workers =
     let plan = shard t ~workers in
     Array.fold_left max 0 plan.sp_trace_ns
 
+let sum_stats all =
+  let add (a : side) (b : side) =
+    a.ptr <- a.ptr + b.ptr;
+    a.src_static <- a.src_static + b.src_static;
+    a.src_dynamic <- a.src_dynamic + b.src_dynamic;
+    a.targ_static <- a.targ_static + b.targ_static;
+    a.targ_dynamic <- a.targ_dynamic + b.targ_dynamic;
+    a.targ_lib <- a.targ_lib + b.targ_lib
+  in
+  let acc = { precise = new_side (); likely = new_side () } in
+  List.iter
+    (fun s ->
+      add acc.precise s.precise;
+      add acc.likely s.likely)
+    all;
+  acc
+
 let pp_side ppf (s : side) =
   Format.fprintf ppf "ptr=%d src(stat=%d dyn=%d) targ(stat=%d dyn=%d lib=%d)" s.ptr
     s.src_static s.src_dynamic s.targ_static s.targ_dynamic s.targ_lib

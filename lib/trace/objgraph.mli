@@ -162,4 +162,7 @@ val trace_critical_ns : t -> workers:int -> int
 (** [max] of [sp_trace_ns] for the plan {!shard} builds — the tracing cost
     on the critical path. Equals [cost_ns] when [workers = 1]. *)
 
+val sum_stats : stats list -> stats
+(** Field-wise sum (a fresh record; the inputs are not modified). *)
+
 val pp_stats : Format.formatter -> stats -> unit
