@@ -116,7 +116,8 @@ let verbs : (string * string * (string list -> command option)) list =
     ( "PRECOPY",
       "PRECOPY ON [max_rounds] [threshold_words] | OFF",
       function
-      | [ "OFF" ] -> Some (Precopy { enabled = false; max_rounds = None; threshold_words = None })
+      | [ "OFF" ] ->
+          Some (Precopy { enabled = false; max_rounds = None; threshold_words = None })
       | [ "ON" ] -> Some (Precopy { enabled = true; max_rounds = None; threshold_words = None })
       | [ "ON"; r ] ->
           let+ r = int_at_least 1 r in

@@ -220,7 +220,7 @@ val update :
 (** {1 Persistent checkpoint images}
 
     Host-side spellings of the control-socket [SAVE <path>] /
-    [RESTORE <path>] commands (see {!Ctl.command}): quiesce the program,
+    [RESTORE <path>] commands (see {!Frame.command}): quiesce the program,
     capture or install a {!Mcr_image.Image}, release. *)
 
 val save_image : t -> path:string -> (Mcr_image.Image.t, string) result

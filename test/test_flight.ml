@@ -79,7 +79,8 @@ let test_command_decoding () =
   decodes "EXPLAIN" (Frame.Explain None);
   decodes "EXPLAIN 3" (Frame.Explain (Some 3));
   decodes "DEADLINES - 400" (Frame.Deadlines { quiesce_ns = None; update_ns = Some 400 });
-  decodes "PRECOPY ON 3" (Frame.Precopy { enabled = true; max_rounds = Some 3; threshold_words = None });
+  decodes "PRECOPY ON 3"
+    (Frame.Precopy { enabled = true; max_rounds = Some 3; threshold_words = None });
   decodes "PARKING ON 0" (Frame.Parking { enabled = true; drain_ns = Some 0 });
   decodes "PARKING OFF" (Frame.Parking { enabled = false; drain_ns = None });
   List.iter

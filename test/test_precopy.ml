@@ -311,7 +311,8 @@ let test_ctl_precopy_knob () =
   in
   Alcotest.(check bool) "PRECOPY ON acknowledged" true
     (ask
-       (Ctl.Frame.Precopy { enabled = true; max_rounds = Some 3; threshold_words = Some 100_000 })
+       (Ctl.Frame.Precopy
+          { enabled = true; max_rounds = Some 3; threshold_words = Some 100_000 })
     = Some (Ok ""));
   Alcotest.(check bool) "policy updated" true (Manager.policy m).Policy.precopy;
   Alcotest.(check int) "rounds knob" 3 (Manager.policy m).Policy.precopy_max_rounds;
