@@ -2,11 +2,10 @@
    traced updates across the four servers — plus a pre-copy commit and one
    scenario per kind of exit: a failure before restart, and rollbacks from
    startup, pre-copy, state transfer and reinit — and fails (exit 1) if any
-   trace has unbalanced
-   Trace.span begin/end pairs, via the same Export.check_balanced the test
-   suite uses. Wired into `dune build @lint` and CI, so an instrumentation
-   change that forgets a span_end breaks the build, not a later debugging
-   session. *)
+   trace has unbalanced Trace.span begin/end pairs, via the same
+   Export.check_balanced the test suite uses. Wired into `dune build @lint`
+   and CI, so an instrumentation change that forgets a span_end breaks the
+   build, not a later debugging session. *)
 
 module K = Mcr_simos.Kernel
 module Manager = Mcr_core.Manager

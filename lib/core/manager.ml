@@ -1162,7 +1162,7 @@ let finish a ~attempt ~prior outcome =
   Metrics.observe mset.m_total_h (clock a - a.t0);
   Metrics.observe mset.m_downtime_h (downtime a);
   Metrics.observe mset.m_precopy_rounds_h (List.length a.rounds);
-  if precopy_bytes a > 0 then Metrics.incr ~by:(precopy_bytes a) mset.m_precopy_bytes;
+  Metrics.incr ~by:(precopy_bytes a) mset.m_precopy_bytes;
   if Option.is_some a.restarted then
     span_end a (if Option.is_none failure then "commit" else "rollback");
   Option.iter
