@@ -66,6 +66,47 @@ let test_roundtrip () =
       Alcotest.(check string) "re-encode is byte-identical" (Image.encode img)
         (Image.encode img')
 
+let read_lines path =
+  let ic = open_in path in
+  let rec go acc =
+    match input_line ic with
+    | line -> go (line :: acc)
+    | exception End_of_file ->
+        close_in ic;
+        List.rev acc
+  in
+  go []
+
+(* Byte identity of the codec, pinned per server: the image length, the MD5
+   of its encoding and the root fingerprint. The root's first region holds
+   negative and top-bit words, so a writer that lets the sign bit reach
+   byte 7 changes the MD5. *)
+let codec_line server =
+  let kernel = K.create () in
+  let m = Testbed.launch kernel server in
+  ignore (Testbed.benchmark kernel server ~scale:3_000 ());
+  let asp = (Manager.root_image m).P.i_aspace in
+  let base = (List.hd (Mcr_vmem.Aspace.regions asp)).Mcr_vmem.Region.base in
+  Array.iteri
+    (fun i v -> Mcr_vmem.Aspace.write_word asp (Mcr_vmem.Addr.add_words base i) v)
+    [| -1; max_int; min_int; -42; 1 lsl 61 |];
+  let img = Image.capture kernel ~members:(Manager.images m) () in
+  let enc = Image.encode img in
+  Printf.sprintf "%s len=%d md5=%s fingerprint=%d" (Testbed.name server) (String.length enc)
+    (Digest.to_hex (Digest.string enc)) (Image.fingerprint img)
+
+let test_codec_golden () =
+  let actual =
+    List.map codec_line [ Testbed.Httpd; Testbed.Nginx; Testbed.Vsftpd; Testbed.Sshd ]
+  in
+  let expected = read_lines "golden/image_codec.golden" in
+  if actual <> expected then begin
+    let oc = open_out "image_codec.actual" in
+    List.iter (fun l -> output_string oc (l ^ "\n")) actual;
+    close_out oc
+  end;
+  Alcotest.(check (list string)) "encoding matches the golden" expected actual
+
 let test_layout_names_sections () =
   let _kernel, _m, _path, img = loaded_save Testbed.Vsftpd "layout" in
   let tags = List.map (fun (tag, _, _) -> tag) (Image.layout img) in
@@ -408,6 +449,7 @@ let () =
         [
           Alcotest.test_case "save -> read round-trip" `Quick test_roundtrip;
           Alcotest.test_case "layout names sections" `Quick test_layout_names_sections;
+          Alcotest.test_case "codec golden" `Quick test_codec_golden;
           Alcotest.test_case "corruption goldens" `Quick test_corruption_goldens;
           Alcotest.test_case "unknown section skipped" `Quick test_unknown_section_skipped;
           Alcotest.test_case "huge length fields" `Quick test_huge_length_fields;
