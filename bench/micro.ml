@@ -13,6 +13,8 @@ module Region = Mcr_vmem.Region
 module Objgraph = Mcr_trace.Objgraph
 module Manager = Mcr_core.Manager
 module K = Mcr_simos.Kernel
+module Image = Mcr_image.Image
+module Testbed = Mcr_workloads.Testbed
 
 (* Table 1 / replay matching: hashing a call stack into a call-stack ID *)
 let test_callstack_hash =
@@ -86,12 +88,31 @@ let test_type_transform =
     (Staged.stage (fun () ->
          Typlan.apply plan ~read:(Array.get src) ~write:(Array.set dst)))
 
+(* The checkpoint image codec on a loaded httpd (about 2 MB, mostly page
+   contents), and the in-place hash it runs over every section and the
+   whole image. *)
+let test_image_encode, test_image_decode =
+  let kernel = K.create () in
+  let m = Testbed.launch kernel Testbed.Httpd in
+  ignore (Testbed.benchmark kernel Testbed.Httpd ~scale:3_000 ());
+  let img = Image.capture kernel ~members:(Manager.images m) () in
+  let enc = Image.encode img in
+  ( Test.make ~name:"image:encode" (Staged.stage (fun () -> ignore (Image.encode img))),
+    Test.make ~name:"image:decode" (Staged.stage (fun () -> ignore (Image.decode enc))) )
+
+let test_fnv_sub =
+  let len = 1 lsl 20 in
+  let s = String.init len (fun i -> if i < len / 2 then Char.chr (i land 0xff) else '\x00') in
+  Test.make ~name:"fnv:sub(1MiB, half zero)"
+    (Staged.stage (fun () -> ignore (Fnv.sub s ~pos:0 ~len)))
+
 let run () =
   print_endline "\nBechamel microbenchmarks (ns per run, wall clock)";
   print_endline "=================================================";
   let tests =
     [ test_callstack_hash; test_alloc_tagging; test_conservative_scan; test_type_transform;
-      test_region_lookup_linear; test_region_lookup_indexed ]
+      test_region_lookup_linear; test_region_lookup_indexed; test_image_encode;
+      test_image_decode; test_fnv_sub ]
   in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]

@@ -121,60 +121,107 @@ let with_flight_json t json = { t with im_flight_json = Some json }
 (* ------------------------------------------------------------------ *)
 (* Fingerprint — the byte-identity witness shared with Fleet *)
 
+let fold_run acc (page : int array) i n =
+  let acc = ref acc in
+  for j = i to i + n - 1 do
+    acc := Fnv.combine !acc (Fnv.int page.(j))
+  done;
+  !acc
+
 let aspace_fingerprint ~prog asp =
   List.fold_left
     (fun acc (r : Region.t) ->
       let acc = Fnv.combine acc (Fnv.string r.Region.name) in
       let acc = Fnv.combine acc (Fnv.int r.Region.base) in
-      Aspace.fold_words asp r.Region.base ~words:(r.Region.size / Addr.word_size) ~init:acc
-        ~f:(fun acc w -> Fnv.combine acc (Fnv.int w)))
+      Aspace.fold_runs asp r.Region.base ~words:(r.Region.size / Addr.word_size) ~init:acc
+        ~f:fold_run)
     (Fnv.string prog) (Aspace.regions asp)
 
 (* ------------------------------------------------------------------ *)
 (* Binary writer / reader *)
 
-let w_u64 b n =
-  for i = 0 to 7 do
-    Buffer.add_char b (Char.chr ((n lsr (8 * i)) land 0xff))
-  done
+(* The whole image is written into one buffer: a section's length field is
+   patched once its payload is written, and both hashes read byte ranges
+   of the buffer in place. *)
+type writer = { mutable buf : Bytes.t; mutable len : int }
 
-let w_bool b v = w_u64 b (if v then 1 else 0)
+let reserve w n =
+  if w.len + n > Bytes.length w.buf then begin
+    let buf = Bytes.create (max (w.len + n) (2 * Bytes.length w.buf)) in
+    Bytes.blit w.buf 0 buf 0 w.len;
+    w.buf <- buf
+  end
 
-let w_str b s =
-  w_u64 b (String.length s);
-  Buffer.add_string b s
+(* Bits 0-62 of [n]: the top bit of the last byte is always 0, so a
+   negative word is not sign-extended into it. *)
+let set_u64 buf pos n = Bytes.set_int64_le buf pos (Int64.logand (Int64.of_int n) Int64.max_int)
 
-let w_opt_str b = function
-  | None -> w_u64 b 0
+let w_u64 w n =
+  reserve w 8;
+  set_u64 w.buf w.len n;
+  w.len <- w.len + 8
+
+let w_bool w v = w_u64 w (if v then 1 else 0)
+
+let w_bytes w s =
+  let n = String.length s in
+  reserve w n;
+  Bytes.blit_string s 0 w.buf w.len n;
+  w.len <- w.len + n
+
+let w_str w s =
+  w_u64 w (String.length s);
+  w_bytes w s
+
+let w_opt_str w = function
+  | None -> w_u64 w 0
   | Some s ->
-      w_u64 b 1;
-      w_str b s
+      w_u64 w 1;
+      w_str w s
 
-let w_list b f xs =
-  w_u64 b (List.length xs);
-  List.iter (f b) xs
+let w_list w f xs =
+  w_u64 w (List.length xs);
+  List.iter (f w) xs
+
+let w_words w (a : int array) =
+  let n = Array.length a in
+  w_u64 w n;
+  reserve w (8 * n);
+  let buf = w.buf and pos = w.len in
+  for i = 0 to n - 1 do
+    set_u64 buf (pos + (8 * i)) a.(i)
+  done;
+  w.len <- pos + (8 * n)
+
+(* The string view of the buffer lives only for the hash: nothing writes
+   to the buffer meanwhile. *)
+let w_hash w ~pos ~len = Fnv.sub (Bytes.unsafe_to_string w.buf) ~pos ~len
 
 exception Short
 
-type reader = { data : string; mutable pos : int }
+(* A cursor over [data], bounded by [limit]: a section is read where it
+   lies, without copying it out. *)
+type reader = { data : string; mutable pos : int; limit : int }
 
 let r_u64 r =
-  if r.pos + 8 > String.length r.data then raise Short;
-  let v = ref 0 in
-  for i = 0 to 7 do
-    v := !v lor (Char.code r.data.[r.pos + i] lsl (8 * i))
-  done;
+  if r.pos > r.limit - 8 then raise Short;
+  let v = Int64.to_int (String.get_int64_le r.data r.pos) in
   r.pos <- r.pos + 8;
-  !v
+  v
 
 let r_bool r = r_u64 r <> 0
 
-let r_str r =
+(* A length-prefixed byte string, as its [(pos, len)] in [data]. *)
+let r_span r =
   let n = r_u64 r in
-  if n < 0 || n > String.length r.data - r.pos then raise Short;
-  let s = String.sub r.data r.pos n in
-  r.pos <- r.pos + n;
-  s
+  if n < 0 || n > r.limit - r.pos then raise Short;
+  let pos = r.pos in
+  r.pos <- pos + n;
+  (pos, n)
+
+let r_str r =
+  let pos, n = r_span r in
+  String.sub r.data pos n
 
 let r_opt_str r = if r_u64 r = 0 then None else Some (r_str r)
 
@@ -183,32 +230,39 @@ let r_list r f =
   if n < 0 then raise Short;
   List.init n (fun _ -> f r)
 
+let r_words r =
+  let n = r_u64 r in
+  if n < 0 || n > (r.limit - r.pos) / 8 then raise Short;
+  let a = Array.make n 0 and pos = r.pos in
+  for i = 0 to n - 1 do
+    a.(i) <- Int64.to_int (String.get_int64_le r.data (pos + (8 * i)))
+  done;
+  r.pos <- pos + (8 * n);
+  a
+
 (* ------------------------------------------------------------------ *)
 (* Section payload codecs *)
 
-let w_region b r =
-  w_str b r.r_name;
-  w_str b r.r_kind;
-  w_u64 b r.r_base;
-  w_u64 b r.r_size;
-  w_u64 b (Array.length r.r_words);
-  Array.iter (w_u64 b) r.r_words
+let w_region w r =
+  w_str w r.r_name;
+  w_str w r.r_kind;
+  w_u64 w r.r_base;
+  w_u64 w r.r_size;
+  w_words w r.r_words
 
 let r_region r =
   let r_name = r_str r in
   let r_kind = r_str r in
   let r_base = r_u64 r in
   let r_size = r_u64 r in
-  let n = r_u64 r in
-  if n < 0 || n > (String.length r.data - r.pos) / 8 then raise Short;
-  let r_words = Array.init n (fun _ -> r_u64 r) in
+  let r_words = r_words r in
   { r_name; r_kind; r_base; r_size; r_words }
 
-let w_page b g =
-  w_u64 b g.g_page;
-  w_u64 b g.g_seq;
-  w_bool b g.g_touched;
-  w_bool b g.g_inherited
+let w_page w g =
+  w_u64 w g.g_page;
+  w_u64 w g.g_seq;
+  w_bool w g.g_touched;
+  w_bool w g.g_inherited
 
 let r_page r =
   let g_page = r_u64 r in
@@ -217,13 +271,13 @@ let r_page r =
   let g_inherited = r_bool r in
   { g_page; g_seq; g_touched; g_inherited }
 
-let w_heap b h =
-  w_u64 b h.h_base;
-  w_u64 b h.h_size;
-  w_bool b h.h_instrumented;
-  w_u64 b h.h_allocs;
-  w_u64 b h.h_frees;
-  w_u64 b h.h_tag_words
+let w_heap w h =
+  w_u64 w h.h_base;
+  w_u64 w h.h_size;
+  w_bool w h.h_instrumented;
+  w_u64 w h.h_allocs;
+  w_u64 w h.h_frees;
+  w_u64 w h.h_tag_words
 
 let r_heap r =
   let h_base = r_u64 r in
@@ -234,29 +288,29 @@ let r_heap r =
   let h_tag_words = r_u64 r in
   { h_base; h_size; h_instrumented; h_allocs; h_frees; h_tag_words }
 
-let w_heap_opt b = function
-  | None -> w_u64 b 0
+let w_heap_opt w = function
+  | None -> w_u64 w 0
   | Some h ->
-      w_u64 b 1;
-      w_heap b h
+      w_u64 w 1;
+      w_heap w h
 
 let r_heap_opt r = if r_u64 r = 0 then None else Some (r_heap r)
 
-let rec w_pool b (st : Pool.state) =
-  w_str b st.Pool.st_name;
-  w_bool b st.st_instrument;
-  w_u64 b st.st_chunk_words;
-  w_u64 b st.st_pallocs;
-  w_u64 b st.st_tag_words;
-  w_u64 b st.st_chunks_grabbed;
-  w_list b
-    (fun b (c : Pool.chunk_state) ->
-      w_u64 b c.Pool.cs_base;
-      w_u64 b c.cs_words;
-      w_u64 b c.cs_bump;
-      w_bool b c.cs_micro)
+let rec w_pool w (st : Pool.state) =
+  w_str w st.Pool.st_name;
+  w_bool w st.st_instrument;
+  w_u64 w st.st_chunk_words;
+  w_u64 w st.st_pallocs;
+  w_u64 w st.st_tag_words;
+  w_u64 w st.st_chunks_grabbed;
+  w_list w
+    (fun w (c : Pool.chunk_state) ->
+      w_u64 w c.Pool.cs_base;
+      w_u64 w c.cs_words;
+      w_u64 w c.cs_bump;
+      w_bool w c.cs_micro)
     st.st_chunks;
-  w_list b w_pool st.st_kids
+  w_list w w_pool st.st_kids
 
 let rec r_pool r : Pool.state =
   let st_name = r_str r in
@@ -277,12 +331,12 @@ let rec r_pool r : Pool.state =
   { Pool.st_name; st_instrument; st_chunk_words; st_pallocs; st_tag_words; st_chunks_grabbed;
     st_chunks; st_kids }
 
-let w_slab b (name, (st : Slab.state)) =
-  w_str b name;
-  w_u64 b st.Slab.ss_slot_words;
-  w_list b w_u64 st.ss_chunks;
-  w_u64 b st.ss_free_head;
-  w_u64 b st.ss_live
+let w_slab w (name, (st : Slab.state)) =
+  w_str w name;
+  w_u64 w st.Slab.ss_slot_words;
+  w_list w w_u64 st.ss_chunks;
+  w_u64 w st.ss_free_head;
+  w_u64 w st.ss_live
 
 let r_slab r =
   let name = r_str r in
@@ -292,11 +346,11 @@ let r_slab r =
   let ss_live = r_u64 r in
   (name, { Slab.ss_slot_words; ss_chunks; ss_free_head; ss_live })
 
-let w_thread b th =
-  w_u64 b th.t_tid;
-  w_str b th.t_name;
-  w_list b w_str th.t_callstack;
-  w_opt_str b th.t_blocked
+let w_thread w th =
+  w_u64 w th.t_tid;
+  w_str w th.t_name;
+  w_list w w_str th.t_callstack;
+  w_opt_str w th.t_blocked
 
 let r_thread r =
   let t_tid = r_u64 r in
@@ -305,28 +359,26 @@ let r_thread r =
   let t_blocked = r_opt_str r in
   { t_tid; t_name; t_callstack; t_blocked }
 
-let encode_proc p =
-  let b = Buffer.create 4096 in
-  w_u64 b p.pi_pid;
-  w_str b p.pi_name;
-  w_u64 b p.pi_creation_callstack;
-  w_bool b p.pi_startup_complete;
-  w_u64 b p.pi_layout_bias;
-  w_u64 b p.pi_write_seq;
-  w_list b w_u64 p.pi_fds;
-  w_list b w_region p.pi_regions;
-  w_list b w_page p.pi_pages;
-  w_list b
-    (fun b (name, mark) ->
-      w_str b name;
-      w_u64 b mark)
+let encode_proc w p =
+  w_u64 w p.pi_pid;
+  w_str w p.pi_name;
+  w_u64 w p.pi_creation_callstack;
+  w_bool w p.pi_startup_complete;
+  w_u64 w p.pi_layout_bias;
+  w_u64 w p.pi_write_seq;
+  w_list w w_u64 p.pi_fds;
+  w_list w w_region p.pi_regions;
+  w_list w w_page p.pi_pages;
+  w_list w
+    (fun w (name, mark) ->
+      w_str w name;
+      w_u64 w mark)
     p.pi_epochs;
-  w_list b w_thread p.pi_threads;
-  w_heap_opt b p.pi_heap;
-  w_heap_opt b p.pi_lib_heap;
-  w_list b w_pool p.pi_pools;
-  w_list b w_slab p.pi_slabs;
-  Buffer.contents b
+  w_list w w_thread p.pi_threads;
+  w_heap_opt w p.pi_heap;
+  w_heap_opt w p.pi_lib_heap;
+  w_list w w_pool p.pi_pools;
+  w_list w w_slab p.pi_slabs
 
 let decode_proc r =
   let pi_pid = r_u64 r in
@@ -353,57 +405,75 @@ let decode_proc r =
     pi_fds; pi_regions; pi_pages; pi_epochs; pi_threads; pi_heap; pi_lib_heap; pi_pools;
     pi_slabs }
 
-let encode_meta t =
-  let b = Buffer.create 256 in
-  w_str b t.im_prog;
-  w_str b t.im_version_tag;
-  w_u64 b t.im_clock_ns;
-  w_u64 b t.im_fingerprint;
-  w_u64 b (List.length t.im_procs);
-  Buffer.contents b
+let encode_meta w t =
+  w_str w t.im_prog;
+  w_str w t.im_version_tag;
+  w_u64 w t.im_clock_ns;
+  w_u64 w t.im_fingerprint;
+  w_u64 w (List.length t.im_procs)
 
 (* ------------------------------------------------------------------ *)
 (* Section table *)
 
+(* [(tag, name, payload writer)] for every section, in file order. *)
 let sections_of t =
-  let meta = ("META", "meta", encode_meta t) in
+  let meta = ("META", "meta", fun w -> encode_meta w t) in
   let procs =
-    List.mapi (fun i p -> ("PROC", Printf.sprintf "proc.%d" i, encode_proc p)) t.im_procs
+    List.mapi
+      (fun i p -> ("PROC", Printf.sprintf "proc.%d" i, fun w -> encode_proc w p))
+      t.im_procs
   in
-  let opt tag name = function Some s -> [ (tag, name, s) ] | None -> [] in
+  let opt tag name = function Some s -> [ (tag, name, fun w -> w_bytes w s) ] | None -> [] in
   (meta :: procs)
   @ opt "POLI" "policy" t.im_policy_text
   @ opt "ATMP" "attempt" t.im_target_tag
   @ opt "FLIT" "flight" t.im_flight_json
 
-let layout t = List.map (fun (tag, name, payload) -> (tag, name, String.length payload)) (sections_of t)
+(* Sized for the page contents, four words of state per page and the
+   optional text sections; anything else fits the slack or grows it. *)
+let initial_size t =
+  let pages = List.fold_left (fun a p -> a + List.length p.pi_pages) 0 t.im_procs in
+  let text = function Some s -> String.length s | None -> 0 in
+  (8 * (total_words t + (4 * pages)))
+  + text t.im_policy_text + text t.im_target_tag + text t.im_flight_json + 65536
+
+(* The encoded image in [w.buf.[0 .. w.len - 1]], and the section layout. *)
+let write_image t =
+  let w = { buf = Bytes.create (initial_size t); len = 0 } in
+  let sections = sections_of t in
+  w_bytes w magic;
+  w_u64 w format_version;
+  w_u64 w (List.length sections);
+  let layout =
+    List.map
+      (fun (tag, name, payload) ->
+        assert (String.length tag = 4);
+        w_bytes w tag;
+        w_str w name;
+        let len_at = w.len in
+        w_u64 w 0;
+        payload w;
+        let len = w.len - len_at - 8 in
+        set_u64 w.buf len_at len;
+        w_u64 w (w_hash w ~pos:(len_at + 8) ~len);
+        (tag, name, len))
+      sections
+  in
+  w_u64 w (w_hash w ~pos:0 ~len:w.len);
+  (w, layout)
+
+let layout t = snd (write_image t)
 
 let encode t =
-  let sections = sections_of t in
-  let b = Buffer.create 65536 in
-  Buffer.add_string b magic;
-  w_u64 b format_version;
-  w_u64 b (List.length sections);
-  List.iter
-    (fun (tag, name, payload) ->
-      assert (String.length tag = 4);
-      Buffer.add_string b tag;
-      w_str b name;
-      w_str b payload;
-      w_u64 b (Fnv.string payload))
-    sections;
-  let body = Buffer.contents b in
-  let out = Buffer.create (String.length body + 8) in
-  Buffer.add_string out body;
-  w_u64 out (Fnv.string body);
-  Buffer.contents out
+  let w, _ = write_image t in
+  Bytes.sub_string w.buf 0 w.len
 
 let decode data =
   let len = String.length data in
   if len < 8 then Error (Truncated { section = "header" })
   else if String.sub data 0 8 <> magic then Error Bad_magic
   else
-    let r = { data; pos = 8 } in
+    let r = { data; pos = 8; limit = len } in
     match r_u64 r with
     | exception Short -> Error (Truncated { section = "header" })
     | v when v <> format_version -> Error (Version_skew { found = v; expected = format_version })
@@ -411,6 +481,7 @@ let decode data =
         match r_u64 r with
         | exception Short -> Error (Truncated { section = "header" })
         | count -> (
+            (* [(tag, name, payload pos, payload len)] *)
             let sections = ref [] in
             let failure = ref None in
             (try
@@ -423,13 +494,13 @@ let decode data =
                    label := tag;
                    let name = r_str r in
                    label := name;
-                   let payload = r_str r in
+                   let pos, plen = r_span r in
                    let hash = r_u64 r in
-                   if Fnv.string payload <> hash then begin
+                   if Fnv.sub data ~pos ~len:plen <> hash then begin
                      failure := Some (Hash_mismatch { section = name });
                      raise Exit
                    end;
-                   sections := (tag, name, payload) :: !sections
+                   sections := (tag, name, pos, plen) :: !sections
                  with Short ->
                    failure := Some (Truncated { section = !label });
                    raise Exit
@@ -439,19 +510,20 @@ let decode data =
                match r_u64 r with
                | exception Short -> failure := Some (Truncated { section = "trailer" })
                | trailer ->
-                   if Fnv.string (String.sub data 0 body_end) <> trailer then
+                   if Fnv.sub data ~pos:0 ~len:body_end <> trailer then
                      failure := Some (Hash_mismatch { section = "image" })
              with Exit -> ());
             match !failure with
             | Some e -> Error e
             | None -> (
                 let sections = List.rev !sections in
-                let find tag = List.find_opt (fun (t, _, _) -> t = tag) sections in
+                let find tag = List.find_opt (fun (t, _, _, _) -> t = tag) sections in
+                let section_reader pos plen = { data; pos; limit = pos + plen } in
                 match find "META" with
                 | None -> Error (Missing_section "meta")
-                | Some (_, meta_name, meta) -> (
+                | Some (_, meta_name, pos, plen) -> (
                     try
-                      let mr = { data = meta; pos = 0 } in
+                      let mr = section_reader pos plen in
                       let im_prog = r_str mr in
                       let im_version_tag = r_str mr in
                       let im_clock_ns = r_u64 mr in
@@ -459,10 +531,10 @@ let decode data =
                       let nprocs = r_u64 mr in
                       let procs =
                         List.filter_map
-                          (fun (tag, name, payload) ->
+                          (fun (tag, name, pos, plen) ->
                             if tag <> "PROC" then None
                             else
-                              try Some (decode_proc { data = payload; pos = 0 })
+                              try Some (decode_proc (section_reader pos plen))
                               with Short ->
                                 raise
                                   (Stdlib.Failure
@@ -480,7 +552,7 @@ let decode data =
                              })
                       else
                         let opt_payload tag =
-                          Option.map (fun (_, _, p) -> p) (find tag)
+                          Option.map (fun (_, _, pos, plen) -> String.sub data pos plen) (find tag)
                         in
                         Ok
                           {
@@ -584,15 +656,26 @@ let capture kernel ~members ?policy_text ?target_tag ?flight_json () =
 (* ------------------------------------------------------------------ *)
 (* Host-filesystem persistence *)
 
+(* Written beside [path] and renamed over it, so a crash mid-write leaves
+   the previous image, not a torn one. *)
 let write t ~path =
+  let w, _ = write_image t in
   match
-    let oc = open_out_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> output_string oc (encode t))
+    Filename.temp_file ~temp_dir:(Filename.dirname path) ("." ^ Filename.basename path) ".tmp"
   with
-  | () -> Ok ()
   | exception Sys_error msg -> Error (Io msg)
+  | tmp -> (
+      match
+        let oc = open_out_bin tmp in
+        Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () ->
+            output oc w.buf 0 w.len;
+            close_out oc);
+        Sys.rename tmp path
+      with
+      | () -> Ok ()
+      | exception Sys_error msg ->
+          (try Sys.remove tmp with Sys_error _ -> ());
+          Error (Io msg))
 
 let read ~path =
   match

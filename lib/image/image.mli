@@ -144,11 +144,16 @@ val with_flight_json : t -> string -> t
     attaches the attempt's record once the attempt finishes. *)
 
 val encode : t -> string
+
 val decode : string -> (t, error) result
+(** Total: any bytes give [Ok] or a typed {!error}, never an exception. *)
 
 val write : t -> path:string -> (unit, error) result
 (** Encode to the {e host} filesystem — images must survive kernel
-    teardown, so they live outside any simulated fs. *)
+    teardown, so they live outside any simulated fs. The image goes to a
+    temporary file in [path]'s directory that is then renamed over
+    [path], so a crash mid-write never leaves a torn image there; on
+    failure the temporary file is removed and [path] is untouched. *)
 
 val read : path:string -> (t, error) result
 

@@ -14,7 +14,47 @@ let fold_string h s =
 
 let mask h = h land max_int
 
-let string s = mask (fold_string offset_basis s)
+(* [sub] folds in Int64, whose arithmetic is mod 2^64: the low 63 bits of a
+   product or xor depend only on the low 63 bits of its operands, so
+   masking the result gives exactly the int (mod 2^63) fold, with no tag
+   bit to maintain between steps. Folding a zero byte is one
+   multiplication by [prime], so an all-zero 8-byte word folds as one
+   multiplication by [prime^8]. *)
+let prime64 = Int64.of_int prime
+let prime64_8 =
+  let p2 = Int64.mul prime64 prime64 in
+  let p4 = Int64.mul p2 p2 in
+  Int64.mul p4 p4
+
+let fold_byte h s j =
+  Int64.mul (Int64.logxor h (Int64.of_int (Char.code (String.unsafe_get s j)))) prime64
+
+let sub s ~pos ~len =
+  if pos < 0 || len < 0 || pos > String.length s - len then invalid_arg "Fnv.sub";
+  let h = ref (Int64.of_int offset_basis) in
+  let words_end = pos + (len land lnot 7) in
+  let i = ref pos in
+  while !i < words_end do
+    let j = !i in
+    if String.get_int64_le s j = 0L then h := Int64.mul !h prime64_8
+    else begin
+      let x = fold_byte !h s j in
+      let x = fold_byte x s (j + 1) in
+      let x = fold_byte x s (j + 2) in
+      let x = fold_byte x s (j + 3) in
+      let x = fold_byte x s (j + 4) in
+      let x = fold_byte x s (j + 5) in
+      let x = fold_byte x s (j + 6) in
+      h := fold_byte x s (j + 7)
+    end;
+    i := j + 8
+  done;
+  for j = words_end to pos + len - 1 do
+    h := fold_byte !h s j
+  done;
+  mask (Int64.to_int !h)
+
+let string s = sub s ~pos:0 ~len:(String.length s)
 
 let strings names =
   let h =
@@ -24,9 +64,17 @@ let strings names =
 
 let combine h1 h2 = mask (((h1 * prime) lxor h2) * prime)
 
-let int n =
-  let h = ref offset_basis in
-  for shift = 0 to 7 do
-    h := fold_char !h (Char.chr ((n lsr (shift * 8)) land 0xff))
-  done;
-  mask !h
+(* The eight little-endian bytes of [n]; bits 56-62 make the last byte, so
+   its top bit is always 0. *)
+let int_nonzero n =
+  let h = (offset_basis lxor (n land 0xff)) * prime in
+  let h = (h lxor ((n lsr 8) land 0xff)) * prime in
+  let h = (h lxor ((n lsr 16) land 0xff)) * prime in
+  let h = (h lxor ((n lsr 24) land 0xff)) * prime in
+  let h = (h lxor ((n lsr 32) land 0xff)) * prime in
+  let h = (h lxor ((n lsr 40) land 0xff)) * prime in
+  let h = (h lxor ((n lsr 48) land 0xff)) * prime in
+  mask ((h lxor (n lsr 56)) * prime)
+
+let int_zero = int_nonzero 0
+let int n = if n = 0 then int_zero else int_nonzero n

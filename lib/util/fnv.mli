@@ -10,6 +10,12 @@ type t = int
 val string : string -> t
 (** [string s] is the FNV-1a hash of [s]. *)
 
+val sub : string -> pos:int -> len:int -> t
+(** [sub s ~pos ~len] is [string (String.sub s pos len)] without the copy.
+    It folds 8 bytes per step, and an all-zero 8-byte word costs one
+    multiplication.
+    @raise Invalid_argument if the range is not inside [s]. *)
+
 val strings : string list -> t
 (** [strings names] hashes a list of strings order-sensitively, with a
     separator that cannot occur in function names, so that
@@ -19,4 +25,5 @@ val combine : t -> t -> t
 (** [combine h1 h2] mixes two hash values. *)
 
 val int : int -> t
-(** [int n] hashes an integer. *)
+(** [int n] is the FNV-1a hash of the 8 little-endian bytes of [n], whose
+    last byte holds bits 56-62 (its top bit is 0). *)

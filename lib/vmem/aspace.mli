@@ -92,6 +92,14 @@ val fold_words : t -> Addr.t -> words:int -> init:'a -> f:('a -> int -> 'a) -> '
     words starting at [a], resolving each page once (a page cursor) instead
     of one hash lookup per word. @raise Fault as {!read_word}. *)
 
+val fold_runs :
+  t -> Addr.t -> words:int -> init:'a -> f:('a -> int array -> int -> int -> 'a) -> 'a
+(** [fold_runs t a ~words ~init ~f] folds [f acc page i n] over the page
+    runs covering the [words] words from [a]: each run is
+    [page.(i) .. page.(i + n - 1)]. [page] is the page's own storage, lent
+    for the call; [f] must not write to it or keep it.
+    @raise Fault as {!read_word}. *)
+
 val copy_words : src:t -> Addr.t -> dst:t -> Addr.t -> words:int -> unit
 (** Cross-space copy; tracked on the destination side as untracked writes
     (state transfer is a kernel-mediated operation). Pages are resolved

@@ -209,6 +209,200 @@ let test_unknown_section_skipped () =
       Alcotest.(check int) "known procs intact" (Image.proc_count img)
         (Image.proc_count img')
 
+(* {1 Decoder totality: structured mutations of a small image}
+
+   Decode must answer [Ok] or a typed [Error] for any bytes, never raise.
+   The image is Listing1 at startup with every optional section present. *)
+
+let small_image =
+  lazy
+    (let kernel = K.create () in
+     K.fs_write kernel ~path:Mcr_servers.Listing1.config_path "welcome=hi";
+     let m = Manager.launch kernel (Mcr_servers.Listing1.v1 ()) in
+     ignore (Manager.wait_startup m ());
+     let img =
+       Image.capture kernel ~members:(Manager.images m) ~policy_text:"precopy=false"
+         ~target_tag:"v2" ~flight_json:"{}" ()
+     in
+     Image.encode img)
+
+type field = { f_at : int; f_is_length : bool }
+
+(* Every field of the section table, in file order, from the layout. *)
+let fields enc =
+  let img = match Image.decode enc with Ok i -> i | Error _ -> assert false in
+  let header = [ { f_at = 8; f_is_length = false }; { f_at = 16; f_is_length = false } ] in
+  let _, fs =
+    List.fold_left
+      (fun (off, acc) (_tag, name, plen) ->
+        let name_len = off + 4 and payload_len = off + 12 + String.length name in
+        let hash = payload_len + 8 + plen in
+        ( hash + 8,
+          { f_at = hash; f_is_length = false }
+          :: { f_at = payload_len; f_is_length = true }
+          :: { f_at = name_len; f_is_length = true }
+          :: { f_at = off; f_is_length = false }
+          :: acc ))
+      (24, List.rev header) (Image.layout img)
+  in
+  List.rev ({ f_at = String.length enc - 8; f_is_length = false } :: fs)
+
+let decode_total data =
+  match Image.decode data with
+  | Ok _ | Error _ -> true
+  | exception e -> QCheck.Test.fail_reportf "decode raised %s" (Printexc.to_string e)
+
+let test_truncated_at_every_boundary () =
+  let enc = Lazy.force small_image in
+  List.iter
+    (fun { f_at; _ } ->
+      List.iter
+        (fun cut ->
+          match Image.decode (String.sub enc 0 cut) with
+          | Error (Image.Truncated _) -> ()
+          | Ok _ -> Alcotest.failf "cut at %d decoded" cut
+          | Error e -> Alcotest.failf "cut at %d: %s" cut (Image.error_to_string e)
+          | exception e -> Alcotest.failf "cut at %d raised %s" cut (Printexc.to_string e))
+        [ f_at; f_at + 1; f_at + 7 ])
+    (fields enc)
+
+type mutation =
+  | Cut of int
+  | Flip of int
+  | Set_length of int * int  (** section-table length field, value *)
+  | Resealed of int * int
+      (** a payload count or length set to a value, every hash made to match *)
+
+let show_mutation = function
+  | Cut n -> Printf.sprintf "cut at %d" n
+  | Flip b -> Printf.sprintf "flip bit %d" b
+  | Set_length (i, v) -> Printf.sprintf "length field %d := %d" i v
+  | Resealed (i, v) -> Printf.sprintf "resealed payload candidate %d := %d" i v
+
+let get_u64 s at = Int64.to_int (String.get_int64_le s at)
+let put_u64 b at n = Bytes.set_int64_le b at (Int64.of_int n)
+
+(* [(payload offset, payload length)] of every section. *)
+let payloads enc =
+  let img = match Image.decode enc with Ok i -> i | Error _ -> assert false in
+  List.rev
+    (snd
+       (List.fold_left
+          (fun (off, acc) (_tag, name, plen) ->
+            let payload = off + 12 + String.length name + 8 in
+            (payload + plen + 8, (payload, plen) :: acc))
+          (24, []) (Image.layout img)))
+
+(* Payload offsets whose 8 bytes read as a small positive number: nearly
+   every count and string length qualifies, few page words do. *)
+let small_field_offsets =
+  lazy
+    (let enc = Lazy.force small_image in
+     List.concat_map
+       (fun (payload, plen) ->
+         List.filter
+           (fun at ->
+             let v = get_u64 enc at in
+             v > 0 && v < 4096)
+           (List.init (max 0 (plen - 7)) (fun k -> payload + k)))
+       (payloads enc)
+     |> Array.of_list)
+
+(* Recompute every section hash and the trailer over the mutated bytes. *)
+let reseal enc b =
+  List.iter
+    (fun (payload, plen) ->
+      put_u64 b (payload + plen) (Fnv.string (Bytes.sub_string b payload plen)))
+    (payloads enc);
+  let body = Bytes.length b - 8 in
+  put_u64 b body (Fnv.string (Bytes.sub_string b 0 body))
+
+let apply enc = function
+  | Cut n -> String.sub enc 0 n
+  | Flip bit ->
+      let b = Bytes.of_string enc in
+      let i = bit / 8 in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (bit mod 8))));
+      Bytes.to_string b
+  | Set_length (i, v) ->
+      let lengths = List.filter (fun f -> f.f_is_length) (fields enc) in
+      let b = Bytes.of_string enc in
+      put_u64 b (List.nth lengths (i mod List.length lengths)).f_at v;
+      Bytes.to_string b
+  | Resealed (i, v) ->
+      let offsets = Lazy.force small_field_offsets in
+      let b = Bytes.of_string enc in
+      put_u64 b offsets.(i mod Array.length offsets) v;
+      reseal enc b;
+      Bytes.to_string b
+
+let prop_decode_total =
+  let gen =
+    let open QCheck.Gen in
+    let n = String.length (Lazy.force small_image) in
+    let value = oneofl [ max_int; -1; 0; min_int; 1 lsl 40; 7 ] in
+    frequency
+      [
+        (2, map (fun k -> Cut k) (int_range 0 (n - 1)));
+        (2, map (fun k -> Flip k) (int_range 0 ((8 * n) - 1)));
+        (2, map2 (fun i v -> Set_length (i, v)) (int_range 0 1000) value);
+        (4, map2 (fun i v -> Resealed (i, v)) (int_range 0 100_000) value);
+      ]
+  in
+  QCheck.Test.make ~count:400 ~name:"image.decode_total"
+    (QCheck.make ~print:show_mutation gen)
+    (fun m -> decode_total (apply (Lazy.force small_image) m))
+
+(* {1 Atomic write} *)
+
+let file_contents path = In_channel.with_open_bin path In_channel.input_all
+
+let test_write_replaces_atomically () =
+  let _k, _m, _path, first = loaded_save Testbed.Httpd "atomic_a" in
+  let _k, _m, _path, second = loaded_save Testbed.Vsftpd "atomic_b" in
+  let dir = tmp_dir "atomic" in
+  let path = Filename.concat dir "img.mcrimg" in
+  let write img =
+    match Image.write img ~path with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "write: %s" (Image.error_to_string e)
+  in
+  write first;
+  write second;
+  (match Image.read ~path with
+  | Ok back ->
+      Alcotest.(check string) "the newer image is the one on disk" (Image.encode second)
+        (Image.encode back)
+  | Error e -> Alcotest.failf "overwritten image unreadable: %s" (Image.error_to_string e));
+  Alcotest.(check (array string)) "no temporary file left behind" [| "img.mcrimg" |]
+    (Sys.readdir dir)
+
+let test_write_failure_keeps_target () =
+  let _k, _m, path, img = loaded_save Testbed.Httpd "atomic_keep" in
+  let before = file_contents path in
+  let rejected target =
+    match Image.write img ~path:target with
+    | Error (Image.Io _) -> ()
+    | Ok () -> Alcotest.failf "write to %s succeeded" target
+    | Error e -> Alcotest.failf "write to %s: %s" target (Image.error_to_string e)
+  in
+  rejected "/nonexistent-dir/x.mcrimg";
+  (* the existing image as a directory component: the write fails before
+     anything is created, and the image is untouched *)
+  rejected (Filename.concat path "x.mcrimg");
+  Alcotest.(check bool) "existing image unchanged" true (file_contents path = before);
+  (* a target the rename cannot replace: the image is fully written to the
+     temporary file first, which is removed when the rename fails *)
+  let dir = tmp_dir "atomic_rename" in
+  let target = Filename.concat dir "img.mcrimg" in
+  Sys.mkdir target 0o755;
+  Out_channel.with_open_bin (Filename.concat target "keep") (fun oc ->
+      output_string oc "kept");
+  rejected target;
+  Alcotest.(check (array string)) "temporary file removed" [| "img.mcrimg" |] (Sys.readdir dir);
+  Alcotest.(check string) "target left as it was" "kept"
+    (file_contents (Filename.concat target "keep"))
+
 (* {1 Restart-from-file} *)
 
 let test_restore_under_load () =
@@ -453,6 +647,13 @@ let () =
           Alcotest.test_case "corruption goldens" `Quick test_corruption_goldens;
           Alcotest.test_case "unknown section skipped" `Quick test_unknown_section_skipped;
           Alcotest.test_case "huge length fields" `Quick test_huge_length_fields;
+          Alcotest.test_case "truncated at every field boundary" `Quick
+            test_truncated_at_every_boundary;
+          QCheck_alcotest.to_alcotest prop_decode_total;
+          Alcotest.test_case "write replaces atomically" `Quick
+            test_write_replaces_atomically;
+          Alcotest.test_case "failed write keeps the target" `Quick
+            test_write_failure_keeps_target;
         ] );
       ( "restore",
         [

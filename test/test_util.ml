@@ -45,6 +45,64 @@ let prop_fnv_nonneg =
     QCheck.(small_list small_string)
     (fun names -> Fnv.strings names >= 0)
 
+(* The byte-at-a-time definitions [Fnv.sub] and [Fnv.int] must reproduce
+   exactly: FNV-1a over 64-bit constants, folded to a non-negative int. *)
+let ref_basis = Int64.to_int 0xcbf29ce484222325L land max_int
+let ref_prime = 0x100000001b3
+let ref_fold h c = (h lxor Char.code c) * ref_prime
+
+let ref_string s =
+  let h = ref ref_basis in
+  String.iter (fun c -> h := ref_fold !h c) s;
+  !h land max_int
+
+let ref_int n =
+  let h = ref ref_basis in
+  for shift = 0 to 7 do
+    h := ref_fold !h (Char.chr ((n lsr (shift * 8)) land 0xff))
+  done;
+  !h land max_int
+
+(* Strings built from zero runs (often whole zero words) and short random
+   runs, with a sub-range at any offset and of any length, so every tail
+   length 0-7 and every word alignment comes up. *)
+let gen_zero_heavy_range =
+  let open QCheck.Gen in
+  let chunk =
+    frequency
+      [
+        (2, map (fun n -> String.make n '\x00') (int_range 0 40));
+        (1, string_size ~gen:char (int_range 0 12));
+      ]
+  in
+  let* s = map (String.concat "") (list_size (int_range 0 12) chunk) in
+  let n = String.length s in
+  let* pos = int_range 0 n in
+  let* len = int_range 0 (n - pos) in
+  return (s, pos, len)
+
+let prop_fnv_sub_matches_string =
+  QCheck.Test.make ~name:"fnv sub = string of the copied range" ~count:1000
+    (QCheck.make
+       ~print:(fun (s, pos, len) -> Printf.sprintf "%S pos=%d len=%d" s pos len)
+       gen_zero_heavy_range)
+    (fun (s, pos, len) ->
+      let copy = String.sub s pos len in
+      Fnv.sub s ~pos ~len = Fnv.string copy && Fnv.sub s ~pos ~len = ref_string copy)
+
+let prop_fnv_int_matches_bytes =
+  QCheck.Test.make ~name:"fnv int = byte-loop reference" ~count:1000
+    QCheck.(oneof [ int; oneofl [ 0; -1; 1; min_int; max_int; 1 lsl 61; -42 ] ])
+    (fun n -> Fnv.int n = ref_int n)
+
+let test_fnv_sub_bounds () =
+  List.iter
+    (fun (pos, len) ->
+      match Fnv.sub "abcdefgh" ~pos ~len with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "pos=%d len=%d accepted" pos len)
+    [ (-1, 1); (0, 9); (8, 1); (3, -1); (max_int, 1); (1, max_int) ]
+
 (* ------------------------------------------------------------------ *)
 (* Rng *)
 
@@ -237,6 +295,9 @@ let () =
           Alcotest.test_case "combine not commutative" `Quick test_fnv_combine_not_commutative;
           Alcotest.test_case "int hashing" `Quick test_fnv_int;
           qt prop_fnv_nonneg;
+          qt prop_fnv_sub_matches_string;
+          qt prop_fnv_int_matches_bytes;
+          Alcotest.test_case "sub range checks" `Quick test_fnv_sub_bounds;
         ] );
       ( "rng",
         [
