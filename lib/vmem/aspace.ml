@@ -230,6 +230,25 @@ let write_word_untracked t a v =
   store p (Addr.word_index a) v;
   p.touched <- true
 
+let fold_words t a ~words ~init ~f =
+  if words <= 0 then init
+  else begin
+    let acc = ref init in
+    let addr = ref a in
+    let remaining = ref words in
+    while !remaining > 0 do
+      let p = page_for t !addr in
+      let idx = Addr.word_index !addr in
+      let n = min !remaining (Addr.words_per_page - idx) in
+      for i = idx to idx + n - 1 do
+        acc := f !acc p.frame.words.(i)
+      done;
+      remaining := !remaining - n;
+      addr := Addr.add_words !addr n
+    done;
+    !acc
+  end
+
 (* Visit [\[a, a + words)] a page at a time: [f page i pos n] for each run
    of [n] words that starts at word [i] of [page] and [pos] words into the
    range. *)
@@ -248,14 +267,6 @@ let fold_runs t a ~words ~init ~f =
   let acc = ref init in
   iter_runs t a ~words (fun p i _ n -> acc := f !acc p.frame.words i n);
   !acc
-
-let fold_words t a ~words ~init ~f =
-  fold_runs t a ~words ~init ~f:(fun acc (w : int array) i n ->
-      let acc = ref acc in
-      for j = i to i + n - 1 do
-        acc := f !acc w.(j)
-      done;
-      !acc)
 
 let all_zero (a : int array) pos n =
   let rec go i = i >= pos + n || (a.(i) = 0 && go (i + 1)) in
