@@ -243,12 +243,12 @@ let r_words r =
 (* ------------------------------------------------------------------ *)
 (* Section payload codecs *)
 
-let w_region w r =
-  w_str w r.r_name;
-  w_str w r.r_kind;
-  w_u64 w r.r_base;
-  w_u64 w r.r_size;
-  w_words w r.r_words
+let w_region b r =
+  w_str b r.r_name;
+  w_str b r.r_kind;
+  w_u64 b r.r_base;
+  w_u64 b r.r_size;
+  w_words b r.r_words
 
 let r_region r =
   let r_name = r_str r in
@@ -258,11 +258,11 @@ let r_region r =
   let r_words = r_words r in
   { r_name; r_kind; r_base; r_size; r_words }
 
-let w_page w g =
-  w_u64 w g.g_page;
-  w_u64 w g.g_seq;
-  w_bool w g.g_touched;
-  w_bool w g.g_inherited
+let w_page b g =
+  w_u64 b g.g_page;
+  w_u64 b g.g_seq;
+  w_bool b g.g_touched;
+  w_bool b g.g_inherited
 
 let r_page r =
   let g_page = r_u64 r in
@@ -271,13 +271,13 @@ let r_page r =
   let g_inherited = r_bool r in
   { g_page; g_seq; g_touched; g_inherited }
 
-let w_heap w h =
-  w_u64 w h.h_base;
-  w_u64 w h.h_size;
-  w_bool w h.h_instrumented;
-  w_u64 w h.h_allocs;
-  w_u64 w h.h_frees;
-  w_u64 w h.h_tag_words
+let w_heap b h =
+  w_u64 b h.h_base;
+  w_u64 b h.h_size;
+  w_bool b h.h_instrumented;
+  w_u64 b h.h_allocs;
+  w_u64 b h.h_frees;
+  w_u64 b h.h_tag_words
 
 let r_heap r =
   let h_base = r_u64 r in
@@ -288,29 +288,29 @@ let r_heap r =
   let h_tag_words = r_u64 r in
   { h_base; h_size; h_instrumented; h_allocs; h_frees; h_tag_words }
 
-let w_heap_opt w = function
-  | None -> w_u64 w 0
+let w_heap_opt b = function
+  | None -> w_u64 b 0
   | Some h ->
-      w_u64 w 1;
-      w_heap w h
+      w_u64 b 1;
+      w_heap b h
 
 let r_heap_opt r = if r_u64 r = 0 then None else Some (r_heap r)
 
-let rec w_pool w (st : Pool.state) =
-  w_str w st.Pool.st_name;
-  w_bool w st.st_instrument;
-  w_u64 w st.st_chunk_words;
-  w_u64 w st.st_pallocs;
-  w_u64 w st.st_tag_words;
-  w_u64 w st.st_chunks_grabbed;
-  w_list w
-    (fun w (c : Pool.chunk_state) ->
-      w_u64 w c.Pool.cs_base;
-      w_u64 w c.cs_words;
-      w_u64 w c.cs_bump;
-      w_bool w c.cs_micro)
+let rec w_pool b (st : Pool.state) =
+  w_str b st.Pool.st_name;
+  w_bool b st.st_instrument;
+  w_u64 b st.st_chunk_words;
+  w_u64 b st.st_pallocs;
+  w_u64 b st.st_tag_words;
+  w_u64 b st.st_chunks_grabbed;
+  w_list b
+    (fun b (c : Pool.chunk_state) ->
+      w_u64 b c.Pool.cs_base;
+      w_u64 b c.cs_words;
+      w_u64 b c.cs_bump;
+      w_bool b c.cs_micro)
     st.st_chunks;
-  w_list w w_pool st.st_kids
+  w_list b w_pool st.st_kids
 
 let rec r_pool r : Pool.state =
   let st_name = r_str r in
@@ -331,12 +331,12 @@ let rec r_pool r : Pool.state =
   { Pool.st_name; st_instrument; st_chunk_words; st_pallocs; st_tag_words; st_chunks_grabbed;
     st_chunks; st_kids }
 
-let w_slab w (name, (st : Slab.state)) =
-  w_str w name;
-  w_u64 w st.Slab.ss_slot_words;
-  w_list w w_u64 st.ss_chunks;
-  w_u64 w st.ss_free_head;
-  w_u64 w st.ss_live
+let w_slab b (name, (st : Slab.state)) =
+  w_str b name;
+  w_u64 b st.Slab.ss_slot_words;
+  w_list b w_u64 st.ss_chunks;
+  w_u64 b st.ss_free_head;
+  w_u64 b st.ss_live
 
 let r_slab r =
   let name = r_str r in
@@ -346,11 +346,11 @@ let r_slab r =
   let ss_live = r_u64 r in
   (name, { Slab.ss_slot_words; ss_chunks; ss_free_head; ss_live })
 
-let w_thread w th =
-  w_u64 w th.t_tid;
-  w_str w th.t_name;
-  w_list w w_str th.t_callstack;
-  w_opt_str w th.t_blocked
+let w_thread b th =
+  w_u64 b th.t_tid;
+  w_str b th.t_name;
+  w_list b w_str th.t_callstack;
+  w_opt_str b th.t_blocked
 
 let r_thread r =
   let t_tid = r_u64 r in
@@ -359,26 +359,26 @@ let r_thread r =
   let t_blocked = r_opt_str r in
   { t_tid; t_name; t_callstack; t_blocked }
 
-let encode_proc w p =
-  w_u64 w p.pi_pid;
-  w_str w p.pi_name;
-  w_u64 w p.pi_creation_callstack;
-  w_bool w p.pi_startup_complete;
-  w_u64 w p.pi_layout_bias;
-  w_u64 w p.pi_write_seq;
-  w_list w w_u64 p.pi_fds;
-  w_list w w_region p.pi_regions;
-  w_list w w_page p.pi_pages;
-  w_list w
-    (fun w (name, mark) ->
-      w_str w name;
-      w_u64 w mark)
+let encode_proc b p =
+  w_u64 b p.pi_pid;
+  w_str b p.pi_name;
+  w_u64 b p.pi_creation_callstack;
+  w_bool b p.pi_startup_complete;
+  w_u64 b p.pi_layout_bias;
+  w_u64 b p.pi_write_seq;
+  w_list b w_u64 p.pi_fds;
+  w_list b w_region p.pi_regions;
+  w_list b w_page p.pi_pages;
+  w_list b
+    (fun b (name, mark) ->
+      w_str b name;
+      w_u64 b mark)
     p.pi_epochs;
-  w_list w w_thread p.pi_threads;
-  w_heap_opt w p.pi_heap;
-  w_heap_opt w p.pi_lib_heap;
-  w_list w w_pool p.pi_pools;
-  w_list w w_slab p.pi_slabs
+  w_list b w_thread p.pi_threads;
+  w_heap_opt b p.pi_heap;
+  w_heap_opt b p.pi_lib_heap;
+  w_list b w_pool p.pi_pools;
+  w_list b w_slab p.pi_slabs
 
 let decode_proc r =
   let pi_pid = r_u64 r in
@@ -405,12 +405,12 @@ let decode_proc r =
     pi_fds; pi_regions; pi_pages; pi_epochs; pi_threads; pi_heap; pi_lib_heap; pi_pools;
     pi_slabs }
 
-let encode_meta w t =
-  w_str w t.im_prog;
-  w_str w t.im_version_tag;
-  w_u64 w t.im_clock_ns;
-  w_u64 w t.im_fingerprint;
-  w_u64 w (List.length t.im_procs)
+let encode_meta b t =
+  w_str b t.im_prog;
+  w_str b t.im_version_tag;
+  w_u64 b t.im_clock_ns;
+  w_u64 b t.im_fingerprint;
+  w_u64 b (List.length t.im_procs)
 
 (* ------------------------------------------------------------------ *)
 (* Section table *)

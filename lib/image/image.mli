@@ -153,7 +153,9 @@ val write : t -> path:string -> (unit, error) result
     teardown, so they live outside any simulated fs. The image goes to a
     temporary file in [path]'s directory that is then renamed over
     [path], so a crash mid-write never leaves a torn image there; on
-    failure the temporary file is removed and [path] is untouched. *)
+    failure the temporary file is removed and [path] is untouched. The
+    image file keeps the temporary file's mode: readable and writable by
+    its owner only, as a core dump is. *)
 
 val read : path:string -> (t, error) result
 

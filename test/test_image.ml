@@ -226,26 +226,33 @@ let small_image =
      in
      Image.encode img)
 
-type field = { f_at : int; f_is_length : bool }
-
-(* Every field of the section table, in file order, from the layout. *)
-let fields enc =
+(* [(section offset, name, payload offset, payload length)] of every
+   section, from the layout. *)
+let sections enc =
   let img = match Image.decode enc with Ok i -> i | Error _ -> assert false in
-  let header = [ { f_at = 8; f_is_length = false }; { f_at = 16; f_is_length = false } ] in
-  let _, fs =
+  let _, acc =
     List.fold_left
       (fun (off, acc) (_tag, name, plen) ->
-        let name_len = off + 4 and payload_len = off + 12 + String.length name in
-        let hash = payload_len + 8 + plen in
-        ( hash + 8,
-          { f_at = hash; f_is_length = false }
-          :: { f_at = payload_len; f_is_length = true }
-          :: { f_at = name_len; f_is_length = true }
-          :: { f_at = off; f_is_length = false }
-          :: acc ))
-      (24, List.rev header) (Image.layout img)
+        let payload = off + 12 + String.length name + 8 in
+        (payload + plen + 8, (off, name, payload, plen) :: acc))
+      (24, []) (Image.layout img)
   in
-  List.rev ({ f_at = String.length enc - 8; f_is_length = false } :: fs)
+  List.rev acc
+
+(* Offsets of the name and payload length fields of every section. *)
+let length_fields enc =
+  List.concat_map
+    (fun (off, _, payload, _) -> [ off + 4; payload - 8 ])
+    (sections enc)
+
+(* Where every field of the framing starts: version, count, then per
+   section its tag, both lengths and its hash, then the trailer. *)
+let field_starts enc =
+  [ 8; 16 ]
+  @ List.concat_map
+      (fun (off, _, payload, plen) -> [ off; off + 4; payload - 8; payload + plen ])
+      (sections enc)
+  @ [ String.length enc - 8 ]
 
 let decode_total data =
   match Image.decode data with
@@ -255,7 +262,7 @@ let decode_total data =
 let test_truncated_at_every_boundary () =
   let enc = Lazy.force small_image in
   List.iter
-    (fun { f_at; _ } ->
+    (fun at ->
       List.iter
         (fun cut ->
           match Image.decode (String.sub enc 0 cut) with
@@ -263,8 +270,8 @@ let test_truncated_at_every_boundary () =
           | Ok _ -> Alcotest.failf "cut at %d decoded" cut
           | Error e -> Alcotest.failf "cut at %d: %s" cut (Image.error_to_string e)
           | exception e -> Alcotest.failf "cut at %d raised %s" cut (Printexc.to_string e))
-        [ f_at; f_at + 1; f_at + 7 ])
-    (fields enc)
+        [ at; at + 1; at + 7 ])
+    (field_starts enc)
 
 type mutation =
   | Cut of int
@@ -282,38 +289,27 @@ let show_mutation = function
 let get_u64 s at = Int64.to_int (String.get_int64_le s at)
 let put_u64 b at n = Bytes.set_int64_le b at (Int64.of_int n)
 
-(* [(payload offset, payload length)] of every section. *)
-let payloads enc =
-  let img = match Image.decode enc with Ok i -> i | Error _ -> assert false in
-  List.rev
-    (snd
-       (List.fold_left
-          (fun (off, acc) (_tag, name, plen) ->
-            let payload = off + 12 + String.length name + 8 in
-            (payload + plen + 8, (payload, plen) :: acc))
-          (24, []) (Image.layout img)))
-
 (* Payload offsets whose 8 bytes read as a small positive number: nearly
    every count and string length qualifies, few page words do. *)
 let small_field_offsets =
   lazy
     (let enc = Lazy.force small_image in
      List.concat_map
-       (fun (payload, plen) ->
+       (fun (_, _, payload, plen) ->
          List.filter
            (fun at ->
              let v = get_u64 enc at in
              v > 0 && v < 4096)
            (List.init (max 0 (plen - 7)) (fun k -> payload + k)))
-       (payloads enc)
+       (sections enc)
      |> Array.of_list)
 
 (* Recompute every section hash and the trailer over the mutated bytes. *)
 let reseal enc b =
   List.iter
-    (fun (payload, plen) ->
+    (fun (_, _, payload, plen) ->
       put_u64 b (payload + plen) (Fnv.string (Bytes.sub_string b payload plen)))
-    (payloads enc);
+    (sections enc);
   let body = Bytes.length b - 8 in
   put_u64 b body (Fnv.string (Bytes.sub_string b 0 body))
 
@@ -325,9 +321,9 @@ let apply enc = function
       Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (bit mod 8))));
       Bytes.to_string b
   | Set_length (i, v) ->
-      let lengths = List.filter (fun f -> f.f_is_length) (fields enc) in
+      let lengths = length_fields enc in
       let b = Bytes.of_string enc in
-      put_u64 b (List.nth lengths (i mod List.length lengths)).f_at v;
+      put_u64 b (List.nth lengths (i mod List.length lengths)) v;
       Bytes.to_string b
   | Resealed (i, v) ->
       let offsets = Lazy.force small_field_offsets in
