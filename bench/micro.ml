@@ -31,6 +31,17 @@ let test_alloc_tagging =
          let a = Heap.malloc heap ~ty_id:3 ~site:5 ~callstack:12345 8 in
          Heap.free heap a))
 
+(* The zeroing every allocation pays, at the size of one connection's
+   ConnBufferWords read buffer in the bulk-transfer workload *)
+let test_malloc_zeroed =
+  let aspace = Aspace.create () in
+  let heap = Heap.create aspace ~instrumented:true ~name:"bench" ~size:(1 lsl 20) () in
+  Heap.end_startup heap;
+  Test.make ~name:"alloc:malloc-32k-zeroed"
+    (Staged.stage (fun () ->
+         let a = Heap.malloc heap ~ty_id:3 ~site:5 ~callstack:12345 32_768 in
+         Heap.free heap a))
+
 (* Table 2: the hybrid precise/conservative traversal *)
 let test_conservative_scan =
   let kernel = K.create () in
@@ -110,9 +121,9 @@ let run () =
   print_endline "\nBechamel microbenchmarks (ns per run, wall clock)";
   print_endline "=================================================";
   let tests =
-    [ test_callstack_hash; test_alloc_tagging; test_conservative_scan; test_type_transform;
-      test_region_lookup_linear; test_region_lookup_indexed; test_image_encode;
-      test_image_decode; test_fnv_sub ]
+    [ test_callstack_hash; test_alloc_tagging; test_malloc_zeroed; test_conservative_scan;
+      test_type_transform; test_region_lookup_linear; test_region_lookup_indexed;
+      test_image_encode; test_image_decode; test_fnv_sub ]
   in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]

@@ -159,9 +159,7 @@ let write_allocated_header (t : t) header ~payload_words ~ty_id ~site ~callstack
   let payload = Addr.add_words header (header_words_of_flags flags) in
   Hashtbl.replace t.by_payload payload header;
   t.stats.allocs <- t.stats.allocs + 1;
-  for i = 0 to payload_words - 1 do
-    write t.aspace (Addr.add_words payload i) 0
-  done;
+  Aspace.zero_fill t.aspace payload ~words:payload_words;
   payload
 
 let malloc (t : t) ?(ty_id = 0) ?(site = 0) ?(callstack = 0) words =

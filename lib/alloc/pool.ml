@@ -97,9 +97,7 @@ let palloc t ?(ty_id = 0) ?(site = 0) ?(callstack = 0) words =
     in
     let addr = Addr.add_words c.base c.bump in
     c.bump <- c.bump + words;
-    for i = 0 to words - 1 do
-      Mcr_vmem.Aspace.write_word (Heap.aspace t.heap) (Addr.add_words addr i) 0
-    done;
+    Mcr_vmem.Aspace.zero_fill (Heap.aspace t.heap) addr ~words;
     addr
   end
 

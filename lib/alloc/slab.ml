@@ -39,9 +39,7 @@ let alloc t =
   if t.free_head = Addr.null then grab_chunk t;
   let slot = t.free_head in
   t.free_head <- Aspace.read_word (aspace t) slot;
-  for i = 0 to t.slot_words - 1 do
-    Aspace.write_word (aspace t) (Addr.add_words slot i) 0
-  done;
+  Aspace.zero_fill (aspace t) slot ~words:t.slot_words;
   t.live <- t.live + 1;
   slot
 

@@ -306,6 +306,16 @@ let copy_words_tracked ~src src_addr ~dst dst_addr ~words =
       dst.wseq <- dst.wseq + n;
       dp.last_write_seq <- dst.wseq)
 
+(* One tracked [write_word _ 0] per word, a page run at a time: a zero
+   page stays on the zero array, as a store of 0 leaves it. *)
+let zero_fill t a ~words =
+  iter_runs t a ~words (fun p i _ n ->
+      unshare p;
+      if p.frame.words != zero_words then Array.fill p.frame.words i n 0;
+      p.touched <- true;
+      t.wseq <- t.wseq + n;
+      p.last_write_seq <- t.wseq)
+
 let read_words t a ~words =
   let out = Array.make words 0 in
   iter_runs t a ~words (fun p i pos n ->

@@ -112,6 +112,16 @@ val copy_words_tracked : src:t -> Addr.t -> dst:t -> Addr.t -> words:int -> unit
     after the final word written to it. Used for in-place copies the
     program could itself have made. *)
 
+val zero_fill : t -> Addr.t -> words:int -> unit
+(** [zero_fill t a ~words] zeroes the [words] words from [a] with the exact
+    observable semantics of [words] {!write_word}[ _ 0] calls in ascending
+    address order: the same contents, {!write_seq} advanced by [words],
+    each page stamped with the sequence value after its last word, every
+    covered page touched and unshared. A page still on the zero array stays
+    there. On a range that runs into an unmapped page it raises the same
+    {!Fault}, after zeroing every word before that page. Pages are resolved
+    once per run, not once per word. *)
+
 val read_words : t -> Addr.t -> words:int -> int array
 (** [read_words t a ~words] is the [words] consecutive words starting at
     [a], copied a page at a time. @raise Fault as {!read_word}. *)

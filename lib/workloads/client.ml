@@ -28,6 +28,14 @@ let recv ?(max = 1 lsl 20) fd =
 
 let close fd = ignore (K.syscall (S.Close { fd }))
 
+(* Whether [needle] occurs in [haystack]; compares in place, allocates
+   nothing. *)
+let contains haystack needle =
+  let nh = String.length haystack and nn = String.length needle in
+  let rec matches_at i j = j = nn || (haystack.[i + j] = needle.[j] && matches_at i (j + 1)) in
+  let rec go i = i + nn <= nh && (matches_at i 0 || go (i + 1)) in
+  go 0
+
 (* drive the kernel until a predicate holds; workloads are finite so a
    generous virtual deadline doubles as a hang detector *)
 let drive ?(max_s = 3600) kernel pred =

@@ -1,10 +1,5 @@
 module K = Mcr_simos.Kernel
 
-let contains haystack needle =
-  let nh = String.length haystack and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
-
 let run kernel ~port ~users ?(retrievals = 1) ~file () =
   let ok = ref 0 and errors = ref 0 and bytes = ref 0 in
   let start = K.clock_ns kernel in
@@ -25,10 +20,11 @@ let run kernel ~port ~users ?(retrievals = 1) ~file () =
                   Client.send fd ("RETR " ^ file);
                   let rec drain acc saw150 =
                     match Client.recv fd with
-                    | Some reply when contains reply "226" -> (acc, saw150)
-                    | Some reply when contains reply "550" -> (acc, false)
+                    | Some reply when Client.contains reply "226" -> (acc, saw150)
+                    | Some reply when Client.contains reply "550" -> (acc, false)
                     | Some reply ->
-                        drain (acc + String.length reply) (saw150 || contains reply "150")
+                        drain (acc + String.length reply)
+                          (saw150 || Client.contains reply "150")
                     | None -> (acc, false)
                   in
                   let got, ok150 = drain 0 false in

@@ -49,11 +49,6 @@ type t = {
   exits : Client.exits;
 }
 
-let contains haystack needle =
-  let nh = String.length haystack and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
-
 (* Seeded exponential inter-arrivals; same seed, same schedule. *)
 let arrival_offsets ~seed ~rate ~n =
   if rate <= 0 then invalid_arg "Loadgen: rate must be positive";
@@ -95,9 +90,9 @@ let dialog kernel server fd user =
         Client.send fd "RETR big.bin";
         let rec drain saw150 =
           match recv () with
-          | Some reply when contains reply "226" -> saw150
-          | Some reply when contains reply "550" -> false
-          | Some reply -> drain (saw150 || contains reply "150")
+          | Some reply when Client.contains reply "226" -> saw150
+          | Some reply when Client.contains reply "550" -> false
+          | Some reply -> drain (saw150 || Client.contains reply "150")
           | None -> false
         in
         let ok = drain false in
@@ -106,10 +101,10 @@ let dialog kernel server fd user =
     | Testbed.Sshd -> (
         let _banner = recv () in
         match cmd (Printf.sprintf "AUTH user%d" user) with
-        | Some r when contains r "auth-ok" ->
+        | Some r when Client.contains r "auth-ok" ->
             let ok =
               match cmd "RUN cmd1" with
-              | Some reply -> contains reply "out:"
+              | Some reply -> Client.contains reply "out:"
               | None -> false
             in
             let _ = cmd "EXIT" in

@@ -1,10 +1,5 @@
 module K = Mcr_simos.Kernel
 
-let contains haystack needle =
-  let nh = String.length haystack and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
-
 let run kernel ~port ~sessions ?(commands = 3) () =
   let ok = ref 0 and errors = ref 0 and bytes = ref 0 in
   let start = K.clock_ns kernel in
@@ -19,10 +14,10 @@ let run kernel ~port ~sessions ?(commands = 3) () =
                 let cmd c = Client.send fd c; Client.recv fd in
                 let _banner = Client.recv fd in
                 (match cmd (Printf.sprintf "AUTH user%d" i) with
-                | Some r when contains r "auth-ok" ->
+                | Some r when Client.contains r "auth-ok" ->
                     for j = 1 to commands do
                       match cmd (Printf.sprintf "RUN cmd%d" j) with
-                      | Some reply when contains reply "out:" ->
+                      | Some reply when Client.contains reply "out:" ->
                           incr ok;
                           bytes := !bytes + String.length reply
                       | Some _ | None -> incr errors

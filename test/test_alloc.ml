@@ -362,6 +362,62 @@ let test_slab_freelist_leaves_stale_pointer () =
   Alcotest.(check int) "b links to a" a (Aspace.read_word sp b)
 
 (* ------------------------------------------------------------------ *)
+(* Reused blocks come back zeroed
+
+   Each allocator gets back a block whose payload was dirtied and freed.
+   The payload spans a page boundary so zeroing crosses page runs, and the
+   write sequence must advance by one per zeroed word, as one tracked store
+   per word would. *)
+
+let scribble sp a words =
+  for i = 0 to words - 1 do
+    Aspace.write_word sp (Addr.add_words a i) (i + 1)
+  done
+
+let check_zeroed sp a words =
+  Alcotest.(check bool) "payload all zero" true
+    (Array.for_all (( = ) 0) (Aspace.read_words sp a ~words))
+
+let test_heap_reuse_zeroed () =
+  let sp, h = fresh_heap ~instrumented:false () in
+  Heap.end_startup h;
+  let a = Heap.malloc h 700 in
+  ignore (Heap.malloc h 1 : Addr.t);
+  scribble sp a 700;
+  Heap.free h a;
+  let seq = Aspace.write_seq sp in
+  let b = Heap.malloc h 700 in
+  Alcotest.(check int) "block reused" a b;
+  check_zeroed sp b 700;
+  (* besides the payload: the free header re-stamped by coalescing and the
+     allocated header *)
+  Alcotest.(check int) "one write per payload word" (700 + 2) (Aspace.write_seq sp - seq)
+
+let test_pool_reuse_zeroed () =
+  let sp, h = fresh_heap () in
+  let p = Pool.create h ~chunk_words:1024 ~name:"p" () in
+  let a = Pool.palloc p 700 in
+  scribble sp a 700;
+  Pool.reset p;
+  let seq = Aspace.write_seq sp in
+  let b = Pool.palloc p 700 in
+  Alcotest.(check int) "block reused" a b;
+  check_zeroed sp b 700;
+  Alcotest.(check int) "one write per payload word" 700 (Aspace.write_seq sp - seq)
+
+let test_slab_reuse_zeroed () =
+  let sp, h = fresh_heap () in
+  let s = Slab.create h ~slot_words:600 ~slots_per_chunk:2 ~name:"s" in
+  let a = Slab.alloc s in
+  scribble sp a 600;
+  Slab.free s a;
+  let seq = Aspace.write_seq sp in
+  let b = Slab.alloc s in
+  Alcotest.(check int) "slot reused" a b;
+  check_zeroed sp b 600;
+  Alcotest.(check int) "one write per payload word" 600 (Aspace.write_seq sp - seq)
+
+(* ------------------------------------------------------------------ *)
 (* Sites *)
 
 let test_sites_stable_ids () =
@@ -439,6 +495,12 @@ let () =
           Alcotest.test_case "interior slot base" `Quick test_slab_slot_base_interior;
           Alcotest.test_case "freelist stale pointer" `Quick
             test_slab_freelist_leaves_stale_pointer;
+        ] );
+      ( "reuse-zeroed",
+        [
+          Alcotest.test_case "heap malloc" `Quick test_heap_reuse_zeroed;
+          Alcotest.test_case "pool palloc" `Quick test_pool_reuse_zeroed;
+          Alcotest.test_case "slab alloc" `Quick test_slab_reuse_zeroed;
         ] );
       ( "sites",
         [

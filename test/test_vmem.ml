@@ -356,6 +356,7 @@ type m_op =
   | M_write_run of m_loc * int array
   | M_share of m_loc * m_loc (* src page, dst page: copy, then remap *)
   | M_detach of int
+  | M_zero of m_loc * int (* words *)
 
 let show_loc (s, j, w) = Printf.sprintf "%d/%d/%d" s j w
 
@@ -369,6 +370,7 @@ let show_op = function
   | M_write_run (l, a) -> Printf.sprintf "write_run %s x%d" (show_loc l) (Array.length a)
   | M_share (a, b) -> Printf.sprintf "share %s->%s" (show_loc a) (show_loc b)
   | M_detach s -> Printf.sprintf "detach %d" s
+  | M_zero (l, n) -> Printf.sprintf "zero %s x%d" (show_loc l) n
 
 let m_op_gen =
   let open QCheck.Gen in
@@ -386,6 +388,7 @@ let m_op_gen =
       (2, map2 (fun l a -> M_write_run (l, a)) loc (array_size (int_bound 700) value));
       (3, map2 (fun a b -> M_share (a, b)) page page);
       (1, map (fun s -> M_detach s) space);
+      (2, map2 (fun l n -> M_zero (l, n)) loc (int_bound 1200));
     ]
 
 let prop_zero_page_model =
@@ -498,6 +501,13 @@ let prop_zero_page_model =
                 done
             done;
             if Aspace.detach_shared real.(s) <> !n then detached := false
+        | M_zero ((s, j, w), n) ->
+            let n = min n (m_slot_words - w) in
+            if mapped s j && n > 0 then begin
+              Aspace.zero_fill real.(s) (addr j w) ~words:n;
+              break_range s j w n;
+              Array.fill (content s j) w n 0
+            end
       in
       List.iter step ops;
       let reads_agree = ref true in
@@ -530,6 +540,100 @@ let prop_zero_page_model =
         Array.for_all (( = ) 0) (Aspace.read_words sp base ~words:(4 * Addr.words_per_page))
       in
       !reads_agree && shared_agree && fresh_zero && !detached)
+
+(* ------------------------------------------------------------------ *)
+(* Lockstep: [zero_fill] against one [write_word _ 0] per word
+
+   The same random state is built twice: four mapped pages followed by an
+   unmapped one, each mapped page left on the zero array, written
+   privately, or shared by [share_page] with a donor space's page. One copy
+   is zeroed with [zero_fill], the other word by word; every observable
+   must then agree, including the fault on a range that runs into the
+   unmapped page. *)
+
+type z_page = Z_zero | Z_private of (int * int) list | Z_shared of (int * int) list
+
+let z_pages = 4
+let z_base = 0x100000
+
+let z_page_gen =
+  let open QCheck.Gen in
+  let writes = small_list (pair (int_bound (Addr.words_per_page - 1)) (int_range 1 9)) in
+  frequency
+    [
+      (1, return Z_zero);
+      (2, map (fun w -> Z_private w) writes);
+      (2, map (fun w -> Z_shared w) writes);
+    ]
+
+let show_z_page = function
+  | Z_zero -> "zero"
+  | Z_private w -> Printf.sprintf "private x%d" (List.length w)
+  | Z_shared w -> Printf.sprintf "shared x%d" (List.length w)
+
+(* Pages, the page before which the "e" epoch is reset, a byte offset that
+   misaligns the start when non-zero, the first word and the word count. *)
+let z_case_gen =
+  let open QCheck.Gen in
+  let total = (z_pages + 1) * Addr.words_per_page in
+  tup5
+    (list_repeat z_pages z_page_gen)
+    (int_bound z_pages)
+    (frequency [ (9, return 0); (1, return 3) ])
+    (int_bound (total - 1))
+    (int_bound total)
+
+let z_build pages reset_at =
+  let donor = Aspace.create () and sp = Aspace.create () in
+  ignore (Aspace.map donor (Aspace.Fixed z_base) ~size:(z_pages * 4096) Region.Heap);
+  ignore (Aspace.map sp (Aspace.Fixed z_base) ~size:(z_pages * 4096) Region.Heap);
+  List.iteri
+    (fun k page ->
+      if k = reset_at then Aspace.epoch_reset sp ~name:"e";
+      let pa = Addr.add z_base (k * Addr.page_size) in
+      let store space writes =
+        List.iter (fun (w, v) -> Aspace.write_word space (Addr.add_words pa w) v) writes
+      in
+      match page with
+      | Z_zero -> ()
+      | Z_private writes -> store sp writes
+      | Z_shared writes ->
+          store donor writes;
+          Aspace.copy_words ~src:donor pa ~dst:sp pa ~words:Addr.words_per_page;
+          Aspace.share_page ~src:donor pa ~dst:sp pa)
+    pages;
+  if reset_at = z_pages then Aspace.epoch_reset sp ~name:"e";
+  (donor, sp)
+
+let prop_zero_fill_lockstep =
+  QCheck.Test.make ~name:"zero_fill is one write_word _ 0 per word" ~count:300
+    (QCheck.make
+       ~print:(fun (pages, reset_at, skew, w, n) ->
+         Printf.sprintf "[%s] reset@%d skew %d from %d x%d"
+           (String.concat "; " (List.map show_z_page pages))
+           reset_at skew w n)
+       z_case_gen)
+    (fun (pages, reset_at, skew, w, n) ->
+      let a = Addr.add_words z_base w + skew in
+      let fault f = try f (); None with Aspace.Fault x -> Some x in
+      let bulk_donor, bulk = z_build pages reset_at in
+      let word_donor, word = z_build pages reset_at in
+      let bulk_fault = fault (fun () -> Aspace.zero_fill bulk a ~words:n) in
+      let word_fault =
+        fault (fun () ->
+            for i = 0 to n - 1 do
+              Aspace.write_word word (Addr.add_words a i) 0
+            done)
+      in
+      let observe sp donor =
+        ( Aspace.read_words sp z_base ~words:(z_pages * Addr.words_per_page),
+          Aspace.read_words donor z_base ~words:(z_pages * Addr.words_per_page),
+          Aspace.write_seq sp,
+          Aspace.page_states sp,
+          (Aspace.shared_frame_count sp, Aspace.shared_frame_count donor),
+          Aspace.epoch_dirty_pages sp ~name:"e" )
+      in
+      bulk_fault = word_fault && observe bulk bulk_donor = observe word word_donor)
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in
@@ -593,5 +697,6 @@ let () =
           Alcotest.test_case "copy words across spaces" `Quick test_copy_words_across_spaces;
           Alcotest.test_case "resident bytes" `Quick test_resident_bytes;
           qt prop_zero_page_model;
+          qt prop_zero_fill_lockstep;
         ] );
     ]

@@ -117,6 +117,19 @@ let test_profiling_workload_runs server =
     true
     (report.Mcr_quiesce.Profiler.quiescent_points > 0)
 
+let test_client_contains () =
+  let check name expected haystack needle =
+    Alcotest.(check bool) name expected (W.Client.contains haystack needle)
+  in
+  check "empty needle" true "226 done" "";
+  check "empty needle, empty haystack" true "" "";
+  check "needle at the end" true "150 ok 226" "226";
+  check "needle at the start" true "226 done" "226";
+  check "needle longer than haystack" false "22" "226";
+  check "repeated prefix" true "2226" "226";
+  check "partial match only" false "2262" "2263";
+  check "absent" false "550 no such file" "226"
+
 let () =
   let per_server name f =
     List.map
@@ -132,6 +145,7 @@ let () =
           Alcotest.test_case "ftp" `Quick test_ftp_bench_completes;
           Alcotest.test_case "ssh" `Quick test_ssh_bench_completes;
           Alcotest.test_case "completion wait" `Quick test_completion_wait;
+          Alcotest.test_case "client contains" `Quick test_client_contains;
         ] );
       ("holders", per_server "lifecycle" test_holders_lifecycle);
       ("fig3-mechanics", per_server "update under holds" test_update_under_held_connections);
