@@ -33,10 +33,11 @@
       the run fails if the quiet self-update's residue is not well below
       the reachable heap, or if it does not grow with traffic.
 
-   $MCR_DOWNTIME_JSON: write both sweeps' cells as JSON for machine
+   $MCR_DOWNTIME_JSON: write every sweep's cells as JSON for machine
    consumption (the CI workflow uploads it as an artifact; the committed
    BENCH_downtime.json baseline is this file from a smoke run, and
-   [check ~against] re-measures every cell against it with a tolerance).
+   [family] lets `bench check` re-measure every cell against it through
+   the same point functions the sweeps call).
 
    $MCR_FLIGHT_DIR: write every measured update's flight record
    ({!Mcr_obs.Export.flight_json}) into that directory, one file per
@@ -49,9 +50,9 @@ module Testbed = Mcr_workloads.Testbed
 module Holders = Mcr_workloads.Holders
 module Nginx = Mcr_servers.Nginx_sim
 module Httpd = Mcr_servers.Httpd_sim
-module Json = Mcr_obs.Json
+module C = Bench_cell
 
-let fms ns = Printf.sprintf "%.1f" (float_of_int ns /. 1e6)
+let fms = C.fms
 
 type cell = {
   downtime_ns : int;
@@ -84,16 +85,16 @@ let cell_of_report (report : Manager.report) =
 let flights : Mcr_obs.Flight.record list ref = ref []
 
 let flush_flights ~name =
-  match Sys.getenv_opt "MCR_FLIGHT_DIR" with
-  | None -> flights := []
-  | Some dir ->
-      if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-      let path = Filename.concat dir (Printf.sprintf "flight_%s.json" name) in
-      let oc = open_out_bin path in
-      output_string oc (Mcr_obs.Export.flight_json (List.rev !flights));
-      close_out oc;
-      Printf.printf "downtime: wrote %s (%d flight record(s))\n" path (List.length !flights);
-      flights := []
+  Option.iter
+    (fun dir ->
+      let path =
+        C.write_file ~dir
+          (Printf.sprintf "flight_%s.json" name)
+          (Mcr_obs.Export.flight_json (List.rev !flights))
+      in
+      Printf.printf "downtime: wrote %s (%d flight record(s))\n" path (List.length !flights))
+    (Sys.getenv_opt "MCR_FLIGHT_DIR");
+  flights := []
 
 let measure ?config ?base_version ?final_version server ~conns ~policy ~label () =
   let kernel = K.create () in
@@ -116,11 +117,41 @@ let measure ?config ?base_version ?final_version server ~conns ~policy ~label ()
   end;
   cell_of_report report
 
+let server_conns cell =
+  let ( let* ) = Result.bind in
+  let* server = C.server_key cell in
+  let* conns = C.int_key "conns" cell in
+  Ok (server, conns)
+
+let conns_label (server, conns) = Printf.sprintf "%s conns=%d" (Testbed.name server) conns
+let downtime_gate what field = C.metric ~what field C.Ceiling_pct C.Ms
+
 (* ------------------------------------------------------------------ *)
 (* Sweep 1: pre-copy vs single-shot *)
 
 let precopy_policy =
   Policy.with_precopy ~max_rounds:6 ~threshold_words:100_000 true Policy.default
+
+let precopy_point (server, conns) =
+  let ss = measure server ~conns ~policy:Policy.default ~label:"single-shot" () in
+  let pc = measure server ~conns ~policy:precopy_policy ~label:"precopy" () in
+  (ss, pc)
+
+let precopy =
+  C.spec ~sweep:"precopy" ~key:server_conns ~label:conns_label
+    ~measure:(List.map precopy_point)
+    ~row:(fun (server, conns) (ss, pc) ->
+      [
+        C.server server;
+        ("conns", `Int conns);
+        ("single_shot_downtime_ns", `Int ss.downtime_ns);
+        ("precopy_downtime_ns", `Int pc.downtime_ns);
+        ("precopy_rounds", `Int pc.rounds);
+      ])
+    [
+      downtime_gate "single-shot" "single_shot_downtime_ns";
+      downtime_gate "precopy" "precopy_downtime_ns";
+    ]
 
 let precopy_sweep ~smoke json =
   let points = if smoke then [ 0; 8 ] else [ 0; 25; 50; 100 ] in
@@ -135,10 +166,7 @@ let precopy_sweep ~smoke json =
     (fun server ->
       List.iter
         (fun conns ->
-          let ss =
-            measure server ~conns ~policy:Policy.default ~label:"single-shot" ()
-          in
-          let pc = measure server ~conns ~policy:precopy_policy ~label:"precopy" () in
+          let ((ss, pc) as m) = precopy_point (server, conns) in
           let speedup =
             if pc.downtime_ns > 0 then
               float_of_int ss.downtime_ns /. float_of_int pc.downtime_ns
@@ -147,13 +175,7 @@ let precopy_sweep ~smoke json =
           let at_top = conns = top in
           let ok = pc.downtime_ns < ss.downtime_ns in
           if at_top && not ok then incr violations;
-          json :=
-            Printf.sprintf
-              "    {\"sweep\": \"precopy\", \"server\": %S, \"conns\": %d, \
-               \"single_shot_downtime_ns\": %d, \"precopy_downtime_ns\": %d, \
-               \"precopy_rounds\": %d}"
-              (Testbed.name server) conns ss.downtime_ns pc.downtime_ns pc.rounds
-            :: !json;
+          json := C.line precopy (server, conns) m :: !json;
           Printf.printf "%-10s %5d   %7s/%-9s %7s/%-9s(%d rds) %8.1fx%s\n"
             (Testbed.name server) conns (fms ss.downtime_ns) (fms ss.total_ns)
             (fms pc.downtime_ns) (fms pc.total_ns) pc.rounds speedup
@@ -174,53 +196,69 @@ let precopy_sweep ~smoke json =
 
 (* Per-connection buffer ballast for the web servers: the config directive
    sizes every held connection's read buffer, and the versions get a heap
-   large enough to hold [conns] of them (plus the usual server state). *)
+   large enough to hold [conns] of them (plus the usual server state).
+   Returns the config and the base and final versions. *)
 let ballast_words = 65_536
 let ballast_heap_words = 8 * 1024 * 1024
 
 let ballast = function
   | Testbed.Nginx ->
-      Some
-        ( Printf.sprintf "worker_processes 1;\nconn_buffer_words %d;" ballast_words,
-          Nginx.base ~heap_words:ballast_heap_words (),
-          Nginx.final ~heap_words:ballast_heap_words () )
+      ( Some (Printf.sprintf "worker_processes 1;\nconn_buffer_words %d;" ballast_words),
+        Some (Nginx.base ~heap_words:ballast_heap_words ()),
+        Some (Nginx.final ~heap_words:ballast_heap_words ()) )
   | Testbed.Httpd ->
-      Some
-        ( Printf.sprintf "ServerLimit 2\nThreadsPerChild 2\nConnBufferWords %d" ballast_words,
-          Httpd.base ~heap_words:ballast_heap_words (),
-          Httpd.final ~heap_words:ballast_heap_words () )
-  | Testbed.Vsftpd | Testbed.Sshd -> None
+      ( Some (Printf.sprintf "ServerLimit 2\nThreadsPerChild 2\nConnBufferWords %d" ballast_words),
+        Some (Httpd.base ~heap_words:ballast_heap_words ()),
+        Some (Httpd.final ~heap_words:ballast_heap_words ()) )
+  | Testbed.Vsftpd | Testbed.Sshd -> (None, None, None)
 
-let workers_sweep ~smoke ~workers json =
+let has_ballast server =
+  let config, _, _ = ballast server in
+  config <> None
+
+let workers_point (server, conns, w) =
+  let config, base_version, final_version = ballast server in
+  let policy = Policy.with_transfer_workers w Policy.default in
+  measure ?config ?base_version ?final_version server ~conns ~policy
+    ~label:(Printf.sprintf "workers=%d" w) ()
+
+let workers =
+  C.spec ~sweep:"workers"
+    ~key:(fun cell ->
+      let ( let* ) = Result.bind in
+      let* server, conns = server_conns cell in
+      let* w = C.int_key "workers" cell in
+      Ok (server, conns, w))
+    ~label:(fun (server, conns, w) ->
+      Printf.sprintf "%s conns=%d W=%d" (Testbed.name server) conns w)
+    ~measure:(List.map workers_point)
+    ~row:(fun (server, conns, w) c ->
+      [
+        C.server server;
+        ("conns", `Int conns);
+        ("workers", `Int w);
+        ("downtime_ns", `Int c.downtime_ns);
+        ("total_ns", `Int c.total_ns);
+      ])
+    [ downtime_gate "" "downtime_ns" ]
+
+let workers_sweep ~smoke ~workers:pool json =
   let conns = if smoke then 8 else 100 in
-  let workers = List.sort_uniq compare (List.filter (fun w -> w >= 1) workers) in
-  let workers = if workers = [] then [ 1; 2; 4; 8 ] else workers in
+  let pool = List.sort_uniq compare (List.filter (fun w -> w >= 1) pool) in
+  let pool = if pool = [] then [ 1; 2; 4; 8 ] else pool in
   let servers = Testbed.all in
   Printf.printf
     "\n== downtime%s: sharded parallel transfer at %d conns (single-shot downtime ms) ==\n"
     (if smoke then " (smoke)" else "")
     conns;
   Printf.printf "%-10s" "server";
-  List.iter (fun w -> Printf.printf " %9s" (Printf.sprintf "W=%d" w)) workers;
+  List.iter (fun w -> Printf.printf " %9s" (Printf.sprintf "W=%d" w)) pool;
   Printf.printf " %9s\n" "speedup";
   let violations = ref 0 in
   let weak = ref 0 in
   List.iter
     (fun server ->
-      let config, base_version, final_version =
-        match ballast server with
-        | Some (c, b, f) -> (Some c, Some b, Some f)
-        | None -> (None, None, None)
-      in
-      let cells =
-        List.map
-          (fun w ->
-            let policy = Policy.with_transfer_workers w Policy.default in
-            ( w,
-              measure ?config ?base_version ?final_version server ~conns ~policy
-                ~label:(Printf.sprintf "workers=%d" w) () ))
-          workers
-      in
+      let cells = List.map (fun w -> (w, workers_point (server, conns, w))) pool in
       let base = snd (List.hd cells) in
       let _, best = List.nth cells (List.length cells - 1) in
       let speedup =
@@ -232,22 +270,14 @@ let workers_sweep ~smoke ~workers json =
          servers: largest pool strictly below workers=1. vsftpd/sshd have
          so little transferable state that the per-worker spawn/join cost
          dominates — reported, not asserted. *)
-      let gated = ballast server <> None in
+      let gated = has_ballast server in
       let ok = best.downtime_ns < base.downtime_ns in
       if gated && not ok then incr violations;
       (* ...and in full mode they must halve the window — the PR's
          acceptance criterion *)
       let need_2x = (not smoke) && gated in
       if need_2x && speedup < 2.0 then incr weak;
-      List.iter
-        (fun (w, c) ->
-          json :=
-            Printf.sprintf
-              "    {\"sweep\": \"workers\", \"server\": %S, \"conns\": %d, \
-               \"workers\": %d, \"downtime_ns\": %d, \"total_ns\": %d}"
-              (Testbed.name server) conns w c.downtime_ns c.total_ns
-            :: !json)
-        cells;
+      List.iter (fun (w, c) -> json := C.line workers (server, conns, w) c :: !json) cells;
       Printf.printf "%-10s" (Testbed.name server);
       List.iter (fun (_, c) -> Printf.printf " %9s" (fms c.downtime_ns)) cells;
       Printf.printf " %8.1fx%s%s\n" speedup
@@ -288,15 +318,40 @@ let remap_points ~smoke server =
    (session_buffer_words). Both sides of the comparison use the same
    config — only the policy differs. *)
 let remap_ballast server =
-  match ballast server with
-  | Some (c, b, f) -> (Some c, Some b, Some f)
-  | None ->
-      let config =
-        match server with
-        | Testbed.Vsftpd -> "anonymous_enable=NO\nsession_buffer_words 4096"
-        | _ -> "PermitRootLogin no\nsession_buffer_words 4096"
-      in
-      (Some config, None, None)
+  match (server : Testbed.server) with
+  | Testbed.Vsftpd -> (Some "anonymous_enable=NO\nsession_buffer_words 4096", None, None)
+  | Testbed.Sshd -> (Some "PermitRootLogin no\nsession_buffer_words 4096", None, None)
+  | Testbed.Nginx | Testbed.Httpd -> ballast server
+
+let remap_point (server, conns) =
+  let config, base_version, final_version = remap_ballast server in
+  let ss =
+    measure ?config ?base_version ?final_version server ~conns ~policy:Policy.default
+      ~label:"single-shot" ()
+  in
+  let rm =
+    measure ?config ?base_version ?final_version server ~conns ~policy:remap_policy
+      ~label:"remap" ()
+  in
+  (ss, rm)
+
+let remap =
+  C.spec ~sweep:"remap" ~key:server_conns ~label:conns_label
+    ~measure:(List.map remap_point)
+    ~row:(fun (server, conns) (ss, rm) ->
+      [
+        C.server server;
+        ("conns", `Int conns);
+        ("single_shot_downtime_ns", `Int ss.downtime_ns);
+        ("remap_downtime_ns", `Int rm.downtime_ns);
+        ("remapped_words", `Int rm.remapped_words);
+        ("copied_words", `Int rm.copied_words);
+      ])
+    [
+      downtime_gate "single-shot" "single_shot_downtime_ns";
+      downtime_gate "remap" "remap_downtime_ns";
+      C.metric ~what:"remap copied" "copied_words" C.Ceiling_pct C.Words;
+    ]
 
 let remap_sweep ~smoke json =
   Printf.printf "\n== downtime%s: zero-copy page remap vs single-shot (downtime ms) ==\n"
@@ -308,28 +363,13 @@ let remap_sweep ~smoke json =
     (fun server ->
       let points = remap_points ~smoke server in
       let top = List.fold_left max 0 points in
-      let config, base_version, final_version = remap_ballast server in
       List.iter
         (fun conns ->
-          let ss =
-            measure ?config ?base_version ?final_version server ~conns
-              ~policy:Policy.default ~label:"single-shot" ()
-          in
-          let rm =
-            measure ?config ?base_version ?final_version server ~conns ~policy:remap_policy
-              ~label:"remap" ()
-          in
+          let ((ss, rm) as m) = remap_point (server, conns) in
           let gated = remap_gated server && conns = top in
           let ok = rm.downtime_ns < ss.downtime_ns in
           if gated && not ok then incr violations;
-          json :=
-            Printf.sprintf
-              "    {\"sweep\": \"remap\", \"server\": %S, \"conns\": %d, \
-               \"single_shot_downtime_ns\": %d, \"remap_downtime_ns\": %d, \
-               \"remapped_words\": %d, \"copied_words\": %d}"
-              (Testbed.name server) conns ss.downtime_ns rm.downtime_ns rm.remapped_words
-              rm.copied_words
-            :: !json;
+          json := C.line remap (server, conns) m :: !json;
           Printf.printf "%-10s %5d %11s %11s %12d %12d%s\n" (Testbed.name server) conns
             (fms ss.downtime_ns) (fms rm.downtime_ns) rm.remapped_words rm.copied_words
             (if gated && not ok then "  <-- NOT BELOW SINGLE-SHOT" else ""))
@@ -382,6 +422,55 @@ let delta_lineage server ~levels =
       (scale, cell_of_report r))
     levels
 
+(* The gate replays one lineage per server, in the order the servers first
+   appear, over that server's levels in key order. *)
+let delta_measure keys =
+  let servers =
+    List.fold_left (fun acc (s, _) -> if List.mem s acc then acc else acc @ [ s ]) [] keys
+  in
+  let lineages =
+    List.map
+      (fun s ->
+        let levels = List.filter_map (fun (t, l) -> if t = s then Some l else None) keys in
+        (s, ref (delta_lineage s ~levels)))
+      servers
+  in
+  List.map
+    (fun (s, _) ->
+      let rest = List.assoc s lineages in
+      match !rest with
+      | (_, c) :: tl ->
+          rest := tl;
+          c
+      | [] -> assert false)
+    keys
+
+let delta =
+  C.spec ~sweep:"delta"
+    ~key:(fun cell ->
+      let ( let* ) = Result.bind in
+      let* server = C.server_key cell in
+      let* scale = C.int_key "traffic_scale" cell in
+      Ok (server, scale))
+    ~label:(fun (server, scale) ->
+      Printf.sprintf "%s delta traffic=%d" (Testbed.name server) scale)
+    ~measure:delta_measure
+    ~row:(fun (server, scale) c ->
+      [
+        C.server server;
+        ("traffic_scale", `Int scale);
+        ("downtime_ns", `Int c.downtime_ns);
+        ("live_words", `Int c.live_words);
+        ("copied_words", `Int c.copied_words);
+        ("remapped_words", `Int c.remapped_words);
+        ("hashed_words", `Int c.hashed_words);
+        ("skipped_clean_words", `Int c.skipped_clean_words);
+      ])
+    [
+      downtime_gate "" "downtime_ns";
+      C.metric ~what:"copied" "copied_words" C.Ceiling_pct C.Words;
+    ]
+
 let delta_sweep ~smoke json =
   Printf.printf
     "\n== downtime%s: dirty-delta scaling across self-updates (words per window) ==\n"
@@ -394,14 +483,7 @@ let delta_sweep ~smoke json =
       let cells = delta_lineage server ~levels:(delta_levels ~smoke) in
       List.iter
         (fun (scale, c) ->
-          json :=
-            Printf.sprintf
-              "    {\"sweep\": \"delta\", \"server\": %S, \"traffic_scale\": %d, \
-               \"downtime_ns\": %d, \"live_words\": %d, \"copied_words\": %d, \
-               \"remapped_words\": %d, \"hashed_words\": %d, \"skipped_clean_words\": %d}"
-              (Testbed.name server) scale c.downtime_ns c.live_words c.copied_words
-              c.remapped_words c.hashed_words c.skipped_clean_words
-            :: !json;
+          json := C.line delta (server, scale) c :: !json;
           Printf.printf "%-10s %8s %10d %10d %10d %10d %9s\n" (Testbed.name server)
             (if scale = 0 then "none" else Printf.sprintf "1/%d" scale)
             c.live_words c.copied_words c.hashed_words c.remapped_words (fms c.downtime_ns))
@@ -427,213 +509,23 @@ let delta_sweep ~smoke json =
   end;
   Printf.printf "\ncopied+hashed words track the dirty set across back-to-back updates\n"
 
-let write_json path json =
-  let dir = Filename.dirname path in
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let oc = open_out_bin path in
-  output_string oc ("[\n" ^ String.concat ",\n" (List.rev !json) ^ "\n]\n");
-  close_out oc;
-  Printf.printf "downtime: wrote %s\n" path
-
 let run ?(smoke = false) ?(workers = [ 1; 2; 4; 8 ]) () =
   let json = ref [] in
   precopy_sweep ~smoke json;
   workers_sweep ~smoke ~workers json;
   remap_sweep ~smoke json;
   delta_sweep ~smoke json;
-  (match Sys.getenv_opt "MCR_DOWNTIME_JSON" with
-  | Some path -> write_json path json
-  | None -> ());
+  C.write_cells ~family:"downtime" ~env:"MCR_DOWNTIME_JSON" (List.rev !json);
   flush_flights ~name:"downtime"
 
-(* ------------------------------------------------------------------ *)
-(* Regression gate: re-measure every cell of a committed baseline
-   (BENCH_downtime.json) and fail when any downtime exceeds it by more
-   than the tolerance. The simulation is deterministic, so genuine
-   behaviour changes show up exactly; the tolerance admits intentional
-   cost-model drift without a baseline refresh. *)
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let data = really_input_string ic n in
-  close_in ic;
-  data
-
-let server_of_name name = List.find_opt (fun s -> Testbed.name s = name) Testbed.all
-
-let check ~against ~tolerance_pct () =
-  let data =
-    match read_file against with
-    | data -> data
-    | exception Sys_error e ->
-        Printf.printf "downtime check: %s\n" e;
-        exit 2
-  in
-  let cells =
-    match Json.parse data with
-    | Error e ->
-        Printf.printf "downtime check: %s: %s\n" against e;
-        exit 2
-    | Ok j -> (
-        match Json.to_list j with
-        | Some l -> l
-        | None ->
-            Printf.printf "downtime check: %s: expected a JSON array of cells\n" against;
-            exit 2)
-  in
-  Printf.printf "\n== downtime check: %d cell(s) against %s (tolerance %d%%) ==\n"
-    (List.length cells) against tolerance_pct;
-  let regressions = ref 0 in
-  let checked = ref 0 in
-  let gate label ~baseline ~measured =
-    incr checked;
-    let budget = baseline + (baseline * tolerance_pct / 100) in
-    let ok = measured <= budget in
-    if not ok then incr regressions;
-    Printf.printf "%-40s %9s -> %9s ms  %s\n" label (fms baseline) (fms measured)
-      (if ok then "ok" else "REGRESSED")
-  in
-  let gate_words label ~baseline ~measured =
-    incr checked;
-    let budget = baseline + (baseline * tolerance_pct / 100) in
-    let ok = measured <= budget in
-    if not ok then incr regressions;
-    Printf.printf "%-40s %9d -> %9d w   %s\n" label baseline measured
-      (if ok then "ok" else "REGRESSED")
-  in
-  (* delta cells re-run one lineage per server (level order is the file
-     order), so split them out of the per-cell walk *)
-  let delta_cells, cells =
-    List.partition (fun c -> Json.str_field "sweep" c = Some "delta") cells
-  in
-  List.iter
-    (fun cell ->
-      match
-        ( Json.str_field "sweep" cell,
-          Json.str_field "server" cell,
-          Json.int_field "conns" cell )
-      with
-      | Some "precopy", Some name, Some conns -> begin
-          match server_of_name name with
-          | None -> Printf.printf "downtime check: unknown server %S, skipping\n" name
-          | Some server ->
-              let ss =
-                measure server ~conns ~policy:Policy.default ~label:"single-shot" ()
-              in
-              let pc = measure server ~conns ~policy:precopy_policy ~label:"precopy" () in
-              (match Json.int_field "single_shot_downtime_ns" cell with
-              | Some baseline ->
-                  gate
-                    (Printf.sprintf "%s conns=%d single-shot" name conns)
-                    ~baseline ~measured:ss.downtime_ns
-              | None -> ());
-              (match Json.int_field "precopy_downtime_ns" cell with
-              | Some baseline ->
-                  gate
-                    (Printf.sprintf "%s conns=%d precopy" name conns)
-                    ~baseline ~measured:pc.downtime_ns
-              | None -> ())
-        end
-      | Some "remap", Some name, Some conns -> begin
-          match server_of_name name with
-          | None -> Printf.printf "downtime check: unknown server %S, skipping\n" name
-          | Some server ->
-              let config, base_version, final_version = remap_ballast server in
-              let ss =
-                measure ?config ?base_version ?final_version server ~conns
-                  ~policy:Policy.default ~label:"single-shot" ()
-              in
-              let rm =
-                measure ?config ?base_version ?final_version server ~conns
-                  ~policy:remap_policy ~label:"remap" ()
-              in
-              (match Json.int_field "single_shot_downtime_ns" cell with
-              | Some baseline ->
-                  gate
-                    (Printf.sprintf "%s conns=%d single-shot" name conns)
-                    ~baseline ~measured:ss.downtime_ns
-              | None -> ());
-              (match Json.int_field "remap_downtime_ns" cell with
-              | Some baseline ->
-                  gate
-                    (Printf.sprintf "%s conns=%d remap" name conns)
-                    ~baseline ~measured:rm.downtime_ns
-              | None -> ());
-              (match Json.int_field "copied_words" cell with
-              | Some baseline ->
-                  gate_words
-                    (Printf.sprintf "%s conns=%d remap copied" name conns)
-                    ~baseline ~measured:rm.copied_words
-              | None -> ())
-        end
-      | Some "workers", Some name, Some conns -> begin
-          match
-            ( server_of_name name,
-              Json.int_field "workers" cell,
-              Json.int_field "downtime_ns" cell )
-          with
-          | Some server, Some w, Some baseline ->
-              let config, base_version, final_version =
-                match ballast server with
-                | Some (c, b, f) -> (Some c, Some b, Some f)
-                | None -> (None, None, None)
-              in
-              let policy = Policy.with_transfer_workers w Policy.default in
-              let c =
-                measure ?config ?base_version ?final_version server ~conns ~policy
-                  ~label:(Printf.sprintf "workers=%d" w) ()
-              in
-              gate
-                (Printf.sprintf "%s conns=%d W=%d" name conns w)
-                ~baseline ~measured:c.downtime_ns
-          | _ -> Printf.printf "downtime check: malformed workers cell, skipping\n"
-        end
-      | _ -> Printf.printf "downtime check: malformed cell, skipping\n")
-    cells;
-  (* delta lineages: one replay per server, levels in baseline order *)
-  let delta_names =
-    List.fold_left
-      (fun acc c ->
-        match Json.str_field "server" c with
-        | Some n when not (List.mem n acc) -> acc @ [ n ]
-        | _ -> acc)
-      [] delta_cells
-  in
-  List.iter
-    (fun name ->
-      match server_of_name name with
-      | None -> Printf.printf "downtime check: unknown server %S, skipping\n" name
-      | Some server -> (
-          let cells_for =
-            List.filter (fun c -> Json.str_field "server" c = Some name) delta_cells
-          in
-          let levels = List.filter_map (Json.int_field "traffic_scale") cells_for in
-          if List.length levels <> List.length cells_for then
-            Printf.printf "downtime check: malformed delta cell for %S, skipping\n" name
-          else
-            let measured = delta_lineage server ~levels in
-            List.iter2
-              (fun cell (scale, m) ->
-                (match Json.int_field "downtime_ns" cell with
-                | Some baseline ->
-                    gate
-                      (Printf.sprintf "%s delta traffic=%d" name scale)
-                      ~baseline ~measured:m.downtime_ns
-                | None -> ());
-                match Json.int_field "copied_words" cell with
-                | Some baseline ->
-                    gate_words
-                      (Printf.sprintf "%s delta traffic=%d copied" name scale)
-                      ~baseline ~measured:m.copied_words
-                | None -> ())
-              cells_for measured))
-    delta_names;
-  flush_flights ~name:"downtime_check";
-  if !regressions > 0 then begin
-    Printf.printf "\ndowntime check: %d cell(s) regressed more than %d%% over baseline\n"
-      !regressions tolerance_pct;
-    exit 1
-  end;
-  Printf.printf "\ndowntime check: all %d cell(s) within %d%% of the baseline\n" !checked
-    tolerance_pct
+(* The regression gate re-measures every cell of BENCH_downtime.json and
+   fails when a downtime or copied-word count exceeds it by more than the
+   tolerance. The simulation is deterministic, so genuine behaviour
+   changes show up exactly; the tolerance admits intentional cost-model
+   drift without a baseline refresh. *)
+let family =
+  {
+    C.family = "downtime";
+    sweeps = [ C.Sweep precopy; C.Sweep workers; C.Sweep remap; C.Sweep delta ];
+    finish = (fun () -> flush_flights ~name:"downtime_check");
+  }

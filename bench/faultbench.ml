@@ -47,12 +47,9 @@ let flush_flights () =
   match Sys.getenv_opt "MCR_FLIGHT_DIR" with
   | None | Some "" -> ()
   | Some dir ->
-      if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-      let path = Filename.concat dir "flight_fault_matrix.json" in
-      let oc = open_out path in
-      output_string oc (Mcr_obs.Export.flight_json (List.rev !flights));
-      close_out oc;
-      Printf.printf "fault-matrix: flight records -> %s\n" path
+      Printf.printf "fault-matrix: flight records -> %s\n"
+        (Bench_cell.write_file ~dir "flight_fault_matrix.json"
+           (Mcr_obs.Export.flight_json (List.rev !flights)))
 
 let run ?(smoke = false) () =
   let servers = if smoke then [ Testbed.Httpd ] else Testbed.all in

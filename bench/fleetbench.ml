@@ -15,8 +15,8 @@
      already-updated instance back to the starting version.
 
    $MCR_FLEET_JSON: write every scenario's cell as JSON (the committed
-   BENCH_fleet.json baseline is this file from a smoke run, and
-   [check ~against] re-measures every cell against it with a tolerance).
+   BENCH_fleet.json baseline is this file from a smoke run, and [family]
+   lets `bench check` re-run every cell against it).
 
    $MCR_FLIGHT_DIR: write every rollout's fleet flight summary
    ({!Mcr_obs.Fleet_flight.to_json}) into that directory, one file per
@@ -28,9 +28,9 @@ module Fleet_policy = Mcr_fleet.Fleet_policy
 module Fleet = Mcr_fleet.Fleet
 module Rollout = Mcr_fleet.Rollout
 module Fleet_flight = Mcr_obs.Fleet_flight
-module Json = Mcr_obs.Json
+module C = Bench_cell
 
-let fms ns = Printf.sprintf "%.1f" (float_of_int ns /. 1e6)
+let fms = C.fms
 
 type expect = Clean | Fault_halt | Slo_halt
 
@@ -134,19 +134,14 @@ let measure sc =
   (fleet, summary)
 
 let flush_summary sc (s : Fleet_flight.t) =
-  match Sys.getenv_opt "MCR_FLIGHT_DIR" with
-  | None -> ()
-  | Some dir ->
-      if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-      let path =
-        Filename.concat dir
-          (Printf.sprintf "fleet_%s_n%d_%s.json" (Testbed.name sc.server) sc.n
-             (expect_to_string sc.expect))
-      in
-      let oc = open_out_bin path in
-      output_string oc (Fleet_flight.to_json s);
-      close_out oc;
-      Printf.printf "fleet: wrote %s\n" path
+  Option.iter
+    (fun dir ->
+      Printf.printf "fleet: wrote %s\n"
+        (C.write_file ~dir
+           (Printf.sprintf "fleet_%s_n%d_%s.json" (Testbed.name sc.server) sc.n
+              (expect_to_string sc.expect))
+           (Fleet_flight.to_json s)))
+    (Sys.getenv_opt "MCR_FLIGHT_DIR")
 
 (* ------------------------------------------------------------------ *)
 (* Assertions: every scenario states what its rollout must have done. *)
@@ -200,30 +195,58 @@ let verify fleet sc (s : Fleet_flight.t) =
       end
 
 (* ------------------------------------------------------------------ *)
+(* The cell: a scenario's key fields, then what its rollout did. The gate
+   fails when the outcome flips, the makespan regresses past the
+   tolerance, availability sinks below the baseline floor, or client
+   errors appear. *)
 
-let cell_json sc (s : Fleet_flight.t) =
-  let opt = function Some v -> string_of_int v | None -> "null" in
-  Printf.sprintf
-    "    {\"sweep\": \"fleet\", \"server\": %S, \"n\": %d, \"canary\": %d, \"wave\": %d, \
-     \"max_unavailable\": %d, \"halt\": %S, \"fault_seed\": %s, \"fault_instance\": %s, \
-     \"slo_downtime_ns\": %s, \"expect\": %S, \"halted\": %b, \"updated\": %d, \
-     \"reverted\": %d, \"makespan_ns\": %d, \"min_serving\": %d, \
-     \"min_availability_permille\": %d, \"requests\": %d, \"client_errors\": %d}"
-    (Testbed.name sc.server) sc.n sc.canary sc.wave sc.max_unavailable
-    (Fleet_policy.halt_to_string sc.halt)
-    (opt sc.fault_seed) (opt sc.fault_instance) (opt sc.slo_downtime_ns)
-    (expect_to_string sc.expect) s.Fleet_flight.fs_halted s.Fleet_flight.fs_updated
-    s.Fleet_flight.fs_reverted s.Fleet_flight.fs_makespan_ns s.Fleet_flight.fs_min_serving
-    (Fleet_flight.min_availability_permille s)
-    s.Fleet_flight.fs_requests s.Fleet_flight.fs_client_errors
+let scenario_of_cell cell =
+  let ( let* ) = Result.bind in
+  let* server = C.server_key cell in
+  let* n = C.int_key "n" cell in
+  let* canary = C.int_key "canary" cell in
+  let* wave = C.int_key "wave" cell in
+  let* max_unavailable = C.int_key "max_unavailable" cell in
+  let* halt = C.enum_key "halt" Fleet_policy.halt_of_string cell in
+  let* expect = C.enum_key "expect" expect_of_string cell in
+  Ok
+    (scenario server ~n ~canary ~wave ~max_unavailable ~halt ~expect
+       ?fault_seed:(Mcr_obs.Json.int_field "fault_seed" cell)
+       ?fault_instance:(Mcr_obs.Json.int_field "fault_instance" cell)
+       ?slo_downtime_ns:(Mcr_obs.Json.int_field "slo_downtime_ns" cell)
+       ())
 
-let write_json path json =
-  let dir = Filename.dirname path in
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let oc = open_out_bin path in
-  output_string oc ("[\n" ^ String.concat ",\n" (List.rev !json) ^ "\n]\n");
-  close_out oc;
-  Printf.printf "fleet: wrote %s\n" path
+let rollout =
+  C.spec ~sweep:"fleet" ~key:scenario_of_cell ~label ~measure:(List.map measure)
+    ~row:(fun sc (_, (s : Fleet_flight.t)) ->
+      [
+        C.server sc.server;
+        ("n", `Int sc.n);
+        ("canary", `Int sc.canary);
+        ("wave", `Int sc.wave);
+        ("max_unavailable", `Int sc.max_unavailable);
+        ("halt", `Str (Fleet_policy.halt_to_string sc.halt));
+        ("fault_seed", C.opt sc.fault_seed);
+        ("fault_instance", C.opt sc.fault_instance);
+        ("slo_downtime_ns", C.opt sc.slo_downtime_ns);
+        ("expect", `Str (expect_to_string sc.expect));
+        ("halted", `Bool s.fs_halted);
+        ("updated", `Int s.fs_updated);
+        ("reverted", `Int s.fs_reverted);
+        ("makespan_ns", `Int s.fs_makespan_ns);
+        ("min_serving", `Int s.fs_min_serving);
+        ("min_availability_permille", `Int (Fleet_flight.min_availability_permille s));
+        ("requests", `Int s.fs_requests);
+        ("client_errors", `Int s.fs_client_errors);
+      ])
+    [
+      C.metric ~what:"outcome" "halted" C.Same C.Flag;
+      C.metric ~what:"makespan" "makespan_ns" C.Ceiling_pct C.Ms;
+      C.metric ~what:"availability" "min_availability_permille" C.Floor_pct C.Permille;
+      C.metric ~what:"client errors" "client_errors" C.At_most C.Count;
+    ]
+
+let family = { C.family = "fleet"; sweeps = [ C.Sweep rollout ]; finish = ignore }
 
 let run ?(smoke = false) () =
   let scenarios = if smoke then smoke_scenarios else full_scenarios in
@@ -237,7 +260,7 @@ let run ?(smoke = false) () =
       let fleet, s = measure sc in
       verify fleet sc s;
       flush_summary sc s;
-      json := cell_json sc s :: !json;
+      json := C.line rollout sc (fleet, s) :: !json;
       let policy_str =
         Printf.sprintf "c=%d w=%d mu=%d %s%s" sc.canary sc.wave sc.max_unavailable
           (Fleet_policy.halt_to_string sc.halt)
@@ -251,116 +274,8 @@ let run ?(smoke = false) () =
         (Fleet_flight.min_availability_permille s)
         s.Fleet_flight.fs_client_errors s.Fleet_flight.fs_requests)
     scenarios;
-  (match Sys.getenv_opt "MCR_FLEET_JSON" with
-  | Some path -> write_json path json
-  | None -> ());
+  C.write_cells ~family:"fleet" ~env:"MCR_FLEET_JSON" (List.rev !json);
   Printf.printf
     "\nfleet: %d scenario(s) ok — clean rollouts held the availability bound, seeded \
      faults halted at the canary\n"
     (List.length scenarios)
-
-(* ------------------------------------------------------------------ *)
-(* Regression gate: re-run every cell of a committed baseline
-   (BENCH_fleet.json) and fail when the outcome flips, the makespan
-   regresses past the tolerance, availability sinks below the baseline
-   floor, or client errors appear. *)
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let data = really_input_string ic n in
-  close_in ic;
-  data
-
-let server_of_name name = List.find_opt (fun s -> Testbed.name s = name) Testbed.all
-
-let scenario_of_cell cell =
-  let ( let* ) = Option.bind in
-  let* name = Json.str_field "server" cell in
-  let* server = server_of_name name in
-  let* n = Json.int_field "n" cell in
-  let* canary = Json.int_field "canary" cell in
-  let* wave = Json.int_field "wave" cell in
-  let* max_unavailable = Json.int_field "max_unavailable" cell in
-  let* halt_s = Json.str_field "halt" cell in
-  let* halt = Fleet_policy.halt_of_string halt_s in
-  let* expect_s = Json.str_field "expect" cell in
-  let* expect = expect_of_string expect_s in
-  Some
-    (scenario server ~n ~canary ~wave ~max_unavailable ~halt ~expect
-       ?fault_seed:(Json.int_field "fault_seed" cell)
-       ?fault_instance:(Json.int_field "fault_instance" cell)
-       ?slo_downtime_ns:(Json.int_field "slo_downtime_ns" cell)
-       ())
-
-let check ~against ~tolerance_pct () =
-  let data =
-    match read_file against with
-    | data -> data
-    | exception Sys_error e ->
-        Printf.printf "fleet check: %s\n" e;
-        exit 2
-  in
-  let cells =
-    match Json.parse data with
-    | Error e ->
-        Printf.printf "fleet check: %s: %s\n" against e;
-        exit 2
-    | Ok j -> (
-        match Json.to_list j with
-        | Some l -> l
-        | None ->
-            Printf.printf "fleet check: %s: expected a JSON array of cells\n" against;
-            exit 2)
-  in
-  Printf.printf "\n== fleet check: %d cell(s) against %s (tolerance %d%%) ==\n"
-    (List.length cells) against tolerance_pct;
-  let regressions = ref 0 in
-  let checked = ref 0 in
-  let gate label ok detail =
-    incr checked;
-    if not ok then incr regressions;
-    Printf.printf "%-44s %s  %s\n" label (if ok then "ok" else "REGRESSED") detail
-  in
-  List.iter
-    (fun cell ->
-      match scenario_of_cell cell with
-      | None -> Printf.printf "fleet check: malformed cell, skipping\n"
-      | Some sc ->
-          let _fleet, s = measure sc in
-          let name = label sc in
-          (match Json.bool_field "halted" cell with
-          | Some halted ->
-              gate (name ^ " outcome")
-                (s.Fleet_flight.fs_halted = halted)
-                (Printf.sprintf "halted %b -> %b" halted s.Fleet_flight.fs_halted)
-          | None -> ());
-          (match Json.int_field "makespan_ns" cell with
-          | Some baseline ->
-              let budget = baseline + (baseline * tolerance_pct / 100) in
-              gate (name ^ " makespan")
-                (s.Fleet_flight.fs_makespan_ns <= budget)
-                (Printf.sprintf "%s -> %s ms" (fms baseline)
-                   (fms s.Fleet_flight.fs_makespan_ns))
-          | None -> ());
-          (match Json.int_field "min_availability_permille" cell with
-          | Some baseline ->
-              let floor = baseline * (100 - min 100 tolerance_pct) / 100 in
-              let got = Fleet_flight.min_availability_permille s in
-              gate (name ^ " availability") (got >= floor)
-                (Printf.sprintf "%d/1000 -> %d/1000" baseline got)
-          | None -> ());
-          match Json.int_field "client_errors" cell with
-          | Some baseline ->
-              gate (name ^ " client errors")
-                (s.Fleet_flight.fs_client_errors <= baseline)
-                (Printf.sprintf "%d -> %d" baseline s.Fleet_flight.fs_client_errors)
-          | None -> ())
-    cells;
-  if !regressions > 0 then begin
-    Printf.printf "\nfleet check: %d gate(s) regressed beyond %d%% of the baseline\n"
-      !regressions tolerance_pct;
-    exit 1
-  end;
-  Printf.printf "\nfleet check: all %d gate(s) within %d%% of the baseline\n" !checked
-    tolerance_pct

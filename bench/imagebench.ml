@@ -15,8 +15,8 @@
    restored instance answers the same benchmark with zero errors.
 
    $MCR_IMAGE_JSON: write every cell as JSON (the committed
-   BENCH_image.json baseline is this file from a smoke run, and
-   [check ~against] re-measures every cell against it with a tolerance).
+   BENCH_image.json baseline is this file from a smoke run, and [family]
+   lets `bench check` re-measure every cell against it).
 
    $MCR_IMAGE_DIR: keep the .mcrimg files in that directory (one per
    cell) instead of deleting them — CI uploads these as artifacts. *)
@@ -28,9 +28,9 @@ module Image = Mcr_image.Image
 module Testbed = Mcr_workloads.Testbed
 module Bench_result = Mcr_workloads.Bench_result
 module Timetravel = Mcr_workloads.Timetravel
-module Json = Mcr_obs.Json
+module C = Bench_cell
 
-let fms ns = Printf.sprintf "%.1f" (float_of_int ns /. 1e6)
+let fms = C.fms
 
 type scenario = { server : Testbed.server; scale : int }
 
@@ -71,7 +71,7 @@ let image_path sc =
   in
   match Sys.getenv_opt "MCR_IMAGE_DIR" with
   | Some dir ->
-      if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+      C.ensure_dir dir;
       (Filename.concat dir file, false)
   | None -> (Filename.concat (Filename.get_temp_dir_name ()) file, true)
 
@@ -126,22 +126,38 @@ let measure sc =
   }
 
 (* ------------------------------------------------------------------ *)
+(* The cell: a scenario's server and scale, then what its image carried
+   and cost. The gate fails when the image grows or its save/restore
+   virtual time regresses past the tolerance, or when it carries fewer
+   processes. *)
 
-let cell_json sc c =
-  Printf.sprintf
-    "    {\"sweep\": \"image\", \"server\": %S, \"scale\": %d, \"image_bytes\": %d, \
-     \"words\": %d, \"regions\": %d, \"procs\": %d, \"save_quiesce_ns\": %d, \
-     \"restore_settle_ns\": %d}"
-    (Testbed.name sc.server) sc.scale c.image_bytes c.words c.regions c.procs
-    c.save_quiesce_ns c.restore_settle_ns
+let image =
+  C.spec ~sweep:"image"
+    ~key:(fun cell ->
+      let ( let* ) = Result.bind in
+      let* server = C.server_key cell in
+      let* scale = C.int_key "scale" cell in
+      Ok { server; scale })
+    ~label ~measure:(List.map measure)
+    ~row:(fun sc c ->
+      [
+        C.server sc.server;
+        ("scale", `Int sc.scale);
+        ("image_bytes", `Int c.image_bytes);
+        ("words", `Int c.words);
+        ("regions", `Int c.regions);
+        ("procs", `Int c.procs);
+        ("save_quiesce_ns", `Int c.save_quiesce_ns);
+        ("restore_settle_ns", `Int c.restore_settle_ns);
+      ])
+    [
+      C.metric ~what:"image bytes" "image_bytes" C.Ceiling_pct C.Count;
+      C.metric ~what:"procs" "procs" C.At_least C.Count;
+      C.metric ~what:"save quiesce" "save_quiesce_ns" C.Ceiling_pct C.Ms;
+      C.metric ~what:"restore settle" "restore_settle_ns" C.Ceiling_pct C.Ms;
+    ]
 
-let write_json path json =
-  let dir = Filename.dirname path in
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let oc = open_out_bin path in
-  output_string oc ("[\n" ^ String.concat ",\n" (List.rev !json) ^ "\n]\n");
-  close_out oc;
-  Printf.printf "image: wrote %s\n" path
+let family = { C.family = "image"; sweeps = [ C.Sweep image ]; finish = ignore }
 
 let run ?(smoke = false) () =
   let scenarios = if smoke then smoke_scenarios else full_scenarios in
@@ -153,111 +169,13 @@ let run ?(smoke = false) () =
   List.iter
     (fun sc ->
       let c = measure sc in
-      json := cell_json sc c :: !json;
+      json := C.line image sc c :: !json;
       Printf.printf "%-14s %6d %10d %9d %8d %6d %10s %11s\n" (Testbed.name sc.server)
         sc.scale c.image_bytes c.words c.regions c.procs (fms c.save_quiesce_ns)
         (fms c.restore_settle_ns))
     scenarios;
-  (match Sys.getenv_opt "MCR_IMAGE_JSON" with
-  | Some path -> write_json path json
-  | None -> ());
+  C.write_cells ~family:"image" ~env:"MCR_IMAGE_JSON" (List.rev !json);
   Printf.printf
     "\nimage: %d scenario(s) ok — every save round-tripped byte-identically and every \
      restored instance served cleanly\n"
     (List.length scenarios)
-
-(* ------------------------------------------------------------------ *)
-(* Regression gate: re-run every cell of a committed baseline
-   (BENCH_image.json) and fail when the image grows, carries fewer
-   processes, or save/restore virtual time regresses past the
-   tolerance. *)
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let data = really_input_string ic n in
-  close_in ic;
-  data
-
-let server_of_name name = List.find_opt (fun s -> Testbed.name s = name) Testbed.all
-
-let scenario_of_cell cell =
-  let ( let* ) = Option.bind in
-  let* name = Json.str_field "server" cell in
-  let* server = server_of_name name in
-  let* scale = Json.int_field "scale" cell in
-  Some { server; scale }
-
-let check ~against ~tolerance_pct () =
-  let data =
-    match read_file against with
-    | data -> data
-    | exception Sys_error e ->
-        Printf.printf "image check: %s\n" e;
-        exit 2
-  in
-  let cells =
-    match Json.parse data with
-    | Error e ->
-        Printf.printf "image check: %s: %s\n" against e;
-        exit 2
-    | Ok j -> (
-        match Json.to_list j with
-        | Some l -> l
-        | None ->
-            Printf.printf "image check: %s: expected a JSON array of cells\n" against;
-            exit 2)
-  in
-  Printf.printf "\n== image check: %d cell(s) against %s (tolerance %d%%) ==\n"
-    (List.length cells) against tolerance_pct;
-  let regressions = ref 0 in
-  let checked = ref 0 in
-  let gate label ok detail =
-    incr checked;
-    if not ok then incr regressions;
-    Printf.printf "%-44s %s  %s\n" label (if ok then "ok" else "REGRESSED") detail
-  in
-  List.iter
-    (fun cell ->
-      match scenario_of_cell cell with
-      | None -> Printf.printf "image check: malformed cell, skipping\n"
-      | Some sc ->
-          let c = measure sc in
-          let name = label sc in
-          let grow baseline got what =
-            let budget = baseline + (baseline * tolerance_pct / 100) in
-            gate
-              (Printf.sprintf "%s %s" name what)
-              (got <= budget)
-              (Printf.sprintf "%d -> %d" baseline got)
-          in
-          (match Json.int_field "image_bytes" cell with
-          | Some b -> grow b c.image_bytes "image bytes"
-          | None -> ());
-          (match Json.int_field "procs" cell with
-          | Some b ->
-              gate (name ^ " procs") (c.procs >= b)
-                (Printf.sprintf "%d -> %d" b c.procs)
-          | None -> ());
-          (match Json.int_field "save_quiesce_ns" cell with
-          | Some b ->
-              let budget = b + (b * tolerance_pct / 100) in
-              gate (name ^ " save quiesce")
-                (c.save_quiesce_ns <= budget)
-                (Printf.sprintf "%s -> %s ms" (fms b) (fms c.save_quiesce_ns))
-          | None -> ());
-          match Json.int_field "restore_settle_ns" cell with
-          | Some b ->
-              let budget = b + (b * tolerance_pct / 100) in
-              gate (name ^ " restore settle")
-                (c.restore_settle_ns <= budget)
-                (Printf.sprintf "%s -> %s ms" (fms b) (fms c.restore_settle_ns))
-          | None -> ())
-    cells;
-  if !regressions > 0 then begin
-    Printf.printf "\nimage check: %d gate(s) regressed beyond %d%% of the baseline\n"
-      !regressions tolerance_pct;
-    exit 1
-  end;
-  Printf.printf "\nimage check: all %d gate(s) within %d%% of the baseline\n" !checked
-    tolerance_pct

@@ -33,8 +33,8 @@
 
    $MCR_LATENCY_JSON: write every cell as JSON (the CI workflow uploads
    it; the committed BENCH_latency.json baseline is this file from a
-   smoke run, and [check ~against] re-measures every cell against it,
-   gating the p99/p99.9 tail and request conservation). Next to it,
+   smoke run, and [family] lets `bench check` re-measure every cell
+   against it, gating the p99/p99.9 tail and request conservation). Next to it,
    per-cell post-mortem inputs are dropped: latency_flight_*.json (the
    attempt's flight record) and latency_requests_*.json (per-request
    stamps) — feed both to `mcr-postmortem FLIGHT --requests REQS` for
@@ -46,9 +46,9 @@ module Policy = Mcr_core.Policy
 module Testbed = Mcr_workloads.Testbed
 module Loadgen = Mcr_workloads.Loadgen
 module Stats = Mcr_util.Stats
-module Json = Mcr_obs.Json
+module C = Bench_cell
 
-let fms ns = Printf.sprintf "%.1f" (float_of_int ns /. 1e6)
+let fms = C.fms
 
 (* Arrival rate (req/s of virtual time), chosen so the stream's span
    (requests/rate) brackets the update window: smoke is a steady 30 k/s
@@ -159,18 +159,6 @@ let measure server ~parking ~requests ~rate () =
      request was held in. *)
   (cell, Mcr_obs.Flight.to_json report.Manager.flight, Loadgen.requests_json lg)
 
-let cell_json server c =
-  let s = c.summary in
-  Printf.sprintf
-    "    {\"sweep\": \"latency\", \"server\": %S, \"parking\": %b, \"requests\": %d, \
-     \"rate\": %d, \"issued\": %d, \"completed\": %d, \"errored\": %d, \
-     \"refused_retries\": %d, \"peak_in_flight\": %d, \"parked\": %d, \"resumed\": %d, \
-     \"aborted\": %d, \"downtime_ns\": %d, \"p50_ns\": %d, \"p90_ns\": %d, \
-     \"p99_ns\": %d, \"p999_ns\": %d, \"max_ns\": %d}"
-    (Testbed.name server) c.parking c.requests c.rate c.issued c.completed c.errored
-    c.refused_retries c.peak_in_flight c.parked c.resumed c.aborted c.downtime_ns
-    s.Stats.p50_ns s.Stats.p90_ns c.p99_ns c.p999_ns s.Stats.max_ns
-
 (* Conservation: the driver and the kernel must agree that nothing was
    lost — every issued request completed or errored, and every parked
    connection was resumed or aborted. *)
@@ -195,6 +183,54 @@ let conservation_violations server c =
     !v;
   List.length !v
 
+(* The cell: server, parking and the stream's size, then what the clients
+   saw. The gate fails when the p99/p99.9 tail exceeds the baseline by
+   more than the tolerance or any request is lost. *)
+let latency =
+  C.spec ~sweep:"latency"
+    ~key:(fun cell ->
+      let ( let* ) = Result.bind in
+      let* server = C.server_key cell in
+      let* parking = C.bool_key "parking" cell in
+      let* requests = C.int_key "requests" cell in
+      let* rate = C.int_key "rate" cell in
+      Ok (server, parking, requests, rate))
+    ~label:(fun (server, parking, _, _) ->
+      Printf.sprintf "%s parking=%s" (Testbed.name server) (if parking then "on" else "off"))
+    ~measure:
+      (List.map (fun (server, parking, requests, rate) ->
+           let c, _, _ = measure server ~parking ~requests ~rate () in
+           c))
+    ~row:(fun (server, _, _, _) c ->
+      let s = c.summary in
+      [
+        C.server server;
+        ("parking", `Bool c.parking);
+        ("requests", `Int c.requests);
+        ("rate", `Int c.rate);
+        ("issued", `Int c.issued);
+        ("completed", `Int c.completed);
+        ("errored", `Int c.errored);
+        ("refused_retries", `Int c.refused_retries);
+        ("peak_in_flight", `Int c.peak_in_flight);
+        ("parked", `Int c.parked);
+        ("resumed", `Int c.resumed);
+        ("aborted", `Int c.aborted);
+        ("downtime_ns", `Int c.downtime_ns);
+        ("p50_ns", `Int s.Stats.p50_ns);
+        ("p90_ns", `Int s.Stats.p90_ns);
+        ("p99_ns", `Int c.p99_ns);
+        ("p999_ns", `Int c.p999_ns);
+        ("max_ns", `Int s.Stats.max_ns);
+      ])
+    ~audit:(fun (server, _, _, _) c -> conservation_violations server c)
+    [
+      C.metric ~what:"p99" "p99_ns" C.Ceiling_pct C.Ms;
+      C.metric ~what:"p99.9" "p999_ns" C.Ceiling_pct C.Ms;
+    ]
+
+let family = { C.family = "latency"; sweeps = [ C.Sweep latency ]; finish = ignore }
+
 let run ?(smoke = false) () =
   let requests = default_requests ~smoke in
   let rate = default_rate ~smoke in
@@ -211,14 +247,7 @@ let run ?(smoke = false) () =
     Option.map Filename.dirname (Sys.getenv_opt "MCR_LATENCY_JSON")
   in
   let write_artifact name data =
-    Option.iter
-      (fun dir ->
-        if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-        let path = Filename.concat dir name in
-        let oc = open_out_bin path in
-        output_string oc data;
-        close_out oc)
-      artifact_dir
+    Option.iter (fun dir -> ignore (C.write_file ~dir name data)) artifact_dir
   in
   List.iter
     (fun server ->
@@ -238,7 +267,7 @@ let run ?(smoke = false) () =
       List.iter
         (fun c ->
           violations := !violations + conservation_violations server c;
-          json := cell_json server c :: !json;
+          json := C.line latency (server, c.parking, requests, rate) c :: !json;
           let s = c.summary in
           Printf.printf "%-10s %-7s %8s %8s %8s %8s %9d %7d %7d %8s\n"
             (Testbed.name server)
@@ -267,101 +296,10 @@ let run ?(smoke = false) () =
           (Testbed.name server) on.refused_retries off.refused_retries
       end)
     Testbed.all;
-  (match Sys.getenv_opt "MCR_LATENCY_JSON" with
-  | Some path ->
-      let dir = Filename.dirname path in
-      if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-      let oc = open_out_bin path in
-      output_string oc ("[\n" ^ String.concat ",\n" (List.rev !json) ^ "\n]\n");
-      close_out oc;
-      Printf.printf "latency: wrote %s\n" path
-  | None -> ());
+  C.write_cells ~family:"latency" ~env:"MCR_LATENCY_JSON" (List.rev !json);
   if !violations > 0 then begin
     Printf.printf "\nlatency: %d violation(s)\n" !violations;
     exit 1
   end;
   Printf.printf
     "\nrequest parking strictly improves p99.9 on all servers, nothing lost, nothing stranded\n"
-
-(* ------------------------------------------------------------------ *)
-(* Regression gate: re-measure every cell of a committed baseline
-   (BENCH_latency.json) with the cell's own requests/rate/parking and
-   fail when the p99/p99.9 tail exceeds it by more than the tolerance
-   or any request is lost. *)
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let data = really_input_string ic n in
-  close_in ic;
-  data
-
-let server_of_name name = List.find_opt (fun s -> Testbed.name s = name) Testbed.all
-
-let check ~against ~tolerance_pct () =
-  let data =
-    match read_file against with
-    | data -> data
-    | exception Sys_error e ->
-        Printf.printf "latency check: %s\n" e;
-        exit 2
-  in
-  let cells =
-    match Json.parse data with
-    | Error e ->
-        Printf.printf "latency check: %s: %s\n" against e;
-        exit 2
-    | Ok j -> (
-        match Json.to_list j with
-        | Some l -> l
-        | None ->
-            Printf.printf "latency check: %s: expected a JSON array of cells\n" against;
-            exit 2)
-  in
-  Printf.printf "\n== latency check: %d cell(s) against %s (tolerance %d%%) ==\n"
-    (List.length cells) against tolerance_pct;
-  let regressions = ref 0 in
-  let checked = ref 0 in
-  let gate label ~baseline ~measured =
-    incr checked;
-    let budget = baseline + (baseline * tolerance_pct / 100) in
-    let ok = measured <= budget in
-    if not ok then incr regressions;
-    Printf.printf "%-44s %9s -> %9s ms  %s\n" label (fms baseline) (fms measured)
-      (if ok then "ok" else "REGRESSED")
-  in
-  List.iter
-    (fun cell ->
-      match
-        ( Json.str_field "server" cell,
-          Json.bool_field "parking" cell,
-          Json.int_field "requests" cell,
-          Json.int_field "rate" cell )
-      with
-      | Some name, Some parking, Some requests, Some rate -> begin
-          match server_of_name name with
-          | None -> Printf.printf "latency check: unknown server %S, skipping\n" name
-          | Some server ->
-              let c, _, _ = measure server ~parking ~requests ~rate () in
-              let lost = conservation_violations server c in
-              regressions := !regressions + lost;
-              let tag fmt = Printf.sprintf fmt name (if parking then "on" else "off") in
-              (match Json.int_field "p99_ns" cell with
-              | Some baseline ->
-                  gate (tag "%s parking=%s p99") ~baseline ~measured:c.p99_ns
-              | None -> ());
-              (match Json.int_field "p999_ns" cell with
-              | Some baseline ->
-                  gate (tag "%s parking=%s p99.9") ~baseline ~measured:c.p999_ns
-              | None -> ())
-        end
-      | _ -> Printf.printf "latency check: malformed cell, skipping\n")
-    cells;
-  if !regressions > 0 then begin
-    Printf.printf
-      "\nlatency check: %d regression(s) past %d%% over baseline (or lost requests)\n"
-      !regressions tolerance_pct;
-    exit 1
-  end;
-  Printf.printf "\nlatency check: all %d cell(s) within %d%% of the baseline, nothing lost\n"
-    !checked tolerance_pct

@@ -13,10 +13,13 @@
    Regression gate:
      dune exec bench/main.exe -- check --against BENCH_downtime.json \
        --against BENCH_fleet.json --tolerance 15%
-   --against is repeatable; each baseline is dispatched on its cells'
-   "sweep" field (fleet cells re-run the rollout, downtime cells re-run
-   the update) and the run fails (exit 1) when any cell regresses past
-   the tolerance. *)
+   --against is repeatable. Every cell's "sweep" field picks its family
+   from the table below (downtime, fleet, image, latency); each cell is
+   re-measured and each metric field gated under its rule (see
+   bench_cell.ml). Exit 0 when every gate holds, 1 when any regresses,
+   and 2 when a baseline is malformed: unreadable, zero cells, an
+   unknown sweep, a key that does not parse or a missing metric field.
+   Every baseline is validated before anything is measured. *)
 
 let smoke = ref false
 let workers = ref [ 1; 2; 4; 8 ]
@@ -77,26 +80,7 @@ let parse_workers s =
       Printf.printf "bad --workers list %S (want e.g. 1,4)\n" s;
       exit 1
 
-(* Each baseline file declares its own sweep family in every cell's
-   "sweep" field; peek at the first cell to pick the checker. Unreadable
-   or malformed files fall through to the downtime checker, which reports
-   the problem and exits 2. *)
-let baseline_kind path =
-  match
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let data = really_input_string ic n in
-    close_in ic;
-    data
-  with
-  | exception Sys_error _ -> None
-  | data -> (
-      match Mcr_obs.Json.parse data with
-      | Error _ -> None
-      | Ok j -> (
-          match Mcr_obs.Json.to_list j with
-          | Some (first :: _) -> Mcr_obs.Json.str_field "sweep" first
-          | _ -> None))
+let families = [ Downtime.family; Fleetbench.family; Imagebench.family; Latencybench.family ]
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
@@ -119,17 +103,15 @@ let () =
   match args with
   | [ "check" ] ->
       let baselines =
-        match List.rev !against with [] -> [ "BENCH_downtime.json" ] | l -> l
+        List.map (Bench_cell.load families)
+          (match List.rev !against with [] -> [ "BENCH_downtime.json" ] | l -> l)
       in
-      List.iter
-        (fun path ->
-          match baseline_kind path with
-          | Some "fleet" -> Fleetbench.check ~against:path ~tolerance_pct:!tolerance_pct ()
-          | Some "image" -> Imagebench.check ~against:path ~tolerance_pct:!tolerance_pct ()
-          | Some "latency" ->
-              Latencybench.check ~against:path ~tolerance_pct:!tolerance_pct ()
-          | _ -> Downtime.check ~against:path ~tolerance_pct:!tolerance_pct ())
-        baselines
+      let code =
+        List.fold_left
+          (fun code b -> max code (Bench_cell.check ~tolerance_pct:!tolerance_pct b))
+          0 baselines
+      in
+      if code <> 0 then exit code
   | [] | [ "all" ] ->
       print_endline "MCR reproduction harness: all experiments";
       List.iter (fun (_, f) -> f ()) experiments
