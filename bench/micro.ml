@@ -8,6 +8,7 @@ module Fnv = Mcr_util.Fnv
 module Ty = Mcr_types.Ty
 module Typlan = Mcr_types.Typlan
 module Heap = Mcr_alloc.Heap
+module Addr = Mcr_vmem.Addr
 module Aspace = Mcr_vmem.Aspace
 module Region = Mcr_vmem.Region
 module Objgraph = Mcr_trace.Objgraph
@@ -41,6 +42,25 @@ let test_malloc_zeroed =
     (Staged.stage (fun () ->
          let a = Heap.malloc heap ~ty_id:3 ~site:5 ~callstack:12345 32_768 in
          Heap.free heap a))
+
+(* vsftpd's session-buffer initialisation at each USER: one bulk tracked
+   store over a private 4096-word range, next to the per-word loop it
+   replaced over the same range *)
+let test_store_init, test_write_word_loop =
+  let words = 4096 in
+  let aspace = Aspace.create () in
+  let base =
+    Aspace.map aspace (Aspace.Near Region.Heap) ~size:(words * Addr.word_size) Region.Heap
+  in
+  let f i = 0x76_73_66 lxor i in
+  Aspace.write_init aspace base ~words f;
+  ( Test.make ~name:"vmem:store-init-4096"
+      (Staged.stage (fun () -> Aspace.write_init aspace base ~words f)),
+    Test.make ~name:"vmem:write-word-x4096"
+      (Staged.stage (fun () ->
+           for i = 0 to words - 1 do
+             Aspace.write_word aspace (Addr.add_words base i) (f i)
+           done)) )
 
 (* Table 2: the hybrid precise/conservative traversal *)
 let test_conservative_scan =
@@ -121,7 +141,8 @@ let run () =
   print_endline "\nBechamel microbenchmarks (ns per run, wall clock)";
   print_endline "=================================================";
   let tests =
-    [ test_callstack_hash; test_alloc_tagging; test_malloc_zeroed; test_conservative_scan;
+    [ test_callstack_hash; test_alloc_tagging; test_malloc_zeroed; test_store_init;
+      test_write_word_loop; test_conservative_scan;
       test_type_transform; test_region_lookup_linear; test_region_lookup_indexed;
       test_image_encode; test_image_decode; test_fnv_sub ]
   in

@@ -112,17 +112,8 @@ let to_kv t =
       "concurrent_transfer=" ^ string_of_bool t.concurrent_transfer;
     ]
 
-let of_string_exn p v =
-  match p with
-  | `Int -> (
-      match int_of_string_opt v with
-      | Some n -> n
-      | None -> failwith (Printf.sprintf "Policy.of_kv: %S is not an integer" v))
-  | `Bool -> (
-      match bool_of_string_opt v with
-      | Some b -> if b then 1 else 0
-      | None -> failwith (Printf.sprintf "Policy.of_kv: %S is not a boolean" v))
-
+(* The lower bounds are those the [with_*] builders enforce, plus
+   non-negative deadlines. *)
 let of_kv s =
   let fields =
     List.filter_map
@@ -133,33 +124,43 @@ let of_kv s =
             Some (String.sub tok 0 i, String.sub tok (i + 1) (String.length tok - i - 1)))
       (String.split_on_char ' ' s)
   in
+  let get k = List.assoc_opt k fields in
+  let fail k v what = failwith (Printf.sprintf "Policy.of_kv: %s=%s %s" k v what) in
+  let int ?(min = min_int) k v =
+    match int_of_string_opt v with
+    | None -> fail k v "is not an integer"
+    | Some n when n < min -> fail k v (Printf.sprintf "is below %d" min)
+    | Some n -> n
+  in
+  let opt ?min k = match get k with None | Some "-" -> None | Some v -> Some (int ?min k v)
+  and scalar ?min k d = match get k with None -> d | Some v -> int ?min k v
+  and flag k d =
+    match get k with
+    | None -> d
+    | Some v -> (
+        match bool_of_string_opt v with Some b -> b | None -> fail k v "is not a boolean")
+  in
   try
-    let get k = List.assoc_opt k fields in
-    let opt k p =
-      match get k with None | Some "-" -> None | Some v -> Some (of_string_exn p v)
-    and scalar k p d = match get k with None -> d | Some v -> of_string_exn p v in
     Ok
       {
-        quiesce_deadline_ns = opt "quiesce_deadline_ns" `Int;
-        update_deadline_ns = opt "update_deadline_ns" `Int;
-        retries = scalar "retries" `Int default.retries;
-        retry_backoff_ns = scalar "retry_backoff_ns" `Int default.retry_backoff_ns;
-        fault_seed = opt "fault_seed" `Int;
-        dirty_only = scalar "dirty_only" `Bool (if default.dirty_only then 1 else 0) <> 0;
-        precopy = scalar "precopy" `Bool (if default.precopy then 1 else 0) <> 0;
-        precopy_max_rounds = scalar "precopy_max_rounds" `Int default.precopy_max_rounds;
+        quiesce_deadline_ns = opt ~min:0 "quiesce_deadline_ns";
+        update_deadline_ns = opt ~min:0 "update_deadline_ns";
+        retries = scalar ~min:0 "retries" default.retries;
+        retry_backoff_ns = scalar "retry_backoff_ns" default.retry_backoff_ns;
+        fault_seed = opt "fault_seed";
+        dirty_only = flag "dirty_only" default.dirty_only;
+        precopy = flag "precopy" default.precopy;
+        precopy_max_rounds = scalar ~min:1 "precopy_max_rounds" default.precopy_max_rounds;
         precopy_threshold_words =
-          scalar "precopy_threshold_words" `Int default.precopy_threshold_words;
-        transfer_workers = scalar "transfer_workers" `Int default.transfer_workers;
-        transfer_remap = scalar "transfer_remap" `Bool (if default.transfer_remap then 1 else 0) <> 0;
-        slo_downtime_ns = opt "slo_downtime_ns" `Int;
-        slo_total_ns = opt "slo_total_ns" `Int;
+          scalar ~min:0 "precopy_threshold_words" default.precopy_threshold_words;
+        transfer_workers = scalar ~min:1 "transfer_workers" default.transfer_workers;
+        transfer_remap = flag "transfer_remap" default.transfer_remap;
+        slo_downtime_ns = opt ~min:1 "slo_downtime_ns";
+        slo_total_ns = opt ~min:1 "slo_total_ns";
         image_dir = None;
-        request_parking =
-          scalar "request_parking" `Bool (if default.request_parking then 1 else 0) <> 0;
-        drain_ns = scalar "drain_ns" `Int default.drain_ns;
-        concurrent_transfer =
-          scalar "concurrent_transfer" `Bool (if default.concurrent_transfer then 1 else 0) <> 0;
+        request_parking = flag "request_parking" default.request_parking;
+        drain_ns = scalar ~min:0 "drain_ns" default.drain_ns;
+        concurrent_transfer = flag "concurrent_transfer" default.concurrent_transfer;
       }
   with Stdlib.Failure msg -> Error msg
 

@@ -127,6 +127,8 @@ val to_kv : t -> string
 
 val of_kv : string -> (t, string) result
 (** Parse {!to_kv} output. Unknown keys are ignored and missing keys take
-    their defaults, so policies written by older builds keep parsing. *)
+    their defaults, so policies written by older builds keep parsing. A
+    value the matching [with_*] builder would reject, or a negative
+    deadline, is an [Error] naming its key. *)
 
 val pp : Format.formatter -> t -> unit

@@ -265,6 +265,7 @@ let func_ptr t name = Symtab.func_addr t.image.i_symtab name
 
 let load t addr = Aspace.read_word t.image.i_aspace addr
 let store t addr v = Aspace.write_word t.image.i_aspace addr v
+let store_init t addr ~words f = Aspace.write_init t.image.i_aspace addr ~words f
 
 let load_field t base tyname field =
   Access.read_field t.image.i_aspace (env t) ~base (Ty.Named tyname) field

@@ -91,6 +91,11 @@ val func_ptr : ctx -> string -> int
 val load : ctx -> Mcr_vmem.Addr.t -> int
 val store : ctx -> Mcr_vmem.Addr.t -> int -> unit
 
+val store_init : ctx -> Mcr_vmem.Addr.t -> words:int -> (int -> int) -> unit
+(** [store_init t addr ~words f] stores [f i] at word [i] from [addr]: one
+    {!store} per word in ascending order ({!Mcr_vmem.Aspace.write_init}),
+    a page at a time. Like {!store} it charges no simulated time. *)
+
 val load_field : ctx -> Mcr_vmem.Addr.t -> string -> string -> int
 (** [load_field t base tyname field]. *)
 

@@ -80,12 +80,10 @@ let session_body ~final t =
                  the writes land after first quiesce, so its pages are
                  dirty and must travel with every state transfer (the
                  remap pass can share them frame-for-frame when congruent) *)
-              if buf_words > 0 then begin
-                let b = Api.load_field t sess "ssh_session_t" "buf" in
-                for i = 0 to buf_words - 1 do
-                  Api.store t (Addr.add_words b i) (0x73_73_68 lxor i)
-                done
-              end;
+              if buf_words > 0 then
+                Api.store_init t
+                  (Api.load_field t sess "ssh_session_t" "buf")
+                  ~words:buf_words (fun i -> 0x73_73_68 lxor i);
               (* privilege-separation helper: fork, let it run, reap it *)
               (match Api.sys t (S.Fork { entry = "ssh_exec_helper" }) with
               | S.Ok_pid pid -> ignore (Api.sys t (S.Waitpid { pid }))

@@ -78,12 +78,10 @@ let session_body ~final t =
                  writes land after first quiesce, so its pages are dirty
                  and must travel with every state transfer (the remap
                  pass can share them frame-for-frame when congruent) *)
-              if buf_words > 0 then begin
-                let b = Api.load_field t sess "vsf_session_t" "buf" in
-                for i = 0 to buf_words - 1 do
-                  Api.store t (Addr.add_words b i) (0x76_73_66 lxor i)
-                done
-              end;
+              if buf_words > 0 then
+                Api.store_init t
+                  (Api.load_field t sess "vsf_session_t" "buf")
+                  ~words:buf_words (fun i -> 0x76_73_66 lxor i);
               let buf = Api.malloc_opaque t ~site:"vsf_user:name" 4 in
               Api.write_bytes t buf u;
               Api.store_field t sess "vsf_session_t" "user" buf;

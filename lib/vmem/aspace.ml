@@ -51,6 +51,20 @@ let create ?(layout_bias = 0) () =
 
 let layout_bias t = t.bias
 
+(* What [find_page] returns for an unmapped page number: never stamped,
+   touched or inherited. Callers must not store into it. *)
+let absent =
+  {
+    frame = { words = zero_words; refs = 0 };
+    touched = false;
+    last_write_seq = min_int;
+    inherited = false;
+  }
+
+(* Every page lookup goes through here: [Hashtbl.find_opt] would allocate an
+   option per simulated memory access. *)
+let find_page t pn = match Hashtbl.find t.pages pn with p -> p | exception Not_found -> absent
+
 let clone t =
   let pages = Hashtbl.create (Hashtbl.length t.pages) in
   Hashtbl.iter
@@ -166,9 +180,8 @@ let unmap t base =
   let first_page = Addr.page_of r.Region.base in
   let npages = r.Region.size / Addr.page_size in
   for j = 0 to npages - 1 do
-    (match Hashtbl.find_opt t.pages (first_page + j) with
-    | Some p -> p.frame.refs <- p.frame.refs - 1
-    | None -> ());
+    let p = find_page t (first_page + j) in
+    if p != absent then p.frame.refs <- p.frame.refs - 1;
     Hashtbl.remove t.pages (first_page + j)
   done;
   let out = Array.make (n - 1) r in
@@ -183,11 +196,15 @@ let find_region t a =
   let i = floor_index arr a in
   if i >= 0 && Region.contains arr.(i) a then Some arr.(i) else None
 
+(* The mapped page holding [a], or [Fault a]. *)
+let mapped_page t a =
+  let p = find_page t (Addr.page_of a) in
+  if p == absent then raise (Fault a);
+  p
+
 let page_for t a =
   if a <= 0 || not (Addr.is_aligned a) then raise (Fault a);
-  match Hashtbl.find_opt t.pages (Addr.page_of a) with
-  | Some p -> p
-  | None -> raise (Fault a)
+  mapped_page t a
 
 let is_mapped_word t a =
   a > 0 && Addr.is_aligned a && Hashtbl.mem t.pages (Addr.page_of a)
@@ -306,15 +323,36 @@ let copy_words_tracked ~src src_addr ~dst dst_addr ~words =
       dst.wseq <- dst.wseq + n;
       dp.last_write_seq <- dst.wseq)
 
-(* One tracked [write_word _ 0] per word, a page run at a time: a zero
-   page stays on the zero array, as a store of 0 leaves it. *)
-let zero_fill t a ~words =
-  iter_runs t a ~words (fun p i _ n ->
+(* One tracked [write_word] per word, a page run at a time: [fill p i pos n]
+   stores the run into the unshared page, then the page is touched and
+   stamped as [n] single-word stores would leave it. *)
+let tracked_runs t a ~words fill =
+  iter_runs t a ~words (fun p i pos n ->
       unshare p;
-      if p.frame.words != zero_words then Array.fill p.frame.words i n 0;
+      fill p i pos n;
       p.touched <- true;
       t.wseq <- t.wseq + n;
       p.last_write_seq <- t.wseq)
+
+(* A zero page stays on the zero array, as a store of 0 leaves it. *)
+let zero_fill t a ~words =
+  tracked_runs t a ~words (fun p i _ n ->
+      if p.frame.words != zero_words then Array.fill p.frame.words i n 0)
+
+(* Values go straight into the page: no [words]-sized source array. A zero
+   page is materialised by its first non-zero word, as [store] does. *)
+let write_init t a ~words f =
+  tracked_runs t a ~words (fun p i pos n ->
+      let k = ref 0 in
+      while !k < n && p.frame.words == zero_words do
+        let v = f (pos + !k) in
+        if v <> 0 then (writable p).(i + !k) <- v;
+        incr k
+      done;
+      let w = p.frame.words in
+      for j = !k to n - 1 do
+        w.(i + j) <- f (pos + j)
+      done)
 
 let read_words t a ~words =
   let out = Array.make words 0 in
@@ -343,28 +381,6 @@ let epoch_remove t ~name = Hashtbl.remove t.epochs name
 let epoch_find t ~name =
   Option.map (fun e -> e.mark) (Hashtbl.find_opt t.epochs name)
 
-let epoch_page_dirty t ~name a =
-  let mark = epoch_mark t ~name in
-  match Hashtbl.find_opt t.pages (Addr.page_of a) with
-  | Some p -> p.last_write_seq > mark
-  | None -> false
-
-let epoch_range_dirty t ~name a ~words =
-  if words <= 0 then false
-  else begin
-    let mark = epoch_mark t ~name in
-    let first = Addr.page_of a in
-    let last = Addr.page_of (Addr.add_words a (words - 1)) in
-    let rec scan pn =
-      pn <= last
-      && ((match Hashtbl.find_opt t.pages pn with
-          | Some p -> p.last_write_seq > mark
-          | None -> false)
-         || scan (pn + 1))
-    in
-    scan first
-  end
-
 let epoch_dirty_pages t ~name =
   let mark = epoch_mark t ~name in
   Hashtbl.fold
@@ -375,24 +391,20 @@ let epoch_dirty_pages t ~name =
 
 let write_seq t = t.wseq
 
-let page_written_since t a ~seq =
-  match Hashtbl.find_opt t.pages (Addr.page_of a) with
-  | Some p -> p.last_write_seq > seq
-  | None -> false
+(* [absent] is stamped [min_int], so unmapped pages are never written. *)
+let page_written_since t a ~seq = (find_page t (Addr.page_of a)).last_write_seq > seq
 
 let range_written_since t a ~words ~seq =
-  if words <= 0 then false
-  else
-    let first = Addr.page_of a in
-    let last = Addr.page_of (Addr.add_words a (words - 1)) in
-    let rec scan pn =
-      pn <= last
-      && ((match Hashtbl.find_opt t.pages pn with
-          | Some p -> p.last_write_seq > seq
-          | None -> false)
-         || scan (pn + 1))
-    in
-    scan first
+  words > 0
+  &&
+  let last = Addr.page_of (Addr.add_words a (words - 1)) in
+  let rec scan pn = pn <= last && ((find_page t pn).last_write_seq > seq || scan (pn + 1)) in
+  scan (Addr.page_of a)
+
+let epoch_page_dirty t ~name a = page_written_since t a ~seq:(epoch_mark t ~name)
+
+let epoch_range_dirty t ~name a ~words =
+  range_written_since t a ~words ~seq:(epoch_mark t ~name)
 
 (* ------------------------------------------------------------------ *)
 (* Inherited content and page remap *)
@@ -402,32 +414,21 @@ let mark_inherited t a ~words =
     let first = Addr.page_of a in
     let last = Addr.page_of (Addr.add_words a (words - 1)) in
     for pn = first to last do
-      match Hashtbl.find_opt t.pages pn with
-      | Some p ->
-          p.inherited <- true;
-          p.touched <- true
-      | None -> ()
+      let p = find_page t pn in
+      if p != absent then begin
+        p.inherited <- true;
+        p.touched <- true
+      end
     done
   end
 
-let page_inherited t a =
-  match Hashtbl.find_opt t.pages (Addr.page_of a) with
-  | Some p -> p.inherited
-  | None -> false
+let page_inherited t a = (find_page t (Addr.page_of a)).inherited
 
 let share_page ~src src_addr ~dst dst_addr =
   if Addr.page_offset src_addr <> 0 || Addr.page_offset dst_addr <> 0 then
     invalid_arg "Aspace.share_page: addresses must be page-aligned";
-  let sp =
-    match Hashtbl.find_opt src.pages (Addr.page_of src_addr) with
-    | Some p -> p
-    | None -> raise (Fault src_addr)
-  in
-  let dp =
-    match Hashtbl.find_opt dst.pages (Addr.page_of dst_addr) with
-    | Some p -> p
-    | None -> raise (Fault dst_addr)
-  in
+  let sp = mapped_page src src_addr in
+  let dp = mapped_page dst dst_addr in
   if sp.frame != dp.frame then begin
     dp.frame.refs <- dp.frame.refs - 1;
     sp.frame.refs <- sp.frame.refs + 1;
@@ -477,12 +478,10 @@ let page_states t =
 let restore_page_state t ps =
   if Addr.page_offset ps.ps_page <> 0 then
     invalid_arg "Aspace.restore_page_state: address must be page-aligned";
-  match Hashtbl.find_opt t.pages (Addr.page_of ps.ps_page) with
-  | None -> raise (Fault ps.ps_page)
-  | Some p ->
-      p.last_write_seq <- ps.ps_last_write_seq;
-      p.touched <- ps.ps_touched;
-      p.inherited <- ps.ps_inherited
+  let p = mapped_page t ps.ps_page in
+  p.last_write_seq <- ps.ps_last_write_seq;
+  p.touched <- ps.ps_touched;
+  p.inherited <- ps.ps_inherited
 
 let epochs t =
   Hashtbl.fold (fun name e acc -> (name, e.mark) :: acc) t.epochs [] |> List.sort compare

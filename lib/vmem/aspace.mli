@@ -122,6 +122,16 @@ val zero_fill : t -> Addr.t -> words:int -> unit
     {!Fault}, after zeroing every word before that page. Pages are resolved
     once per run, not once per word. *)
 
+val write_init : t -> Addr.t -> words:int -> (int -> int) -> unit
+(** [write_init t a ~words f] stores [f i] at word [i] from [a], for [i]
+    from [0] to [words - 1], under the {!zero_fill} contract: the exact
+    observable semantics of one {!write_word} per word in ascending
+    address order. A page still on the zero array stays there when its
+    part of the range is all zeros. [f] is applied once to the index of
+    each word stored, in ascending order; on a range that runs into an
+    unmapped page it is not applied to that page's words. No
+    [words]-sized array is built: values go straight into each page. *)
+
 val read_words : t -> Addr.t -> words:int -> int array
 (** [read_words t a ~words] is the [words] consecutive words starting at
     [a], copied a page at a time. @raise Fault as {!read_word}. *)

@@ -237,6 +237,11 @@ let test_client_impact_end_to_end () =
       Alcotest.(check bool) "render mentions the window" true
         (String.length rendered > 0)
 
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
 (* ------------------------------------------------------------------ *)
 (* Policy plumbing. *)
 
@@ -248,6 +253,47 @@ let test_policy_concurrent_transfer_kv () =
   match Policy.of_kv (Policy.to_kv Policy.default) with
   | Ok q -> Alcotest.(check bool) "defaults off" false q.Policy.concurrent_transfer
   | Error e -> Alcotest.failf "of_kv default: %s" e
+
+(* [of_kv] refuses what the builders refuse: the value replaces its key in
+   the default rendering, and the error must name the key. *)
+let test_policy_of_kv_rejects key value () =
+  let kv =
+    String.split_on_char ' ' (Policy.to_kv Policy.default)
+    |> List.map (fun tok ->
+           if String.starts_with ~prefix:(key ^ "=") tok then key ^ "=" ^ value else tok)
+    |> String.concat " "
+  in
+  match Policy.of_kv kv with
+  | Ok _ -> Alcotest.failf "of_kv accepted %s=%s" key value
+  | Error e -> Alcotest.(check bool) ("error names the key: " ^ e) true (contains e key)
+
+(* Every bound itself is accepted and round-trips. *)
+let test_policy_of_kv_bounds () =
+  let p =
+    Policy.default
+    |> Policy.with_deadlines ~quiesce_ns:(Some 0) ~update_ns:(Some 0)
+    |> Policy.with_retries 0
+    |> Policy.with_precopy ~max_rounds:1 ~threshold_words:0 true
+    |> Policy.with_transfer_workers 1
+    |> Policy.with_slo ~downtime_ns:(Some 1) ~total_ns:(Some 1)
+    |> Policy.with_request_parking ~drain_ns:0 true
+  in
+  match Policy.of_kv (Policy.to_kv p) with
+  | Ok q -> Alcotest.(check bool) "round trips" true (q = p)
+  | Error e -> Alcotest.failf "of_kv: %s" e
+
+let of_kv_rejected =
+  [
+    ("retries", "-1");
+    ("precopy_max_rounds", "0");
+    ("precopy_threshold_words", "-5");
+    ("transfer_workers", "0");
+    ("slo_downtime_ns", "0");
+    ("slo_total_ns", "0");
+    ("drain_ns", "-1");
+    ("quiesce_deadline_ns", "-1");
+    ("update_deadline_ns", "-1");
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* Fleet-wide latency merge. *)
@@ -273,11 +319,6 @@ let test_fleet_client_latency_merge () =
       Alcotest.(check bool) "merged tail is positive" true
         ((Metrics.hist_snapshot_summary h).Stats.p999_ns > 0));
   let status = Fleet.status_text fleet in
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
   Alcotest.(check bool) "status_text surfaces client latency" true
     (contains status "client latency:")
 
@@ -300,7 +341,13 @@ let () =
         [
           Alcotest.test_case "concurrent_transfer kv" `Quick
             test_policy_concurrent_transfer_kv;
-        ] );
+          Alcotest.test_case "of_kv accepts the bounds" `Quick test_policy_of_kv_bounds;
+        ]
+        @ List.map
+            (fun (k, v) ->
+              Alcotest.test_case (Printf.sprintf "of_kv rejects %s=%s" k v) `Quick
+                (test_policy_of_kv_rejects k v))
+            of_kv_rejected );
       ( "fleet",
         [
           Alcotest.test_case "client latency merge" `Quick

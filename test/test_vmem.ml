@@ -357,6 +357,7 @@ type m_op =
   | M_share of m_loc * m_loc (* src page, dst page: copy, then remap *)
   | M_detach of int
   | M_zero of m_loc * int (* words *)
+  | M_init of m_loc * int array (* write_init from the array's values *)
 
 let show_loc (s, j, w) = Printf.sprintf "%d/%d/%d" s j w
 
@@ -371,6 +372,7 @@ let show_op = function
   | M_share (a, b) -> Printf.sprintf "share %s->%s" (show_loc a) (show_loc b)
   | M_detach s -> Printf.sprintf "detach %d" s
   | M_zero (l, n) -> Printf.sprintf "zero %s x%d" (show_loc l) n
+  | M_init (l, a) -> Printf.sprintf "init %s x%d" (show_loc l) (Array.length a)
 
 let m_op_gen =
   let open QCheck.Gen in
@@ -389,6 +391,7 @@ let m_op_gen =
       (3, map2 (fun a b -> M_share (a, b)) page page);
       (1, map (fun s -> M_detach s) space);
       (2, map2 (fun l n -> M_zero (l, n)) loc (int_bound 1200));
+      (2, map2 (fun l a -> M_init (l, a)) loc (array_size (int_bound 1200) value));
     ]
 
 let prop_zero_page_model =
@@ -508,6 +511,13 @@ let prop_zero_page_model =
               break_range s j w n;
               Array.fill (content s j) w n 0
             end
+        | M_init ((s, j, w), a) ->
+            let n = min (Array.length a) (m_slot_words - w) in
+            if mapped s j && n > 0 then begin
+              Aspace.write_init real.(s) (addr j w) ~words:n (Array.get a);
+              break_range s j w n;
+              Array.blit a 0 (content s j) w n
+            end
       in
       List.iter step ops;
       let reads_agree = ref true in
@@ -542,14 +552,15 @@ let prop_zero_page_model =
       !reads_agree && shared_agree && fresh_zero && !detached)
 
 (* ------------------------------------------------------------------ *)
-(* Lockstep: [zero_fill] against one [write_word _ 0] per word
+(* Lockstep: the bulk tracked stores against one [write_word] per word
 
    The same random state is built twice: four mapped pages followed by an
    unmapped one, each mapped page left on the zero array, written
    privately, or shared by [share_page] with a donor space's page. One copy
-   is zeroed with [zero_fill], the other word by word; every observable
-   must then agree, including the fault on a range that runs into the
-   unmapped page. *)
+   is stored to with [zero_fill] or [write_init], the other word by word;
+   every observable must then agree, including the fault on a range that
+   runs into the unmapped page and which pages are still on the zero
+   array. *)
 
 type z_page = Z_zero | Z_private of (int * int) list | Z_shared of (int * int) list
 
@@ -605,35 +616,86 @@ let z_build pages reset_at =
   if reset_at = z_pages then Aspace.epoch_reset sp ~name:"e";
   (donor, sp)
 
+(* Whether each page of [sp] is still on the zero array. [fold_runs] lends
+   a page's own storage, and every zero-array page lends the same array as
+   a fresh mapping does; the lent arrays are only compared, never kept. *)
+let z_zero_backed sp =
+  let fresh = Aspace.create () in
+  ignore (Aspace.map fresh (Aspace.Fixed z_base) ~size:4096 Region.Heap);
+  Aspace.fold_runs fresh z_base ~words:1 ~init:[] ~f:(fun _ zero _ _ ->
+      List.init z_pages (fun k ->
+          Aspace.fold_runs sp (Addr.add z_base (k * Addr.page_size)) ~words:1 ~init:false
+            ~f:(fun _ page _ _ -> page == zero)))
+
+let z_observe sp donor =
+  ( Aspace.read_words sp z_base ~words:(z_pages * Addr.words_per_page),
+    Aspace.read_words donor z_base ~words:(z_pages * Addr.words_per_page),
+    Aspace.write_seq sp,
+    Aspace.page_states sp,
+    (Aspace.shared_frame_count sp, Aspace.shared_frame_count donor),
+    Aspace.epoch_dirty_pages sp ~name:"e",
+    z_zero_backed sp )
+
+let z_print (pages, reset_at, skew, w, n) =
+  Printf.sprintf "[%s] reset@%d skew %d from %d x%d"
+    (String.concat "; " (List.map show_z_page pages))
+    reset_at skew w n
+
+(* Build the case twice, store [f i] at word [i] of the range with [bulk]
+   on one copy and one [write_word] per word on the other, and compare. *)
+let z_lockstep (pages, reset_at, skew, w, n) f bulk =
+  let a = Addr.add_words z_base w + skew in
+  let fault g = try g (); None with Aspace.Fault x -> Some x in
+  let bulk_donor, bulk_sp = z_build pages reset_at in
+  let word_donor, word_sp = z_build pages reset_at in
+  let bulk_fault = fault (fun () -> bulk bulk_sp a n) in
+  let word_fault =
+    fault (fun () ->
+        for i = 0 to n - 1 do
+          Aspace.write_word word_sp (Addr.add_words a i) (f i)
+        done)
+  in
+  bulk_fault = word_fault && z_observe bulk_sp bulk_donor = z_observe word_sp word_donor
+
 let prop_zero_fill_lockstep =
   QCheck.Test.make ~name:"zero_fill is one write_word _ 0 per word" ~count:300
+    (QCheck.make ~print:z_print z_case_gen)
+    (fun case -> z_lockstep case (fun _ -> 0) (fun sp a n -> Aspace.zero_fill sp a ~words:n))
+
+(* The values [write_init] stores: all zeros, a few non-zero words at
+   random offsets (so most page runs are all zero), or a dense pattern
+   that is zero only at word [s]. *)
+type w_fill = W_zeros | W_points of (int * int) list | W_dense of int
+
+let w_fill_gen =
+  let open QCheck.Gen in
+  let total = (z_pages + 1) * Addr.words_per_page in
+  frequency
+    [
+      (1, return W_zeros);
+      (3, map (fun l -> W_points l) (small_list (pair (int_bound (total - 1)) (int_range 1 9))));
+      (2, map (fun s -> W_dense s) (int_bound total));
+    ]
+
+let w_value fill i =
+  match fill with
+  | W_zeros -> 0
+  | W_points l -> Option.value (List.assoc_opt i l) ~default:0
+  | W_dense s -> i lxor s
+
+let show_w_fill = function
+  | W_zeros -> "zeros"
+  | W_points l -> Printf.sprintf "points x%d" (List.length l)
+  | W_dense s -> Printf.sprintf "dense %d" s
+
+let prop_write_init_lockstep =
+  QCheck.Test.make ~name:"write_init is one write_word per word" ~count:300
     (QCheck.make
-       ~print:(fun (pages, reset_at, skew, w, n) ->
-         Printf.sprintf "[%s] reset@%d skew %d from %d x%d"
-           (String.concat "; " (List.map show_z_page pages))
-           reset_at skew w n)
-       z_case_gen)
-    (fun (pages, reset_at, skew, w, n) ->
-      let a = Addr.add_words z_base w + skew in
-      let fault f = try f (); None with Aspace.Fault x -> Some x in
-      let bulk_donor, bulk = z_build pages reset_at in
-      let word_donor, word = z_build pages reset_at in
-      let bulk_fault = fault (fun () -> Aspace.zero_fill bulk a ~words:n) in
-      let word_fault =
-        fault (fun () ->
-            for i = 0 to n - 1 do
-              Aspace.write_word word (Addr.add_words a i) 0
-            done)
-      in
-      let observe sp donor =
-        ( Aspace.read_words sp z_base ~words:(z_pages * Addr.words_per_page),
-          Aspace.read_words donor z_base ~words:(z_pages * Addr.words_per_page),
-          Aspace.write_seq sp,
-          Aspace.page_states sp,
-          (Aspace.shared_frame_count sp, Aspace.shared_frame_count donor),
-          Aspace.epoch_dirty_pages sp ~name:"e" )
-      in
-      bulk_fault = word_fault && observe bulk bulk_donor = observe word word_donor)
+       ~print:(fun (case, fill) -> z_print case ^ " " ^ show_w_fill fill)
+       (QCheck.Gen.pair z_case_gen w_fill_gen))
+    (fun (case, fill) ->
+      let f = w_value fill in
+      z_lockstep case f (fun sp a n -> Aspace.write_init sp a ~words:n f))
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in
@@ -698,5 +760,6 @@ let () =
           Alcotest.test_case "resident bytes" `Quick test_resident_bytes;
           qt prop_zero_page_model;
           qt prop_zero_fill_lockstep;
+          qt prop_write_init_lockstep;
         ] );
     ]
