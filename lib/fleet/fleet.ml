@@ -259,20 +259,21 @@ let migrate_instance t i ~path =
           | Error e -> back_out e
           | Ok (kernel, m) -> (
               (* install from the on-disk bytes — what a cross-host
-                 migration actually ships (integrity checks included) *)
-              let shipped =
-                match Image.read ~path with Ok on_disk -> on_disk | Error _ -> img
-              in
-              match Manager.restore_image m shipped with
-              | Error e -> back_out e
-              | Ok _report ->
-                  (* the drained original is abandoned: its kernel simply
-                     stops being driven *)
-                  t.instances.(i) <- { id = i; kernel; manager = m };
-                  Metrics.incr t.fmset.fm_migrations;
-                  Balancer.set_state t.balancer i Balancer.Serving;
-                  refresh_serving t;
-                  Ok (Image.fingerprint img))))
+                 migration actually ships (integrity checks included); a
+                 file that fails them is a failed migration *)
+              match Image.read ~path with
+              | Error e -> back_out ("read back: " ^ Image.error_to_string e)
+              | Ok shipped -> (
+                  match Manager.restore_image m shipped with
+                  | Error e -> back_out e
+                  | Ok _report ->
+                      (* the drained original is abandoned: its kernel
+                         simply stops being driven *)
+                      t.instances.(i) <- { id = i; kernel; manager = m };
+                      Metrics.incr t.fmset.fm_migrations;
+                      Balancer.set_state t.balancer i Balancer.Serving;
+                      refresh_serving t;
+                      Ok (Image.fingerprint img)))))
 
 type standby = {
   sb_for : int;

@@ -46,12 +46,18 @@ let pp_error ppf e = Format.pp_print_string ppf (error_to_string e)
 (* ------------------------------------------------------------------ *)
 (* In-memory representation *)
 
+(* A region's words are a view of [r_count] words from byte [r_pos] of
+   [r_data], in the on-disk encoding (bits 0-62 of each word, little-endian):
+   capture fills one fresh buffer per region, and decode points into the
+   file's bytes, so neither copies the words again. *)
 type region_image = {
   r_name : string;
-  r_kind : string;
+  r_kind : Region.kind;
   r_base : Addr.t;
   r_size : int;  (* bytes *)
-  r_words : int array;
+  r_data : string;
+  r_pos : int;
+  r_count : int;
 }
 
 type page_state_image = { g_page : Addr.t; g_seq : int; g_touched : bool; g_inherited : bool }
@@ -113,7 +119,7 @@ let region_count t = List.fold_left (fun a p -> a + List.length p.pi_regions) 0 
 
 let total_words t =
   List.fold_left
-    (fun a p -> List.fold_left (fun a r -> a + Array.length r.r_words) a p.pi_regions)
+    (fun a p -> List.fold_left (fun a r -> a + r.r_count) a p.pi_regions)
     0 t.im_procs
 
 let with_flight_json t json = { t with im_flight_json = Some json }
@@ -140,34 +146,39 @@ let aspace_fingerprint ~prog asp =
 (* ------------------------------------------------------------------ *)
 (* Binary writer / reader *)
 
-(* The whole image is written into one buffer: a section's length field is
-   patched once its payload is written, and both hashes read byte ranges
-   of the buffer in place. *)
-type writer = { mutable buf : Bytes.t; mutable len : int }
+(* A byte range [(data, pos, len)] of the encoded image. *)
+type slice = string * int * int
 
-let reserve w n =
-  if w.len + n > Bytes.length w.buf then begin
-    let buf = Bytes.create (max (w.len + n) (2 * Bytes.length w.buf)) in
-    Bytes.blit w.buf 0 buf 0 w.len;
-    w.buf <- buf
+(* A payload is written as slices: fixed fields go to a small buffer, and
+   bulk bytes (region words, text sections) are spliced in by reference. *)
+type writer = { small : Buffer.t; mutable rev_slices : slice list }
+
+let flush w =
+  let n = Buffer.length w.small in
+  if n > 0 then begin
+    w.rev_slices <- (Buffer.contents w.small, 0, n) :: w.rev_slices;
+    Buffer.clear w.small
   end
+
+let w_slice w s pos len =
+  flush w;
+  w.rev_slices <- (s, pos, len) :: w.rev_slices
+
+(* The slices [write] produces, in order. *)
+let slices_of write =
+  let w = { small = Buffer.create 256; rev_slices = [] } in
+  write w;
+  flush w;
+  List.rev w.rev_slices
+
+let slices_length = List.fold_left (fun n (_, _, len) -> n + len) 0
 
 (* Bits 0-62 of [n]: the top bit of the last byte is always 0, so a
    negative word is not sign-extended into it. *)
-let set_u64 buf pos n = Bytes.set_int64_le buf pos (Int64.logand (Int64.of_int n) Int64.max_int)
-
-let w_u64 w n =
-  reserve w 8;
-  set_u64 w.buf w.len n;
-  w.len <- w.len + 8
+let w_u64 w n = Buffer.add_int64_le w.small (Int64.logand (Int64.of_int n) Int64.max_int)
 
 let w_bool w v = w_u64 w (if v then 1 else 0)
-
-let w_bytes w s =
-  let n = String.length s in
-  reserve w n;
-  Bytes.blit_string s 0 w.buf w.len n;
-  w.len <- w.len + n
+let w_bytes w s = Buffer.add_string w.small s
 
 let w_str w s =
   w_u64 w (String.length s);
@@ -183,21 +194,10 @@ let w_list w f xs =
   w_u64 w (List.length xs);
   List.iter (f w) xs
 
-let w_words w (a : int array) =
-  let n = Array.length a in
-  w_u64 w n;
-  reserve w (8 * n);
-  let buf = w.buf and pos = w.len in
-  for i = 0 to n - 1 do
-    set_u64 buf (pos + (8 * i)) a.(i)
-  done;
-  w.len <- pos + (8 * n)
-
-(* The string view of the buffer lives only for the hash: nothing writes
-   to the buffer meanwhile. *)
-let w_hash w ~pos ~len = Fnv.sub (Bytes.unsafe_to_string w.buf) ~pos ~len
-
 exception Short
+
+(* A payload whose bytes decode but break the schema: the reason. *)
+exception Bad of string
 
 (* A cursor over [data], bounded by [limit]: a section is read where it
    lies, without copying it out. *)
@@ -230,33 +230,39 @@ let r_list r f =
   if n < 0 then raise Short;
   List.init n (fun _ -> f r)
 
+(* [n] words where they lie in [data], as [(pos, n)]. *)
 let r_words r =
   let n = r_u64 r in
   if n < 0 || n > (r.limit - r.pos) / 8 then raise Short;
-  let a = Array.make n 0 and pos = r.pos in
-  for i = 0 to n - 1 do
-    a.(i) <- Int64.to_int (String.get_int64_le r.data (pos + (8 * i)))
-  done;
+  let pos = r.pos in
   r.pos <- pos + (8 * n);
-  a
+  (pos, n)
 
 (* ------------------------------------------------------------------ *)
 (* Section payload codecs *)
 
 let w_region b r =
   w_str b r.r_name;
-  w_str b r.r_kind;
+  w_str b (Region.kind_to_string r.r_kind);
   w_u64 b r.r_base;
   w_u64 b r.r_size;
-  w_words b r.r_words
+  w_u64 b r.r_count;
+  w_slice b r.r_data r.r_pos (8 * r.r_count)
+
+let kinds = Region.[ Static; Heap; Stack; Lib; Mmap ]
 
 let r_region r =
   let r_name = r_str r in
-  let r_kind = r_str r in
+  let r_kind =
+    let k = r_str r in
+    match List.find_opt (fun kind -> Region.kind_to_string kind = k) kinds with
+    | Some kind -> kind
+    | None -> raise (Bad (Printf.sprintf "region %s has unknown kind %S" r_name k))
+  in
   let r_base = r_u64 r in
   let r_size = r_u64 r in
-  let r_words = r_words r in
-  { r_name; r_kind; r_base; r_size; r_words }
+  let r_pos, r_count = r_words r in
+  { r_name; r_kind; r_base; r_size; r_data = r.data; r_pos; r_count }
 
 let w_page b g =
   w_u64 b g.g_page;
@@ -380,6 +386,40 @@ let encode_proc b p =
   w_list b w_pool p.pi_pools;
   w_list b w_slab p.pi_slabs
 
+(* What install relies on of a process's region table: regions page-aligned
+   above the null page, ascending and disjoint, each holding exactly its
+   size in words, and every page state inside a saved region. *)
+let check_regions p =
+  let bad fmt = Printf.ksprintf (fun reason -> raise (Bad reason)) fmt in
+  let aligned a = a land (Addr.page_size - 1) = 0 in
+  ignore
+    (List.fold_left
+       (fun prev_limit r ->
+         if r.r_base <= 0 || not (aligned r.r_base) then
+           bad "region %s base %#x is not a page-aligned address" r.r_name r.r_base;
+         if r.r_size <= 0 || not (aligned r.r_size) || r.r_size > max_int - r.r_base then
+           bad "region %s size %d is not a positive page multiple that fits above its base"
+             r.r_name r.r_size;
+         if r.r_count <> r.r_size / Addr.word_size then
+           bad "region %s holds %d words for %d bytes" r.r_name r.r_count r.r_size;
+         if r.r_base < prev_limit then
+           bad "region %s at %#x is not above the region before it" r.r_name r.r_base;
+         r.r_base + r.r_size)
+       0 p.pi_regions);
+  let regions = Array.of_list p.pi_regions in
+  List.iter
+    (fun g ->
+      (* the last region based at or below the page, as [Aspace] finds it *)
+      let lo = ref 0 and hi = ref (Array.length regions - 1) in
+      while !lo <= !hi do
+        let mid = (!lo + !hi) / 2 in
+        if regions.(mid).r_base <= g.g_page then lo := mid + 1 else hi := mid - 1
+      done;
+      let i = !hi in
+      if (not (aligned g.g_page)) || i < 0 || g.g_page >= regions.(i).r_base + regions.(i).r_size
+      then bad "page state %#x is not a page of a saved region" g.g_page)
+    p.pi_pages
+
 let decode_proc r =
   let pi_pid = r_u64 r in
   let pi_name = r_str r in
@@ -401,9 +441,13 @@ let decode_proc r =
   let pi_lib_heap = r_heap_opt r in
   let pi_pools = r_list r r_pool in
   let pi_slabs = r_list r r_slab in
-  { pi_pid; pi_name; pi_creation_callstack; pi_startup_complete; pi_layout_bias; pi_write_seq;
-    pi_fds; pi_regions; pi_pages; pi_epochs; pi_threads; pi_heap; pi_lib_heap; pi_pools;
-    pi_slabs }
+  let p =
+    { pi_pid; pi_name; pi_creation_callstack; pi_startup_complete; pi_layout_bias;
+      pi_write_seq; pi_fds; pi_regions; pi_pages; pi_epochs; pi_threads; pi_heap;
+      pi_lib_heap; pi_pools; pi_slabs }
+  in
+  check_regions p;
+  p
 
 let encode_meta b t =
   w_str b t.im_prog;
@@ -423,170 +467,181 @@ let sections_of t =
       (fun i p -> ("PROC", Printf.sprintf "proc.%d" i, fun w -> encode_proc w p))
       t.im_procs
   in
-  let opt tag name = function Some s -> [ (tag, name, fun w -> w_bytes w s) ] | None -> [] in
+  let opt tag name = function
+    | Some s -> [ (tag, name, fun w -> w_slice w s 0 (String.length s)) ]
+    | None -> []
+  in
   (meta :: procs)
   @ opt "POLI" "policy" t.im_policy_text
   @ opt "ATMP" "attempt" t.im_target_tag
   @ opt "FLIT" "flight" t.im_flight_json
 
-(* Sized for the page contents, four words of state per page and the
-   optional text sections; anything else fits the slack or grows it. *)
-let initial_size t =
-  let pages = List.fold_left (fun a p -> a + List.length p.pi_pages) 0 t.im_procs in
-  let text = function Some s -> String.length s | None -> 0 in
-  (8 * (total_words t + (4 * pages)))
-  + text t.im_policy_text + text t.im_target_tag + text t.im_flight_json + 65536
-
-(* The encoded image in [w.buf.[0 .. w.len - 1]], and the section layout. *)
-let write_image t =
-  let w = { buf = Bytes.create (initial_size t); len = 0 } in
+(* The encoded image as slices in file order, and the section layout. Each
+   payload byte is hashed once: one pass folds it into its section's hash
+   and the running trailer hash together. Framing bytes go into the
+   trailer only. *)
+let encode_slices t =
   let sections = sections_of t in
-  w_bytes w magic;
-  w_u64 w format_version;
-  w_u64 w (List.length sections);
-  let layout =
-    List.map
-      (fun (tag, name, payload) ->
-        assert (String.length tag = 4);
-        w_bytes w tag;
-        w_str w name;
-        let len_at = w.len in
-        w_u64 w 0;
-        payload w;
-        let len = w.len - len_at - 8 in
-        set_u64 w.buf len_at len;
-        w_u64 w (w_hash w ~pos:(len_at + 8) ~len);
-        (tag, name, len))
-      sections
+  let out = ref [] and trailer = ref Fnv.basis in
+  let frame write =
+    List.iter
+      (fun ((s, pos, len) as slice) ->
+        trailer := Fnv.fold !trailer s ~pos ~len;
+        out := slice :: !out)
+      (slices_of write)
   in
-  w_u64 w (w_hash w ~pos:0 ~len:w.len);
-  (w, layout)
+  frame (fun w ->
+      w_bytes w magic;
+      w_u64 w format_version;
+      w_u64 w (List.length sections));
+  let rev_layout =
+    List.fold_left
+      (fun layout (tag, name, write) ->
+        assert (String.length tag = 4);
+        let payload = slices_of write in
+        let len = slices_length payload in
+        frame (fun w ->
+            w_bytes w tag;
+            w_str w name;
+            w_u64 w len);
+        let hash =
+          List.fold_left
+            (fun h (s, pos, len) ->
+              let h, tr = Fnv.fold2 h !trailer s ~pos ~len in
+              trailer := tr;
+              h)
+            Fnv.basis payload
+        in
+        out := List.rev_append payload !out;
+        frame (fun w -> w_u64 w hash);
+        (tag, name, len) :: layout)
+      [] sections
+  in
+  let tail = slices_of (fun w -> w_u64 w !trailer) in
+  (List.rev_append !out tail, List.rev rev_layout)
 
-let layout t = snd (write_image t)
+let layout t = snd (encode_slices t)
 
 let encode t =
-  let w, _ = write_image t in
-  Bytes.sub_string w.buf 0 w.len
+  let slices, _ = encode_slices t in
+  let buf = Bytes.create (slices_length slices) in
+  ignore
+    (List.fold_left
+       (fun at (s, pos, len) ->
+         Bytes.blit_string s pos buf at len;
+         at + len)
+       0 slices);
+  Bytes.unsafe_to_string buf
 
+exception Failed of error
+
+(* The section table is read and every hash checked in one pass, each
+   payload byte folded once into its section hash and the trailer hash;
+   then the sections are decoded where they lie. *)
 let decode data =
   let len = String.length data in
-  if len < 8 then Error (Truncated { section = "header" })
-  else if String.sub data 0 8 <> magic then Error Bad_magic
-  else
+  let fail e = raise (Failed e) in
+  let within section f = try f () with Short -> fail (Truncated { section }) in
+  try
+    if len < 8 then fail (Truncated { section = "header" });
+    if String.sub data 0 8 <> magic then fail Bad_magic;
     let r = { data; pos = 8; limit = len } in
-    match r_u64 r with
-    | exception Short -> Error (Truncated { section = "header" })
-    | v when v <> format_version -> Error (Version_skew { found = v; expected = format_version })
-    | _ -> (
-        match r_u64 r with
-        | exception Short -> Error (Truncated { section = "header" })
-        | count -> (
-            (* [(tag, name, payload pos, payload len)] *)
-            let sections = ref [] in
-            let failure = ref None in
-            (try
-               for i = 0 to count - 1 do
-                 let label = ref (Printf.sprintf "#%d" i) in
-                 try
-                   if r.pos + 4 > len then raise Short;
-                   let tag = String.sub data r.pos 4 in
-                   r.pos <- r.pos + 4;
-                   label := tag;
-                   let name = r_str r in
-                   label := name;
-                   let pos, plen = r_span r in
-                   let hash = r_u64 r in
-                   if Fnv.sub data ~pos ~len:plen <> hash then begin
-                     failure := Some (Hash_mismatch { section = name });
-                     raise Exit
-                   end;
-                   sections := (tag, name, pos, plen) :: !sections
-                 with Short ->
-                   failure := Some (Truncated { section = !label });
-                   raise Exit
-               done;
-               (* whole-image trailer *)
-               let body_end = r.pos in
-               match r_u64 r with
-               | exception Short -> failure := Some (Truncated { section = "trailer" })
-               | trailer ->
-                   if Fnv.sub data ~pos:0 ~len:body_end <> trailer then
-                     failure := Some (Hash_mismatch { section = "image" })
-             with Exit -> ());
-            match !failure with
-            | Some e -> Error e
-            | None -> (
-                let sections = List.rev !sections in
-                let find tag = List.find_opt (fun (t, _, _, _) -> t = tag) sections in
-                let section_reader pos plen = { data; pos; limit = pos + plen } in
-                match find "META" with
-                | None -> Error (Missing_section "meta")
-                | Some (_, meta_name, pos, plen) -> (
-                    try
-                      let mr = section_reader pos plen in
-                      let im_prog = r_str mr in
-                      let im_version_tag = r_str mr in
-                      let im_clock_ns = r_u64 mr in
-                      let im_fingerprint = r_u64 mr in
-                      let nprocs = r_u64 mr in
-                      let procs =
-                        List.filter_map
-                          (fun (tag, name, pos, plen) ->
-                            if tag <> "PROC" then None
-                            else
-                              try Some (decode_proc (section_reader pos plen))
-                              with Short ->
-                                raise
-                                  (Stdlib.Failure
-                                     (Printf.sprintf "proc section %s is self-inconsistent" name)))
-                          sections
-                      in
-                      if List.length procs <> nprocs then
-                        Error
-                          (Malformed
-                             {
-                               section = meta_name;
-                               reason =
-                                 Printf.sprintf "meta promises %d processes, found %d" nprocs
-                                   (List.length procs);
-                             })
-                      else
-                        let opt_payload tag =
-                          Option.map (fun (_, _, pos, plen) -> String.sub data pos plen) (find tag)
-                        in
-                        Ok
-                          {
-                            im_prog;
-                            im_version_tag;
-                            im_clock_ns;
-                            im_fingerprint;
-                            im_policy_text = opt_payload "POLI";
-                            im_target_tag = opt_payload "ATMP";
-                            im_flight_json = opt_payload "FLIT";
-                            im_procs = procs;
-                          }
-                    with
-                    | Short -> Error (Truncated { section = meta_name })
-                    | Stdlib.Failure reason -> Error (Malformed { section = "proc"; reason })))))
+    let version = within "header" (fun () -> r_u64 r) in
+    if version <> format_version then
+      fail (Version_skew { found = version; expected = format_version });
+    let count = within "header" (fun () -> r_u64 r) in
+    (* [trailer] is the hash of [data.[0 .. hashed - 1]] *)
+    let trailer = ref Fnv.basis and hashed = ref 0 in
+    let sections = ref [] in
+    for i = 0 to count - 1 do
+      let label = ref (Printf.sprintf "#%d" i) in
+      try
+          if r.pos > len - 4 then raise Short;
+          let tag = String.sub data r.pos 4 in
+          r.pos <- r.pos + 4;
+          label := tag;
+          let name = r_str r in
+          label := name;
+          let pos, plen = r_span r in
+          let hash = r_u64 r in
+          trailer := Fnv.fold !trailer data ~pos:!hashed ~len:(pos - !hashed);
+          let h, tr = Fnv.fold2 Fnv.basis !trailer data ~pos ~len:plen in
+          trailer := tr;
+          hashed := pos + plen;
+          if h <> hash then fail (Hash_mismatch { section = name });
+          sections := (tag, name, pos, plen) :: !sections
+      with Short -> fail (Truncated { section = !label })
+    done;
+    let body_end = r.pos in
+    let expected = within "trailer" (fun () -> r_u64 r) in
+    if Fnv.fold !trailer data ~pos:!hashed ~len:(body_end - !hashed) <> expected then
+      fail (Hash_mismatch { section = "image" });
+    let sections = List.rev !sections in
+    let find tag = List.find_opt (fun (t, _, _, _) -> t = tag) sections in
+    let reader pos plen = { data; pos; limit = pos + plen } in
+    let meta_name, mr =
+      match find "META" with
+      | None -> fail (Missing_section "meta")
+      | Some (_, name, pos, plen) -> (name, reader pos plen)
+    in
+    let im_prog, im_version_tag, im_clock_ns, im_fingerprint, nprocs =
+      within meta_name (fun () ->
+          let prog = r_str mr in
+          let version_tag = r_str mr in
+          let clock_ns = r_u64 mr in
+          let fingerprint = r_u64 mr in
+          let nprocs = r_u64 mr in
+          (prog, version_tag, clock_ns, fingerprint, nprocs))
+    in
+    let procs =
+      List.filter_map
+        (fun (tag, name, pos, plen) ->
+          if tag <> "PROC" then None
+          else
+            let malformed reason = fail (Malformed { section = name; reason }) in
+            match decode_proc (reader pos plen) with
+            | p -> Some p
+            | exception Short -> malformed "a field runs past the end of the section"
+            | exception Bad reason -> malformed reason)
+        sections
+    in
+    if List.length procs <> nprocs then
+      fail
+        (Malformed
+           {
+             section = meta_name;
+             reason =
+               Printf.sprintf "meta promises %d processes, found %d" nprocs (List.length procs);
+           });
+    let opt_payload tag = Option.map (fun (_, _, pos, plen) -> String.sub data pos plen) (find tag) in
+    Ok
+      {
+        im_prog;
+        im_version_tag;
+        im_clock_ns;
+        im_fingerprint;
+        im_policy_text = opt_payload "POLI";
+        im_target_tag = opt_payload "ATMP";
+        im_flight_json = opt_payload "FLIT";
+        im_procs = procs;
+      }
+  with Failed e -> Error e
 
 (* ------------------------------------------------------------------ *)
 (* Capture *)
 
-let kind_of_string = function
-  | "static" -> Region.Static
-  | "heap" -> Region.Heap
-  | "stack" -> Region.Stack
-  | "lib" -> Region.Lib
-  | "mmap" -> Region.Mmap
-  | s -> invalid_arg ("Image: unknown region kind " ^ s)
-
 let capture_region asp (r : Region.t) =
+  let words = r.Region.size / Addr.word_size in
+  let buf = Bytes.create (8 * words) in
+  Aspace.read_bytes asp r.Region.base ~words buf ~pos:0;
   {
     r_name = r.Region.name;
-    r_kind = Region.kind_to_string r.Region.kind;
+    r_kind = r.Region.kind;
     r_base = r.Region.base;
     r_size = r.Region.size;
-    r_words = Aspace.read_words asp r.Region.base ~words:(r.Region.size / Addr.word_size);
+    r_data = Bytes.unsafe_to_string buf;
+    r_pos = 0;
+    r_count = words;
   }
 
 let heap_image_of h =
@@ -659,7 +714,7 @@ let capture kernel ~members ?policy_text ?target_tag ?flight_json () =
 (* Written beside [path] and renamed over it, so a crash mid-write leaves
    the previous image, not a torn one. *)
 let write t ~path =
-  let w, _ = write_image t in
+  let slices, _ = encode_slices t in
   match
     Filename.temp_file ~temp_dir:(Filename.dirname path) ("." ^ Filename.basename path) ".tmp"
   with
@@ -668,7 +723,7 @@ let write t ~path =
       match
         let oc = open_out_bin tmp in
         Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () ->
-            output oc w.buf 0 w.len;
+            List.iter (fun (s, pos, len) -> output_substring oc s pos len) slices;
             close_out oc);
         Sys.rename tmp path
       with
@@ -714,8 +769,7 @@ let install_aspace saved asp =
     (fun (r : Region.t) ->
       match Hashtbl.find_opt saved_by_base r.Region.base with
       | Some s
-        when s.r_size = r.Region.size
-             && s.r_kind = Region.kind_to_string r.Region.kind ->
+        when s.r_size = r.Region.size && s.r_kind = r.Region.kind ->
           ()
       | _ -> Aspace.unmap asp r.Region.base)
     (Aspace.regions asp);
@@ -731,11 +785,12 @@ let install_aspace saved asp =
     (fun s ->
       if not (Hashtbl.mem live_bases s.r_base) then
         ignore
-          (Aspace.map asp ~name:s.r_name (Aspace.Fixed s.r_base) ~size:s.r_size
-             (kind_of_string s.r_kind)))
+          (Aspace.map asp ~name:s.r_name (Aspace.Fixed s.r_base) ~size:s.r_size s.r_kind))
     saved.pi_regions;
   (* contents *)
-  List.iter (fun s -> Aspace.write_words_untracked asp s.r_base s.r_words) saved.pi_regions;
+  List.iter
+    (fun s -> Aspace.write_bytes_untracked asp s.r_base ~words:s.r_count s.r_data ~pos:s.r_pos)
+    saved.pi_regions;
   (* dirty-tracking state *)
   Aspace.set_write_seq asp saved.pi_write_seq;
   List.iter

@@ -144,9 +144,17 @@ val with_flight_json : t -> string -> t
     attaches the attempt's record once the attempt finishes. *)
 
 val encode : t -> string
+(** The image's bytes, exactly as {!write} puts them in the file. *)
 
 val decode : string -> (t, error) result
-(** Total: any bytes give [Ok] or a typed {!error}, never an exception. *)
+(** Total: any bytes give [Ok] or a typed {!error}, never an exception.
+    The decoded image keeps the string: its regions' words are read from
+    it in place at {!install}, not copied out. Decode also checks what
+    install relies on in each [PROC] section's region table, failing with
+    [Malformed { section = "proc.N"; _ }]: region bases page-aligned above
+    the null page, sizes positive page multiples, word counts equal to
+    [size / 8], regions ascending and disjoint, region kinds known, and
+    every page state a page of a saved region. *)
 
 val write : t -> path:string -> (unit, error) result
 (** Encode to the {e host} filesystem — images must survive kernel
@@ -155,7 +163,9 @@ val write : t -> path:string -> (unit, error) result
     [path], so a crash mid-write never leaves a torn image there; on
     failure the temporary file is removed and [path] is untouched. The
     image file keeps the temporary file's mode: readable and writable by
-    its owner only, as a core dump is. *)
+    its owner only, as a core dump is. The image is streamed to the file
+    a piece at a time, each region's words straight from where capture or
+    decode left them; no whole-image buffer is built. *)
 
 val read : path:string -> (t, error) result
 

@@ -10,10 +10,27 @@ type t = int
 val string : string -> t
 (** [string s] is the FNV-1a hash of [s]. *)
 
+val basis : t
+(** The FNV-1a offset basis: the hash of no bytes, from which every
+    {!fold} starts. *)
+
+val fold : t -> string -> pos:int -> len:int -> t
+(** [fold h s ~pos ~len] folds the bytes [s.[pos] .. s.[pos + len - 1]]
+    into the running hash [h], so folding a string in pieces from {!basis}
+    gives the hash of the whole: [fold (fold h s ~pos ~len:k) s
+    ~pos:(pos + k) ~len:(len - k) = fold h s ~pos ~len]. It folds 8 bytes
+    per step, and an all-zero 8-byte word costs one multiplication.
+    @raise Invalid_argument if the range is not inside [s]. *)
+
+val fold2 : t -> t -> string -> pos:int -> len:int -> t * t
+(** [fold2 h1 h2 s ~pos ~len] is [(fold h1 s ~pos ~len, fold h2 s ~pos ~len)]
+    in one pass over the bytes: a section's hash and the hash of the whole
+    image it lies in are folded together.
+    @raise Invalid_argument if the range is not inside [s]. *)
+
 val sub : string -> pos:int -> len:int -> t
-(** [sub s ~pos ~len] is [string (String.sub s pos len)] without the copy.
-    It folds 8 bytes per step, and an all-zero 8-byte word costs one
-    multiplication.
+(** [sub s ~pos ~len] is [fold basis s ~pos ~len]: the hash of
+    [String.sub s pos len] without the copy.
     @raise Invalid_argument if the range is not inside [s]. *)
 
 val strings : string list -> t

@@ -354,14 +354,41 @@ let write_init t a ~words f =
         w.(i + j) <- f (pos + j)
       done)
 
-let read_words t a ~words =
-  let out = Array.make words 0 in
-  iter_runs t a ~words (fun p i pos n ->
-      if p.frame.words != zero_words then Array.blit p.frame.words i out pos n);
-  out
+(* The byte form of words is the image's: bits 0-62 of each word as a
+   little-endian u64, so byte 7's top bit is always 0. *)
+let check_bytes fn len ~words ~pos =
+  if pos < 0 || pos > len || words < 0 || words > (len - pos) / 8 then invalid_arg fn
 
-let write_words_untracked t a src =
-  iter_runs t a ~words:(Array.length src) (fun p i pos n -> store_run p i src pos n)
+let read_bytes t a ~words buf ~pos =
+  check_bytes "Aspace.read_bytes" (Bytes.length buf) ~words ~pos;
+  iter_runs t a ~words (fun p i k n ->
+      let off = pos + (8 * k) and w = p.frame.words in
+      if w == zero_words then Bytes.fill buf off (8 * n) '\000'
+      else
+        for j = 0 to n - 1 do
+          Bytes.set_int64_le buf (off + (8 * j))
+            (Int64.logand (Int64.of_int w.(i + j)) Int64.max_int)
+        done)
+
+let word_at src off = Int64.to_int (String.get_int64_le src off)
+
+let zero_words_at src off n =
+  let rec go j = j >= n || (word_at src (off + (8 * j)) = 0 && go (j + 1)) in
+  go 0
+
+(* [store_run] with the words read from [src]. *)
+let write_bytes_untracked t a ~words src ~pos =
+  check_bytes "Aspace.write_bytes_untracked" (String.length src) ~words ~pos;
+  iter_runs t a ~words (fun p i k n ->
+      let off = pos + (8 * k) in
+      unshare p;
+      if p.frame.words != zero_words || not (zero_words_at src off n) then begin
+        let w = writable p in
+        for j = 0 to n - 1 do
+          w.(i + j) <- word_at src (off + (8 * j))
+        done
+      end;
+      p.touched <- true)
 
 (* ------------------------------------------------------------------ *)
 (* Dirty epochs *)

@@ -132,16 +132,29 @@ val write_init : t -> Addr.t -> words:int -> (int -> int) -> unit
     unmapped page it is not applied to that page's words. No
     [words]-sized array is built: values go straight into each page. *)
 
-val read_words : t -> Addr.t -> words:int -> int array
-(** [read_words t a ~words] is the [words] consecutive words starting at
-    [a], copied a page at a time. @raise Fault as {!read_word}. *)
+val read_bytes : t -> Addr.t -> words:int -> Bytes.t -> pos:int -> unit
+(** [read_bytes t a ~words buf ~pos] writes the [words] words from [a] into
+    [buf] from byte [pos], each as the 8 little-endian bytes of its bits
+    0-62 (the top bit of the last byte is 0) — the checkpoint image's word
+    encoding. Word [i] of the range is [read_word t (a + 8i)]. A run on a
+    zero-array page is one fill. On a range that runs into an unmapped
+    page it raises the same {!Fault} as {!read_word}, after filling every
+    word before that page.
+    @raise Invalid_argument if the [8 * words] bytes from [pos] are not
+    inside [buf]. *)
 
-val write_words_untracked : t -> Addr.t -> int array -> unit
-(** [write_words_untracked t a src] stores [src] at [a], a page at a time,
-    with the semantics of one {!write_word_untracked} per word: every page
-    the range covers is touched, no dirty stamp moves. A page still on the
-    zero array stays there when its part of [src] is all zeros.
-    @raise Fault as {!read_word}. *)
+val write_bytes_untracked : t -> Addr.t -> words:int -> string -> pos:int -> unit
+(** [write_bytes_untracked t a ~words src ~pos] stores [words] words from
+    [a], word [i] being bits 0-62 of the little-endian u64 at byte
+    [pos + 8i] of [src], with the exact semantics of one
+    {!write_word_untracked} per word in ascending address order: the same
+    contents, every covered page touched and unshared, no dirty stamp or
+    {!write_seq} moved, and the same {!Fault} after the same stores on a
+    range that runs into an unmapped page. A page still on the zero array
+    stays there when its part of the range is all zeros. Pages are
+    resolved once per run, not once per word.
+    @raise Invalid_argument if the [8 * words] bytes from [pos] are not
+    inside [src]. *)
 
 (** {2 Dirty epochs} *)
 

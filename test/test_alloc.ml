@@ -376,7 +376,7 @@ let scribble sp a words =
 
 let check_zeroed sp a words =
   Alcotest.(check bool) "payload all zero" true
-    (Array.for_all (( = ) 0) (Aspace.read_words sp a ~words))
+    (Aspace.fold_words sp a ~words ~init:true ~f:(fun zero w -> zero && w = 0))
 
 let test_heap_reuse_zeroed () =
   let sp, h = fresh_heap ~instrumented:false () in

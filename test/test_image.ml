@@ -214,30 +214,38 @@ let test_unknown_section_skipped () =
    Decode must answer [Ok] or a typed [Error] for any bytes, never raise.
    The image is Listing1 at startup with every optional section present. *)
 
+let listing1 () =
+  let kernel = K.create () in
+  K.fs_write kernel ~path:Mcr_servers.Listing1.config_path "welcome=hi";
+  let m = Manager.launch kernel (Mcr_servers.Listing1.v1 ()) in
+  ignore (Manager.wait_startup m ());
+  (kernel, m)
+
 let small_image =
   lazy
-    (let kernel = K.create () in
-     K.fs_write kernel ~path:Mcr_servers.Listing1.config_path "welcome=hi";
-     let m = Manager.launch kernel (Mcr_servers.Listing1.v1 ()) in
-     ignore (Manager.wait_startup m ());
+    (let kernel, m = listing1 () in
      let img =
        Image.capture kernel ~members:(Manager.images m) ~policy_text:"precopy=false"
          ~target_tag:"v2" ~flight_json:"{}" ()
      in
      Image.encode img)
 
+let get_u64 s at = Int64.to_int (String.get_int64_le s at)
+let put_u64 b at n = Bytes.set_int64_le b at (Int64.of_int n)
+
 (* [(section offset, name, payload offset, payload length)] of every
-   section, from the layout. *)
+   section, read from the framing. *)
 let sections enc =
-  let img = match Image.decode enc with Ok i -> i | Error _ -> assert false in
-  let _, acc =
-    List.fold_left
-      (fun (off, acc) (_tag, name, plen) ->
-        let payload = off + 12 + String.length name + 8 in
-        (payload + plen + 8, (off, name, payload, plen) :: acc))
-      (24, []) (Image.layout img)
+  let rec go off k acc =
+    if k = 0 then List.rev acc
+    else
+      let name_len = get_u64 enc (off + 4) in
+      let payload = off + 12 + name_len + 8 in
+      let plen = get_u64 enc (payload - 8) in
+      go (payload + plen + 8) (k - 1)
+        ((off, String.sub enc (off + 12) name_len, payload, plen) :: acc)
   in
-  List.rev acc
+  go 24 (get_u64 enc 16) []
 
 (* Offsets of the name and payload length fields of every section. *)
 let length_fields enc =
@@ -286,9 +294,6 @@ let show_mutation = function
   | Set_length (i, v) -> Printf.sprintf "length field %d := %d" i v
   | Resealed (i, v) -> Printf.sprintf "resealed payload candidate %d := %d" i v
 
-let get_u64 s at = Int64.to_int (String.get_int64_le s at)
-let put_u64 b at n = Bytes.set_int64_le b at (Int64.of_int n)
-
 (* Payload offsets whose 8 bytes read as a small positive number: nearly
    every count and string length qualifies, few page words do. *)
 let small_field_offsets =
@@ -305,10 +310,10 @@ let small_field_offsets =
      |> Array.of_list)
 
 (* Recompute every section hash and the trailer over the mutated bytes. *)
-let reseal enc b =
+let reseal b =
+  let enc = Bytes.to_string b in
   List.iter
-    (fun (_, _, payload, plen) ->
-      put_u64 b (payload + plen) (Fnv.string (Bytes.sub_string b payload plen)))
+    (fun (_, _, payload, plen) -> put_u64 b (payload + plen) (Fnv.string (String.sub enc payload plen)))
     (sections enc);
   let body = Bytes.length b - 8 in
   put_u64 b body (Fnv.string (Bytes.sub_string b 0 body))
@@ -329,7 +334,7 @@ let apply enc = function
       let offsets = Lazy.force small_field_offsets in
       let b = Bytes.of_string enc in
       put_u64 b offsets.(i mod Array.length offsets) v;
-      reseal enc b;
+      reseal b;
       Bytes.to_string b
 
 let prop_decode_total =
@@ -348,6 +353,186 @@ let prop_decode_total =
   QCheck.Test.make ~count:400 ~name:"image.decode_total"
     (QCheck.make ~print:show_mutation gen)
     (fun m -> decode_total (apply (Lazy.force small_image) m))
+
+(* {1 The region table is checked at decode}
+
+   Install maps, fills and stamps what the region table says, so decode
+   must refuse a table install cannot honour instead of letting install
+   raise. The fields: each region's base, size and word count, and each
+   page state's page address. *)
+
+type table_field = Base | Size | Count | Page
+
+let show_table_field = function
+  | Base -> "base"
+  | Size -> "size"
+  | Count -> "count"
+  | Page -> "page"
+
+(* [(section, field, offset)] for every region-table field of every PROC
+   section, walking the payload layout of [Image.encode_proc]. *)
+let table_fields enc =
+  List.concat_map
+    (fun (_, name, payload, _) ->
+      if not (String.starts_with ~prefix:"proc." name) then []
+      else begin
+        let at = ref payload in
+        let u64 () =
+          let v = get_u64 enc !at in
+          at := !at + 8;
+          v
+        in
+        let skip_str () = at := !at + u64 () in
+        (* pid, name, call stack, startup flag, layout bias, write seq, fds *)
+        ignore (u64 ());
+        skip_str ();
+        at := !at + 32;
+        at := !at + (8 * u64 ());
+        let fields = ref [] in
+        let field f = fields := (name, f, !at) :: !fields in
+        for _ = 1 to u64 () do
+          skip_str ();
+          skip_str ();
+          field Base;
+          ignore (u64 ());
+          field Size;
+          ignore (u64 ());
+          field Count;
+          at := !at + (8 * u64 ())
+        done;
+        for _ = 1 to u64 () do
+          field Page;
+          at := !at + 32
+        done;
+        List.rev !fields
+      end)
+    (sections enc)
+
+let reseal_field enc at v =
+  let b = Bytes.of_string enc in
+  put_u64 b at v;
+  reseal b;
+  Bytes.to_string b
+
+let field_at enc section f k =
+  match List.filter (fun (s, g, _) -> s = section && g = f) (table_fields enc) with
+  | [] -> Alcotest.failf "no %s field in %s" (show_table_field f) section
+  | l ->
+      let _, _, at = List.nth l k in
+      at
+
+(* [enc] with proc.0's payload replaced by [edit rel payload], its length
+   and every hash fixed; [rel f k] is the payload offset of the [k]th
+   field [f]. *)
+let edit_proc0 enc edit =
+  let _, _, payload, plen = List.find (fun (_, n, _, _) -> n = "proc.0") (sections enc) in
+  let rel f k = field_at enc "proc.0" f k - payload in
+  let p = edit rel (String.sub enc payload plen) in
+  let b =
+    Bytes.of_string
+      (String.sub enc 0 (payload - 8)
+      ^ u64_le (String.length p)
+      ^ p
+      ^ String.sub enc (payload + plen) (String.length enc - payload - plen))
+  in
+  reseal b;
+  Bytes.to_string b
+
+let set_u64 p at v =
+  let b = Bytes.of_string p in
+  put_u64 b at v;
+  Bytes.to_string b
+
+let splice p at ~drop ins =
+  String.sub p 0 at ^ ins ^ String.sub p (at + drop) (String.length p - at - drop)
+
+let test_region_table_malformed () =
+  let enc = Lazy.force small_image in
+  let page = Mcr_vmem.Addr.page_size in
+  let field f k change rel p = set_u64 p (rel f k) (change (get_u64 p (rel f k))) in
+  let last =
+    List.length (List.filter (fun (s, f, _) -> s = "proc.0" && f = Base) (table_fields enc)) - 1
+  in
+  (* [count] more words, with the words themselves *)
+  let grow_words k extra rel p =
+    let at = rel Count k in
+    let count = get_u64 p at in
+    splice (set_u64 p at (count + extra)) (at + 8 + (8 * count)) ~drop:0
+      (String.make (8 * extra) '\000')
+  in
+  let cases =
+    [
+      ("size one page smaller, count unchanged", field Size 0 (fun v -> v - page));
+      ("zero size", field Size 0 (fun _ -> 0));
+      (* the last region, so that no region above it overlaps *)
+      ( "size not a page multiple, words to match",
+        fun rel p -> field Size last (fun v -> v + 8) rel (grow_words last 1 rel p) );
+      ("base not page-aligned", field Base 0 (fun v -> v + 8));
+      ("base at the null page", field Base 0 (fun _ -> 0));
+      ("base near the top of the address space", field Base 0 (fun _ -> max_int - page + 1));
+      ("word count one short", field Count 0 (fun v -> v - 1));
+      (* install would store the extra page past the region *)
+      ("a page more words than the size", grow_words 0 Mcr_vmem.Addr.words_per_page);
+      ("second region over the first", fun rel p -> field Base 1 (fun _ -> get_u64 p (rel Base 0)) rel p);
+      ("page state not page-aligned", field Page 0 (fun v -> v + 8));
+      ("page state outside every region", field Page 0 (fun _ -> 1 lsl 40));
+    ]
+  in
+  (* The same image without page states, so that no check on the page
+     states can stand in for a check on the regions. *)
+  let bare =
+    edit_proc0 enc (fun rel p ->
+        let count_at = rel Page 0 - 8 in
+        splice (set_u64 p count_at 0) (count_at + 8) ~drop:(32 * get_u64 p count_at) "")
+  in
+  (match Image.decode bare with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "no page states: %s" (Image.error_to_string e));
+  List.iter
+    (fun (variant, img) ->
+      List.iter
+        (fun (name, edit) ->
+          if not (variant = "bare" && String.starts_with ~prefix:"page state" name) then
+            match Image.decode (edit_proc0 img edit) with
+            | Error (Image.Malformed { section = "proc.0"; _ }) -> ()
+            | Ok _ -> Alcotest.failf "%s, %s: decoded" variant name
+            | Error e -> Alcotest.failf "%s, %s: %s" variant name (Image.error_to_string e))
+        cases)
+    [ ("full", enc); ("bare", bare) ]
+
+(* Decode then install every [Ok] into a fresh Listing1: install answers
+   [Ok] or a typed [Error] and never raises. *)
+let prop_region_table_install_total =
+  let gen =
+    let open QCheck.Gen in
+    let delta =
+      oneofl
+        [ `Add 4096; `Add (-4096); `Add 8; `Add (-8); `Add 1; `Set max_int; `Set (-1); `Set 0;
+          `Set min_int; `Set (1 lsl 40); `Set 7 ]
+    in
+    pair (int_range 0 100_000) delta
+  in
+  let show (i, d) =
+    let enc = Lazy.force small_image in
+    let fields = Array.of_list (table_fields enc) in
+    let section, f, _ = fields.(i mod Array.length fields) in
+    Printf.sprintf "%s %s field #%d %s" section (show_table_field f) i
+      (match d with `Add n -> Printf.sprintf "+= %d" n | `Set v -> Printf.sprintf ":= %d" v)
+  in
+  QCheck.Test.make ~count:200 ~name:"image.region_table_install_total" (QCheck.make ~print:show gen)
+    (fun (i, d) ->
+      let enc = Lazy.force small_image in
+      let fields = Array.of_list (table_fields enc) in
+      let _, _, at = fields.(i mod Array.length fields) in
+      let v = match d with `Add n -> get_u64 enc at + n | `Set v -> v in
+      match Image.decode (reseal_field enc at v) with
+      | Error _ -> true
+      | exception e -> QCheck.Test.fail_reportf "decode raised %s" (Printexc.to_string e)
+      | Ok img -> (
+          let _kernel, m = listing1 () in
+          match Image.install img ~members:(Manager.images m) with
+          | Ok _ | Error _ -> true
+          | exception e -> QCheck.Test.fail_reportf "install raised %s" (Printexc.to_string e)))
 
 (* {1 Atomic write} *)
 
@@ -541,6 +726,39 @@ let test_fleet_migrate () =
     (Some 1)
     (Metrics.find_counter (Fleet.metrics_snapshot fleet) "mcr_fleet_migrations_total")
 
+(* The shipped file is damaged after the save, before it is read back (the
+   relaunch hook runs in between): the migration fails with the read
+   error, and the original instance is back in rotation with its state. *)
+let test_fleet_migrate_corrupt_file () =
+  let server = Testbed.Nginx in
+  let path = tmp_image "migrate_corrupt" in
+  let spawn _ =
+    let kernel = K.create () in
+    (kernel, Testbed.launch kernel server)
+  in
+  let relaunch i ~version_tag:_ =
+    let data = file_contents path in
+    Out_channel.with_open_bin path (fun oc -> output_string oc (flip data 56));
+    Ok (spawn i)
+  in
+  let fleet =
+    Fleet.create ~relaunch ~prog:(Testbed.name server) ~n:2 ~spawn
+      ~health:(fun _ _ -> true)
+      ~target:(fun _ -> Testbed.final_version server)
+      ~revert:(fun _ -> Testbed.base_version server)
+      ()
+  in
+  let before = Fleet.image_fingerprint fleet 0 in
+  (match Fleet.migrate_instance fleet 0 ~path with
+  | Ok _ -> Alcotest.fail "a corrupted image was installed"
+  | Error e ->
+      Alcotest.(check bool) "the read error is reported" true (contains e "integrity failure"));
+  Alcotest.(check int) "the original keeps its state" before (Fleet.image_fingerprint fleet 0);
+  Fleet.refresh_serving fleet;
+  Alcotest.(check int) "both instances in rotation" 2 (Fleet.serving fleet);
+  Alcotest.(check (option int)) "no migration counted" (Some 0)
+    (Metrics.find_counter (Fleet.metrics_snapshot fleet) "mcr_fleet_migrations_total")
+
 let test_fleet_standby_failover () =
   let fleet = Fleet.of_testbed Testbed.Httpd ~n:2 in
   let sb =
@@ -646,6 +864,9 @@ let () =
           Alcotest.test_case "truncated at every field boundary" `Quick
             test_truncated_at_every_boundary;
           QCheck_alcotest.to_alcotest prop_decode_total;
+          Alcotest.test_case "region table checked at decode" `Quick
+            test_region_table_malformed;
+          QCheck_alcotest.to_alcotest prop_region_table_install_total;
           Alcotest.test_case "write replaces atomically" `Quick
             test_write_replaces_atomically;
           Alcotest.test_case "failed write keeps the target" `Quick
@@ -668,6 +889,8 @@ let () =
         [
           Alcotest.test_case "migrate carries state across kernels" `Quick
             test_fleet_migrate;
+          Alcotest.test_case "corrupted shipped file fails the migration" `Quick
+            test_fleet_migrate_corrupt_file;
           Alcotest.test_case "standby failover" `Quick test_fleet_standby_failover;
         ] );
       ( "replay",

@@ -51,10 +51,13 @@ let ref_basis = Int64.to_int 0xcbf29ce484222325L land max_int
 let ref_prime = 0x100000001b3
 let ref_fold h c = (h lxor Char.code c) * ref_prime
 
-let ref_string s =
-  let h = ref ref_basis in
+(* The byte loop continued from any state [h]. *)
+let ref_fold_from h s =
+  let h = ref h in
   String.iter (fun c -> h := ref_fold !h c) s;
   !h land max_int
+
+let ref_string s = ref_fold_from ref_basis s
 
 let ref_int n =
   let h = ref ref_basis in
@@ -95,12 +98,51 @@ let prop_fnv_int_matches_bytes =
     QCheck.(oneof [ int; oneofl [ 0; -1; 1; min_int; max_int; 1 lsl 61; -42 ] ])
     (fun n -> Fnv.int n = ref_int n)
 
+(* A string cut into pieces at any points, folded piece by piece from the
+   basis, hashes as the whole; [fold2] from two arbitrary states is two
+   [fold]s, and each is the byte loop continued from its state. *)
+let prop_fnv_fold_split =
+  QCheck.Test.make ~name:"fnv fold over any split = sub of the whole" ~count:1000
+    (QCheck.make
+       ~print:(fun ((s, pos, len), cuts) ->
+         Printf.sprintf "%S pos=%d len=%d cuts=[%s]" s pos len
+           (String.concat ";" (List.map string_of_int cuts)))
+       QCheck.Gen.(pair gen_zero_heavy_range (small_list (int_bound 60))))
+    (fun ((s, pos, len), cuts) ->
+      let cuts = List.sort_uniq compare (List.filter (fun c -> c < len) cuts) @ [ len ] in
+      let h, _ =
+        List.fold_left
+          (fun (h, at) c -> (Fnv.fold h s ~pos:(pos + at) ~len:(c - at), c))
+          (Fnv.basis, 0) cuts
+      in
+      h = Fnv.sub s ~pos ~len && h = ref_string (String.sub s pos len))
+
+let prop_fnv_fold2 =
+  QCheck.Test.make ~name:"fnv fold2 = two folds = the byte loop" ~count:1000
+    (QCheck.make
+       ~print:(fun ((s, pos, len), (h1, h2)) ->
+         Printf.sprintf "%S pos=%d len=%d from %d, %d" s pos len h1 h2)
+       QCheck.Gen.(
+         pair gen_zero_heavy_range
+           (pair (oneof [ return Fnv.basis; map abs int ]) (map abs int))))
+    (fun ((s, pos, len), (h1, h2)) ->
+      let copy = String.sub s pos len in
+      Fnv.fold2 h1 h2 s ~pos ~len = (Fnv.fold h1 s ~pos ~len, Fnv.fold h2 s ~pos ~len)
+      && Fnv.fold h1 s ~pos ~len = ref_fold_from h1 copy
+      && Fnv.fold h2 s ~pos ~len = ref_fold_from h2 copy)
+
 let test_fnv_sub_bounds () =
   List.iter
     (fun (pos, len) ->
-      match Fnv.sub "abcdefgh" ~pos ~len with
-      | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.failf "pos=%d len=%d accepted" pos len)
+      List.iter
+        (fun (name, hash) ->
+          match hash () with
+          | exception Invalid_argument _ -> ()
+          | _ -> Alcotest.failf "%s pos=%d len=%d accepted" name pos len)
+        [
+          ("sub", fun () -> ignore (Fnv.sub "abcdefgh" ~pos ~len));
+          ("fold2", fun () -> ignore (Fnv.fold2 1 2 "abcdefgh" ~pos ~len));
+        ])
     [ (-1, 1); (0, 9); (8, 1); (3, -1); (max_int, 1); (1, max_int) ]
 
 (* ------------------------------------------------------------------ *)
@@ -296,6 +338,8 @@ let () =
           Alcotest.test_case "int hashing" `Quick test_fnv_int;
           qt prop_fnv_nonneg;
           qt prop_fnv_sub_matches_string;
+          qt prop_fnv_fold_split;
+          qt prop_fnv_fold2;
           qt prop_fnv_int_matches_bytes;
           Alcotest.test_case "sub range checks" `Quick test_fnv_sub_bounds;
         ] );

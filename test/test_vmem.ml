@@ -332,6 +332,23 @@ let prop_dirty_iff_written =
       in
       Aspace.epoch_dirty_pages sp ~name:"startup" = expected)
 
+(* The checkpoint image's byte form of words: bits 0-62 of each word as a
+   little-endian u64. *)
+let bytes_of_words a =
+  let b = Bytes.create (8 * Array.length a) in
+  Array.iteri
+    (fun i v -> Bytes.set_int64_le b (8 * i) (Int64.logand (Int64.of_int v) Int64.max_int))
+    a;
+  Bytes.to_string b
+
+let read_bytes sp a ~words =
+  let b = Bytes.create (8 * words) in
+  Aspace.read_bytes sp a ~words b ~pos:0;
+  Bytes.to_string b
+
+(* [words] words from [a], one [read_word] each. *)
+let read_each sp a ~words = Array.init words (fun i -> Aspace.read_word sp (Addr.add_words a i))
+
 (* ------------------------------------------------------------------ *)
 (* Model-based: zero pages, copy-on-write and remap against a plain model
 
@@ -471,7 +488,8 @@ let prop_zero_page_model =
         | M_write_run ((s, j, w), a) ->
             let a = Array.sub a 0 (min (Array.length a) (m_slot_words - w)) in
             if mapped s j && Array.length a > 0 then begin
-              Aspace.write_words_untracked real.(s) (addr j w) a;
+              Aspace.write_bytes_untracked real.(s) (addr j w) ~words:(Array.length a)
+                (bytes_of_words a) ~pos:0;
               break_range s j w (Array.length a);
               Array.blit a 0 (content s j) w (Array.length a)
             end
@@ -526,7 +544,7 @@ let prop_zero_page_model =
           match words.(s).(j) with
           | None -> if Aspace.is_mapped_word real.(s) (addr j 0) then reads_agree := false
           | Some a ->
-              if Aspace.read_words real.(s) (addr j 0) ~words:m_slot_words <> a then
+              if read_bytes real.(s) (addr j 0) ~words:m_slot_words <> bytes_of_words a then
                 reads_agree := false;
               Array.iteri
                 (fun w v -> if Aspace.read_word real.(s) (addr j w) <> v then reads_agree := false)
@@ -547,7 +565,8 @@ let prop_zero_page_model =
       let fresh_zero =
         let sp = Aspace.create () in
         let base = Aspace.map sp (Aspace.Near Region.Heap) ~size:(4 * 4096) Region.Heap in
-        Array.for_all (( = ) 0) (Aspace.read_words sp base ~words:(4 * Addr.words_per_page))
+        read_bytes sp base ~words:(4 * Addr.words_per_page)
+        = String.make (8 * 4 * Addr.words_per_page) '\000'
       in
       !reads_agree && shared_agree && fresh_zero && !detached)
 
@@ -628,8 +647,8 @@ let z_zero_backed sp =
             ~f:(fun _ page _ _ -> page == zero)))
 
 let z_observe sp donor =
-  ( Aspace.read_words sp z_base ~words:(z_pages * Addr.words_per_page),
-    Aspace.read_words donor z_base ~words:(z_pages * Addr.words_per_page),
+  ( read_each sp z_base ~words:(z_pages * Addr.words_per_page),
+    read_each donor z_base ~words:(z_pages * Addr.words_per_page),
     Aspace.write_seq sp,
     Aspace.page_states sp,
     (Aspace.shared_frame_count sp, Aspace.shared_frame_count donor),
@@ -641,18 +660,20 @@ let z_print (pages, reset_at, skew, w, n) =
     (String.concat "; " (List.map show_z_page pages))
     reset_at skew w n
 
+let z_fault g = try g (); None with Aspace.Fault x -> Some x
+
 (* Build the case twice, store [f i] at word [i] of the range with [bulk]
-   on one copy and one [write_word] per word on the other, and compare. *)
-let z_lockstep (pages, reset_at, skew, w, n) f bulk =
+   on one copy and one [store] (by default [write_word]) per word on the
+   other, and compare. *)
+let z_lockstep ?(store = Aspace.write_word) (pages, reset_at, skew, w, n) f bulk =
   let a = Addr.add_words z_base w + skew in
-  let fault g = try g (); None with Aspace.Fault x -> Some x in
   let bulk_donor, bulk_sp = z_build pages reset_at in
   let word_donor, word_sp = z_build pages reset_at in
-  let bulk_fault = fault (fun () -> bulk bulk_sp a n) in
+  let bulk_fault = z_fault (fun () -> bulk bulk_sp a n) in
   let word_fault =
-    fault (fun () ->
+    z_fault (fun () ->
         for i = 0 to n - 1 do
-          Aspace.write_word word_sp (Addr.add_words a i) (f i)
+          store word_sp (Addr.add_words a i) (f i)
         done)
   in
   bulk_fault = word_fault && z_observe bulk_sp bulk_donor = z_observe word_sp word_donor
@@ -696,6 +717,125 @@ let prop_write_init_lockstep =
     (fun (case, fill) ->
       let f = w_value fill in
       z_lockstep case f (fun sp a n -> Aspace.write_init sp a ~words:n f))
+
+(* Lockstep for the image's byte form. The source words are zero, small,
+   arbitrary 64-bit values, or only bit 63 set, which is a zero word: its
+   bits 0-62 are clear. The range starts at byte [pos] of the source. *)
+type b_fill = B_zeros | B_points of (int * int64) list | B_dense of int64 list
+
+let b_word_gen =
+  QCheck.Gen.(
+    oneof [ return Int64.min_int; return (-1L); map Int64.of_int (int_range 1 9); ui64 ])
+
+let b_fill_gen =
+  let open QCheck.Gen in
+  let total = (z_pages + 1) * Addr.words_per_page in
+  frequency
+    [
+      (1, return B_zeros);
+      (3, map (fun l -> B_points l) (small_list (pair (int_bound (total - 1)) b_word_gen)));
+      (2, map (fun l -> B_dense l) (list_size (int_range 1 7) b_word_gen));
+    ]
+
+let show_b_fill = function
+  | B_zeros -> "zeros"
+  | B_points l -> Printf.sprintf "points x%d" (List.length l)
+  | B_dense l -> Printf.sprintf "dense cycle of %d" (List.length l)
+
+let b_source fill ~pos n =
+  let b = Bytes.make (pos + (8 * n) + 3) '\x5a' in
+  for i = 0 to n - 1 do
+    let v =
+      match fill with
+      | B_zeros -> 0L
+      | B_points l -> Option.value (List.assoc_opt i l) ~default:0L
+      | B_dense l -> List.nth l (i mod List.length l)
+    in
+    Bytes.set_int64_le b (pos + (8 * i)) v
+  done;
+  Bytes.to_string b
+
+let prop_write_bytes_lockstep =
+  QCheck.Test.make ~name:"write_bytes_untracked is one write_word_untracked per word"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (case, fill, pos) -> Printf.sprintf "%s %s at %d" (z_print case) (show_b_fill fill) pos)
+       (QCheck.Gen.triple z_case_gen b_fill_gen (QCheck.Gen.int_bound 9)))
+    (fun (((_, _, _, _, n) as case), fill, pos) ->
+      let src = b_source fill ~pos n in
+      z_lockstep ~store:Aspace.write_word_untracked case
+        (fun i -> Int64.to_int (String.get_int64_le src (pos + (8 * i))))
+        (fun sp a n -> Aspace.write_bytes_untracked sp a ~words:n src ~pos))
+
+(* The words read back in byte form are [read_word]'s, word by word: over
+   zero, private and shared pages holding negative and top-bit words, into
+   a buffer at an odd offset, with the same fault on a range that runs
+   into the unmapped page. *)
+let prop_read_bytes_lockstep =
+  QCheck.Test.make ~name:"read_bytes is one read_word per word" ~count:300
+    (QCheck.make
+       ~print:(fun (case, extra, pos) ->
+         Printf.sprintf "%s extra x%d at %d" (z_print case) (List.length extra) pos)
+       QCheck.Gen.(
+         triple z_case_gen
+           (small_list
+              (pair
+                 (int_bound ((z_pages * Addr.words_per_page) - 1))
+                 (oneofl [ -1; max_int; min_int; -42; 1 lsl 61; 7 ])))
+           (int_bound 9)))
+    (fun ((pages, reset_at, skew, w, n), extra, pos) ->
+      let _donor, sp = z_build pages reset_at in
+      List.iter (fun (i, v) -> Aspace.write_word sp (Addr.add_words z_base i) v) extra;
+      let a = Addr.add_words z_base w + skew in
+      let buf = Bytes.make (pos + (8 * n) + 3) '\x5a' in
+      let expected = Bytes.copy buf in
+      let bulk_fault = z_fault (fun () -> Aspace.read_bytes sp a ~words:n buf ~pos) in
+      let word_fault =
+        z_fault (fun () ->
+            for i = 0 to n - 1 do
+              let v = Aspace.read_word sp (Addr.add_words a i) in
+              Bytes.set_int64_le expected (pos + (8 * i))
+                (Int64.logand (Int64.of_int v) Int64.max_int)
+            done)
+      in
+      (* a fault leaves the faulting page's words unfilled: compare only
+         the words before it *)
+      let filled =
+        match word_fault with
+        | None -> n
+        | Some x -> (x - a) / Addr.word_size
+      in
+      bulk_fault = word_fault
+      && Bytes.sub buf 0 (pos + (8 * filled)) = Bytes.sub expected 0 (pos + (8 * filled))
+      && Bytes.sub_string buf (pos + (8 * n)) 3 = "\x5a\x5a\x5a")
+
+let test_write_bytes_zero_run () =
+  let sp = Aspace.create () in
+  ignore (Aspace.map sp (Aspace.Fixed z_base) ~size:(z_pages * 4096) Region.Heap);
+  let words = z_pages * Addr.words_per_page in
+  (* bit 63 alone is outside the word: these are all zero words *)
+  let src = String.concat "" (List.init words (fun _ -> "\000\000\000\000\000\000\000\x80")) in
+  Aspace.write_bytes_untracked sp z_base ~words src ~pos:0;
+  let all = List.init z_pages (fun _ -> true) in
+  Alcotest.(check (list bool)) "every page still on the zero array" all (z_zero_backed sp);
+  Alcotest.(check (list bool)) "every page touched" all
+    (List.map (fun ps -> ps.Aspace.ps_touched) (Aspace.page_states sp));
+  Alcotest.(check int) "untracked: no write sequence" 0 (Aspace.write_seq sp)
+
+let test_bytes_range_checks () =
+  let sp = Aspace.create () in
+  ignore (Aspace.map sp (Aspace.Fixed z_base) ~size:4096 Region.Heap);
+  List.iter
+    (fun (pos, words) ->
+      let rejected name f =
+        match f () with
+        | exception Invalid_argument _ -> ()
+        | () -> Alcotest.failf "%s pos=%d words=%d accepted" name pos words
+      in
+      rejected "read_bytes" (fun () -> Aspace.read_bytes sp z_base ~words (Bytes.create 16) ~pos);
+      rejected "write_bytes_untracked" (fun () ->
+          Aspace.write_bytes_untracked sp z_base ~words (String.make 16 'x') ~pos))
+    [ (-1, 1); (0, 3); (9, 1); (0, -1); (17, 0); (8, (max_int / 8) + 1); (0, max_int) ]
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in
@@ -761,5 +901,11 @@ let () =
           qt prop_zero_page_model;
           qt prop_zero_fill_lockstep;
           qt prop_write_init_lockstep;
+          qt prop_write_bytes_lockstep;
+          qt prop_read_bytes_lockstep;
+          Alcotest.test_case "all-zero bytes keep the zero array" `Quick
+            test_write_bytes_zero_run;
+          Alcotest.test_case "byte ranges outside the buffer rejected" `Quick
+            test_bytes_range_checks;
         ] );
     ]
