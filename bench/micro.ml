@@ -62,6 +62,44 @@ let test_store_init, test_write_word_loop =
              Aspace.write_word aspace (Addr.add_words base i) (f i)
            done)) )
 
+(* The host cost of one process-per-connection session: fork a process
+   with 16 private pages, store to each, kill it. The kernel has already
+   reaped 1,000 such processes, so a cost that grows with the process
+   table or with dead processes' memory shows here. *)
+let test_fork_exit =
+  let pages = 16 in
+  let kernel = K.create () in
+  let aspace = Aspace.create () in
+  let base =
+    Aspace.map aspace (Aspace.Near Region.Heap) ~size:(pages * Addr.page_size) Region.Heap
+  in
+  let page i = Addr.add base (i * Addr.page_size) in
+  for i = 0 to pages - 1 do
+    Aspace.write_word aspace (page i) (i + 1)
+  done;
+  let parent =
+    K.spawn_process kernel ~image:(K.Fresh_image aspace) ~name:"parent" ~entry:"main"
+      ~main:(fun _ ->
+        ignore (K.syscall (Mcr_simos.Sysdefs.Sem_wait { name = "never"; timeout_ns = None })))
+      ()
+  in
+  K.run kernel;
+  let fork_exit () =
+    let child =
+      K.spawn_process kernel ~parent ~image:(K.Clone_image parent) ~name:"session" ~entry:"main"
+        ~main:ignore ()
+    in
+    for i = 0 to pages - 1 do
+      Aspace.write_word (K.aspace child) (page i) i
+    done;
+    K.kill_process kernel child ~status:0;
+    K.run kernel
+  in
+  for _ = 1 to 1_000 do
+    fork_exit ()
+  done;
+  Test.make ~name:"simos:fork-exit" (Staged.stage fork_exit)
+
 (* Table 2: the hybrid precise/conservative traversal *)
 let test_conservative_scan =
   let kernel = K.create () in
@@ -142,7 +180,7 @@ let run () =
   print_endline "=================================================";
   let tests =
     [ test_callstack_hash; test_alloc_tagging; test_malloc_zeroed; test_store_init;
-      test_write_word_loop; test_conservative_scan;
+      test_write_word_loop; test_fork_exit; test_conservative_scan;
       test_type_transform; test_region_lookup_linear; test_region_lookup_indexed;
       test_image_encode; test_image_decode; test_fnv_sub ]
   in

@@ -179,13 +179,15 @@ let first_quiesce_heap_hook (im : P.image) =
      consumer can clobber another's dirty baseline *)
   Aspace.epoch_reset im.P.i_aspace ~name:"startup"
 
+(* Dead members are dropped as children join, so the list stays the
+   size of the live set. *)
 let track_members ?trace members (img : P.image) =
   members := !members @ [ img ];
   Barrier.set_trace img.P.i_barrier trace;
   img.P.i_first_quiesce_hooks <- first_quiesce_heap_hook :: img.P.i_first_quiesce_hooks;
   img.P.i_child_hooks <-
     (fun child ->
-      members := !members @ [ child ];
+      members := live members @ [ child ];
       Barrier.set_trace child.P.i_barrier trace)
     :: img.P.i_child_hooks
 
@@ -973,15 +975,11 @@ let state_transfer a r : unit stage_result =
     | Some reason -> failed reason
     | None -> Ok ()
 
-(* A dying version's images: detach any frames they share with the
-   survivor (zero-copy remap) so no shared frame outlives the window and
-   the survivor owns its memory, then terminate them. *)
+(* Terminate a dying version's images. Exit unmaps each one's address
+   space, so the frames it shared with the survivor (zero-copy remap) are
+   the survivor's alone and no shared frame outlives the window. *)
 let retire k imgs ~status =
-  List.iter
-    (fun (im : P.image) ->
-      ignore (Aspace.detach_shared im.P.i_aspace);
-      if K.alive im.P.i_proc then K.kill_process k im.P.i_proc ~status)
-    imgs
+  List.iter (fun (im : P.image) -> K.kill_process k im.P.i_proc ~status) imgs
 
 let respond_ctl t result =
   if t.ctl.pending then begin

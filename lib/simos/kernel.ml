@@ -157,6 +157,7 @@ type t = {
   mutable next_pid : int;
   mutable next_tid : int;
   mutable all_procs : proc list; (* reversed creation order *)
+  by_pid : (int, proc) Hashtbl.t; (* dead ones too: [Waitpid] reads their status *)
   ports : (int, desc) Hashtbl.t;
   paths : (string, desc) Hashtbl.t;
   sems : (string, sem) Hashtbl.t;
@@ -194,6 +195,7 @@ let create ?(costs = Costs.default) () =
     next_pid = 1;
     next_tid = 1;
     all_procs = [];
+    by_pid = Hashtbl.create 64;
     ports = Hashtbl.create 16;
     paths = Hashtbl.create 16;
     sems = Hashtbl.create 16;
@@ -329,7 +331,12 @@ let aspace p = p.p_aspace
 let alive p = p.p_alive
 let exit_status p = p.p_status
 let procs t = List.rev t.all_procs
-let find_proc t pid = List.find_opt (fun p -> p.p_pid = pid) t.all_procs
+let find_proc t pid = Hashtbl.find_opt t.by_pid pid
+
+let register t p =
+  t.all_procs <- p :: t.all_procs;
+  Hashtbl.replace t.by_pid p.p_pid p
+
 let proc_threads p = List.rev p.p_threads
 let payload p = p.p_payload
 let set_payload p v = p.p_payload <- Some v
@@ -418,6 +425,8 @@ let process_exit t p status =
     p.p_status <- Some status;
     List.iter (fun th -> th.t_state <- Finished) p.p_threads;
     List.iter (fun fd -> ignore (close_fd t p fd)) (fds p);
+    (* drops every frame reference, shared ones included *)
+    List.iter (fun r -> Aspace.unmap p.p_aspace r.Mcr_vmem.Region.base) (Aspace.regions p.p_aspace);
     p.p_exit_waiters <- List.filter (fun w -> not w.fired) p.p_exit_waiters;
     List.iter try_fire p.p_exit_waiters
   end
@@ -498,7 +507,7 @@ and spawn_process t ?parent ?force_pid ~image ~name ~entry ~main () =
   let pid =
     match force_pid with
     | Some pid ->
-        if List.exists (fun p -> p.p_pid = pid) t.all_procs then
+        if Hashtbl.mem t.by_pid pid then
           invalid_arg (Printf.sprintf "spawn_process: pid %d already in use" pid)
         else begin
           if pid >= t.next_pid then t.next_pid <- pid + 1;
@@ -537,7 +546,7 @@ and spawn_process t ?parent ?force_pid ~image ~name ~entry ~main () =
       p_creation_callstack = creation_cs;
     }
   in
-  t.all_procs <- p :: t.all_procs;
+  register t p;
   (match t.spawn_hook with Some h -> h p | None -> ());
   let th = make_thread t p ~name:entry in
   start_thread t th main;
@@ -576,7 +585,7 @@ and fork_process t (parent_thread : thread) entry =
               p_creation_callstack = callstack_id parent_thread;
             }
           in
-          t.all_procs <- p :: t.all_procs;
+          register t p;
           (match t.spawn_hook with Some h -> h p | None -> ());
           let th = make_thread t p ~name:entry in
           start_thread t th body;

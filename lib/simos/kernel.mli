@@ -83,12 +83,15 @@ val pid : proc -> int
 val parent_pid : proc -> int
 val proc_name : proc -> string
 val aspace : proc -> Mcr_vmem.Aspace.t
+(** Empty once the process has exited: exit unmaps every region. *)
+
 val alive : proc -> bool
 val exit_status : proc -> int option
 val procs : t -> proc list
 (** All processes ever created, in creation order. *)
 
 val find_proc : t -> int -> proc option
+(** The process with that pid, exited ones included. Constant time. *)
 
 val proc_threads : proc -> thread list
 val payload : proc -> payload option
@@ -98,7 +101,9 @@ val creation_callstack : proc -> int
     used to pair processes across versions (Section 6). *)
 
 val kill_process : t -> proc -> status:int -> unit
-(** Terminate a process from outside (MCR terminating the old version). *)
+(** Terminate a process from outside (MCR terminating the old version).
+    Like an exit, this closes its fds and unmaps every region of its
+    address space; the process itself stays findable, with its status. *)
 
 val fds : proc -> int list
 (** Open fd numbers, sorted. *)
@@ -130,7 +135,8 @@ val callstack_id : thread -> int
 
 val syscall : Sysdefs.call -> Sysdefs.result
 (** Perform a system call. Must run inside a simulated thread.
-    [Exit] does not return. *)
+    [Exit] does not return; it unmaps the process's address space, as
+    {!kill_process} does. *)
 
 type interception =
   | Execute  (** Run the call normally. *)

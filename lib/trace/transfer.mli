@@ -165,9 +165,9 @@ val run :
     {!Mcr_simos.Costs.t.remap_page_ns} charged instead. Because
     eligibility is decided on the post-copy bytes, the committed image is
     byte-identical with and without [remap] for every [workers] value.
-    The manager must {!Mcr_vmem.Aspace.detach_shared} the dying side when
-    the window closes (rollback: new members; commit: old images) so no
-    shared frame outlives the update.
+    No shared frame outlives the update: the manager kills the dying side
+    when the window closes (rollback: new members; commit: old images),
+    and exit unmaps its address space.
 
     All stores into the new image (copy, transformation, handler output and
     fixup) are untracked — they must not pollute any consumer's dirty

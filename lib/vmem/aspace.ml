@@ -467,18 +467,6 @@ let share_page ~src src_addr ~dst dst_addr =
 let shared_frame_count t =
   Hashtbl.fold (fun _ p acc -> if p.frame.refs > 1 then acc + 1 else acc) t.pages 0
 
-let detach_shared t =
-  let n = ref 0 in
-  Hashtbl.iter
-    (fun _ p ->
-      if p.frame.refs > 1 then begin
-        incr n;
-        p.frame.refs <- p.frame.refs - 1;
-        p.frame <- { words = private_copy p.frame.words; refs = 1 }
-      end)
-    t.pages;
-  !n
-
 (* ------------------------------------------------------------------ *)
 (* Checkpoint export/import *)
 

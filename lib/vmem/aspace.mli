@@ -226,13 +226,10 @@ val share_page : src:t -> Addr.t -> dst:t -> Addr.t -> unit
 
 val shared_frame_count : t -> int
 (** Number of pages whose frame is shared with another page ([refs > 1]) —
-    the refcount-leak witness: outside an update window this must be 0. *)
-
-val detach_shared : t -> int
-(** Give every shared page a private frame copy and release the shared
-    reference; returns the number of pages detached. The manager calls
-    this on the dying side of an update (new members on rollback, old
-    images on commit) so frame sharing never outlives the window. *)
+    the refcount-leak witness: outside an update window this must be 0.
+    The window ends when the dying side (new members on rollback, old
+    images on commit) exits: exit unmaps its address space, releasing the
+    shared references, so the survivor keeps its frames without copying. *)
 
 (** {2 Checkpoint export/import}
 

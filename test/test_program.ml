@@ -36,6 +36,10 @@ let run_tiny ?(instr = Instr.full) ?qpoints body =
   K.run kernel;
   (kernel, proc, Option.get !image)
 
+(* Block forever on a semaphore nobody posts: a test that inspects the
+   process's memory afterwards keeps it alive, since exit unmaps it. *)
+let park t = ignore (Api.sys t (S.Sem_wait { name = "park"; timeout_ns = None }))
+
 (* ------------------------------------------------------------------ *)
 (* Instr *)
 
@@ -95,7 +99,9 @@ let test_masquerade_restores () =
 let test_malloc_records_metadata () =
   let addr = ref 0 in
   let _, _, image =
-    run_tiny (fun t -> addr := Api.malloc t ~site:"main:pair" "pair_t")
+    run_tiny (fun t ->
+        addr := Api.malloc t ~site:"main:pair" "pair_t";
+        park t)
   in
   match Heap.block_of_payload image.P.i_heap !addr with
   | Some b ->
@@ -110,7 +116,9 @@ let test_malloc_records_metadata () =
 let test_malloc_uninstrumented_under_baseline () =
   let addr = ref 0 in
   let _, _, image =
-    run_tiny ~instr:Instr.baseline (fun t -> addr := Api.malloc t "pair_t")
+    run_tiny ~instr:Instr.baseline (fun t ->
+        addr := Api.malloc t "pair_t";
+        park t)
   in
   match Heap.block_of_payload image.P.i_heap !addr with
   | Some b -> Alcotest.(check bool) "no tags without static instr" false b.Heap.instrumented
@@ -118,7 +126,11 @@ let test_malloc_uninstrumented_under_baseline () =
 
 let test_malloc_n_array_type () =
   let addr = ref 0 in
-  let _, _, image = run_tiny (fun t -> addr := Api.malloc_n t "pair_t" 5) in
+  let _, _, image =
+    run_tiny (fun t ->
+        addr := Api.malloc_n t "pair_t" 5;
+        park t)
+  in
   match Heap.block_of_payload image.P.i_heap !addr with
   | Some b ->
       Alcotest.(check int) "5 x 2 words" 10 b.Heap.words;
@@ -130,7 +142,8 @@ let test_globals_strings_funcs () =
   let seen = ref (0, 0, 0) in
   let _, _, image =
     run_tiny (fun t ->
-        seen := (Api.global t "g", Api.string_lit t "greeting", Api.func_ptr t "helper"))
+        seen := (Api.global t "g", Api.string_lit t "greeting", Api.func_ptr t "helper");
+        park t)
   in
   let g, s, f = !seen in
   Alcotest.(check bool) "global resolved" true (g > 0);
@@ -143,7 +156,8 @@ let test_stack_var_key_and_root () =
   let _, _, image =
     run_tiny (fun t ->
         let v = Api.stack_var t "reqbuf" "pair_t" in
-        Api.store t v 9)
+        Api.store t v 9;
+        park t)
   in
   match image.P.i_stack_roots with
   | [ (key, ty, addr) ] ->
@@ -252,11 +266,13 @@ let test_fork_image_isolates_runtime_state () =
             fun t ->
               ignore (Api.malloc_opaque t 4);
               ignore (Api.sys t (S.Fork { entry = "child" }));
-              ignore (Api.sys t (S.Nanosleep { ns = 1_000_000 })) );
+              ignore (Api.sys t (S.Nanosleep { ns = 1_000_000 }));
+              park t );
           ( "child",
             fun t ->
               (* the child's own allocation must not disturb the parent *)
-              ignore (Api.malloc_opaque t 8) );
+              ignore (Api.malloc_opaque t 8);
+              park t );
         ]
       ()
   in

@@ -852,6 +852,51 @@ let test_kill_process_closes_fds_and_wakes_peer () =
   K.run k;
   Alcotest.(check string) "peer saw EOF after kill" "" !eof
 
+let test_exit_and_kill_unmap_memory () =
+  let k = fresh () in
+  let touch th =
+    let sp = K.aspace (K.thread_proc th) in
+    let base =
+      Aspace.map sp (Aspace.Near Mcr_vmem.Region.Heap) ~size:(4 * 4096) Mcr_vmem.Region.Heap
+    in
+    Aspace.write_word sp base 42
+  in
+  let exited =
+    spawn k "exits" (fun th ->
+        touch th;
+        ignore (K.syscall (S.Exit { status = 3 })))
+  in
+  let killed =
+    spawn k "killed" (fun th ->
+        touch th;
+        ignore (K.syscall (S.Sem_wait { name = "never"; timeout_ns = None })))
+  in
+  K.run k;
+  Alcotest.(check bool) "victim still mapped before the kill" true
+    (Aspace.resident_bytes (K.aspace killed) > 0);
+  K.kill_process k killed ~status:9;
+  let statuses = ref [] in
+  let _ =
+    spawn k "reaper" (fun _ ->
+        statuses :=
+          List.map (fun p -> K.syscall (S.Waitpid { pid = K.pid p })) [ exited; killed ])
+  in
+  K.run k;
+  List.iter
+    (fun p ->
+      let name = K.proc_name p in
+      Alcotest.(check int) (name ^ ": nothing resident") 0 (Aspace.resident_bytes (K.aspace p));
+      Alcotest.(check int) (name ^ ": no regions") 0 (List.length (Aspace.regions (K.aspace p)));
+      Alcotest.(check bool) (name ^ ": still found") true
+        (match K.find_proc k (K.pid p) with Some q -> q == p | None -> false);
+      Alcotest.(check bool) (name ^ ": not alive") false (K.alive p))
+    [ exited; killed ];
+  match !statuses with
+  | [ S.Ok_status 3; S.Ok_status 9 ] -> ()
+  | rs ->
+      Alcotest.failf "waitpid: %s"
+        (String.concat ", " (List.map (Format.asprintf "%a" S.pp_result) rs))
+
 let () =
   Alcotest.run "mcr_simos"
     [
@@ -923,7 +968,10 @@ let () =
       ( "callstack",
         [ Alcotest.test_case "ids" `Quick test_callstack_ids ] );
       ( "kill",
-        [ Alcotest.test_case "kill closes fds" `Quick test_kill_process_closes_fds_and_wakes_peer ] );
+        [
+          Alcotest.test_case "kill closes fds" `Quick test_kill_process_closes_fds_and_wakes_peer;
+          Alcotest.test_case "exit and kill unmap memory" `Quick test_exit_and_kill_unmap_memory;
+        ] );
       ( "descriptions",
         [
           Alcotest.test_case "dup shares offset" `Quick test_dup_shares_offset;

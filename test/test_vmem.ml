@@ -268,15 +268,32 @@ let test_share_page_cow_isolates () =
   Alcotest.(check int) "src unaffected by dst write" 999 (Aspace.read_word a src);
   Alcotest.(check int) "dst sees own write" 555 (Aspace.read_word b (Addr.add_words dst 1))
 
-let test_detach_shared () =
+(* Words the host allocated while running [f]. *)
+let allocated_words f =
+  let minor0, promoted0, major0 = Gc.counters () in
+  f ();
+  let minor1, promoted1, major1 = Gc.counters () in
+  minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+
+(* What a process exit does on the dying side of an update: the sharer
+   unmaps, and the survivor owns the frame without a copy. *)
+let test_unmap_sharer_leaves_survivor_private () =
+  let page = float_of_int Addr.words_per_page in
   let a, b, src, dst = share_setup () in
   Aspace.share_page ~src:a src ~dst:b dst;
-  Alcotest.(check int) "detach count" 1 (Aspace.detach_shared b);
-  Alcotest.(check int) "b private again" 0 (Aspace.shared_frame_count b);
-  Alcotest.(check int) "a private again" 0 (Aspace.shared_frame_count a);
-  Alcotest.(check int) "content survives detach" (7 * 3)
-    (Aspace.read_word b (Addr.add_words dst 3));
-  Alcotest.(check int) "detach is idempotent" 0 (Aspace.detach_shared b)
+  let cow = allocated_words (fun () -> Aspace.write_word b (Addr.add_words dst 1) 8) in
+  Alcotest.(check bool) "a store to a shared frame copies it" true (cow >= page);
+  let a, b, src, dst = share_setup () in
+  Aspace.share_page ~src:a src ~dst:b dst;
+  Aspace.unmap a src;
+  Alcotest.(check int) "survivor shares nothing" 0 (Aspace.shared_frame_count b);
+  for i = 0 to Addr.words_per_page - 1 do
+    Alcotest.(check int) "survivor content intact" (i * 7)
+      (Aspace.read_word b (Addr.add_words dst i))
+  done;
+  let store = allocated_words (fun () -> Aspace.write_word b (Addr.add_words dst 1) 8) in
+  Alcotest.(check bool) "the survivor's next store copies nothing" true (store < page);
+  Alcotest.(check int) "store landed" 8 (Aspace.read_word b (Addr.add_words dst 1))
 
 let test_share_page_rejects_misaligned () =
   let a, b, src, dst = share_setup () in
@@ -372,7 +389,7 @@ type m_op =
   | M_copy of bool * m_loc * m_loc * int (* tracked, src, dst, words *)
   | M_write_run of m_loc * int array
   | M_share of m_loc * m_loc (* src page, dst page: copy, then remap *)
-  | M_detach of int
+  | M_exit of int (* unmap every mapped slot, as a process exit does *)
   | M_zero of m_loc * int (* words *)
   | M_init of m_loc * int array (* write_init from the array's values *)
 
@@ -387,7 +404,7 @@ let show_op = function
       Printf.sprintf "copy%s %s->%s x%d" (if t then "_t" else "") (show_loc a) (show_loc b) n
   | M_write_run (l, a) -> Printf.sprintf "write_run %s x%d" (show_loc l) (Array.length a)
   | M_share (a, b) -> Printf.sprintf "share %s->%s" (show_loc a) (show_loc b)
-  | M_detach s -> Printf.sprintf "detach %d" s
+  | M_exit s -> Printf.sprintf "exit %d" s
   | M_zero (l, n) -> Printf.sprintf "zero %s x%d" (show_loc l) n
   | M_init (l, a) -> Printf.sprintf "init %s x%d" (show_loc l) (Array.length a)
 
@@ -406,7 +423,7 @@ let m_op_gen =
       (3, map3 (fun (t, a) b n -> M_copy (t, a, b, n)) (pair bool loc) loc (int_bound 1200));
       (2, map2 (fun l a -> M_write_run (l, a)) loc (array_size (int_bound 700) value));
       (3, map2 (fun a b -> M_share (a, b)) page page);
-      (1, map (fun s -> M_detach s) space);
+      (1, map (fun s -> M_exit s) space);
       (2, map2 (fun l n -> M_zero (l, n)) loc (int_bound 1200));
       (2, map2 (fun l a -> M_init (l, a)) loc (array_size (int_bound 1200) value));
     ]
@@ -455,7 +472,6 @@ let prop_zero_page_model =
         words.(s).(j) <- None
       in
       let content s j = Option.get words.(s).(j) in
-      let detached = ref true in
       let step = function
         | M_map (s, j) -> if not (mapped s j) then map s j
         | M_unmap (s, j) -> if mapped s j then unmap s j
@@ -508,20 +524,14 @@ let prop_zero_page_model =
                 ids.(s2).(j2).(p2) <- id
               end
             end
-        | M_detach s ->
-            let n = ref 0 in
+        | M_exit s ->
+            List.iter (fun r -> Aspace.unmap real.(s) r.Region.base) (Aspace.regions real.(s));
             for j = 0 to m_slots - 1 do
-              if mapped s j then
-                for p = 0 to 1 do
-                  let id = ids.(s).(j).(p) in
-                  if count id > 1 then begin
-                    incr n;
-                    bump id (-1);
-                    ids.(s).(j).(p) <- fresh ()
-                  end
-                done
-            done;
-            if Aspace.detach_shared real.(s) <> !n then detached := false
+              if mapped s j then begin
+                Array.iter (fun id -> bump id (-1)) ids.(s).(j);
+                words.(s).(j) <- None
+              end
+            done
         | M_zero ((s, j, w), n) ->
             let n = min n (m_slot_words - w) in
             if mapped s j && n > 0 then begin
@@ -568,7 +578,7 @@ let prop_zero_page_model =
         read_bytes sp base ~words:(4 * Addr.words_per_page)
         = String.make (8 * 4 * Addr.words_per_page) '\000'
       in
-      !reads_agree && shared_agree && fresh_zero && !detached)
+      !reads_agree && shared_agree && fresh_zero)
 
 (* ------------------------------------------------------------------ *)
 (* Lockstep: the bulk tracked stores against one [write_word] per word
@@ -887,7 +897,8 @@ let () =
         [
           Alcotest.test_case "share_page counts and content" `Quick test_share_page_and_counts;
           Alcotest.test_case "COW isolates both sides" `Quick test_share_page_cow_isolates;
-          Alcotest.test_case "detach_shared" `Quick test_detach_shared;
+          Alcotest.test_case "unmap sharer leaves survivor private" `Quick
+            test_unmap_sharer_leaves_survivor_private;
           Alcotest.test_case "misaligned share rejected" `Quick
             test_share_page_rejects_misaligned;
           Alcotest.test_case "unmap releases shared ref" `Quick test_unmap_shared_releases_ref;
