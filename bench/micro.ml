@@ -43,6 +43,22 @@ let test_malloc_zeroed =
          let a = Heap.malloc heap ~ty_id:3 ~site:5 ~callstack:12345 32_768 in
          Heap.free heap a))
 
+(* nginx's [Pool.grab_chunk]: a 513-word block from an uninstrumented heap
+   whose earlier chunks are never freed, here 10,000 of them *)
+let test_grab_chunk =
+  let words = 513 and held = 10_000 in
+  let aspace = Aspace.create () in
+  let heap =
+    Heap.create aspace ~instrumented:false ~name:"bench"
+      ~size:((held + 2) * (words + 1) * Addr.word_size) ()
+  in
+  Heap.end_startup heap;
+  for _ = 1 to held do
+    ignore (Heap.malloc heap words)
+  done;
+  Test.make ~name:"alloc:grab-chunk-behind-10k"
+    (Staged.stage (fun () -> Heap.free heap (Heap.malloc heap words)))
+
 (* vsftpd's session-buffer initialisation at each USER: one bulk tracked
    store over a private 4096-word range, next to the per-word loop it
    replaced over the same range *)
@@ -179,8 +195,8 @@ let run () =
   print_endline "\nBechamel microbenchmarks (ns per run, wall clock)";
   print_endline "=================================================";
   let tests =
-    [ test_callstack_hash; test_alloc_tagging; test_malloc_zeroed; test_store_init;
-      test_write_word_loop; test_fork_exit; test_conservative_scan;
+    [ test_callstack_hash; test_alloc_tagging; test_malloc_zeroed; test_grab_chunk;
+      test_store_init; test_write_word_loop; test_fork_exit; test_conservative_scan;
       test_type_transform; test_region_lookup_linear; test_region_lookup_indexed;
       test_image_encode; test_image_decode; test_fnv_sub ]
   in

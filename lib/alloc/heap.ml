@@ -28,6 +28,8 @@ type t = {
   limit : Addr.t;
   instrumented : bool;
   by_payload : (Addr.t, Addr.t) Hashtbl.t; (* payload -> header, a cache *)
+  mutable free : Addr.t array; (* free headers ascending in [0, n_free), a cache *)
+  mutable n_free : int;
   mutable defer : bool;
   mutable startup_phase : bool;
   mutable quarantine : Addr.t list;
@@ -55,8 +57,38 @@ exception Out_of_memory
 
 let write = Aspace.write_word
 
+(* Index of the first free header at or above [addr]. *)
+let free_lower_bound (t : t) addr =
+  let lo = ref 0 and hi = ref t.n_free in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if t.free.(mid) < addr then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+let add_free (t : t) header =
+  let i = free_lower_bound t header in
+  if i = t.n_free || t.free.(i) <> header then begin
+    if t.n_free = Array.length t.free then begin
+      let grown = Array.make (max 1 (2 * t.n_free)) 0 in
+      Array.blit t.free 0 grown 0 t.n_free;
+      t.free <- grown
+    end;
+    Array.blit t.free i t.free (i + 1) (t.n_free - i);
+    t.free.(i) <- header;
+    t.n_free <- t.n_free + 1
+  end
+
+let remove_free (t : t) header =
+  let i = free_lower_bound t header in
+  if i < t.n_free && t.free.(i) = header then begin
+    Array.blit t.free (i + 1) t.free i (t.n_free - i - 1);
+    t.n_free <- t.n_free - 1
+  end
+
 let init_free_header (t : t) addr total_words =
-  write t.aspace addr (pack ~flags:0 ~payload_words:(total_words - 1))
+  write t.aspace addr (pack ~flags:0 ~payload_words:(total_words - 1));
+  add_free t addr
 
 let make aspace ~base ~size ~instrumented =
   let t =
@@ -66,6 +98,8 @@ let make aspace ~base ~size ~instrumented =
       limit = Addr.add base size;
       instrumented;
       by_payload = Hashtbl.create 256;
+      free = [||];
+      n_free = 0;
       defer = true;
       startup_phase = true;
       quarantine = [];
@@ -123,26 +157,26 @@ let next_header (t : t) header =
   let flags, payload_words = unpack (Aspace.read_word t.aspace header) in
   Addr.add_words header (total_words flags payload_words)
 
-(* Merge the run of free blocks starting at [header]; returns merged total. *)
+(* Merge the free block at [header] with the run of free blocks after it and
+   rewrite its header, even when nothing merged; returns the merged total.
+   The header after the run is read, so a corrupted neighbour still raises. *)
 let coalesce_at (t : t) header =
   let flags, payload_words = unpack (Aspace.read_word t.aspace header) in
-  if flags land flag_allocated <> 0 then total_words flags payload_words
-  else begin
-    let total = ref (total_words flags payload_words) in
-    let rec absorb () =
-      let next = Addr.add_words header !total in
-      if next < t.limit then begin
-        let nflags, npayload = unpack (Aspace.read_word t.aspace next) in
-        if nflags land flag_allocated = 0 then begin
-          total := !total + total_words nflags npayload;
-          absorb ()
-        end
+  let rec absorb total =
+    let next = Addr.add_words header total in
+    if next >= t.limit then total
+    else begin
+      let nflags, npayload = unpack (Aspace.read_word t.aspace next) in
+      if nflags land flag_allocated <> 0 then total
+      else begin
+        remove_free t next;
+        absorb (total + total_words nflags npayload)
       end
-    in
-    absorb ();
-    init_free_header t header !total;
-    !total
-  end
+    end
+  in
+  let total = absorb (total_words flags payload_words) in
+  init_free_header t header total;
+  total
 
 let write_allocated_header (t : t) header ~payload_words ~ty_id ~site ~callstack =
   let flags =
@@ -151,6 +185,7 @@ let write_allocated_header (t : t) header ~payload_words ~ty_id ~site ~callstack
     lor if t.startup_phase then flag_startup else 0
   in
   write t.aspace header (pack ~flags ~payload_words);
+  remove_free t header;
   if t.instrumented then begin
     write t.aspace (Addr.add_words header 1) ((ty_id land 0xFFFFFF) lor (site lsl 24));
     write t.aspace (Addr.add_words header 2) callstack;
@@ -162,75 +197,60 @@ let write_allocated_header (t : t) header ~payload_words ~ty_id ~site ~callstack
   Aspace.zero_fill t.aspace payload ~words:payload_words;
   payload
 
+(* First fit: visit the free blocks in address order, coalescing each with
+   the free blocks after it, and [take] the first one that [fits]. Allocated
+   headers are never read. *)
+let first_fit (t : t) ~fits ~take ~none =
+  let rec visit i =
+    if i >= t.n_free then none ()
+    else begin
+      let header = t.free.(i) in
+      let total = coalesce_at t header in
+      if fits header total then take header total else visit (i + 1)
+    end
+  in
+  visit 0
+
 let malloc (t : t) ?(ty_id = 0) ?(site = 0) ?(callstack = 0) words =
   let words = max 1 words in
   let hdr = if t.instrumented then 3 else 1 in
   let needed = hdr + words in
-  let rec walk header =
-    if header >= t.limit then raise Out_of_memory
-    else begin
-      let flags, payload_words = unpack (Aspace.read_word t.aspace header) in
-      if flags land flag_allocated <> 0 then walk (Addr.add_words header (total_words flags payload_words))
-      else begin
-        let total = coalesce_at t header in
-        if total >= needed then begin
-          (* split off the remainder when it can hold a free header + 1 word *)
-          let payload_words =
-            if total - needed >= 2 then begin
-              init_free_header t (Addr.add_words header needed) (total - needed);
-              words
-            end
-            else total - hdr
-          in
-          write_allocated_header t header ~payload_words ~ty_id ~site ~callstack
+  first_fit t
+    ~fits:(fun _ total -> total >= needed)
+    ~take:(fun header total ->
+      (* split off the remainder when it can hold a free header + 1 word *)
+      let payload_words =
+        if total - needed >= 2 then begin
+          init_free_header t (Addr.add_words header needed) (total - needed);
+          words
         end
-        else walk (Addr.add_words header total)
-      end
-    end
-  in
-  walk t.base
+        else total - hdr
+      in
+      write_allocated_header t header ~payload_words ~ty_id ~site ~callstack)
+    ~none:(fun () -> raise Out_of_memory)
 
 let malloc_aligned (t : t) ?(ty_id = 0) ?(site = 0) ?(callstack = 0) words =
   let words = max 1 words in
   let hdr = if t.instrumented then 3 else 1 in
-  (* find a free block able to host a page-aligned payload *)
-  let rec walk header =
-    if header >= t.limit then raise Out_of_memory
-    else begin
-      let flags, payload_words = unpack (Aspace.read_word t.aspace header) in
-      if flags land flag_allocated <> 0 then
-        walk (Addr.add_words header (total_words flags payload_words))
-      else begin
-        let total = coalesce_at t header in
-        let block_end = Addr.add_words header total in
-        (* candidate payload: first page boundary leaving room for the
-           header and a possible free prefix *)
-        let min_payload = Addr.add_words header (hdr + 2) in
-        let candidate =
-          let aligned = (min_payload + Addr.page_size - 1) land lnot (Addr.page_size - 1) in
-          if Addr.add_words header hdr >= aligned - (2 * Addr.word_size) then
-            (* header area would leave an unusable gap; take the next page *)
-            aligned
-          else aligned
-        in
-        if Addr.add_words candidate words <= block_end then begin
-          let start = Addr.add_words candidate (-hdr) in
-          let prefix_words = (start - header) / Addr.word_size in
-          if prefix_words = 0 then ()
-          else if prefix_words >= 2 then init_free_header t header prefix_words
-          else raise Out_of_memory (* cannot represent the gap; give up *);
-          let suffix_words = (block_end - Addr.add_words candidate words) / Addr.word_size in
-          if suffix_words > 0 then begin
-            if suffix_words >= 2 then init_free_header t (Addr.add_words candidate words) suffix_words
-            else raise Out_of_memory
-          end;
-          write_allocated_header t start ~payload_words:words ~ty_id ~site ~callstack
-        end
-        else walk block_end
-      end
-    end
+  (* the first page boundary leaving room for the header and a free prefix
+     of at least two words, so the prefix is always representable *)
+  let payload_in header =
+    let min_payload = Addr.add_words header (hdr + 2) in
+    (min_payload + Addr.page_size - 1) land lnot (Addr.page_size - 1)
   in
-  walk t.base
+  first_fit t
+    ~fits:(fun header total ->
+      Addr.add_words (payload_in header) words <= Addr.add_words header total)
+    ~take:(fun header total ->
+      let payload = payload_in header in
+      let start = Addr.add_words payload (-hdr) in
+      let stop = Addr.add_words payload words in
+      let suffix_words = (Addr.add_words header total - stop) / Addr.word_size in
+      if suffix_words = 1 then raise Out_of_memory (* cannot represent the gap; give up *);
+      init_free_header t header ((start - header) / Addr.word_size);
+      if suffix_words >= 2 then init_free_header t stop suffix_words;
+      write_allocated_header t start ~payload_words:words ~ty_id ~site ~callstack)
+    ~none:(fun () -> raise Out_of_memory)
 
 let malloc_at (t : t) ~at ?(ty_id = 0) ?(site = 0) ?(callstack = 0) words =
   let words = max 1 words in
@@ -239,46 +259,25 @@ let malloc_at (t : t) ~at ?(ty_id = 0) ?(site = 0) ?(callstack = 0) words =
   let stop = Addr.add_words at words in
   if start < t.base || stop > t.limit then
     invalid_arg "Heap.malloc_at: address outside heap";
-  let rec walk header =
-    if header >= t.limit then
-      invalid_arg
-        (Format.asprintf "Heap.malloc_at: %a not inside a free block" Addr.pp at)
-    else begin
-      let flags, payload_words = unpack (Aspace.read_word t.aspace header) in
-      if flags land flag_allocated <> 0 then
-        walk (Addr.add_words header (total_words flags payload_words))
-      else begin
-        let total = coalesce_at t header in
-        let block_end = Addr.add_words header total in
-        if start >= header && stop <= block_end then begin
-          let prefix_words = (start - header) / Addr.word_size in
-          if prefix_words = 0 then ()
-          else if prefix_words >= 2 then init_free_header t header prefix_words
-          else
-            invalid_arg "Heap.malloc_at: leaves unusable one-word prefix gap";
-          let suffix_words = (block_end - stop) / Addr.word_size in
-          if suffix_words > 0 then begin
-            if suffix_words >= 2 then init_free_header t stop suffix_words
-            else invalid_arg "Heap.malloc_at: leaves unusable one-word suffix gap"
-          end;
-          ignore (write_allocated_header t start ~payload_words:words ~ty_id ~site ~callstack)
-        end
-        else if header >= stop then
-          invalid_arg
-            (Format.asprintf "Heap.malloc_at: %a overlaps a live block" Addr.pp at)
-        else walk block_end
-      end
-    end
-  in
-  walk t.base
-
-let header_of_payload (t : t) payload =
-  match Hashtbl.find_opt t.by_payload payload with
-  | Some h -> Some h
-  | None -> None
+  first_fit t
+    ~fits:(fun header total ->
+      header >= stop || (start >= header && stop <= Addr.add_words header total))
+    ~take:(fun header total ->
+      if header >= stop then
+        invalid_arg (Format.asprintf "Heap.malloc_at: %a overlaps a live block" Addr.pp at);
+      (* both gaps are checked before anything is written *)
+      let prefix_words = (start - header) / Addr.word_size in
+      let suffix_words = (Addr.add_words header total - stop) / Addr.word_size in
+      if prefix_words = 1 then invalid_arg "Heap.malloc_at: leaves unusable one-word prefix gap";
+      if suffix_words = 1 then invalid_arg "Heap.malloc_at: leaves unusable one-word suffix gap";
+      if prefix_words >= 2 then init_free_header t header prefix_words;
+      if suffix_words >= 2 then init_free_header t stop suffix_words;
+      ignore (write_allocated_header t start ~payload_words:words ~ty_id ~site ~callstack))
+    ~none:(fun () ->
+      invalid_arg (Format.asprintf "Heap.malloc_at: %a not inside a free block" Addr.pp at))
 
 let do_free (t : t) payload =
-  match header_of_payload t payload with
+  match Hashtbl.find_opt t.by_payload payload with
   | None -> invalid_arg (Format.asprintf "Heap.free: %a is not a live block" Addr.pp payload)
   | Some header ->
       let flags, payload_words = unpack (Aspace.read_word t.aspace header) in
@@ -294,7 +293,7 @@ let free (t : t) payload =
   if t.defer then begin
     (* Separability: no startup-time address reuse. Validate liveness now,
        release at end_startup. *)
-    if header_of_payload t payload = None then
+    if not (Hashtbl.mem t.by_payload payload) then
       invalid_arg (Format.asprintf "Heap.free: %a is not a live block" Addr.pp payload);
     t.quarantine <- payload :: t.quarantine
   end
@@ -315,7 +314,7 @@ let restart_startup (t : t) =
 let in_startup (t : t) = t.startup_phase
 
 let block_of_payload (t : t) payload =
-  match header_of_payload t payload with
+  match Hashtbl.find_opt t.by_payload payload with
   | None -> None
   | Some header ->
       let flags, b = read_block t header in
@@ -356,6 +355,27 @@ let metadata_words (t : t) =
   iter_live t (fun b -> n := !n + if b.instrumented then 3 else 1);
   !n
 
+(* Rebuild both caches, the payload table and the free index, by walking
+   the in-band headers. *)
+let refresh (t : t) =
+  Hashtbl.reset t.by_payload;
+  let rec walk header free =
+    if header >= t.limit then free
+    else begin
+      let flags, payload_words = unpack (Aspace.read_word t.aspace header) in
+      let free =
+        if flags land flag_allocated <> 0 then begin
+          Hashtbl.replace t.by_payload (Addr.add_words header (header_words_of_flags flags)) header;
+          free
+        end
+        else header :: free
+      in
+      walk (Addr.add_words header (total_words flags payload_words)) free
+    end
+  in
+  t.free <- Array.of_list (List.rev (walk t.base []));
+  t.n_free <- Array.length t.free
+
 let rebind (t : t) aspace =
   let fresh =
     {
@@ -365,37 +385,12 @@ let rebind (t : t) aspace =
       stats = { allocs = t.stats.allocs; frees = t.stats.frees; tag_words = t.stats.tag_words };
     }
   in
-  (* rebuild the payload cache from the copied in-band headers *)
-  let rec walk header =
-    if header < fresh.limit then begin
-      let flags, payload_words = unpack (Aspace.read_word aspace header) in
-      if flags land flag_allocated <> 0 then begin
-        let hdr = header_words_of_flags flags in
-        Hashtbl.replace fresh.by_payload (Addr.add_words header hdr) header
-      end;
-      walk (Addr.add_words header (header_words_of_flags flags + payload_words))
-    end
-  in
-  walk fresh.base;
+  (* the fork copied the in-band headers verbatim *)
+  refresh fresh;
   fresh
 
-
-let refresh (t : t) =
-  Hashtbl.reset t.by_payload;
-  let rec walk header =
-    if header < t.limit then begin
-      let flags, payload_words = unpack (Aspace.read_word t.aspace header) in
-      if flags land flag_allocated <> 0 then begin
-        let hdr = header_words_of_flags flags in
-        Hashtbl.replace t.by_payload (Addr.add_words header hdr) header
-      end;
-      walk (Addr.add_words header (header_words_of_flags flags + payload_words))
-    end
-  in
-  walk t.base
-
 (* Like [of_region] but over memory that already holds a valid block
-   tiling — attaching writes no headers, it only rebuilds the cache.
+   tiling — attaching writes no headers, it only rebuilds the caches.
    Attached heaps come up past startup (checkpoint images are only taken
    after the first quiescent point). *)
 let attach aspace ~base ~size ~instrumented =
@@ -406,6 +401,8 @@ let attach aspace ~base ~size ~instrumented =
       limit = Addr.add base size;
       instrumented;
       by_payload = Hashtbl.create 256;
+      free = [||];
+      n_free = 0;
       defer = false;
       startup_phase = false;
       quarantine = [];
@@ -421,27 +418,29 @@ let restore_stats (t : t) ~allocs ~frees ~tag_words =
   t.stats.tag_words <- tag_words
 
 let validate (t : t) =
-  let rec walk header live_payloads =
-    if header = t.limit then Ok live_payloads
+  let live = Hashtbl.create (Hashtbl.length t.by_payload) in
+  let index_differs = Error "free index differs from the free headers" in
+  (* [nfree] counts the free headers met so far, each checked against the index *)
+  let rec walk header nfree =
+    if header = t.limit then if nfree = t.n_free then Ok () else index_differs
     else if header > t.limit then Error "block overruns the heap limit"
     else
       match unpack (Aspace.read_word t.aspace header) with
       | exception Invalid_argument m -> Error m
       | flags, payload_words ->
           let total = total_words flags payload_words in
+          let next = Addr.add_words header total in
           if total <= 0 then Error "non-positive block size"
-          else
-            let live_payloads =
-              if flags land flag_allocated <> 0 then
-                Addr.add_words header (header_words_of_flags flags) :: live_payloads
-              else live_payloads
-            in
-            walk (Addr.add_words header total) live_payloads
+          else if flags land flag_allocated <> 0 then begin
+            Hashtbl.replace live (Addr.add_words header (header_words_of_flags flags)) ();
+            walk next nfree
+          end
+          else if nfree < t.n_free && t.free.(nfree) = header then walk next (nfree + 1)
+          else index_differs
   in
-  match walk t.base [] with
+  match walk t.base 0 with
   | Error e -> Error e
-  | Ok live ->
-      let cache_ok =
-        Hashtbl.fold (fun payload _ ok -> ok && List.mem payload live) t.by_payload true
-      in
-      if cache_ok then Ok () else Error "payload cache references a dead block"
+  | Ok () ->
+      if Hashtbl.fold (fun payload _ ok -> ok && Hashtbl.mem live payload) t.by_payload true
+      then Ok ()
+      else Error "payload cache references a dead block"

@@ -8,7 +8,11 @@
     The heap region's words are the only authority: every block starts with
     a header word encoding its size and status, so the whole heap can be
     walked from the region base — which is also how mutable tracing resolves
-    an arbitrary address to its containing live object. Instrumented
+    an arbitrary address to its containing live object. Two caches derive
+    from those words and are rebuilt from them by a walk: a payload table
+    (payload address to header) and a free index (the free blocks' headers
+    in address order), which lets the allocator step from free block to
+    free block without reading an allocated header. Instrumented
     allocations carry two extra header words (type id + allocation site,
     call-stack id); uninstrumented allocations (shared libraries, custom
     allocator chunks) carry only the size header and therefore no type
@@ -59,8 +63,8 @@ val of_region : Mcr_vmem.Aspace.t -> base:Mcr_vmem.Addr.t -> size:int -> instrum
 val rebind : t -> Mcr_vmem.Aspace.t -> t
 (** A view of this heap's layout inside another address space — the forked
     child's copy. Walks the in-band headers (which the fork copied verbatim)
-    to rebuild the payload cache and carries over the deferral/startup
-    state. *)
+    to rebuild both caches, so the child's free index equals the parent's,
+    and carries over the deferral/startup state. *)
 
 val aspace : t -> Mcr_vmem.Aspace.t
 val base : t -> Mcr_vmem.Addr.t
@@ -73,20 +77,26 @@ exception Out_of_memory
 val malloc : t -> ?ty_id:int -> ?site:int -> ?callstack:int -> int -> Mcr_vmem.Addr.t
 (** [malloc t words] returns the payload address of a fresh zeroed block.
     First-fit with block splitting; adjacent free blocks coalesce lazily.
+    Costs O(free blocks visited): it steps through the free index from the
+    heap base, rewriting each visited block's header as it coalesces, and
+    never reads an allocated header.
     @raise Out_of_memory when no gap fits. *)
 
 val malloc_aligned : t -> ?ty_id:int -> ?site:int -> ?callstack:int -> int -> Mcr_vmem.Addr.t
 (** Like {!malloc} but the payload starts on a page boundary — how ptmalloc
     segregates large allocations, which keeps big startup-time tables from
     sharing pages with hot small objects (important for soft-dirty
-    precision). @raise Out_of_memory. *)
+    precision). @raise Out_of_memory when no free block fits, or when the
+    first that fits would leave a one-word gap after the payload (nothing
+    is carved then). *)
 
 val malloc_at : t -> at:Mcr_vmem.Addr.t -> ?ty_id:int -> ?site:int -> ?callstack:int -> int -> unit
 (** Global reallocation (Section 5): carve a block whose payload sits at
     exactly [at]. Used by mutable reinitialization to re-create immutable
     heap objects at their old-version addresses in a fresh heap.
     @raise Invalid_argument if the needed words are not inside a free
-    block. *)
+    block, or would leave a one-word gap before or after them; in both
+    cases the block is left as it was. *)
 
 val free : t -> Mcr_vmem.Addr.t -> unit
 (** Free by payload address. In deferred mode the block is quarantined
@@ -129,14 +139,14 @@ val metadata_words : t -> int
 
 val attach : Mcr_vmem.Aspace.t -> base:Mcr_vmem.Addr.t -> size:int -> instrumented:bool -> t
 (** Adopt an extent that {e already} holds a valid block tiling (e.g. just
-    re-installed from a checkpoint image): no headers are written, the
-    payload cache is rebuilt from the in-band state, and the heap comes up
+    re-installed from a checkpoint image): no headers are written, both
+    caches are rebuilt from the in-band state, and the heap comes up
     past its startup phase. Contrast {!of_region}, which formats the extent
     as one free block. *)
 
 val refresh : t -> unit
-(** Rebuild the payload cache in place by walking the in-band headers —
-    the allocator's authoritative state. Call after a checkpoint-image
+(** Rebuild both caches in place by walking the in-band headers — the
+    allocator's authoritative state. Call after a checkpoint-image
     restore overwrites the heap region's contents underneath this
     descriptor ({!rebind} is the same walk for a {e different} address
     space). *)
@@ -147,5 +157,6 @@ val restore_stats : t -> allocs:int -> frees:int -> tag_words:int -> unit
 
 val validate : t -> (unit, string) result
 (** Walk the whole heap checking structural invariants: headers carry the
-    magic, blocks tile the region exactly, and every cached payload is a
-    live block. Used by property tests and debugging. *)
+    magic, blocks tile the region exactly, the free index holds exactly the
+    free headers the walk finds, and every cached payload is a live block.
+    Used by property tests and debugging. *)

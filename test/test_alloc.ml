@@ -169,6 +169,33 @@ let test_malloc_at_multiple_disjoint () =
       | None -> Alcotest.fail "missing block")
     addrs
 
+(* A placement that would leave a one-word gap fails before it writes a
+   header, so the free block it was tried in stays intact. *)
+let test_malloc_at_gap_leaves_heap_valid () =
+  let _, h = fresh_heap ~size:4096 () in
+  let words = 4 in
+  let at = Addr.add_words (Heap.limit h) (-(words + 1)) in
+  Alcotest.check_raises "one-word suffix gap"
+    (Invalid_argument "Heap.malloc_at: leaves unusable one-word suffix gap") (fun () ->
+      Heap.malloc_at h ~at words);
+  Alcotest.(check bool) "heap still valid" true (Heap.validate h = Ok ());
+  Alcotest.(check bool) "free block intact" true (Heap.malloc h 400 = Addr.add_words (Heap.base h) 3)
+
+(* [validate] names a free index that no longer matches the headers, and
+   [refresh] rebuilds it from them. *)
+let test_validate_checks_free_index () =
+  let sp, h = fresh_heap () in
+  Heap.end_startup h;
+  let a = Heap.malloc h 8 in
+  ignore (Heap.malloc h 8);
+  (* rewrite [a]'s header as a free 11-word block behind the heap's back *)
+  let free_header = ((11 - 1) lsl 3) lor (0xA10C lsl 40) in
+  Aspace.write_word sp (Addr.add_words a (-3)) free_header;
+  Alcotest.(check bool) "stale index named" true
+    (Heap.validate h = Error "free index differs from the free headers");
+  Heap.refresh h;
+  Alcotest.(check bool) "valid after refresh" true (Heap.validate h = Ok ())
+
 (* ------------------------------------------------------------------ *)
 (* Walking and containment *)
 
@@ -466,10 +493,14 @@ let () =
           Alcotest.test_case "splits free space" `Quick test_malloc_at_splits_free_space;
           Alcotest.test_case "overlap rejected" `Quick test_malloc_at_overlap_rejected;
           Alcotest.test_case "multiple disjoint" `Quick test_malloc_at_multiple_disjoint;
+          Alcotest.test_case "one-word gap leaves heap valid" `Quick
+            test_malloc_at_gap_leaves_heap_valid;
         ] );
       ( "walking",
         [
           Alcotest.test_case "iter_live visits all" `Quick test_iter_live_visits_all;
+          Alcotest.test_case "validate checks the free index" `Quick
+            test_validate_checks_free_index;
           Alcotest.test_case "interior containment" `Quick test_block_containing_interior;
           Alcotest.test_case "live and metadata words" `Quick test_live_and_metadata_words;
           Alcotest.test_case "stats counters" `Quick test_stats_counters;

@@ -6,6 +6,8 @@
      struct evolutions, and are the identity on unchanged types;
    - page-aligned large allocations really are page-exclusive, and random
      malloc/free interleavings keep the heap walkable from in-band metadata;
+   - first fit from the free index matches a walk over every header, store
+     for store;
    - soft-dirty tracking reports exactly the pages written;
    - conservative scanning finds exactly the planted pointers. *)
 
@@ -314,6 +316,248 @@ let prop_heap_random_ops =
            !live)
 
 (* ------------------------------------------------------------------ *)
+(* The free index chooses what the first-fit walk chose *)
+
+(* Reference first fit: the walk from the heap base that reads every block
+   header, allocated or free. [Heap] must choose the same blocks from its
+   free index and issue the same tracked stores in the same order. The
+   model writes the words only; callers resync the model heap's caches
+   with [Heap.refresh] afterwards. *)
+module Walk_model = struct
+  let magic = 0xA10C
+
+  let pack flags words = flags lor (words lsl 3) lor (magic lsl 40)
+
+  let read h a =
+    let w = Aspace.read_word (Heap.aspace h) a in
+    if (w lsr 40) land 0xFFFF <> magic then invalid_arg "Heap: corrupted block header";
+    (w land 7, (w lsr 3) land 0xFFFFFFFF)
+
+  let hdr_words h = if Heap.instrumented h then 3 else 1
+  let total flags words = (if flags land 3 = 3 then 3 else 1) + words
+  let set_free h a total = Aspace.write_word (Heap.aspace h) a (pack 0 (total - 1))
+
+  let coalesce h header =
+    let flags, words = read h header in
+    let rec absorb n =
+      let next = Addr.add_words header n in
+      if next >= Heap.limit h then n
+      else
+        let f, w = read h next in
+        if f land 1 = 0 then absorb (n + total f w) else n
+    in
+    let n = absorb (total flags words) in
+    set_free h header n;
+    n
+
+  let first_fit h ~fits ~take ~none =
+    let rec walk header =
+      if header >= Heap.limit h then none ()
+      else
+        let flags, words = read h header in
+        if flags land 1 <> 0 then walk (Addr.add_words header (total flags words))
+        else
+          let n = coalesce h header in
+          if fits header n then take header n else walk (Addr.add_words header n)
+    in
+    walk (Heap.base h)
+
+  let allocate h header words =
+    let sp = Heap.aspace h in
+    let ins = Heap.instrumented h in
+    let flags = 1 lor (if ins then 2 else 0) lor if Heap.in_startup h then 4 else 0 in
+    Aspace.write_word sp header (pack flags words);
+    if ins then begin
+      Aspace.write_word sp (Addr.add_words header 1) (7 lor (9 lsl 24));
+      Aspace.write_word sp (Addr.add_words header 2) 11
+    end;
+    let payload = Addr.add_words header (hdr_words h) in
+    Aspace.zero_fill sp payload ~words;
+    payload
+
+  let malloc h words =
+    let words = max 1 words and hdr = hdr_words h in
+    first_fit h
+      ~fits:(fun _ n -> n >= hdr + words)
+      ~take:(fun header n ->
+        if n - hdr - words >= 2 then begin
+          set_free h (Addr.add_words header (hdr + words)) (n - hdr - words);
+          allocate h header words
+        end
+        else allocate h header (n - hdr))
+      ~none:(fun () -> raise Heap.Out_of_memory)
+
+  (* [start, stop) is carved out of the free block [header, header + n) *)
+  let carve h header n ~start ~stop ~gap =
+    let prefix = (start - header) / Addr.word_size in
+    let suffix = (Addr.add_words header n - stop) / Addr.word_size in
+    if prefix = 1 then gap "prefix";
+    if suffix = 1 then gap "suffix";
+    if prefix >= 2 then set_free h header prefix;
+    if suffix >= 2 then set_free h stop suffix;
+    allocate h start ((stop - start) / Addr.word_size - hdr_words h)
+
+  let malloc_aligned h words =
+    let words = max 1 words and hdr = hdr_words h in
+    let payload_in header =
+      (Addr.add_words header (hdr + 2) + Addr.page_size - 1) land lnot (Addr.page_size - 1)
+    in
+    first_fit h
+      ~fits:(fun header n -> Addr.add_words (payload_in header) words <= Addr.add_words header n)
+      ~take:(fun header n ->
+        let p = payload_in header in
+        carve h header n ~start:(Addr.add_words p (-hdr)) ~stop:(Addr.add_words p words)
+          ~gap:(fun _ -> raise Heap.Out_of_memory))
+      ~none:(fun () -> raise Heap.Out_of_memory)
+
+  let malloc_at h ~at words =
+    let words = max 1 words in
+    let start = Addr.add_words at (-hdr_words h) and stop = Addr.add_words at words in
+    if start < Heap.base h || stop > Heap.limit h then
+      invalid_arg "Heap.malloc_at: address outside heap";
+    let fail what = invalid_arg (Format.asprintf "Heap.malloc_at: %a %s" Addr.pp at what) in
+    first_fit h
+      ~fits:(fun header n -> header >= stop || (start >= header && stop <= Addr.add_words header n))
+      ~take:(fun header n ->
+        if header >= stop then fail "overlaps a live block"
+        else
+          ignore
+            (carve h header n ~start ~stop ~gap:(fun side ->
+                 invalid_arg ("Heap.malloc_at: leaves unusable one-word " ^ side ^ " gap"))))
+      ~none:(fun () -> fail "not inside a free block")
+end
+
+type heap_op =
+  | Op_malloc of int
+  | Op_aligned of int
+  | Op_at of Addr.t * int
+  | Op_free of Addr.t
+  | Op_end_startup
+  | Op_restart_startup
+  | Op_refresh
+  | Op_rebind
+
+(* The stamp of the page holding [a]: the least mark it was not written
+   after. *)
+let page_stamp sp a =
+  let rec search lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if Aspace.page_written_since sp a ~seq:mid then search (mid + 1) hi else search lo mid
+  in
+  search 0 (Aspace.write_seq sp)
+
+let prop_heap_free_index_lockstep =
+  QCheck.Test.make ~name:"free-index first fit matches the header walk" ~count:200
+    QCheck.(triple (int_range 1 150) (int_range 0 1_000_000) bool)
+    (fun (nops, seed, instrumented) ->
+      let rng = Mcr_util.Rng.create seed in
+      let pages = 8 in
+      let make () =
+        let sp = Aspace.create () in
+        Heap.create sp ~instrumented ~name:"h" ~size:(pages * Addr.page_size) ()
+      in
+      let h = ref (make ()) and m = ref (make ()) in
+      let live = ref [] and dead = ref [] in
+      let size () =
+        match Mcr_util.Rng.int rng 4 with
+        | 0 -> 1 + Mcr_util.Rng.int rng 3
+        | 1 -> 4 + Mcr_util.Rng.int rng 30
+        | 2 -> 34 + Mcr_util.Rng.int rng 200
+        | _ -> 234 + Mcr_util.Rng.int rng 600
+      in
+      let near () =
+        Addr.add_words (Heap.base !h) (Mcr_util.Rng.int rng (pages * Addr.words_per_page))
+      in
+      let pick l = Mcr_util.Rng.pick rng (Array.of_list l) in
+      let gen () =
+        match Mcr_util.Rng.int rng 20 with
+        | 0 | 1 | 2 | 3 | 4 | 5 -> Op_malloc (size ())
+        | 6 -> Op_aligned (size ())
+        | 7 | 8 | 9 ->
+            (* a live payload overlaps; a freed or arbitrary word may fit *)
+            let at =
+              match Mcr_util.Rng.int rng 3 with
+              | 0 when !live <> [] -> pick !live
+              | 1 when !dead <> [] -> pick !dead
+              | _ -> near ()
+            in
+            Op_at (at, 1 + Mcr_util.Rng.int rng 12)
+        | 10 | 11 | 12 | 13 | 14 | 15 when !live <> [] -> Op_free (pick !live)
+        | 16 -> Op_end_startup
+        | 17 -> if Mcr_util.Rng.int rng 4 = 0 then Op_restart_startup else Op_refresh
+        | 18 -> Op_rebind
+        | _ -> Op_malloc (size ())
+      in
+      let run op =
+        (* [first_fit] is the allocator under test: [Heap] or the model *)
+        let apply (first_fit : Heap.t -> heap_op -> Addr.t) heap =
+          match op with
+          | Op_malloc _ | Op_aligned _ | Op_at _ -> first_fit heap op
+          | Op_free p -> Heap.free heap p; p
+          | Op_end_startup -> Heap.end_startup heap; 0
+          | Op_restart_startup -> Heap.restart_startup heap; 0
+          | Op_refresh -> Heap.refresh heap; 0
+          | Op_rebind -> 0
+        in
+        let heap_fit heap = function
+          | Op_malloc w -> Heap.malloc heap ~ty_id:7 ~site:9 ~callstack:11 w
+          | Op_aligned w -> Heap.malloc_aligned heap ~ty_id:7 ~site:9 ~callstack:11 w
+          | Op_at (at, w) -> Heap.malloc_at heap ~at ~ty_id:7 ~site:9 ~callstack:11 w; at
+          | _ -> assert false
+        in
+        let model_fit heap op =
+          Fun.protect ~finally:(fun () -> Heap.refresh heap) (fun () ->
+              match op with
+              | Op_malloc w -> Walk_model.malloc heap w
+              | Op_aligned w -> Walk_model.malloc_aligned heap w
+              | Op_at (at, w) -> Walk_model.malloc_at heap ~at w; at
+              | _ -> assert false)
+        in
+        let outcome first_fit heap =
+          match apply first_fit heap with
+          | p -> Ok p
+          | exception Heap.Out_of_memory -> Error "Out_of_memory"
+          | exception Invalid_argument msg -> Error msg
+        in
+        let r = outcome heap_fit !h in
+        let r' = outcome model_fit !m in
+        (match op with
+        | Op_rebind ->
+            h := Heap.rebind !h (Aspace.clone (Heap.aspace !h));
+            m := Heap.rebind !m (Aspace.clone (Heap.aspace !m))
+        | _ -> ());
+        (match (op, r) with
+        | (Op_malloc _ | Op_aligned _ | Op_at _), Ok p ->
+            live := p :: !live;
+            dead := List.filter (( <> ) p) !dead
+        | Op_free p, Ok _ ->
+            live := List.filter (( <> ) p) !live;
+            dead := p :: !dead
+        | _ -> ());
+        (r, r')
+      in
+      let snapshot heap =
+        let sp = Heap.aspace heap in
+        let words = pages * Addr.words_per_page in
+        let buf = Bytes.create (words * Addr.word_size) in
+        Aspace.read_bytes sp (Heap.base heap) ~words buf ~pos:0;
+        let stamps =
+          List.init pages (fun i -> page_stamp sp (Addr.add (Heap.base heap) (i * Addr.page_size)))
+        in
+        (Bytes.to_string buf, Aspace.write_seq sp, stamps)
+      in
+      let rec steps i =
+        i > nops
+        ||
+        let op = gen () in
+        let r, r' = run op in
+        r = r' && snapshot !h = snapshot !m && Heap.validate !h = Ok () && steps (i + 1)
+      in
+      steps 1)
+
+(* ------------------------------------------------------------------ *)
 (* Mutable reinitialization replays arbitrary seeded startup sequences *)
 
 let fuzz_port = 9100
@@ -499,6 +743,7 @@ let () =
           qt prop_malloc_aligned;
           qt prop_aligned_block_never_shares_tail_page;
           qt prop_heap_random_ops;
+          qt prop_heap_free_index_lockstep;
         ] );
       ("vmem", [ qt prop_soft_dirty_exact ]);
       ("conservative", [ qt prop_conservative_scan_exact ]);
