@@ -78,6 +78,20 @@ let test_store_init, test_write_word_loop =
              Aspace.write_word aspace (Addr.add_words base i) (f i)
            done)) )
 
+(* A session buffer's life: map it, initialise all 4096 words non-zero
+   (every page materialises its own array), unmap it *)
+let test_buffer_churn =
+  let words = 4096 in
+  let aspace = Aspace.create () in
+  let f i = 0x76_73_66 lxor i in
+  Test.make ~name:"vmem:buffer-churn"
+    (Staged.stage (fun () ->
+         let base =
+           Aspace.map aspace (Aspace.Near Region.Heap) ~size:(words * Addr.word_size) Region.Heap
+         in
+         Aspace.write_init aspace base ~words f;
+         Aspace.unmap aspace base))
+
 (* The host cost of one process-per-connection session: fork a process
    with 16 private pages, store to each, kill it. The kernel has already
    reaped 1,000 such processes, so a cost that grows with the process
@@ -196,9 +210,9 @@ let run () =
   print_endline "=================================================";
   let tests =
     [ test_callstack_hash; test_alloc_tagging; test_malloc_zeroed; test_grab_chunk;
-      test_store_init; test_write_word_loop; test_fork_exit; test_conservative_scan;
-      test_type_transform; test_region_lookup_linear; test_region_lookup_indexed;
-      test_image_encode; test_image_decode; test_fnv_sub ]
+      test_store_init; test_write_word_loop; test_buffer_churn; test_fork_exit;
+      test_conservative_scan; test_type_transform; test_region_lookup_linear;
+      test_region_lookup_indexed; test_image_encode; test_image_decode; test_fnv_sub ]
   in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]

@@ -58,7 +58,10 @@ let logs t =
     (fun plog -> { plog with entries = List.rev plog.entries })
     t.plogs
 
-let log_for t key = List.find_opt (fun l -> l.key = key) (logs t)
+(* [plogs] is newest first, so the last match is the first log created. *)
+let log_for t key =
+  List.fold_left (fun found l -> if l.key = key then Some l else found) None t.plogs
+  |> Option.map (fun l -> { l with entries = List.rev l.entries })
 
 let recording t = List.length (List.filter (fun l -> not l.closed) t.plogs)
 

@@ -293,7 +293,10 @@ let start ?trace ?fault kernel (root : P.image) ~logs ~inherited =
     }
   in
   List.iter (fun fd -> Hashtbl.replace t.inherited fd ()) inherited;
-  let root_log = List.find_opt (fun l -> l.key = Root) logs in
+  (* Each key's first log in [logs]. *)
+  let by_key = Hashtbl.create (List.length logs) in
+  List.iter (fun l -> if not (Hashtbl.mem by_key l.key) then Hashtbl.add by_key l.key l) logs;
+  let root_log = Hashtbl.find_opt by_key Root in
   (* seed the pid map with the root pair *)
   (match root_log with
   | Some l -> Hashtbl.replace t.pid_map l.pid (K.pid root.P.i_proc)
@@ -308,7 +311,7 @@ let start ?trace ?fault kernel (root : P.image) ~logs ~inherited =
         n
       in
       let key = Child { creation_callstack = cs; ordinal } in
-      let log = List.find_opt (fun l -> l.key = key) logs in
+      let log = Hashtbl.find_opt by_key key in
       let parent = Hashtbl.find_opt t.pstate_by_pid (K.parent_pid child.P.i_proc) in
       ignore (attach_proc t ?parent child log key))
     :: root.P.i_child_hooks;

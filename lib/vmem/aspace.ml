@@ -19,7 +19,37 @@ type frame = { mutable words : int array; mutable refs : int }
 (* Never written: every store below goes through [unshare]/[writable]. *)
 let zero_words = Array.make Addr.words_per_page 0
 
-let private_copy w = if w == zero_words then zero_words else Array.copy w
+(* Arrays of frames that [unmap] dropped, reused before the heap is asked
+   for more: a fork-per-connection server unmaps as many pages per exiting
+   session as the next fork copies, and a page array is too big for the
+   minor heap. The cap bounds what a burst of exits pins (4 MiB). *)
+let spare_cap = 1024
+let spares = Array.make spare_cap zero_words
+let n_spares = ref 0
+
+(* A frame nothing references gives its array to [spares]. *)
+let drop_ref (f : frame) =
+  f.refs <- f.refs - 1;
+  if f.refs = 0 && f.words != zero_words && !n_spares < spare_cap then begin
+    spares.(!n_spares) <- f.words;
+    incr n_spares;
+    f.words <- zero_words
+  end
+
+(* A private array holding [src]'s words, overwriting a spare whole. The
+   loop stores ints without [Array.blit]'s per-word write barrier. *)
+let copy_of (src : int array) =
+  if !n_spares = 0 then Array.copy src
+  else begin
+    decr n_spares;
+    let w = spares.(!n_spares) in
+    for i = 0 to Addr.words_per_page - 1 do
+      w.(i) <- src.(i)
+    done;
+    w
+  end
+
+let private_copy w = if w == zero_words then zero_words else copy_of w
 
 type page = {
   mutable frame : frame;
@@ -181,7 +211,7 @@ let unmap t base =
   let npages = r.Region.size / Addr.page_size in
   for j = 0 to npages - 1 do
     let p = find_page t (first_page + j) in
-    if p != absent then p.frame.refs <- p.frame.refs - 1;
+    if p != absent then drop_ref p.frame;
     Hashtbl.remove t.pages (first_page + j)
   done;
   let out = Array.make (n - 1) r in
@@ -227,7 +257,7 @@ let unshare (p : page) =
 (* The page's private array, materialising a zero page. *)
 let writable (p : page) =
   unshare p;
-  if p.frame.words == zero_words then p.frame.words <- Array.make Addr.words_per_page 0;
+  if p.frame.words == zero_words then p.frame.words <- copy_of zero_words;
   p.frame.words
 
 (* A store of 0 into a zero page stores nothing. *)

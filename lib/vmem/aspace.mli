@@ -16,7 +16,8 @@
     pages with its zero page. This is host-side only: the frame record and
     its refcount are still per page, so {!shared_frame_count},
     {!resident_bytes} and copy-on-write behave as if every page had its own
-    zeroed frame.
+    zeroed frame. The arrays of frames that {!unmap} leaves unreferenced are
+    reused, zeroed or overwritten, by later pages and copies.
 
     Dirtiness mirrors the Linux soft-dirty mechanism MCR builds on, but is
     generation-based: every tracked write bumps the space-wide {!write_seq}
@@ -97,7 +98,8 @@ val fold_runs :
 (** [fold_runs t a ~words ~init ~f] folds [f acc page i n] over the page
     runs covering the [words] words from [a]: each run is
     [page.(i) .. page.(i + n - 1)]. [page] is the page's own storage, lent
-    for the call; [f] must not write to it or keep it.
+    for the call only; [f] must not write to it or keep it: after an
+    {!unmap} it may back another page.
     @raise Fault as {!read_word}. *)
 
 val copy_words : src:t -> Addr.t -> dst:t -> Addr.t -> words:int -> unit

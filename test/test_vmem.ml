@@ -581,6 +581,69 @@ let prop_zero_page_model =
       !reads_agree && shared_agree && fresh_zero)
 
 (* ------------------------------------------------------------------ *)
+(* Recycled page arrays
+
+   [unmap] hands the arrays of unreferenced frames to later pages. A
+   recycled array must come back zeroed to a fresh mapping, a frame still
+   shared by a survivor must never be recycled, and a fork that copies
+   into recycled arrays must be as deep as one that allocates. *)
+
+let r_pages = 4
+
+(* A fresh space with [r_pages] pages mapped at [base], holding [v + i] at
+   word [i] of the range. *)
+let r_dirty_space base v =
+  let sp = Aspace.create () in
+  ignore (Aspace.map sp (Aspace.Fixed base) ~size:(r_pages * 4096) Region.Heap);
+  for i = 0 to (r_pages * Addr.words_per_page) - 1 do
+    Aspace.write_word sp (Addr.add_words base i) (v + i)
+  done;
+  sp
+
+let test_recycled_arrays_are_isolated () =
+  let base = 0x200000 and words = r_pages * Addr.words_per_page in
+  (* 1. dirty pages freed by unmap come back all zero *)
+  Aspace.unmap (r_dirty_space base 1) base;
+  let fresh = Aspace.create () in
+  ignore (Aspace.map fresh (Aspace.Fixed base) ~size:(r_pages * 4096) Region.Heap);
+  for k = 0 to r_pages - 1 do
+    Aspace.write_word fresh (Addr.add_words base ((k * Addr.words_per_page) + 1)) 7
+  done;
+  Array.iteri
+    (fun i v -> Alcotest.(check int) "fresh mapping reads zero" (if i mod Addr.words_per_page = 1 then 7 else 0) v)
+    (read_each fresh base ~words);
+  (* 2. a frame shared with an exiting space is never recycled, whichever
+     side of [share_page] exits *)
+  List.iter
+    (fun survivor_is_src ->
+      let a, b, src, dst = share_setup () in
+      Aspace.share_page ~src:a src ~dst:b dst;
+      let survivor, at = if survivor_is_src then (a, src) else (b, dst) in
+      if survivor_is_src then Aspace.unmap b dst else Aspace.unmap a src;
+      Aspace.unmap (r_dirty_space base 2) base;
+      ignore (r_dirty_space base 3);
+      Array.iteri
+        (fun i v -> Alcotest.(check int) "survivor page unchanged" (i * 7) v)
+        (read_each survivor at ~words:Addr.words_per_page))
+    [ true; false ];
+  (* 3. a clone into recycled arrays is isolated both ways: two exits free
+     enough arrays for the parent's pages and the child's copies *)
+  let exiting = [ r_dirty_space base 4; r_dirty_space base 5 ] in
+  List.iter (fun sp -> Aspace.unmap sp base) exiting;
+  let parent = r_dirty_space base 6 in
+  let child = Aspace.clone parent in
+  let expect = Array.init words (fun i -> 6 + i) in
+  Alcotest.(check (array int)) "child starts as the parent" expect (read_each child base ~words);
+  for i = 0 to words - 1 do
+    Aspace.write_word child (Addr.add_words base i) (-i)
+  done;
+  Alcotest.(check (array int)) "parent unaffected" expect (read_each parent base ~words);
+  Aspace.unmap parent base;
+  ignore (r_dirty_space base 8);
+  Alcotest.(check (array int)) "child unaffected" (Array.init words (fun i -> -i))
+    (read_each child base ~words)
+
+(* ------------------------------------------------------------------ *)
 (* Lockstep: the bulk tracked stores against one [write_word] per word
 
    The same random state is built twice: four mapped pages followed by an
@@ -918,5 +981,7 @@ let () =
             test_write_bytes_zero_run;
           Alcotest.test_case "byte ranges outside the buffer rejected" `Quick
             test_bytes_range_checks;
+          Alcotest.test_case "recycled page arrays are isolated" `Quick
+            test_recycled_arrays_are_isolated;
         ] );
     ]
