@@ -356,11 +356,12 @@ let metadata_words (t : t) =
   !n
 
 (* Rebuild both caches, the payload table and the free index, by walking
-   the in-band headers. *)
-let refresh (t : t) =
+   the in-band headers; the header the walk stops at, [t.limit] when the
+   blocks tile the extent. *)
+let rebuild (t : t) =
   Hashtbl.reset t.by_payload;
   let rec walk header free =
-    if header >= t.limit then free
+    if header >= t.limit then (header, free)
     else begin
       let flags, payload_words = unpack (Aspace.read_word t.aspace header) in
       let free =
@@ -373,8 +374,25 @@ let refresh (t : t) =
       walk (Addr.add_words header (total_words flags payload_words)) free
     end
   in
-  t.free <- Array.of_list (List.rev (walk t.base []));
-  t.n_free <- Array.length t.free
+  let stop, free = walk t.base [] in
+  t.free <- Array.of_list (List.rev free);
+  t.n_free <- Array.length t.free;
+  stop
+
+let refresh t = ignore (rebuild t)
+
+(* The walk reads only inside [base, limit): an unmapped or misaligned
+   header faults, a header without the magic is [Invalid_argument]. *)
+let reload (t : t) =
+  match rebuild t with
+  | stop when stop = t.limit -> Ok ()
+  | stop ->
+      Error
+        (Format.asprintf "heap %a: the last block overruns the limit %a by %d bytes" Addr.pp
+           t.base Addr.pp t.limit (stop - t.limit))
+  | exception Invalid_argument reason -> Error (Format.asprintf "heap %a: %s" Addr.pp t.base reason)
+  | exception Aspace.Fault a ->
+      Error (Format.asprintf "heap %a: header %a is not a mapped word" Addr.pp t.base Addr.pp a)
 
 let rebind (t : t) aspace =
   let fresh =
@@ -409,8 +427,7 @@ let attach aspace ~base ~size ~instrumented =
       stats = { allocs = 0; frees = 0; tag_words = 0 };
     }
   in
-  refresh t;
-  t
+  Result.map (fun () -> t) (reload t)
 
 let restore_stats (t : t) ~allocs ~frees ~tag_words =
   t.stats.allocs <- allocs;

@@ -137,12 +137,18 @@ val metadata_words : t -> int
 (** Header words currently consumed by live blocks — the in-band metadata
     footprint for memory accounting. *)
 
-val attach : Mcr_vmem.Aspace.t -> base:Mcr_vmem.Addr.t -> size:int -> instrumented:bool -> t
+val attach :
+  Mcr_vmem.Aspace.t ->
+  base:Mcr_vmem.Addr.t ->
+  size:int ->
+  instrumented:bool ->
+  (t, string) result
 (** Adopt an extent that {e already} holds a valid block tiling (e.g. just
     re-installed from a checkpoint image): no headers are written, both
     caches are rebuilt from the in-band state, and the heap comes up
-    past its startup phase. Contrast {!of_region}, which formats the extent
-    as one free block. *)
+    past its startup phase. [Error] as {!reload} when the extent holds no
+    tiling. Contrast {!of_region}, which formats the extent as one free
+    block. *)
 
 val refresh : t -> unit
 (** Rebuild both caches in place by walking the in-band headers — the
@@ -150,6 +156,12 @@ val refresh : t -> unit
     restore overwrites the heap region's contents underneath this
     descriptor ({!rebind} is the same walk for a {e different} address
     space). *)
+
+val reload : t -> (unit, string) result
+(** {!refresh}, for contents nothing vouches for (a checkpoint image):
+    [Error] instead of an exception when a header is unmapped or lacks the
+    magic, or when the blocks do not end exactly at the limit. The caches
+    are then partly rebuilt and the heap must not be used. *)
 
 val restore_stats : t -> allocs:int -> frees:int -> tag_words:int -> unit
 (** Overwrite the accounting counters with values saved in a checkpoint

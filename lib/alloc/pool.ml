@@ -171,43 +171,57 @@ let rec export_state t =
     st_kids = List.map export_state t.kids;
   }
 
+let ( let* ) = Result.bind
+
+(* [List.map f xs] up to the first [Error]. *)
+let rec map_ok f = function
+  | [] -> Ok []
+  | x :: xs ->
+      let* y = f x in
+      let* ys = map_ok f xs in
+      Ok (y :: ys)
+
 (* Restoring must not touch the backing heap: the chunk blocks named in the
    state already exist in the (re-installed) in-band heap structure, so we
    only rebuild the OCaml-side view over them. Micro heaps are [Heap.attach]ed
-   over the restored in-band tags. *)
+   over the restored in-band tags. Nothing is replaced unless every micro
+   heap attaches. *)
 let rec restore_state t st =
   let aspace = Heap.aspace t.heap in
   let chunk_of_state cs =
-    let micro =
-      if cs.cs_micro then
-        Some (Heap.attach aspace ~base:cs.cs_base ~size:(cs.cs_words * Addr.word_size) ~instrumented:true)
-      else None
-    in
-    { base = cs.cs_base; words = cs.cs_words; micro; bump = cs.cs_bump }
+    let chunk micro = { base = cs.cs_base; words = cs.cs_words; micro; bump = cs.cs_bump } in
+    if not cs.cs_micro then Ok (chunk None)
+    else
+      match
+        Heap.attach aspace ~base:cs.cs_base ~size:(cs.cs_words * Addr.word_size) ~instrumented:true
+      with
+      | Ok h -> Ok (chunk (Some h))
+      | Error e -> Error (Printf.sprintf "pool %s chunk %#x: %s" st.st_name cs.cs_base e)
   in
+  let kid_of_state kst =
+    let kid =
+      {
+        heap = t.heap;
+        name = kst.st_name;
+        instrument = kst.st_instrument;
+        chunk_words = kst.st_chunk_words;
+        chunks = [];
+        kids = [];
+        alive = true;
+        stats = { pallocs = 0; tag_words = 0; chunks_grabbed = 0 };
+      }
+    in
+    Result.map (fun () -> kid) (restore_state kid kst)
+  in
+  let* chunks = map_ok chunk_of_state st.st_chunks in
+  let* kids = map_ok kid_of_state st.st_kids in
   t.stats.pallocs <- st.st_pallocs;
   t.stats.tag_words <- st.st_tag_words;
   t.stats.chunks_grabbed <- st.st_chunks_grabbed;
-  t.chunks <- List.map chunk_of_state st.st_chunks;
+  t.chunks <- chunks;
   t.alive <- true;
-  t.kids <-
-    List.map
-      (fun kst ->
-        let kid =
-          {
-            heap = t.heap;
-            name = kst.st_name;
-            instrument = kst.st_instrument;
-            chunk_words = kst.st_chunk_words;
-            chunks = [];
-            kids = [];
-            alive = true;
-            stats = { pallocs = 0; tag_words = 0; chunks_grabbed = 0 };
-          }
-        in
-        restore_state kid kst;
-        kid)
-      st.st_kids
+  t.kids <- kids;
+  Ok ()
 
 let rec rebind t heap =
   let rebind_chunk c =

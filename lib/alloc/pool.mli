@@ -84,9 +84,11 @@ val export_state : t -> state
     in-band tags of instrumented chunks live in pool memory and travel
     with the page contents. *)
 
-val restore_state : t -> state -> unit
+val restore_state : t -> state -> (unit, string) result
 (** Replace the pool's OCaml-side view with a saved snapshot, after the
     backing memory has been re-installed. Never allocates from or frees to
     the backing heap — the chunk blocks named in the snapshot are already
     present in the restored in-band heap structure. Micro heaps are
-    re-attached over the restored tags; children are rebuilt recursively. *)
+    re-attached over the restored tags; children are rebuilt recursively.
+    [Error] names the first chunk whose micro heap does not attach
+    ({!Heap.attach}); the pool is then left as it was. *)

@@ -85,9 +85,12 @@ let export_state t =
 
 let restore_state t st =
   if st.ss_slot_words <> t.slot_words then
-    invalid_arg
-      (Printf.sprintf "Slab.restore_state: slab %s has %d-word slots, image has %d" t.name
-         t.slot_words st.ss_slot_words);
-  t.chunks <- st.ss_chunks;
-  t.free_head <- st.ss_free_head;
-  t.live <- st.ss_live
+    Error
+      (Printf.sprintf "slab %s has %d-word slots, the image has %d" t.name t.slot_words
+         st.ss_slot_words)
+  else begin
+    t.chunks <- st.ss_chunks;
+    t.free_head <- st.ss_free_head;
+    t.live <- st.ss_live;
+    Ok ()
+  end

@@ -49,8 +49,8 @@ val export_state : t -> state
     contents; only the list head, chunk extents and live count need
     exporting. *)
 
-val restore_state : t -> state -> unit
+val restore_state : t -> state -> (unit, string) result
 (** Replace the slab's OCaml-side view with a saved snapshot after the
     backing memory has been re-installed. Never touches the backing heap.
-    @raise Invalid_argument when the image's slot size disagrees with the
-    live slab (a config mismatch the caller should have rejected). *)
+    [Error], leaving the slab as it was, when the image's slot size
+    disagrees with the live slab's. *)

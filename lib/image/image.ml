@@ -9,7 +9,7 @@ module Slab = Mcr_alloc.Slab
 module Fnv = Mcr_util.Fnv
 module P = Mcr_program.Progdef
 
-let format_version = 1
+let format_version = 2
 let magic = "MCRIMAGE"
 
 type error =
@@ -46,18 +46,21 @@ let pp_error ppf e = Format.pp_print_string ppf (error_to_string e)
 (* ------------------------------------------------------------------ *)
 (* In-memory representation *)
 
-(* A region's words are a view of [r_count] words from byte [r_pos] of
-   [r_data], in the on-disk encoding (bits 0-62 of each word, little-endian):
-   capture fills one fresh buffer per region, and decode points into the
-   file's bytes, so neither copies the words again. *)
+(* A region keeps only its pages that hold a non-zero word, as runs of
+   whole pages; every page no run covers is zero. A run's words are a view
+   of [u_words] words from byte [u_pos] of [r_data], in the on-disk
+   encoding (bits 0-62 of each word, little-endian): capture fills one
+   fresh buffer per region, and decode points into the file's bytes, so
+   neither copies the words again. *)
+type run = { u_page : int; (* page index within the region *) u_pos : int; u_words : int }
+
 type region_image = {
   r_name : string;
   r_kind : Region.kind;
   r_base : Addr.t;
   r_size : int;  (* bytes *)
   r_data : string;
-  r_pos : int;
-  r_count : int;
+  r_runs : run list;  (* ascending *)
 }
 
 type page_state_image = { g_page : Addr.t; g_seq : int; g_touched : bool; g_inherited : bool }
@@ -119,7 +122,7 @@ let region_count t = List.fold_left (fun a p -> a + List.length p.pi_regions) 0 
 
 let total_words t =
   List.fold_left
-    (fun a p -> List.fold_left (fun a r -> a + r.r_count) a p.pi_regions)
+    (fun a p -> List.fold_left (fun a r -> a + (r.r_size / Addr.word_size)) a p.pi_regions)
     0 t.im_procs
 
 let with_flight_json t json = { t with im_flight_json = Some json }
@@ -246,8 +249,12 @@ let w_region b r =
   w_str b (Region.kind_to_string r.r_kind);
   w_u64 b r.r_base;
   w_u64 b r.r_size;
-  w_u64 b r.r_count;
-  w_slice b r.r_data r.r_pos (8 * r.r_count)
+  w_list b
+    (fun b u ->
+      w_u64 b u.u_page;
+      w_u64 b u.u_words;
+      w_slice b r.r_data u.u_pos (8 * u.u_words))
+    r.r_runs
 
 let kinds = Region.[ Static; Heap; Stack; Lib; Mmap ]
 
@@ -261,8 +268,13 @@ let r_region r =
   in
   let r_base = r_u64 r in
   let r_size = r_u64 r in
-  let r_pos, r_count = r_words r in
-  { r_name; r_kind; r_base; r_size; r_data = r.data; r_pos; r_count }
+  let r_runs =
+    r_list r (fun r ->
+        let u_page = r_u64 r in
+        let u_pos, u_words = r_words r in
+        { u_page; u_pos; u_words })
+  in
+  { r_name; r_kind; r_base; r_size; r_data = r.data; r_runs }
 
 let w_page b g =
   w_u64 b g.g_page;
@@ -386,11 +398,32 @@ let encode_proc b p =
   w_list b w_pool p.pi_pools;
   w_list b w_slab p.pi_slabs
 
+let bad fmt = Printf.ksprintf (fun reason -> raise (Bad reason)) fmt
+
+(* A region's runs: non-empty, whole pages, ascending and disjoint, and
+   inside the region. *)
+let check_runs r =
+  let pages = r.r_size / Addr.page_size in
+  ignore
+    (List.fold_left
+       (fun next u ->
+         if u.u_words <= 0 || u.u_words mod Addr.words_per_page <> 0 then
+           bad "region %s run at page %d holds %d words, not a positive number of pages"
+             r.r_name u.u_page u.u_words;
+         let n = u.u_words / Addr.words_per_page in
+         if u.u_page < next then
+           bad "region %s run at page %d is not above the run before it" r.r_name u.u_page;
+         if u.u_page > pages - n then
+           bad "region %s run of %d pages at page %d ends past its %d pages" r.r_name n u.u_page
+             pages;
+         u.u_page + n)
+       0 r.r_runs)
+
 (* What install relies on of a process's region table: regions page-aligned
-   above the null page, ascending and disjoint, each holding exactly its
-   size in words, and every page state inside a saved region. *)
+   above the null page, ascending and disjoint, each run inside its region,
+   every page state inside a saved region, and every pool chunk a
+   word-aligned extent of a saved region with its bump cursor inside it. *)
 let check_regions p =
-  let bad fmt = Printf.ksprintf (fun reason -> raise (Bad reason)) fmt in
   let aligned a = a land (Addr.page_size - 1) = 0 in
   ignore
     (List.fold_left
@@ -400,25 +433,42 @@ let check_regions p =
          if r.r_size <= 0 || not (aligned r.r_size) || r.r_size > max_int - r.r_base then
            bad "region %s size %d is not a positive page multiple that fits above its base"
              r.r_name r.r_size;
-         if r.r_count <> r.r_size / Addr.word_size then
-           bad "region %s holds %d words for %d bytes" r.r_name r.r_count r.r_size;
          if r.r_base < prev_limit then
            bad "region %s at %#x is not above the region before it" r.r_name r.r_base;
+         check_runs r;
          r.r_base + r.r_size)
        0 p.pi_regions);
   let regions = Array.of_list p.pi_regions in
+  (* the bytes of the saved region holding [a] from [a] on, as [Aspace]
+     finds the region: the last one based at or below [a] *)
+  let room a =
+    let lo = ref 0 and hi = ref (Array.length regions - 1) in
+    while !lo <= !hi do
+      let mid = (!lo + !hi) / 2 in
+      if regions.(mid).r_base <= a then lo := mid + 1 else hi := mid - 1
+    done;
+    if !hi < 0 then 0 else max 0 (regions.(!hi).r_base + regions.(!hi).r_size - a)
+  in
   List.iter
     (fun g ->
-      (* the last region based at or below the page, as [Aspace] finds it *)
-      let lo = ref 0 and hi = ref (Array.length regions - 1) in
-      while !lo <= !hi do
-        let mid = (!lo + !hi) / 2 in
-        if regions.(mid).r_base <= g.g_page then lo := mid + 1 else hi := mid - 1
-      done;
-      let i = !hi in
-      if (not (aligned g.g_page)) || i < 0 || g.g_page >= regions.(i).r_base + regions.(i).r_size
-      then bad "page state %#x is not a page of a saved region" g.g_page)
-    p.pi_pages
+      if (not (aligned g.g_page)) || room g.g_page = 0 then
+        bad "page state %#x is not a page of a saved region" g.g_page)
+    p.pi_pages;
+  let rec check_pool (st : Pool.state) =
+    List.iter
+      (fun (c : Pool.chunk_state) ->
+        if
+          c.Pool.cs_words <= 0
+          || (not (Addr.is_aligned c.cs_base))
+          || c.cs_words > room c.cs_base / Addr.word_size
+          || c.cs_bump < 0 || c.cs_bump > c.cs_words
+        then
+          bad "pool %s chunk %#x of %d words (bump %d) is not inside a saved region" st.Pool.st_name
+            c.cs_base c.cs_words c.cs_bump)
+      st.Pool.st_chunks;
+    List.iter check_pool st.st_kids
+  in
+  List.iter check_pool p.pi_pools
 
 let decode_proc r =
   let pi_pid = r_u64 r in
@@ -630,18 +680,35 @@ let decode data =
 (* ------------------------------------------------------------------ *)
 (* Capture *)
 
+(* The region's non-zero pages, read into one buffer as maximal runs. *)
 let capture_region asp (r : Region.t) =
-  let words = r.Region.size / Addr.word_size in
-  let buf = Bytes.create (8 * words) in
-  Aspace.read_bytes asp r.Region.base ~words buf ~pos:0;
+  let pages = r.Region.size / Addr.page_size in
+  let page_addr i = Addr.add r.Region.base (i * Addr.page_size) in
+  let nonzero = Array.init pages (fun i -> not (Aspace.page_is_zero asp (page_addr i))) in
+  let buf =
+    Bytes.create (Addr.page_size * Array.fold_left (fun n z -> if z then n + 1 else n) 0 nonzero)
+  in
+  let rec runs i pos =
+    if i >= pages then []
+    else if not nonzero.(i) then runs (i + 1) pos
+    else begin
+      let j = ref i in
+      while !j < pages && nonzero.(!j) do
+        incr j
+      done;
+      let u_words = (!j - i) * Addr.words_per_page in
+      Aspace.read_bytes asp (page_addr i) ~words:u_words buf ~pos;
+      { u_page = i; u_pos = pos; u_words } :: runs !j (pos + (8 * u_words))
+    end
+  in
+  let r_runs = runs 0 0 in
   {
     r_name = r.Region.name;
     r_kind = r.Region.kind;
     r_base = r.Region.base;
     r_size = r.Region.size;
     r_data = Bytes.unsafe_to_string buf;
-    r_pos = 0;
-    r_count = words;
+    r_runs;
   }
 
 let heap_image_of h =
@@ -712,16 +779,19 @@ let capture kernel ~members ?policy_text ?target_tag ?flight_json () =
 (* Host-filesystem persistence *)
 
 (* Written beside [path] and renamed over it, so a crash mid-write leaves
-   the previous image, not a torn one. *)
+   the previous image, not a torn one. The temporary file is created and
+   opened in one exclusive open, without [O_TRUNC]: on ext4, truncating a
+   file arms the replace-via-truncate heuristic ([auto_da_alloc]), and
+   [close] then starts writeback of the whole image. *)
 let write t ~path =
   let slices, _ = encode_slices t in
   match
-    Filename.temp_file ~temp_dir:(Filename.dirname path) ("." ^ Filename.basename path) ".tmp"
+    Filename.open_temp_file ~mode:[ Open_binary ] ~temp_dir:(Filename.dirname path)
+      ("." ^ Filename.basename path) ".tmp"
   with
   | exception Sys_error msg -> Error (Io msg)
-  | tmp -> (
+  | tmp, oc -> (
       match
-        let oc = open_out_bin tmp in
         Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () ->
             List.iter (fun (s, pos, len) -> output_substring oc s pos len) slices;
             close_out oc);
@@ -756,6 +826,30 @@ type install_report = {
   unmatched_live_procs : int;
 }
 
+let zero_page = String.make Addr.page_size '\000'
+
+(* Every word of the region, in ascending order: each run from the image's
+   bytes, each page between runs as zeros, through the same untracked
+   store, so every page is unshared and touched and a page the target
+   holds non-zero words in is cleared. *)
+let install_region asp s =
+  let page_addr i = Addr.add s.r_base (i * Addr.page_size) in
+  let zero_pages from until =
+    for i = from to until - 1 do
+      Aspace.write_bytes_untracked asp (page_addr i) ~words:Addr.words_per_page zero_page ~pos:0
+    done
+  in
+  let next =
+    List.fold_left
+      (fun next u ->
+        zero_pages next u.u_page;
+        Aspace.write_bytes_untracked asp (page_addr u.u_page) ~words:u.u_words s.r_data
+          ~pos:u.u_pos;
+        u.u_page + (u.u_words / Addr.words_per_page))
+      0 s.r_runs
+  in
+  zero_pages next (s.r_size / Addr.page_size)
+
 (* Reconcile the live address space's region set with the saved one, then
    write back contents and dirty-tracking state. All stores are untracked
    and the write sequence / page stamps / epoch marks are re-installed
@@ -788,9 +882,7 @@ let install_aspace saved asp =
           (Aspace.map asp ~name:s.r_name (Aspace.Fixed s.r_base) ~size:s.r_size s.r_kind))
     saved.pi_regions;
   (* contents *)
-  List.iter
-    (fun s -> Aspace.write_bytes_untracked asp s.r_base ~words:s.r_count s.r_data ~pos:s.r_pos)
-    saved.pi_regions;
+  List.iter (install_region asp) saved.pi_regions;
   (* dirty-tracking state *)
   Aspace.set_write_seq asp saved.pi_write_seq;
   List.iter
@@ -805,36 +897,49 @@ let install_aspace saved asp =
     saved.pi_pages;
   Aspace.restore_epochs asp saved.pi_epochs
 
-let install_heap saved_opt heap =
-  Heap.refresh heap;
-  match saved_opt with
-  | None -> ()
-  | Some h ->
-      Heap.restore_stats heap ~allocs:h.h_allocs ~frees:h.h_frees ~tag_words:h.h_tag_words
+let ( let* ) = Result.bind
 
+let rec iter_ok f = function
+  | [] -> Ok ()
+  | x :: xs ->
+      let* () = f x in
+      iter_ok f xs
+
+let install_heap saved_opt heap =
+  let* () = Heap.reload heap in
+  Option.iter
+    (fun h -> Heap.restore_stats heap ~allocs:h.h_allocs ~frees:h.h_frees ~tag_words:h.h_tag_words)
+    saved_opt;
+  Ok ()
+
+(* [Error] is the reason the allocator state does not fit the installed
+   memory or the live configuration. *)
 let install_proc saved (img : P.image) =
   install_aspace saved img.P.i_aspace;
-  install_heap saved.pi_heap img.P.i_heap;
-  install_heap saved.pi_lib_heap img.P.i_lib_heap;
+  let* () = install_heap saved.pi_heap img.P.i_heap in
+  let* () = install_heap saved.pi_lib_heap img.P.i_lib_heap in
   (* Pools/slabs: pair by name — a deterministic same-version startup
      creates the same named set, so a mismatch means the restore target is
      not actually running the image's program configuration. *)
   let find_pool name =
     List.find_opt (fun (st : Pool.state) -> st.Pool.st_name = name) saved.pi_pools
   in
-  List.iter
-    (fun (name, pool) ->
-      match find_pool name with
-      | Some st -> Pool.restore_state pool st
-      | None -> ())
-    img.P.i_pools;
-  List.iter
-    (fun (name, slab) ->
-      match List.assoc_opt name saved.pi_slabs with
-      | Some st -> Slab.restore_state slab st
-      | None -> ())
-    img.P.i_slabs;
-  img.P.i_startup_complete <- saved.pi_startup_complete
+  let* () =
+    iter_ok
+      (fun (name, pool) ->
+        match find_pool name with Some st -> Pool.restore_state pool st | None -> Ok ())
+      img.P.i_pools
+  in
+  let* () =
+    iter_ok
+      (fun (name, slab) ->
+        match List.assoc_opt name saved.pi_slabs with
+        | Some st -> Slab.restore_state slab st
+        | None -> Ok ())
+      img.P.i_slabs
+  in
+  img.P.i_startup_complete <- saved.pi_startup_complete;
+  Ok ()
 
 (* Pair saved processes with live ones: roots first, then by creation call
    stack in creation order — the same key Manager uses to pair processes
@@ -873,7 +978,17 @@ let install t ~members =
         Error (Version_mismatch { image = t.im_version_tag; target = live_tag })
       else begin
         let pairs, skipped, unmatched = pair_procs t.im_procs members in
-        List.iter (fun (s, l) -> install_proc s l) pairs;
+        let section s =
+          Printf.sprintf "proc.%d" (Option.get (List.find_index (( == ) s) t.im_procs))
+        in
+        let* () =
+          iter_ok
+            (fun (s, l) ->
+              Result.map_error
+                (fun reason -> Malformed { section = section s; reason })
+                (install_proc s l))
+            pairs
+        in
         let restored = aspace_fingerprint ~prog:t.im_prog (K.aspace root.P.i_proc) in
         if restored <> t.im_fingerprint then
           Error (Fingerprint_mismatch { image = t.im_fingerprint; restored })

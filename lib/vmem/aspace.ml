@@ -319,6 +319,10 @@ let all_zero (a : int array) pos n =
   let rec go i = i >= pos + n || (a.(i) = 0 && go (i + 1)) in
   go pos
 
+let page_is_zero t a =
+  let w = (mapped_page t a).frame.words in
+  w == zero_words || all_zero w 0 Addr.words_per_page
+
 (* Store [n] words of [src] from [pos] at word [i] of the page; a run of
    zeros into a zero page stores nothing. *)
 let store_run (p : page) i (src : int array) pos n =

@@ -102,6 +102,11 @@ val fold_runs :
     {!unmap} it may back another page.
     @raise Fault as {!read_word}. *)
 
+val page_is_zero : t -> Addr.t -> bool
+(** Whether every word of the page holding the address is 0. A page on
+    the shared zero array answers without reading its words.
+    @raise Fault if the page is unmapped. *)
+
 val copy_words : src:t -> Addr.t -> dst:t -> Addr.t -> words:int -> unit
 (** Cross-space copy; tracked on the destination side as untracked writes
     (state transfer is a kernel-mediated operation). Pages are resolved

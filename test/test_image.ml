@@ -177,7 +177,7 @@ let w_str s = u64_le (String.length s) ^ s
    raised Invalid_argument from String.sub instead of returning a typed
    error. *)
 let test_huge_length_fields () =
-  let header = "MCRIMAGE" ^ u64_le 1 ^ u64_le 1 ^ "META" in
+  let header = "MCRIMAGE" ^ u64_le Image.format_version ^ u64_le 1 ^ "META" in
   check_rejected "section name length max_int"
     (Image.Truncated { section = "META" })
     (header ^ u64_le max_int ^ "xx");
@@ -358,22 +358,42 @@ let prop_decode_total =
 
    Install maps, fills and stamps what the region table says, so decode
    must refuse a table install cannot honour instead of letting install
-   raise. The fields: each region's base, size and word count, and each
-   page state's page address. *)
+   raise. The fields: each region's base and size, its run count and each
+   run's first page and word count, and each page state's page address.
+   The allocator state install rebuilds over the memory is checked too:
+   each pool chunk's base, word count and bump cursor, and each slab's
+   slot size. *)
 
-type table_field = Base | Size | Count | Page
+type table_field =
+  | Base
+  | Size
+  | Runs
+  | Run_page
+  | Run_words
+  | Page
+  | Chunk_base
+  | Chunk_words
+  | Chunk_bump
+  | Slot_words
 
 let show_table_field = function
   | Base -> "base"
   | Size -> "size"
-  | Count -> "count"
+  | Runs -> "run count"
+  | Run_page -> "run page"
+  | Run_words -> "run words"
   | Page -> "page"
+  | Chunk_base -> "pool chunk base"
+  | Chunk_words -> "pool chunk words"
+  | Chunk_bump -> "pool chunk bump"
+  | Slot_words -> "slab slot words"
 
-(* [(section, field, offset)] for every region-table field of every PROC
-   section, walking the payload layout of [Image.encode_proc]. *)
+(* [(section, field, offset)] for every region-table and allocator field
+   of every PROC section, walking the payload layout of
+   [Image.encode_proc]. *)
 let table_fields enc =
   List.concat_map
-    (fun (_, name, payload, _) ->
+    (fun (_, name, payload, plen) ->
       if not (String.starts_with ~prefix:"proc." name) then []
       else begin
         let at = ref payload in
@@ -382,28 +402,69 @@ let table_fields enc =
           at := !at + 8;
           v
         in
-        let skip_str () = at := !at + u64 () in
-        (* pid, name, call stack, startup flag, layout bias, write seq, fds *)
-        ignore (u64 ());
-        skip_str ();
-        at := !at + 32;
-        at := !at + (8 * u64 ());
+        let skip n = at := !at + n in
+        let skip_str () = skip (u64 ()) in
+        let list f =
+          for _ = 1 to u64 () do
+            f ()
+          done
+        in
         let fields = ref [] in
         let field f = fields := (name, f, !at) :: !fields in
-        for _ = 1 to u64 () do
-          skip_str ();
-          skip_str ();
-          field Base;
-          ignore (u64 ());
-          field Size;
-          ignore (u64 ());
-          field Count;
-          at := !at + (8 * u64 ())
+        (* pid, name, call stack, startup flag, layout bias, write seq, fds *)
+        skip 8;
+        skip_str ();
+        skip 32;
+        list (fun () -> skip 8);
+        list (fun () ->
+            skip_str ();
+            skip_str ();
+            field Base;
+            skip 8;
+            field Size;
+            skip 8;
+            field Runs;
+            list (fun () ->
+                field Run_page;
+                skip 8;
+                field Run_words;
+                skip (8 * u64 ())));
+        list (fun () ->
+            field Page;
+            skip 32);
+        (* epochs, threads, heap and lib heap *)
+        list (fun () ->
+            skip_str ();
+            skip 8);
+        list (fun () ->
+            skip 8;
+            skip_str ();
+            list skip_str;
+            if u64 () <> 0 then skip_str ());
+        for _ = 1 to 2 do
+          if u64 () <> 0 then skip 48
         done;
-        for _ = 1 to u64 () do
-          field Page;
-          at := !at + 32
-        done;
+        let rec pool () =
+          (* name, instrument flag, chunk words, three counters *)
+          skip_str ();
+          skip 40;
+          list (fun () ->
+              field Chunk_base;
+              skip 8;
+              field Chunk_words;
+              skip 8;
+              field Chunk_bump;
+              skip 16);
+          list pool
+        in
+        list pool;
+        list (fun () ->
+            skip_str ();
+            field Slot_words;
+            skip 8;
+            list (fun () -> skip 8);
+            skip 16);
+        assert (!at = payload + plen);
         List.rev !fields
       end)
     (sections enc)
@@ -446,36 +507,102 @@ let set_u64 p at v =
 let splice p at ~drop ins =
   String.sub p 0 at ^ ins ^ String.sub p (at + drop) (String.length p - at - drop)
 
+(* nginx at startup with region allocators instrumented: a heap region of
+   two runs, a pool whose chunk is a micro heap and a slab, in each of its
+   two processes. *)
+let nginx_regions kernel =
+  Testbed.launch ~instr:(Mcr_program.Instr.with_regions Mcr_program.Instr.full) kernel
+    Testbed.Nginx
+
+let nginx_image =
+  lazy
+    (let kernel = K.create () in
+     let m = nginx_regions kernel in
+     Image.encode (Image.capture kernel ~members:(Manager.images m) ()))
+
+(* Each region of proc.0 as its index among the [Base] fields and the
+   indexes of its runs among the [Run_page] fields. *)
+let region_runs enc =
+  let rev_regions = ref [] and run = ref 0 in
+  List.iter
+    (fun (s, f, _) ->
+      if s = "proc.0" then
+        match (f, !rev_regions) with
+        | Base, rs -> rev_regions := (List.length rs, []) :: rs
+        | Run_page, (r, ks) :: rs ->
+            rev_regions := (r, ks @ [ !run ]) :: rs;
+            incr run
+        | _ -> ())
+    (table_fields enc);
+  List.rev !rev_regions
+
+let expect_malformed what ?reason data =
+  match Image.decode data with
+  | Error (Image.Malformed { section = "proc.0"; reason = r }) -> (
+      match reason with
+      | Some needle when not (contains r needle) ->
+          Alcotest.failf "%s: reason %S does not say %S" what r needle
+      | _ -> ())
+  | Ok _ -> Alcotest.failf "%s: decoded" what
+  | Error e -> Alcotest.failf "%s: %s" what (Image.error_to_string e)
+
 let test_region_table_malformed () =
-  let enc = Lazy.force small_image in
-  let page = Mcr_vmem.Addr.page_size in
-  let field f k change rel p = set_u64 p (rel f k) (change (get_u64 p (rel f k))) in
+  let enc = Lazy.force nginx_image in
+  let page = Mcr_vmem.Addr.page_size and page_words = Mcr_vmem.Addr.words_per_page in
+  let get f k rel p = get_u64 p (rel f k) in
+  let field f k change rel p = set_u64 p (rel f k) (change (get f k rel p)) in
   let last =
     List.length (List.filter (fun (s, f, _) -> s = "proc.0" && f = Base) (table_fields enc)) - 1
   in
-  (* [count] more words, with the words themselves *)
-  let grow_words k extra rel p =
-    let at = rel Count k in
-    let count = get_u64 p at in
-    splice (set_u64 p at (count + extra)) (at + 8 + (8 * count)) ~drop:0
-      (String.make (8 * extra) '\000')
+  let region, a, b, z =
+    match List.find_opt (fun (_, ks) -> List.length ks >= 2) (region_runs enc) with
+    | Some (r, (a :: b :: _ as ks)) -> (r, a, b, List.nth ks (List.length ks - 1))
+    | _ -> Alcotest.fail "no region of two runs"
+  in
+  let pages k rel p = get Run_words k rel p / page_words in
+  (* run [k] with [words] words, its word bytes cut or padded to match *)
+  let resize_run k words rel p =
+    let at = rel Run_words k and n = get Run_words k rel p in
+    let p = set_u64 p at words in
+    if words < n then splice p (at + 8 + (8 * words)) ~drop:(8 * (n - words)) ""
+    else splice p (at + 8 + (8 * n)) ~drop:0 (String.make (8 * (words - n)) '\001')
   in
   let cases =
     [
-      ("size one page smaller, count unchanged", field Size 0 (fun v -> v - page));
-      ("zero size", field Size 0 (fun _ -> 0));
+      ("zero size", None, field Size 0 (fun _ -> 0));
       (* the last region, so that no region above it overlaps *)
-      ( "size not a page multiple, words to match",
-        fun rel p -> field Size last (fun v -> v + 8) rel (grow_words last 1 rel p) );
-      ("base not page-aligned", field Base 0 (fun v -> v + 8));
-      ("base at the null page", field Base 0 (fun _ -> 0));
-      ("base near the top of the address space", field Base 0 (fun _ -> max_int - page + 1));
-      ("word count one short", field Count 0 (fun v -> v - 1));
-      (* install would store the extra page past the region *)
-      ("a page more words than the size", grow_words 0 Mcr_vmem.Addr.words_per_page);
-      ("second region over the first", fun rel p -> field Base 1 (fun _ -> get_u64 p (rel Base 0)) rel p);
-      ("page state not page-aligned", field Page 0 (fun v -> v + 8));
-      ("page state outside every region", field Page 0 (fun _ -> 1 lsl 40));
+      ("size not a page multiple", None, field Size last (fun v -> v + 8));
+      ("base not page-aligned", None, field Base 0 (fun v -> v + 8));
+      ("base at the null page", None, field Base 0 (fun _ -> 0));
+      ("base near the top of the address space", None, field Base 0 (fun _ -> max_int - page + 1));
+      ( "second region over the first",
+        None,
+        fun rel p -> field Base 1 (fun _ -> get Base 0 rel p) rel p );
+      ("page state not page-aligned", None, field Page 0 (fun v -> v + 8));
+      ("page state outside every region", None, field Page 0 (fun _ -> 1 lsl 40));
+      ( "runs out of order",
+        Some "not above the run before it",
+        fun rel p ->
+          let pa = get Run_page a rel p and pb = get Run_page b rel p in
+          field Run_page b (fun _ -> pa) rel (field Run_page a (fun _ -> pb) rel p) );
+      ( "runs overlapping",
+        Some "not above the run before it",
+        fun rel p -> field Run_page b (fun _ -> get Run_page a rel p + pages a rel p - 1) rel p );
+      ( "run past the region end",
+        Some "ends past",
+        fun rel p ->
+          field Run_page z (fun _ -> (get Size region rel p / page) - pages z rel p + 1) rel p );
+      ( "run one word short of a page multiple",
+        Some "not a positive number of pages",
+        fun rel p -> resize_run a (get Run_words a rel p - 1) rel p );
+      ( "run one word past a page multiple",
+        Some "not a positive number of pages",
+        fun rel p -> resize_run a (get Run_words a rel p + 1) rel p );
+      ("empty run", Some "not a positive number of pages", resize_run a 0);
+      ("run count max_int", Some "runs past the end", field Runs region (fun _ -> max_int));
+      ("run count negative", Some "runs past the end", field Runs region (fun _ -> -1));
+      ("run words max_int", Some "runs past the end", field Run_words a (fun _ -> max_int));
+      ("run words negative", Some "runs past the end", field Run_words a (fun _ -> -1));
     ]
   in
   (* The same image without page states, so that no check on the page
@@ -491,18 +618,47 @@ let test_region_table_malformed () =
   List.iter
     (fun (variant, img) ->
       List.iter
-        (fun (name, edit) ->
+        (fun (name, reason, edit) ->
           if not (variant = "bare" && String.starts_with ~prefix:"page state" name) then
-            match Image.decode (edit_proc0 img edit) with
-            | Error (Image.Malformed { section = "proc.0"; _ }) -> ()
-            | Ok _ -> Alcotest.failf "%s, %s: decoded" variant name
-            | Error e -> Alcotest.failf "%s, %s: %s" variant name (Image.error_to_string e))
+            expect_malformed (variant ^ ", " ^ name) ?reason (edit_proc0 img edit))
         cases)
     [ ("full", enc); ("bare", bare) ]
 
-(* Decode then install every [Ok] into a fresh Listing1: install answers
-   [Ok] or a typed [Error] and never raises. *)
+(* A fresh instance of the image's server, to install over. *)
+let install_target = function
+  | `Listing1 -> snd (listing1 ())
+  | `Nginx -> nginx_regions (K.create ())
+
+(* The allocator state install rebuilds is checked before it is trusted:
+   a pool chunk outside every region at decode, a chunk whose micro heap
+   finds no block tiling and a slab slot size the live slab does not have
+   at install. Each answers [Malformed] naming the process. *)
+let test_allocator_state_checked () =
+  let enc = Lazy.force nginx_image in
+  let at f = field_at enc "proc.0" f 0 in
+  expect_malformed "pool chunk outside every region" ~reason:"pool"
+    (reseal_field enc (at Chunk_base) (1 lsl 40));
+  expect_malformed "pool chunk bump past its words" ~reason:"pool"
+    (reseal_field enc (at Chunk_bump) (get_u64 enc (at Chunk_words) + 1));
+  let installs what ~reason data =
+    match Image.decode data with
+    | Error e -> Alcotest.failf "%s: decode: %s" what (Image.error_to_string e)
+    | Ok img -> (
+        match Image.install img ~members:(Manager.images (install_target `Nginx)) with
+        | Error (Image.Malformed { section = "proc.0"; reason = r }) when contains r reason -> ()
+        | Ok _ -> Alcotest.failf "%s: installed" what
+        | Error e -> Alcotest.failf "%s: %s" what (Image.error_to_string e)
+        | exception e -> Alcotest.failf "%s: install raised %s" what (Printexc.to_string e))
+  in
+  installs "pool chunk a word off its block" ~reason:"pool"
+    (reseal_field enc (at Chunk_base) (get_u64 enc (at Chunk_base) + 8));
+  installs "slab slot size the live slab lacks" ~reason:"slab"
+    (reseal_field enc (at Slot_words) (get_u64 enc (at Slot_words) + 1))
+
+(* Decode then install every [Ok] into a fresh instance of the image's
+   server: install answers [Ok] or a typed [Error] and never raises. *)
 let prop_region_table_install_total =
+  let image = function `Listing1 -> Lazy.force small_image | `Nginx -> Lazy.force nginx_image in
   let gen =
     let open QCheck.Gen in
     let delta =
@@ -510,29 +666,179 @@ let prop_region_table_install_total =
         [ `Add 4096; `Add (-4096); `Add 8; `Add (-8); `Add 1; `Set max_int; `Set (-1); `Set 0;
           `Set min_int; `Set (1 lsl 40); `Set 7 ]
     in
-    pair (int_range 0 100_000) delta
+    triple (oneofl [ `Listing1; `Nginx ]) (int_range 0 100_000) delta
   in
-  let show (i, d) =
-    let enc = Lazy.force small_image in
-    let fields = Array.of_list (table_fields enc) in
-    let section, f, _ = fields.(i mod Array.length fields) in
-    Printf.sprintf "%s %s field #%d %s" section (show_table_field f) i
+  let pick server i =
+    let fields = Array.of_list (table_fields (image server)) in
+    fields.(i mod Array.length fields)
+  in
+  let show (server, i, d) =
+    let section, f, _ = pick server i in
+    Printf.sprintf "%s %s %s field #%d %s"
+      (match server with `Listing1 -> "listing1" | `Nginx -> "nginx")
+      section (show_table_field f) i
       (match d with `Add n -> Printf.sprintf "+= %d" n | `Set v -> Printf.sprintf ":= %d" v)
   in
   QCheck.Test.make ~count:200 ~name:"image.region_table_install_total" (QCheck.make ~print:show gen)
-    (fun (i, d) ->
-      let enc = Lazy.force small_image in
-      let fields = Array.of_list (table_fields enc) in
-      let _, _, at = fields.(i mod Array.length fields) in
+    (fun (server, i, d) ->
+      let enc = image server in
+      let _, _, at = pick server i in
       let v = match d with `Add n -> get_u64 enc at + n | `Set v -> v in
       match Image.decode (reseal_field enc at v) with
       | Error _ -> true
       | exception e -> QCheck.Test.fail_reportf "decode raised %s" (Printexc.to_string e)
       | Ok img -> (
-          let _kernel, m = listing1 () in
-          match Image.install img ~members:(Manager.images m) with
+          match Image.install img ~members:(Manager.images (install_target server)) with
           | Ok _ | Error _ -> true
           | exception e -> QCheck.Test.fail_reportf "install raised %s" (Printexc.to_string e)))
+
+(* {1 The sparse install writes what the every-word install wrote}
+
+   An image stores only the pages holding a non-zero word; install writes
+   the pages between its runs as zeros. [every_word_install] is the
+   install of the format that stored every word, kept as a model: the same
+   region reconciliation and dirty-tracking restore, with every word of
+   every region stored from the saved space. Both run over the same page
+   mixes, into twin targets, and must leave the same root address space. *)
+
+module Aspace = Mcr_vmem.Aspace
+module Region = Mcr_vmem.Region
+
+let every_word_install ~src dst =
+  let same (r : Region.t) (s : Region.t) =
+    r.Region.base = s.Region.base && r.size = s.size && r.kind = s.kind
+  in
+  List.iter
+    (fun (r : Region.t) ->
+      if not (List.exists (same r) (Aspace.regions src)) then Aspace.unmap dst r.Region.base)
+    (Aspace.regions dst);
+  List.iter
+    (fun (s : Region.t) ->
+      if not (List.exists (same s) (Aspace.regions dst)) then
+        ignore (Aspace.map dst ~name:s.Region.name (Aspace.Fixed s.base) ~size:s.size s.kind);
+      let words = s.size / Mcr_vmem.Addr.word_size in
+      let buf = Bytes.create s.size in
+      Aspace.read_bytes src s.base ~words buf ~pos:0;
+      Aspace.write_bytes_untracked dst s.base ~words (Bytes.unsafe_to_string buf) ~pos:0)
+    (Aspace.regions src);
+  Aspace.set_write_seq dst (Aspace.write_seq src);
+  List.iter (Aspace.restore_page_state dst) (Aspace.page_states src);
+  Aspace.restore_epochs dst (Aspace.epochs src)
+
+(* What a saved page holds, and what the target's startup left in it. *)
+type saved_page = Untouched | Nonzero | Zeroed | Shared_zero | Shared_nonzero
+type target_page = Fresh | Junk | Shared_fresh | Shared_junk
+
+let show_saved = function
+  | Untouched -> "untouched"
+  | Nonzero -> "nonzero"
+  | Zeroed -> "zeroed"
+  | Shared_zero -> "shared-zero"
+  | Shared_nonzero -> "shared-nonzero"
+
+let show_target = function
+  | Fresh -> "fresh"
+  | Junk -> "junk"
+  | Shared_fresh -> "shared-fresh"
+  | Shared_junk -> "shared-junk"
+
+let mix_pages = 12
+
+let page_at base i = Mcr_vmem.Addr.add base (i * Mcr_vmem.Addr.page_size)
+
+(* Store [v] at two words of page [i] of the region at [base]. *)
+let write_page asp base i v =
+  List.iter
+    (fun j -> Aspace.write_word asp (Mcr_vmem.Addr.add_words (page_at base i) j) v)
+    [ 1; Mcr_vmem.Addr.words_per_page - 1 ]
+
+(* Page [i] given the same words in [asp] and [donor], then [donor]'s frame
+   shared into [asp]. *)
+let share_into asp donor base i v =
+  write_page donor base i v;
+  write_page asp base i v;
+  Aspace.share_page ~src:donor (page_at base i) ~dst:asp (page_at base i)
+
+(* A donor space holding the mix region at the same base, for sharing. *)
+let donor_for base =
+  let donor = Aspace.create () in
+  ignore
+    (Aspace.map donor (Aspace.Fixed base) ~size:(mix_pages * Mcr_vmem.Addr.page_size) Region.Mmap);
+  donor
+
+let prop_sparse_install_lockstep =
+  let gen =
+    QCheck.Gen.(
+      triple
+        (list_repeat mix_pages
+           (oneofl [ Untouched; Nonzero; Zeroed; Shared_zero; Shared_nonzero ]))
+        (list_repeat mix_pages (oneofl [ Fresh; Junk; Shared_fresh; Shared_junk ]))
+        bool)
+  in
+  let show (saved, target, premapped) =
+    Printf.sprintf "saved [%s] target [%s]%s"
+      (String.concat " " (List.map show_saved saved))
+      (String.concat " " (List.map show_target target))
+      (if premapped then " premapped" else "")
+  in
+  QCheck.Test.make ~count:200 ~name:"image.sparse_install_lockstep" (QCheck.make ~print:show gen)
+    (fun (saved, target, premapped) ->
+      let kernel, m = listing1 () in
+      let src = (Manager.root_image m).P.i_aspace in
+      let size = mix_pages * Mcr_vmem.Addr.page_size in
+      let base = Aspace.map src ~name:"mix" (Aspace.Near Region.Mmap) ~size Region.Mmap in
+      let donor = donor_for base in
+      List.iteri
+        (fun i kind ->
+          match kind with
+          | Untouched -> ()
+          | Nonzero -> write_page src base i (i + 1)
+          | Zeroed ->
+              write_page src base i (-1);
+              write_page src base i 0
+          | Shared_zero -> Aspace.share_page ~src:donor (page_at base i) ~dst:src (page_at base i)
+          | Shared_nonzero -> share_into src donor base i min_int)
+        saved;
+      let img =
+        match Image.decode (Image.encode (Image.capture kernel ~members:(Manager.images m) ())) with
+        | Ok img -> img
+        | Error e -> QCheck.Test.fail_reportf "decode: %s" (Image.error_to_string e)
+      in
+      (* twin targets: the mix region mapped or not, with the same junk *)
+      let twin () =
+        let _, m = listing1 () in
+        let asp = (Manager.root_image m).P.i_aspace in
+        if premapped then begin
+          ignore (Aspace.map asp ~name:"mix" (Aspace.Fixed base) ~size Region.Mmap);
+          let donor = donor_for base in
+          List.iteri
+            (fun i kind ->
+              match kind with
+              | Fresh -> ()
+              | Junk -> write_page asp base i 7
+              | Shared_fresh ->
+                  Aspace.share_page ~src:donor (page_at base i) ~dst:asp (page_at base i)
+              | Shared_junk -> share_into asp donor base i 9)
+            target
+        end;
+        (m, asp)
+      in
+      let m_sparse, sparse = twin () and _, model = twin () in
+      (match Image.install img ~members:(Manager.images m_sparse) with
+      | Ok _ -> ()
+      | Error e -> QCheck.Test.fail_reportf "install: %s" (Image.error_to_string e));
+      every_word_install ~src model;
+      let check what eq f =
+        if not (eq (f sparse) (f model)) then QCheck.Test.fail_reportf "%s differs" what
+      in
+      check "fingerprint" ( = ) (Image.aspace_fingerprint ~prog:"listing1");
+      check "page_states" ( = ) Aspace.page_states;
+      check "write_seq" ( = ) Aspace.write_seq;
+      check "epochs" ( = ) Aspace.epochs;
+      check "resident_bytes" ( = ) Aspace.resident_bytes;
+      check "touched_bytes" ( = ) Aspace.touched_bytes;
+      check "shared_frame_count" ( = ) Aspace.shared_frame_count;
+      Image.aspace_fingerprint ~prog:(Image.prog img) sparse = Image.fingerprint img)
 
 (* {1 Atomic write} *)
 
@@ -866,7 +1172,10 @@ let () =
           QCheck_alcotest.to_alcotest prop_decode_total;
           Alcotest.test_case "region table checked at decode" `Quick
             test_region_table_malformed;
+          Alcotest.test_case "allocator state checked before install" `Quick
+            test_allocator_state_checked;
           QCheck_alcotest.to_alcotest prop_region_table_install_total;
+          QCheck_alcotest.to_alcotest prop_sparse_install_lockstep;
           Alcotest.test_case "write replaces atomically" `Quick
             test_write_replaces_atomically;
           Alcotest.test_case "failed write keeps the target" `Quick
