@@ -146,13 +146,17 @@ let test_corruption_goldens () =
   check_rejected "flipped magic" Image.Bad_magic (flip enc 0);
   check_rejected "empty file" (Image.Truncated { section = "header" }) "";
   check_rejected "bumped format version"
-    (Image.Version_skew { found = 2; expected = 1 })
-    (set_byte enc 8 2);
+    (Image.Version_skew { found = 3; expected = 2 })
+    (set_byte enc 8 3);
+  (* an image of the format that stored every word of every region *)
+  check_rejected "format-1 image"
+    (Image.Version_skew { found = 1; expected = 2 })
+    (set_byte enc 8 1);
   (* version skew outranks every hash: a future-format image is reported
      as such even though its trailer no longer matches *)
   check_rejected "version skew beats hash check"
-    (Image.Version_skew { found = 3; expected = 1 })
-    (set_byte (flip enc 56) 8 3);
+    (Image.Version_skew { found = 4; expected = 2 })
+    (set_byte (flip enc 56) 8 4);
   check_rejected "chopped trailer"
     (Image.Truncated { section = "trailer" })
     (String.sub enc 0 (len - 1));
