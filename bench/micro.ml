@@ -199,6 +199,29 @@ let test_image_encode, test_image_decode =
   ( Test.make ~name:"image:encode" (Staged.stage (fun () -> ignore (Image.encode img))),
     Test.make ~name:"image:decode" (Staged.stage (fun () -> ignore (Image.decode enc))) )
 
+(* The checkpoint workload's file round trip at a smaller size: an image
+   holding a 2M-word heap-kind region with one non-zero page in 64 is
+   saved to a file, read back and unlinked. *)
+let test_image_save_read_remove =
+  let kernel = K.create () in
+  let m = Testbed.launch kernel Testbed.Nginx in
+  let asp = (Manager.root_image m).Mcr_program.Progdef.i_aspace in
+  let words = 2 lsl 20 in
+  let base = Aspace.map asp ~name:"bench" (Aspace.Near Region.Heap) ~size:(words * 8) Region.Heap in
+  for i = 0 to (words / Addr.words_per_page) - 1 do
+    if i mod 64 = 0 then Aspace.write_word asp (Addr.add base (i * Addr.page_size)) (i + 1)
+  done;
+  let path = Filename.temp_file "mcr_micro" ".mcrimg" in
+  Test.make ~name:"image:save-read-remove"
+    (Staged.stage (fun () ->
+         (match Image.save kernel ~path ~members:(Manager.images m) () with
+         | Ok _ -> ()
+         | Error e -> failwith (Image.error_to_string e));
+         (match Image.read ~path with
+         | Ok _ -> ()
+         | Error e -> failwith (Image.error_to_string e));
+         Sys.remove path))
+
 let test_fnv_sub =
   let len = 1 lsl 20 in
   let s = String.init len (fun i -> if i < len / 2 then Char.chr (i land 0xff) else '\x00') in
@@ -212,7 +235,8 @@ let run () =
     [ test_callstack_hash; test_alloc_tagging; test_malloc_zeroed; test_grab_chunk;
       test_store_init; test_write_word_loop; test_buffer_churn; test_fork_exit;
       test_conservative_scan; test_type_transform; test_region_lookup_linear;
-      test_region_lookup_indexed; test_image_encode; test_image_decode; test_fnv_sub ]
+      test_region_lookup_indexed; test_image_encode; test_image_decode;
+      test_image_save_read_remove; test_fnv_sub ]
   in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]

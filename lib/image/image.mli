@@ -18,7 +18,11 @@
     v}
 
     where strings are [u64 length | bytes] and all integers are 64-bit
-    little-endian. Sections are identified by a 4-byte ASCII tag ([META],
+    little-endian. A region's content is its non-zero pages only, as runs
+    of whole pages ([u64 run_count], then per run
+    [u64 first_page | u64 word_count | words]); a page no run covers is
+    zero, so an image costs what the live state holds, not what is
+    mapped. Sections are identified by a 4-byte ASCII tag ([META],
     [PROC], [POLI], [ATMP], [FLIT]); decoders {e skip} sections whose tag
     they do not know, so later format revisions can add sections without
     bumping {!format_version}. Every decode failure is a typed {!error}
@@ -30,8 +34,9 @@
     the {e same program version} in the target kernel (deterministic
     startup re-creates listeners, threads and the address-space skeleton),
     then installs the image over the settled processes: region sets are
-    reconciled, every word of every saved region is written back
-    untracked, and the exact dirty-tracking state (write sequence, page
+    reconciled, every non-zero page of every saved region is written back
+    untracked and every other page of it zeroed, and the exact
+    dirty-tracking state (write sequence, page
     stamps, named epoch marks, inherited taint) plus allocator state
     (in-band heap headers travel with the pages; OCaml-side caches are
     rebuilt by walking them) are re-installed. The result fingerprints
@@ -44,7 +49,9 @@
 module P = Mcr_program.Progdef
 
 val format_version : int
-(** Current on-disk format revision (1). *)
+(** Current on-disk format revision (2: regions store only their non-zero
+    pages; revision 1 stored every word and is refused with
+    {!Version_skew}). *)
 
 val magic : string
 (** The 8-byte magic, ["MCRIMAGE"]. *)
@@ -99,7 +106,8 @@ val proc_count : t -> int
 val region_count : t -> int
 
 val total_words : t -> int
-(** Total words of page content across every saved region and process. *)
+(** Total words of every saved region of every process, zero pages
+    included: the words the image stands for, not the words it stores. *)
 
 val policy_text : t -> string option
 (** The saving manager's policy, rendered by [Policy.to_kv] — opaque at
@@ -152,9 +160,11 @@ val decode : string -> (t, error) result
     it in place at {!install}, not copied out. Decode also checks what
     install relies on in each [PROC] section's region table, failing with
     [Malformed { section = "proc.N"; _ }]: region bases page-aligned above
-    the null page, sizes positive page multiples, word counts equal to
-    [size / 8], regions ascending and disjoint, region kinds known, and
-    every page state a page of a saved region. *)
+    the null page, sizes positive page multiples, regions ascending and
+    disjoint, region kinds known; each region's runs non-empty, whole
+    pages, ascending, disjoint and inside the region; every page state a
+    page of a saved region; and every pool chunk a word-aligned extent of
+    a saved region with its bump cursor inside it. *)
 
 val write : t -> path:string -> (unit, error) result
 (** Encode to the {e host} filesystem — images must survive kernel
@@ -164,8 +174,16 @@ val write : t -> path:string -> (unit, error) result
     failure the temporary file is removed and [path] is untouched. The
     image file keeps the temporary file's mode: readable and writable by
     its owner only, as a core dump is. The image is streamed to the file
-    a piece at a time, each region's words straight from where capture or
-    decode left them; no whole-image buffer is built. *)
+    a piece at a time, each run's words straight from where capture or
+    decode left them; no whole-image buffer is built.
+
+    There is no fsync: [Ok] means the bytes are in the host's page cache,
+    not on disk. What rename-over guarantees is that [path] names either
+    the previous image or the complete new one, never a mix; how soon the
+    new one is durable after a host crash is the filesystem's choice.
+    The temporary file is created and opened in one exclusive open,
+    without truncation, so writing it does not trigger ext4's
+    replace-via-truncate writeback. *)
 
 val read : path:string -> (t, error) result
 
@@ -198,8 +216,15 @@ val install : t -> members:P.image list -> (install_report, error) result
     write back all page contents, re-stamp dirty-tracking state and
     rebuild allocator views. Processes are paired root-to-root and then by
     creation call stack in creation order. Fails with
-    {!Program_mismatch} / {!Version_mismatch} before touching anything,
-    and with {!Fingerprint_mismatch} if post-install verification fails. *)
+    {!Program_mismatch} / {!Version_mismatch} before touching anything;
+    with [Malformed { section = "proc.N"; _ }] when that process's
+    allocator state does not fit its installed memory or the live
+    configuration (heap headers that do not tile the heap, a pool chunk
+    whose micro heap does not attach, a slab whose slot size differs);
+    and with {!Fingerprint_mismatch} if post-install verification fails.
+    After either of the last two the target holds part of the image and
+    must be discarded. For any image {!decode} returned, install answers
+    [Error] rather than raising. *)
 
 val restore :
   t -> launch:(unit -> P.image list) -> (P.image list * install_report, error) result
