@@ -15,6 +15,8 @@ module Testbed = Mcr_workloads.Testbed
 module Bench_result = Mcr_workloads.Bench_result
 module Timetravel = Mcr_workloads.Timetravel
 module Fleet = Mcr_fleet.Fleet
+module Aspace = Mcr_vmem.Aspace
+module Region = Mcr_vmem.Region
 
 let drive kernel pred =
   ignore (K.run_until kernel ~max_ns:(K.clock_ns kernel + 30_000_000_000) pred)
@@ -86,9 +88,9 @@ let codec_line server =
   let m = Testbed.launch kernel server in
   ignore (Testbed.benchmark kernel server ~scale:3_000 ());
   let asp = (Manager.root_image m).P.i_aspace in
-  let base = (List.hd (Mcr_vmem.Aspace.regions asp)).Mcr_vmem.Region.base in
+  let base = (List.hd (Aspace.regions asp)).Region.base in
   Array.iteri
-    (fun i v -> Mcr_vmem.Aspace.write_word asp (Mcr_vmem.Addr.add_words base i) v)
+    (fun i v -> Aspace.write_word asp (Mcr_vmem.Addr.add_words base i) v)
     [| -1; max_int; min_int; -42; 1 lsl 61 |];
   let img = Image.capture kernel ~members:(Manager.images m) () in
   let enc = Image.encode img in
@@ -704,9 +706,6 @@ let prop_region_table_install_total =
    region reconciliation and dirty-tracking restore, with every word of
    every region stored from the saved space. Both run over the same page
    mixes, into twin targets, and must leave the same root address space. *)
-
-module Aspace = Mcr_vmem.Aspace
-module Region = Mcr_vmem.Region
 
 let every_word_install ~src dst =
   let same (r : Region.t) (s : Region.t) =
