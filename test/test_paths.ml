@@ -1,9 +1,11 @@
-(* Every exit path of Manager.update, pinned against one golden file: three
-   commits (single-shot, a 4-worker pool, pre-copy with request parking), a
-   failure before restart (quiesce refusal under a deadline), six rollbacks
-   (startup crash and hang, replay conflict, reinit hang, a transfer
-   conflict under four workers, pre-copy divergence) and the refusal to
-   update a manager whose program is gone. Per scenario the golden holds
+(* Every exit path of Manager.update, pinned against one golden file: four
+   commits (single-shot, a 4-worker pool, pre-copy with request parking,
+   single-shot with request parking and dedicated-core transfer charging),
+   a failure before restart (quiesce refusal under a deadline), seven
+   rollbacks (startup crash and hang, replay conflict, reinit hang, a
+   transfer conflict under four workers, pre-copy divergence, a pre-copy
+   quiesce refused after restart), a rollback retried into a commit, and
+   the refusal to update a manager whose program is gone. Per scenario the golden holds
    the stage-event lines of the trace, the flight record JSON, and a
    one-line digest of the report's scalar fields plus a hash of its
    metrics snapshot. On a mismatch the produced text is written to
@@ -109,12 +111,18 @@ let scenarios () =
   in
   let diverging = Policy.with_precopy ~max_rounds:2 ~threshold_words:0 true Policy.default in
   let quiesce_deadline = Policy.with_quiesce_deadline_ns (Some 500_000_000) Policy.default in
+  let parking_concurrent =
+    Policy.default |> Policy.with_request_parking true |> Policy.with_concurrent_transfer true
+  in
+  let precopy_deadline = Policy.with_precopy true quiesce_deadline in
+  let retry_once = Policy.with_retries 1 Policy.default in
   let fault p = Fault.script [ p ] in
   List.concat
     [
       update_with listing1 l1v2 "commit single-shot";
       update_with ~policy:w4 httpd httpd_v "commit W=4";
       update_with ~policy:precopy_parking listing1 l1v2 "commit precopy+parking";
+      update_with ~policy:parking_concurrent listing1 l1v2 "commit parking+concurrent";
       update_with ~policy:quiesce_deadline ~fault:(fault Fault.Quiesce_refusal) listing1 l1v2
         "fail-before-restart quiesce-refusal";
       update_with ~fault:(fault Fault.Startup_crash) listing1 l1v2 "rollback startup-crash";
@@ -123,6 +131,10 @@ let scenarios () =
       update_with ~fault:(fault Fault.Reinit_hang) listing1 l1v2 "rollback reinit-hang";
       update_with ~policy:w4 ~fault:(fault Fault.Transfer_conflict) httpd httpd_v
         "rollback transfer-conflict W=4";
+      update_with ~policy:precopy_deadline ~fault:(fault Fault.Quiesce_refusal) listing1 l1v2
+        "rollback precopy quiesce-refusal";
+      update_with ~policy:retry_once ~fault:(fault Fault.Startup_crash) listing1 l1v2
+        "retry startup-crash then commit";
       (let kernel, trace, m = listing1 () in
        let _, r =
          Manager.update m ~policy:diverging
