@@ -432,8 +432,9 @@ type restarted = {
 }
 
 (* One update attempt. Stages fill it in as they run; [finish] reads it
-   on every exit. Each in-window flight segment in [attr] is measured
-   independently, at the point it elapses, so the components summing to
+   on every exit. Every stage adds its virtual-clock interval to [stages];
+   the flight attribution, the stage histograms and the report's stage
+   durations are all read from that one log, so the segments summing to
    the downtime (measured from [window_start]) is a real cross-check, not
    an identity. Recording never touches the clock. *)
 type attempt = {
@@ -448,11 +449,9 @@ type attempt = {
      otherwise. Failures before the window opens cost zero downtime. *)
   mutable window_start : int option;
   mutable parked : bool;
-  mutable quiesce_ns : int;
-  mutable cm_ns : int;
-  mutable st_ns : int;
+  mutable quiesced : bool;  (* the old version reached its quiescent point *)
+  mutable stages : (string * int * int) list;  (* (name, start, end), newest first *)
   mutable rounds : Flight.round list;  (* pre-copy rounds, newest first *)
-  mutable attr : Flight.attribution;
   mutable transfers : (Logdefs.proc_key * Transfer.outcome) list;  (* newest first *)
   (* checkpoint image of the old version at its quiescent point, written
      with the flight record attached once the attempt ends *)
@@ -484,17 +483,30 @@ let span_begin a ?args name =
 let span_end a ?args name =
   Trace.span_end a.t.lin.trace ~pid:(K.pid (root_proc a.t)) ~cat:"stage" ?args name
 
-(* Run [f] inside the named stage span; [f] returns its value and the
-   span's closing args. The elapsed virtual time is observed into [hist]
-   and returned. *)
-let stage a ?hist name f =
+let log_interval a name start = a.stages <- (name, start, clock a) :: a.stages
+
+let interval a name =
+  List.find_map (fun (n, s, e) -> if n = name then Some (s, e) else None) a.stages
+
+let duration a name = match interval a name with Some (s, e) -> e - s | None -> 0
+
+(* A stage's flight segment: the part of its interval at or after the
+   window opened. Quiescence counts only after park/drain, and under
+   pre-copy restart+replay (run before the window) counts nothing. *)
+let segment a name =
+  match (a.window_start, interval a name) with
+  | Some w, Some (s, e) -> max 0 (e - max s w)
+  | _ -> 0
+
+(* Run [f] inside the named stage span and log its interval; [f] returns
+   its value and the span's closing args. *)
+let stage a name f =
   span_begin a name;
   let start = clock a in
   let v, args = f () in
   span_end a ~args name;
-  let elapsed = clock a - start in
-  Option.iter (fun h -> Metrics.observe h elapsed) hist;
-  (v, elapsed)
+  log_interval a name start;
+  v
 
 (* ---- in-flight request parking. Listeners are parked (new connections
    queue kernel-side instead of getting ECONNREFUSED) just before the
@@ -544,7 +556,7 @@ let set_refusals imgs f =
    opening, after park and drain. ---- *)
 let quiesce a : unit stage_result =
   let t = a.t in
-  let ok, _ =
+  let ok =
     stage a "quiesce" (fun () ->
         (* park first, then drain: new arrivals queue kernel-side while the
            old version finishes what it already accepted, so the barrier
@@ -565,19 +577,13 @@ let quiesce a : unit stage_result =
         set_refusals (images t) None;
         (ok, [ ("converged", if ok then "yes" else "no") ]))
   in
-  (* attribution: all in-window time so far is quiescence wait, converged
-     or not *)
-  let waited = downtime a in
-  a.attr <- { a.attr with Flight.a_quiesce_ns = waited };
-  if ok then begin
-    a.quiesce_ns <- waited;
-    Metrics.observe t.lin.mset.m_quiesce_h waited;
-    if a.pol.Policy.image_dir <> None then
-      a.image <-
-        Some
-          (Image.capture a.t.kernel ~members:(images t) ~policy_text:(Policy.to_kv a.pol)
-             ~target_tag:a.target.P.version_tag ())
-  end;
+  a.quiesced <- ok;
+  let waited = segment a "quiesce" in
+  if ok && a.pol.Policy.image_dir <> None then
+    a.image <-
+      Some
+        (Image.capture a.t.kernel ~members:(images t) ~policy_text:(Policy.to_kv a.pol)
+           ~target_tag:a.target.P.version_tag ());
   let failed reason = Error (reason, "quiesce") in
   if deadline_exceeded a then failed Err.Update_deadline_exceeded
   else if not ok then
@@ -599,8 +605,8 @@ let new_quiesced r =
    this elapses inside the window. ---- *)
 let restart a : restarted stage_result =
   let t = a.t and k = a.t.kernel in
-  let (r, startup_ok), cm_ns =
-    stage a ~hist:t.lin.mset.m_cm_h "restart_replay" (fun () ->
+  let r, startup_ok =
+    stage a "restart_replay" (fun () ->
         let t1 = clock a in
         let logs =
           match t.log_source with Recorder r -> Record.logs r | Replayed r -> Replayer.new_logs r
@@ -694,10 +700,6 @@ let restart a : restarted stage_result =
         set_refusals !new_members None;
         ((r, ok), []))
   in
-  a.cm_ns <- cm_ns;
-  (* attribution: under pre-copy, restart+replay runs while the old
-     version still serves *)
-  if not a.pol.Policy.precopy then a.attr <- { a.attr with Flight.a_restart_ns = cm_ns };
   let failed reason = Error (reason, "restart_replay") in
   if not (K.alive r.new_root.P.i_proc) then failed Err.Startup_crashed
   else
@@ -783,19 +785,21 @@ let precopy a r ~on_precopy_round : unit stage_result =
       else round (n + 1)
     end
   in
-  fst
-    (stage a "precopy" (fun () ->
-         (* each attempt is a fresh pre-copy session: forget any epoch a
-            previous (rolled-back) attempt left on the old images so round
-            one stages the full copy set and pays full tracing *)
-         List.iter
-           (fun (im : P.image) -> Aspace.epoch_remove im.P.i_aspace ~name:precopy_epoch)
-           (images a.t);
-         let res = round 1 in
-         (res, [ ("rounds", string_of_int (List.length a.rounds)) ])))
+  stage a "precopy" (fun () ->
+      (* each attempt is a fresh pre-copy session: forget any epoch a
+         previous (rolled-back) attempt left on the old images so round
+         one stages the full copy set and pays full tracing *)
+      List.iter
+        (fun (im : P.image) -> Aspace.epoch_remove im.P.i_aspace ~name:precopy_epoch)
+        (images a.t);
+      let res = round 1 in
+      (res, [ ("rounds", string_of_int (List.length a.rounds)) ]))
 
-(* One old/new process pair's mutable tracing and transfer; returns its
-   critical-path cost. *)
+(* Tracing and copying each run sharded across the worker pool, so a pair
+   pays the max over shards of each phase, not the sum. *)
+let pair_cost (o : Transfer.outcome) = o.trace_critical_ns + o.cost_ns
+
+(* One old/new process pair's mutable tracing and transfer. *)
 let transfer_pair a r (oldp, oi) (newp, ni) key new_pid =
   let pol = a.pol and mset = a.t.lin.mset in
   let cost_since =
@@ -816,10 +820,7 @@ let transfer_pair a r (oldp, oi) (newp, ni) key new_pid =
   Metrics.incr ~by:o.Transfer.transferred_words mset.m_transferred_words;
   Metrics.incr ~by:o.Transfer.remapped_words mset.m_remapped_words;
   Metrics.incr ~by:o.Transfer.skipped_clean_words mset.m_skipped_clean_words;
-  (* tracing and copying each run sharded across the worker pool, so the
-     pair pays the max over shards of each phase, not the sum *)
-  let pair_cost = o.Transfer.trace_critical_ns + o.Transfer.cost_ns in
-  Metrics.observe mset.m_pair_cost_h pair_cost;
+  Metrics.observe mset.m_pair_cost_h (pair_cost o);
   let pair = Format.asprintf "%a" Logdefs.pp_key key in
   (* pair transfers run in parallel — the charged time is the max across
      pairs, so a begin/end pair cannot represent one; a Complete event
@@ -829,7 +830,7 @@ let transfer_pair a r (oldp, oi) (newp, ni) key new_pid =
       [ ("pair", pair); ("words", string_of_int o.Transfer.transferred_words);
         ("objects", string_of_int o.Transfer.transferred_objects);
         ("workers", string_of_int o.Transfer.workers) ]
-    ~dur_ns:pair_cost "transfer.pair";
+    ~dur_ns:(pair_cost o) "transfer.pair";
   Metrics.set mset.m_workers_g o.Transfer.workers;
   if o.Transfer.workers > 1 then
     Array.iteri
@@ -846,18 +847,45 @@ let transfer_pair a r (oldp, oi) (newp, ni) key new_pid =
     (fun fd ->
       if fd < reserved_fd_base then
         ignore (K.transfer_fd a.t.kernel ~src:oldp ~fd ~dst:newp ~at:fd))
-    (K.fds oldp);
-  (o, pair_cost)
+    (K.fds oldp)
+
+(* The parallel transfer's charge, as the flight segments it bills. The
+   critical (costliest, first on ties) pair bounds the parallel phase: its
+   tracing, its copy critical path (the max shard) and the worker pool's
+   spawn/join overhead on top. The coordinator adds relinking the program
+   and prelinking shared libraries for the remapped immutable objects
+   (Section 6; prepaid under pre-copy) and per-pair channel setup. *)
+let charge a =
+  let critical =
+    List.fold_left
+      (fun best (_, o) ->
+        if pair_cost o > Option.fold ~none:0 ~some:pair_cost best then Some o else best)
+      None (List.rev a.transfers)
+  in
+  let trace, cost, copy =
+    match critical with
+    | None -> (0, 0, 0)
+    | Some o ->
+        ( o.trace_critical_ns,
+          o.cost_ns,
+          if o.workers > 1 then Array.fold_left max 0 o.shard_cost_ns else o.cost_ns )
+  in
+  {
+    Flight.zero_attribution with
+    a_trace_ns = trace;
+    a_copy_ns = copy;
+    a_spawn_join_ns = cost - copy;
+    a_relink_ns = (if a.pol.Policy.precopy then 0 else relink_ns);
+    a_channel_ns = 2_000_000 * List.length a.transfers;
+  }
 
 (* ---- restore: mutable tracing, in waves so reinit handlers can re-create
    volatile processes that then get their own transfer ---- *)
 let state_transfer a r : unit stage_result =
   let k = a.t.kernel in
-  let handlers_ok, st_ns =
-    stage a ~hist:a.t.lin.mset.m_st_h "state_transfer" (fun () ->
-        let start = clock a in
+  let handlers_ok =
+    stage a "state_transfer" (fun () ->
         let done_pairs = Hashtbl.create 8 in
-        let max_pair_cost = ref 0 and pairs = ref 0 in
         (* transfer every pair not transferred yet; true if any was *)
         let wave () =
           List.filter (fun (key, _) -> not (Hashtbl.mem done_pairs key)) (Replayer.pairs r.rep)
@@ -869,27 +897,7 @@ let state_transfer a r : unit stage_result =
                      image_of_live (K.find_proc k new_pid) )
                  with
                  | Some old_side, Some new_side ->
-                     let o, cost = transfer_pair a r old_side new_side key new_pid in
-                     incr pairs;
-                     if cost > !max_pair_cost then begin
-                       max_pair_cost := cost;
-                       (* attribution follows the critical pair: its copy
-                          critical path is the max shard, and whatever
-                          cost_ns adds on top of that is the worker pool's
-                          spawn/join overhead *)
-                       let copy =
-                         if o.Transfer.workers > 1 then
-                           Array.fold_left max 0 o.Transfer.shard_cost_ns
-                         else o.Transfer.cost_ns
-                       in
-                       a.attr <-
-                         {
-                           a.attr with
-                           Flight.a_trace_ns = o.Transfer.trace_critical_ns;
-                           a_copy_ns = copy;
-                           a_spawn_join_ns = o.Transfer.cost_ns - copy;
-                         }
-                     end;
+                     transfer_pair a r old_side new_side key new_pid;
                      true
                  | _ -> worked)
                false
@@ -941,32 +949,18 @@ let state_transfer a r : unit stage_result =
           end
         in
         more_waves 0;
-        (* parallel multiprocess transfer: the slowest pair bounds the
-           parallel phase; the coordinator adds a constant (relinking the
-           program and prelinking shared libraries for the remapped
-           immutable objects, Section 6 — already prepaid under pre-copy)
-           plus a per-process channel setup cost. Everything that elapsed
-           on the clock so far was reinit-handler settling (the transfer
-           waves themselves only accumulate charges). *)
-        let relink = if a.pol.Policy.precopy then 0 else relink_ns in
-        let channel = 2_000_000 * !pairs in
-        a.attr <-
-          {
-            a.attr with
-            Flight.a_handlers_ns = clock a - start;
-            a_relink_ns = relink;
-            a_channel_ns = channel;
-          };
-        (* Dedicated-core accounting keeps client machines live through the
-           copy window — their connect/backoff timers fire inside it, which
-           is what the latency bench measures. Single-core accounting (the
-           default) freezes them, preserving historical downtime numbers. *)
+        (* The waves only accumulated charges: the clock so far was
+           reinit-handler settling. Dedicated-core accounting keeps client
+           machines live through the copy window (the latency bench
+           measures their timers firing inside it); single-core, the
+           default, freezes them, preserving historical downtime numbers. *)
+        let charged = clock a in
         (if a.pol.Policy.concurrent_transfer then K.charge_concurrent else K.charge)
           k
-          (!max_pair_cost + relink + channel);
-        (handlers_ok, [ ("pairs", string_of_int !pairs) ]))
+          (Flight.attribution_sum (charge a));
+        log_interval a "charge" charged;
+        (handlers_ok, [ ("pairs", string_of_int (List.length a.transfers)) ]))
   in
-  a.st_ns <- st_ns;
   let failed reason = Error (reason, "state_transfer") in
   if deadline_exceeded a then failed Err.Update_deadline_exceeded
   else if not handlers_ok then failed Err.Reinit_not_quiesced
@@ -994,29 +988,28 @@ let explain a reason ~stage =
   {
     Flight.e_reason = Err.to_string reason;
     e_stage = stage;
-    e_conflicts =
-      List.map
-        (fun (c : Err.conflict_obj) ->
-          {
-            Flight.c_kind = c.Err.co_kind;
-            c_addr = c.Err.co_addr;
-            c_ty = c.Err.co_ty;
-            c_callstack = c.Err.co_callstack;
-            c_shard = c.Err.co_shard;
-            c_round = c.Err.co_round;
-            c_detail = c.Err.co_detail;
-          })
-        (Err.conflict_objs reason);
+    e_conflicts = Err.conflict_objs reason;
     e_fault =
       Option.bind a.fault (fun f ->
           match Fault.fired f with [] -> None | fired -> Some (String.concat "," fired));
   }
 
+(* The downtime window's segments, read from the stage log. The charge
+   bills its segments; the handlers segment is the rest of the transfer
+   stage, so a charge that took longer than it billed leaves a residue. *)
+let attribution a =
+  let billed = if interval a "charge" = None then Flight.zero_attribution else charge a in
+  {
+    billed with
+    Flight.a_quiesce_ns = segment a "quiesce";
+    a_restart_ns = segment a "restart_replay";
+    a_handlers_ns = segment a "state_transfer" - segment a "charge";
+    a_teardown_ns = segment a "teardown";
+  }
+
 (* Append the attempt's flight record to the lineage ring, evaluate the
-   SLO, and write the captured checkpoint image with the record attached.
-   The teardown segment is the tail from [teardown_from] (entry to
-   [finish]) to now. *)
-let record_flight a ~attempt ~prior ~teardown_from outcome =
+   SLO, and write the captured checkpoint image with the record attached. *)
+let record_flight a ~attempt ~prior outcome =
   let lin = a.t.lin and pol = a.pol in
   let seq = lin.flight_seq + 1 in
   lin.flight_seq <- seq;
@@ -1053,12 +1046,7 @@ let record_flight a ~attempt ~prior ~teardown_from outcome =
       f_remapped_words = sum_transfers a (fun o -> o.Transfer.remapped_words);
       f_skipped_clean_words = sum_transfers a (fun o -> o.Transfer.skipped_clean_words);
       f_rounds = List.rev a.rounds;
-      f_attribution =
-        {
-          a.attr with
-          Flight.a_teardown_ns =
-            (match a.window_start with Some _ -> clock a - teardown_from | None -> 0);
-        };
+      f_attribution = attribution a;
       f_slo = slo;
       f_explanation =
         (match outcome with
@@ -1161,20 +1149,30 @@ let finish a ~attempt ~prior outcome =
   Metrics.observe mset.m_downtime_h (downtime a);
   Metrics.observe mset.m_precopy_rounds_h (List.length a.rounds);
   Metrics.incr ~by:(precopy_bytes a) mset.m_precopy_bytes;
+  if a.quiesced then Metrics.observe mset.m_quiesce_h (segment a "quiesce");
+  List.iter
+    (fun (h, name) -> if interval a name <> None then Metrics.observe h (duration a name))
+    [ (mset.m_cm_h, "restart_replay"); (mset.m_st_h, "state_transfer") ];
   if Option.is_some a.restarted then
     span_end a (if Option.is_none failure then "commit" else "rollback");
   Option.iter
     (fun reason -> instant a "update.fail" [ ("reason", Err.to_string reason) ])
     failure;
   span_end a "update";
-  let flight = record_flight a ~attempt ~prior ~teardown_from outcome in
+  log_interval a "teardown" teardown_from;
+  (* before restart, everything so far was the checkpoint stage *)
+  let quiesce_ns =
+    if interval a "restart_replay" = None then clock a - a.t0
+    else if a.quiesced then segment a "quiesce"
+    else 0
+  in
+  let flight = record_flight a ~attempt ~prior outcome in
   ( survivor,
     {
       success = Option.is_none failure;
-      (* before restart, everything so far was the checkpoint stage *)
-      quiesce_ns = (if Option.is_none a.restarted then clock a - a.t0 else a.quiesce_ns);
-      control_migration_ns = a.cm_ns;
-      state_transfer_ns = a.st_ns;
+      quiesce_ns;
+      control_migration_ns = duration a "restart_replay";
+      state_transfer_ns = duration a "state_transfer";
       total_ns = clock a - a.t0;
       downtime_ns = downtime a;
       precopy_rounds = List.length a.rounds;
@@ -1216,22 +1214,9 @@ let update_once t ~pol ~attempt ~prior ?fault ?on_precopy_round target =
       pstats0 = K.parking_stats k;
       window_start = (if pol.Policy.precopy then None else Some t0);
       parked = false;
-      quiesce_ns = 0;
-      cm_ns = 0;
-      st_ns = 0;
+      quiesced = false;
+      stages = [];
       rounds = [];
-      attr =
-        {
-          Flight.a_quiesce_ns = 0;
-          a_restart_ns = 0;
-          a_trace_ns = 0;
-          a_copy_ns = 0;
-          a_spawn_join_ns = 0;
-          a_relink_ns = 0;
-          a_channel_ns = 0;
-          a_handlers_ns = 0;
-          a_teardown_ns = 0;
-        };
       transfers = [];
       image = None;
       restarted = None;

@@ -48,20 +48,10 @@ let attribution_components a =
     ("teardown", a.a_teardown_ns);
   ]
 
-type conflict_ref = {
-  c_kind : string;
-  c_addr : int;
-  c_ty : string option;
-  c_callstack : int;
-  c_shard : int;
-  c_round : int;
-  c_detail : string;
-}
-
 type explanation = {
   e_reason : string;
   e_stage : string;
-  e_conflicts : conflict_ref list;
+  e_conflicts : Mcr_error.conflict_obj list;
   e_fault : string option;
 }
 
@@ -116,11 +106,12 @@ let attribution_json a =
     a.a_quiesce_ns a.a_restart_ns a.a_trace_ns a.a_copy_ns a.a_spawn_join_ns a.a_relink_ns
     a.a_channel_ns a.a_handlers_ns a.a_teardown_ns
 
-let conflict_json c =
+let conflict_json (c : Mcr_error.conflict_obj) =
   Printf.sprintf
     "{\"kind\":\"%s\",\"addr\":%d,\"ty\":%s,\"callstack\":%d,\"shard\":%d,\"round\":%d,\
      \"detail\":\"%s\"}"
-    (esc c.c_kind) c.c_addr (opt_str c.c_ty) c.c_callstack c.c_shard c.c_round (esc c.c_detail)
+    (esc c.co_kind) c.co_addr (opt_str c.co_ty) c.co_callstack c.co_shard c.co_round
+    (esc c.co_detail)
 
 let explanation_json e =
   Printf.sprintf "{\"reason\":\"%s\",\"stage\":\"%s\",\"fault\":%s,\"conflicts\":[%s]}"
@@ -185,14 +176,14 @@ let decode_attribution j =
     }
 
 let decode_conflict j =
-  let* c_kind = req "conflict.kind" (Json.str_field "kind" j) in
-  let* c_addr = req "conflict.addr" (Json.int_field "addr" j) in
-  let c_ty = Json.str_field "ty" j in
-  let* c_callstack = req "conflict.callstack" (Json.int_field "callstack" j) in
-  let* c_shard = req "conflict.shard" (Json.int_field "shard" j) in
-  let* c_round = req "conflict.round" (Json.int_field "round" j) in
-  let* c_detail = req "conflict.detail" (Json.str_field "detail" j) in
-  Ok { c_kind; c_addr; c_ty; c_callstack; c_shard; c_round; c_detail }
+  let* co_kind = req "conflict.kind" (Json.str_field "kind" j) in
+  let* co_addr = req "conflict.addr" (Json.int_field "addr" j) in
+  let co_ty = Json.str_field "ty" j in
+  let* co_callstack = req "conflict.callstack" (Json.int_field "callstack" j) in
+  let* co_shard = req "conflict.shard" (Json.int_field "shard" j) in
+  let* co_round = req "conflict.round" (Json.int_field "round" j) in
+  let* co_detail = req "conflict.detail" (Json.str_field "detail" j) in
+  Ok { Mcr_error.co_kind; co_addr; co_ty; co_callstack; co_shard; co_round; co_detail }
 
 let rec collect f = function
   | [] -> Ok []

@@ -6,10 +6,10 @@
     ([mcr-ctl EXPLAIN [LAST|<n>]]). Three questions it answers:
 
     - {b Where did the downtime go?} {!attribution} decomposes the
-      service-interruption window into independently measured segments that
-      sum to the reported [downtime_ns] exactly ({!unattributed_ns} is the
-      checked residue — property-tested to be 0 for every server, worker
-      count and policy).
+      service-interruption window into segments read from the attempt's
+      stage log. {!unattributed_ns} is the checked residue, property-tested
+      across servers, worker counts, pre-copy, request parking and both
+      transfer-charging models.
     - {b Why did it roll back?} {!explanation} names the failed pipeline
       stage, the frozen rollback reason, the conflicting objects (address,
       type tag, call-stack ID, shard, pre-copy round — captured when the
@@ -37,10 +37,12 @@ type attribution = {
   a_teardown_ns : int;
       (** Commit/rollback tail: ctl reply delivery, kills, releases. *)
 }
-(** The downtime window, cut into the segments that elapse inside it, in
-    waterfall order. Components are measured independently of
-    [downtime_ns], so their sum reconciling with it is a real check, not an
-    identity. *)
+(** The downtime window, cut into segments in waterfall order. A stage's
+    segment is the part of its logged interval at or after the window
+    opened (0 if it never opened); the transfer charge's five parts are
+    what it billed, and [a_handlers_ns] is the rest of the transfer stage.
+    Reconciling with [downtime_ns] checks that the stages tile the window
+    and that the charge took exactly the time it billed. *)
 
 val zero_attribution : attribution
 val attribution_sum : attribution -> int
@@ -48,22 +50,13 @@ val attribution_sum : attribution -> int
 val attribution_components : attribution -> (string * int) list
 (** [(label, ns)] pairs in waterfall (elapsed) order. *)
 
-type conflict_ref = {
-  c_kind : string;  (** ["nonupdatable_changed" | "no_plan" | "missing_type" | "injected"]. *)
-  c_addr : int;  (** Old-version payload address (0 for injected). *)
-  c_ty : string option;  (** Type tag, when typed. *)
-  c_callstack : int;  (** Allocation call-stack ID (0 if n/a). *)
-  c_shard : int;  (** Transfer shard that touched it (-1 unsharded). *)
-  c_round : int;  (** Pre-copy round that last staged it (0 = never). *)
-  c_detail : string;
-}
-
 type explanation = {
   e_reason : string;  (** Frozen [Mcr_error.to_string] form. *)
   e_stage : string;
       (** Failed pipeline stage: ["init" | "quiesce" | "restart_replay" |
           "precopy" | "state_transfer"]. *)
-  e_conflicts : conflict_ref list;
+  e_conflicts : Mcr_error.conflict_obj list;
+      (** As captured when the conflict fired. *)
   e_fault : string option;
       (** Fault-injection points that fired, comma-joined, oldest first. *)
 }
@@ -110,7 +103,8 @@ type record = {
 
 val unattributed_ns : record -> int
 (** [f_downtime_ns - attribution_sum f_attribution] — the residue the
-    decomposition failed to explain. 0 on every pipeline path. *)
+    decomposition failed to explain. 0 under single-core charging; a
+    dedicated-core charge that overshoots leaves a few microseconds. *)
 
 val reconciled : ?epsilon:int -> record -> bool
 (** [|unattributed_ns r| <= epsilon] (default 0). *)

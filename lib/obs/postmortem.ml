@@ -39,13 +39,13 @@ let waterfall buf (a : Flight.attribution) ~downtime_ns =
     (if residue = 0 then "  components sum to the reported downtime exactly\n"
      else Printf.sprintf "  !! %d ns of downtime unattributed\n" residue)
 
-let conflict_line (c : Flight.conflict_ref) =
-  let shard = if c.Flight.c_shard < 0 then "-" else string_of_int c.Flight.c_shard in
-  let round = if c.Flight.c_round = 0 then "-" else string_of_int c.Flight.c_round in
+let conflict_line (c : Mcr_error.conflict_obj) =
+  let shard = if c.co_shard < 0 then "-" else string_of_int c.co_shard in
+  let round = if c.co_round = 0 then "-" else string_of_int c.co_round in
   Printf.sprintf "    - %s at 0x%x (%s), callstack %d, shard %s, precopy round %s: %s\n"
-    c.Flight.c_kind c.Flight.c_addr
-    (Option.value c.Flight.c_ty ~default:"untyped")
-    c.Flight.c_callstack shard round c.Flight.c_detail
+    c.co_kind c.co_addr
+    (Option.value c.co_ty ~default:"untyped")
+    c.co_callstack shard round c.co_detail
 
 let explanation buf (e : Flight.explanation) =
   Buffer.add_string buf "rollback explanation:\n";
