@@ -58,6 +58,8 @@ let run_fleet server n canary wave max_unavailable halt fault_seed =
       print_string (Mcr_obs.Postmortem.render_fleet summary);
       print_newline ();
       print_string (Fleet.status_text fleet);
+      Printf.printf "done (control-plane virtual time %.3f ms)\n"
+        (float_of_int (K.clock_ns (Fleet.ctl_kernel fleet)) /. 1e6);
       (* an unprovoked halt is a real failure; a seeded one is the demo *)
       if summary.Mcr_obs.Fleet_flight.fs_halted && fault_seed = None then exit 1
 
