@@ -299,8 +299,6 @@ let free (t : t) payload =
   end
   else do_free t payload
 
-let set_defer_frees (t : t) b = t.defer <- b
-
 let end_startup (t : t) =
   List.iter (do_free t) (List.rev t.quarantine);
   t.quarantine <- [];

@@ -103,10 +103,6 @@ val free : t -> Mcr_vmem.Addr.t -> unit
     instead (no address reuse until {!end_startup}).
     @raise Invalid_argument on a non-live or foreign address. *)
 
-val set_defer_frees : t -> bool -> unit
-(** Startup separability switch. Created heaps start with deferral {b on},
-    matching MCR's record phase; {!end_startup} turns it off. *)
-
 val end_startup : t -> unit
 (** Flush quarantined frees, stop flagging new blocks as startup-time, and
     disable deferral. Call when program startup completes. *)

@@ -26,6 +26,4 @@ let register t ~label ~ty_id =
 
 let find t id = Hashtbl.find t.by_id id
 
-let id_of_label t label = Hashtbl.find_opt t.by_label label
-
 let count t = Hashtbl.length t.by_id

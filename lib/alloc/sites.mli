@@ -24,6 +24,4 @@ val register : t -> label:string -> ty_id:int -> int
 val find : t -> int -> site
 (** @raise Not_found. *)
 
-val id_of_label : t -> string -> int option
-
 val count : t -> int

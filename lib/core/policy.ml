@@ -40,7 +40,6 @@ let default =
   }
 
 let with_quiesce_deadline_ns q t = { t with quiesce_deadline_ns = q }
-let with_update_deadline_ns u t = { t with update_deadline_ns = u }
 
 let with_deadlines ~quiesce_ns ~update_ns t =
   { t with quiesce_deadline_ns = quiesce_ns; update_deadline_ns = update_ns }

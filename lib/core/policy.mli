@@ -85,7 +85,6 @@ type t = {
 val default : t
 
 val with_quiesce_deadline_ns : int option -> t -> t
-val with_update_deadline_ns : int option -> t -> t
 val with_deadlines : quiesce_ns:int option -> update_ns:int option -> t -> t
 val with_retries : ?backoff_ns:int -> int -> t -> t
 val with_fault_seed : int option -> t -> t

@@ -49,7 +49,6 @@ let histogram t ?(bounds = Stats.default_ns_bounds) name =
 let incr ?(by = 1) c = c.c_value <- c.c_value + by
 let counter_value c = c.c_value
 let set g v = g.g_value <- v
-let gauge_value g = g.g_value
 let observe h v = Stats.hist_observe h.h_hist v
 
 (* ------------------------------------------------------------------ *)

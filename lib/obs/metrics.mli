@@ -25,7 +25,6 @@ val counter_value : counter -> int
 
 val gauge : t -> string -> gauge
 val set : gauge -> int -> unit
-val gauge_value : gauge -> int
 
 val histogram : t -> ?bounds:int array -> string -> histogram
 (** Default bounds: {!Mcr_util.Stats.default_ns_bounds}. *)

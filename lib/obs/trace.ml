@@ -74,7 +74,3 @@ let phase_name = function
   | Instant -> "i"
   | Complete _ -> "X"
 
-let pp_event ppf e =
-  Format.fprintf ppf "#%d %dns pid=%d tid=%d %s %s/%s" e.seq e.ts_ns e.pid e.tid
-    (phase_name e.phase) e.cat e.name;
-  List.iter (fun (k, v) -> Format.fprintf ppf " %s=%s" k v) e.args

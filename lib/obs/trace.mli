@@ -86,5 +86,3 @@ val events : t -> event list
 
 val phase_name : phase -> string
 (** Chrome phase letter: "B", "E", "i", "X". *)
-
-val pp_event : Format.formatter -> event -> unit

@@ -253,10 +253,6 @@ let lib_malloc t words =
   if t.image.i_instr.Instr.dynamic_instr then charge t c.Costs.tag_word_ns;
   Heap.malloc t.image.i_lib_heap words
 
-let lib_free t addr =
-  charge t (costs t).Costs.alloc_ns;
-  Heap.free t.image.i_lib_heap addr
-
 let global t name = (Symtab.lookup t.image.i_symtab name).Symtab.addr
 
 let string_lit t s = Symtab.string_addr t.image.i_symtab s

@@ -77,8 +77,6 @@ val free : ctx -> Mcr_vmem.Addr.t -> unit
 val lib_malloc : ctx -> int -> Mcr_vmem.Addr.t
 (** Allocate from the uninstrumented shared-library heap. *)
 
-val lib_free : ctx -> Mcr_vmem.Addr.t -> unit
-
 val global : ctx -> string -> Mcr_vmem.Addr.t
 (** Address of a global by symbol name. @raise Not_found. *)
 

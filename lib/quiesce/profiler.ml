@@ -129,8 +129,6 @@ let note_loop_exit t th name =
   | Some l -> l.exits <- l.exits + 1
   | None -> ()
 
-let mark_startup_complete t = t.startup_ns <- Some (K.clock_ns t.kernel)
-
 type qpoint = { site : string; call : string; blocked_ns : int; hits : int }
 
 type thread_class = {

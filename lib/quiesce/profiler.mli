@@ -36,10 +36,6 @@ val note_thread_end : t -> Mcr_simos.Kernel.thread -> unit
 val note_loop_enter : t -> Mcr_simos.Kernel.thread -> string -> unit
 val note_loop_exit : t -> Mcr_simos.Kernel.thread -> string -> unit
 
-val mark_startup_complete : t -> unit
-(** Quiescent points visible before this instant are classified persistent;
-    later ones volatile. Defaults to the first blocking event seen. *)
-
 (** {1 Report} *)
 
 type qpoint = {

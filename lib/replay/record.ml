@@ -58,11 +58,6 @@ let logs t =
     (fun plog -> { plog with entries = List.rev plog.entries })
     t.plogs
 
-(* [plogs] is newest first, so the last match is the first log created. *)
-let log_for t key =
-  List.fold_left (fun found l -> if l.key = key then Some l else found) None t.plogs
-  |> Option.map (fun l -> { l with entries = List.rev l.entries })
-
 let recording t = List.length (List.filter (fun l -> not l.closed) t.plogs)
 
 let entry_count t = List.fold_left (fun acc l -> acc + List.length l.entries) 0 t.plogs

@@ -16,8 +16,6 @@ val logs : t -> Logdefs.plog list
 (** Per-process startup logs, root first, children in creation order.
     Entries are in issue order. *)
 
-val log_for : t -> Logdefs.proc_key -> Logdefs.plog option
-
 val recording : t -> int
 (** Number of processes still recording (startup not finished). *)
 

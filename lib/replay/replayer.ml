@@ -36,7 +36,6 @@ type t = {
   inherited : (int, unit) Hashtbl.t;
   mutable replayed : int;
   mutable live : int;
-  mutable finished_count : int;
   trace : Trace.t option;
   fault : F.t option;
 }
@@ -231,7 +230,6 @@ let intercept t ps th call =
 let finish_proc t ps (image : P.image) =
   if not ps.finished then begin
     ps.finished <- true;
-    t.finished_count <- t.finished_count + 1;
     let proc = image.P.i_proc in
     (* conservative omission detection: every unreplayed replay-class entry
        is a conflict (Section 5) *)
@@ -287,7 +285,6 @@ let start ?trace ?fault kernel (root : P.image) ~logs ~inherited =
       inherited = Hashtbl.create 16;
       replayed = 0;
       live = 0;
-      finished_count = 0;
       trace;
       fault;
     }
@@ -321,9 +318,6 @@ let conflicts t = List.rev t.conflicts
 
 let replayed_calls t = t.replayed
 let live_calls t = t.live
-let finished_procs t = t.finished_count
-
-let map_old_pid t pid = Hashtbl.find_opt t.pid_map pid
 
 let new_logs t =
   List.rev_map

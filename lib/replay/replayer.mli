@@ -65,12 +65,6 @@ val replayed_calls : t -> int
 
 val live_calls : t -> int
 
-val finished_procs : t -> int
-(** Processes whose startup (and omission check) completed. *)
-
-val map_old_pid : t -> int -> int option
-(** Translate an old-version (virtual) pid to the new-version real pid. *)
-
 val pp_conflict : Format.formatter -> conflict -> unit
 
 val new_logs : t -> Logdefs.plog list

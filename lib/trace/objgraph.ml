@@ -448,11 +448,6 @@ let analyze ?(policy = Ty.default_policy) ?(tag_free = false) ?cost_since ?trace
 
 let resolve t addr = resolve_in t.objects addr
 
-let find_static t name =
-  Array.find_opt
-    (fun o -> match o.origin with O_static s -> s = name | _ -> false)
-    t.objects
-
 let iter_reachable t f = Array.iter (fun o -> if o.reachable then f o) t.objects
 
 let reachable_objects t = Array.to_list t.objects |> List.filter (fun o -> o.reachable)
@@ -572,10 +567,3 @@ let sum_stats all =
       add acc.likely s.likely)
     all;
   acc
-
-let pp_side ppf (s : side) =
-  Format.fprintf ppf "ptr=%d src(stat=%d dyn=%d) targ(stat=%d dyn=%d lib=%d)" s.ptr
-    s.src_static s.src_dynamic s.targ_static s.targ_dynamic s.targ_lib
-
-let pp_stats ppf t =
-  Format.fprintf ppf "@[<v>precise: %a@,likely:  %a@]" pp_side t.precise pp_side t.likely

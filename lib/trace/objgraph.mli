@@ -118,9 +118,6 @@ val analyze :
 val resolve : t -> Mcr_vmem.Addr.t -> (obj * int) option
 (** Object containing an address, with the word offset inside it. *)
 
-val find_static : t -> string -> obj option
-(** Static object by symbol name. *)
-
 val iter_reachable : t -> (obj -> unit) -> unit
 (** Iterate the reachable objects in address order without materializing a
     list — the order {!reachable_objects} returns them in. *)
@@ -164,5 +161,3 @@ val trace_critical_ns : t -> workers:int -> int
 
 val sum_stats : stats list -> stats
 (** Field-wise sum (a fresh record; the inputs are not modified). *)
-
-val pp_stats : Format.formatter -> stats -> unit

@@ -175,8 +175,6 @@ let hist_percentile h p =
     go 0 0
   end
 
-let hist_max h = h.vmax
-
 type hist_summary = {
   count : int;
   p50_ns : int;

@@ -84,9 +84,6 @@ val hist_percentile : hist -> float -> int
     nearest-rank [p]-th percentile (saturating at the last finite bound);
     0 when the histogram is empty. *)
 
-val hist_max : hist -> int
-(** Largest value observed; 0 when empty. Exact, not a bucket bound. *)
-
 type hist_summary = {
   count : int;
   p50_ns : int;

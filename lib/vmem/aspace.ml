@@ -464,9 +464,6 @@ let range_written_since t a ~words ~seq =
 
 let epoch_page_dirty t ~name a = page_written_since t a ~seq:(epoch_mark t ~name)
 
-let epoch_range_dirty t ~name a ~words =
-  range_written_since t a ~words ~seq:(epoch_mark t ~name)
-
 (* ------------------------------------------------------------------ *)
 (* Inherited content and page remap *)
 

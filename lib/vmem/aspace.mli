@@ -187,10 +187,6 @@ val epoch_page_dirty : t -> name:string -> Addr.t -> bool
 (** Whether the page containing the address saw a tracked write after the
     named epoch's mark. Unmapped pages are never dirty. *)
 
-val epoch_range_dirty : t -> name:string -> Addr.t -> words:int -> bool
-(** Whether any page overlapping [\[addr, addr + words)] is dirty in the
-    named epoch. *)
-
 val epoch_dirty_pages : t -> name:string -> Addr.t list
 (** Base addresses of the named epoch's dirty pages, sorted ascending. *)
 
