@@ -47,5 +47,3 @@ let hello kernel ?version ~path ~on_result () =
 
 let exec kernel ?version ~path command ~on_result () =
   request_v kernel ?version ~path ~command:(Frame.command_to_string command) ~on_result ()
-
-let update_pending m = Manager.update_requested m

@@ -72,7 +72,3 @@ val request :
 (** Raw transport: send [command] verbatim, with no HELLO framing, and
     pass the raw reply to [on_reply] (or "ERR <err>" if the connection
     failed). Servers refuse such frames with ["ERR hello required"]. *)
-
-val update_pending : Manager.t -> bool
-(** Whether the manager has an outstanding mcr-ctl UPDATE request —
-    the signal the host loop uses to invoke {!Manager.update}. *)

@@ -22,6 +22,13 @@ let has_prefix p s = String.length s >= String.length p && String.sub s 0 (Strin
 (* ------------------------------------------------------------------ *)
 (* Commands: one variant, one encoder, one decoder *)
 
+type fleet_command =
+  | Status
+  | Rollout
+  | Explain
+  | Save of { instance : int; path : string }
+  | Migrate of { instance : int; path : string }
+
 type command =
   | Update
   | Stats
@@ -36,7 +43,7 @@ type command =
   | Parking of { enabled : bool; drain_ns : int option }
   | Save of string
   | Restore of string
-  | Raw of string
+  | Fleet of fleet_command
 
 let ns_arg = function None -> "-" | Some ns -> string_of_int ns
 
@@ -68,7 +75,11 @@ let command_to_string = function
   | Parking { enabled = true; drain_ns = Some d } -> Printf.sprintf "PARKING ON %d" d
   | Save path -> "SAVE " ^ path
   | Restore path -> "RESTORE " ^ path
-  | Raw s -> s
+  | Fleet Status -> "FLEET STATUS"
+  | Fleet Rollout -> "FLEET ROLLOUT"
+  | Fleet Explain -> "FLEET EXPLAIN"
+  | Fleet (Save { instance; path }) -> Printf.sprintf "FLEET SAVE %d %s" instance path
+  | Fleet (Migrate { instance; path }) -> Printf.sprintf "FLEET MIGRATE %d %s" instance path
 
 (* Argument decoders: [None] means the argument is malformed. *)
 let int_at_least lo s = match int_of_string_opt s with Some n when n >= lo -> Some n | _ -> None
@@ -154,6 +165,19 @@ let verbs : (string * string * (string list -> command option)) list =
       | _ -> None );
     ("SAVE", "SAVE <path>", function [ path ] -> Some (Save path) | _ -> None);
     ("RESTORE", "RESTORE <path>", function [ path ] -> Some (Restore path) | _ -> None);
+    ( "FLEET",
+      "FLEET STATUS|ROLLOUT|EXPLAIN|SAVE <i> <path>|MIGRATE <i> <path>",
+      function
+      | [ "STATUS" ] -> Some (Fleet Status)
+      | [ "ROLLOUT" ] -> Some (Fleet Rollout)
+      | [ "EXPLAIN" ] -> Some (Fleet Explain)
+      | [ "SAVE"; i; path ] ->
+          let+ instance = int_at_least 0 i in
+          Fleet (Save { instance; path })
+      | [ "MIGRATE"; i; path ] ->
+          let+ instance = int_at_least 0 i in
+          Fleet (Migrate { instance; path })
+      | _ -> None );
   ]
 
 let command_of_string s =

@@ -1,7 +1,8 @@
 (** The v1 ctl wire protocol: commands, frame encoding and decoding.
 
-    One module owns both directions of the socket protocol so the manager's
-    controller thread and the {!Ctl} client cannot drift apart:
+    One module owns both directions of the socket protocol and the one
+    command grammar, so the manager's controller thread, the fleet
+    coordinator and the {!Ctl} client cannot drift apart:
 
     - requests are ["HELLO <version>[ <command>]"]; any other frame is
       refused with ["ERR hello required"];
@@ -22,6 +23,16 @@ type error =
 val pp_error : Format.formatter -> error -> unit
 
 (** {1 Commands} *)
+
+(** The fleet coordinator's [FLEET ...] family; a manager answers each
+    with ["ERR unknown command"]. *)
+type fleet_command =
+  | Status  (** Headline, policy and one line per instance. *)
+  | Rollout  (** Canary-gated rolling update; replies [OK HALTED|COMPLETED]. *)
+  | Explain  (** The last rollout's fleet flight summary as JSON. *)
+  | Save of { instance : int; path : string }  (** Replies [OK <fingerprint>]. *)
+  | Migrate of { instance : int; path : string }
+      (** Move the instance to a fresh kernel through an image at [path]. *)
 
 type command =
   | Update  (** Perform a live update; replies when it commits or rolls back. *)
@@ -47,10 +58,7 @@ type command =
       (** Install the image at the given host path over the running
           program in place; replies
           [OK paired=<n> skipped=<n> unmatched=<n> fingerprint=<f>]. *)
-  | Raw of string
-      (** Escape hatch: send the string verbatim (e.g. a [FLEET ...]
-          command on an orchestrator socket). Never produced by
-          {!command_of_string}. *)
+  | Fleet of fleet_command  (** [FLEET STATUS|ROLLOUT|EXPLAIN|SAVE|MIGRATE]. *)
 
 val command_to_string : command -> string
 (** The wire spelling of a command. *)

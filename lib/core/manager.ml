@@ -110,10 +110,6 @@ type lineage = {
   mutable flight_seq : int;
 }
 
-(* One incarnation's controller thread: an UPDATE request parks the
-   listener on [sem] until the host loop posts [result]. *)
-type ctl = { sem : string; mutable pending : bool; mutable result : string }
-
 type t = {
   kernel : K.t;
   instr : Instr.t;
@@ -121,7 +117,8 @@ type t = {
   root_image : P.image;
   members : P.image list ref;
   log_source : log_source;
-  ctl : ctl;
+  (* this incarnation's parked mcr-ctl UPDATE *)
+  ctl : Ctl_server.pending;
   lin : lineage;
 }
 
@@ -155,7 +152,7 @@ let root_image t = t.root_image
 let version t = t.prog_version
 let images t = live t.members
 let ctl_path t = t.lin.ctl_path
-let update_requested t = t.ctl.pending
+let update_requested t = Ctl_server.waiting t.ctl
 let trace t = t.lin.trace
 let metrics (t : t) = t.lin.metrics
 let policy t = t.lin.policy
@@ -211,22 +208,18 @@ let install_members img members =
   if members = [] then Error "program not running"
   else Result.map_error Image.error_to_string (Image.install img ~members)
 
-let dispatch kernel lin ctl members cmd =
+let dispatch kernel lin ctl members =
   let set f =
     lin.policy <- f lin.policy;
     Frame.ok
   in
   let reply = function Ok v -> Frame.ok_inline v | Error e -> Frame.err e in
-  match Frame.command_of_string cmd with
-  | Error e -> Frame.err e
-  | Ok Frame.Update ->
-      ctl.pending <- true;
-      ignore (K.syscall (S.Sem_wait { name = ctl.sem; timeout_ns = None }));
-      ctl.result
+  function
+  | Frame.Update -> Ctl_server.await ctl
   (* metrics snapshots are cheap and never block on the update semaphore *)
-  | Ok Frame.Stats -> Frame.ok_payload (Metrics.render (snapshot lin members))
+  | Frame.Stats -> Frame.ok_payload (Metrics.render (snapshot lin members))
   (* EXPLAIN serves the flight-recorder ring: 1 is the newest record *)
-  | Ok (Frame.Explain n) -> (
+  | Frame.Explain n -> (
       let n = Option.value n ~default:1 in
       match List.nth_opt lin.flight_log (n - 1) with
       | Some r -> Frame.ok_payload (Flight.to_json r)
@@ -234,12 +227,12 @@ let dispatch kernel lin ctl members cmd =
           Frame.err
             (if lin.flight_log = [] then "no flight records"
              else Printf.sprintf "no flight record %d" n))
-  | Ok (Frame.Save path) ->
+  | Frame.Save path ->
       reply
         (Result.map
            (fun img -> string_of_int (Image.fingerprint img))
            (save_members kernel lin.policy (live members) ~path))
-  | Ok (Frame.Restore path) ->
+  | Frame.Restore path ->
       reply
         (Result.bind (Result.map_error Image.error_to_string (Image.read ~path)) (fun img ->
              Result.map
@@ -248,24 +241,23 @@ let dispatch kernel lin ctl members cmd =
                    r.Image.paired_procs r.Image.skipped_saved_procs r.Image.unmatched_live_procs
                    (Image.fingerprint img))
                (install_members img (live members))))
-  | Ok (Frame.Deadlines { quiesce_ns; update_ns }) ->
+  | Frame.Deadlines { quiesce_ns; update_ns } ->
       set (Policy.with_deadlines ~quiesce_ns ~update_ns)
-  | Ok (Frame.Retry { retries; backoff_ns }) -> set (Policy.with_retries ~backoff_ns retries)
-  | Ok (Frame.Fault_arm seed) -> set (Policy.with_fault_seed seed)
-  | Ok (Frame.Precopy { enabled; max_rounds; threshold_words }) ->
+  | Frame.Retry { retries; backoff_ns } -> set (Policy.with_retries ~backoff_ns retries)
+  | Frame.Fault_arm seed -> set (Policy.with_fault_seed seed)
+  | Frame.Precopy { enabled; max_rounds; threshold_words } ->
       set (Policy.with_precopy ?max_rounds ?threshold_words enabled)
-  | Ok (Frame.Workers n) -> set (Policy.with_transfer_workers n)
-  | Ok (Frame.Remap enabled) -> set (Policy.with_transfer_remap enabled)
-  | Ok (Frame.Slo { downtime_ns; total_ns }) -> set (Policy.with_slo ~downtime_ns ~total_ns)
-  | Ok (Frame.Parking { enabled; drain_ns }) ->
+  | Frame.Workers n -> set (Policy.with_transfer_workers n)
+  | Frame.Remap enabled -> set (Policy.with_transfer_remap enabled)
+  | Frame.Slo { downtime_ns; total_ns } -> set (Policy.with_slo ~downtime_ns ~total_ns)
+  | Frame.Parking { enabled; drain_ns } ->
       set (Policy.with_request_parking ?drain_ns enabled)
-  | Ok (Frame.Raw _) -> Frame.err "unknown command"
+  | Frame.Fleet _ -> Frame.err "unknown command"
 
 (* Start [proc]'s controller thread on the lineage's socket (Ctl_server
    unlinks a stale socket name before binding). *)
 let spawn_ctl kernel proc lin members =
-  let sem = Printf.sprintf "mcr.ctl.done.%d" (K.pid proc) in
-  let ctl = { sem; pending = false; result = "" } in
+  let ctl = Ctl_server.pending ~sem:(Printf.sprintf "mcr.ctl.done.%d" (K.pid proc)) in
   Ctl_server.spawn kernel proc ~path:lin.ctl_path ~dispatch:(dispatch kernel lin ctl members) ();
   ctl
 
@@ -421,7 +413,7 @@ let memory_stats t =
 type restarted = {
   new_root : P.image;
   new_members : P.image list ref;
-  new_ctl : ctl;
+  new_ctl : Ctl_server.pending;
   rep : Replayer.t;
   logs : Logdefs.plog list;
   (* while set, processes the new version forks start with quiescence
@@ -975,15 +967,6 @@ let state_transfer a r : unit stage_result =
 let retire k imgs ~status =
   List.iter (fun (im : P.image) -> K.kill_process k im.P.i_proc ~status) imgs
 
-let respond_ctl t result =
-  if t.ctl.pending then begin
-    t.ctl.result <- result;
-    K.post_semaphore t.kernel t.ctl.sem;
-    (* let the controller thread deliver the reply *)
-    K.run_for t.kernel 5_000_000;
-    t.ctl.pending <- false
-  end
-
 let explain a reason ~stage =
   {
     Flight.e_reason = Err.to_string reason;
@@ -1085,7 +1068,7 @@ let finish a ~attempt ~prior outcome =
     match (a.restarted, failure) with
     | Some r, None ->
         span_begin a "commit";
-        respond_ctl t "OK";
+        Ctl_server.respond k t.ctl Frame.ok;
         retire k (images t) ~status:0;
         r.in_update := false;
         K.set_fault_hook k None;
@@ -1130,7 +1113,7 @@ let finish a ~attempt ~prior outcome =
   (match failure with
   | None -> Metrics.incr mset.m_commits
   | Some reason ->
-      respond_ctl t ("ERR " ^ Err.to_string reason);
+      Ctl_server.respond k t.ctl (Frame.err (Err.to_string reason));
       Metrics.incr mset.m_rollbacks;
       Metrics.incr (Metrics.counter t.lin.metrics (Err.metric_name reason)));
   let replay_conflicts =

@@ -69,9 +69,8 @@ type t = {
   relaunch : int -> version_tag:string -> (K.t * Manager.t, string) result;
   ctl_kernel : K.t;
   ctl_path : string;
-  ctl_pending : bool ref;
-  ctl_result : string ref;
-  ctl_sem : string;
+  (* a parked FLEET ROLLOUT, answered by [record_rollout] *)
+  rollout : Ctl_server.pending;
   last_summary : Fleet_flight.t option ref;
   metrics : Metrics.t;
   fmset : fmset;
@@ -91,7 +90,7 @@ let last_summary t = !(t.last_summary)
 let metrics t = t.metrics
 let ctl_kernel t = t.ctl_kernel
 let ctl_path t = t.ctl_path
-let rollout_requested t = !(t.ctl_pending)
+let rollout_requested t = Ctl_server.waiting t.rollout
 
 let metrics_snapshot t =
   Metrics.set t.fmset.fm_serving (Balancer.serving t.balancer);
@@ -209,7 +208,9 @@ let record_rollout t (s : Fleet_flight.t) =
   Metrics.incr ~by:s.Fleet_flight.fs_reverted t.fmset.fm_reverted;
   Metrics.incr ~by:s.Fleet_flight.fs_requests t.fmset.fm_requests;
   Metrics.incr ~by:s.Fleet_flight.fs_client_errors t.fmset.fm_client_errors;
-  refresh_serving t
+  refresh_serving t;
+  Ctl_server.respond t.ctl_kernel t.rollout
+    (Frame.ok_inline (if s.Fleet_flight.fs_halted then "HALTED" else "COMPLETED"))
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint images: save, migrate, warm standby *)
@@ -335,55 +336,23 @@ let failover_instance t i sb =
 (* ------------------------------------------------------------------ *)
 (* Control plane *)
 
-let dispatch t cmd =
-  let words =
-    String.split_on_char ' ' (String.trim cmd) |> List.filter (fun s -> s <> "")
-  in
-  match words with
-  | "FLEET" :: rest -> begin
-      match rest with
-      | [ "STATUS" ] -> Frame.ok_payload (status_text t)
-      | [ "EXPLAIN" ] -> begin
+let dispatch t =
+  let reply = function Ok fp -> Frame.ok_inline (string_of_int fp) | Error e -> Frame.err e in
+  function
+  | Frame.Fleet c -> (
+      match c with
+      | Frame.Status -> Frame.ok_payload (status_text t)
+      | Frame.Explain -> (
           match !(t.last_summary) with
           | Some s -> Frame.ok_payload (Fleet_flight.to_json s)
-          | None -> Frame.err "no rollouts"
-        end
-      | [ "ROLLOUT" ] ->
-          (* mirror the manager's UPDATE: park until the host loop runs the
-             rollout and posts the reply *)
-          t.ctl_pending := true;
-          ignore (K.syscall (S.Sem_wait { name = t.ctl_sem; timeout_ns = None }));
-          !(t.ctl_result)
-      | [ "SAVE"; is; path ] -> begin
-          (* safe in-dispatch: the listener runs on the control-plane
-             kernel, so the instance kernels are idle host-side state *)
-          match int_of_string_opt is with
-          | None -> Frame.err "usage: FLEET SAVE <i> <path>"
-          | Some i -> (
-              match save_instance t i ~path with
-              | Ok img -> Frame.ok_inline (string_of_int (Image.fingerprint img))
-              | Error e -> Frame.err e)
-        end
-      | [ "MIGRATE"; is; path ] -> begin
-          match int_of_string_opt is with
-          | None -> Frame.err "usage: FLEET MIGRATE <i> <path>"
-          | Some i -> (
-              match migrate_instance t i ~path with
-              | Ok fp -> Frame.ok_inline (string_of_int fp)
-              | Error e -> Frame.err e)
-        end
-      | _ -> Frame.err "usage: FLEET STATUS|ROLLOUT|EXPLAIN|SAVE <i> <path>|MIGRATE <i> <path>"
-    end
+          | None -> Frame.err "no rollouts")
+      | Frame.Rollout -> Ctl_server.await t.rollout
+      (* safe in-dispatch: the listener runs on the control-plane kernel,
+         so the instance kernels are idle host-side state *)
+      | Frame.Save { instance; path } ->
+          reply (Result.map Image.fingerprint (save_instance t instance ~path))
+      | Frame.Migrate { instance; path } -> reply (migrate_instance t instance ~path))
   | _ -> Frame.err "unknown command"
-
-let respond_rollout t frame =
-  if !(t.ctl_pending) then begin
-    t.ctl_result := frame;
-    K.post_semaphore t.ctl_kernel t.ctl_sem;
-    (* let the listener deliver the reply *)
-    K.run_for t.ctl_kernel 5_000_000;
-    t.ctl_pending := false
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Construction *)
@@ -431,9 +400,7 @@ let create ?(policy = Fleet_policy.default) ?relaunch ~prog ~n ~spawn ~health ~t
       relaunch;
       ctl_kernel;
       ctl_path = "/run/mcr/fleet." ^ prog ^ ".sock";
-      ctl_pending = ref false;
-      ctl_result = ref "";
-      ctl_sem = Printf.sprintf "mcr.fleet.done.%d" (K.pid ctl_proc);
+      rollout = Ctl_server.pending ~sem:(Printf.sprintf "mcr.fleet.done.%d" (K.pid ctl_proc));
       last_summary = ref None;
       metrics;
       fmset;

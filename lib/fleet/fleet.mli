@@ -1,7 +1,7 @@
 (** The fleet coordinator: N instances of one server program, each in its
     own simulated kernel with its own {!Mcr_core.Manager} lineage, fronted
     by a {!Balancer} and a dedicated control-plane kernel serving the
-    [FLEET STATUS|ROLLOUT|EXPLAIN] command family over the v1 ctl protocol
+    {!Mcr_core.Frame.fleet_command} family over the v1 ctl protocol
     ({!Mcr_core.Ctl_server} on [/run/mcr/fleet.<prog>.sock]).
 
     This is the cluster-level coordinator layered {e above} the
@@ -157,9 +157,11 @@ val note_wave : t -> outcome:[ `Promoted | `Halted | `Rollback ] -> duration_ns:
     ([`Rollback] waves count neither). *)
 
 val record_rollout : t -> Mcr_obs.Fleet_flight.t -> unit
-(** Store the summary for [FLEET EXPLAIN] and settle the rollout-level
+(** Store the summary for [FLEET EXPLAIN], settle the rollout-level
     metrics (rollouts, halts, reverted instances, routed requests,
-    client-visible errors). *)
+    client-visible errors) and answer a parked [FLEET ROLLOUT] with
+    [OK HALTED] or [OK COMPLETED] ({!Mcr_core.Ctl_server.respond}, which
+    drives the control-plane kernel briefly so the listener writes it). *)
 
 (** {1 Control plane} *)
 
@@ -171,10 +173,6 @@ val ctl_path : t -> string
 (** ["/run/mcr/fleet.<prog>.sock"]. *)
 
 val rollout_requested : t -> bool
-(** A [FLEET ROLLOUT] client is parked on the reply semaphore — the signal
-    the host loop (or {!Rollout.request_over_ctl}) uses to run
-    {!Rollout.execute} and then {!respond_rollout}. *)
-
-val respond_rollout : t -> string -> unit
-(** Deliver the pending [FLEET ROLLOUT] reply frame and drive the
-    control-plane kernel briefly so the listener writes it. *)
+(** A [FLEET ROLLOUT] client is parked on its reply — the signal the host
+    loop (or {!Rollout.request_over_ctl}) uses to run {!Rollout.execute},
+    whose {!record_rollout} answers it. *)

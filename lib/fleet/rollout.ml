@@ -234,7 +234,7 @@ let execute fleet =
 let request_over_ctl fleet =
   let kernel = Fleet.ctl_kernel fleet in
   let result = ref None in
-  Ctl.exec kernel ~path:(Fleet.ctl_path fleet) (Frame.Raw "FLEET ROLLOUT")
+  Ctl.exec kernel ~path:(Fleet.ctl_path fleet) (Frame.Fleet Frame.Rollout)
     ~on_result:(fun r -> result := Some r)
     ();
   ignore
@@ -244,8 +244,6 @@ let request_over_ctl fleet =
   if not (Fleet.rollout_requested fleet) then Error "FLEET ROLLOUT request not delivered"
   else begin
     let summary = execute fleet in
-    Fleet.respond_rollout fleet
-      (Frame.ok_inline (if summary.Fleet_flight.fs_halted then "HALTED" else "COMPLETED"));
     ignore
       (K.run_until kernel ~max_ns:(K.clock_ns kernel + 10_000_000_000) (fun () ->
            !result <> None));

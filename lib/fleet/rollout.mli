@@ -26,5 +26,6 @@ val execute : Fleet.t -> Mcr_obs.Fleet_flight.t
 val request_over_ctl : Fleet.t -> (Mcr_obs.Fleet_flight.t, string) result
 (** Drive a rollout through the control plane the way an operator would:
     send [FLEET ROLLOUT] over the fleet socket (v1 frames), wait for the
-    listener to park on the reply semaphore, {!execute}, deliver the
-    reply, and surface the client's typed outcome. *)
+    listener to park on its reply, {!execute} (whose
+    {!Fleet.record_rollout} answers it), and surface the client's typed
+    outcome. *)

@@ -201,18 +201,21 @@ let test_policy_over_ctl () =
   let kernel = K.create () in
   let m = launch_listing1 kernel in
   let path = Manager.ctl_path m in
-  let ask cmd =
+  let ask_raw command =
     let reply = ref None in
-    Ctl.exec kernel ~path cmd ~on_result:(fun r -> reply := Some r) ();
+    Ctl.request_v kernel ~path ~command ~on_result:(fun r -> reply := Some r) ();
     drive kernel (fun () -> !reply <> None);
     !reply
   in
+  let ask cmd = ask_raw (Ctl.Frame.command_to_string cmd) in
   let ok = Some (Ok "") in
   Alcotest.(check bool) "DEADLINES ok" true
     (ask (Ctl.Frame.Deadlines { quiesce_ns = Some 400_000_000; update_ns = None }) = ok);
   Alcotest.(check bool) "RETRY ok" true
     (ask (Ctl.Frame.Retry { retries = 0; backoff_ns = 1_000_000 }) = ok);
   Alcotest.(check bool) "FAULT OFF ok" true (ask (Ctl.Frame.Fault_arm None) = ok);
+  Alcotest.(check bool) "FLEET refused by a manager" true
+    (ask (Ctl.Frame.Fleet Ctl.Frame.Status) = Some (Error (Ctl.Refused "unknown command")));
   (* the policy deadline applies without per-call arguments *)
   let m2, report =
     Manager.update m ~fault:(Fault.script [ Fault.Quiesce_refusal ]) (Listing1.v2 ())
@@ -222,7 +225,7 @@ let test_policy_over_ctl () =
     (Option.map Mcr_error.to_string report.Manager.failure);
   (* malformed policy commands answer with usage, not silence *)
   Alcotest.(check bool) "usage error" true
-    (match ask (Ctl.Frame.Raw "DEADLINES x") with
+    (match ask_raw "DEADLINES x" with
     | Some (Error (Ctl.Refused r)) -> contains r "usage"
     | _ -> false);
   ignore m2

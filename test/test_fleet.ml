@@ -227,6 +227,17 @@ let test_ctl_status_and_explain () =
   (match fleet_request fleet "FLEET BOGUS" with
   | Error (Frame.Refused r) -> Alcotest.(check bool) "usage" true (contains r "usage")
   | _ -> Alcotest.fail "bad subcommand must refuse");
+  let usage = "usage: FLEET STATUS|ROLLOUT|EXPLAIN|SAVE <i> <path>|MIGRATE <i> <path>" in
+  List.iter
+    (fun (command, reason) ->
+      Alcotest.(check bool) command true
+        (fleet_request fleet command = Error (Frame.Refused reason)))
+    [
+      ("UPDATE", "unknown command");
+      ("FLEET SAVE x /tmp/i", usage);
+      ("FLEET MIGRATE -1 /tmp/i", usage);
+      ("FLEET SAVE 2 /tmp/i", "no instance 2");
+    ];
   let s = Rollout.execute fleet in
   match fleet_request fleet "FLEET EXPLAIN" with
   | Ok payload -> begin
@@ -304,10 +315,10 @@ let test_stale_socket_rebind () =
       ()
   in
   Ctl_server.spawn kernel p2 ~name:"fleet-ctl" ~path
-    ~dispatch:(fun cmd -> if cmd = "PING" then Frame.ok_inline "PONG" else Frame.err "?")
+    ~dispatch:(function Frame.Stats -> Frame.ok_inline "PONG" | _ -> Frame.err "?")
     ();
   let reply = ref None in
-  Ctl.exec kernel ~path (Frame.Raw "PING") ~on_result:(fun r -> reply := Some r) ();
+  Ctl.exec kernel ~path Frame.Stats ~on_result:(fun r -> reply := Some r) ();
   drive kernel (fun () -> !reply <> None);
   Alcotest.(check bool) "second incarnation answers" true (!reply = Some (Ok "PONG"));
   (* a frame without the HELLO handshake is refused before dispatch *)

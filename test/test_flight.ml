@@ -83,6 +83,13 @@ let test_command_decoding () =
     (Frame.Precopy { enabled = true; max_rounds = Some 3; threshold_words = None });
   decodes "PARKING ON 0" (Frame.Parking { enabled = true; drain_ns = Some 0 });
   decodes "PARKING OFF" (Frame.Parking { enabled = false; drain_ns = None });
+  decodes "FLEET STATUS" (Frame.Fleet Frame.Status);
+  decodes " FLEET  ROLLOUT" (Frame.Fleet Frame.Rollout);
+  decodes "FLEET EXPLAIN" (Frame.Fleet Frame.Explain);
+  decodes "FLEET SAVE 0 /tmp/i0" (Frame.Fleet (Frame.Save { instance = 0; path = "/tmp/i0" }));
+  decodes "FLEET MIGRATE 3 /tmp/i3"
+    (Frame.Fleet (Frame.Migrate { instance = 3; path = "/tmp/i3" }));
+  let fleet_usage = "usage: FLEET STATUS|ROLLOUT|EXPLAIN|SAVE <i> <path>|MIGRATE <i> <path>" in
   List.iter
     (fun (s, reason) ->
       Alcotest.(check (result reject string)) s (Error reason)
@@ -104,6 +111,14 @@ let test_command_decoding () =
       ("PARKING ON -1", "usage: PARKING ON [drain_ns] | OFF");
       ("SAVE", "usage: SAVE <path>");
       ("RESTORE a b", "usage: RESTORE <path>");
+      ("FLEET", fleet_usage);
+      ("FLEET STOP", fleet_usage);
+      ("FLEET STATUS now", fleet_usage);
+      ("FLEET SAVE x /tmp/i", fleet_usage);
+      ("FLEET MIGRATE -1 /tmp/i", fleet_usage);
+      ("FLEET SAVE 0", fleet_usage);
+      ("FLEET MIGRATE 2", fleet_usage);
+      ("FLEETSTATUS", "unknown command");
     ]
 
 (* Every command the decoder accepts, as a generator. *)
@@ -129,6 +144,13 @@ let command_gen =
       map2 (fun enabled drain_ns -> Frame.Parking { enabled; drain_ns }) bool (opt nat);
       map (fun p -> Frame.Save ("/tmp/" ^ p)) word;
       map (fun p -> Frame.Restore ("/tmp/" ^ p)) word;
+      oneofl Frame.[ Fleet Status; Fleet Rollout; Fleet Explain ];
+      map2
+        (fun instance p -> Frame.Fleet (Frame.Save { instance; path = "/tmp/" ^ p }))
+        nat word;
+      map2
+        (fun instance p -> Frame.Fleet (Frame.Migrate { instance; path = "/tmp/" ^ p }))
+        nat word;
     ]
 
 let prop_command_codec =

@@ -7,6 +7,7 @@ module P = Mcr_program.Progdef
 module Manager = Mcr_core.Manager
 module Policy = Mcr_core.Policy
 module Ctl = Mcr_core.Ctl
+module Ctl_server = Mcr_core.Ctl_server
 module Fault = Mcr_fault.Fault
 module Image = Mcr_image.Image
 module Fnv = Mcr_util.Fnv
@@ -984,6 +985,28 @@ let test_ctl_save_bad_path () =
   | Some (Ok s) -> Alcotest.failf "SAVE to unwritable path answered OK %s" s
   | None -> Alcotest.fail "no reply"
 
+let test_ctl_save_long_path () =
+  (* a frame over the request limit is refused whole: cut at the limit, its
+     path would still name a writable file in [dir] *)
+  let kernel = K.create () in
+  let m = Testbed.launch kernel Testbed.Httpd in
+  let dir = tmp_dir "ctl_long" in
+  let path = Filename.concat dir (String.make Ctl_server.max_request 'a') in
+  let reply = ref None in
+  Ctl.exec kernel ~path:(Manager.ctl_path m) (Ctl.Frame.Save path)
+    ~on_result:(fun r -> reply := Some r)
+    ();
+  drive kernel (fun () -> !reply <> None);
+  let written = Sys.readdir dir in
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) written;
+  Sys.rmdir dir;
+  (match !reply with
+  | Some (Error (Ctl.Refused _)) -> ()
+  | Some (Ok s) -> Alcotest.failf "over-long SAVE answered OK %s" s
+  | Some (Error e) -> Alcotest.failf "over-long SAVE: %a" Ctl.pp_error e
+  | None -> Alcotest.fail "no reply");
+  Alcotest.(check (array string)) "no file written" [||] written
+
 (* {1 Property: save -> restore preserves state and behaviour} *)
 
 let prop_save_restore_identity =
@@ -1196,6 +1219,7 @@ let () =
         [
           Alcotest.test_case "SAVE/RESTORE over the socket" `Quick test_ctl_save_restore;
           Alcotest.test_case "SAVE to unwritable path errs" `Quick test_ctl_save_bad_path;
+          Alcotest.test_case "over-long SAVE refused whole" `Quick test_ctl_save_long_path;
         ] );
       ( "fleet",
         [

@@ -189,19 +189,20 @@ let test_ctl_workers_knob () =
   let kernel = K.create () in
   let m = launch_listing1 kernel in
   let path = Manager.ctl_path m in
-  let ask cmd =
+  let ask_raw command =
     let reply = ref None in
-    Ctl.exec kernel ~path cmd ~on_result:(fun r -> reply := Some r) ();
+    Ctl.request_v kernel ~path ~command ~on_result:(fun r -> reply := Some r) ();
     drive kernel (fun () -> !reply <> None);
     !reply
   in
+  let ask cmd = ask_raw (Ctl.Frame.command_to_string cmd) in
   let usage = Some (Error (Ctl.Refused "usage: WORKERS <count>")) in
   Alcotest.(check bool) "WORKERS 3 acknowledged" true (ask (Ctl.Frame.Workers 3) = Some (Ok ""));
   Alcotest.(check int) "policy updated" 3 (Manager.policy m).Policy.transfer_workers;
   Alcotest.(check bool) "WORKERS 0 refused" true (ask (Ctl.Frame.Workers 0) = usage);
   Alcotest.(check int) "policy unchanged on refusal" 3
     (Manager.policy m).Policy.transfer_workers;
-  Alcotest.(check bool) "bare WORKERS refused" true (ask (Ctl.Frame.Raw "WORKERS") = usage);
+  Alcotest.(check bool) "bare WORKERS refused" true (ask_raw "WORKERS" = usage);
   (* the knob drives the next update: commits and reports the pool size *)
   let _, report = Manager.update m (Listing1.v2 ()) in
   Alcotest.(check bool) "update with workers=3 committed" true report.Manager.success;
