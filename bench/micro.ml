@@ -130,16 +130,36 @@ let test_fork_exit =
   done;
   Test.make ~name:"simos:fork-exit" (Staged.stage fork_exit)
 
-(* Table 2: the hybrid precise/conservative traversal *)
-let test_conservative_scan =
+let listing1 () =
   let kernel = K.create () in
   K.fs_write kernel ~path:Mcr_servers.Listing1.config_path "welcome=hi";
   let m = Manager.launch kernel (Mcr_servers.Listing1.v1 ()) in
   ignore (Manager.wait_startup m ());
+  (kernel, m)
+
+(* Table 2: the hybrid precise/conservative traversal *)
+let test_conservative_scan =
+  let kernel, m = listing1 () in
   ignore
     (Mcr_workloads.Http_bench.run kernel ~port:Mcr_servers.Listing1.port ~requests:20 ~path:"/" ());
   let image = Manager.root_image m in
   Test.make ~name:"table2:mutable-tracing-analysis"
+    (Staged.stage (fun () -> ignore (Objgraph.analyze image)))
+
+(* Table 2, the shape of a held httpd connection: one 32k-word untyped heap
+   buffer, hung off conf's banner field, all zeros but for its last word
+   (conf's address). Only the non-zero pages cost a scan. *)
+let test_conservative_scan_opaque =
+  let _, m = listing1 () in
+  let image = Manager.root_image m in
+  let asp = image.Mcr_program.Progdef.i_aspace in
+  let words = 32 * 1024 in
+  let buf = Heap.malloc image.i_heap words in
+  let conf = Aspace.read_word asp (Mcr_types.Symtab.lookup image.i_symtab "conf").addr in
+  let banner = Ty.field_offset image.i_version.tyenv (Ty.Named "conf_s") "banner" in
+  Aspace.write_word asp (Addr.add_words conf banner) buf;
+  Aspace.write_word asp (Addr.add_words buf (words - 1)) conf;
+  Test.make ~name:"table2:conservative-scan-opaque-32k"
     (Staged.stage (fun () -> ignore (Objgraph.analyze image)))
 
 (* Region lookup on a many-region address space (an update pins one region
@@ -234,9 +254,9 @@ let run () =
   let tests =
     [ test_callstack_hash; test_alloc_tagging; test_malloc_zeroed; test_grab_chunk;
       test_store_init; test_write_word_loop; test_buffer_churn; test_fork_exit;
-      test_conservative_scan; test_type_transform; test_region_lookup_linear;
-      test_region_lookup_indexed; test_image_encode; test_image_decode;
-      test_image_save_read_remove; test_fnv_sub ]
+      test_conservative_scan; test_conservative_scan_opaque; test_type_transform;
+      test_region_lookup_linear; test_region_lookup_indexed; test_image_encode;
+      test_image_decode; test_image_save_read_remove; test_fnv_sub ]
   in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]

@@ -826,18 +826,14 @@ type install_report = {
   unmatched_live_procs : int;
 }
 
-let zero_page = String.make Addr.page_size '\000'
-
 (* Every word of the region, in ascending order: each run from the image's
-   bytes, each page between runs as zeros, through the same untracked
-   store, so every page is unshared and touched and a page the target
-   holds non-zero words in is cleared. *)
+   bytes, the pages between runs as zeros, all through untracked stores,
+   so every page is unshared and touched and a page the target holds
+   non-zero words in is cleared. *)
 let install_region asp s =
   let page_addr i = Addr.add s.r_base (i * Addr.page_size) in
   let zero_pages from until =
-    for i = from to until - 1 do
-      Aspace.write_bytes_untracked asp (page_addr i) ~words:Addr.words_per_page zero_page ~pos:0
-    done
+    Aspace.zero_untracked asp (page_addr from) ~words:((until - from) * Addr.words_per_page)
   in
   let next =
     List.fold_left

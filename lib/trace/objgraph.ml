@@ -296,7 +296,7 @@ let analyze ?(policy = Ty.default_policy) ?(tag_free = false) ?cost_since ?trace
       if charged o then charge o costs.Costs.trace_obj_ns;
       match o.ty with
       | Some ty -> visit_typed o ty
-      | None -> visit_opaque o 0 o.words
+      | None -> visit_opaque o
     end
   and visit_typed o ty =
     let slots = Ty.slots ~policy env ty in
@@ -331,11 +331,11 @@ let analyze ?(policy = Ty.default_policy) ?(tag_free = false) ?cost_since ?trace
         (* function pointers and other non-object targets *)
         if Region.contains text v then
           record_edge stats.precise ~src_region:o.region ~targ_region:Region.Static
-  and visit_opaque o from_word words =
-    if words > 0 then begin
-      if charged o then charge o (words * costs.Costs.scan_word_ns);
-      Aspace.fold_words aspace (Addr.add_words o.addr from_word) ~words ~init:()
-        ~f:(fun () v -> scan_value o v)
+  and visit_opaque o =
+    if o.words > 0 then begin
+      if charged o then charge o (o.words * costs.Costs.scan_word_ns);
+      (* a zero word is never a likely pointer *)
+      Aspace.iter_nonzero aspace o.addr ~words:o.words (scan_value o)
     end
   and scan_word o word_addr =
     if charged o then charge o costs.Costs.scan_word_ns;

@@ -762,15 +762,6 @@ let fixup_object st (o : obj) =
 let remap_pass st =
   let src = st.old_image.P.i_aspace and dst = st.new_image.P.i_aspace in
   let costs = K.costs st.old_image.P.i_kernel in
-  let pw = Addr.words_per_page in
-  let page_words aspace base =
-    let arr = Array.make pw 0 in
-    let i = ref 0 in
-    Aspace.fold_words aspace base ~words:pw ~init:() ~f:(fun () v ->
-        arr.(!i) <- v;
-        incr i);
-    arr
-  in
   let pages =
     Hashtbl.fold (fun pn _ acc -> pn :: acc) st.page_contribs []
     |> List.sort compare
@@ -788,7 +779,7 @@ let remap_pass st =
           (* tracked writes during the window (e.g. fresh-allocation
              headers) mean the page is not purely transfer-installed *)
           && not (Aspace.epoch_page_dirty dst ~name:"mcr.transfer" dst_page)
-          && page_words src src_page = page_words dst dst_page
+          && Aspace.pages_equal src src_page dst dst_page
         then begin
           Aspace.share_page ~src src_page ~dst dst_page;
           List.iter

@@ -315,6 +315,16 @@ let fold_runs t a ~words ~init ~f =
   iter_runs t a ~words (fun p i _ n -> acc := f !acc p.frame.words i n);
   !acc
 
+(* A run on the zero array holds no non-zero word. *)
+let iter_nonzero t a ~words f =
+  iter_runs t a ~words (fun p i _ n ->
+      let w = p.frame.words in
+      if w != zero_words then
+        for j = i to i + n - 1 do
+          let v = w.(j) in
+          if v <> 0 then f v
+        done)
+
 let all_zero (a : int array) pos n =
   let rec go i = i >= pos + n || (a.(i) = 0 && go (i + 1)) in
   go pos
@@ -322,6 +332,14 @@ let all_zero (a : int array) pos n =
 let page_is_zero t a =
   let w = (mapped_page t a).frame.words in
   w == zero_words || all_zero w 0 Addr.words_per_page
+
+(* Top-level, so the compare allocates no closure. *)
+let rec words_equal (x : int array) (y : int array) i =
+  i >= Addr.words_per_page || (x.(i) = y.(i) && words_equal x y (i + 1))
+
+let pages_equal t a u b =
+  let x = (mapped_page t a).frame and y = (mapped_page u b).frame in
+  x == y || x.words == y.words || words_equal x.words y.words 0
 
 (* Store [n] words of [src] from [pos] at word [i] of the page; a run of
    zeros into a zero page stores nothing. *)
@@ -369,9 +387,14 @@ let tracked_runs t a ~words fill =
       p.last_write_seq <- t.wseq)
 
 (* A zero page stays on the zero array, as a store of 0 leaves it. *)
-let zero_fill t a ~words =
-  tracked_runs t a ~words (fun p i _ n ->
-      if p.frame.words != zero_words then Array.fill p.frame.words i n 0)
+let clear (p : page) i n = if p.frame.words != zero_words then Array.fill p.frame.words i n 0
+let zero_fill t a ~words = tracked_runs t a ~words (fun p i _ n -> clear p i n)
+
+let zero_untracked t a ~words =
+  iter_runs t a ~words (fun p i _ n ->
+      unshare p;
+      clear p i n;
+      p.touched <- true)
 
 (* Values go straight into the page: no [words]-sized source array. A zero
    page is materialised by its first non-zero word, as [store] does. *)

@@ -102,10 +102,25 @@ val fold_runs :
     {!unmap} it may back another page.
     @raise Fault as {!read_word}. *)
 
+val iter_nonzero : t -> Addr.t -> words:int -> (int -> unit) -> unit
+(** [iter_nonzero t a ~words f] applies [f] to each non-zero word of the
+    [words] words from [a], in ascending address order: exactly the calls
+    of [fold_words t a ~words ~init:() ~f:(fun () v -> if v <> 0 then f v)],
+    raising the same {!Fault} after the same calls. A run on the zero
+    array is skipped without reading its words. [f] must not store into
+    [t]. *)
+
 val page_is_zero : t -> Addr.t -> bool
 (** Whether every word of the page holding the address is 0. A page on
     the shared zero array answers without reading its words.
     @raise Fault if the page is unmapped. *)
+
+val pages_equal : t -> Addr.t -> t -> Addr.t -> bool
+(** [pages_equal t a u b] is whether the page holding [a] in [t] and the
+    page holding [b] in [u] hold the same words: exactly [fold_words] of
+    the two pages compared word by word. Pages on one frame, or both on
+    the zero array, answer without reading their words. Allocates
+    nothing. @raise Fault if either page is unmapped. *)
 
 val copy_words : src:t -> Addr.t -> dst:t -> Addr.t -> words:int -> unit
 (** Cross-space copy; tracked on the destination side as untracked writes
@@ -128,6 +143,14 @@ val zero_fill : t -> Addr.t -> words:int -> unit
     there. On a range that runs into an unmapped page it raises the same
     {!Fault}, after zeroing every word before that page. Pages are resolved
     once per run, not once per word. *)
+
+val zero_untracked : t -> Addr.t -> words:int -> unit
+(** [zero_untracked t a ~words] is {!zero_fill} without the dirty stamps:
+    the exact observable semantics of [words] {!write_word_untracked}[ _ 0]
+    calls in ascending address order. Every covered page is unshared and
+    touched, no stamp or {!write_seq} moves, a page on the zero array
+    stays there without its words being read, and a range that runs into
+    an unmapped page raises the same {!Fault} after the same stores. *)
 
 val write_init : t -> Addr.t -> words:int -> (int -> int) -> unit
 (** [write_init t a ~words f] stores [f i] at word [i] from [a], for [i]

@@ -11,6 +11,9 @@ module Transfer = Mcr_trace.Transfer
 module Manager = Mcr_core.Manager
 module Listing1 = Mcr_servers.Listing1
 module Aspace = Mcr_vmem.Aspace
+module Addr = Mcr_vmem.Addr
+module Region = Mcr_vmem.Region
+module Heap = Mcr_alloc.Heap
 module Access = Mcr_types.Access
 
 let boot ?(requests = 3) () =
@@ -206,6 +209,49 @@ let test_cost_accounted () =
   let a = Objgraph.analyze (Manager.root_image m) in
   Alcotest.(check bool) "analysis cost positive" true (a.Objgraph.cost_ns > 0)
 
+(* A lone likely pointer in a big, mostly-zero opaque buffer: 32k untyped
+   heap words hung off conf's banner field, so the buffer itself is reached
+   precisely. With [pointer], the buffer's last word holds conf's address.
+   With [cow_broken], the page before that one is first shared with another
+   space's identical page and then stored to, so it holds a private copy
+   with a non-zero word that is not a pointer (odd). Returns the analysis,
+   the buffer and conf. *)
+let lone_pointer_analysis ~pointer ~cow_broken =
+  let _, m = boot ~requests:0 () in
+  let image = Manager.root_image m in
+  let sp = image.P.i_aspace in
+  let words = 32 * 1024 in
+  let buf = Heap.malloc image.P.i_heap words in
+  let conf = Aspace.read_word sp (Symtab.lookup image.P.i_symtab "conf").Symtab.addr in
+  let banner = Ty.field_offset image.P.i_version.P.tyenv (Ty.Named "conf_s") "banner" in
+  Aspace.write_word sp (Addr.add_words conf banner) buf;
+  let last = Addr.add_words buf (words - 1) in
+  if cow_broken then begin
+    let prev = Addr.page_base last - Addr.page_size in
+    let donor = Aspace.create () in
+    ignore (Aspace.map donor (Aspace.Fixed prev) ~size:Addr.page_size Region.Heap);
+    Aspace.write_word donor prev 7;
+    Aspace.write_word sp prev 7;
+    Aspace.share_page ~src:donor prev ~dst:sp prev;
+    Aspace.write_word sp prev 7
+  end;
+  if pointer then Aspace.write_word sp last conf;
+  let a = Objgraph.analyze image in
+  let obj addr = Option.get (Objgraph.resolve a addr) |> fst in
+  (a, obj buf, obj conf)
+
+let test_lone_likely_pointer ~cow_broken () =
+  let base, buf0, conf0 = lone_pointer_analysis ~pointer:false ~cow_broken in
+  let a, buf, conf = lone_pointer_analysis ~pointer:true ~cow_broken in
+  let likely (a : Objgraph.t) = a.Objgraph.stats.Objgraph.likely.Objgraph.ptr in
+  Alcotest.(check bool) "buffer reached, untyped" true
+    (buf.Objgraph.reachable && buf.Objgraph.ty = None);
+  Alcotest.(check (pair bool bool)) "without the word: conf free, buffer updatable"
+    (false, false) (conf0.Objgraph.immutable_, buf0.Objgraph.nonupdatable);
+  Alcotest.(check bool) "conf pinned" true conf.Objgraph.immutable_;
+  Alcotest.(check bool) "buffer nonupdatable" true buf.Objgraph.nonupdatable;
+  Alcotest.(check int) "one more likely pointer" (likely base + 1) (likely a)
+
 (* ------------------------------------------------------------------ *)
 (* Transfer *)
 
@@ -370,6 +416,10 @@ let () =
           Alcotest.test_case "cost accounting" `Quick test_cost_accounted;
           Alcotest.test_case "encoded ptr under regions" `Quick
             test_encoded_pointer_traced_under_regions;
+          Alcotest.test_case "lone likely pointer in a zero buffer" `Quick
+            (test_lone_likely_pointer ~cow_broken:false);
+          Alcotest.test_case "lone likely pointer after a cow-broken page" `Quick
+            (test_lone_likely_pointer ~cow_broken:true);
         ] );
       ( "transfer",
         [

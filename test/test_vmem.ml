@@ -648,13 +648,18 @@ let test_recycled_arrays_are_isolated () =
 
    The same random state is built twice: four mapped pages followed by an
    unmapped one, each mapped page left on the zero array, written
-   privately, or shared by [share_page] with a donor space's page. One copy
-   is stored to with [zero_fill] or [write_init], the other word by word;
+   privately, shared by [share_page] with a donor space's page, or shared
+   and then stored to, which breaks the sharing but leaves the words the
+   donor's. One copy is stored to with a bulk call, the other word by word;
    every observable must then agree, including the fault on a range that
    runs into the unmapped page and which pages are still on the zero
    array. *)
 
-type z_page = Z_zero | Z_private of (int * int) list | Z_shared of (int * int) list
+type z_page =
+  | Z_zero
+  | Z_private of (int * int) list
+  | Z_shared of (int * int) list
+  | Z_broken of (int * int) list
 
 let z_pages = 4
 let z_base = 0x100000
@@ -667,12 +672,14 @@ let z_page_gen =
       (1, return Z_zero);
       (2, map (fun w -> Z_private w) writes);
       (2, map (fun w -> Z_shared w) writes);
+      (1, map (fun w -> Z_broken w) writes);
     ]
 
 let show_z_page = function
   | Z_zero -> "zero"
   | Z_private w -> Printf.sprintf "private x%d" (List.length w)
   | Z_shared w -> Printf.sprintf "shared x%d" (List.length w)
+  | Z_broken w -> Printf.sprintf "cow-broken x%d" (List.length w)
 
 (* Pages, the page before which the "e" epoch is reset, a byte offset that
    misaligns the start when non-zero, the first word and the word count. *)
@@ -697,13 +704,18 @@ let z_build pages reset_at =
       let store space writes =
         List.iter (fun (w, v) -> Aspace.write_word space (Addr.add_words pa w) v) writes
       in
+      let share writes =
+        store donor writes;
+        Aspace.copy_words ~src:donor pa ~dst:sp pa ~words:Addr.words_per_page;
+        Aspace.share_page ~src:donor pa ~dst:sp pa
+      in
       match page with
       | Z_zero -> ()
       | Z_private writes -> store sp writes
-      | Z_shared writes ->
-          store donor writes;
-          Aspace.copy_words ~src:donor pa ~dst:sp pa ~words:Addr.words_per_page;
-          Aspace.share_page ~src:donor pa ~dst:sp pa)
+      | Z_shared writes -> share writes
+      | Z_broken writes ->
+          share writes;
+          Aspace.write_word sp pa (Aspace.read_word sp pa))
     pages;
   if reset_at = z_pages then Aspace.epoch_reset sp ~name:"e";
   (donor, sp)
@@ -726,7 +738,8 @@ let z_observe sp donor =
     Aspace.page_states sp,
     (Aspace.shared_frame_count sp, Aspace.shared_frame_count donor),
     Aspace.epoch_dirty_pages sp ~name:"e",
-    z_zero_backed sp )
+    z_zero_backed sp,
+    Aspace.resident_bytes sp )
 
 let z_print (pages, reset_at, skew, w, n) =
   Printf.sprintf "[%s] reset@%d skew %d from %d x%d"
@@ -755,6 +768,77 @@ let prop_zero_fill_lockstep =
   QCheck.Test.make ~name:"zero_fill is one write_word _ 0 per word" ~count:300
     (QCheck.make ~print:z_print z_case_gen)
     (fun case -> z_lockstep case (fun _ -> 0) (fun sp a n -> Aspace.zero_fill sp a ~words:n))
+
+let prop_zero_untracked_lockstep =
+  QCheck.Test.make ~name:"zero_untracked is one write_word_untracked _ 0 per word" ~count:300
+    (QCheck.make ~print:z_print z_case_gen)
+    (fun case ->
+      z_lockstep ~store:Aspace.write_word_untracked case
+        (fun _ -> 0)
+        (fun sp a n -> Aspace.zero_untracked sp a ~words:n))
+
+(* The words a read visits, and the fault that stopped it. *)
+let z_visited read =
+  let seen = ref [] in
+  let fault = z_fault (fun () -> read (fun v -> seen := v :: !seen)) in
+  (List.rev !seen, fault)
+
+(* Extra stores put negative, large and zero words on the pages. *)
+let prop_iter_nonzero_lockstep =
+  QCheck.Test.make ~name:"iter_nonzero is fold_words without the zeros" ~count:300
+    (QCheck.make
+       ~print:(fun (case, extra) -> Printf.sprintf "%s extra x%d" (z_print case) (List.length extra))
+       QCheck.Gen.(
+         pair z_case_gen
+           (small_list
+              (pair
+                 (int_bound ((z_pages * Addr.words_per_page) - 1))
+                 (oneofl [ -1; max_int; min_int; 0; 1 lsl 61; 7 ])))))
+    (fun ((pages, reset_at, skew, w, n), extra) ->
+      let _donor, sp = z_build pages reset_at in
+      List.iter (fun (i, v) -> Aspace.write_word sp (Addr.add_words z_base i) v) extra;
+      let a = Addr.add_words z_base w + skew in
+      z_visited (Aspace.iter_nonzero sp a ~words:n)
+      = z_visited (fun f ->
+            Aspace.fold_words sp a ~words:n ~init:() ~f:(fun () v -> if v <> 0 then f v)))
+
+(* Every pair of pages of the built space and its donor, the unmapped page
+   after them included, against the two pages' words read one by one.
+   Extra small stores, often at a page's first or last word, make pages
+   that differ in one word only. *)
+let prop_pages_equal_lockstep =
+  let wpp = Addr.words_per_page in
+  QCheck.Test.make ~name:"pages_equal is a word-by-word compare" ~count:200
+    (QCheck.make
+       ~print:(fun (case, extra) -> Printf.sprintf "%s extra x%d" (z_print case) (List.length extra))
+       QCheck.Gen.(
+         pair z_case_gen
+           (small_list
+              (triple (int_bound (z_pages - 1))
+                 (oneof [ return 0; return (wpp - 1); int_bound (wpp - 1) ])
+                 (int_bound 3)))))
+    (fun ((pages, reset_at, _, _, _), extra) ->
+      let donor, sp = z_build pages reset_at in
+      List.iter
+        (fun (k, w, v) -> Aspace.write_word sp (Addr.add_words z_base ((k * wpp) + w)) v)
+        extra;
+      let page k = Addr.add z_base (k * Addr.page_size) in
+      let words s k = read_each s (page k) ~words:Addr.words_per_page in
+      let outcome f = match f () with b -> Ok b | exception Aspace.Fault x -> Error x in
+      let ks = List.init (z_pages + 1) Fun.id in
+      List.for_all
+        (fun (s, u) ->
+          List.for_all
+            (fun j ->
+              List.for_all
+                (fun k ->
+                  outcome (fun () -> Aspace.pages_equal s (page j) u (page k))
+                  = outcome (fun () ->
+                        let x = words s j in
+                        x = words u k))
+                ks)
+            ks)
+        [ (sp, sp); (sp, donor); (donor, sp) ])
 
 (* The values [write_init] stores: all zeros, a few non-zero words at
    random offsets (so most page runs are all zero), or a dense pattern
@@ -974,6 +1058,9 @@ let () =
           Alcotest.test_case "resident bytes" `Quick test_resident_bytes;
           qt prop_zero_page_model;
           qt prop_zero_fill_lockstep;
+          qt prop_zero_untracked_lockstep;
+          qt prop_iter_nonzero_lockstep;
+          qt prop_pages_equal_lockstep;
           qt prop_write_init_lockstep;
           qt prop_write_bytes_lockstep;
           qt prop_read_bytes_lockstep;
