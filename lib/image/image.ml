@@ -430,9 +430,11 @@ let check_regions p =
        (fun prev_limit r ->
          if r.r_base <= 0 || not (aligned r.r_base) then
            bad "region %s base %#x is not a page-aligned address" r.r_name r.r_base;
-         if r.r_size <= 0 || not (aligned r.r_size) || r.r_size > max_int - r.r_base then
-           bad "region %s size %d is not a positive page multiple that fits above its base"
-             r.r_name r.r_size;
+         if r.r_size <= 0 || not (aligned r.r_size) then
+           bad "region %s size %d is not a positive page multiple" r.r_name r.r_size;
+         if r.r_size > Aspace.ceiling - r.r_base then
+           bad "region %s at %#x of %d bytes ends past the address-space ceiling %#x" r.r_name
+             r.r_base r.r_size Aspace.ceiling;
          if r.r_base < prev_limit then
            bad "region %s at %#x is not above the region before it" r.r_name r.r_base;
          check_runs r;

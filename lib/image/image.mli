@@ -160,7 +160,8 @@ val decode : string -> (t, error) result
     it in place at {!install}, not copied out. Decode also checks what
     install relies on in each [PROC] section's region table, failing with
     [Malformed { section = "proc.N"; _ }]: region bases page-aligned above
-    the null page, sizes positive page multiples, regions ascending and
+    the null page, sizes positive page multiples, no region ending past
+    {!Mcr_vmem.Aspace.ceiling}, regions ascending and
     disjoint, region kinds known; each region's runs non-empty, whole
     pages, ascending, disjoint and inside the region; every page state a
     page of a saved region; and every pool chunk a word-aligned extent of

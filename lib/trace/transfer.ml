@@ -164,6 +164,9 @@ let precopy_round pc ~(old_image : P.image) ~analysis ?since ?(dirty_only = true
     round_cost_ns;
   }
 
+(* ------------------------------------------------------------------ *)
+(* The plan *)
+
 (* Where an old object lands in the new version. *)
 type dest =
   | D_existing of { addr : Addr.t; ty : Ty.t option; copy : bool }
@@ -172,79 +175,57 @@ type dest =
   | D_in_place  (** Immutable: same address, pages pinned. *)
   | D_string of Addr.t  (** Interned literal in the new rodata. *)
   | D_dropped
+  | D_unreachable  (** Not traced: pointers to it are left as they are. *)
 
-(* Per-destination-page bookkeeping for the zero-copy remap: a page is a
-   remap candidate only if every byte written to it came from verbatim
-   copies sharing one page-congruent src/dst delta. Handler output,
-   non-identity transformations and fixup rewrites poison the page. *)
-type page_contrib = {
-  mutable pg_delta : int; (* dst byte address - src byte address *)
-  mutable pg_seen : bool; (* a verbatim run contributed (pg_delta valid) *)
-  mutable pg_ok : bool; (* still eligible *)
-  mutable pg_shard : int; (* shard that pays the remap charge *)
-  mutable pg_parts : (int * int * int) list; (* shard, words, charged ns *)
-}
+(* How a copied object's content reaches its destination. *)
+type how =
+  | Verbatim of int  (** The object's first [n] words, unchanged. *)
+  | Handler of P.transform * int  (** A user transfer handler fills [n] words. *)
+  | Reshape of Typlan.t  (** A {!Typlan} transformation. *)
 
-type state = {
+type copy = { dst : Addr.t; how : how; prepaid : bool }
+
+type move =
+  | Keep  (** Nothing to store: dropped, interned, or no transformation exists. *)
+  | Skip  (** Clean: the new version's own startup state stands. *)
+  | Copy of copy
+
+type plan = {
   old_image : P.image;
   new_image : P.image;
   analysis : Objgraph.t;
-  dirty_only : bool;
   remap : bool;
   precopy : precopy option;
-  plan : Objgraph.shard_plan;
-  shard_cost : int array; (* per-shard copy charge *)
-  shard_w : int array; (* per-shard words copied *)
-  dests : (int, dest) Hashtbl.t; (* old obj id -> destination *)
-  plans : (int, Typlan.t) Hashtbl.t;
-      (* transformation plan used per old object: interior pointers must
-         follow their field through the plan, not a linear offset *)
-  page_contribs : (int, page_contrib) Hashtbl.t; (* dst page number *)
-  mutable conflicts : conflict list;
-  mutable cost : int;
-  mutable words_copied : int;
-  mutable objects_copied : int;
-  mutable skipped : int;
-  mutable skipped_w : int;
-  mutable pinned : int;
-  mutable fresh : int;
-  mutable transformed : int;
-  mutable dangling : int;
-  mutable precopied_objs : int;
-  mutable precopied_w : int;
-  mutable remapped_pages : int;
-  mutable remapped_w : int;
-  mutable hashed_w : int;
+  shards : Objgraph.shard_plan;
+  dest : dest array; (* by obj.id *)
+  move : move array; (* by obj.id *)
+  pins : (Addr.t * Region.kind) list; (* pages to map, in address order *)
+  conflicts : conflict list;
 }
 
-let conflictf st c = st.conflicts <- c :: st.conflicts
+let tyenv (im : P.image) = im.P.i_version.P.tyenv
+let ty_exists env name = match Ty.env_find env name with _ -> true | exception Not_found -> false
 
-let provenance st (o : obj) =
-  let round =
-    match st.precopy with
-    | Some pc -> (
-        match Hashtbl.find_opt pc.pc_entries o.addr with
-        | Some e -> e.pc_round
-        | None -> 0)
-    | None -> 0
-  in
-  { shard = st.plan.Objgraph.sp_shard_of.(o.id); round; callstack = o.callstack }
+(* A destination's extent in words: its new type's size, or the old size
+   when untyped. *)
+let extent env (o : obj) = function Some ty -> Ty.sizeof_words env ty | None -> o.words
+let copy_words = function Verbatim n | Handler (_, n) -> n | Reshape tp -> tp.Typlan.dst_words
 
-let old_env st = st.old_image.P.i_version.P.tyenv
-let new_env st = st.new_image.P.i_version.P.tyenv
+let staged_entry precopy (o : obj) =
+  Option.bind precopy (fun pc -> Hashtbl.find_opt pc.pc_entries o.addr)
 
-let new_ty_exists st name =
-  match Ty.env_find (new_env st) name with _ -> true | exception Not_found -> false
-
-(* ------------------------------------------------------------------ *)
-(* Startup-object matching index (new version) *)
+(* The pre-copy entry that staged this object at its current size: the
+   window re-hashes it to decide whether the copy was prepaid. *)
+let staged precopy (o : obj) =
+  match staged_entry precopy o with Some e when e.pc_words = o.words -> Some e | _ -> None
 
 (* site label -> startup blocks in address order, consumed in order *)
 let build_startup_index (new_image : P.image) =
-  let index : (string, (Addr.t * int * string option) Queue.t) Hashtbl.t = Hashtbl.create 32 in
-  let add_block ~site_label ~payload ~words ~ty_name =
-    match site_label with
-    | None -> ()
+  let index : (string, (Addr.t * string option) Queue.t) Hashtbl.t = Hashtbl.create 32 in
+  let name_of find id = if id = 0 then None else try Some (find id) with Not_found -> None in
+  let site_label id = (Sites.find new_image.P.i_sites id).Sites.label in
+  let of_block (b : Heap.block) =
+    match if b.Heap.startup then name_of site_label b.Heap.site else None with
     | Some label ->
         let q =
           match Hashtbl.find_opt index label with
@@ -254,166 +235,243 @@ let build_startup_index (new_image : P.image) =
               Hashtbl.replace index label q;
               q
         in
-        Queue.push (payload, words, ty_name) q
-  in
-  let of_block (b : Heap.block) =
-    if b.Heap.startup then begin
-      let site_label =
-        if b.Heap.site = 0 then None
-        else
-          match Sites.find new_image.P.i_sites b.Heap.site with
-          | s -> Some s.Sites.label
-          | exception Not_found -> None
-      in
-      let ty_name =
-        if b.Heap.ty_id = 0 then None
-        else
-          match Tyreg.name_of_id new_image.P.i_tyreg b.Heap.ty_id with
-          | n -> Some n
-          | exception Not_found -> None
-      in
-      add_block ~site_label ~payload:b.Heap.payload ~words:b.Heap.words ~ty_name
-    end
+        Queue.push (b.Heap.payload, name_of (Tyreg.name_of_id new_image.P.i_tyreg) b.Heap.ty_id) q
+    | None -> ()
   in
   Heap.iter_live new_image.P.i_heap of_block;
-  List.iter
-    (fun (_, pool) -> Mcr_alloc.Pool.iter_objects pool of_block)
-    new_image.P.i_pools;
+  List.iter (fun (_, pool) -> Mcr_alloc.Pool.iter_objects pool of_block) new_image.P.i_pools;
   index
 
-(* ------------------------------------------------------------------ *)
-(* Destination assignment *)
-
-let pin_pages st (o : obj) =
-  let aspace = st.new_image.P.i_aspace in
-  let rec go page =
-    if page < Addr.add_words o.addr o.words then begin
-      if not (Aspace.is_mapped_word aspace page) then
-        ignore
-          (Aspace.map aspace ~name:"mcr:pin" (Aspace.Fixed page) ~size:Addr.page_size
-             (match o.region with Region.Lib -> Region.Lib | _ -> Region.Mmap));
-      go (Addr.add page Addr.page_size)
-    end
+(* Every decision of the transfer, made against the old image before
+   anything is stored: destinations (allocating fresh ones), forced copies,
+   moves, pin pages and conflicts. *)
+let plan ~old_image ~new_image ~analysis ?(dirty_only = true) ?(remap = false) ?precopy
+    ?(workers = 1) ?fault () =
+  let old_env = tyenv old_image and new_env = tyenv new_image in
+  let shards = Objgraph.shard analysis ~workers in
+  let conflicts = ref [] in
+  let conflict c = conflicts := c :: !conflicts in
+  (* Where the conflicting object sat in the transfer machinery: captured
+     now, because rollback destroys the state it is derived from. *)
+  let provenance (o : obj) =
+    {
+      shard = shards.Objgraph.sp_shard_of.(o.id);
+      round = Option.fold (staged_entry precopy o) ~none:0 ~some:(fun e -> e.pc_round);
+      callstack = o.callstack;
+    }
   in
-  go (Addr.page_base o.addr)
-
-let check_nonupdatable st (o : obj) =
-  match o.ty_name with
-  | Some name when new_ty_exists st name ->
-      if not (Ty.equal (old_env st) (new_env st) (Ty.Named name) (Ty.Named name)) then
-        conflictf st
-          (Nonupdatable_changed
-             {
-               addr = o.addr;
-               ty_name = name;
-               detail = "object is conservatively traced and cannot be type-transformed";
-               prov = provenance st o;
-             })
-  | Some _ | None -> ()
-
-let assign_dest st startup_index (o : obj) =
-  let dest =
+  let nonupdatable (o : obj) ty_name detail =
+    conflict (Nonupdatable_changed { addr = o.addr; ty_name; detail; prov = provenance o })
+  in
+  (* own the transfer's dirty epoch on the new image: tracked writes that
+     land during the window (fresh allocation headers, user code) are
+     visible to the remap eligibility check without touching anyone
+     else's epoch *)
+  Aspace.epoch_reset new_image.P.i_aspace ~name:"mcr.transfer";
+  (match fault with
+  | Some f when Mcr_fault.Fault.consume f Mcr_fault.Fault.Transfer_conflict ->
+      conflict (Injected { detail = "injected transfer conflict" })
+  | _ -> ());
+  (* an Objgraph-level misclassification fault conflicts here: the pinned
+     object cannot be relocated, which the transfer must refuse *)
+  Option.iter
+    (fun (o : obj) ->
+      nonupdatable o
+        (Option.value o.ty_name ~default:"<untyped>")
+        "injected: spurious likely pointer pinned a relocatable object")
+    analysis.Objgraph.injected_pin;
+  let startup_index = build_startup_index new_image in
+  let copy_unless_clean (o : obj) = o.dirty || not dirty_only in
+  let fresh (o : obj) =
+    match o.ty_name with
+    | Some name when not (ty_exists new_env name) ->
+        if o.dirty then
+          conflict (Missing_type { addr = o.addr; ty_name = name; prov = provenance o });
+        D_dropped
+    | Some name ->
+        let words = Ty.sizeof_words new_env (Ty.Named name) in
+        let ty_id = Tyreg.register new_image.P.i_tyreg ~name (Ty.Named name) in
+        let site =
+          Option.fold o.site ~none:0 ~some:(fun label ->
+              Sites.register new_image.P.i_sites ~label ~ty_id)
+        in
+        let addr = Heap.malloc new_image.P.i_heap ~ty_id ~site ~callstack:o.callstack words in
+        D_fresh { addr; ty = Some (Ty.Named name) }
+    | None ->
+        (* untyped block: re-create at same size, verbatim. Mirror the
+           allocator's ptmalloc-style segregation (Api.malloc_opaque): large
+           blocks get page-aligned payloads, which keeps their pages
+           layout-stable so the remap pass can share them instead of
+           copying. *)
+        let heap = new_image.P.i_heap and callstack = o.callstack in
+        let addr =
+          if o.words >= 256 then Heap.malloc_aligned heap ~ty_id:0 ~callstack o.words
+          else Heap.malloc heap ~ty_id:0 ~callstack o.words
+        in
+        D_fresh { addr; ty = None }
+  in
+  let assign (o : obj) =
     if o.immutable_ then begin
-      check_nonupdatable st o;
-      pin_pages st o;
-      st.pinned <- st.pinned + 1;
+      (match o.ty_name with
+      | Some name
+        when ty_exists new_env name
+             && not (Ty.equal old_env new_env (Ty.Named name) (Ty.Named name)) ->
+          nonupdatable o name "object is conservatively traced and cannot be type-transformed"
+      | Some _ | None -> ());
       D_in_place
     end
     else
       match o.origin with
-      | O_string s -> begin
-          match Symtab.string_addr st.new_image.P.i_symtab s with
+      | O_string s -> (
+          match Symtab.string_addr new_image.P.i_symtab s with
           | addr -> D_string addr
-          | exception Not_found -> D_dropped
-        end
-      | O_static name -> begin
-          match Symtab.lookup_opt st.new_image.P.i_symtab name with
+          | exception Not_found -> D_dropped)
+      | O_static name -> (
+          match Symtab.lookup_opt new_image.P.i_symtab name with
           | Some e ->
-              D_existing { addr = e.Symtab.addr; ty = Some e.Symtab.ty; copy = o.dirty || not st.dirty_only }
-          | None -> D_dropped
-        end
-      | O_stack key -> begin
-          match
-            List.find_opt (fun (k, _, _) -> k = key) st.new_image.P.i_stack_roots
-          with
-          | Some (_, ty, addr) ->
-              D_existing { addr; ty = Some ty; copy = o.dirty || not st.dirty_only }
-          | None -> D_dropped
-        end
-      | O_pool_chunk _ | O_slab_chunk _ ->
-          (* uninstrumented custom-allocator memory is conservatively traced
-             by definition; reaching here (not marked immutable) still means
-             it cannot be relocated safely *)
-          pin_pages st o;
-          st.pinned <- st.pinned + 1;
-          D_in_place
-      | O_lib | O_pinned ->
-          pin_pages st o;
-          st.pinned <- st.pinned + 1;
-          D_in_place
-      | O_heap | O_pool_obj _ -> begin
+              D_existing { addr = e.Symtab.addr; ty = Some e.Symtab.ty; copy = copy_unless_clean o }
+          | None -> D_dropped)
+      | O_stack key -> (
+          match List.find_opt (fun (k, _, _) -> k = key) new_image.P.i_stack_roots with
+          | Some (_, ty, addr) -> D_existing { addr; ty = Some ty; copy = copy_unless_clean o }
+          | None -> D_dropped)
+      (* uninstrumented custom-allocator memory is conservatively traced by
+         definition; reaching here (not marked immutable) still means it
+         cannot be relocated safely *)
+      | O_pool_chunk _ | O_slab_chunk _ | O_lib | O_pinned -> D_in_place
+      | O_heap | O_pool_obj _ -> (
           (* dynamic object: try the startup-reallocation match first *)
           let matched =
             match o.site with
-            | Some label when o.startup -> begin
+            | Some label when o.startup -> (
                 match Hashtbl.find_opt startup_index label with
                 | Some q when not (Queue.is_empty q) -> Some (Queue.pop q)
-                | _ -> None
-              end
+                | _ -> None)
             | _ -> None
           in
           match matched with
-          | Some (addr, _words, ty_name) ->
-              let ty = Option.map (fun n -> Ty.Named n) ty_name in
-              D_existing { addr; ty; copy = o.dirty || not st.dirty_only }
-          | None -> begin
-              (* reallocate at state-transfer time *)
-              match o.ty_name with
-              | Some name when not (new_ty_exists st name) ->
-                  if o.dirty then
-                    conflictf st
-                      (Missing_type { addr = o.addr; ty_name = name; prov = provenance st o });
-                  D_dropped
-              | Some name ->
-                  let words = Ty.sizeof_words (new_env st) (Ty.Named name) in
-                  let ty_id = Tyreg.register st.new_image.P.i_tyreg ~name (Ty.Named name) in
-                  let site_id =
-                    match o.site with
-                    | Some label -> Sites.register st.new_image.P.i_sites ~label ~ty_id
-                    | None -> 0
-                  in
-                  let addr =
-                    Heap.malloc st.new_image.P.i_heap ~ty_id ~site:site_id
-                      ~callstack:o.callstack words
-                  in
-                  st.fresh <- st.fresh + 1;
-                  D_fresh { addr; ty = Some (Ty.Named name) }
-              | None ->
-                  (* untyped block: re-create at same size, verbatim.
-                     Mirror the allocator's ptmalloc-style segregation
-                     (Api.malloc_opaque): large blocks get page-aligned
-                     payloads, which keeps their pages layout-stable so
-                     the remap pass can share them instead of copying. *)
-                  let addr =
-                    if o.words >= 256 then
-                      Heap.malloc_aligned st.new_image.P.i_heap ~ty_id:0
-                        ~callstack:o.callstack o.words
-                    else
-                      Heap.malloc st.new_image.P.i_heap ~ty_id:0 ~callstack:o.callstack
-                        o.words
-                  in
-                  st.fresh <- st.fresh + 1;
-                  D_fresh { addr; ty = None }
-            end
-        end
+          | Some (addr, ty_name) ->
+              D_existing
+                { addr; ty = Option.map (fun n -> Ty.Named n) ty_name; copy = copy_unless_clean o }
+          | None -> fresh o)
   in
-  Hashtbl.replace st.dests o.id dest
+  let dest = Array.make (Array.length analysis.Objgraph.objects) D_unreachable in
+  Objgraph.iter_reachable analysis (fun o -> dest.(o.id) <- assign o);
+  let old_word (o : obj) i = Aspace.read_word old_image.P.i_aspace (Addr.add_words o.addr i) in
+  (* A clean object may only be skipped if re-running startup reproduced an
+     equivalent value for every one of its words. Pointers into pinned
+     memory (uninstrumented library state, custom-allocator chunks) break
+     that premise: replay allocates *fresh* library state, while the
+     transferred image must keep the old, pinned state reachable — so a
+     skipped referrer would commit a pointer the full transfer never
+     produces. *)
+  let points_into_pinned (o : obj) =
+    let pinned v =
+      v <> 0
+      &&
+      match Objgraph.resolve analysis v with
+      | Some (target, _) -> ( match dest.(target.id) with D_in_place -> true | _ -> false)
+      | None -> false
+    in
+    let rec any i slot = i < o.words && (slot i || any (i + 1) slot) in
+    match o.ty with
+    | Some ty ->
+        let slots = Ty.slots old_env ty in
+        let tyw = Array.length slots in
+        tyw > 0
+        && any 0 (fun i ->
+               match slots.(i mod tyw) with
+               | Ty.Slot_ptr _ | Ty.Slot_void_ptr -> pinned (old_word o i)
+               | Ty.Slot_encoded_ptr { mask; _ } -> pinned (old_word o i land lnot mask)
+               | Ty.Slot_scalar | Ty.Slot_opaque | Ty.Slot_func_ptr -> false)
+    | None -> any 0 (fun i -> pinned (old_word o i))
+  in
+  (* Was this object's current content staged by a pre-copy round? If so the
+     copy already happened (speculatively, while the old version served) and
+     the in-window charge is waived. A hash mismatch means the object was
+     written after its last staging: it is part of the final delta and pays
+     full price. *)
+  let copy (o : obj) dst how =
+    let prepaid =
+      match staged precopy o with
+      | Some e -> e.pc_hash = content_hash old_image.P.i_aspace o.addr o.words
+      | None -> false
+    in
+    Copy { dst; how; prepaid }
+  in
+  let transform (o : obj) ~src_ty ~dst_ty dst =
+    (* user transfer handlers take precedence (semantic transformations) *)
+    match Option.bind o.ty_name (P.transfer_handler new_image.P.i_version) with
+    | Some h -> copy o dst (Handler (h, Ty.sizeof_words new_env dst_ty))
+    | None -> (
+        match Typlan.plan ~src_env:old_env ~dst_env:new_env ~src:src_ty ~dst:dst_ty with
+        | Ok tp when Typlan.is_identity tp && tp.Typlan.dst_words <= o.words ->
+            (* the type did not change shape: a plain copy, which the
+               page-remap machinery can see as a page-congruent run *)
+            copy o dst (Verbatim tp.Typlan.dst_words)
+        | Ok tp -> copy o dst (Reshape tp)
+        | Error detail ->
+            conflict
+              (No_plan
+                 {
+                   addr = o.addr;
+                   ty_name = Option.value o.ty_name ~default:(Ty.to_string src_ty);
+                   detail;
+                   prov = provenance o;
+                 });
+            Keep)
+  in
+  let move = Array.make (Array.length dest) Keep in
+  Objgraph.iter_reachable analysis (fun o ->
+      (match dest.(o.id) with
+      | D_existing ({ copy = false; _ } as d) when points_into_pinned o ->
+          dest.(o.id) <- D_existing { d with copy = true }
+      | _ -> ());
+      move.(o.id) <-
+        (match dest.(o.id) with
+        | D_existing { copy = false; _ } -> Skip
+        | D_existing { addr; ty; copy = true } | D_fresh { addr; ty } -> (
+            match (o.ty, ty) with
+            | Some src_ty, Some dst_ty -> transform o ~src_ty ~dst_ty addr
+            | _ -> copy o addr (Verbatim (min o.words (extent new_env o ty))))
+        | D_in_place -> copy o o.addr (Verbatim o.words)
+        | D_string _ | D_dropped | D_unreachable -> Keep));
+  (* every page of each in-place object *)
+  let pins (o : obj) =
+    let kind = match o.region with Region.Lib -> Region.Lib | _ -> Region.Mmap in
+    let rec from page =
+      if page >= Addr.add_words o.addr o.words then []
+      else (page, kind) :: from (Addr.add page Addr.page_size)
+    in
+    match dest.(o.id) with D_in_place -> from (Addr.page_base o.addr) | _ -> []
+  in
+  {
+    old_image;
+    new_image;
+    analysis;
+    remap;
+    precopy;
+    shards;
+    dest;
+    move;
+    pins = List.concat_map pins (Objgraph.reachable_objects analysis);
+    conflicts = List.rev !conflicts;
+  }
+
+let planned_conflicts p = p.conflicts
+
+let destinations p =
+  List.filter_map
+    (fun (o : obj) ->
+      match p.dest.(o.id) with
+      | D_existing { addr; ty; copy = true } | D_fresh { addr; ty } ->
+          Some (addr, extent (tyenv p.new_image) o ty)
+      | D_in_place -> Some (o.addr, o.words)
+      | D_existing { copy = false; _ } | D_string _ | D_dropped | D_unreachable -> None)
+    (Objgraph.reachable_objects p.analysis)
 
 (* ------------------------------------------------------------------ *)
-(* Copy / transform *)
-
-let read_old st (o : obj) =
-  Array.init o.words (fun i -> Aspace.read_word st.old_image.P.i_aspace (Addr.add_words o.addr i))
+(* The apply *)
 
 (* State-transfer stores are kernel-mediated and must be UNTRACKED: a
    tracked store would stamp the page in every consumer's dirty epoch, so
@@ -424,478 +482,257 @@ let read_old st (o : obj) =
    what deterministic startup replay would re-create, so Objgraph treats
    inherited pages as dirty forever without polluting any write epoch. *)
 
-let poison_pages st addr ~words =
-  if st.remap && words > 0 then begin
-    let first = Addr.page_of addr
-    and last = Addr.page_of (Addr.add addr ((words * Addr.word_size) - 1)) in
-    for pn = first to last do
-      match Hashtbl.find_opt st.page_contribs pn with
-      | Some c -> c.pg_ok <- false
-      | None ->
-          Hashtbl.replace st.page_contribs pn
-            { pg_delta = 0; pg_seen = false; pg_ok = false; pg_shard = 0; pg_parts = [] }
-    done
-  end
+(* Per-destination-page bookkeeping for the zero-copy remap: a page stays
+   [Congruent] while every store to it came from verbatim runs sharing one
+   src/dst delta, each part recorded as (shard, words, charged ns).
+   Handler output, reshaping transformations and fixup rewrites poison it. *)
+type page =
+  | Poisoned
+  | Congruent of { delta : int; shard : int; parts : (int * int * int) list }
 
-let write_new st addr words_arr =
-  let aspace = st.new_image.P.i_aspace in
-  Array.iteri
-    (fun i v -> Aspace.write_word_untracked aspace (Addr.add_words addr i) v)
-    words_arr;
-  Aspace.mark_inherited aspace addr ~words:(Array.length words_arr);
-  (* handler output is synthesized, not a page-congruent copy *)
-  poison_pages st addr ~words:(Array.length words_arr)
+let shard_of p (o : obj) = max 0 p.shards.Objgraph.sp_shard_of.(o.id)
 
-(* Was this object's current content staged by a pre-copy round? If so the
-   copy already happened (speculatively, while the old version served) and
-   the in-window charge is waived. A hash mismatch means the object was
-   written after its last staging: it is part of the final delta and pays
-   full price. *)
-let prepaid st (o : obj) =
-  match st.precopy with
-  | None -> false
-  | Some pc -> (
-      match Hashtbl.find_opt pc.pc_entries o.addr with
-      | Some e ->
-          e.pc_words = o.words
-          && begin
-               st.hashed_w <- st.hashed_w + o.words;
-               e.pc_hash = content_hash st.old_image.P.i_aspace o.addr o.words
-             end
-      | None -> false)
+(* translate an interior word offset through the target's transformation:
+   the word that held the pointed-at field may have moved *)
+let translate_offset p target_id delta_words =
+  match p.move.(target_id) with
+  | Copy { how = Reshape tp; _ } when delta_words <> 0 && not (Typlan.is_identity tp) ->
+      List.find_map
+        (function
+          | Typlan.Copy { src_off; dst_off; words }
+            when delta_words >= src_off && delta_words < src_off + words ->
+              Some (dst_off + (delta_words - src_off))
+          | Typlan.Copy _ | Typlan.Zero _ -> None)
+        tp.Typlan.actions
+  (* a base pointer is object identity, not "first field" *)
+  | _ -> Some delta_words
 
-let shard_of st (o : obj) =
-  let s = st.plan.Objgraph.sp_shard_of.(o.id) in
-  if s >= 0 then s else 0
-
-let charge_copy st ~prepaid (o : obj) words =
-  let s = shard_of st o in
-  st.shard_w.(s) <- st.shard_w.(s) + words;
-  if prepaid then begin
-    st.precopied_objs <- st.precopied_objs + 1;
-    st.precopied_w <- st.precopied_w + words
-  end
-  else begin
-    let c = words * (K.costs st.old_image.P.i_kernel).Costs.transfer_word_ns in
-    st.cost <- st.cost + c;
-    st.shard_cost.(s) <- st.shard_cost.(s) + c
-  end;
-  st.words_copied <- st.words_copied + words;
-  st.objects_copied <- st.objects_copied + 1
-
-(* Record a verbatim run against its destination pages. The copy itself
-   already happened word-by-word; if a whole page ends up byte-identical to
-   its (page-aligned congruent) source page, the remap pass below retracts
-   the copy charge and shares the frame instead. *)
-let record_verbatim st (o : obj) dst_addr n ~prepaid =
-  if st.remap && n > 0 then begin
-    let twn = (K.costs st.old_image.P.i_kernel).Costs.transfer_word_ns in
-    let s = shard_of st o in
-    let delta = dst_addr - o.addr in
-    let rec go a remaining =
-      if remaining > 0 then begin
-        let pn = Addr.page_of a in
-        let in_page = (Addr.page_size - Addr.page_offset a) / Addr.word_size in
-        let portion = min remaining in_page in
-        let c =
-          match Hashtbl.find_opt st.page_contribs pn with
-          | Some c -> c
-          | None ->
-              let c =
-                { pg_delta = 0; pg_seen = false; pg_ok = true; pg_shard = s; pg_parts = [] }
-              in
-              Hashtbl.replace st.page_contribs pn c;
-              c
-        in
-        if not c.pg_seen then begin
-          c.pg_seen <- true;
-          c.pg_delta <- delta;
-          c.pg_shard <- s
-        end
-        else if c.pg_delta <> delta then c.pg_ok <- false;
-        let charged = if prepaid then 0 else portion * twn in
-        c.pg_parts <- (s, portion, charged) :: c.pg_parts;
-        go (Addr.add_words a portion) (remaining - portion)
-      end
-    in
-    go dst_addr n
-  end
-
-let verbatim st (o : obj) dst_addr dst_words =
-  let prepaid = prepaid st o in
-  let n = min o.words dst_words in
-  Aspace.copy_words
-    ~src:st.old_image.P.i_aspace o.addr
-    ~dst:st.new_image.P.i_aspace dst_addr ~words:n;
-  Aspace.mark_inherited st.new_image.P.i_aspace dst_addr ~words:n;
-  record_verbatim st o dst_addr n ~prepaid;
-  charge_copy st ~prepaid o n
-
-let transform st (o : obj) ~src_ty ~dst_ty ~dst_addr =
-  (* user transfer handlers take precedence (semantic transformations) *)
-  let handler =
-    match o.ty_name with
-    | Some name -> P.transfer_handler st.new_image.P.i_version name
-    | None -> None
-  in
-  match handler with
-  | Some h ->
-      let prepaid = prepaid st o in
-      let old_words = read_old st o in
-      let dst_words = Ty.sizeof_words (new_env st) dst_ty in
-      let new_words = Array.make dst_words 0 in
-      h ~old_words ~new_words;
-      write_new st dst_addr new_words;
-      charge_copy st ~prepaid o dst_words;
-      st.transformed <- st.transformed + 1;
-      true
-  | None -> begin
-      match Typlan.plan ~src_env:(old_env st) ~dst_env:(new_env st) ~src:src_ty ~dst:dst_ty with
-      | Ok plan when Typlan.is_identity plan && plan.Typlan.dst_words <= o.words ->
-          (* the type did not change shape: this is a plain copy, so route
-             it through [verbatim] where the page-remap machinery can see
-             it as a page-congruent run *)
-          verbatim st o dst_addr plan.Typlan.dst_words;
-          true
-      | Ok plan ->
-          let prepaid = prepaid st o in
-          let src = st.old_image.P.i_aspace and dst = st.new_image.P.i_aspace in
-          Typlan.apply plan
-            ~read:(fun off -> Aspace.read_word src (Addr.add_words o.addr off))
-            ~write:(fun off v ->
-              Aspace.write_word_untracked dst (Addr.add_words dst_addr off) v);
-          Aspace.mark_inherited dst dst_addr ~words:plan.Typlan.dst_words;
-          (* a reshaping transformation is not a congruent byte copy *)
-          poison_pages st dst_addr ~words:plan.Typlan.dst_words;
-          charge_copy st ~prepaid o plan.Typlan.dst_words;
-          if not (Typlan.is_identity plan) then begin
-            st.transformed <- st.transformed + 1;
-            Hashtbl.replace st.plans o.id plan
-          end;
-          true
-      | Error detail ->
-          conflictf st
-            (No_plan
-               {
-                 addr = o.addr;
-                 ty_name = Option.value o.ty_name ~default:(Ty.to_string src_ty);
-                 detail;
-                 prov = provenance st o;
-               });
-          false
-    end
-
-(* A clean object may only be skipped if re-running startup reproduced an
-   equivalent value for every one of its words. Pointers into pinned
-   memory (uninstrumented library state, custom-allocator chunks) break
-   that premise: replay allocates *fresh* library state, while the
-   transferred image must keep the old, pinned state reachable — so a
-   skipped referrer would commit a pointer the full transfer never
-   produces. The referrer set falls out of the same traversal that pinned
-   the targets, so detecting it adds no analysis cost. *)
-let points_into_pinned st (o : obj) =
-  let word i = Aspace.read_word st.old_image.P.i_aspace (Addr.add_words o.addr i) in
-  let pinned v =
-    v <> 0
-    &&
-    match Objgraph.resolve st.analysis v with
-    | Some (target, _) -> Hashtbl.find_opt st.dests target.id = Some D_in_place
-    | None -> false
-  in
-  let found = ref false in
-  (match o.ty with
-  | Some ty ->
-      let slots = Ty.slots (old_env st) ty in
-      let tyw = Array.length slots in
-      if tyw > 0 then
-        for i = 0 to o.words - 1 do
-          if not !found then
-            match slots.(i mod tyw) with
-            | Ty.Slot_ptr _ | Ty.Slot_void_ptr -> if pinned (word i) then found := true
-            | Ty.Slot_encoded_ptr { mask; _ } ->
-                if pinned (word i land lnot mask) then found := true
-            | Ty.Slot_scalar | Ty.Slot_opaque | Ty.Slot_func_ptr -> ()
-        done
-  | None ->
-      for i = 0 to o.words - 1 do
-        if (not !found) && pinned (word i) then found := true
-      done);
-  !found
-
-let force_copy_pin_referrers st (o : obj) =
-  match Hashtbl.find_opt st.dests o.id with
-  | Some (D_existing { addr; ty; copy = false }) when points_into_pinned st o ->
-      Hashtbl.replace st.dests o.id (D_existing { addr; ty; copy = true })
-  | _ -> ()
-
-let copy_object st (o : obj) =
-  match Hashtbl.find_opt st.dests o.id with
-  | None | Some D_dropped | Some (D_string _) -> ()
-  | Some (D_existing { copy = false; _ }) ->
-      st.skipped <- st.skipped + 1;
-      st.skipped_w <- st.skipped_w + o.words
-  | Some (D_existing { addr; ty; copy = true }) | Some (D_fresh { addr; ty }) -> begin
-      match (o.ty, ty) with
-      | Some src_ty, Some dst_ty -> ignore (transform st o ~src_ty ~dst_ty ~dst_addr:addr)
-      | _, _ ->
-          (* untyped on either side: verbatim *)
-          let dst_words =
-            match ty with
-            | Some dt -> Ty.sizeof_words (new_env st) dt
-            | None -> o.words
-          in
-          verbatim st o addr dst_words
-    end
-  | Some D_in_place ->
-      verbatim st o o.addr o.words
-
-(* ------------------------------------------------------------------ *)
-(* Pointer fixup *)
-
-(* translate an interior word offset through the target's transformation
-   plan: the word that held the pointed-at field may have moved *)
-let translate_offset st target_id delta_words =
-  if delta_words = 0 then Some 0 (* a base pointer is object identity, not "first field" *)
-  else
-    match Hashtbl.find_opt st.plans target_id with
-    | None -> Some delta_words
-    | Some plan ->
-        List.find_map
-          (function
-            | Typlan.Copy { src_off; dst_off; words }
-              when delta_words >= src_off && delta_words < src_off + words ->
-                Some (dst_off + (delta_words - src_off))
-            | Typlan.Copy _ | Typlan.Zero _ -> None)
-          plan.Typlan.actions
-
-let remap_value st v =
-  if v = 0 then Some 0
-  else
-    match Objgraph.resolve st.analysis v with
-    | Some (target, _) -> begin
-        let delta = v - target.addr in
-        let delta_words = delta / Addr.word_size in
-        match Hashtbl.find_opt st.dests target.id with
-        | Some (D_existing { addr; _ }) | Some (D_fresh { addr; _ }) -> begin
-            match translate_offset st target.id delta_words with
-            | Some w -> Some (Addr.add_words addr w + (delta mod Addr.word_size))
-            | None ->
-                (* the pointed-at field was dropped by the update *)
-                st.dangling <- st.dangling + 1;
-                Some 0
-          end
-        | Some (D_string addr) -> Some (addr + delta)
-        | Some D_in_place -> Some v
-        | Some D_dropped ->
-            st.dangling <- st.dangling + 1;
-            Some 0
-        | None -> Some v
-      end
-    | None -> begin
-        (* function pointers relocate by symbol *)
-        match Symtab.func_name_of_addr st.old_image.P.i_symtab v with
-        | Some fname -> begin
-            match Symtab.func_addr st.new_image.P.i_symtab fname with
-            | addr -> Some addr
-            | exception Not_found ->
-                st.dangling <- st.dangling + 1;
-                Some 0
-          end
-        | None -> None (* not a pointer we know; leave untouched *)
-      end
-
-let fixup_object st (o : obj) =
-  let fixup_at dst_addr dst_ty =
-    let slots = Ty.slots (new_env st) dst_ty in
-    let aspace = st.new_image.P.i_aspace in
-    (* fixup is part of the kernel-mediated transfer too: untracked, and a
-       word that actually changes disqualifies its page from remapping *)
-    let store a v =
-      Aspace.write_word_untracked aspace a v;
-      Aspace.mark_inherited aspace a ~words:1;
-      poison_pages st a ~words:1
-    in
-    let tyw = Array.length slots in
-    if tyw > 0 then begin
-      let dst_words = Ty.sizeof_words (new_env st) dst_ty in
-      for w = 0 to dst_words - 1 do
-        let a = Addr.add_words dst_addr w in
-        match slots.(w mod tyw) with
-        | Ty.Slot_ptr _ | Ty.Slot_void_ptr | Ty.Slot_func_ptr ->
-            let v = Aspace.read_word aspace a in
-            (match remap_value st v with
-            | Some v' when v' <> v -> store a v'
-            | Some _ | None -> ())
-        | Ty.Slot_encoded_ptr { mask; _ } ->
-            let v = Aspace.read_word aspace a in
-            let ptr = v land lnot mask and meta = v land mask in
-            (match remap_value st ptr with
-            | Some p' when p' <> ptr -> store a (p' lor meta)
-            | Some _ | None -> ())
-        | Ty.Slot_scalar | Ty.Slot_opaque -> ()
+(* Maps the pin pages, performs every move, rewrites precise pointers
+   through the plan's destinations and, with [remap], shares the pages a
+   verbatim copy left byte-identical. Returns the pointers it had to null
+   and the shared pages as (paying shard, parts). *)
+let store p =
+  let src = p.old_image.P.i_aspace and dst = p.new_image.P.i_aspace in
+  let twn = (K.costs p.old_image.P.i_kernel).Costs.transfer_word_ns in
+  let pages : (int, page) Hashtbl.t = Hashtbl.create 256 in
+  let poison addr ~words =
+    if p.remap && words > 0 then
+      for pn = Addr.page_of addr to Addr.page_of (Addr.add addr ((words * Addr.word_size) - 1)) do
+        Hashtbl.replace pages pn Poisoned
       done
+  in
+  (* Record a verbatim run against its destination pages. If a whole page
+     ends up byte-identical to its (page-aligned congruent) source page, the
+     remap pass below retracts the copy charge and shares the frame. *)
+  let rec record (o : obj) ~delta ~prepaid a remaining =
+    if p.remap && remaining > 0 then begin
+      let pn = Addr.page_of a in
+      let portion = min remaining ((Addr.page_size - Addr.page_offset a) / Addr.word_size) in
+      let part = (shard_of p o, portion, if prepaid then 0 else portion * twn) in
+      Hashtbl.replace pages pn
+        (match Hashtbl.find_opt pages pn with
+        | None -> Congruent { delta; shard = shard_of p o; parts = [ part ] }
+        | Some (Congruent c) when c.delta = delta -> Congruent { c with parts = part :: c.parts }
+        | Some (Congruent _ | Poisoned) -> Poisoned);
+      record o ~delta ~prepaid (Addr.add_words a portion) (remaining - portion)
     end
   in
-  match Hashtbl.find_opt st.dests o.id with
-  | Some (D_existing { addr; ty = Some dst_ty; copy = true }) -> fixup_at addr dst_ty
-  | Some (D_fresh { addr; ty = Some dst_ty }) -> fixup_at addr dst_ty
-  | Some D_in_place -> begin
-      (* typed pinned objects still get precise slot fixup; opaque pinned
-         objects are left verbatim (their targets are pinned too) *)
-      match o.ty with
-      | Some ty when not (Ty.contains_opaque (old_env st) ty) -> fixup_at o.addr ty
-      | Some _ | None -> ()
-    end
-  | Some (D_existing _) | Some (D_fresh _) | Some (D_string _) | Some D_dropped | None -> ()
-
-(* ------------------------------------------------------------------ *)
-(* Zero-copy page remap *)
-
-(* After copy + fixup, any destination page whose content is byte-identical
-   to its page-aligned congruent source page need not keep a private copy:
-   the frame is shared into the new image (refcounted, COW on first write)
-   and the per-word copy charge already accounted against that page is
-   retracted in favour of one [remap_page_ns]. Running AFTER the copy keeps
-   the committed image byte-identical by construction — equality is checked
-   on the final bytes, so the pass only ever changes the virtual-time cost
-   and the physical backing, never observable content. *)
-let remap_pass st =
-  let src = st.old_image.P.i_aspace and dst = st.new_image.P.i_aspace in
-  let costs = K.costs st.old_image.P.i_kernel in
-  let pages =
-    Hashtbl.fold (fun pn _ acc -> pn :: acc) st.page_contribs []
-    |> List.sort compare
+  let write at words =
+    Array.iteri (fun i v -> Aspace.write_word_untracked dst (Addr.add_words at i) v) words;
+    Aspace.mark_inherited dst at ~words:(Array.length words)
   in
   List.iter
-    (fun pn ->
-      let c = Hashtbl.find st.page_contribs pn in
-      if c.pg_seen && c.pg_ok && c.pg_delta mod Addr.page_size = 0 then begin
-        let dst_page = pn * Addr.page_size in
-        let src_page = dst_page - c.pg_delta in
-        if
-          src_page >= 0
-          && Aspace.is_mapped_word src src_page
-          && Aspace.is_mapped_word dst dst_page
-          (* tracked writes during the window (e.g. fresh-allocation
-             headers) mean the page is not purely transfer-installed *)
-          && not (Aspace.epoch_page_dirty dst ~name:"mcr.transfer" dst_page)
-          && Aspace.pages_equal src src_page dst dst_page
-        then begin
-          Aspace.share_page ~src src_page ~dst dst_page;
-          List.iter
-            (fun (s, w, charged) ->
-              st.cost <- st.cost - charged;
-              st.shard_cost.(s) <- st.shard_cost.(s) - charged;
-              st.remapped_w <- st.remapped_w + w)
-            c.pg_parts;
-          st.cost <- st.cost + costs.Costs.remap_page_ns;
-          st.shard_cost.(c.pg_shard) <- st.shard_cost.(c.pg_shard) + costs.Costs.remap_page_ns;
-          st.remapped_pages <- st.remapped_pages + 1
-        end
-      end)
-    pages
-
-let run ~old_image ~new_image ~analysis ?(dirty_only = true) ?(remap = false) ?precopy
-    ?(workers = 1) ?trace ?fault () =
-  (* Sharding is a cost-accounting overlay on the sequential transfer: the
-     walk below runs in canonical address order for every [workers] value
-     (allocation order, startup-match consumption and the merge-phase fixup
-     are unchanged), so the committed image is byte-identical to the
-     single-worker result; only the virtual-time charge becomes the
-     critical path over shards. *)
-  let plan = Objgraph.shard analysis ~workers in
-  let st =
-    {
-      old_image;
-      new_image;
-      analysis;
-      dirty_only;
-      remap;
-      precopy;
-      plan;
-      shard_cost = Array.make plan.Objgraph.sp_workers 0;
-      shard_w = Array.make plan.Objgraph.sp_workers 0;
-      dests = Hashtbl.create 256;
-      plans = Hashtbl.create 64;
-      page_contribs = Hashtbl.create 256;
-      conflicts = [];
-      cost = 0;
-      words_copied = 0;
-      objects_copied = 0;
-      skipped = 0;
-      skipped_w = 0;
-      pinned = 0;
-      fresh = 0;
-      transformed = 0;
-      dangling = 0;
-      precopied_objs = 0;
-      precopied_w = 0;
-      remapped_pages = 0;
-      remapped_w = 0;
-      hashed_w = 0;
-    }
+    (fun (page, kind) ->
+      if not (Aspace.is_mapped_word dst page) then
+        ignore (Aspace.map dst ~name:"mcr:pin" (Aspace.Fixed page) ~size:Addr.page_size kind))
+    p.pins;
+  Objgraph.iter_reachable p.analysis (fun o ->
+      match p.move.(o.id) with
+      | Keep | Skip -> ()
+      | Copy { dst = at; how = Verbatim n; prepaid } ->
+          Aspace.copy_words ~src o.addr ~dst at ~words:n;
+          Aspace.mark_inherited dst at ~words:n;
+          record o ~delta:(at - o.addr) ~prepaid at n
+      | Copy { dst = at; how = Handler (h, n); _ } ->
+          let old_words =
+            Array.init o.words (fun i -> Aspace.read_word src (Addr.add_words o.addr i))
+          and new_words = Array.make n 0 in
+          h ~old_words ~new_words;
+          write at new_words;
+          (* handler output is synthesized, not a page-congruent copy *)
+          poison at ~words:n
+      | Copy { dst = at; how = Reshape tp; _ } ->
+          Typlan.apply tp
+            ~read:(fun off -> Aspace.read_word src (Addr.add_words o.addr off))
+            ~write:(fun off v -> Aspace.write_word_untracked dst (Addr.add_words at off) v);
+          Aspace.mark_inherited dst at ~words:tp.Typlan.dst_words;
+          poison at ~words:tp.Typlan.dst_words);
+  (* Pointer fixup: every precise slot of a stored object is rewritten
+     through the destinations. A word that actually changes disqualifies
+     its page from remapping. *)
+  let dangling = ref 0 in
+  let null () =
+    incr dangling;
+    Some 0
   in
-  (* own the transfer's dirty epoch on the new image: tracked writes that
-     land during the window (fresh allocations, user code) are visible to
-     the remap eligibility check without touching anyone else's epoch *)
-  Aspace.epoch_reset new_image.P.i_aspace ~name:"mcr.transfer";
-  (match fault with
-  | Some f when Mcr_fault.Fault.consume f Mcr_fault.Fault.Transfer_conflict ->
-      conflictf st (Injected { detail = "injected transfer conflict" })
-  | _ -> ());
-  (* an Objgraph-level misclassification fault conflicts here: the pinned
-     object cannot be relocated, which the transfer must refuse *)
-  (match analysis.Objgraph.injected_pin with
-  | Some o ->
-      conflictf st
-        (Nonupdatable_changed
-           {
-             addr = o.addr;
-             ty_name = Option.value o.ty_name ~default:"<untyped>";
-             detail = "injected: spurious likely pointer pinned a relocatable object";
-             prov = provenance st o;
-           })
-  | None -> ());
-  let startup_index = build_startup_index new_image in
-  Objgraph.iter_reachable analysis (assign_dest st startup_index);
-  Objgraph.iter_reachable analysis (force_copy_pin_referrers st);
-  Objgraph.iter_reachable analysis (copy_object st);
-  Objgraph.iter_reachable analysis (fixup_object st);
-  if st.remap then remap_pass st;
-  let live_words = analysis.Objgraph.reachable_words in
-  let w = plan.Objgraph.sp_workers in
-  let costs = K.costs old_image.P.i_kernel in
-  let cost_ns =
-    if w <= 1 then st.cost
+  let remap_value v =
+    if v = 0 then Some 0
     else
-      Array.fold_left max 0 st.shard_cost
-      + (w * (costs.Costs.worker_spawn_ns + costs.Costs.worker_join_ns))
+      match Objgraph.resolve p.analysis v with
+      | Some (target, _) -> (
+          let delta = v - target.addr in
+          match p.dest.(target.id) with
+          | D_existing { addr; _ } | D_fresh { addr; _ } -> (
+              match translate_offset p target.id (delta / Addr.word_size) with
+              | Some w -> Some (Addr.add_words addr w + (delta mod Addr.word_size))
+              | None -> null () (* the pointed-at field was dropped by the update *))
+          | D_string addr -> Some (addr + delta)
+          | D_in_place | D_unreachable -> Some v
+          | D_dropped -> null ())
+      | None -> (
+          (* function pointers relocate by symbol *)
+          match Symtab.func_name_of_addr p.old_image.P.i_symtab v with
+          | Some fname -> (
+              match Symtab.func_addr p.new_image.P.i_symtab fname with
+              | addr -> Some addr
+              | exception Not_found -> null ())
+          | None -> None (* not a pointer we know; leave untouched *))
   in
+  let new_env = tyenv p.new_image in
+  let fixup_at at ty =
+    let slots = Ty.slots new_env ty in
+    let tyw = Array.length slots in
+    (* the pointer [ptr] of the word at [a], tagged with [meta] *)
+    let rewrite a ~ptr ~meta =
+      match remap_value ptr with
+      | Some ptr' when ptr' <> ptr ->
+          write a [| ptr' lor meta |];
+          poison a ~words:1
+      | Some _ | None -> ()
+    in
+    if tyw > 0 then
+      for w = 0 to Ty.sizeof_words new_env ty - 1 do
+        let a = Addr.add_words at w in
+        match slots.(w mod tyw) with
+        | Ty.Slot_ptr _ | Ty.Slot_void_ptr | Ty.Slot_func_ptr ->
+            rewrite a ~ptr:(Aspace.read_word dst a) ~meta:0
+        | Ty.Slot_encoded_ptr { mask; _ } ->
+            let v = Aspace.read_word dst a in
+            rewrite a ~ptr:(v land lnot mask) ~meta:(v land mask)
+        | Ty.Slot_scalar | Ty.Slot_opaque -> ()
+      done
+  in
+  Objgraph.iter_reachable p.analysis (fun o ->
+      match p.dest.(o.id) with
+      | D_existing { addr; ty = Some ty; copy = true } | D_fresh { addr; ty = Some ty } ->
+          fixup_at addr ty
+      (* typed pinned objects still get precise slot fixup; opaque pinned
+         objects are left verbatim (their targets are pinned too) *)
+      | D_in_place -> (
+          match o.ty with
+          | Some ty when not (Ty.contains_opaque (tyenv p.old_image) ty) -> fixup_at o.addr ty
+          | Some _ | None -> ())
+      | D_existing _ | D_fresh _ | D_string _ | D_dropped | D_unreachable -> ());
+  (* Zero-copy page remap. Any destination page whose content is
+     byte-identical to its page-aligned congruent source page need not
+     keep a private copy: the frame is shared into the new image
+     (refcounted, COW on first write). Running AFTER the copy keeps the
+     committed image byte-identical by construction — equality is checked
+     on the final bytes, so the pass only ever changes the virtual-time
+     cost and the physical backing, never observable content. *)
+  let shared =
+    Hashtbl.fold (fun pn page acc -> (pn, page) :: acc) pages []
+    |> List.sort compare
+    |> List.filter_map (fun (pn, page) ->
+           match page with
+           | Congruent { delta; shard; parts } when delta mod Addr.page_size = 0 ->
+               let dst_page = pn * Addr.page_size in
+               let src_page = dst_page - delta in
+               if
+                 src_page >= 0
+                 && Aspace.is_mapped_word src src_page
+                 && Aspace.is_mapped_word dst dst_page
+                 (* tracked writes during the window (e.g. fresh-allocation
+                    headers) mean the page is not purely transfer-installed *)
+                 && (not (Aspace.epoch_page_dirty dst ~name:"mcr.transfer" dst_page))
+                 && Aspace.pages_equal src src_page dst dst_page
+               then begin
+                 Aspace.share_page ~src src_page ~dst dst_page;
+                 Some (shard, parts)
+               end
+               else None
+           | Congruent _ | Poisoned -> None)
+  in
+  (!dangling, shared)
+
+let apply p =
+  let dangling, shared = store p in
+  let costs = K.costs p.old_image.P.i_kernel in
+  let twn = costs.Costs.transfer_word_ns and rpn = costs.Costs.remap_page_ns in
+  let sum f =
+    let n = ref 0 in
+    Objgraph.iter_reachable p.analysis (fun o -> n := !n + f o p.dest.(o.id) p.move.(o.id));
+    !n
+  in
+  let copies f = sum (fun o _ -> function Copy c -> f o c | Keep | Skip -> 0) in
+  let w = p.shards.Objgraph.sp_workers in
+  let shard_words = Array.make w 0 and shard_cost = Array.make w 0 in
+  Objgraph.iter_reachable p.analysis (fun o ->
+      match p.move.(o.id) with
+      | Copy { how; prepaid; _ } ->
+          let s = shard_of p o and n = copy_words how in
+          shard_words.(s) <- shard_words.(s) + n;
+          if not prepaid then shard_cost.(s) <- shard_cost.(s) + (n * twn)
+      | Keep | Skip -> ());
+  (* the remap retracts each shared page's copy charge for one page charge *)
+  List.iter
+    (fun (s, parts) ->
+      List.iter (fun (s, _, charged) -> shard_cost.(s) <- shard_cost.(s) - charged) parts;
+      shard_cost.(s) <- shard_cost.(s) + rpn)
+    shared;
+  let retracted = List.concat_map snd shared in
+  let sequential_cost_ns =
+    copies (fun _ c -> if c.prepaid then 0 else copy_words c.how * twn)
+    - List.fold_left (fun acc (_, _, charged) -> acc + charged) 0 retracted
+    + (List.length shared * rpn)
+  in
+  {
+    transferred_objects = copies (fun _ _ -> 1);
+    transferred_words = copies (fun _ c -> copy_words c.how);
+    skipped_clean = sum (fun _ _ -> function Skip -> 1 | Keep | Copy _ -> 0);
+    skipped_clean_words = sum (fun o _ -> function Skip -> o.words | Keep | Copy _ -> 0);
+    immutable_remapped = sum (fun _ d _ -> match d with D_in_place -> 1 | _ -> 0);
+    fresh_allocations = sum (fun _ d _ -> match d with D_fresh _ -> 1 | _ -> 0);
+    type_transformed =
+      copies (fun _ c ->
+          match c.how with
+          | Handler _ -> 1
+          | Reshape tp when not (Typlan.is_identity tp) -> 1
+          | Reshape _ | Verbatim _ -> 0);
+    dangling_zeroed = dangling;
+    conflicts = p.conflicts;
+    cost_ns =
+      (if w <= 1 then sequential_cost_ns
+       else
+         Array.fold_left max 0 shard_cost
+         + (w * (costs.Costs.worker_spawn_ns + costs.Costs.worker_join_ns)));
+    live_words = p.analysis.Objgraph.reachable_words;
+    precopied_objects = copies (fun _ c -> if c.prepaid then 1 else 0);
+    precopied_words = copies (fun _ c -> if c.prepaid then copy_words c.how else 0);
+    remapped_pages = List.length shared;
+    remapped_words = List.fold_left (fun acc (_, words, _) -> acc + words) 0 retracted;
+    hashed_words = copies (fun o _ -> if staged p.precopy o <> None then o.words else 0);
+    workers = w;
+    shard_words;
+    shard_cost_ns = shard_cost;
+    trace_shard_ns = p.shards.Objgraph.sp_trace_ns;
+    trace_critical_ns = Array.fold_left max 0 p.shards.Objgraph.sp_trace_ns;
+    sequential_cost_ns;
+  }
+
+let run ~old_image ~new_image ~analysis ?dirty_only ?remap ?precopy ?workers ?trace ?fault () =
   let outcome =
-    {
-      transferred_objects = st.objects_copied;
-      transferred_words = st.words_copied;
-      skipped_clean = st.skipped;
-      skipped_clean_words = st.skipped_w;
-      immutable_remapped = st.pinned;
-      fresh_allocations = st.fresh;
-      type_transformed = st.transformed;
-      dangling_zeroed = st.dangling;
-      conflicts = List.rev st.conflicts;
-      cost_ns;
-      live_words;
-      precopied_objects = st.precopied_objs;
-      precopied_words = st.precopied_w;
-      remapped_pages = st.remapped_pages;
-      remapped_words = st.remapped_w;
-      hashed_words = st.hashed_w;
-      workers = w;
-      shard_words = st.shard_w;
-      shard_cost_ns = st.shard_cost;
-      trace_shard_ns = plan.Objgraph.sp_trace_ns;
-      trace_critical_ns = Array.fold_left max 0 plan.Objgraph.sp_trace_ns;
-      sequential_cost_ns = st.cost;
-    }
+    apply (plan ~old_image ~new_image ~analysis ?dirty_only ?remap ?precopy ?workers ?fault ())
   in
   Trace.instant trace
     ~pid:(K.pid new_image.P.i_proc)
@@ -920,47 +757,26 @@ let run ~old_image ~new_image ~analysis ?(dirty_only = true) ?(remap = false) ?p
       ];
   outcome
 
-let conflict_obj = function
+let conflict_obj c =
+  let obj co_kind co_addr ty_name prov co_detail =
+    {
+      Mcr_error.co_kind;
+      co_addr;
+      co_ty = Some ty_name;
+      co_callstack = prov.callstack;
+      co_shard = prov.shard;
+      co_round = prov.round;
+      co_detail;
+    }
+  in
+  match c with
   | Nonupdatable_changed { addr; ty_name; detail; prov } ->
-      {
-        Mcr_error.co_kind = "nonupdatable_changed";
-        co_addr = addr;
-        co_ty = Some ty_name;
-        co_callstack = prov.callstack;
-        co_shard = prov.shard;
-        co_round = prov.round;
-        co_detail = detail;
-      }
-  | No_plan { addr; ty_name; detail; prov } ->
-      {
-        Mcr_error.co_kind = "no_plan";
-        co_addr = addr;
-        co_ty = Some ty_name;
-        co_callstack = prov.callstack;
-        co_shard = prov.shard;
-        co_round = prov.round;
-        co_detail = detail;
-      }
+      obj "nonupdatable_changed" addr ty_name prov detail
+  | No_plan { addr; ty_name; detail; prov } -> obj "no_plan" addr ty_name prov detail
   | Missing_type { addr; ty_name; prov } ->
-      {
-        Mcr_error.co_kind = "missing_type";
-        co_addr = addr;
-        co_ty = Some ty_name;
-        co_callstack = prov.callstack;
-        co_shard = prov.shard;
-        co_round = prov.round;
-        co_detail = "dirty object's type is absent from the new version";
-      }
+      obj "missing_type" addr ty_name prov "dirty object's type is absent from the new version"
   | Injected { detail } ->
-      {
-        Mcr_error.co_kind = "injected";
-        co_addr = 0;
-        co_ty = None;
-        co_callstack = 0;
-        co_shard = -1;
-        co_round = 0;
-        co_detail = detail;
-      }
+      { (obj "injected" 0 "" { shard = -1; round = 0; callstack = 0 } detail) with co_ty = None }
 
 let rollback_reason (conflicts : conflict list) =
   match conflicts with

@@ -139,6 +139,57 @@ val precopy_round :
 val precopy_rounds : precopy -> int
 (** Rounds staged into this session so far. *)
 
+(** {1 Transfer}
+
+    A transfer is a {!plan} and then one {!apply}. The plan reads the old
+    image and makes every decision before anything is stored; the apply is
+    the only code that stores a transferred word. {!run} is [apply (plan
+    ...)]. *)
+
+type plan
+(** Every decision of one pair's transfer: each reachable object's
+    destination, whether a clean referrer of pinned memory is forced to
+    copy, each copy's move (verbatim words, user handler or {!Typlan}
+    reshape) and whether pre-copy prepaid it, the pages to pin, and the
+    whole conflict list. *)
+
+val plan :
+  old_image:Mcr_program.Progdef.image ->
+  new_image:Mcr_program.Progdef.image ->
+  analysis:Objgraph.t ->
+  ?dirty_only:bool ->
+  ?remap:bool ->
+  ?precopy:precopy ->
+  ?workers:int ->
+  ?fault:Mcr_fault.Fault.t ->
+  unit ->
+  plan
+(** Decide the transfer ({!run} documents the arguments). Its only effects
+    on the new image are those that produce addresses: fresh destinations
+    are allocated ({!Mcr_alloc.Heap.malloc}, with their type and site
+    registrations), and the transfer's dirty epoch is opened first so that
+    their header stores keep those pages out of the remap. It consumes an
+    armed {!Mcr_fault.Fault.Transfer_conflict}. Conflicts come in this
+    order: injected, then nonupdatable and missing-type in address order,
+    then no-plan in address order. *)
+
+val apply : plan -> outcome
+(** Perform the plan: map the pin pages the new image lacks, store every
+    move, rewrite precise pointers through the destinations, and with
+    [remap] share the pages left byte-identical to their source. A
+    conflicting plan is applied and charged too; the caller rolls back.
+    Every outcome counter is derived from the plan, except
+    [dangling_zeroed] and the remap's retraction, which only the stores
+    can tell. *)
+
+val destinations : plan -> (Mcr_vmem.Addr.t * int) list
+(** The ranges (address, words) {!apply} may store into, in the old
+    objects' address order: each copied or fixed-up destination at its
+    extent in the new version, and each pinned object at its old address. *)
+
+val planned_conflicts : plan -> conflict list
+(** The plan's conflicts; [(apply p).conflicts] is the same list. *)
+
 val run :
   old_image:Mcr_program.Progdef.image ->
   new_image:Mcr_program.Progdef.image ->

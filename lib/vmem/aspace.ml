@@ -113,6 +113,12 @@ let clone t =
 
 type placement = Fixed of Addr.t | Near of Region.kind
 
+(* The end of every simulated address space: the 4 GiB of the 32-bit layout
+   the placement areas below model. The page table holds one entry per
+   mapped page, so this bound is also what keeps a region size read from
+   outside input from exhausting host memory. *)
+let ceiling = 1 lsl 32
+
 (* Customary placement areas, loosely modeled on a 32-bit Linux layout
    (the paper's testbed). Biased per address space to emulate cross-version
    layout changes. *)
@@ -174,7 +180,8 @@ let insert_region t (r : Region.t) =
   t.regions_arr <- out
 
 let map t ?(name = "") placement ~size kind =
-  if size <= 0 then invalid_arg "Aspace.map: size must be positive";
+  if size <= 0 || size > ceiling then
+    invalid_arg "Aspace.map: size must be positive and at most the ceiling";
   let size = round_pages size in
   let base =
     match placement with
@@ -187,6 +194,10 @@ let map t ?(name = "") placement ~size kind =
         base
     | Near k -> find_gap t ~from:(kind_base t k) ~size
   in
+  if base > ceiling - size then
+    invalid_arg
+      (Format.asprintf "Aspace.map: mapping %a+%d ends past the address-space ceiling" Addr.pp
+         base size);
   let first_page = Addr.page_of base in
   let npages = size / Addr.page_size in
   for i = 0 to npages - 1 do

@@ -53,12 +53,19 @@ type placement =
   | Fixed of Addr.t  (** Map exactly here (MAP_FIXED); fails on overlap. *)
   | Near of Region.kind  (** First free gap in the kind's customary area. *)
 
+val ceiling : int
+(** The end of every address space, 4 GiB (the 32-bit layout the placement
+    areas model): no mapping reaches past it. The page table holds one
+    entry per mapped page, so the bound also caps what a region read from
+    outside input can cost. *)
+
 val map : t -> ?name:string -> placement -> size:int -> Region.kind -> Addr.t
 (** [map t placement ~size kind] creates a zeroed mapping and returns its
     base. [size] is rounded up to whole pages. The pages start on the
     shared zero array, so mapping allocates no page contents; each page
     gets its own array on its first non-zero store.
-    @raise Invalid_argument on overlap with an existing region. *)
+    @raise Invalid_argument on overlap with an existing region, or when
+    the mapping would end past {!ceiling}. *)
 
 val unmap : t -> Addr.t -> unit
 (** [unmap t base] removes the region based at [base], releasing each

@@ -579,6 +579,8 @@ let test_region_table_malformed () =
       ("zero size", None, field Size 0 (fun _ -> 0));
       (* the last region, so that no region above it overlaps *)
       ("size not a page multiple", None, field Size last (fun v -> v + 8));
+      (* install would map every page of it *)
+      ("size 1 lsl 40", Some "ceiling", field Size last (fun _ -> 1 lsl 40));
       ("base not page-aligned", None, field Base 0 (fun v -> v + 8));
       ("base at the null page", None, field Base 0 (fun _ -> 0));
       ("base near the top of the address space", None, field Base 0 (fun _ -> max_int - page + 1));

@@ -22,26 +22,7 @@ let boot ?(requests = 3) () =
   let m = Manager.launch kernel (Listing1.v1 ()) in
   assert (Manager.wait_startup m ());
   for _ = 1 to requests do
-    let p =
-      K.spawn_process kernel ~image:(K.Fresh_image (Aspace.create ())) ~name:"c" ~entry:"main"
-        ~main:(fun _ ->
-          let rec connect n =
-            match K.syscall (S.Connect { port = Listing1.port }) with
-            | S.Ok_fd fd -> Some fd
-            | S.Err S.ECONNREFUSED when n > 0 ->
-                ignore (K.syscall (S.Nanosleep { ns = 1_000_000 }));
-                connect (n - 1)
-            | _ -> None
-          in
-          match connect 100 with
-          | Some fd ->
-              ignore (K.syscall (S.Write { fd; data = "GET /" }));
-              ignore (K.syscall (S.Read { fd; max = 256; nonblock = false }))
-          | None -> ())
-        ()
-    in
-    ignore
-      (K.run_until kernel ~max_ns:(K.clock_ns kernel + 60_000_000_000) (fun () -> not (K.alive p)))
+    Transfer_scenarios.listing1_request kernel
   done;
   (kernel, m)
 
@@ -401,6 +382,90 @@ let test_string_literals_remap () =
   Alcotest.(check string) "literal readable" "welcome"
     (Access.read_string image.P.i_aspace a)
 
+(* A golden transfer scenario as a hand-built pair: the old version booted
+   and loaded as the golden does it, and the new version started fresh in a
+   kernel of its own, which is what Manager.update pairs between restart
+   and restore. [transfer] plans or runs the pair under the scenario's
+   policy, with a fresh fault plan each time. *)
+let scenario_pair (s : Transfer_scenarios.t) transfer =
+  let old_image = Manager.root_image (Transfer_scenarios.old_side s) in
+  let new_image = Manager.root_image (s.boot (K.create ()) s.v2) in
+  let pol = s.policy in
+  let fault () = Option.map Mcr_fault.Fault.of_seed pol.Mcr_core.Policy.fault_seed in
+  let analysis = Objgraph.analyze ?fault:(fault ()) old_image in
+  let dirty_only = pol.dirty_only and workers = pol.transfer_workers in
+  let precopy =
+    if not pol.precopy then None
+    else begin
+      let pc = Transfer.precopy_create () in
+      ignore (Transfer.precopy_round pc ~old_image ~analysis ~dirty_only ~workers ());
+      Some pc
+    end
+  in
+  let args = (old_image, new_image, analysis, dirty_only, pol.transfer_remap, precopy, workers) in
+  (new_image, transfer args (fault ()))
+
+let plan_args (old_image, new_image, analysis, dirty_only, remap, precopy, workers) fault =
+  Transfer.plan ~old_image ~new_image ~analysis ~dirty_only ~remap ?precopy ~workers ?fault ()
+
+let run_args (old_image, new_image, analysis, dirty_only, remap, precopy, workers) fault =
+  Transfer.run ~old_image ~new_image ~analysis ~dirty_only ~remap ?precopy ~workers ?fault ()
+
+(* The addresses whose word differs between two address spaces, walking
+   [after]'s regions; a word [before] has no page for reads as zero. *)
+let changed_words ~before ~after =
+  let changed = ref [] in
+  List.iter
+    (fun (r : Region.t) ->
+      let page = ref r.Region.base in
+      while !page < r.Region.base + r.Region.size do
+        let p = !page in
+        if not (Aspace.is_mapped_word before p && Aspace.pages_equal before p after p) then
+          for i = 0 to (Addr.page_size / Addr.word_size) - 1 do
+            let a = Addr.add_words p i in
+            let old = if Aspace.is_mapped_word before a then Aspace.read_word before a else 0 in
+            if Aspace.read_word after a <> old then changed := a :: !changed
+          done;
+        page := Addr.add p Addr.page_size
+      done)
+    (Aspace.regions after);
+  !changed
+
+(* For every golden scenario, every word [apply] changes lies inside one of
+   the plan's destinations, and the plan's conflicts are [run]'s. *)
+let test_apply_stores_inside_plan () =
+  let render cs = List.map (Format.asprintf "%a" Transfer.pp_conflict) cs in
+  let stored = ref 0 in
+  List.iter
+    (fun (s : Transfer_scenarios.t) ->
+      let new_image, plan = scenario_pair s plan_args in
+      let before = Aspace.clone new_image.P.i_aspace in
+      let inside = Hashtbl.create 4096 in
+      List.iter
+        (fun (base, words) ->
+          for i = 0 to words - 1 do
+            Hashtbl.replace inside (Addr.add_words base i) ()
+          done)
+        (Transfer.destinations plan);
+      let planned = Transfer.planned_conflicts plan in
+      let outcome = Transfer.apply plan in
+      let changed = changed_words ~before ~after:new_image.P.i_aspace in
+      stored := !stored + List.length changed;
+      List.iter
+        (fun a ->
+          if not (Hashtbl.mem inside a) then
+            Alcotest.failf "%s: apply stored outside the plan at %a" s.name Addr.pp a)
+        changed;
+      Alcotest.(check (list string))
+        (s.name ^ ": apply reports the plan's conflicts")
+        (render planned) (render outcome.Transfer.conflicts);
+      let _, ran = scenario_pair s run_args in
+      Alcotest.(check (list string))
+        (s.name ^ ": the plan's conflicts are run's")
+        (render ran.Transfer.conflicts) (render planned))
+    (Transfer_scenarios.all ());
+  Alcotest.(check bool) "the scenarios store something" true (!stored > 0)
+
 let () =
   Alcotest.run "mcr_trace"
     [
@@ -431,5 +496,7 @@ let () =
           Alcotest.test_case "string literals remap" `Quick test_string_literals_remap;
           Alcotest.test_case "interior ptr follows reorder" `Quick
             test_interior_pointer_follows_reordered_field;
+          Alcotest.test_case "apply stores only inside the plan" `Quick
+            test_apply_stores_inside_plan;
         ] );
     ]
