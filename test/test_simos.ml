@@ -245,8 +245,69 @@ let test_backlog_refuses_when_full () =
   K.run k;
   Alcotest.(check int) "two refused" 2 !refused
 
-(* ------------------------------------------------------------------ *)
-(* Poll *)
+let listen_tcp port ~backlog =
+  let fd = expect_fd (K.syscall S.Socket) in
+  ignore (K.syscall (S.Bind { fd; port }));
+  ignore (K.syscall (S.Listen { fd; backlog }));
+  fd
+
+let test_accept_timed () =
+  let k = fresh () in
+  let timed_out = ref S.Ok_unit and waited = ref 0 in
+  let accepted = ref S.Ok_unit and accepted_at = ref 0 in
+  let _ =
+    spawn k "server" (fun _ ->
+        let fd = listen_tcp 80 ~backlog:4 in
+        let t0 = K.clock_ns k in
+        timed_out := K.syscall (S.Accept_timed { fd; timeout_ns = 1_000_000 });
+        waited := K.clock_ns k - t0;
+        accepted := K.syscall (S.Accept_timed { fd; timeout_ns = 50_000_000 });
+        accepted_at := K.clock_ns k)
+  in
+  let _ =
+    spawn k "client" (fun _ ->
+        ignore (K.syscall (S.Nanosleep { ns = 5_000_000 }));
+        ignore (connect_retry 80))
+  in
+  K.run k;
+  Alcotest.(check bool) "no connection: ETIMEDOUT" true (!timed_out = S.Err S.ETIMEDOUT);
+  Alcotest.(check bool) "timed out after the timeout" true (!waited >= 1_000_000);
+  Alcotest.(check bool) "connection within the timeout accepted" true
+    (match !accepted with S.Ok_fd _ -> true | _ -> false);
+  Alcotest.(check bool) "accepted when the connection arrived" true
+    (!accepted_at >= 5_000_000 && !accepted_at < 50_000_000)
+
+(* TCP refuses past the listen backlog; a Unix-domain listener has no cap. *)
+let test_backlog_tcp_capped_unix_not () =
+  let k = fresh () in
+  let tcp = ref [] and unix_ok = ref 0 in
+  let _ =
+    spawn k "server" (fun _ ->
+        ignore (listen_tcp 80 ~backlog:2);
+        ignore (K.syscall (S.Unix_listen { path = "/run/u" }));
+        (* never accept *)
+        ignore (K.syscall (S.Nanosleep { ns = 1_000_000_000 })))
+  in
+  let _ =
+    spawn k "clients" (fun _ ->
+        ignore (K.syscall (S.Nanosleep { ns = 10_000 }));
+        for _ = 1 to 3 do
+          tcp := K.syscall (S.Connect { port = 80 }) :: !tcp
+        done;
+        for _ = 1 to 70 do
+          match K.syscall (S.Unix_connect { path = "/run/u" }) with
+          | S.Ok_fd _ -> incr unix_ok
+          | r -> Alcotest.failf "unix_connect: %a" S.pp_result r
+        done)
+  in
+  K.run k;
+  (match List.rev !tcp with
+  | [ S.Ok_fd _; S.Ok_fd _; S.Err S.ECONNREFUSED ] -> ()
+  | rs ->
+      Alcotest.failf "tcp connects: %s"
+        (String.concat ", " (List.map (Format.asprintf "%a" S.pp_result) rs)));
+  Alcotest.(check int) "every unix connect queued" 70 !unix_ok
+
 
 let test_poll_returns_ready_fd () =
   let k = fresh () in
@@ -453,6 +514,52 @@ let test_waitpid_blocks_until_exit () =
   K.run k;
   Alcotest.(check int) "waited status" 3 !status
 
+let test_fork_child_identity () =
+  let k = fresh () in
+  let fork_cs = ref 0 and child_pid = ref 0 and parent_fds = ref [] and child_fds = ref [] in
+  let after_child_close = ref S.Ok_unit and after_last_close = ref S.Ok_unit in
+  let rebind = ref S.Ok_unit in
+  let parent =
+    spawn k "p" (fun th ->
+        let proc = K.thread_proc th in
+        let fd = listen_tcp 80 ~backlog:4 in
+        K.set_entry_resolver proc (fun entry ->
+            if entry = "w" then
+              Some
+                (fun wth ->
+                  child_fds := K.fds (K.thread_proc wth);
+                  ignore (K.syscall (S.Close { fd })))
+            else None);
+        K.push_frame th "main";
+        K.push_frame th "spawn_workers";
+        fork_cs := K.callstack_id th;
+        child_pid := expect_pid (K.syscall (S.Fork { entry = "w" }));
+        parent_fds := K.fds proc;
+        ignore (K.syscall (S.Waitpid { pid = !child_pid }));
+        (* the child's close and exit dropped only its own references *)
+        after_child_close := K.syscall (S.Connect { port = 80 });
+        ignore (K.syscall (S.Close { fd }));
+        after_last_close := K.syscall (S.Connect { port = 80 });
+        let fd2 = expect_fd (K.syscall S.Socket) in
+        rebind := K.syscall (S.Bind { fd = fd2; port = 80 }))
+  in
+  K.run k;
+  match K.find_proc k !child_pid with
+  | None -> Alcotest.fail "child not found"
+  | Some child ->
+      Alcotest.(check string) "name parent:entry" "p:w" (K.proc_name child);
+      Alcotest.(check int) "ppid is the parent's pid" (K.pid parent) (K.parent_pid child);
+      Alcotest.(check int) "creation callstack is the forking thread's" !fork_cs
+        (K.creation_callstack child);
+      Alcotest.(check (list string)) "initial thread named after the entry" [ "w" ]
+        (List.map K.thread_name (K.proc_threads child));
+      Alcotest.(check (list int)) "child starts with the parent's fds" !parent_fds !child_fds;
+      Alcotest.(check bool) "listener survives the child's close" true
+        (match !after_child_close with S.Ok_fd _ -> true | _ -> false);
+      Alcotest.(check bool) "last close releases the listener" true
+        (!after_last_close = S.Err S.ECONNREFUSED);
+      Alcotest.(check bool) "port free again" true (!rebind = S.Ok_unit)
+
 let test_waitpid_unknown_echild () =
   let k = fresh () in
   let res = ref S.Ok_unit in
@@ -507,6 +614,65 @@ let test_sem_counts () =
   K.run k;
   Alcotest.(check int) "two of three served" 2 !served
 
+(* A poster process's Sem_post and the controller's K.post_semaphore must be
+   indistinguishable to the waiter. *)
+let test_sem_post_paths_alike () =
+  let run ~post =
+    let k = fresh () in
+    let results = ref [] and completions = ref [] and blocked = ref [] in
+    K.set_block_monitor k
+      (Some
+         (fun _ call ~blocked_ns ->
+           if S.call_name call = "sem_wait" then blocked := blocked_ns :: !blocked));
+    let waiter =
+      spawn k "waiter" (fun _ ->
+          let r1 = K.syscall (S.Sem_wait { name = "s"; timeout_ns = None }) in
+          let r2 = K.syscall (S.Sem_wait { name = "s"; timeout_ns = Some 1000 }) in
+          results := [ r1; r2 ])
+    in
+    K.set_monitor waiter
+      (Some (fun _ call r -> completions := (S.call_name call, r) :: !completions));
+    let early = ref S.Ok_unit in
+    (match post with
+    | `Syscall ->
+        ignore
+          (spawn k "poster" (fun _ ->
+               ignore (K.syscall (S.Nanosleep { ns = 1_000_000 }));
+               ignore (K.syscall (S.Sem_post { name = "s" }));
+               ignore (K.syscall (S.Sem_post { name = "pre" }));
+               early := K.syscall (S.Sem_wait { name = "pre"; timeout_ns = Some 1000 })))
+    | `Kernel ->
+        (* the waiter parks; the controller posts 1 ms later *)
+        K.run k;
+        K.charge k 1_000_000;
+        K.post_semaphore k "s";
+        K.post_semaphore k "pre";
+        ignore
+          (spawn k "poster" (fun _ ->
+               early := K.syscall (S.Sem_wait { name = "pre"; timeout_ns = Some 1000 }))));
+    K.run k;
+    (!results, List.rev !completions, List.rev !blocked, !early)
+  in
+  let pp_rs rs = String.concat ", " (List.map (Format.asprintf "%a" S.pp_result) rs) in
+  List.iter
+    (fun (label, post) ->
+      let results, completions, blocked, early = run ~post in
+      Alcotest.(check string) (label ^ ": waiter results") "ok, ETIMEDOUT" (pp_rs results);
+      Alcotest.(check (list string)) (label ^ ": monitor saw both waits")
+        [ "sem_wait"; "sem_wait" ] (List.map fst completions);
+      Alcotest.(check string) (label ^ ": monitor results") "ok, ETIMEDOUT"
+        (pp_rs (List.map snd completions));
+      (match blocked with
+      | [ first; second ] ->
+          Alcotest.(check bool) (label ^ ": first wait blocked until the post") true
+            (first >= 900_000 && first < 1_100_000);
+          Alcotest.(check bool) (label ^ ": second wait blocked for its timeout") true
+            (second >= 1000 && second < 100_000)
+      | _ -> Alcotest.failf "%s: %d blocked waits, expected 2" label (List.length blocked));
+      Alcotest.(check bool) (label ^ ": a post before the wait is counted") true
+        (early = S.Ok_unit))
+    [ ("syscall", `Syscall); ("kernel", `Kernel) ]
+
 (* ------------------------------------------------------------------ *)
 (* Unix sockets and fd passing *)
 
@@ -526,6 +692,52 @@ let test_unix_socket_roundtrip () =
   in
   K.run k;
   Alcotest.(check string) "command received" "UPDATE" !got
+
+(* A parked Unix-domain listener completes connects into its SYN-queue
+   analog: invisible to Accept and Poll until unpark moves them, in arrival
+   order, into the backlog; the parking ledger counts each one. *)
+let test_unix_connect_parked () =
+  let k = fresh () in
+  let while_parked = ref S.Ok_unit and poll_parked = ref S.Ok_unit and got = ref [] in
+  let daemon =
+    spawn k "daemon" (fun _ ->
+        let lfd = expect_fd (K.syscall (S.Unix_listen { path = "/run/p.sock" })) in
+        ignore (K.syscall (S.Sem_wait { name = "checked"; timeout_ns = None }));
+        while_parked := K.syscall (S.Accept { fd = lfd; nonblock = true });
+        poll_parked := K.syscall (S.Poll { fds = [ lfd ]; timeout_ns = None; nonblock = true });
+        ignore (K.syscall (S.Sem_wait { name = "unparked"; timeout_ns = None }));
+        for _ = 1 to 3 do
+          let conn = expect_fd (K.syscall (S.Accept { fd = lfd; nonblock = true })) in
+          got := expect_data (K.syscall (S.Read { fd = conn; max = 8; nonblock = false })) :: !got
+        done)
+  in
+  ignore (K.run_until k ~max_ns:1_000_000 (fun () -> K.fds daemon <> []));
+  Alcotest.(check int) "one listener parked" 1 (K.park_listeners k daemon);
+  let connected = ref 0 in
+  List.iter
+    (fun i ->
+      ignore
+        (spawn k (Printf.sprintf "c%d" i) (fun _ ->
+             ignore (K.syscall (S.Nanosleep { ns = i * 1000 }));
+             let fd = expect_fd (K.syscall (S.Unix_connect { path = "/run/p.sock" })) in
+             incr connected;
+             ignore (K.syscall (S.Write { fd; data = Printf.sprintf "c%d" i })))))
+    [ 1; 2; 3 ];
+  ignore (K.run_until k ~max_ns:(K.clock_ns k + 1_000_000) (fun () -> false));
+  Alcotest.(check int) "every connect completed" 3 !connected;
+  K.post_semaphore k "checked";
+  ignore (K.run_until k ~max_ns:(K.clock_ns k + 1_000_000) (fun () -> false));
+  Alcotest.(check bool) "parked connection invisible to Accept" true
+    (!while_parked = S.Err S.EAGAIN);
+  Alcotest.(check bool) "parked connection invisible to Poll" true (!poll_parked = S.Ok_ready []);
+  let s = K.parking_stats k in
+  Alcotest.(check (list int)) "parked, not yet resumed" [ 3; 0; 0 ] [ s.parked; s.resumed; s.aborted ];
+  Alcotest.(check int) "unpark resumes all three" 3 (K.unpark_listeners k daemon);
+  K.post_semaphore k "unparked";
+  K.run k;
+  Alcotest.(check (list string)) "accepted in arrival order" [ "c1"; "c2"; "c3" ] (List.rev !got);
+  let s = K.parking_stats k in
+  Alcotest.(check (list int)) "ledger after unpark" [ 3; 3; 0 ] [ s.parked; s.resumed; s.aborted ]
 
 let test_fd_passing () =
   let k = fresh () in
@@ -920,7 +1132,11 @@ let () =
           Alcotest.test_case "nonblocking EAGAIN" `Quick test_nonblocking_accept_eagain;
           Alcotest.test_case "partial reads ordered" `Quick test_partial_read_preserves_order;
           Alcotest.test_case "backlog refusal" `Quick test_backlog_refuses_when_full;
+          Alcotest.test_case "accept_timed" `Quick test_accept_timed;
+          Alcotest.test_case "tcp backlog capped, unix not" `Quick test_backlog_tcp_capped_unix_not;
         ] );
+      ( "parking",
+        [ Alcotest.test_case "unix connect to a parked listener" `Quick test_unix_connect_parked ] );
       ( "poll",
         [
           Alcotest.test_case "ready fd" `Quick test_poll_returns_ready_fd;
@@ -941,12 +1157,14 @@ let () =
           Alcotest.test_case "threads share memory" `Quick test_thread_create_and_shared_memory;
           Alcotest.test_case "waitpid blocks" `Quick test_waitpid_blocks_until_exit;
           Alcotest.test_case "waitpid ECHILD" `Quick test_waitpid_unknown_echild;
+          Alcotest.test_case "fork child identity" `Quick test_fork_child_identity;
         ] );
       ( "semaphores",
         [
           Alcotest.test_case "wait/post" `Quick test_sem_wait_post;
           Alcotest.test_case "timeout" `Quick test_sem_timeout;
           Alcotest.test_case "counting" `Quick test_sem_counts;
+          Alcotest.test_case "syscall and kernel post alike" `Quick test_sem_post_paths_alike;
         ] );
       ( "unix-fd-passing",
         [
