@@ -97,79 +97,50 @@ let unblockified t call =
     end
     else false
   in
-  let wait_fd fd =
-    ignore (K.syscall (S.Poll { fds = [ fd ]; timeout_ns = Some qtick_ns; nonblock = false }))
+  (* a call with an optional timeout, waited in slices of at most [qtick_ns];
+     [expired] is its answer when a slice runs out *)
+  let sliced timeout_ns ~expired call_for =
+    let rec go remaining =
+      if hook () then S.Err S.EINTR
+      else begin
+        let slice = match remaining with Some r -> min qtick_ns r | None -> qtick_ns in
+        match K.syscall (call_for slice) with
+        | res when res = expired -> begin
+            match remaining with
+            | Some r when r <= slice -> expired
+            | Some r -> go (Some (r - slice))
+            | None -> go None
+          end
+        | res -> res
+      end
+    in
+    go timeout_ns
   in
   match call with
   | S.Accept a ->
       (* the timeout-based variant (semtimedop-style): wakes one acceptor
          per connection rather than thundering every wrapped poller *)
-      let rec go () =
-        if hook () then S.Err S.EINTR
-        else
-          match K.syscall (S.Accept_timed { fd = a.fd; timeout_ns = qtick_ns }) with
-          | S.Err S.ETIMEDOUT -> go ()
-          | r -> r
-      in
-      go ()
+      sliced None ~expired:(S.Err S.ETIMEDOUT) (fun slice ->
+          S.Accept_timed { fd = a.fd; timeout_ns = slice })
   | S.Read r ->
       let rec go () =
         if hook () then S.Err S.EINTR
         else
           match K.syscall (S.Read { r with nonblock = true }) with
           | S.Err S.EAGAIN ->
-              wait_fd r.fd;
-              go ()
-          | res -> res
-      in
-      go ()
-  | S.Recv_fd r ->
-      let rec go () =
-        if hook () then S.Err S.EINTR
-        else
-          match K.syscall (S.Recv_fd { r with nonblock = true }) with
-          | S.Err S.EAGAIN ->
-              wait_fd r.conn;
+              ignore
+                (K.syscall
+                   (S.Poll { fds = [ r.fd ]; timeout_ns = Some qtick_ns; nonblock = false }));
               go ()
           | res -> res
       in
       go ()
   | S.Poll p ->
-      let rec go remaining =
-        if hook () then S.Err S.EINTR
-        else begin
-          let slice =
-            match remaining with Some r -> min qtick_ns r | None -> qtick_ns
-          in
-          match K.syscall (S.Poll { p with timeout_ns = Some slice }) with
-          | S.Ok_ready [] -> begin
-              match remaining with
-              | Some r when r <= slice -> S.Ok_ready []
-              | Some r -> go (Some (r - slice))
-              | None -> go None
-            end
-          | res -> res
-        end
-      in
-      go p.timeout_ns
+      sliced p.timeout_ns ~expired:(S.Ok_ready []) (fun slice ->
+          S.Poll { p with timeout_ns = Some slice })
   | S.Sem_wait s ->
-      let rec go remaining =
-        if hook () then S.Err S.EINTR
-        else begin
-          let slice =
-            match remaining with Some r -> min qtick_ns r | None -> qtick_ns
-          in
-          match K.syscall (S.Sem_wait { s with timeout_ns = Some slice }) with
-          | S.Err S.ETIMEDOUT -> begin
-              match remaining with
-              | Some r when r <= slice -> S.Err S.ETIMEDOUT
-              | Some r -> go (Some (r - slice))
-              | None -> go None
-            end
-          | res -> res
-        end
-      in
-      go s.timeout_ns
+      sliced s.timeout_ns ~expired:(S.Err S.ETIMEDOUT) (fun slice ->
+          S.Sem_wait { s with timeout_ns = Some slice })
   | call ->
       (* calls with no unblockifiable variant pass through *)
       K.syscall call

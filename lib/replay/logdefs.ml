@@ -38,7 +38,7 @@ let replay_class (call : S.call) =
   | S.Open_at _ (* replay-internal; never recorded *)
   | S.Accept _ | S.Accept_timed _ | S.Connect _ | S.Read _ | S.Write _ | S.Poll _ | S.Thread_create _
   | S.Waitpid _ | S.Exit _ | S.Nanosleep _ | S.Sem_wait _ | S.Sem_post _
-  | S.Unix_connect _ | S.Send_fd _ | S.Recv_fd _ | S.Recv_fd_at _ ->
+  | S.Unix_connect _ ->
       false
 
 (* Same call constructor (used for consuming live-class entries without

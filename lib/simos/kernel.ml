@@ -8,7 +8,6 @@ type payload = ..
 
 type endpoint = {
   inbox : string Queue.t;
-  fd_inbox : desc Queue.t;
   mutable peer : endpoint option;
   mutable local_closed : bool;
   mutable ep_waiters : waiter list;
@@ -39,8 +38,6 @@ and waiter = {
   w_thread : thread;
   mutable fired : bool;
   check : unit -> S.result option;
-  blocked_since : int;
-  w_call : S.call;
   deliver : S.result -> unit;
 }
 
@@ -285,7 +282,7 @@ let run_for t ns =
    the client-side retry dynamics an update window causes. *)
 let charge_concurrent t ns =
   let deadline = t.clock + ns in
-  while t.clock < deadline && step t ~deadline () do () done;
+  run_for t ns;
   if t.clock < deadline then t.clock <- deadline
 
 let quiescent_system t = Queue.is_empty t.runq && Theap.is_empty t.timers
@@ -320,6 +317,20 @@ let notify_listener l =
 
 let notify_sem s =
   notify_waiters (fun s -> s.sem_waiters) (fun s ws -> s.sem_waiters <- ws) s
+
+(* Named semaphores come into existence at their first use. *)
+let sem_named t name =
+  match Hashtbl.find_opt t.sems name with
+  | Some s -> s
+  | None ->
+      let s = { count = 0; sem_waiters = [] } in
+      Hashtbl.replace t.sems name s;
+      s
+
+let post_semaphore t name =
+  let sem = sem_named t name in
+  sem.count <- sem.count + 1;
+  notify_sem sem
 
 (* ------------------------------------------------------------------ *)
 (* Processes and fds *)
@@ -434,6 +445,47 @@ let process_exit t p status =
 let kill_process t p ~status = process_exit t p status
 
 (* ------------------------------------------------------------------ *)
+(* Connections *)
+
+let new_listener addr ~backlog =
+  {
+    backlog_q = Queue.create ();
+    backlog;
+    l_addr = addr;
+    l_waiters = [];
+    l_closed = false;
+    l_parked = false;
+    parked_q = Queue.create ();
+  }
+
+let stream_desc ep = { refs = 1; obj = Tcp { role = Stream ep } }
+
+(* Connect [p] to the listener behind [desc] (TCP or Unix-domain; a Unix
+   listener's backlog is unbounded). The handshake completes at once: the
+   server end joins the accept backlog, or, while the listener is parked,
+   the SYN-queue analog — invisible to Accept and Poll until unpark. *)
+let connect t p desc =
+  match desc with
+  | Some { obj = Tcp { role = Listening l }; _ } when not l.l_closed ->
+      if (not l.l_parked) && Queue.length l.backlog_q >= l.backlog then S.Err S.ECONNREFUSED
+      else begin
+        let endpoint peer = { inbox = Queue.create (); peer; local_closed = false; ep_waiters = [] } in
+        let client_ep = endpoint None in
+        let server_ep = endpoint (Some client_ep) in
+        client_ep.peer <- Some server_ep;
+        if l.l_parked then begin
+          Queue.push server_ep l.parked_q;
+          t.parked_total <- t.parked_total + 1
+        end
+        else begin
+          Queue.push server_ep l.backlog_q;
+          notify_listener l
+        end;
+        S.Ok_fd (alloc_fd p (stream_desc client_ep))
+      end
+  | Some _ | None -> S.Err S.ECONNREFUSED
+
+(* ------------------------------------------------------------------ *)
 (* Threads *)
 
 let tid th = th.t_tid
@@ -502,7 +554,9 @@ and spawn_thread t p ~name body =
   start_thread t th body;
   th
 
-and spawn_process t ?parent ?force_pid ~image ~name ~entry ~main () =
+(* The one constructor of a process. [creation_cs] is the call-stack id of
+   the [Fork] that creates it, 0 for roots. *)
+and new_process t ?parent ?force_pid ~creation_cs ~image ~name ~entry ~main () =
   charge t t.costs.Costs.spawn_ns;
   let pid =
     match force_pid with
@@ -518,13 +572,13 @@ and spawn_process t ?parent ?force_pid ~image ~name ~entry ~main () =
         t.next_pid <- pid + 1;
         pid
   in
-  let asp, fdt, creation_cs =
+  let asp, fdt =
     match image with
-    | Fresh_image asp -> (asp, Hashtbl.create 16, 0)
+    | Fresh_image asp -> (asp, Hashtbl.create 16)
     | Clone_image src ->
         let fdt = Hashtbl.copy src.p_fdt in
         Hashtbl.iter (fun _ d -> d.refs <- d.refs + 1) fdt;
-        (Aspace.clone src.p_aspace, fdt, 0)
+        (Aspace.clone src.p_aspace, fdt)
   in
   let p =
     {
@@ -552,89 +606,29 @@ and spawn_process t ?parent ?force_pid ~image ~name ~entry ~main () =
   start_thread t th main;
   p
 
+and resolve_entry p entry = Option.bind p.p_resolver (fun resolve -> resolve entry)
+
 and fork_process t (parent_thread : thread) entry =
   let parent = parent_thread.t_proc in
-  match parent.p_resolver with
+  match resolve_entry parent entry with
   | None -> Error S.EINVAL
-  | Some resolver -> begin
-      match resolver entry with
-      | None -> Error S.EINVAL
-      | Some body ->
-          charge t t.costs.Costs.spawn_ns;
-          let pid = t.next_pid in
-          t.next_pid <- pid + 1;
-          let fdt = Hashtbl.copy parent.p_fdt in
-          Hashtbl.iter (fun _ d -> d.refs <- d.refs + 1) fdt;
-          let p =
-            {
-              p_pid = pid;
-              p_ppid = parent.p_pid;
-              p_name = parent.p_name ^ ":" ^ entry;
-              p_aspace = Aspace.clone parent.p_aspace;
-              p_fdt = fdt;
-              p_reserved_mode = parent.p_reserved_mode;
-              p_next_reserved = parent.p_next_reserved;
-              p_alive = true;
-              p_status = None;
-              p_threads = [];
-              p_resolver = parent.p_resolver;
-              p_interceptor = None;
-              p_monitor = None;
-              p_payload = None;
-              p_exit_waiters = [];
-              p_creation_callstack = callstack_id parent_thread;
-            }
-          in
-          register t p;
-          (match t.spawn_hook with Some h -> h p | None -> ());
-          let th = make_thread t p ~name:entry in
-          start_thread t th body;
-          Ok p
-    end
+  | Some body ->
+      Ok
+        (new_process t ~parent ~creation_cs:(callstack_id parent_thread)
+           ~image:(Clone_image parent) ~name:(parent.p_name ^ ":" ^ entry) ~entry ~main:body ())
 
 (* ---------------------------------------------------------------- *)
 (* Blocking helpers *)
 
 and park t th call (k : (S.result, unit) Effect.Deep.continuation) ~check ~registers ~timeout =
+  let since = t.clock in
   th.t_state <- Blocked call;
-  th.t_blocked_since <- t.clock;
-  let w =
-    {
-      w_thread = th;
-      fired = false;
-      check;
-      blocked_since = t.clock;
-      w_call = call;
-      deliver = (fun _ -> ());
-    }
+  th.t_blocked_since <- since;
+  let deliver r =
+    th.t_state <- Running;
+    finish ~blocked_since:since t th call k r
   in
-  (* tie the knot: deliver needs the waiter for blocked-time accounting *)
-  let w =
-    { w with
-      deliver =
-        (fun r ->
-          th.t_state <- Running;
-          let r =
-            match th.t_result_map with
-            | Some f ->
-                th.t_result_map <- None;
-                f r
-            | None -> r
-          in
-          let call =
-            match th.t_call_report with
-            | Some c ->
-                th.t_call_report <- None;
-                c
-            | None -> call
-          in
-          (match t.block_monitor with
-          | Some m -> m th call ~blocked_ns:(t.clock - w.blocked_since)
-          | None -> ());
-          (match th.t_proc.p_monitor with Some m -> m th call r | None -> ());
-          schedule t (fun () -> Effect.Deep.continue k r));
-    }
-  in
+  let w = { w_thread = th; fired = false; check; deliver } in
   List.iter (fun reg -> reg w) registers;
   (match timeout with
   | Some (ns, timeout_result) -> add_timer t ~at:(t.clock + ns) (fun () -> fire_timeout w timeout_result)
@@ -680,7 +674,10 @@ and execute_faultable t th call (k : (S.result, unit) Effect.Deep.continuation) 
     end
   | Some _ | None -> execute_call t th call k
 
-and finish t th call (k : (S.result, unit) Effect.Deep.continuation) r =
+(* Every completion — immediate, after a park ([blocked_since]), or
+   injected — maps the result, reports the original call to the monitors
+   and resumes the thread. *)
+and finish ?blocked_since t th call (k : (S.result, unit) Effect.Deep.continuation) r =
   let r = match th.t_result_map with Some f -> th.t_result_map <- None; f r | None -> r in
   let call =
     match th.t_call_report with
@@ -689,6 +686,9 @@ and finish t th call (k : (S.result, unit) Effect.Deep.continuation) r =
         c
     | None -> call
   in
+  (match (blocked_since, t.block_monitor) with
+  | Some since, Some m -> m th call ~blocked_ns:(t.clock - since)
+  | _ -> ());
   (match th.t_proc.p_monitor with Some m -> m th call r | None -> ());
   schedule t (fun () -> Effect.Deep.continue k r)
 
@@ -706,7 +706,6 @@ and readable _t p fd =
       | Listening l -> not (Queue.is_empty l.backlog_q)
       | Stream ep ->
           (not (Queue.is_empty ep.inbox))
-          || (not (Queue.is_empty ep.fd_inbox))
           || (match ep.peer with Some peer -> peer.local_closed | None -> true)
       | Unbound | Bound _ -> false
     end
@@ -792,108 +791,37 @@ and execute_call t th call (k : (S.result, unit) Effect.Deep.continuation) =
       | Some { obj = Tcp r; _ } -> begin
           match r.role with
           | Bound addr ->
-              r.role <-
-                Listening
-                  {
-                    backlog_q = Queue.create ();
-                    backlog;
-                    l_addr = addr;
-                    l_waiters = [];
-                    l_closed = false;
-                    l_parked = false;
-                    parked_q = Queue.create ();
-                  };
+              r.role <- Listening (new_listener addr ~backlog);
               ret S.Ok_unit
           | Unbound | Listening _ | Stream _ -> ret (S.Err S.EINVAL)
         end
       | Some _ -> ret (S.Err S.EINVAL)
       | None -> ret (S.Err S.EBADF)
     end
-  | S.Accept { fd; nonblock } -> begin
+  | S.Accept { fd; _ } | S.Accept_timed { fd; _ } -> begin
       match find_fd proc fd with
-      | Some { obj = Tcp { role = Listening l }; _ } ->
+      | Some { obj = Tcp { role = Listening l }; _ } -> begin
           let accept_one () =
             if Queue.is_empty l.backlog_q then None
-            else begin
-              let server_ep = Queue.pop l.backlog_q in
-              let desc = { refs = 1; obj = Tcp { role = Stream server_ep } } in
-              Some (S.Ok_fd (alloc_fd proc desc))
-            end
+            else Some (S.Ok_fd (alloc_fd proc (stream_desc (Queue.pop l.backlog_q))))
           in
-          begin
-            match accept_one () with
-            | Some r -> ret r
-            | None ->
-                if nonblock then ret (S.Err S.EAGAIN)
-                else
-                  park t th call k ~check:accept_one
-                    ~registers:[ (fun w -> l.l_waiters <- w :: l.l_waiters) ]
-                    ~timeout:None
-          end
+          match (accept_one (), call) with
+          | Some r, _ -> ret r
+          | None, S.Accept { nonblock = true; _ } -> ret (S.Err S.EAGAIN)
+          | None, _ ->
+              let timeout =
+                match call with
+                | S.Accept_timed { timeout_ns; _ } -> Some (timeout_ns, S.Err S.ETIMEDOUT)
+                | _ -> None
+              in
+              park t th call k ~check:accept_one
+                ~registers:[ (fun w -> l.l_waiters <- w :: l.l_waiters) ]
+                ~timeout
+        end
       | Some _ -> ret (S.Err S.EINVAL)
       | None -> ret (S.Err S.EBADF)
     end
-  | S.Accept_timed { fd; timeout_ns } -> begin
-      match find_fd proc fd with
-      | Some { obj = Tcp { role = Listening l }; _ } ->
-          let accept_one () =
-            if Queue.is_empty l.backlog_q then None
-            else begin
-              let server_ep = Queue.pop l.backlog_q in
-              let desc = { refs = 1; obj = Tcp { role = Stream server_ep } } in
-              Some (S.Ok_fd (alloc_fd proc desc))
-            end
-          in
-          begin
-            match accept_one () with
-            | Some r -> ret r
-            | None ->
-                park t th call k ~check:accept_one
-                  ~registers:[ (fun w -> l.l_waiters <- w :: l.l_waiters) ]
-                  ~timeout:(Some (timeout_ns, S.Err S.ETIMEDOUT))
-          end
-      | Some _ -> ret (S.Err S.EINVAL)
-      | None -> ret (S.Err S.EBADF)
-    end
-  | S.Connect { port } -> begin
-      match Hashtbl.find_opt t.ports port with
-      | Some { obj = Tcp { role = Listening l }; _ } when not l.l_closed ->
-          if l.l_parked then begin
-            (* Parked listener: the handshake still completes (no refusal),
-               but the connection waits in the SYN-queue analog until
-               unpark — invisible to Accept and Poll meanwhile. *)
-            let client_ep =
-              { inbox = Queue.create (); fd_inbox = Queue.create (); peer = None;
-                local_closed = false; ep_waiters = [] }
-            in
-            let server_ep =
-              { inbox = Queue.create (); fd_inbox = Queue.create (); peer = Some client_ep;
-                local_closed = false; ep_waiters = [] }
-            in
-            client_ep.peer <- Some server_ep;
-            Queue.push server_ep l.parked_q;
-            t.parked_total <- t.parked_total + 1;
-            let desc = { refs = 1; obj = Tcp { role = Stream client_ep } } in
-            ret (S.Ok_fd (alloc_fd proc desc))
-          end
-          else if Queue.length l.backlog_q >= l.backlog then ret (S.Err S.ECONNREFUSED)
-          else begin
-            let client_ep =
-              { inbox = Queue.create (); fd_inbox = Queue.create (); peer = None;
-                local_closed = false; ep_waiters = [] }
-            in
-            let server_ep =
-              { inbox = Queue.create (); fd_inbox = Queue.create (); peer = Some client_ep;
-                local_closed = false; ep_waiters = [] }
-            in
-            client_ep.peer <- Some server_ep;
-            Queue.push server_ep l.backlog_q;
-            notify_listener l;
-            let desc = { refs = 1; obj = Tcp { role = Stream client_ep } } in
-            ret (S.Ok_fd (alloc_fd proc desc))
-          end
-      | Some _ | None -> ret (S.Err S.ECONNREFUSED)
-    end
+  | S.Connect { port } -> ret (connect t proc (Hashtbl.find_opt t.ports port))
   | S.Read { fd; max; nonblock } -> begin
       match do_read t proc fd max with
       | Some r -> ret r
@@ -936,21 +864,17 @@ and execute_call t th call (k : (S.result, unit) Effect.Deep.continuation) =
       | Ok () -> ret S.Ok_unit
       | Error e -> ret (S.Err e)
     end
-  | S.Open { path; create } ->
-      if fs_exists t ~path then
-        ret (S.Ok_fd (alloc_fd proc { refs = 1; obj = File { f_path = path; offset = 0 } }))
-      else if create then begin
-        fs_write t ~path "";
-        ret (S.Ok_fd (alloc_fd proc { refs = 1; obj = File { f_path = path; offset = 0 } }))
-      end
-      else ret (S.Err S.ENOENT)
-  | S.Open_at { path; create; force_fd } ->
+  | S.Open { path; create } | S.Open_at { path; create; _ } ->
       if (not (fs_exists t ~path)) && not create then ret (S.Err S.ENOENT)
       else begin
-        if (not (fs_exists t ~path)) && create then fs_write t ~path "";
-        match install_fd_at proc force_fd { refs = 1; obj = File { f_path = path; offset = 0 } } with
-        | Ok fd -> ret (S.Ok_fd fd)
-        | Error e -> ret (S.Err e)
+        if not (fs_exists t ~path) then fs_write t ~path "";
+        let desc = { refs = 1; obj = File { f_path = path; offset = 0 } } in
+        match call with
+        | S.Open_at { force_fd; _ } -> (
+            match install_fd_at proc force_fd desc with
+            | Ok fd -> ret (S.Ok_fd fd)
+            | Error e -> ret (S.Err e))
+        | _ -> ret (S.Ok_fd (alloc_fd proc desc))
       end
   | S.Dup { fd } -> begin
       match find_fd proc fd with
@@ -985,15 +909,11 @@ and execute_call t th call (k : (S.result, unit) Effect.Deep.continuation) =
       | Error e -> ret (S.Err e)
     end
   | S.Thread_create { entry } -> begin
-      match proc.p_resolver with
+      match resolve_entry proc entry with
       | None -> ret (S.Err S.EINVAL)
-      | Some resolver -> begin
-          match resolver entry with
-          | None -> ret (S.Err S.EINVAL)
-          | Some body ->
-              let th' = spawn_thread t proc ~name:entry body in
-              ret (S.Ok_pid th'.t_tid)
-        end
+      | Some body ->
+          let th' = spawn_thread t proc ~name:entry body in
+          ret (S.Ok_pid th'.t_tid)
     end
   | S.Waitpid { pid } -> begin
       match find_proc t pid with
@@ -1017,14 +937,7 @@ and execute_call t th call (k : (S.result, unit) Effect.Deep.continuation) =
   | S.Nanosleep { ns } ->
       park t th call k ~check:(fun () -> None) ~registers:[] ~timeout:(Some (ns, S.Ok_unit))
   | S.Sem_wait { name; timeout_ns } ->
-      let sem =
-        match Hashtbl.find_opt t.sems name with
-        | Some s -> s
-        | None ->
-            let s = { count = 0; sem_waiters = [] } in
-            Hashtbl.replace t.sems name s;
-            s
-      in
+      let sem = sem_named t name in
       let take () =
         if sem.count > 0 then begin
           sem.count <- sem.count - 1;
@@ -1042,87 +955,17 @@ and execute_call t th call (k : (S.result, unit) Effect.Deep.continuation) =
               ~timeout
       end
   | S.Sem_post { name } ->
-      let sem =
-        match Hashtbl.find_opt t.sems name with
-        | Some s -> s
-        | None ->
-            let s = { count = 0; sem_waiters = [] } in
-            Hashtbl.replace t.sems name s;
-            s
-      in
-      sem.count <- sem.count + 1;
-      notify_sem sem;
+      post_semaphore t name;
       ret S.Ok_unit
   | S.Unix_listen { path } ->
       if Hashtbl.mem t.paths path then ret (S.Err S.EADDRINUSE)
       else begin
-        let l =
-          { backlog_q = Queue.create (); backlog = 64; l_addr = Path path; l_waiters = [];
-            l_closed = false; l_parked = false; parked_q = Queue.create () }
-        in
+        let l = new_listener (Path path) ~backlog:max_int in
         let desc = { refs = 1; obj = Tcp { role = Listening l } } in
         Hashtbl.replace t.paths path desc;
         ret (S.Ok_fd (alloc_fd proc desc))
       end
-  | S.Unix_connect { path } -> begin
-      match Hashtbl.find_opt t.paths path with
-      | Some { obj = Tcp { role = Listening l }; _ } when not l.l_closed ->
-          let client_ep =
-            { inbox = Queue.create (); fd_inbox = Queue.create (); peer = None;
-              local_closed = false; ep_waiters = [] }
-          in
-          let server_ep =
-            { inbox = Queue.create (); fd_inbox = Queue.create (); peer = Some client_ep;
-              local_closed = false; ep_waiters = [] }
-          in
-          client_ep.peer <- Some server_ep;
-          if l.l_parked then begin
-            Queue.push server_ep l.parked_q;
-            t.parked_total <- t.parked_total + 1
-          end
-          else begin
-            Queue.push server_ep l.backlog_q;
-            notify_listener l
-          end;
-          ret (S.Ok_fd (alloc_fd proc { refs = 1; obj = Tcp { role = Stream client_ep } }))
-      | Some _ | None -> ret (S.Err S.ECONNREFUSED)
-    end
-  | S.Send_fd { conn; payload } -> begin
-      match (stream_of_fd proc conn, find_fd proc payload) with
-      | Some ep, Some payload_desc -> begin
-          match ep.peer with
-          | Some peer when not peer.local_closed ->
-              payload_desc.refs <- payload_desc.refs + 1;
-              Queue.push payload_desc peer.fd_inbox;
-              notify_endpoint peer;
-              ret S.Ok_unit
-          | Some _ | None -> ret (S.Err S.EPIPE)
-        end
-      | None, _ -> ret (S.Err S.EBADF)
-      | _, None -> ret (S.Err S.EBADF)
-    end
-  | S.Recv_fd { conn; nonblock } -> begin
-      match stream_of_fd proc conn with
-      | None -> ret (S.Err S.EBADF)
-      | Some ep ->
-          let recv () =
-            if Queue.is_empty ep.fd_inbox then None
-            else begin
-              let desc = Queue.pop ep.fd_inbox in
-              Some (S.Ok_fd (alloc_fd proc desc))
-            end
-          in
-          begin
-            match recv () with
-            | Some r -> ret r
-            | None ->
-                if nonblock then ret (S.Err S.EAGAIN)
-                else
-                  park t th call k ~check:recv
-                    ~registers:[ (fun w -> ep.ep_waiters <- w :: ep.ep_waiters) ]
-                    ~timeout:None
-          end
-    end
+  | S.Unix_connect { path } -> ret (connect t proc (Hashtbl.find_opt t.paths path))
   | S.Shmget { key } -> begin
       match Hashtbl.find_opt t.shm_ids key with
       | Some id -> ret (S.Ok_len id)
@@ -1132,32 +975,8 @@ and execute_call t th call (k : (S.result, unit) Effect.Deep.continuation) =
           Hashtbl.replace t.shm_ids key id;
           ret (S.Ok_len id)
     end
-  | S.Recv_fd_at { conn; force_fd; nonblock } -> begin
-      match stream_of_fd proc conn with
-      | None -> ret (S.Err S.EBADF)
-      | Some ep ->
-          let recv () =
-            if Queue.is_empty ep.fd_inbox then None
-            else begin
-              let desc = Queue.pop ep.fd_inbox in
-              match install_fd_at proc force_fd desc with
-              | Ok fd -> Some (S.Ok_fd fd)
-              | Error e ->
-                  release_desc t desc;
-                  Some (S.Err e)
-            end
-          in
-          begin
-            match recv () with
-            | Some r -> ret r
-            | None ->
-                if nonblock then ret (S.Err S.EAGAIN)
-                else
-                  park t th call k ~check:recv
-                    ~registers:[ (fun w -> ep.ep_waiters <- w :: ep.ep_waiters) ]
-                    ~timeout:None
-          end
-    end
+
+let spawn_process t = new_process t ~creation_cs:0
 
 let set_spawn_hook t h = t.spawn_hook <- h
 let set_fault_hook t h = t.fault_hook <- h
@@ -1168,18 +987,6 @@ let path_active t ~path =
   match Hashtbl.find_opt t.paths path with
   | Some { obj = Tcp { role = Listening l }; _ } -> not l.l_closed
   | Some _ | None -> false
-
-let post_semaphore t name =
-  let sem =
-    match Hashtbl.find_opt t.sems name with
-    | Some s -> s
-    | None ->
-        let s = { count = 0; sem_waiters = [] } in
-        Hashtbl.replace t.sems name s;
-        s
-  in
-  sem.count <- sem.count + 1;
-  notify_sem sem
 
 let transfer_fd t ~src ~fd ~dst ~at =
   match find_fd src fd with

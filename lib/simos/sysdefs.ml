@@ -26,9 +26,6 @@ type call =
   | Sem_post of { name : string }
   | Unix_listen of { path : string }
   | Unix_connect of { path : string }
-  | Send_fd of { conn : fd; payload : fd }
-  | Recv_fd of { conn : fd; nonblock : bool }
-  | Recv_fd_at of { conn : fd; force_fd : fd; nonblock : bool }
   | Shmget of { key : int }
 
 type err =
@@ -84,20 +81,15 @@ let call_name = function
   | Sem_post _ -> "sem_post"
   | Unix_listen _ -> "unix_listen"
   | Unix_connect _ -> "unix_connect"
-  | Send_fd _ -> "send_fd"
-  | Recv_fd _ -> "recv_fd"
-  | Recv_fd_at _ -> "recv_fd_at"
   | Shmget _ -> "shmget"
 
 let is_blocking = function
-  | Accept { nonblock; _ } | Read { nonblock; _ } | Recv_fd { nonblock; _ }
-  | Recv_fd_at { nonblock; _ } | Poll { nonblock; _ } ->
-      not nonblock
+  | Accept { nonblock; _ } | Read { nonblock; _ } | Poll { nonblock; _ } -> not nonblock
   | Waitpid _ | Nanosleep _ | Sem_wait _ | Accept_timed _ -> true
   | Socket | Bind _ | Listen _ | Connect _ | Write _ | Close _ | Open _ | Open_at _ | Dup _
   | Getpid
   | Getppid | Fork _ | Thread_create _ | Exit _ | Sem_post _ | Unix_listen _
-  | Unix_connect _ | Send_fd _ | Shmget _ ->
+  | Unix_connect _ | Shmget _ ->
       false
 
 let err_name = function
@@ -149,12 +141,6 @@ let pp_call ppf c =
   | Sem_post { name } -> Format.fprintf ppf "sem_post(%s)" name
   | Unix_listen { path } -> Format.fprintf ppf "unix_listen(%S)" path
   | Unix_connect { path } -> Format.fprintf ppf "unix_connect(%S)" path
-  | Send_fd { conn; payload } -> Format.fprintf ppf "send_fd(conn=%d, fd=%d)" conn payload
-  | Recv_fd { conn; nonblock } ->
-      Format.fprintf ppf "recv_fd(conn=%d%s)" conn (if nonblock then ", NB" else "")
-  | Recv_fd_at { conn; force_fd; nonblock } ->
-      Format.fprintf ppf "recv_fd_at(conn=%d, at=%d%s)" conn force_fd
-        (if nonblock then ", NB" else "")
   | Shmget { key } -> Format.fprintf ppf "shmget(key=%d)" key
 
 let pp_result ppf = function

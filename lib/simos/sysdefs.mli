@@ -42,13 +42,6 @@ type call =
   | Sem_post of { name : string }
   | Unix_listen of { path : string }  (** Unix-domain listening socket. *)
   | Unix_connect of { path : string }
-  | Send_fd of { conn : fd; payload : fd }
-      (** SCM_RIGHTS analog: pass [payload] to the peer process. *)
-  | Recv_fd of { conn : fd; nonblock : bool }
-  | Recv_fd_at of { conn : fd; force_fd : fd; nonblock : bool }
-      (** Receive a passed fd and install it at exactly [force_fd] — the
-          mechanism MCR's global inheritance uses to preserve old fd
-          numbers. *)
   | Shmget of { key : int }
       (** SysV shared-memory segment: returns a {e globally} allocated id
           with no namespace support — the paper's Section 7 example of an

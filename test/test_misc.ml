@@ -37,9 +37,6 @@ let all_calls =
     S.Sem_post { name = "s" };
     S.Unix_listen { path = "/u" };
     S.Unix_connect { path = "/u" };
-    S.Send_fd { conn = 3; payload = 4 };
-    S.Recv_fd { conn = 3; nonblock = true };
-    S.Recv_fd_at { conn = 3; force_fd = 1002; nonblock = false };
     S.Shmget { key = 1 };
   ]
 

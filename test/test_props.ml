@@ -705,8 +705,6 @@ let gen_call =
         map (fun name -> S.Sem_post { name }) (oneofl [ "a"; "b" ]);
         map (fun name -> S.Sem_wait { name; timeout_ns = Some 100 }) (oneofl [ "a"; "b" ]);
         map (fun key -> S.Shmget { key }) (int_range 0 3);
-        map (fun conn -> S.Recv_fd { conn; nonblock = true }) fd;
-        map2 (fun conn payload -> S.Send_fd { conn; payload }) fd fd;
       ])
 
 let prop_kernel_totality =

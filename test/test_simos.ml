@@ -1,5 +1,6 @@
-(* Tests for Mcr_simos: scheduling, sockets, files, fork, semaphores, fd
-   passing, interception hooks, virtual time. *)
+(* Tests for Mcr_simos: scheduling, sockets, files, fork, semaphores,
+   connection parking, descriptor inheritance, interception hooks, virtual
+   time. *)
 
 open Mcr_simos
 module S = Sysdefs
@@ -674,7 +675,7 @@ let test_sem_post_paths_alike () =
     [ ("syscall", `Syscall); ("kernel", `Kernel) ]
 
 (* ------------------------------------------------------------------ *)
-(* Unix sockets and fd passing *)
+(* Unix sockets *)
 
 let test_unix_socket_roundtrip () =
   let k = fresh () in
@@ -738,78 +739,6 @@ let test_unix_connect_parked () =
   Alcotest.(check (list string)) "accepted in arrival order" [ "c1"; "c2"; "c3" ] (List.rev !got);
   let s = K.parking_stats k in
   Alcotest.(check (list int)) "ledger after unpark" [ 3; 3; 0 ] [ s.parked; s.resumed; s.aborted ]
-
-let test_fd_passing () =
-  let k = fresh () in
-  let received_via_passed_fd = ref "" in
-  (* old process passes its listening socket to new process, which accepts
-     a connection on it: the MCR inheritance mechanism. *)
-  let _ =
-    spawn k "old" (fun _ ->
-        let lfd = expect_fd (K.syscall (S.Unix_listen { path = "/run/xfer" })) in
-        let sock = expect_fd (K.syscall S.Socket) in
-        ignore (K.syscall (S.Bind { fd = sock; port = 80 }));
-        ignore (K.syscall (S.Listen { fd = sock; backlog = 4 }));
-        let conn = expect_fd (K.syscall (S.Accept { fd = lfd; nonblock = false })) in
-        ignore (K.syscall (S.Send_fd { conn; payload = sock })))
-  in
-  let _ =
-    spawn k "new" (fun _ ->
-        ignore (K.syscall (S.Nanosleep { ns = 1000 }));
-        let conn = expect_fd (K.syscall (S.Unix_connect { path = "/run/xfer" })) in
-        let sock = expect_fd (K.syscall (S.Recv_fd { conn; nonblock = false })) in
-        let c = expect_fd (K.syscall (S.Accept { fd = sock; nonblock = false })) in
-        received_via_passed_fd :=
-          expect_data (K.syscall (S.Read { fd = c; max = 64; nonblock = false })))
-  in
-  let _ =
-    spawn k "client" (fun _ ->
-        let fd = connect_retry 80 in
-        ignore (K.syscall (S.Write { fd; data = "to-new" })))
-  in
-  K.run k;
-  Alcotest.(check string) "accepted on inherited socket" "to-new" !received_via_passed_fd
-
-let test_recv_fd_at_exact_number () =
-  let k = fresh () in
-  let got_fd = ref 0 in
-  let _ =
-    spawn k "old" (fun _ ->
-        let lfd = expect_fd (K.syscall (S.Unix_listen { path = "/x" })) in
-        let f = expect_fd (K.syscall (S.Open { path = "/f"; create = true })) in
-        let conn = expect_fd (K.syscall (S.Accept { fd = lfd; nonblock = false })) in
-        ignore (K.syscall (S.Send_fd { conn; payload = f })))
-  in
-  let _ =
-    spawn k "new" (fun _ ->
-        ignore (K.syscall (S.Nanosleep { ns = 100 }));
-        let conn = expect_fd (K.syscall (S.Unix_connect { path = "/x" })) in
-        (match K.syscall (S.Recv_fd_at { conn; force_fd = 1234; nonblock = false }) with
-        | S.Ok_fd fd -> got_fd := fd
-        | r -> Alcotest.failf "recv_fd_at: %a" S.pp_result r))
-  in
-  K.run k;
-  Alcotest.(check int) "installed at requested number" 1234 !got_fd
-
-let test_recv_fd_at_collision () =
-  let k = fresh () in
-  let res = ref S.Ok_unit in
-  let _ =
-    spawn k "old" (fun _ ->
-        let lfd = expect_fd (K.syscall (S.Unix_listen { path = "/x" })) in
-        let f = expect_fd (K.syscall (S.Open { path = "/f"; create = true })) in
-        let conn = expect_fd (K.syscall (S.Accept { fd = lfd; nonblock = false })) in
-        ignore (K.syscall (S.Send_fd { conn; payload = f })))
-  in
-  let _ =
-    spawn k "new" (fun _ ->
-        ignore (K.syscall (S.Nanosleep { ns = 100 }));
-        let conn = expect_fd (K.syscall (S.Unix_connect { path = "/x" })) in
-        (* conn itself occupies a number; try to install on top of it *)
-        res := K.syscall (S.Recv_fd_at { conn; force_fd = conn; nonblock = false }))
-  in
-  K.run k;
-  Alcotest.(check bool) "EEXIST on collision" true (!res = S.Err S.EEXIST)
 
 (* ------------------------------------------------------------------ *)
 (* Reserved fd mode *)
@@ -1169,9 +1098,6 @@ let () =
       ( "unix-fd-passing",
         [
           Alcotest.test_case "unix roundtrip" `Quick test_unix_socket_roundtrip;
-          Alcotest.test_case "fd passing" `Quick test_fd_passing;
-          Alcotest.test_case "recv_fd_at exact" `Quick test_recv_fd_at_exact_number;
-          Alcotest.test_case "recv_fd_at collision" `Quick test_recv_fd_at_collision;
         ] );
       ( "fd-modes",
         [ Alcotest.test_case "reserved range" `Quick test_reserved_fd_mode ] );
