@@ -748,7 +748,7 @@ let precopy a r ~on_precopy_round : unit stage_result =
         Aspace.epoch_reset aspace ~name:precopy_epoch;
         (* within a pair the worker pool shards the round, so the pair pays
            its critical path *)
-        (Objgraph.trace_critical_ns analysis ~workers + rs.Transfer.round_cost_ns,
+        (rs.Transfer.round_trace_ns + rs.Transfer.round_cost_ns,
          rs.Transfer.round_words)
   in
   let rec round n =

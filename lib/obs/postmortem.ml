@@ -7,14 +7,42 @@ let fms ns =
   let ns = abs ns in
   Printf.sprintf "%s%d.%03d ms" sign (ns / 1_000_000) (ns mod 1_000_000 / 1000)
 
+(* [a * b / c], truncated, for [a >= 0], small [b > 0] and [c > 0], without
+   forming the product: a decoded record may carry any integer. Saturates
+   at [max_int]. *)
+let mul_div a b c =
+  let q = a / c and r = a mod c in
+  if q >= max_int / b then max_int
+  else begin
+    (* r * b / c, adding r modulo c b times: no sum exceeds c *)
+    let n = ref (q * b) and acc = ref 0 in
+    for _ = 1 to b do
+      if !acc >= c - r then begin
+        incr n;
+        acc := !acc - (c - r)
+      end
+      else acc := !acc + r
+    done;
+    !n
+  end
+
 (* integer tenths of a percent, truncated: 2_333 -> "23.3%" *)
 let pct part whole =
   if whole <= 0 then "  -  "
   else
-    let tenths = part * 1000 / whole in
-    Printf.sprintf "%2d.%d%%" (tenths / 10) (tenths mod 10)
+    let tenths =
+      if part >= 0 then mul_div part 1000 whole
+      else -mul_div (if part = min_int then max_int else -part) 1000 whole
+    in
+    Printf.sprintf "%2d.%d%%" (tenths / 10) (abs (tenths mod 10))
 
 let bar_width = 32
+
+(* [part]'s bar against the widest of [0 < part <= widest]: at least one
+   mark, at most [bar_width] *)
+let bar part widest =
+  let len = if widest <= 0 then 1 else max 1 (min bar_width (mul_div part bar_width widest)) in
+  String.make len '#' ^ String.make (bar_width - len) ' '
 
 let waterfall buf (a : Flight.attribution) ~downtime_ns =
   let components = Flight.attribution_components a in
@@ -25,14 +53,10 @@ let waterfall buf (a : Flight.attribution) ~downtime_ns =
   else
     List.iter
       (fun (label, ns) ->
-        if ns > 0 then begin
-          let len = if widest = 0 then 0 else ns * bar_width / widest in
-          let len = if len = 0 then 1 else len in
+        if ns > 0 then
           Buffer.add_string buf
-            (Printf.sprintf "  %-14s %14s  %s  |%s%s|\n" label (fms ns) (pct ns downtime_ns)
-               (String.make len '#')
-               (String.make (bar_width - len) ' '))
-        end)
+            (Printf.sprintf "  %-14s %14s  %s  |%s|\n" label (fms ns) (pct ns downtime_ns)
+               (bar ns widest)))
       components;
   let residue = downtime_ns - Flight.attribution_sum a in
   Buffer.add_string buf
@@ -164,13 +188,10 @@ let render_client_impact (r : Flight.record) reqs =
         Buffer.add_string buf "  stalled in segment:\n";
         List.iter
           (fun (label, n) ->
-            let len = if widest = 0 then 0 else n * bar_width / widest in
-            let len = if len = 0 then 1 else len in
             Buffer.add_string buf
-              (Printf.sprintf "    %-14s %6d  %s  |%s%s|\n" label n
+              (Printf.sprintf "    %-14s %6d  %s  |%s|\n" label n
                  (pct n s.Client_impact.ci_stalled)
-                 (String.make len '#')
-                 (String.make (bar_width - len) ' ')))
+                 (bar n widest)))
           counts);
     if s.Client_impact.ci_stalled > 0 then begin
       Buffer.add_string buf

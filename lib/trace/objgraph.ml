@@ -545,12 +545,6 @@ let shard t ~workers =
     sp_trace_ns = trace_ns;
   }
 
-let trace_critical_ns t ~workers =
-  if workers <= 1 then t.cost_ns
-  else
-    let plan = shard t ~workers in
-    Array.fold_left max 0 plan.sp_trace_ns
-
 let sum_stats all =
   let add (a : side) (b : side) =
     a.ptr <- a.ptr + b.ptr;

@@ -155,9 +155,5 @@ val shard : t -> workers:int -> shard_plan
     pair's heavier side. Every shard holds at least one object.
     @raise Invalid_argument if [workers < 1]. *)
 
-val trace_critical_ns : t -> workers:int -> int
-(** [max] of [sp_trace_ns] for the plan {!shard} builds — the tracing cost
-    on the critical path. Equals [cost_ns] when [workers = 1]. *)
-
 val sum_stats : stats list -> stats
 (** Field-wise sum (a fresh record; the inputs are not modified). *)

@@ -77,6 +77,7 @@ type round_stats = {
   round_invalidated : int;  (** Staged entries dropped (object freed/moved/resized). *)
   staged_objects : int;  (** Live staged entries after the round. *)
   round_cost_ns : int;  (** What transferring this round's delta costs. *)
+  round_trace_ns : int;  (** The round's tracing critical path over its shards. *)
 }
 
 let precopy_create () = { pc_entries = Hashtbl.create 256; pc_rounds = 0 }
@@ -162,6 +163,7 @@ let precopy_round pc ~(old_image : P.image) ~analysis ?since ?(dirty_only = true
     round_invalidated = List.length stale;
     staged_objects = Hashtbl.length pc.pc_entries;
     round_cost_ns;
+    round_trace_ns = Array.fold_left max 0 plan.Objgraph.sp_trace_ns;
   }
 
 (* ------------------------------------------------------------------ *)

@@ -110,6 +110,10 @@ type round_stats = {
   round_invalidated : int;  (** Staged entries dropped (object freed/moved/resized). *)
   staged_objects : int;  (** Live staged entries after the round. *)
   round_cost_ns : int;  (** Virtual time the round's speculative copy costs. *)
+  round_trace_ns : int;
+      (** The analysis' tracing cost on the round's critical path: the
+          heaviest shard's [sp_trace_ns] in the round's {!Objgraph.shard}
+          plan ([cost_ns] when [workers = 1]). *)
 }
 
 val precopy_create : unit -> precopy

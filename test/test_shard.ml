@@ -150,11 +150,11 @@ let test_plan_deterministic () =
 let test_critical_path_bounds () =
   let a = listing1_analysis () in
   Alcotest.(check int) "W=1 critical path is the sequential cost" a.Objgraph.cost_ns
-    (Objgraph.trace_critical_ns a ~workers:1);
+    (Array.fold_left max 0 (Objgraph.shard a ~workers:1).Objgraph.sp_trace_ns);
   let prev = ref a.Objgraph.cost_ns in
   List.iter
     (fun w ->
-      let c = Objgraph.trace_critical_ns a ~workers:w in
+      let c = Array.fold_left max 0 (Objgraph.shard a ~workers:w).Objgraph.sp_trace_ns in
       Alcotest.(check bool)
         (Printf.sprintf "W=%d: critical path <= sequential" w)
         true (c <= a.Objgraph.cost_ns);
