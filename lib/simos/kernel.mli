@@ -70,10 +70,17 @@ val spawn_process :
   main:(thread -> unit) ->
   unit ->
   proc
-(** Create a process whose initial thread runs [main]. The fd table is
-    copied from [parent] when cloning (fork semantics), empty otherwise.
-    [force_pid] implements pid-namespace forcing; @raise Invalid_argument if
-    the pid is taken. The process starts runnable. *)
+(** Create a process whose initial thread, named [entry], runs [main]. With
+    [Clone_image src] the address space is deep-copied from [src] and the
+    fd table copied with every open description shared (its reference count
+    bumped), as fork does; with [Fresh_image] the fd table starts empty.
+    [parent] sets the ppid and passes down the entry resolver and the
+    reserved-fd mode. A [Fork] syscall builds its child through this same
+    constructor, as [Clone_image] of the forking process named
+    ["parent:entry"]; only a forked child records a creation call stack
+    ({!creation_callstack}). [force_pid] implements pid-namespace forcing;
+    @raise Invalid_argument if the pid is taken. The process starts
+    runnable. *)
 
 val set_entry_resolver : proc -> (string -> (thread -> unit) option) -> unit
 (** How [Fork]/[Thread_create] syscalls resolve their [entry] names. The
@@ -97,8 +104,9 @@ val proc_threads : proc -> thread list
 val payload : proc -> payload option
 val set_payload : proc -> payload -> unit
 val creation_callstack : proc -> int
-(** Call-stack id of the [Fork] that created this process (0 for roots);
-    used to pair processes across versions (Section 6). *)
+(** Call-stack id ({!callstack_id}) of the thread whose [Fork] created this
+    process, taken at the fork; 0 for processes made by {!spawn_process}.
+    Used to pair processes across versions (Section 6). *)
 
 val kill_process : t -> proc -> status:int -> unit
 (** Terminate a process from outside (MCR terminating the old version).
@@ -217,7 +225,8 @@ val close_fd_external : t -> proc -> int -> unit
 val transfer_fd :
   t -> src:proc -> fd:int -> dst:proc -> at:int -> (int, Sysdefs.err) result
 (** Kernel-mediated descriptor inheritance (the CRIU-style support MCR
-    builds on): install [src]'s descriptor [fd] into [dst] at exactly
+    builds on, and the kernel's only way to pass a descriptor between
+    processes): install [src]'s descriptor [fd] into [dst] at exactly
     [at], sharing the open file description with the source — the old and
     new versions "share" the object until one of them closes it. Errors:
     [EBADF] if [fd] is not open in [src], [EEXIST] if [at] is taken in

@@ -40,7 +40,9 @@ type call =
   | Nanosleep of { ns : int }
   | Sem_wait of { name : string; timeout_ns : int option }
   | Sem_post of { name : string }
-  | Unix_listen of { path : string }  (** Unix-domain listening socket. *)
+  | Unix_listen of { path : string }
+      (** Unix-domain listening socket; unlike TCP, its accept backlog has
+          no cap. *)
   | Unix_connect of { path : string }
   | Shmget of { key : int }
       (** SysV shared-memory segment: returns a {e globally} allocated id
