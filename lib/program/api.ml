@@ -83,6 +83,26 @@ let register_barrier_once t =
     Barrier.register_thread t.image.i_barrier
   end
 
+(* Wait for a call with an optional timeout in slices of at most
+   [qtick_ns], running [hook] before each; [expired] is the call's answer
+   when a slice runs out. *)
+let sliced ~hook timeout_ns ~expired call_for =
+  let rec go remaining =
+    if hook () then S.Err S.EINTR
+    else begin
+      let slice = match remaining with Some r -> min qtick_ns r | None -> qtick_ns in
+      match K.syscall (call_for slice) with
+      | res when res = expired -> begin
+          match remaining with
+          | Some r when r <= slice -> expired
+          | Some r -> go (Some (r - slice))
+          | None -> go None
+        end
+      | res -> res
+    end
+  in
+  go timeout_ns
+
 (* The unblockification wrapper: expose blocking semantics to the caller,
    but never truly block — try the nonblocking variant, wait in short
    slices, and run the quiescence hook between slices (Section 4). *)
@@ -97,30 +117,11 @@ let unblockified t call =
     end
     else false
   in
-  (* a call with an optional timeout, waited in slices of at most [qtick_ns];
-     [expired] is its answer when a slice runs out *)
-  let sliced timeout_ns ~expired call_for =
-    let rec go remaining =
-      if hook () then S.Err S.EINTR
-      else begin
-        let slice = match remaining with Some r -> min qtick_ns r | None -> qtick_ns in
-        match K.syscall (call_for slice) with
-        | res when res = expired -> begin
-            match remaining with
-            | Some r when r <= slice -> expired
-            | Some r -> go (Some (r - slice))
-            | None -> go None
-          end
-        | res -> res
-      end
-    in
-    go timeout_ns
-  in
   match call with
   | S.Accept a ->
       (* the timeout-based variant (semtimedop-style): wakes one acceptor
          per connection rather than thundering every wrapped poller *)
-      sliced None ~expired:(S.Err S.ETIMEDOUT) (fun slice ->
+      sliced ~hook None ~expired:(S.Err S.ETIMEDOUT) (fun slice ->
           S.Accept_timed { fd = a.fd; timeout_ns = slice })
   | S.Read r ->
       let rec go () =
@@ -136,10 +137,10 @@ let unblockified t call =
       in
       go ()
   | S.Poll p ->
-      sliced p.timeout_ns ~expired:(S.Ok_ready []) (fun slice ->
+      sliced ~hook p.timeout_ns ~expired:(S.Ok_ready []) (fun slice ->
           S.Poll { p with timeout_ns = Some slice })
   | S.Sem_wait s ->
-      sliced s.timeout_ns ~expired:(S.Err S.ETIMEDOUT) (fun slice ->
+      sliced ~hook s.timeout_ns ~expired:(S.Err S.ETIMEDOUT) (fun slice ->
           S.Sem_wait { s with timeout_ns = Some slice })
   | call ->
       (* calls with no unblockifiable variant pass through *)

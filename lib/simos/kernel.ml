@@ -606,7 +606,7 @@ and new_process t ?parent ?force_pid ~creation_cs ~image ~name ~entry ~main () =
   start_thread t th main;
   p
 
-and resolve_entry p entry = Option.bind p.p_resolver (fun resolve -> resolve entry)
+and resolve_entry p entry = match p.p_resolver with Some resolve -> resolve entry | None -> None
 
 and fork_process t (parent_thread : thread) entry =
   let parent = parent_thread.t_proc in
@@ -976,7 +976,8 @@ and execute_call t th call (k : (S.result, unit) Effect.Deep.continuation) =
           ret (S.Ok_len id)
     end
 
-let spawn_process t = new_process t ~creation_cs:0
+let spawn_process t ?parent ?force_pid ~image ~name ~entry ~main () =
+  new_process t ?parent ?force_pid ~creation_cs:0 ~image ~name ~entry ~main ()
 
 let set_spawn_hook t h = t.spawn_hook <- h
 let set_fault_hook t h = t.fault_hook <- h
