@@ -555,7 +555,7 @@ and spawn_thread t p ~name body =
   th
 
 (* The one constructor of a process. [creation_cs] is the call-stack id of
-   the [Fork] that creates it, 0 for roots. *)
+   the thread whose [Fork] creates it; [spawn_process] passes 0. *)
 and new_process t ?parent ?force_pid ~creation_cs ~image ~name ~entry ~main () =
   charge t t.costs.Costs.spawn_ns;
   let pid =
