@@ -130,6 +130,35 @@ let test_fork_exit =
   done;
   Test.make ~name:"simos:fork-exit" (Staged.stage fork_exit)
 
+(* The page table's per-operation cost at one 8 Mi-word heap (16,384
+   pages): map it, fork it, unmap both copies, as a process that forks
+   and exits with a large heap does. *)
+let test_map_clone_unmap =
+  let size = 16_384 * Addr.page_size in
+  let aspace = Aspace.create () in
+  Test.make ~name:"vmem:map-clone-unmap(16k pages)"
+    (Staged.stage (fun () ->
+         let base = Aspace.map aspace (Aspace.Near Region.Heap) ~size Region.Heap in
+         let child = Aspace.clone aspace in
+         Aspace.unmap child base;
+         Aspace.unmap aspace base))
+
+(* 4,096 [read_word]s at scattered addresses of 16 regions of 1,024
+   pages: the page lookup every simulated load pays. *)
+let test_read_word_scattered =
+  let aspace = Aspace.create () in
+  let bases =
+    Array.init 16 (fun _ ->
+        Aspace.map aspace (Aspace.Near Region.Heap) ~size:(1024 * Addr.page_size) Region.Heap)
+  in
+  let addrs =
+    Array.init 4096 (fun i ->
+        let h = (i * 0x9e3779b1) land 0x3fff_ffff in
+        Addr.add_words bases.(h mod 16) ((h / 16) mod (1024 * Addr.words_per_page)))
+  in
+  Test.make ~name:"vmem:read-word-scattered"
+    (Staged.stage (fun () -> Array.iter (fun a -> ignore (Aspace.read_word aspace a)) addrs))
+
 let listing1 () =
   let kernel = K.create () in
   K.fs_write kernel ~path:Mcr_servers.Listing1.config_path "welcome=hi";
@@ -253,7 +282,8 @@ let run () =
   print_endline "=================================================";
   let tests =
     [ test_callstack_hash; test_alloc_tagging; test_malloc_zeroed; test_grab_chunk;
-      test_store_init; test_write_word_loop; test_buffer_churn; test_fork_exit;
+      test_store_init; test_write_word_loop; test_buffer_churn; test_map_clone_unmap;
+      test_read_word_scattered; test_fork_exit;
       test_conservative_scan; test_conservative_scan_opaque; test_type_transform;
       test_region_lookup_linear; test_region_lookup_indexed; test_image_encode;
       test_image_decode; test_image_save_read_remove; test_fnv_sub ]

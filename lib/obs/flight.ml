@@ -152,17 +152,24 @@ let req what = function Some v -> Ok v | None -> decode_error what
 
 let ( let* ) = Result.bind
 
+(* A duration or word count: present and not negative. The renderer
+   negates and sums these, so a negative one would print nonsense. *)
+let count what o =
+  let* v = req what o in
+  if v < 0 then Error (Printf.sprintf "flight record: negative %s" what) else Ok v
+
 let decode_attribution j =
-  let* a_quiesce_ns = req "attribution.quiesce_ns" (Json.int_field "quiesce_ns" j) in
-  let* a_restart_ns = req "attribution.restart_ns" (Json.int_field "restart_ns" j) in
-  let* a_trace_ns = req "attribution.trace_ns" (Json.int_field "trace_ns" j) in
-  let* a_copy_ns = req "attribution.copy_ns" (Json.int_field "copy_ns" j) in
-  let* a_spawn_join_ns = req "attribution.spawn_join_ns" (Json.int_field "spawn_join_ns" j) in
-  let* a_relink_ns = req "attribution.relink_ns" (Json.int_field "relink_ns" j) in
-  let* a_channel_ns = req "attribution.channel_ns" (Json.int_field "channel_ns" j) in
-  let* a_handlers_ns = req "attribution.handlers_ns" (Json.int_field "handlers_ns" j) in
-  let* a_teardown_ns = req "attribution.teardown_ns" (Json.int_field "teardown_ns" j) in
-  Ok
+  let field name = count ("attribution." ^ name) (Json.int_field name j) in
+  let* a_quiesce_ns = field "quiesce_ns" in
+  let* a_restart_ns = field "restart_ns" in
+  let* a_trace_ns = field "trace_ns" in
+  let* a_copy_ns = field "copy_ns" in
+  let* a_spawn_join_ns = field "spawn_join_ns" in
+  let* a_relink_ns = field "relink_ns" in
+  let* a_channel_ns = field "channel_ns" in
+  let* a_handlers_ns = field "handlers_ns" in
+  let* a_teardown_ns = field "teardown_ns" in
+  let a =
     {
       a_quiesce_ns;
       a_restart_ns;
@@ -174,6 +181,14 @@ let decode_attribution j =
       a_handlers_ns;
       a_teardown_ns;
     }
+  in
+  (* [attribution_sum] must not wrap: every component is non-negative. *)
+  let fits =
+    List.fold_left
+      (fun sum (_, ns) -> match sum with Some s when ns <= max_int - s -> Some (s + ns) | _ -> None)
+      (Some 0) (attribution_components a)
+  in
+  if fits = None then Error "flight record: attribution components sum past max_int" else Ok a
 
 let decode_conflict j =
   let* co_kind = req "conflict.kind" (Json.str_field "kind" j) in
@@ -208,8 +223,8 @@ let decode_slo j =
   Ok { s_downtime_budget_ns; s_total_budget_ns; s_downtime_ok; s_total_ok }
 
 let decode_round j =
-  let* r_words = req "round.words" (Json.int_field "words" j) in
-  let* r_cost_ns = req "round.cost_ns" (Json.int_field "cost_ns" j) in
+  let* r_words = count "round.words" (Json.int_field "words" j) in
+  let* r_cost_ns = count "round.cost_ns" (Json.int_field "cost_ns" j) in
   Ok { r_words; r_cost_ns }
 
 let rec decode j =
@@ -219,17 +234,16 @@ let rec decode j =
   let* f_from = req "from" (Json.str_field "from" j) in
   let* f_to = req "to" (Json.str_field "to" j) in
   let* f_success = req "success" (Json.bool_field "success" j) in
-  let* f_start_ns = req "start_ns" (Json.int_field "start_ns" j) in
-  let* f_total_ns = req "total_ns" (Json.int_field "total_ns" j) in
-  let* f_downtime_ns = req "downtime_ns" (Json.int_field "downtime_ns" j) in
+  let* f_start_ns = count "start_ns" (Json.int_field "start_ns" j) in
+  let* f_total_ns = count "total_ns" (Json.int_field "total_ns" j) in
+  let* f_downtime_ns = count "downtime_ns" (Json.int_field "downtime_ns" j) in
   let* f_precopy = req "precopy" (Json.bool_field "precopy" j) in
   let* f_workers = req "workers" (Json.int_field "workers" j) in
   (* word counters postdate the first recorder format: default 0 so old
      artifacts still decode *)
-  let f_remapped_words = Option.value (Json.int_field "remapped_words" j) ~default:0 in
-  let f_skipped_clean_words =
-    Option.value (Json.int_field "skipped_clean_words" j) ~default:0
-  in
+  let word_count name = count name (Some (Option.value (Json.int_field name j) ~default:0)) in
+  let* f_remapped_words = word_count "remapped_words" in
+  let* f_skipped_clean_words = word_count "skipped_clean_words" in
   let* rounds = req "rounds" (Json.list_field "rounds" j) in
   let* f_rounds = collect decode_round rounds in
   let* attribution = req "attribution" (Json.member "attribution" j) in

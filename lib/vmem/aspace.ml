@@ -61,8 +61,8 @@ type page = {
 type epoch = { mutable mark : int }
 
 type t = {
-  pages : (int, page) Hashtbl.t;
   mutable regions_arr : Region.t array; (* sorted by base, disjoint *)
+  mutable region_pages : page array array; (* region [i]'s pages, in address order *)
   bias : int;
   mutable wseq : int;
   epochs : (string, epoch) Hashtbl.t;
@@ -72,8 +72,8 @@ exception Fault of Addr.t
 
 let create ?(layout_bias = 0) () =
   {
-    pages = Hashtbl.create 64;
     regions_arr = [||];
+    region_pages = [||];
     bias = layout_bias;
     wseq = 0;
     epochs = Hashtbl.create 4;
@@ -90,26 +90,6 @@ let absent =
     last_write_seq = min_int;
     inherited = false;
   }
-
-(* Every page lookup goes through here: [Hashtbl.find_opt] would allocate an
-   option per simulated memory access. *)
-let find_page t pn = match Hashtbl.find t.pages pn with p -> p | exception Not_found -> absent
-
-let clone t =
-  let pages = Hashtbl.create (Hashtbl.length t.pages) in
-  Hashtbl.iter
-    (fun k p ->
-      Hashtbl.add pages k
-        {
-          frame = { words = private_copy p.frame.words; refs = 1 };
-          touched = p.touched;
-          last_write_seq = p.last_write_seq;
-          inherited = p.inherited;
-        })
-    t.pages;
-  let epochs = Hashtbl.create (Hashtbl.length t.epochs) in
-  Hashtbl.iter (fun name e -> Hashtbl.add epochs name { mark = e.mark }) t.epochs;
-  { pages; regions_arr = Array.copy t.regions_arr; bias = t.bias; wseq = t.wseq; epochs }
 
 type placement = Fixed of Addr.t | Near of Region.kind
 
@@ -146,6 +126,46 @@ let floor_index (arr : Region.t array) a =
   done;
   !res
 
+(* Every page lookup goes through here: the floor region's array, indexed
+   by the page's offset in it, or [absent] for a page past that region's
+   end, below the first region or between regions. No lookup allocates. *)
+let find_page t pn =
+  let i = floor_index t.regions_arr (pn * Addr.page_size) in
+  if i < 0 then absent
+  else
+    let pages = t.region_pages.(i) in
+    let k = pn - Addr.page_of t.regions_arr.(i).Region.base in
+    if k < Array.length pages then pages.(k) else absent
+
+let clone_page p =
+  {
+    frame = { words = private_copy p.frame.words; refs = 1 };
+    touched = p.touched;
+    last_write_seq = p.last_write_seq;
+    inherited = p.inherited;
+  }
+
+let clone t =
+  let epochs = Hashtbl.create (Hashtbl.length t.epochs) in
+  Hashtbl.iter (fun name e -> Hashtbl.add epochs name { mark = e.mark }) t.epochs;
+  {
+    regions_arr = Array.copy t.regions_arr;
+    region_pages = Array.map (Array.map clone_page) t.region_pages;
+    bias = t.bias;
+    wseq = t.wseq;
+    epochs;
+  }
+
+(* [f acc pn page] over every mapped page, in ascending address order. *)
+let fold_pages t ~init ~f =
+  let acc = ref init in
+  Array.iteri
+    (fun i pages ->
+      let first = Addr.page_of t.regions_arr.(i).Region.base in
+      Array.iteri (fun k p -> acc := f !acc (first + k) p) pages)
+    t.region_pages;
+  !acc
+
 let overlaps_any t ~base ~size =
   let arr = t.regions_arr in
   let i = floor_index arr base in
@@ -170,14 +190,24 @@ let find_gap t ~from ~size =
   in
   search from start
 
-let insert_region t (r : Region.t) =
-  let arr = t.regions_arr in
+(* [arr] with [x] inserted at [pos], or with the element at [pos] removed. *)
+let array_insert arr pos x =
   let n = Array.length arr in
-  let pos = floor_index arr r.Region.base + 1 in
-  let out = Array.make (n + 1) r in
+  let out = Array.make (n + 1) x in
   Array.blit arr 0 out 0 pos;
   Array.blit arr pos out (pos + 1) (n - pos);
-  t.regions_arr <- out
+  out
+
+let array_remove arr pos =
+  let n = Array.length arr in
+  let out = Array.sub arr 0 (n - 1) in
+  Array.blit arr (pos + 1) out pos (n - 1 - pos);
+  out
+
+let insert_region t (r : Region.t) pages =
+  let pos = floor_index t.regions_arr r.Region.base + 1 in
+  t.regions_arr <- array_insert t.regions_arr pos r;
+  t.region_pages <- array_insert t.region_pages pos pages
 
 let map t ?(name = "") placement ~size kind =
   if size <= 0 || size > ceiling then
@@ -198,37 +228,24 @@ let map t ?(name = "") placement ~size kind =
     invalid_arg
       (Format.asprintf "Aspace.map: mapping %a+%d ends past the address-space ceiling" Addr.pp
          base size);
-  let first_page = Addr.page_of base in
-  let npages = size / Addr.page_size in
-  for i = 0 to npages - 1 do
-    Hashtbl.replace t.pages (first_page + i)
-      {
-        frame = { words = zero_words; refs = 1 };
-        touched = false;
-        last_write_seq = 0;
-        inherited = false;
-      }
-  done;
-  insert_region t { Region.base; size; kind; name };
+  let pages =
+    Array.init (size / Addr.page_size) (fun _ ->
+        {
+          frame = { words = zero_words; refs = 1 };
+          touched = false;
+          last_write_seq = 0;
+          inherited = false;
+        })
+  in
+  insert_region t { Region.base; size; kind; name } pages;
   base
 
 let unmap t base =
-  let arr = t.regions_arr in
-  let n = Array.length arr in
-  let i = floor_index arr base in
-  if i < 0 || arr.(i).Region.base <> base then raise Not_found;
-  let r = arr.(i) in
-  let first_page = Addr.page_of r.Region.base in
-  let npages = r.Region.size / Addr.page_size in
-  for j = 0 to npages - 1 do
-    let p = find_page t (first_page + j) in
-    if p != absent then drop_ref p.frame;
-    Hashtbl.remove t.pages (first_page + j)
-  done;
-  let out = Array.make (n - 1) r in
-  Array.blit arr 0 out 0 i;
-  Array.blit arr (i + 1) out i (n - 1 - i);
-  t.regions_arr <- out
+  let i = floor_index t.regions_arr base in
+  if i < 0 || t.regions_arr.(i).Region.base <> base then raise Not_found;
+  Array.iter (fun p -> drop_ref p.frame) t.region_pages.(i);
+  t.regions_arr <- array_remove t.regions_arr i;
+  t.region_pages <- array_remove t.region_pages i
 
 let regions t = Array.to_list t.regions_arr
 
@@ -248,7 +265,7 @@ let page_for t a =
   mapped_page t a
 
 let is_mapped_word t a =
-  a > 0 && Addr.is_aligned a && Hashtbl.mem t.pages (Addr.page_of a)
+  a > 0 && Addr.is_aligned a && find_page t (Addr.page_of a) != absent
 
 let read_word t a =
   let p = page_for t a in
@@ -478,11 +495,9 @@ let epoch_find t ~name =
 
 let epoch_dirty_pages t ~name =
   let mark = epoch_mark t ~name in
-  Hashtbl.fold
-    (fun pn p acc -> if p.last_write_seq > mark then pn :: acc else acc)
-    t.pages []
-  |> List.sort compare
-  |> List.map (fun pn -> pn * Addr.page_size)
+  fold_pages t ~init:[] ~f:(fun acc pn p ->
+      if p.last_write_seq > mark then (pn * Addr.page_size) :: acc else acc)
+  |> List.rev
 
 let write_seq t = t.wseq
 
@@ -530,7 +545,7 @@ let share_page ~src src_addr ~dst dst_addr =
   dp.inherited <- true
 
 let shared_frame_count t =
-  Hashtbl.fold (fun _ p acc -> if p.frame.refs > 1 then acc + 1 else acc) t.pages 0
+  fold_pages t ~init:0 ~f:(fun acc _ p -> if p.frame.refs > 1 then acc + 1 else acc)
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint export/import *)
@@ -543,8 +558,7 @@ type page_state = {
 }
 
 let page_states t =
-  Hashtbl.fold
-    (fun pn p acc ->
+  fold_pages t ~init:[] ~f:(fun acc pn p ->
       {
         ps_page = pn * Addr.page_size;
         ps_last_write_seq = p.last_write_seq;
@@ -552,8 +566,7 @@ let page_states t =
         ps_inherited = p.inherited;
       }
       :: acc)
-    t.pages []
-  |> List.sort (fun a b -> compare a.ps_page b.ps_page)
+  |> List.rev
 
 let restore_page_state t ps =
   if Addr.page_offset ps.ps_page <> 0 then
@@ -572,10 +585,11 @@ let restore_epochs t entries =
   Hashtbl.reset t.epochs;
   List.iter (fun (name, mark) -> Hashtbl.replace t.epochs name { mark }) entries
 
-let resident_bytes t = Hashtbl.length t.pages * Addr.page_size
+let resident_bytes t =
+  Array.fold_left (fun acc pages -> acc + Array.length pages) 0 t.region_pages * Addr.page_size
 
 let touched_bytes t =
-  Hashtbl.fold (fun _ p acc -> if p.touched then acc + Addr.page_size else acc) t.pages 0
+  fold_pages t ~init:0 ~f:(fun acc _ p -> if p.touched then acc + Addr.page_size else acc)
 
 let pp ppf t =
   Array.iter (fun r -> Format.fprintf ppf "%a@." Region.pp r) t.regions_arr

@@ -279,6 +279,55 @@ let test_huge_component_renders () =
         (contains text full_bar))
     [ 3 lsl 56; max_int; 1_000_000 ]
 
+(* ------------------------------------------------------------------ *)
+(* Durations and word counts the flight decoder refuses
+
+   mcr-postmortem negates and sums these fields: a negative one once
+   rendered "start --4611686018427.-387 ms", and components summing past
+   max_int reported a negative unattributed residue. *)
+
+let with_attribution f = { rolled_back with Flight.f_attribution = f attribution }
+
+let refused =
+  [
+    ("start_ns", { rolled_back with Flight.f_start_ns = min_int });
+    ("total_ns", { rolled_back with Flight.f_total_ns = -1 });
+    ("downtime_ns", { rolled_back with Flight.f_downtime_ns = -1 });
+    ("attribution.quiesce_ns", with_attribution (fun a -> { a with Flight.a_quiesce_ns = -1 }));
+    ("attribution.restart_ns", with_attribution (fun a -> { a with Flight.a_restart_ns = -1 }));
+    ("attribution.trace_ns", with_attribution (fun a -> { a with Flight.a_trace_ns = -1 }));
+    ("attribution.copy_ns", with_attribution (fun a -> { a with Flight.a_copy_ns = min_int }));
+    ( "attribution.spawn_join_ns",
+      with_attribution (fun a -> { a with Flight.a_spawn_join_ns = -1 }) );
+    ("attribution.relink_ns", with_attribution (fun a -> { a with Flight.a_relink_ns = -1 }));
+    ("attribution.channel_ns", with_attribution (fun a -> { a with Flight.a_channel_ns = -1 }));
+    ("attribution.handlers_ns", with_attribution (fun a -> { a with Flight.a_handlers_ns = -1 }));
+    ("attribution.teardown_ns", with_attribution (fun a -> { a with Flight.a_teardown_ns = -1 }));
+    ( "attribution components",
+      with_attribution (fun a -> { a with Flight.a_quiesce_ns = max_int; a_copy_ns = 1 }) );
+    ( "round.cost_ns",
+      { rolled_back with Flight.f_rounds = [ { Flight.r_words = 1; r_cost_ns = -1 } ] } );
+    ("round.words", { rolled_back with Flight.f_rounds = [ { Flight.r_words = -1; r_cost_ns = 1 } ] });
+    ("remapped_words", { rolled_back with Flight.f_remapped_words = -1 });
+    ("skipped_clean_words", { rolled_back with Flight.f_skipped_clean_words = -1 });
+    ("start_ns", { committed with Flight.f_prior = [ { rolled_back with Flight.f_start_ns = -1 } ] });
+  ]
+
+let test_negative_fields_refused () =
+  List.iter
+    (fun r ->
+      match Flight.of_json (Flight.to_json r) with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "sample refused: %s" e)
+    [ rolled_back; committed ];
+  List.iter
+    (fun (field, r) ->
+      match Flight.of_json (Flight.to_json r) with
+      | Ok _ -> Alcotest.failf "%s: out-of-range value accepted" field
+      | Error e ->
+          if not (contains e field) then Alcotest.failf "%s: error does not name it: %s" field e)
+    refused
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "readers"
@@ -287,4 +336,9 @@ let () =
         [ qt prop_flight; qt prop_flight_list; qt prop_fleet; qt prop_client_impact; qt prop_policy ]
       );
       ("postmortem", [ Alcotest.test_case "huge component renders" `Quick test_huge_component_renders ]);
+      ( "flight",
+        [
+          Alcotest.test_case "negative or overflowing fields refused" `Quick
+            test_negative_fields_refused;
+        ] );
     ]

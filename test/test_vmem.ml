@@ -578,7 +578,33 @@ let prop_zero_page_model =
         read_bytes sp base ~words:(4 * Addr.words_per_page)
         = String.make (8 * 4 * Addr.words_per_page) '\000'
       in
-      !reads_agree && shared_agree && fresh_zero)
+      (* the page tables hold exactly the mapped slots' pages, in order *)
+      let tables_agree =
+        List.for_all
+          (fun s ->
+            let sp = real.(s) in
+            let outside a =
+              (not (Aspace.is_mapped_word sp a))
+              && match Aspace.read_word sp a with _ -> false | exception Aspace.Fault _ -> true
+            in
+            let pages =
+              List.concat_map
+                (fun j ->
+                  if mapped s j then [ m_slot_base j; m_slot_base j + Addr.page_size ] else [])
+                (List.init m_slots Fun.id)
+            in
+            let rec ascending = function a :: (b :: _ as tl) -> a < b && ascending tl | _ -> true in
+            List.for_all
+              (fun j ->
+                outside (m_slot_base j - Addr.page_size)
+                && outside (m_slot_base j + (2 * Addr.page_size)))
+              (List.init m_slots Fun.id)
+            && Aspace.resident_bytes sp = List.length pages * Addr.page_size
+            && List.map (fun ps -> ps.Aspace.ps_page) (Aspace.page_states sp) = pages
+            && ascending (Aspace.epoch_dirty_pages sp ~name:"model"))
+          (List.init m_spaces Fun.id)
+      in
+      !reads_agree && shared_agree && fresh_zero && tables_agree)
 
 (* ------------------------------------------------------------------ *)
 (* Recycled page arrays
