@@ -33,46 +33,17 @@ type command =
   | Update
   | Stats
   | Explain of int option
-  | Deadlines of { quiesce_ns : int option; update_ns : int option }
-  | Retry of { retries : int; backoff_ns : int }
-  | Fault_arm of int option
-  | Precopy of { enabled : bool; max_rounds : int option; threshold_words : int option }
-  | Workers of int
-  | Remap of bool
-  | Slo of { downtime_ns : int option; total_ns : int option }
-  | Parking of { enabled : bool; drain_ns : int option }
+  | Policy of string
   | Save of string
   | Restore of string
   | Fleet of fleet_command
-
-let ns_arg = function None -> "-" | Some ns -> string_of_int ns
 
 let command_to_string = function
   | Update -> "UPDATE"
   | Stats -> "STATS"
   | Explain None -> "EXPLAIN LAST"
   | Explain (Some n) -> Printf.sprintf "EXPLAIN %d" n
-  | Deadlines { quiesce_ns; update_ns } ->
-      Printf.sprintf "DEADLINES %s %s" (ns_arg quiesce_ns) (ns_arg update_ns)
-  | Retry { retries; backoff_ns } -> Printf.sprintf "RETRY %d %d" retries backoff_ns
-  | Fault_arm None -> "FAULT OFF"
-  | Fault_arm (Some s) -> Printf.sprintf "FAULT %d" s
-  | Precopy { enabled = false; _ } -> "PRECOPY OFF"
-  | Precopy { enabled = true; max_rounds; threshold_words } -> (
-      match (max_rounds, threshold_words) with
-      | None, None -> "PRECOPY ON"
-      | Some r, None -> Printf.sprintf "PRECOPY ON %d" r
-      | r, Some w ->
-          Printf.sprintf "PRECOPY ON %d %d"
-            (Option.value r ~default:Policy.default.Policy.precopy_max_rounds)
-            w)
-  | Workers n -> Printf.sprintf "WORKERS %d" n
-  | Remap enabled -> if enabled then "REMAP ON" else "REMAP OFF"
-  | Slo { downtime_ns; total_ns } ->
-      Printf.sprintf "SLO %s %s" (ns_arg downtime_ns) (ns_arg total_ns)
-  | Parking { enabled = false; _ } -> "PARKING OFF"
-  | Parking { enabled = true; drain_ns = None } -> "PARKING ON"
-  | Parking { enabled = true; drain_ns = Some d } -> Printf.sprintf "PARKING ON %d" d
+  | Policy kv -> "POLICY " ^ kv
   | Save path -> "SAVE " ^ path
   | Restore path -> "RESTORE " ^ path
   | Fleet Status -> "FLEET STATUS"
@@ -83,13 +54,18 @@ let command_to_string = function
 
 (* Argument decoders: [None] means the argument is malformed. *)
 let int_at_least lo s = match int_of_string_opt s with Some n when n >= lo -> Some n | _ -> None
-
-let ns_opt = function "-" -> Some None | s -> Option.map Option.some (int_at_least 1 s)
 let ( let+ ) o f = Option.map f o
-let ( and+ ) a b = match (a, b) with Some a, Some b -> Some (a, b) | _ -> None
 
-(* verb, usage, argument parser. The value constraints are exactly the ones
-   the Policy builders enforce, so a decoded command always applies. *)
+(* The key of a key=value word. *)
+let key_of w = Option.map (fun i -> String.sub w 0 i) (String.index_opt w '=')
+
+(* The keys [Policy.to_kv] renders. Values are left to [Policy.of_kv],
+   which the manager applies over the lineage's policy. *)
+let policy_keys = List.filter_map key_of (String.split_on_char ' ' (Policy.to_kv Policy.default))
+
+let policy_key w = match key_of w with Some k when List.mem k policy_keys -> Some k | _ -> None
+
+(* verb, usage, argument parser *)
 let verbs : (string * string * (string list -> command option)) list =
   [
     ("UPDATE", "UPDATE", function [] -> Some Update | _ -> None);
@@ -102,67 +78,14 @@ let verbs : (string * string * (string list -> command option)) list =
           let+ n = int_at_least 1 n in
           Explain (Some n)
       | _ -> None );
-    ( "DEADLINES",
-      "DEADLINES <quiesce_ns|-> <update_ns|->",
-      function
-      | [ q; u ] ->
-          let+ quiesce_ns = ns_opt q and+ update_ns = ns_opt u in
-          Deadlines { quiesce_ns; update_ns }
-      | _ -> None );
-    ( "RETRY",
-      "RETRY <count> <backoff_ns>",
-      function
-      | [ n; b ] ->
-          let+ retries = int_at_least 0 n and+ backoff_ns = int_at_least 0 b in
-          Retry { retries; backoff_ns }
-      | _ -> None );
-    ( "FAULT",
-      "FAULT <seed>|OFF",
-      function
-      | [ "OFF" ] -> Some (Fault_arm None)
-      | [ s ] ->
-          let+ s = int_of_string_opt s in
-          Fault_arm (Some s)
-      | _ -> None );
-    ( "PRECOPY",
-      "PRECOPY ON [max_rounds] [threshold_words] | OFF",
-      function
-      | [ "OFF" ] ->
-          Some (Precopy { enabled = false; max_rounds = None; threshold_words = None })
-      | [ "ON" ] -> Some (Precopy { enabled = true; max_rounds = None; threshold_words = None })
-      | [ "ON"; r ] ->
-          let+ r = int_at_least 1 r in
-          Precopy { enabled = true; max_rounds = Some r; threshold_words = None }
-      | [ "ON"; r; w ] ->
-          let+ r = int_at_least 1 r and+ w = int_at_least 0 w in
-          Precopy { enabled = true; max_rounds = Some r; threshold_words = Some w }
-      | _ -> None );
-    ( "WORKERS",
-      "WORKERS <count>",
-      function
-      | [ n ] ->
-          let+ n = int_at_least 1 n in
-          Workers n
-      | _ -> None );
-    ( "REMAP",
-      "REMAP ON|OFF",
-      function [ "ON" ] -> Some (Remap true) | [ "OFF" ] -> Some (Remap false) | _ -> None );
-    ( "SLO",
-      "SLO <downtime_ns|-> <total_ns|->",
-      function
-      | [ d; u ] ->
-          let+ downtime_ns = ns_opt d and+ total_ns = ns_opt u in
-          Slo { downtime_ns; total_ns }
-      | _ -> None );
-    ( "PARKING",
-      "PARKING ON [drain_ns] | OFF",
-      function
-      | [ "OFF" ] -> Some (Parking { enabled = false; drain_ns = None })
-      | [ "ON" ] -> Some (Parking { enabled = true; drain_ns = None })
-      | [ "ON"; d ] ->
-          let+ d = int_at_least 0 d in
-          Parking { enabled = true; drain_ns = Some d }
-      | _ -> None );
+    ( "POLICY",
+      "POLICY <key>=<value> ..., each key at most once, one of " ^ String.concat "|" policy_keys,
+      fun args ->
+        let keys = List.filter_map policy_key args in
+        let n = List.length args in
+        if n > 0 && List.length keys = n && List.length (List.sort_uniq compare keys) = n then
+          Some (Policy (String.concat " " args))
+        else None );
     ("SAVE", "SAVE <path>", function [ path ] -> Some (Save path) | _ -> None);
     ("RESTORE", "RESTORE <path>", function [ path ] -> Some (Restore path) | _ -> None);
     ( "FLEET",

@@ -40,17 +40,14 @@ type command =
   | Explain of int option
       (** Flight record as JSON ([None] = newest, [Some n] with [n] = 1 the
           newest). *)
-  | Deadlines of { quiesce_ns : int option; update_ns : int option }
-      (** Set ([None] clears) the lineage's default deadlines. *)
-  | Retry of { retries : int; backoff_ns : int }
-  | Fault_arm of int option
-      (** Arm a seeded fault plan for subsequent updates; [None] disarms. *)
-  | Precopy of { enabled : bool; max_rounds : int option; threshold_words : int option }
-  | Workers of int  (** Transfer worker-pool size. *)
-  | Remap of bool  (** Zero-copy page remap on/off. *)
-  | Slo of { downtime_ns : int option; total_ns : int option }
-  | Parking of { enabled : bool; drain_ns : int option }
-      (** Request parking on/off; [drain_ns] sets the drain budget. *)
+  | Policy of string
+      (** [POLICY <key>=<value> ...], carrying the [key=value] words: set
+          the named fields of the lineage's policy for subsequent updates.
+          The keys are the ones {!Policy.to_kv} renders, each at most
+          once; the manager decodes the values with {!Policy.of_kv} over
+          its current policy, so an absent key keeps its value and a
+          rejected value leaves the policy unchanged and answers [ERR]
+          naming the key. *)
   | Save of string
       (** Write a persistent checkpoint image of the running program to the
           given {e host} path; replies [OK <fingerprint>]. *)
@@ -67,8 +64,10 @@ val command_of_string : string -> (command, string) result
 (** Decode a command. Words are separated by spaces; the verb must match
     exactly. [Error "unknown command"] for an unknown verb, [Error "usage:
     ..."] for malformed or out-of-range arguments — the reason the server
-    replies with. Total: never raises. For every command [c] that decodes,
-    [command_to_string] of the decoded value equals [command_to_string c]. *)
+    replies with. [POLICY] values are not checked here: {!Policy.of_kv}
+    checks them when the manager applies the command. Total: never
+    raises. For every command [c] that decodes, [command_to_string] of the
+    decoded value equals [command_to_string c]. *)
 
 (** {1 Server side} *)
 

@@ -209,10 +209,6 @@ let install_members img members =
   else Result.map_error Image.error_to_string (Image.install img ~members)
 
 let dispatch kernel lin ctl members =
-  let set f =
-    lin.policy <- f lin.policy;
-    Frame.ok
-  in
   let reply = function Ok v -> Frame.ok_inline v | Error e -> Frame.err e in
   function
   | Frame.Update -> Ctl_server.await ctl
@@ -241,17 +237,12 @@ let dispatch kernel lin ctl members =
                    r.Image.paired_procs r.Image.skipped_saved_procs r.Image.unmatched_live_procs
                    (Image.fingerprint img))
                (install_members img (live members))))
-  | Frame.Deadlines { quiesce_ns; update_ns } ->
-      set (Policy.with_deadlines ~quiesce_ns ~update_ns)
-  | Frame.Retry { retries; backoff_ns } -> set (Policy.with_retries ~backoff_ns retries)
-  | Frame.Fault_arm seed -> set (Policy.with_fault_seed seed)
-  | Frame.Precopy { enabled; max_rounds; threshold_words } ->
-      set (Policy.with_precopy ?max_rounds ?threshold_words enabled)
-  | Frame.Workers n -> set (Policy.with_transfer_workers n)
-  | Frame.Remap enabled -> set (Policy.with_transfer_remap enabled)
-  | Frame.Slo { downtime_ns; total_ns } -> set (Policy.with_slo ~downtime_ns ~total_ns)
-  | Frame.Parking { enabled; drain_ns } ->
-      set (Policy.with_request_parking ?drain_ns enabled)
+  | Frame.Policy kv -> (
+      match Policy.of_kv ~base:lin.policy kv with
+      | Ok p ->
+          lin.policy <- p;
+          Frame.ok
+      | Error e -> Frame.err e)
   | Frame.Fleet _ -> Frame.err "unknown command"
 
 (* Start [proc]'s controller thread on the lineage's socket (Ctl_server

@@ -68,11 +68,11 @@ val launch :
 
     [?policy] sets the manager's update policy ({!Policy.t}, default
     {!Policy.default}); it is shared across the manager lineage and can be
-    changed at runtime over the control socket ([DEADLINES], [RETRY],
-    [FAULT], [PRECOPY] — see {!Ctl}). It is the only spelling: the record
-    with its builders replaced the per-field optional arguments. If a
-    stale control-socket file is left at [ctl_path] by an earlier unclean
-    exit, it is unlinked before binding. *)
+    changed at runtime over the control socket with
+    [POLICY <key>=<value> ...] (see {!Frame.command}). It is the only
+    spelling: the record with its builders replaced the per-field optional
+    arguments. If a stale control-socket file is left at [ctl_path] by an
+    earlier unclean exit, it is unlinked before binding. *)
 
 val kernel : t -> Mcr_simos.Kernel.t
 val root_proc : t -> Mcr_simos.Kernel.proc

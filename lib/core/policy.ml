@@ -45,8 +45,10 @@ let with_deadlines ~quiesce_ns ~update_ns t =
   { t with quiesce_deadline_ns = quiesce_ns; update_deadline_ns = update_ns }
 
 let with_retries ?backoff_ns n t =
+  let backoff_ns = Option.value backoff_ns ~default:t.retry_backoff_ns in
   if n < 0 then invalid_arg "Policy.with_retries: negative count";
-  { t with retries = n; retry_backoff_ns = Option.value backoff_ns ~default:t.retry_backoff_ns }
+  if backoff_ns < 0 then invalid_arg "Policy.with_retries: negative backoff";
+  { t with retries = n; retry_backoff_ns = backoff_ns }
 
 let with_fault_seed s t = { t with fault_seed = s }
 let with_dirty_only d t = { t with dirty_only = d }
@@ -112,8 +114,8 @@ let to_kv t =
     ]
 
 (* The lower bounds are those the [with_*] builders enforce, plus
-   non-negative deadlines. *)
-let of_kv s =
+   non-negative deadlines. A key that is absent keeps [base]'s value. *)
+let of_kv ~base s =
   let fields =
     List.filter_map
       (fun tok ->
@@ -123,7 +125,6 @@ let of_kv s =
             Some (String.sub tok 0 i, String.sub tok (i + 1) (String.length tok - i - 1)))
       (String.split_on_char ' ' s)
   in
-  let get k = List.assoc_opt k fields in
   let fail k v what = failwith (Printf.sprintf "Policy.of_kv: %s=%s %s" k v what) in
   let int ?(min = min_int) k v =
     match int_of_string_opt v with
@@ -131,50 +132,33 @@ let of_kv s =
     | Some n when n < min -> fail k v (Printf.sprintf "is below %d" min)
     | Some n -> n
   in
-  let opt ?min k = match get k with None | Some "-" -> None | Some v -> Some (int ?min k v)
-  and scalar ?min k d = match get k with None -> d | Some v -> int ?min k v
+  let field k d read = match List.assoc_opt k fields with None -> d | Some v -> read v in
+  let opt ?min k d = field k d (function "-" -> None | v -> Some (int ?min k v))
+  and scalar ?min k d = field k d (int ?min k)
   and flag k d =
-    match get k with
-    | None -> d
-    | Some v -> (
+    field k d (fun v ->
         match bool_of_string_opt v with Some b -> b | None -> fail k v "is not a boolean")
   in
   try
     Ok
       {
-        quiesce_deadline_ns = opt ~min:0 "quiesce_deadline_ns";
-        update_deadline_ns = opt ~min:0 "update_deadline_ns";
-        retries = scalar ~min:0 "retries" default.retries;
-        retry_backoff_ns = scalar "retry_backoff_ns" default.retry_backoff_ns;
-        fault_seed = opt "fault_seed";
-        dirty_only = flag "dirty_only" default.dirty_only;
-        precopy = flag "precopy" default.precopy;
-        precopy_max_rounds = scalar ~min:1 "precopy_max_rounds" default.precopy_max_rounds;
+        base with
+        quiesce_deadline_ns = opt ~min:0 "quiesce_deadline_ns" base.quiesce_deadline_ns;
+        update_deadline_ns = opt ~min:0 "update_deadline_ns" base.update_deadline_ns;
+        retries = scalar ~min:0 "retries" base.retries;
+        retry_backoff_ns = scalar ~min:0 "retry_backoff_ns" base.retry_backoff_ns;
+        fault_seed = opt "fault_seed" base.fault_seed;
+        dirty_only = flag "dirty_only" base.dirty_only;
+        precopy = flag "precopy" base.precopy;
+        precopy_max_rounds = scalar ~min:1 "precopy_max_rounds" base.precopy_max_rounds;
         precopy_threshold_words =
-          scalar ~min:0 "precopy_threshold_words" default.precopy_threshold_words;
-        transfer_workers = scalar ~min:1 "transfer_workers" default.transfer_workers;
-        transfer_remap = flag "transfer_remap" default.transfer_remap;
-        slo_downtime_ns = opt ~min:1 "slo_downtime_ns";
-        slo_total_ns = opt ~min:1 "slo_total_ns";
-        image_dir = None;
-        request_parking = flag "request_parking" default.request_parking;
-        drain_ns = scalar ~min:0 "drain_ns" default.drain_ns;
-        concurrent_transfer = flag "concurrent_transfer" default.concurrent_transfer;
+          scalar ~min:0 "precopy_threshold_words" base.precopy_threshold_words;
+        transfer_workers = scalar ~min:1 "transfer_workers" base.transfer_workers;
+        transfer_remap = flag "transfer_remap" base.transfer_remap;
+        slo_downtime_ns = opt ~min:1 "slo_downtime_ns" base.slo_downtime_ns;
+        slo_total_ns = opt ~min:1 "slo_total_ns" base.slo_total_ns;
+        request_parking = flag "request_parking" base.request_parking;
+        drain_ns = scalar ~min:0 "drain_ns" base.drain_ns;
+        concurrent_transfer = flag "concurrent_transfer" base.concurrent_transfer;
       }
   with Stdlib.Failure msg -> Error msg
-
-let pp ppf t =
-  let opt ppf = function
-    | None -> Format.pp_print_string ppf "-"
-    | Some n -> Format.pp_print_int ppf n
-  in
-  Format.fprintf ppf
-    "@[<hov>quiesce_deadline_ns=%a update_deadline_ns=%a retries=%d retry_backoff_ns=%d \
-     fault_seed=%a dirty_only=%b precopy=%b precopy_max_rounds=%d precopy_threshold_words=%d \
-     transfer_workers=%d transfer_remap=%b slo_downtime_ns=%a slo_total_ns=%a image_dir=%s \
-     request_parking=%b drain_ns=%d concurrent_transfer=%b@]"
-    opt t.quiesce_deadline_ns opt t.update_deadline_ns t.retries t.retry_backoff_ns opt
-    t.fault_seed t.dirty_only t.precopy t.precopy_max_rounds t.precopy_threshold_words
-    t.transfer_workers t.transfer_remap opt t.slo_downtime_ns opt t.slo_total_ns
-    (Option.value t.image_dir ~default:"-")
-    t.request_parking t.drain_ns t.concurrent_transfer

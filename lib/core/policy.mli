@@ -87,6 +87,10 @@ val default : t
 val with_quiesce_deadline_ns : int option -> t -> t
 val with_deadlines : quiesce_ns:int option -> update_ns:int option -> t -> t
 val with_retries : ?backoff_ns:int -> int -> t -> t
+(** [with_retries n p] sets the retry count; [backoff_ns] defaults to the
+    current value of [p].
+    @raise Invalid_argument if the count or the backoff is negative. *)
+
 val with_fault_seed : int option -> t -> t
 val with_dirty_only : bool -> t -> t
 
@@ -121,13 +125,15 @@ val with_concurrent_transfer : bool -> t -> t
 val to_kv : t -> string
 (** Render the scalar fields as a [key=value ...] line — the form embedded
     in checkpoint images so an offline replay can reconstruct the exact
-    policy. [image_dir] deliberately does not round-trip (a replayed
-    update must not re-snapshot images). *)
+    policy, and the only rendering of a policy. Its keys are the ones the
+    ctl [POLICY] command accepts ({!Frame.command}). [image_dir]
+    deliberately does not round-trip (a replayed update must not
+    re-snapshot images). *)
 
-val of_kv : string -> (t, string) result
-(** Parse {!to_kv} output. Unknown keys are ignored and missing keys take
-    their defaults, so policies written by older builds keep parsing. A
-    value the matching [with_*] builder would reject, or a negative
-    deadline, is an [Error] naming its key. *)
-
-val pp : Format.formatter -> t -> unit
+val of_kv : base:t -> string -> (t, string) result
+(** Parse {!to_kv} output over [base]: every key that is absent, and
+    [image_dir], keep [base]'s value. Images decode over {!default}, the
+    ctl [POLICY] command over the lineage's current policy. Unknown keys
+    and tokens without [=] are ignored, so policies written by older
+    builds keep parsing. A value the matching [with_*] builder would
+    reject, or a negative deadline, is an [Error] naming its key. *)

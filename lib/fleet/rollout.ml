@@ -50,7 +50,9 @@ let execute fleet =
     timeline :=
       { Fleet_flight.s_ns = !now; s_serving = Balancer.serving bal } :: !timeline
   in
-  let tick () = ignore (Balancer.route bal ~n:pol.Fleet_policy.tick_requests) in
+  (* simulated client requests per wave transition: the denominator of the
+     client-visible error count *)
+  let tick () = ignore (Balancer.route bal ~n:100) in
   let wave_index = ref 0 in
   let done_waves = ref [] in
   let halted = ref false in
@@ -64,7 +66,7 @@ let execute fleet =
     List.iter (fun id -> Balancer.set_state bal id Balancer.Draining) members;
     sample ();
     tick ();
-    now := !now + pol.Fleet_policy.drain_ns;
+    now := !now + Fleet.drain_ns;
     List.iter (fun id -> Balancer.set_state bal id Balancer.Out) members;
     let verdicts, duration =
       List.fold_left

@@ -32,12 +32,12 @@ let pp_key ppf = function
    descriptor-state calls, pid queries, forks. Everything else runs live. *)
 let replay_class (call : S.call) =
   match call with
-  | S.Socket | S.Bind _ | S.Listen _ | S.Unix_listen _ | S.Open _ | S.Dup _ | S.Close _
+  | S.Socket | S.Bind _ | S.Listen _ | S.Unix_listen _ | S.Open _ | S.Close _
   | S.Getpid | S.Getppid | S.Fork _ | S.Shmget _ ->
       true
   | S.Open_at _ (* replay-internal; never recorded *)
   | S.Accept _ | S.Accept_timed _ | S.Connect _ | S.Read _ | S.Write _ | S.Poll _ | S.Thread_create _
-  | S.Waitpid _ | S.Exit _ | S.Nanosleep _ | S.Sem_wait _ | S.Sem_post _
+  | S.Waitpid _ | S.Exit _ | S.Nanosleep _ | S.Sem_wait _
   | S.Unix_connect _ ->
       false
 

@@ -148,7 +148,7 @@ let replay_effect t ps ~callstack ~proc call (e : entry) =
     K.Short_circuit e.result
   in
   match e.call with
-  | S.Socket | S.Unix_listen _ | S.Dup _ ->
+  | S.Socket | S.Unix_listen _ ->
       touch_result ps e.result;
       short_circuit ()
   | S.Open { path; create } -> begin

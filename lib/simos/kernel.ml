@@ -876,13 +876,6 @@ and execute_call t th call (k : (S.result, unit) Effect.Deep.continuation) =
             | Error e -> ret (S.Err e))
         | _ -> ret (S.Ok_fd (alloc_fd proc desc))
       end
-  | S.Dup { fd } -> begin
-      match find_fd proc fd with
-      | None -> ret (S.Err S.EBADF)
-      | Some desc ->
-          desc.refs <- desc.refs + 1;
-          ret (S.Ok_fd (alloc_fd proc desc))
-    end
   | S.Poll { fds; timeout_ns; nonblock } ->
       let ready () =
         let r = List.filter (readable t proc) fds in
@@ -954,9 +947,6 @@ and execute_call t th call (k : (S.result, unit) Effect.Deep.continuation) =
               ~registers:[ (fun w -> sem.sem_waiters <- w :: sem.sem_waiters) ]
               ~timeout
       end
-  | S.Sem_post { name } ->
-      post_semaphore t name;
-      ret S.Ok_unit
   | S.Unix_listen { path } ->
       if Hashtbl.mem t.paths path then ret (S.Err S.EADDRINUSE)
       else begin

@@ -13,7 +13,6 @@ type call =
   | Close of { fd : fd }
   | Open of { path : string; create : bool }
   | Open_at of { path : string; create : bool; force_fd : fd }
-  | Dup of { fd : fd }
   | Poll of { fds : fd list; timeout_ns : int option; nonblock : bool }
   | Getpid
   | Getppid
@@ -23,7 +22,6 @@ type call =
   | Exit of { status : int }
   | Nanosleep of { ns : int }
   | Sem_wait of { name : string; timeout_ns : int option }
-  | Sem_post of { name : string }
   | Unix_listen of { path : string }
   | Unix_connect of { path : string }
   | Shmget of { key : int }
@@ -68,7 +66,6 @@ let call_name = function
   | Close _ -> "close"
   | Open _ -> "open"
   | Open_at _ -> "open_at"
-  | Dup _ -> "dup"
   | Poll _ -> "poll"
   | Getpid -> "getpid"
   | Getppid -> "getppid"
@@ -78,7 +75,6 @@ let call_name = function
   | Exit _ -> "exit"
   | Nanosleep _ -> "nanosleep"
   | Sem_wait _ -> "sem_wait"
-  | Sem_post _ -> "sem_post"
   | Unix_listen _ -> "unix_listen"
   | Unix_connect _ -> "unix_connect"
   | Shmget _ -> "shmget"
@@ -86,10 +82,8 @@ let call_name = function
 let is_blocking = function
   | Accept { nonblock; _ } | Read { nonblock; _ } | Poll { nonblock; _ } -> not nonblock
   | Waitpid _ | Nanosleep _ | Sem_wait _ | Accept_timed _ -> true
-  | Socket | Bind _ | Listen _ | Connect _ | Write _ | Close _ | Open _ | Open_at _ | Dup _
-  | Getpid
-  | Getppid | Fork _ | Thread_create _ | Exit _ | Sem_post _ | Unix_listen _
-  | Unix_connect _ | Shmget _ ->
+  | Socket | Bind _ | Listen _ | Connect _ | Write _ | Close _ | Open _ | Open_at _ | Getpid
+  | Getppid | Fork _ | Thread_create _ | Exit _ | Unix_listen _ | Unix_connect _ | Shmget _ ->
       false
 
 let err_name = function
@@ -124,7 +118,6 @@ let pp_call ppf c =
   | Close { fd } -> Format.fprintf ppf "close(fd=%d)" fd
   | Open { path; create } -> Format.fprintf ppf "open(%S%s)" path (if create then ", O_CREAT" else "")
   | Open_at { path; force_fd; _ } -> Format.fprintf ppf "open_at(%S, fd=%d)" path force_fd
-  | Dup { fd } -> Format.fprintf ppf "dup(fd=%d)" fd
   | Poll { fds; timeout_ns; nonblock } ->
       Format.fprintf ppf "poll([%s]%s%s)"
         (String.concat ";" (List.map string_of_int fds))
@@ -138,7 +131,6 @@ let pp_call ppf c =
   | Sem_wait { name; timeout_ns } ->
       Format.fprintf ppf "sem_wait(%s%s)" name
         (match timeout_ns with Some t -> Printf.sprintf ", t=%dns" t | None -> "")
-  | Sem_post { name } -> Format.fprintf ppf "sem_post(%s)" name
   | Unix_listen { path } -> Format.fprintf ppf "unix_listen(%S)" path
   | Unix_connect { path } -> Format.fprintf ppf "unix_connect(%S)" path
   | Shmget { key } -> Format.fprintf ppf "shmget(key=%d)" key

@@ -27,7 +27,6 @@ type call =
       (** Replay-only: open installing the descriptor at exactly [force_fd],
           with a fresh file offset — how mutable reinitialization re-executes
           a recorded [open] while preserving the fd number. *)
-  | Dup of { fd : fd }
   | Poll of { fds : fd list; timeout_ns : int option; nonblock : bool }
   | Getpid
   | Getppid
@@ -39,7 +38,6 @@ type call =
   | Exit of { status : int }
   | Nanosleep of { ns : int }
   | Sem_wait of { name : string; timeout_ns : int option }
-  | Sem_post of { name : string }
   | Unix_listen of { path : string }
       (** Unix-domain listening socket; unlike TCP, its accept backlog has
           no cap. *)
@@ -47,7 +45,9 @@ type call =
   | Shmget of { key : int }
       (** SysV shared-memory segment: returns a {e globally} allocated id
           with no namespace support — the paper's Section 7 example of an
-          immutable object class MCR cannot virtualize. *)
+          immutable object class MCR cannot virtualize. No server issues
+          it; it stays because it is the only call that raises the
+          replay's [Unsupported] conflict, which the replay tests pin. *)
 
 type err =
   | EAGAIN

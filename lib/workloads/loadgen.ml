@@ -42,7 +42,6 @@ type t = {
   in_flight : int ref;
   peak_in_flight : int ref;
   latency : Stats.hist;  (* scheduled arrival -> completion *)
-  ttfb : Stats.hist;  (* scheduled arrival -> first server byte *)
   records : record option array;
   offsets : int array;
   base : int ref;  (* absolute schedule origin, set once spawning is done *)
@@ -141,7 +140,6 @@ let start kernel ~server ?(seed = 1) ?metrics ?trace ~rate ~requests () =
       in_flight = ref 0;
       peak_in_flight = ref 0;
       latency = Stats.hist_create ~bounds:Stats.log_ns_bounds;
-      ttfb = Stats.hist_create ~bounds:Stats.log_ns_bounds;
       records = Array.make requests None;
       offsets;
       base;
@@ -198,7 +196,6 @@ let start kernel ~server ?(seed = 1) ?metrics ?trace ~rate ~requests () =
             Option.iter (fun g -> Metrics.set g !(t.in_flight)) inflight_g;
             let d = finish - scheduled in
             Stats.hist_observe t.latency d;
-            if fb >= 0 then Stats.hist_observe t.ttfb (fb - scheduled);
             Option.iter (fun h -> Metrics.observe h d) lat_metric;
             if ok then begin
               incr t.completed;
@@ -268,7 +265,6 @@ let peak_in_flight t =
     events;
   !peak
 let latency t = Stats.hist_copy t.latency
-let ttfb t = Stats.hist_copy t.ttfb
 let summary t = Stats.hist_summary t.latency
 
 (* Exact (unbucketed) percentile over the per-request records — the

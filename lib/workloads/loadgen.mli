@@ -10,15 +10,16 @@
     All client processes are pre-spawned (spawning costs virtual time)
     and sleep until their scheduled arrival, so the driver sustains
     10k+ concurrent in-flight requests on the virtual clock. Each request
-    is stamped submit / first-byte / complete into HDR-style log-bucketed
-    histograms ({!Mcr_util.Stats.log_ns_bounds}), optionally mirrored into
+    is stamped submit / first-byte / complete in its {!record}, and its
+    latency goes into an HDR-style log-bucketed histogram
+    ({!Mcr_util.Stats.log_ns_bounds}), optionally mirrored into
     a metrics registry as [mcr_request_latency_ns] (plus
     [mcr_requests_issued/completed/errored_total] and the
     [mcr_requests_in_flight] gauge) and emitted as [request.*] trace
     spans (category ["request"]).
 
     Determinism: same seed, same kernel state — identical arrival
-    schedule, identical histograms. *)
+    schedule, identical records and histogram. *)
 
 type t
 
@@ -71,9 +72,6 @@ val peak_in_flight : t -> int
 
 val latency : t -> Mcr_util.Stats.hist
 (** Scheduled-arrival -> completion histogram (copy). *)
-
-val ttfb : t -> Mcr_util.Stats.hist
-(** Scheduled-arrival -> first-server-byte histogram (copy). *)
 
 val summary : t -> Mcr_util.Stats.hist_summary
 (** Tail summary of {!latency}. *)

@@ -99,7 +99,7 @@ let replay img =
                             match Image.policy_text img with
                             | None -> Policy.default
                             | Some text -> (
-                                match Policy.of_kv text with
+                                match Policy.of_kv ~base:Policy.default text with
                                 | Ok p -> p
                                 | Error _ -> Policy.default)
                           in

@@ -264,11 +264,11 @@ let test_back_to_back_reflects_mutations () =
 let test_remap_ctl_command () =
   let kernel, m = boot () in
   Alcotest.(check bool) "remap off by default" false (Manager.policy m).Policy.transfer_remap;
-  Alcotest.(check bool) "REMAP ON acknowledged" true
-    (ctl kernel m (Frame.Remap true) = Some (Ok ""));
+  Alcotest.(check bool) "remap on acknowledged" true
+    (ctl kernel m (Frame.Policy "transfer_remap=true") = Some (Ok ""));
   Alcotest.(check bool) "policy flipped" true (Manager.policy m).Policy.transfer_remap;
-  Alcotest.(check bool) "REMAP OFF acknowledged" true
-    (ctl kernel m (Frame.Remap false) = Some (Ok ""));
+  Alcotest.(check bool) "remap off acknowledged" true
+    (ctl kernel m (Frame.Policy "transfer_remap=false") = Some (Ok ""));
   Alcotest.(check bool) "policy restored" false (Manager.policy m).Policy.transfer_remap;
   (* and the lineage still updates cleanly afterwards *)
   let _m2, r = Manager.update m (Listing1.v2 ()) in

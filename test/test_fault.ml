@@ -196,8 +196,8 @@ let test_retry_recovers_from_transient_fault () =
   Alcotest.(check bool) "new version serves" true (contains r "v2:2")
 
 let test_policy_over_ctl () =
-  (* deadlines/retry/fault knobs are settable over the control socket and
-     picked up by the next update *)
+  (* deadlines/retry/fault knobs are settable over the control socket with
+     POLICY and picked up by the next update *)
   let kernel = K.create () in
   let m = launch_listing1 kernel in
   let path = Manager.ctl_path m in
@@ -207,15 +207,48 @@ let test_policy_over_ctl () =
     drive kernel (fun () -> !reply <> None);
     !reply
   in
-  let ask cmd = ask_raw (Ctl.Frame.command_to_string cmd) in
+  let ask kv = ask_raw (Ctl.Frame.command_to_string (Ctl.Frame.Policy kv)) in
   let ok = Some (Ok "") in
-  Alcotest.(check bool) "DEADLINES ok" true
-    (ask (Ctl.Frame.Deadlines { quiesce_ns = Some 400_000_000; update_ns = None }) = ok);
-  Alcotest.(check bool) "RETRY ok" true
-    (ask (Ctl.Frame.Retry { retries = 0; backoff_ns = 1_000_000 }) = ok);
-  Alcotest.(check bool) "FAULT OFF ok" true (ask (Ctl.Frame.Fault_arm None) = ok);
+  Alcotest.(check bool) "deadline ok" true (ask "quiesce_deadline_ns=400000000" = ok);
+  Alcotest.(check bool) "retry ok" true (ask "retries=0 retry_backoff_ns=1000000" = ok);
+  Alcotest.(check bool) "fault disarm ok" true (ask "fault_seed=-" = ok);
+  let p = Manager.policy m in
+  Alcotest.(check (option int)) "deadline set" (Some 400_000_000) p.Policy.quiesce_deadline_ns;
+  Alcotest.(check int) "backoff set" 1_000_000 p.Policy.retry_backoff_ns;
+  (* a value Policy.of_kv refuses answers ERR naming its key and changes
+     nothing, not even the valid keys beside it *)
+  (match ask "retries=2 retry_backoff_ns=-1" with
+  | Some (Error (Ctl.Refused r)) ->
+      Alcotest.(check bool) ("refusal names the key: " ^ r) true (contains r "retry_backoff_ns")
+  | _ -> Alcotest.fail "negative backoff accepted");
+  Alcotest.(check bool) "policy unchanged on refusal" true (Manager.policy m = p);
+  (* the grammar refuses what is not a POLICY key=value list *)
+  List.iter
+    (fun command ->
+      Alcotest.(check bool) (command ^ " refused") true
+        (match ask_raw command with
+        | Some (Error (Ctl.Refused r)) -> contains r "usage: POLICY"
+        | _ -> false))
+    [ "POLICY transfer_worker=3"; "POLICY image_dir=/x"; "POLICY retries"; "POLICY" ];
+  Alcotest.(check bool) "policy unchanged by refused commands" true (Manager.policy m = p);
+  (* the per-knob verbs are gone *)
+  List.iter
+    (fun command ->
+      Alcotest.(check bool) (command ^ " unknown") true
+        (ask_raw command = Some (Error (Ctl.Refused "unknown command"))))
+    [
+      "DEADLINES 400000000 -";
+      "RETRY 0 1000000";
+      "FAULT OFF";
+      "PRECOPY ON";
+      "WORKERS 3";
+      "REMAP ON";
+      "SLO - -";
+      "PARKING ON";
+    ];
   Alcotest.(check bool) "FLEET refused by a manager" true
-    (ask (Ctl.Frame.Fleet Ctl.Frame.Status) = Some (Error (Ctl.Refused "unknown command")));
+    (ask_raw (Ctl.Frame.command_to_string (Ctl.Frame.Fleet Ctl.Frame.Status))
+    = Some (Error (Ctl.Refused "unknown command")));
   (* the policy deadline applies without per-call arguments *)
   let m2, report =
     Manager.update m ~fault:(Fault.script [ Fault.Quiesce_refusal ]) (Listing1.v2 ())
@@ -223,11 +256,6 @@ let test_policy_over_ctl () =
   Alcotest.(check (option string)) "policy deadline applied"
     (Some "quiescence deadline exceeded")
     (Option.map Mcr_error.to_string report.Manager.failure);
-  (* malformed policy commands answer with usage, not silence *)
-  Alcotest.(check bool) "usage error" true
-    (match ask_raw "DEADLINES x" with
-    | Some (Error (Ctl.Refused r)) -> contains r "usage"
-    | _ -> false);
   ignore m2
 
 let test_stale_ctl_socket_relaunch () =

@@ -70,6 +70,12 @@ let test_frame_replies () =
   | Error (Frame.Transport _) -> ()
   | _ -> Alcotest.fail "unexpected frame is a transport error"
 
+(* The keys Policy.to_kv renders: the POLICY command's vocabulary. *)
+let policy_keys =
+  List.map
+    (fun kv -> String.sub kv 0 (String.index kv '='))
+    (String.split_on_char ' ' (Policy.to_kv Policy.default))
+
 let test_command_decoding () =
   let decodes s c =
     Alcotest.(check bool) (s ^ " decodes") true (Frame.command_of_string s = Ok c)
@@ -78,11 +84,11 @@ let test_command_decoding () =
   decodes "  STATS " Frame.Stats;
   decodes "EXPLAIN" (Frame.Explain None);
   decodes "EXPLAIN 3" (Frame.Explain (Some 3));
-  decodes "DEADLINES - 400" (Frame.Deadlines { quiesce_ns = None; update_ns = Some 400 });
-  decodes "PRECOPY ON 3"
-    (Frame.Precopy { enabled = true; max_rounds = Some 3; threshold_words = None });
-  decodes "PARKING ON 0" (Frame.Parking { enabled = true; drain_ns = Some 0 });
-  decodes "PARKING OFF" (Frame.Parking { enabled = false; drain_ns = None });
+  decodes "POLICY update_deadline_ns=400" (Frame.Policy "update_deadline_ns=400");
+  decodes " POLICY  precopy=true  precopy_max_rounds=3"
+    (Frame.Policy "precopy=true precopy_max_rounds=3");
+  (* values are Policy.of_kv's to check, when the manager applies them *)
+  decodes "POLICY transfer_workers=0" (Frame.Policy "transfer_workers=0");
   decodes "FLEET STATUS" (Frame.Fleet Frame.Status);
   decodes " FLEET  ROLLOUT" (Frame.Fleet Frame.Rollout);
   decodes "FLEET EXPLAIN" (Frame.Fleet Frame.Explain);
@@ -90,6 +96,9 @@ let test_command_decoding () =
   decodes "FLEET MIGRATE 3 /tmp/i3"
     (Frame.Fleet (Frame.Migrate { instance = 3; path = "/tmp/i3" }));
   let fleet_usage = "usage: FLEET STATUS|ROLLOUT|EXPLAIN|SAVE <i> <path>|MIGRATE <i> <path>" in
+  let policy_usage = Result.get_error (Frame.command_of_string "POLICY") in
+  Alcotest.(check bool) "POLICY usage names every key" true
+    (List.for_all (contains policy_usage) policy_keys);
   List.iter
     (fun (s, reason) ->
       Alcotest.(check (result reject string)) s (Error reason)
@@ -100,15 +109,22 @@ let test_command_decoding () =
       ("", "unknown command");
       ("UPDATE now", "usage: UPDATE");
       ("EXPLAIN 0", "usage: EXPLAIN [LAST|<n>]");
-      ("DEADLINES 0 -", "usage: DEADLINES <quiesce_ns|-> <update_ns|->");
-      ("RETRY -1 5", "usage: RETRY <count> <backoff_ns>");
-      ("FAULT -", "usage: FAULT <seed>|OFF");
-      ("PRECOPY ON 0", "usage: PRECOPY ON [max_rounds] [threshold_words] | OFF");
-      ("PRECOPY ON 2 -1", "usage: PRECOPY ON [max_rounds] [threshold_words] | OFF");
-      ("WORKERS 0", "usage: WORKERS <count>");
-      ("REMAP", "usage: REMAP ON|OFF");
-      ("SLO - 0", "usage: SLO <downtime_ns|-> <total_ns|->");
-      ("PARKING ON -1", "usage: PARKING ON [drain_ns] | OFF");
+      ("POLICY", policy_usage);
+      ("POLICY transfer_worker=3", policy_usage);
+      ("POLICY image_dir=/x", policy_usage);
+      ("POLICY retries", policy_usage);
+      ("POLICY retries=1 1", policy_usage);
+      ("POLICY retries=1 retries=2", policy_usage);
+      ("POLICY =3", policy_usage);
+      ("POLICYretries=1", "unknown command");
+      ("DEADLINES - 400", "unknown command");
+      ("RETRY 0 5", "unknown command");
+      ("FAULT OFF", "unknown command");
+      ("PRECOPY ON", "unknown command");
+      ("WORKERS 3", "unknown command");
+      ("REMAP ON", "unknown command");
+      ("SLO - -", "unknown command");
+      ("PARKING OFF", "unknown command");
       ("SAVE", "usage: SAVE <path>");
       ("RESTORE a b", "usage: RESTORE <path>");
       ("FLEET", fleet_usage);
@@ -121,27 +137,27 @@ let test_command_decoding () =
       ("FLEETSTATUS", "unknown command");
     ]
 
-(* Every command the decoder accepts, as a generator. *)
+(* Every command the decoder accepts, as a generator. A POLICY command
+   names distinct keys of [Policy.to_kv], with values in or out of range. *)
 let command_gen =
   let open QCheck.Gen in
   let pos = int_range 1 1_000_000_000 and nat = int_range 0 1_000_000 in
   let word = string_size ~gen:(char_range 'a' 'z') (int_range 1 12) in
+  let policy_kv =
+    let value = oneof [ map string_of_int int; oneofl [ "-"; "true"; "false" ]; word ] in
+    let* keys = shuffle_l policy_keys in
+    let* n = int_range 1 (List.length keys) in
+    let+ values = list_repeat n value in
+    List.filteri (fun i _ -> i < n) keys
+    |> List.map2 (fun v k -> k ^ "=" ^ v) values
+    |> String.concat " "
+  in
   oneof
     [
       return Frame.Update;
       return Frame.Stats;
       map (fun n -> Frame.Explain n) (opt pos);
-      map2 (fun q u -> Frame.Deadlines { quiesce_ns = q; update_ns = u }) (opt pos) (opt pos);
-      map2 (fun retries backoff_ns -> Frame.Retry { retries; backoff_ns }) nat nat;
-      map (fun s -> Frame.Fault_arm s) (opt int);
-      map3
-        (fun enabled max_rounds threshold_words ->
-          Frame.Precopy { enabled; max_rounds; threshold_words })
-        bool (opt pos) (opt nat);
-      map (fun n -> Frame.Workers n) pos;
-      map (fun b -> Frame.Remap b) bool;
-      map2 (fun d u -> Frame.Slo { downtime_ns = d; total_ns = u }) (opt pos) (opt pos);
-      map2 (fun enabled drain_ns -> Frame.Parking { enabled; drain_ns }) bool (opt nat);
+      map (fun kv -> Frame.Policy kv) policy_kv;
       map (fun p -> Frame.Save ("/tmp/" ^ p)) word;
       map (fun p -> Frame.Restore ("/tmp/" ^ p)) word;
       oneofl Frame.[ Fleet Status; Fleet Rollout; Fleet Explain ];

@@ -247,10 +247,10 @@ let contains hay needle =
 
 let test_policy_concurrent_transfer_kv () =
   let p = Policy.default |> Policy.with_concurrent_transfer true in
-  (match Policy.of_kv (Policy.to_kv p) with
+  (match Policy.of_kv ~base:Policy.default (Policy.to_kv p) with
   | Ok q -> Alcotest.(check bool) "round trips" true q.Policy.concurrent_transfer
   | Error e -> Alcotest.failf "of_kv: %s" e);
-  match Policy.of_kv (Policy.to_kv Policy.default) with
+  match Policy.of_kv ~base:Policy.default (Policy.to_kv Policy.default) with
   | Ok q -> Alcotest.(check bool) "defaults off" false q.Policy.concurrent_transfer
   | Error e -> Alcotest.failf "of_kv default: %s" e
 
@@ -263,7 +263,7 @@ let test_policy_of_kv_rejects key value () =
            if String.starts_with ~prefix:(key ^ "=") tok then key ^ "=" ^ value else tok)
     |> String.concat " "
   in
-  match Policy.of_kv kv with
+  match Policy.of_kv ~base:Policy.default kv with
   | Ok _ -> Alcotest.failf "of_kv accepted %s=%s" key value
   | Error e -> Alcotest.(check bool) ("error names the key: " ^ e) true (contains e key)
 
@@ -278,13 +278,36 @@ let test_policy_of_kv_bounds () =
     |> Policy.with_slo ~downtime_ns:(Some 1) ~total_ns:(Some 1)
     |> Policy.with_request_parking ~drain_ns:0 true
   in
-  match Policy.of_kv (Policy.to_kv p) with
+  match Policy.of_kv ~base:Policy.default (Policy.to_kv p) with
   | Ok q -> Alcotest.(check bool) "round trips" true (q = p)
+  | Error e -> Alcotest.failf "of_kv: %s" e
+
+(* Over a non-default base, an absent key keeps the base's value (an
+   option-valued one too) and [image_dir], which never round-trips, is the
+   base's. *)
+let test_policy_of_kv_base () =
+  let base =
+    Policy.default
+    |> Policy.with_deadlines ~quiesce_ns:(Some 7) ~update_ns:None
+    |> Policy.with_precopy ~max_rounds:3 true
+    |> Policy.with_image_dir (Some "/img")
+  in
+  (match Policy.of_kv ~base "transfer_workers=2 update_deadline_ns=9" with
+  | Ok q ->
+      Alcotest.(check bool) "only the named keys change" true
+        (q = { base with Policy.transfer_workers = 2; update_deadline_ns = Some 9 })
+  | Error e -> Alcotest.failf "of_kv: %s" e);
+  (match Policy.of_kv ~base "quiesce_deadline_ns=-" with
+  | Ok q -> Alcotest.(check (option int)) "- clears an option" None q.Policy.quiesce_deadline_ns
+  | Error e -> Alcotest.failf "of_kv: %s" e);
+  match Policy.of_kv ~base "" with
+  | Ok q -> Alcotest.(check bool) "empty text is the base" true (q = base)
   | Error e -> Alcotest.failf "of_kv: %s" e
 
 let of_kv_rejected =
   [
     ("retries", "-1");
+    ("retry_backoff_ns", "-1");
     ("precopy_max_rounds", "0");
     ("precopy_threshold_words", "-5");
     ("transfer_workers", "0");
@@ -342,6 +365,7 @@ let () =
           Alcotest.test_case "concurrent_transfer kv" `Quick
             test_policy_concurrent_transfer_kv;
           Alcotest.test_case "of_kv accepts the bounds" `Quick test_policy_of_kv_bounds;
+          Alcotest.test_case "of_kv keeps absent keys of the base" `Quick test_policy_of_kv_base;
         ]
         @ List.map
             (fun (k, v) ->

@@ -24,7 +24,6 @@ let all_calls =
     S.Close { fd = 3 };
     S.Open { path = "/p"; create = true };
     S.Open_at { path = "/p"; create = false; force_fd = 1001 };
-    S.Dup { fd = 3 };
     S.Poll { fds = [ 1; 2 ]; timeout_ns = Some 7; nonblock = false };
     S.Getpid;
     S.Getppid;
@@ -34,7 +33,6 @@ let all_calls =
     S.Exit { status = 0 };
     S.Nanosleep { ns = 1 };
     S.Sem_wait { name = "s"; timeout_ns = None };
-    S.Sem_post { name = "s" };
     S.Unix_listen { path = "/u" };
     S.Unix_connect { path = "/u" };
     S.Shmget { key = 1 };

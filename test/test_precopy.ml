@@ -238,7 +238,10 @@ let test_policy_builders () =
       ignore (Policy.with_precopy ~max_rounds:0 true p));
   Alcotest.check_raises "negative retries rejected"
     (Invalid_argument "Policy.with_retries: negative count") (fun () ->
-      ignore (Policy.with_retries (-1) p))
+      ignore (Policy.with_retries (-1) p));
+  Alcotest.check_raises "negative backoff rejected"
+    (Invalid_argument "Policy.with_retries: negative backoff") (fun () ->
+      ignore (Policy.with_retries ~backoff_ns:(-1) 0 p))
 
 let test_error_vocabulary () =
   (* every reason round-trips through its frozen string, and metric names
@@ -299,7 +302,7 @@ let test_ctl_hello () =
   | _ -> Alcotest.fail "expected Refused")
 
 let test_ctl_precopy_knob () =
-  (* PRECOPY ON over the socket arms pre-copy for the next update *)
+  (* POLICY precopy=true over the socket arms pre-copy for the next update *)
   let kernel = K.create () in
   let m = launch_listing1 kernel in
   let path = Manager.ctl_path m in
@@ -309,21 +312,23 @@ let test_ctl_precopy_knob () =
     drive kernel (fun () -> !reply <> None);
     !reply
   in
-  Alcotest.(check bool) "PRECOPY ON acknowledged" true
-    (ask
-       (Ctl.Frame.Precopy
-          { enabled = true; max_rounds = Some 3; threshold_words = Some 100_000 })
-    = Some (Ok ""));
+  let ask kv = ask (Ctl.Frame.Policy kv) in
+  Alcotest.(check bool) "precopy on acknowledged" true
+    (ask "precopy=true precopy_max_rounds=3 precopy_threshold_words=100000" = Some (Ok ""));
   Alcotest.(check bool) "policy updated" true (Manager.policy m).Policy.precopy;
   Alcotest.(check int) "rounds knob" 3 (Manager.policy m).Policy.precopy_max_rounds;
   let _, report = Manager.update m (Listing1.v2 ()) in
   Alcotest.(check bool) "update committed" true report.Manager.success;
   Alcotest.(check bool) "pre-copy actually ran" true (report.Manager.precopy_rounds >= 1);
-  (* and OFF disarms it *)
-  Alcotest.(check bool) "PRECOPY OFF acknowledged" true
-    (ask (Ctl.Frame.Precopy { enabled = false; max_rounds = None; threshold_words = None })
-    = Some (Ok ""));
-  Alcotest.(check bool) "policy cleared" false (Manager.policy m).Policy.precopy
+  (* and off disarms it, keeping the round budget *)
+  Alcotest.(check bool) "precopy off acknowledged" true (ask "precopy=false" = Some (Ok ""));
+  Alcotest.(check bool) "policy cleared" false (Manager.policy m).Policy.precopy;
+  (* a key left out keeps its current value, as PRECOPY ON without
+     arguments kept the round budget *)
+  Alcotest.(check bool) "precopy on again acknowledged" true (ask "precopy=true" = Some (Ok ""));
+  Alcotest.(check bool) "re-armed" true (Manager.policy m).Policy.precopy;
+  Alcotest.(check int) "rounds kept" 3 (Manager.policy m).Policy.precopy_max_rounds;
+  Alcotest.(check int) "threshold kept" 100_000 (Manager.policy m).Policy.precopy_threshold_words
 
 (* ------------------------------------------------------------------ *)
 (* Byte identity: pre-copy must commit the single-shot image *)

@@ -597,10 +597,11 @@ let fuzz_main ~seed ~tag t =
             incr nport;
             kept := fd :: !kept
         | 3 -> ignore (Api.sys t S.Getpid)
-        | _ -> (
-            match !kept with
-            | fd :: _ -> kept := Api.sys_fd_exn t (S.Dup { fd }) :: !kept
-            | [] -> ignore (Api.sys t S.Getpid))
+        | _ ->
+            (* data file held open across the update, never written *)
+            let path = Printf.sprintf "/fuzz/data%d" !nfile in
+            incr nfile;
+            kept := Api.sys_fd_exn t (S.Open { path; create = true }) :: !kept
       done;
       (* stash the kept fds where state transfer can see them *)
       let fds = Api.global t "fds" in
@@ -697,12 +698,10 @@ let gen_call =
         map2 (fun fd data -> S.Write { fd; data }) fd (string_size (int_range 0 8));
         map (fun fd -> S.Close { fd }) fd;
         map (fun path -> S.Open { path = "/" ^ path; create = true }) (string_size (int_range 0 4));
-        map (fun fd -> S.Dup { fd }) fd;
         map (fun fds -> S.Poll { fds; timeout_ns = Some 100; nonblock = false })
           (list_size (int_range 0 3) fd);
         return S.Getpid;
         map (fun pid -> S.Waitpid { pid }) (int_range 0 5);
-        map (fun name -> S.Sem_post { name }) (oneofl [ "a"; "b" ]);
         map (fun name -> S.Sem_wait { name; timeout_ns = Some 100 }) (oneofl [ "a"; "b" ]);
         map (fun key -> S.Shmget { key }) (int_range 0 3);
       ])

@@ -156,7 +156,7 @@ let test_profiler_identifies_blocking_site () =
     spawn kernel "post" (fun _ ->
         for _ = 1 to 3 do
           ignore (K.syscall (S.Nanosleep { ns = 10_000_000 }));
-          ignore (K.syscall (S.Sem_post { name = "work" }))
+          K.post_semaphore kernel "work"
         done)
   in
   K.run kernel;

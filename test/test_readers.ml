@@ -243,9 +243,7 @@ let prop_client_impact =
 
 let prop_policy =
   total ~name:"Policy.of_kv is total and re-encodes" ~encoded:(Policy.to_kv policy)
-    ~decode:Policy.of_kv ~render:(fun p ->
-      ignore (Policy.to_kv p);
-      ignore (Format.asprintf "%a" Policy.pp p))
+    ~decode:(Policy.of_kv ~base:Policy.default) ~render:(fun p -> ignore (Policy.to_kv p))
 
 (* ------------------------------------------------------------------ *)
 (* The overflow the waterfall once had *)

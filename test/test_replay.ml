@@ -23,7 +23,6 @@ let test_replay_class () =
       S.Listen { fd = 1000; backlog = 8 };
       S.Unix_listen { path = "/x" };
       S.Open { path = "/etc/x"; create = false };
-      S.Dup { fd = 1000 };
       S.Close { fd = 1000 };
       S.Getpid;
       S.Getppid;
@@ -37,7 +36,6 @@ let test_replay_class () =
       S.Write { fd = 3; data = "x" };
       S.Connect { port = 80 };
       S.Nanosleep { ns = 1 };
-      S.Sem_post { name = "s" };
       S.Waitpid { pid = 2 };
       S.Thread_create { entry = "t" };
     ]

@@ -3,7 +3,7 @@
    critical path no worse than the sequential walk), image identity (every
    worker count commits the byte-identical image and reports identical
    conflict/rollback behaviour), the control surface (the Policy builder
-   and the WORKERS ctl command), and the fault property (mid-transfer
+   and POLICY transfer_workers= over the ctl socket), and the fault property (mid-transfer
    faults under workers > 1 still satisfy the rollback guarantee). *)
 
 module K = Mcr_simos.Kernel
@@ -195,14 +195,19 @@ let test_ctl_workers_knob () =
     drive kernel (fun () -> !reply <> None);
     !reply
   in
-  let ask cmd = ask_raw (Ctl.Frame.command_to_string cmd) in
-  let usage = Some (Error (Ctl.Refused "usage: WORKERS <count>")) in
-  Alcotest.(check bool) "WORKERS 3 acknowledged" true (ask (Ctl.Frame.Workers 3) = Some (Ok ""));
+  let ask kv = ask_raw (Ctl.Frame.command_to_string (Ctl.Frame.Policy kv)) in
+  Alcotest.(check bool) "transfer_workers=3 acknowledged" true
+    (ask "transfer_workers=3" = Some (Ok ""));
   Alcotest.(check int) "policy updated" 3 (Manager.policy m).Policy.transfer_workers;
-  Alcotest.(check bool) "WORKERS 0 refused" true (ask (Ctl.Frame.Workers 0) = usage);
+  Alcotest.(check bool) "transfer_workers=0 refused, naming the key" true
+    (ask "transfer_workers=0"
+    = Some (Error (Ctl.Refused "Policy.of_kv: transfer_workers=0 is below 1")));
   Alcotest.(check int) "policy unchanged on refusal" 3
     (Manager.policy m).Policy.transfer_workers;
-  Alcotest.(check bool) "bare WORKERS refused" true (ask_raw "WORKERS" = usage);
+  Alcotest.(check bool) "bare key refused" true
+    (match ask_raw "POLICY transfer_workers" with
+    | Some (Error (Ctl.Refused r)) -> String.starts_with ~prefix:"usage: POLICY" r
+    | _ -> false);
   (* the knob drives the next update: commits and reports the pool size *)
   let _, report = Manager.update m (Listing1.v2 ()) in
   Alcotest.(check bool) "update with workers=3 committed" true report.Manager.success;

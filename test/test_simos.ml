@@ -583,7 +583,7 @@ let test_sem_wait_post () =
     spawn k "poster" (fun _ ->
         ignore (K.syscall (S.Nanosleep { ns = 1000 }));
         order := "poster" :: !order;
-        ignore (K.syscall (S.Sem_post { name = "s" })))
+        K.post_semaphore k "s")
   in
   K.run k;
   Alcotest.(check (list string)) "post before wake" [ "waiter"; "poster" ] !order
@@ -602,8 +602,8 @@ let test_sem_counts () =
   let served = ref 0 in
   let _ =
     spawn k "poster" (fun _ ->
-        ignore (K.syscall (S.Sem_post { name = "c" }));
-        ignore (K.syscall (S.Sem_post { name = "c" })))
+        K.post_semaphore k "c";
+        K.post_semaphore k "c")
   in
   for i = 1 to 3 do
     ignore
@@ -614,65 +614,6 @@ let test_sem_counts () =
   done;
   K.run k;
   Alcotest.(check int) "two of three served" 2 !served
-
-(* A poster process's Sem_post and the controller's K.post_semaphore must be
-   indistinguishable to the waiter. *)
-let test_sem_post_paths_alike () =
-  let run ~post =
-    let k = fresh () in
-    let results = ref [] and completions = ref [] and blocked = ref [] in
-    K.set_block_monitor k
-      (Some
-         (fun _ call ~blocked_ns ->
-           if S.call_name call = "sem_wait" then blocked := blocked_ns :: !blocked));
-    let waiter =
-      spawn k "waiter" (fun _ ->
-          let r1 = K.syscall (S.Sem_wait { name = "s"; timeout_ns = None }) in
-          let r2 = K.syscall (S.Sem_wait { name = "s"; timeout_ns = Some 1000 }) in
-          results := [ r1; r2 ])
-    in
-    K.set_monitor waiter
-      (Some (fun _ call r -> completions := (S.call_name call, r) :: !completions));
-    let early = ref S.Ok_unit in
-    (match post with
-    | `Syscall ->
-        ignore
-          (spawn k "poster" (fun _ ->
-               ignore (K.syscall (S.Nanosleep { ns = 1_000_000 }));
-               ignore (K.syscall (S.Sem_post { name = "s" }));
-               ignore (K.syscall (S.Sem_post { name = "pre" }));
-               early := K.syscall (S.Sem_wait { name = "pre"; timeout_ns = Some 1000 })))
-    | `Kernel ->
-        (* the waiter parks; the controller posts 1 ms later *)
-        K.run k;
-        K.charge k 1_000_000;
-        K.post_semaphore k "s";
-        K.post_semaphore k "pre";
-        ignore
-          (spawn k "poster" (fun _ ->
-               early := K.syscall (S.Sem_wait { name = "pre"; timeout_ns = Some 1000 }))));
-    K.run k;
-    (!results, List.rev !completions, List.rev !blocked, !early)
-  in
-  let pp_rs rs = String.concat ", " (List.map (Format.asprintf "%a" S.pp_result) rs) in
-  List.iter
-    (fun (label, post) ->
-      let results, completions, blocked, early = run ~post in
-      Alcotest.(check string) (label ^ ": waiter results") "ok, ETIMEDOUT" (pp_rs results);
-      Alcotest.(check (list string)) (label ^ ": monitor saw both waits")
-        [ "sem_wait"; "sem_wait" ] (List.map fst completions);
-      Alcotest.(check string) (label ^ ": monitor results") "ok, ETIMEDOUT"
-        (pp_rs (List.map snd completions));
-      (match blocked with
-      | [ first; second ] ->
-          Alcotest.(check bool) (label ^ ": first wait blocked until the post") true
-            (first >= 900_000 && first < 1_100_000);
-          Alcotest.(check bool) (label ^ ": second wait blocked for its timeout") true
-            (second >= 1000 && second < 100_000)
-      | _ -> Alcotest.failf "%s: %d blocked waits, expected 2" label (List.length blocked));
-      Alcotest.(check bool) (label ^ ": a post before the wait is counted") true
-        (early = S.Ok_unit))
-    [ ("syscall", `Syscall); ("kernel", `Kernel) ]
 
 (* ------------------------------------------------------------------ *)
 (* Unix sockets *)
@@ -829,7 +770,7 @@ let test_block_monitor_measures_time () =
   let _ =
     spawn k "p" (fun _ ->
         ignore (K.syscall (S.Nanosleep { ns = 2_000_000 }));
-        ignore (K.syscall (S.Sem_post { name = "s" })))
+        K.post_semaphore k "s")
   in
   K.run k;
   Alcotest.(check bool) "blocked at least the sleep" true (!blocked >= 2_000_000)
@@ -857,15 +798,17 @@ let test_callstack_ids () =
       Alcotest.(check int) "pop restores" a c
   | _ -> Alcotest.fail "expected three ids"
 
+(* A descriptor installed by K.transfer_fd shares the open file
+   description: one offset, and a refcount that outlives either number. *)
 let test_dup_shares_offset () =
-  (* dup'd descriptors share the open file description (offset) *)
   let k = fresh () in
   K.fs_write k ~path:"/f" "abcdef";
   let seen = ref ("", "") in
   let _ =
-    spawn k "p" (fun _ ->
+    spawn k "p" (fun th ->
+        let p = K.thread_proc th in
         let fd = expect_fd (K.syscall (S.Open { path = "/f"; create = false })) in
-        let fd2 = expect_fd (K.syscall (S.Dup { fd })) in
+        let fd2 = Result.get_ok (K.transfer_fd k ~src:p ~fd ~dst:p ~at:(fd + 100)) in
         let a = expect_data (K.syscall (S.Read { fd; max = 3; nonblock = false })) in
         let b = expect_data (K.syscall (S.Read { fd = fd2; max = 3; nonblock = false })) in
         seen := (a, b))
@@ -878,14 +821,15 @@ let test_close_one_dup_keeps_description () =
   K.fs_write k ~path:"/f" "xy";
   let got = ref "" in
   let _ =
-    spawn k "p" (fun _ ->
+    spawn k "p" (fun th ->
+        let p = K.thread_proc th in
         let fd = expect_fd (K.syscall (S.Open { path = "/f"; create = false })) in
-        let fd2 = expect_fd (K.syscall (S.Dup { fd })) in
+        let fd2 = Result.get_ok (K.transfer_fd k ~src:p ~fd ~dst:p ~at:(fd + 100)) in
         ignore (K.syscall (S.Close { fd }));
         got := expect_data (K.syscall (S.Read { fd = fd2; max = 10; nonblock = false })))
   in
   K.run k;
-  Alcotest.(check string) "dup survives close of sibling" "xy" !got
+  Alcotest.(check string) "transferred fd survives close of sibling" "xy" !got
 
 let test_poll_on_closed_fd_not_readable () =
   let k = fresh () in
@@ -1093,7 +1037,6 @@ let () =
           Alcotest.test_case "wait/post" `Quick test_sem_wait_post;
           Alcotest.test_case "timeout" `Quick test_sem_timeout;
           Alcotest.test_case "counting" `Quick test_sem_counts;
-          Alcotest.test_case "syscall and kernel post alike" `Quick test_sem_post_paths_alike;
         ] );
       ( "unix-fd-passing",
         [
