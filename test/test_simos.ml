@@ -615,6 +615,49 @@ let test_sem_counts () =
   K.run k;
   Alcotest.(check int) "two of three served" 2 !served
 
+(* The controller's K.post_semaphore, from outside any simulated thread,
+   completes a parked Sem_wait like any other wakeup: the monitors see it,
+   and a post made before the wait is counted. *)
+let test_controller_post () =
+  let k = fresh () in
+  let results = ref [] and completions = ref [] and blocked = ref [] in
+  K.set_block_monitor k
+    (Some
+       (fun _ call ~blocked_ns ->
+         if S.call_name call = "sem_wait" then blocked := blocked_ns :: !blocked));
+  let waiter =
+    spawn k "waiter" (fun _ ->
+        let r1 = K.syscall (S.Sem_wait { name = "s"; timeout_ns = None }) in
+        let r2 = K.syscall (S.Sem_wait { name = "s"; timeout_ns = Some 1000 }) in
+        results := [ r1; r2 ])
+  in
+  K.set_monitor waiter
+    (Some (fun _ call r -> completions := (S.call_name call, r) :: !completions));
+  (* the waiter parks; the controller posts 1 ms later *)
+  K.run k;
+  K.charge k 1_000_000;
+  K.post_semaphore k "s";
+  K.post_semaphore k "pre";
+  let early = ref S.Ok_unit in
+  ignore
+    (spawn k "poster" (fun _ ->
+         early := K.syscall (S.Sem_wait { name = "pre"; timeout_ns = Some 1000 })));
+  K.run k;
+  let pp_rs rs = String.concat ", " (List.map (Format.asprintf "%a" S.pp_result) rs) in
+  Alcotest.(check string) "waiter results" "ok, ETIMEDOUT" (pp_rs !results);
+  Alcotest.(check (list string)) "monitor saw both waits" [ "sem_wait"; "sem_wait" ]
+    (List.rev_map fst !completions);
+  Alcotest.(check string) "monitor results" "ok, ETIMEDOUT"
+    (pp_rs (List.rev_map snd !completions));
+  (match List.rev !blocked with
+  | [ first; second ] ->
+      Alcotest.(check bool) "first wait blocked until the post" true
+        (first >= 900_000 && first < 1_100_000);
+      Alcotest.(check bool) "second wait blocked for its timeout" true
+        (second >= 1000 && second < 100_000)
+  | b -> Alcotest.failf "%d blocked waits, expected 2" (List.length b));
+  Alcotest.(check bool) "a post before the wait is counted" true (!early = S.Ok_unit)
+
 (* ------------------------------------------------------------------ *)
 (* Unix sockets *)
 
@@ -1037,6 +1080,7 @@ let () =
           Alcotest.test_case "wait/post" `Quick test_sem_wait_post;
           Alcotest.test_case "timeout" `Quick test_sem_timeout;
           Alcotest.test_case "counting" `Quick test_sem_counts;
+          Alcotest.test_case "controller post" `Quick test_controller_post;
         ] );
       ( "unix-fd-passing",
         [
