@@ -159,6 +159,26 @@ let test_read_word_scattered =
   Test.make ~name:"vmem:read-word-scattered"
     (Staged.stage (fun () -> Array.iter (fun a -> ignore (Aspace.read_word aspace a)) addrs))
 
+(* The same 4,096 [read_word]s at consecutive addresses of one of those
+   regions: eight pages, each read 512 times in a row, the shape of a
+   server scanning its fd tables. *)
+let test_read_word_sequential =
+  let aspace = Aspace.create () in
+  let bases =
+    Array.init 16 (fun _ ->
+        Aspace.map aspace (Aspace.Near Region.Heap) ~size:(1024 * Addr.page_size) Region.Heap)
+  in
+  let addrs = Array.init 4096 (fun i -> Addr.add_words bases.(7) i) in
+  Test.make ~name:"vmem:read-word-sequential"
+    (Staged.stage (fun () -> Array.iter (fun a -> ignore (Aspace.read_word aspace a)) addrs))
+
+(* The size of nginx's request struct, which every accepted connection's
+   [palloc] asks for *)
+let test_sizeof_named =
+  let env = (Mcr_servers.Nginx_sim.final ()).Mcr_program.Progdef.tyenv in
+  let ty = Ty.Named "ngx_request_t" in
+  Test.make ~name:"types:sizeof-named" (Staged.stage (fun () -> ignore (Ty.sizeof_words env ty)))
+
 let listing1 () =
   let kernel = K.create () in
   K.fs_write kernel ~path:Mcr_servers.Listing1.config_path "welcome=hi";
@@ -283,7 +303,7 @@ let run () =
   let tests =
     [ test_callstack_hash; test_alloc_tagging; test_malloc_zeroed; test_grab_chunk;
       test_store_init; test_write_word_loop; test_buffer_churn; test_map_clone_unmap;
-      test_read_word_scattered; test_fork_exit;
+      test_read_word_scattered; test_read_word_sequential; test_sizeof_named; test_fork_exit;
       test_conservative_scan; test_conservative_scan_opaque; test_type_transform;
       test_region_lookup_linear; test_region_lookup_indexed; test_image_encode;
       test_image_decode; test_image_save_read_remove; test_fnv_sub ]

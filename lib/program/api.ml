@@ -166,9 +166,14 @@ let env t = t.image.i_version.tyenv
 
 let sizeof t tyname = Ty.sizeof_words (env t) (Ty.Named tyname)
 
-let default_site t tyname =
-  let frame = match K.callstack t.thread with f :: _ -> f | [] -> "?" in
-  frame ^ ":" ^ tyname
+(* The given site, or ["<innermost frame>:<tyname>"], built only when
+   none is given. *)
+let site_or_default t site tyname =
+  match site with
+  | Some s -> s
+  | None ->
+      let frame = match K.callstack t.thread with f :: _ -> f | [] -> "?" in
+      frame ^ ":" ^ tyname
 
 let charge_alloc t ~instrumented =
   let c = costs t in
@@ -184,7 +189,7 @@ let alloc_meta t ~site tyname =
   (ty_id, site_id)
 
 let malloc t ?site tyname =
-  let site = Option.value site ~default:(default_site t tyname) in
+  let site = site_or_default t site tyname in
   let ty_id, site_id = alloc_meta t ~site tyname in
   charge_alloc t ~instrumented:(Heap.instrumented t.image.i_heap);
   Heap.malloc t.image.i_heap ~ty_id ~site:site_id ~callstack:(K.callstack_id t.thread)
@@ -193,7 +198,7 @@ let malloc t ?site tyname =
 let malloc_n t ?site tyname n =
   let arr_name = Printf.sprintf "%s[%d]" tyname n in
   let arr_ty = Ty.Array (Ty.Named tyname, n) in
-  let site = Option.value site ~default:(default_site t arr_name) in
+  let site = site_or_default t site arr_name in
   let ty_id =
     match Tyreg.id_of_name t.image.i_tyreg arr_name with
     | Some id -> id
@@ -205,7 +210,7 @@ let malloc_n t ?site tyname n =
     (n * sizeof t tyname)
 
 let malloc_opaque t ?site words =
-  let site = Option.value site ~default:(default_site t "opaque") in
+  let site = site_or_default t site "opaque" in
   let site_id = Sites.register t.image.i_sites ~label:site ~ty_id:0 in
   charge_alloc t ~instrumented:(Heap.instrumented t.image.i_heap);
   (* large blocks are page-segregated, as ptmalloc does *)
@@ -234,6 +239,7 @@ let func_ptr t name = Symtab.func_addr t.image.i_symtab name
 let load t addr = Aspace.read_word t.image.i_aspace addr
 let store t addr v = Aspace.write_word t.image.i_aspace addr v
 let store_init t addr ~words f = Aspace.write_init t.image.i_aspace addr ~words f
+let find_word t addr ~words p = Aspace.find_word t.image.i_aspace addr ~words p
 
 let load_field t base tyname field =
   Access.read_field t.image.i_aspace (env t) ~base (Ty.Named tyname) field
@@ -286,7 +292,7 @@ let pool t ?parent ?chunk_words name =
   p
 
 let palloc t pool_ ?site tyname =
-  let site = Option.value site ~default:(default_site t tyname) in
+  let site = site_or_default t site tyname in
   let instrumented = Pool.is_instrumented pool_ in
   let c = costs t in
   charge t (c.Costs.alloc_ns + if instrumented then 2 * c.Costs.tag_word_ns else 0);

@@ -94,6 +94,12 @@ val store_init : ctx -> Mcr_vmem.Addr.t -> words:int -> (int -> int) -> unit
     {!store} per word in ascending order ({!Mcr_vmem.Aspace.write_init}),
     a page at a time. Like {!store} it charges no simulated time. *)
 
+val find_word : ctx -> Mcr_vmem.Addr.t -> words:int -> (int -> bool) -> int
+(** [find_word t addr ~words p] is the index of the first of the [words]
+    words from [addr] that satisfies [p], or [-1]: one {!load} per word up
+    to the first match ({!Mcr_vmem.Aspace.find_word}), a page at a time.
+    Like {!load} it charges no simulated time. *)
+
 val load_field : ctx -> Mcr_vmem.Addr.t -> string -> string -> int
 (** [load_field t base tyname field]. *)
 

@@ -89,37 +89,41 @@ let bump_vhost t path len =
 (* ------------------------------------------------------------------ *)
 (* Worker threads *)
 
-(* claim the scoreboard slot holding [fd]; returns the slot index so the
-   hold worker can park per-connection state (the request buffer) there *)
-let claim_held t fd =
+(* claim the first held-but-unclaimed scoreboard slot; returns its fd and
+   the slot index so the hold worker can park per-connection state (the
+   request buffer) there, or [(0, -1)] when every held fd is claimed *)
+let claim_held t =
   let held = Api.global t "ap_held_fds" in
   let claimed = Api.global t "ap_held_claimed" in
-  let rec go i =
-    if i >= max_held then None
-    else if Api.load t (Addr.add_words held i) = fd && Api.load t (Addr.add_words claimed i) = 0
-    then begin
+  let rec from i =
+    let i = Srvutil.find_slot t held ~capacity:max_held ~from:i (fun v -> v <> 0) in
+    if i < 0 then (0, -1)
+    else if Api.load t (Addr.add_words claimed i) <> 0 then from (i + 1)
+    else begin
       Api.store t (Addr.add_words claimed i) 1;
-      Some i
+      (Api.load t (Addr.add_words held i), i)
     end
-    else go (i + 1)
   in
-  go 0
+  from 0
 
 let unheld t fd =
   let held = Api.global t "ap_held_fds" in
   let claimed = Api.global t "ap_held_claimed" in
   let bufs = Api.global t "ap_held_bufs" in
-  for i = 0 to max_held - 1 do
-    if Api.load t (Addr.add_words held i) = fd then begin
+  let rec from i =
+    let i = Srvutil.find_slot t held ~capacity:max_held ~from:i (fun v -> v = fd) in
+    if i >= 0 then begin
       Api.store t (Addr.add_words held i) 0;
       Api.store t (Addr.add_words claimed i) 0;
       let b = Api.load t (Addr.add_words bufs i) in
       if b <> 0 then begin
         Api.free t b;
         Api.store t (Addr.add_words bufs i) 0
-      end
+      end;
+      from (i + 1)
     end
-  done
+  in
+  from 0
 
 let respond_get t ~slot conn path =
   let body = serve_file t path in
@@ -158,18 +162,7 @@ let respond_get t ~slot conn path =
 let hold_worker_body t =
   Api.fn t "ap_hold_worker" @@ fun () ->
   (* find our connection: first held-but-unclaimed fd *)
-  let held = Api.global t "ap_held_fds" in
-  let fd, slot =
-    let rec go i =
-      if i >= max_held then (0, -1)
-      else
-        let v = Api.load t (Addr.add_words held i) in
-        if v <> 0 then
-          match claim_held t v with Some s -> (v, s) | None -> go (i + 1)
-        else go (i + 1)
-    in
-    go 0
-  in
+  let fd, slot = claim_held t in
   if fd <> 0 then begin
     let state = Api.stack_var t "hold_state" "ap_hold_state_t" in
     (* per-connection request buffer: heap state that grows with held

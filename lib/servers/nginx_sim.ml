@@ -115,13 +115,8 @@ let handle_get t conn path =
   Srvutil.reply t conn (Printf.sprintf "200 #%d %s" n body)
 
 let conn_slot t fd =
-  let fds = Api.global t "ngx_conn_fds" in
-  let rec go i =
-    if i >= max_conns then None
-    else if Api.load t (Addr.add_words fds i) = fd then Some i
-    else go (i + 1)
-  in
-  go 0
+  let i = Srvutil.find_slot t (Api.global t "ngx_conn_fds") ~capacity:max_conns (fun v -> v = fd) in
+  if i < 0 then None else Some i
 
 let accept_connection t pool listen_fd =
   match Api.sys t (S.Accept { fd = listen_fd; nonblock = true }) with
@@ -138,16 +133,11 @@ let accept_connection t pool listen_fd =
          likely-pointer targets) *)
       Api.store t req (Api.string_lit t "GET");
       let fds = Api.global t "ngx_conn_fds" in
-      let ptrs = Api.global t "ngx_conn_ptrs" in
-      let rec install i =
-        if i < max_conns then
-          if Api.load t (Addr.add_words fds i) = 0 then begin
-            Api.store t (Addr.add_words fds i) conn_fd;
-            Api.store t (Addr.add_words ptrs i) conn
-          end
-          else install (i + 1)
-      in
-      install 0;
+      let free = Srvutil.find_slot t fds ~capacity:max_conns (fun v -> v = 0) in
+      if free >= 0 then begin
+        Api.store t (Addr.add_words fds free) conn_fd;
+        Api.store t (Addr.add_words (Api.global t "ngx_conn_ptrs") free) conn
+      end;
       (* the encoded head pointer idiom at global scope too *)
       Api.store t (Api.global t "ngx_head_enc") (conn lor 2);
       (* per-connection read buffer on the instrumented heap: connection

@@ -47,31 +47,23 @@ let read_request t ~qpoint fd =
 
 let reply t fd data = ignore (Api.sys t (S.Write { fd; data }))
 
-(* fixed-capacity fd set stored in a global int array: slot 0 unused fds are 0 *)
+(* The first slot at or after [from] of the [capacity]-word array at [base]
+   whose word satisfies [p], or -1. *)
+let find_slot t base ~capacity ?(from = 0) p =
+  let k = Api.find_word t (Addr.add_words base from) ~words:(capacity - from) p in
+  if k < 0 then -1 else from + k
+
+(* fixed-capacity fd set stored in a global int array: unused slots are 0 *)
 let array_add t ~global_arr ~capacity v =
   let base = Api.global t global_arr in
-  let rec go i =
-    if i >= capacity then false
-    else if Api.load t (Addr.add_words base i) = 0 then begin
-      Api.store t (Addr.add_words base i) v;
-      true
-    end
-    else go (i + 1)
-  in
-  go 0
-
-let array_remove t ~global_arr ~capacity v =
-  let base = Api.global t global_arr in
-  for i = 0 to capacity - 1 do
-    if Api.load t (Addr.add_words base i) = v then Api.store t (Addr.add_words base i) 0
-  done
+  let i = find_slot t base ~capacity (fun x -> x = 0) in
+  if i >= 0 then Api.store t (Addr.add_words base i) v;
+  i >= 0
 
 let array_values t ~global_arr ~capacity =
   let base = Api.global t global_arr in
-  let rec go i acc =
-    if i >= capacity then List.rev acc
-    else
-      let v = Api.load t (Addr.add_words base i) in
-      go (i + 1) (if v = 0 then acc else v :: acc)
+  let rec from i acc =
+    let i = find_slot t base ~capacity ~from:i (fun x -> x <> 0) in
+    if i < 0 then List.rev acc else from (i + 1) (Api.load t (Addr.add_words base i) :: acc)
   in
-  go 0 []
+  from 0 []

@@ -14,16 +14,26 @@ type t =
 
 and struct_def = { sname : string; fields : (string * t) list }
 
-type env = (string, t) Hashtbl.t
+(* [sizes] and [offsets] memoise the layout of named types; any [env_add]
+   may change a layout, so it empties both. *)
+type env = {
+  types : (string, t) Hashtbl.t;
+  sizes : (string, int) Hashtbl.t;
+  offsets : (string * string, int) Hashtbl.t;
+}
 
-let env_create () = Hashtbl.create 16
+let env_create () =
+  { types = Hashtbl.create 16; sizes = Hashtbl.create 16; offsets = Hashtbl.create 16 }
 
-let env_add env name ty = Hashtbl.replace env name ty
+let env_add env name ty =
+  Hashtbl.replace env.types name ty;
+  Hashtbl.reset env.sizes;
+  Hashtbl.reset env.offsets
 
-let env_find env name = Hashtbl.find env name
+let env_find env name = Hashtbl.find env.types name
 
 let env_names env =
-  Hashtbl.fold (fun k _ acc -> k :: acc) env [] |> List.sort compare
+  Hashtbl.fold (fun k _ acc -> k :: acc) env.types [] |> List.sort compare
 
 let resolve env ty =
   let rec go seen = function
@@ -35,8 +45,20 @@ let resolve env ty =
   in
   go [] ty
 
+(* [compute ()], remembered in [tbl] under [key]; a raise stores nothing *)
+let memo tbl key compute =
+  match Hashtbl.find_opt tbl key with
+  | Some v -> v
+  | None ->
+      let v = compute () in
+      Hashtbl.replace tbl key v;
+      v
+
 let words_for_bytes n = (n + Mcr_vmem.Addr.word_size - 1) / Mcr_vmem.Addr.word_size
 
+(* A named type's size is memoised only when computed outside every struct:
+   inside one, a lookup could answer where the walk's recursion check
+   raises. *)
 let sizeof_words env ty =
   let rec go visiting ty =
     match ty with
@@ -51,6 +73,7 @@ let sizeof_words env ty =
           List.fold_left (fun acc (_, fty) -> acc + go (sname :: visiting) fty) 0 fields
     | Union members ->
         List.fold_left (fun acc (_, mty) -> max acc (go visiting mty)) 1 members
+    | Named n when List.is_empty visiting -> memo env.sizes n (fun () -> go [] (env_find env n))
     | Named n -> go visiting (env_find env n)
   in
   go [] ty
@@ -61,13 +84,16 @@ let as_struct env ty =
   | _ -> raise Not_found
 
 let field_offset env ty name =
-  let def = as_struct env ty in
-  let rec go off = function
-    | [] -> raise Not_found
-    | (fname, fty) :: rest ->
-        if fname = name then off else go (off + sizeof_words env fty) rest
+  let compute () =
+    let def = as_struct env ty in
+    let rec go off = function
+      | [] -> raise Not_found
+      | (fname, fty) :: rest ->
+          if fname = name then off else go (off + sizeof_words env fty) rest
+    in
+    go 0 def.fields
   in
-  go 0 def.fields
+  match ty with Named n -> memo env.offsets (n, name) compute | _ -> compute ()
 
 let field_ty env ty name =
   let def = as_struct env ty in

@@ -34,13 +34,18 @@ and struct_def = { sname : string; fields : (string * t) list }
 (** {1 Type environments} *)
 
 type env
-(** Named-type registry of one program version. *)
+(** Named-type registry of one program version. It memoises the layout of
+    its named types: {!sizeof_words} and {!field_offset} of a [Named]
+    type walk the definition once, and later calls answer from the memo
+    until the next {!env_add}, which empties it. A call that raises
+    stores nothing, so it raises again when repeated. *)
 
 val env_create : unit -> env
 
 val env_add : env -> string -> t -> unit
 (** [env_add env name ty] registers [name]. Re-registering replaces, which
-    is how an updated version redefines a struct. *)
+    is how an updated version redefines a struct. Empties the layout
+    memo. *)
 
 val env_find : env -> string -> t
 (** @raise Not_found for unknown names. *)

@@ -66,6 +66,14 @@ type t = {
   bias : int;
   mutable wseq : int;
   epochs : (string, epoch) Hashtbl.t;
+  (* The page number [find_page] last resolved to a mapped page, with its
+     region's index and its index in that region's array; [min_int], which
+     no page number is, when empty. Ints only, so filling the entry costs
+     no write barrier. [map] and [unmap] shift region indices, so both
+     empty it. *)
+  mutable last_pn : int;
+  mutable last_region : int;
+  mutable last_k : int;
 }
 
 exception Fault of Addr.t
@@ -77,6 +85,9 @@ let create ?(layout_bias = 0) () =
     bias = layout_bias;
     wseq = 0;
     epochs = Hashtbl.create 4;
+    last_pn = min_int;
+    last_region = 0;
+    last_k = 0;
   }
 
 let layout_bias t = t.bias
@@ -126,16 +137,25 @@ let floor_index (arr : Region.t array) a =
   done;
   !res
 
-(* Every page lookup goes through here: the floor region's array, indexed
-   by the page's offset in it, or [absent] for a page past that region's
-   end, below the first region or between regions. No lookup allocates. *)
+(* Every page lookup goes through here: the last page found, else the
+   floor region's array, indexed by the page's offset in it, or [absent]
+   for a page past that region's end, below the first region or between
+   regions. No lookup allocates. *)
 let find_page t pn =
-  let i = floor_index t.regions_arr (pn * Addr.page_size) in
-  if i < 0 then absent
+  if pn = t.last_pn then t.region_pages.(t.last_region).(t.last_k)
   else
-    let pages = t.region_pages.(i) in
-    let k = pn - Addr.page_of t.regions_arr.(i).Region.base in
-    if k < Array.length pages then pages.(k) else absent
+    let i = floor_index t.regions_arr (pn * Addr.page_size) in
+    if i < 0 then absent
+    else
+      let pages = t.region_pages.(i) in
+      let k = pn - Addr.page_of t.regions_arr.(i).Region.base in
+      if k < Array.length pages then begin
+        t.last_pn <- pn;
+        t.last_region <- i;
+        t.last_k <- k;
+        pages.(k)
+      end
+      else absent
 
 let clone_page p =
   {
@@ -154,6 +174,9 @@ let clone t =
     bias = t.bias;
     wseq = t.wseq;
     epochs;
+    last_pn = min_int;
+    last_region = 0;
+    last_k = 0;
   }
 
 (* [f acc pn page] over every mapped page, in ascending address order. *)
@@ -207,7 +230,8 @@ let array_remove arr pos =
 let insert_region t (r : Region.t) pages =
   let pos = floor_index t.regions_arr r.Region.base + 1 in
   t.regions_arr <- array_insert t.regions_arr pos r;
-  t.region_pages <- array_insert t.region_pages pos pages
+  t.region_pages <- array_insert t.region_pages pos pages;
+  t.last_pn <- min_int
 
 let map t ?(name = "") placement ~size kind =
   if size <= 0 || size > ceiling then
@@ -245,7 +269,8 @@ let unmap t base =
   if i < 0 || t.regions_arr.(i).Region.base <> base then raise Not_found;
   Array.iter (fun p -> drop_ref p.frame) t.region_pages.(i);
   t.regions_arr <- array_remove t.regions_arr i;
-  t.region_pages <- array_remove t.region_pages i
+  t.region_pages <- array_remove t.region_pages i;
+  t.last_pn <- min_int
 
 let regions t = Array.to_list t.regions_arr
 
@@ -323,6 +348,22 @@ let fold_words t a ~words ~init ~f =
     done;
     !acc
   end
+
+let find_word t a ~words p =
+  let found = ref (-1) and pos = ref 0 and addr = ref a in
+  while !found < 0 && !pos < words do
+    let w = (page_for t !addr).frame.words in
+    let i = Addr.word_index !addr in
+    let n = min (words - !pos) (Addr.words_per_page - i) in
+    let j = ref 0 in
+    while !found < 0 && !j < n do
+      if p w.(i + !j) then found := !pos + !j;
+      incr j
+    done;
+    pos := !pos + n;
+    addr := Addr.add_words !addr n
+  done;
+  !found
 
 (* Visit [\[a, a + words)] a page at a time: [f page i pos n] for each run
    of [n] words that starts at word [i] of [page] and [pos] words into the

@@ -98,7 +98,16 @@ val write_word_untracked : t -> Addr.t -> int -> unit
 val fold_words : t -> Addr.t -> words:int -> init:'a -> f:('a -> int -> 'a) -> 'a
 (** [fold_words t a ~words ~init ~f] folds [f] over the [words] consecutive
     words starting at [a], resolving each page once (a page cursor) instead
-    of one hash lookup per word. @raise Fault as {!read_word}. *)
+    of once per word. @raise Fault as {!read_word}. *)
+
+val find_word : t -> Addr.t -> words:int -> (int -> bool) -> int
+(** [find_word t a ~words p] is the index [i], counted in words from [a],
+    of the first of the [words] words from [a] that satisfies [p], or [-1]
+    when none does: exactly a {!read_word} per word in ascending address
+    order that stops at the first match. Each page is resolved once, and
+    the scan itself allocates nothing. A range that runs into an unmapped
+    page raises the same {!Fault} as {!read_word} there, unless a word
+    before that page matched. [p] must not store into [t]. *)
 
 val fold_runs :
   t -> Addr.t -> words:int -> init:'a -> f:('a -> int array -> int -> int -> 'a) -> 'a

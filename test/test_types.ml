@@ -63,7 +63,44 @@ let test_sizeof_recursive_rejected () =
   Ty.env_add env "bad" (Ty.Struct { sname = "bad"; fields = [ ("self", Ty.Named "bad") ] });
   Alcotest.check_raises "unbounded recursion rejected"
     (Invalid_argument "Ty.sizeof_words: unbounded recursive struct bad") (fun () ->
+      ignore (Ty.sizeof_words env (Ty.Named "bad")));
+  Alcotest.check_raises "rejected again: no error is memoised"
+    (Invalid_argument "Ty.sizeof_words: unbounded recursive struct bad") (fun () ->
       ignore (Ty.sizeof_words env (Ty.Named "bad")))
+
+(* The layout memo: a redefinition is seen by every later call, including
+   through a struct that embeds the redefined one, and an error is raised
+   again on every call, never answered from the memo. *)
+let test_layout_memo_follows_env_add () =
+  let env = env_v1 () in
+  let pair = Ty.Named "pair" in
+  Ty.env_add env "pair"
+    (Ty.Struct { sname = "pair"; fields = [ ("node", Ty.Named "l_t"); ("tag", Ty.Int) ] });
+  let layout () =
+    ( Ty.sizeof_words env (Ty.Named "l_t"),
+      Ty.sizeof_words env pair,
+      Ty.field_offset env pair "tag" )
+  in
+  Alcotest.(check (triple int int int)) "v1 layout" (2, 3, 2) (layout ());
+  Alcotest.(check (triple int int int)) "v1 layout again" (2, 3, 2) (layout ());
+  Ty.env_add env "l_t" list_node_v2;
+  Alcotest.(check (triple int int int)) "v2 layout after env_add" (3, 4, 3) (layout ());
+  Alcotest.(check int) "new field offset" 2 (Ty.field_offset env (Ty.Named "l_t") "new");
+  for _ = 1 to 2 do
+    Alcotest.check_raises "absent field, every call" Not_found (fun () ->
+        ignore (Ty.field_offset env pair "missing"))
+  done;
+  Ty.env_add env "l_t"
+    (Ty.Struct { sname = "l_t"; fields = [ ("value", Ty.Int); ("self", Ty.Named "l_t") ] });
+  for _ = 1 to 3 do
+    Alcotest.check_raises "recursive redefinition rejected every call"
+      (Invalid_argument "Ty.sizeof_words: unbounded recursive struct l_t") (fun () ->
+        ignore (Ty.sizeof_words env pair));
+    Alcotest.check_raises "offset past it rejected every call"
+      (Invalid_argument "Ty.sizeof_words: unbounded recursive struct l_t") (fun () ->
+        ignore (Ty.field_offset env pair "tag"))
+  done;
+  Alcotest.(check int) "offset before it still answers" 0 (Ty.field_offset env pair "node")
 
 let test_field_offsets () =
   let env = env_v2 () in
@@ -437,6 +474,8 @@ let () =
           Alcotest.test_case "structs" `Quick test_sizeof_struct;
           Alcotest.test_case "union max" `Quick test_sizeof_union_max;
           Alcotest.test_case "recursion rejected" `Quick test_sizeof_recursive_rejected;
+          Alcotest.test_case "layout memo follows env_add" `Quick
+            test_layout_memo_follows_env_add;
           Alcotest.test_case "field offsets" `Quick test_field_offsets;
           Alcotest.test_case "field type" `Quick test_field_ty;
           Alcotest.test_case "resolve cycle rejected" `Quick test_resolve_cycle_rejected;

@@ -392,6 +392,7 @@ type m_op =
   | M_exit of int (* unmap every mapped slot, as a process exit does *)
   | M_zero of m_loc * int (* words *)
   | M_init of m_loc * int array (* write_init from the array's values *)
+  | M_read of m_loc * int * int (* words, value: read_word each, find_word the value *)
 
 let show_loc (s, j, w) = Printf.sprintf "%d/%d/%d" s j w
 
@@ -407,6 +408,7 @@ let show_op = function
   | M_exit s -> Printf.sprintf "exit %d" s
   | M_zero (l, n) -> Printf.sprintf "zero %s x%d" (show_loc l) n
   | M_init (l, a) -> Printf.sprintf "init %s x%d" (show_loc l) (Array.length a)
+  | M_read (l, n, v) -> Printf.sprintf "read %s x%d find %d" (show_loc l) n v
 
 let m_op_gen =
   let open QCheck.Gen in
@@ -426,7 +428,21 @@ let m_op_gen =
       (1, map (fun s -> M_exit s) space);
       (2, map2 (fun l n -> M_zero (l, n)) loc (int_bound 1200));
       (2, map2 (fun l a -> M_init (l, a)) loc (array_size (int_bound 1200) value));
+      (4, map3 (fun l n v -> M_read (l, n, v)) loc (int_bound 1200) value);
     ]
+
+(* [find_word] spelled as one [read_word] per word: the index of the first
+   of the [words] words from [a] that satisfies [p], [-1], or the address
+   of the fault that stopped the reads. *)
+let find_each sp a ~words p =
+  let rec go i =
+    if i >= words then Ok (-1) else if p (Aspace.read_word sp (Addr.add_words a i)) then Ok i
+    else go (i + 1)
+  in
+  match go 0 with r -> r | exception Aspace.Fault x -> Error x
+
+let find_scan sp a ~words p =
+  match Aspace.find_word sp a ~words p with r -> Ok r | exception Aspace.Fault x -> Error x
 
 let prop_zero_page_model =
   QCheck.Test.make ~name:"aspace agrees with a page-table model" ~count:300
@@ -472,6 +488,7 @@ let prop_zero_page_model =
         words.(s).(j) <- None
       in
       let content s j = Option.get words.(s).(j) in
+      let reads_agree = ref true in
       let step = function
         | M_map (s, j) -> if not (mapped s j) then map s j
         | M_unmap (s, j) -> if mapped s j then unmap s j
@@ -546,9 +563,35 @@ let prop_zero_page_model =
               break_range s j w n;
               Array.blit a 0 (content s j) w n
             end
+        | M_read ((s, j, w), n, v) ->
+            (* the model's answer: a range running past the slot's two
+               pages, or starting in an unmapped slot, faults at the first
+               unmapped word unless a word before it holds [v] *)
+            let expected =
+              match words.(s).(j) with
+              | None -> if n = 0 then Ok (-1) else Error (addr j w)
+              | Some a ->
+                  let rec go i =
+                    if i >= n then Ok (-1)
+                    else if w + i >= m_slot_words then Error (addr j m_slot_words)
+                    else if a.(w + i) = v then Ok i
+                    else go (i + 1)
+                  in
+                  go 0
+            in
+            let p x = x = v in
+            if find_each real.(s) (addr j w) ~words:n p <> expected
+               || find_scan real.(s) (addr j w) ~words:n p <> expected
+            then reads_agree := false;
+            (* and every word of the range that the slot holds *)
+            Option.iter
+              (fun a ->
+                for i = w to min (w + n) m_slot_words - 1 do
+                  if Aspace.read_word real.(s) (addr j i) <> a.(i) then reads_agree := false
+                done)
+              words.(s).(j)
       in
       List.iter step ops;
-      let reads_agree = ref true in
       for s = 0 to m_spaces - 1 do
         for j = 0 to m_slots - 1 do
           match words.(s).(j) with
