@@ -291,6 +291,18 @@ let test_image_save_read_remove =
          | Error e -> failwith (Image.error_to_string e));
          Sys.remove path))
 
+(* The fingerprint save and install both take of the root space: a
+   2M-word region with one non-zero page in 64, as above. *)
+let test_image_fingerprint =
+  let asp = Aspace.create () in
+  let words = 2 lsl 20 in
+  let base = Aspace.map asp ~name:"bench" (Aspace.Near Region.Heap) ~size:(words * 8) Region.Heap in
+  for i = 0 to (words / Addr.words_per_page) - 1 do
+    if i mod 64 = 0 then Aspace.write_word asp (Addr.add base (i * Addr.page_size)) (i + 1)
+  done;
+  Test.make ~name:"image:fingerprint(2Mi words, mostly zero)"
+    (Staged.stage (fun () -> ignore (Image.aspace_fingerprint ~prog:"bench" asp)))
+
 let test_fnv_sub =
   let len = 1 lsl 20 in
   let s = String.init len (fun i -> if i < len / 2 then Char.chr (i land 0xff) else '\x00') in
@@ -306,7 +318,7 @@ let run () =
       test_read_word_scattered; test_read_word_sequential; test_sizeof_named; test_fork_exit;
       test_conservative_scan; test_conservative_scan_opaque; test_type_transform;
       test_region_lookup_linear; test_region_lookup_indexed; test_image_encode;
-      test_image_decode; test_image_save_read_remove; test_fnv_sub ]
+      test_image_decode; test_image_save_read_remove; test_image_fingerprint; test_fnv_sub ]
   in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]

@@ -130,20 +130,13 @@ let with_flight_json t json = { t with im_flight_json = Some json }
 (* ------------------------------------------------------------------ *)
 (* Fingerprint — the byte-identity witness shared with Fleet *)
 
-let fold_run acc (page : int array) i n =
-  let acc = ref acc in
-  for j = i to i + n - 1 do
-    acc := Fnv.combine !acc (Fnv.int page.(j))
-  done;
-  !acc
-
 let aspace_fingerprint ~prog asp =
   List.fold_left
     (fun acc (r : Region.t) ->
       let acc = Fnv.combine acc (Fnv.string r.Region.name) in
       let acc = Fnv.combine acc (Fnv.int r.Region.base) in
       Aspace.fold_runs asp r.Region.base ~words:(r.Region.size / Addr.word_size) ~init:acc
-        ~f:fold_run)
+        ~f:Fnv.combine_ints)
     (Fnv.string prog) (Aspace.regions asp)
 
 (* ------------------------------------------------------------------ *)

@@ -129,9 +129,12 @@ val layout : t -> (string * string * int) list
 (** {1 Capture and persistence} *)
 
 val aspace_fingerprint : prog:string -> Mcr_vmem.Aspace.t -> int
-(** FNV-1a over the program name and then every region's name, base and
-    full word contents in address order. The canonical byte-identity
-    witness shared with [Fleet.image_fingerprint]. *)
+(** [Fnv.combine] folded from [Fnv.string prog] over, for each region in
+    address order, [Fnv.string] of its name, [Fnv.int] of its base, then
+    [Fnv.int] of each of its words in address order, zero pages included.
+    Every image stores this value and install checks it, so a changed
+    definition would make older images fail to restore. The canonical
+    byte-identity witness shared with [Fleet.image_fingerprint]. *)
 
 val capture :
   Mcr_simos.Kernel.t ->

@@ -84,8 +84,8 @@ let precopy_create () = { pc_entries = Hashtbl.create 256; pc_rounds = 0 }
 let precopy_rounds pc = pc.pc_rounds
 
 let content_hash aspace addr words =
-  Aspace.fold_words aspace addr ~words ~init:(Mcr_util.Fnv.int words) ~f:(fun h v ->
-      Mcr_util.Fnv.combine h (Mcr_util.Fnv.int v))
+  Aspace.fold_runs aspace addr ~words ~init:(Mcr_util.Fnv.int words)
+    ~f:Mcr_util.Fnv.combine_ints
 
 let precopy_round pc ~(old_image : P.image) ~analysis ?since ?(dirty_only = true)
     ?(workers = 1) () =

@@ -21,9 +21,9 @@ let mask h = h land max_int
    Folding a zero byte is one multiplication by [prime], so an all-zero
    8-byte word folds as one multiplication by [prime^8]. *)
 let prime64 = Int64.of_int prime
+let prime64_2 = Int64.mul prime64 prime64
 let prime64_8 =
-  let p2 = Int64.mul prime64 prime64 in
-  let p4 = Int64.mul p2 p2 in
+  let p4 = Int64.mul prime64_2 prime64_2 in
   Int64.mul p4 p4
 
 let check_range s ~pos ~len =
@@ -102,8 +102,8 @@ let strings names =
 let combine h1 h2 = mask (((h1 * prime) lxor h2) * prime)
 
 (* The eight little-endian bytes of [n]; bits 56-62 make the last byte, so
-   its top bit is always 0. *)
-let int_nonzero n =
+   its top bit is always 0. Inlined: [combine_ints]'s loop then calls nothing. *)
+let[@inline] int_nonzero n =
   let h = (basis lxor (n land 0xff)) * prime in
   let h = (h lxor ((n lsr 8) land 0xff)) * prime in
   let h = (h lxor ((n lsr 16) land 0xff)) * prime in
@@ -115,3 +115,20 @@ let int_nonzero n =
 
 let int_zero = int_nonzero 0
 let int n = if n = 0 then int_zero else int_nonzero n
+
+(* [combine acc x] is [mask ((acc * prime lxor x) * prime)]. As in [fold],
+   the low 62 bits that [mask] keeps depend only on the operands' low 62
+   bits, so one mask per run will do. Carrying [u = acc * prime] makes a
+   word one step [u <- (u lxor x) * prime^2]; the last takes [* prime]. *)
+let combine_ints h (a : int array) i n =
+  if n <= 0 then h
+  else begin
+    let u = ref (Int64.mul (Int64.of_int h) prime64) in
+    let zero = Int64.of_int int_zero in
+    for j = i to i + n - 2 do
+      let w = a.(j) in
+      let x = if w = 0 then zero else Int64.of_int (int_nonzero w) in
+      u := Int64.mul (Int64.logxor !u x) prime64_2
+    done;
+    mask (Int64.to_int (Int64.mul (Int64.logxor !u (Int64.of_int (int a.(i + n - 1)))) prime64))
+  end

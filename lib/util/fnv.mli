@@ -41,6 +41,12 @@ val strings : string list -> t
 val combine : t -> t -> t
 (** [combine h1 h2] mixes two hash values. *)
 
+val combine_ints : t -> int array -> int -> int -> t
+(** [combine_ints h a i n] is [combine] folded from [h] over [int a.(j)]
+    for [j = i .. i + n - 1], and [h] when [n <= 0]: one multiplication
+    chain, a single multiplication per word.
+    @raise Invalid_argument if [n > 0] and the range is not inside [a]. *)
+
 val int : int -> t
 (** [int n] is the FNV-1a hash of the 8 little-endian bytes of [n], whose
     last byte holds bits 56-62 (its top bit is 0). *)

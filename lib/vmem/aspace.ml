@@ -330,25 +330,6 @@ let write_word_untracked t a v =
   store p (Addr.word_index a) v;
   p.touched <- true
 
-let fold_words t a ~words ~init ~f =
-  if words <= 0 then init
-  else begin
-    let acc = ref init in
-    let addr = ref a in
-    let remaining = ref words in
-    while !remaining > 0 do
-      let p = page_for t !addr in
-      let idx = Addr.word_index !addr in
-      let n = min !remaining (Addr.words_per_page - idx) in
-      for i = idx to idx + n - 1 do
-        acc := f !acc p.frame.words.(i)
-      done;
-      remaining := !remaining - n;
-      addr := Addr.add_words !addr n
-    done;
-    !acc
-  end
-
 let find_word t a ~words p =
   let found = ref (-1) and pos = ref 0 and addr = ref a in
   while !found < 0 && !pos < words do

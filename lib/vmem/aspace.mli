@@ -95,11 +95,6 @@ val write_word_untracked : t -> Addr.t -> int -> unit
     which must not pollute any consumer's epoch. Still breaks frame
     sharing — untracked does not mean invisible. *)
 
-val fold_words : t -> Addr.t -> words:int -> init:'a -> f:('a -> int -> 'a) -> 'a
-(** [fold_words t a ~words ~init ~f] folds [f] over the [words] consecutive
-    words starting at [a], resolving each page once (a page cursor) instead
-    of once per word. @raise Fault as {!read_word}. *)
-
 val find_word : t -> Addr.t -> words:int -> (int -> bool) -> int
 (** [find_word t a ~words p] is the index [i], counted in words from [a],
     of the first of the [words] words from [a] that satisfies [p], or [-1]
@@ -121,10 +116,9 @@ val fold_runs :
 val iter_nonzero : t -> Addr.t -> words:int -> (int -> unit) -> unit
 (** [iter_nonzero t a ~words f] applies [f] to each non-zero word of the
     [words] words from [a], in ascending address order: exactly the calls
-    of [fold_words t a ~words ~init:() ~f:(fun () v -> if v <> 0 then f v)],
-    raising the same {!Fault} after the same calls. A run on the zero
-    array is skipped without reading its words. [f] must not store into
-    [t]. *)
+    of a loop applying [f] to each non-zero {!read_word} in turn, raising
+    the same {!Fault} after the same calls. A run on the zero array is
+    skipped without reading its words. [f] must not store into [t]. *)
 
 val page_is_zero : t -> Addr.t -> bool
 (** Whether every word of the page holding the address is 0. A page on
@@ -133,10 +127,10 @@ val page_is_zero : t -> Addr.t -> bool
 
 val pages_equal : t -> Addr.t -> t -> Addr.t -> bool
 (** [pages_equal t a u b] is whether the page holding [a] in [t] and the
-    page holding [b] in [u] hold the same words: exactly [fold_words] of
-    the two pages compared word by word. Pages on one frame, or both on
-    the zero array, answer without reading their words. Allocates
-    nothing. @raise Fault if either page is unmapped. *)
+    page holding [b] in [u] hold the same words: exactly the two pages'
+    words read by {!read_word} and compared one by one. Pages on one frame,
+    or both on the zero array, answer without reading their words.
+    Allocates nothing. @raise Fault if either page is unmapped. *)
 
 val copy_words : src:t -> Addr.t -> dst:t -> Addr.t -> words:int -> unit
 (** Cross-space copy; tracked on the destination side as untracked writes

@@ -403,7 +403,7 @@ let scribble sp a words =
 
 let check_zeroed sp a words =
   Alcotest.(check bool) "payload all zero" true
-    (Aspace.fold_words sp a ~words ~init:true ~f:(fun zero w -> zero && w = 0))
+    (List.for_all (fun i -> Aspace.read_word sp (Addr.add_words a i) = 0) (List.init words Fun.id))
 
 let test_heap_reuse_zeroed () =
   let sp, h = fresh_heap ~instrumented:false () in

@@ -110,6 +110,44 @@ let test_codec_golden () =
   end;
   Alcotest.(check (list string)) "encoding matches the golden" expected actual
 
+(* The fingerprint's definition, one [read_word] at a time. *)
+let read_word_fingerprint ~prog asp =
+  List.fold_left
+    (fun acc (r : Region.t) ->
+      let acc = Fnv.combine acc (Fnv.string r.Region.name) in
+      let acc = ref (Fnv.combine acc (Fnv.int r.Region.base)) in
+      for i = 0 to (r.Region.size / Mcr_vmem.Addr.word_size) - 1 do
+        let w = Aspace.read_word asp (Mcr_vmem.Addr.add_words r.Region.base i) in
+        acc := Fnv.combine !acc (Fnv.int w)
+      done;
+      !acc)
+    (Fnv.string prog) (Aspace.regions asp)
+
+(* A sparse space: zero pages, a negative word, [max_int], [min_int], and a
+   run of non-zero words across a page boundary. *)
+let test_fingerprint_is_read_word_fold () =
+  let module Addr = Mcr_vmem.Addr in
+  let asp = Aspace.create () in
+  let wpp = Addr.words_per_page in
+  let map name kind pages =
+    Aspace.map asp ~name (Aspace.Near kind) ~size:(pages * Addr.page_size) kind
+  in
+  let heap = map "heap" Region.Heap 8 and mmap = map "mmap" Region.Mmap 2 in
+  let put base i v = Aspace.write_word asp (Addr.add_words base i) v in
+  put heap 3 (-42);
+  put heap (wpp + 7) max_int;
+  put heap ((5 * wpp) + 1) min_int;
+  for i = (2 * wpp) - 3 to (2 * wpp) + 2 do
+    put heap i (i * 0x9e3779b1)
+  done;
+  put mmap ((2 * wpp) - 1) (1 lsl 61);
+  let expected = read_word_fingerprint ~prog:"sparse" asp in
+  Alcotest.(check int) "fold_runs chain = read_word fold" expected
+    (Image.aspace_fingerprint ~prog:"sparse" asp);
+  put heap (wpp + 7) 0;
+  Alcotest.(check bool) "a changed word changes it" false
+    (Image.aspace_fingerprint ~prog:"sparse" asp = expected)
+
 let test_layout_names_sections () =
   let _kernel, _m, _path, img = loaded_save Testbed.Vsftpd "layout" in
   let tags = List.map (fun (tag, _, _) -> tag) (Image.layout img) in
@@ -1192,6 +1230,8 @@ let () =
           Alcotest.test_case "save -> read round-trip" `Quick test_roundtrip;
           Alcotest.test_case "layout names sections" `Quick test_layout_names_sections;
           Alcotest.test_case "codec golden" `Quick test_codec_golden;
+          Alcotest.test_case "fingerprint is a read_word fold" `Quick
+            test_fingerprint_is_read_word_fold;
           Alcotest.test_case "corruption goldens" `Quick test_corruption_goldens;
           Alcotest.test_case "unknown section skipped" `Quick test_unknown_section_skipped;
           Alcotest.test_case "huge length fields" `Quick test_huge_length_fields;

@@ -27,9 +27,13 @@ let test_fnv_strings_no_concat_collision () =
   Alcotest.(check bool) "no concat collision" false
     (Fnv.strings [ "ab"; "c" ] = Fnv.strings [ "a"; "bc" ])
 
+(* No names and no bytes both hash as the basis; an empty name is still a
+   frame, so its separator makes the hash differ. *)
 let test_fnv_empty_stack () =
-  Alcotest.(check bool) "empty stack hash differs from empty string" true
-    (Fnv.strings [] <> Fnv.string "" || Fnv.strings [] = Fnv.strings [])
+  Alcotest.(check int) "empty stack is the basis" Fnv.basis (Fnv.strings []);
+  Alcotest.(check int) "empty string is the basis" Fnv.basis (Fnv.string "");
+  Alcotest.(check bool) "an empty frame name is a frame" false
+    (Fnv.strings [ "" ] = Fnv.strings [])
 
 let test_fnv_combine_not_commutative () =
   let a = Fnv.string "a" and b = Fnv.string "b" in
@@ -130,6 +134,38 @@ let prop_fnv_fold2 =
       Fnv.fold2 h1 h2 s ~pos ~len = (Fnv.fold h1 s ~pos ~len, Fnv.fold h2 s ~pos ~len)
       && Fnv.fold h1 s ~pos ~len = ref_fold_from h1 copy
       && Fnv.fold h2 s ~pos ~len = ref_fold_from h2 copy)
+
+(* Arrays mostly of zeros and of the words whose bytes reach the edges
+   (sign bit, bit 61, all ones), from any non-negative state; every run
+   [(i, n)] of each array, the empty ones included, against [combine] over
+   the byte-loop [int]. *)
+let prop_fnv_combine_ints =
+  QCheck.Test.make ~name:"fnv combine_ints = combine over byte-loop int" ~count:300
+    (QCheck.make
+       ~print:(fun (h, a) ->
+         Printf.sprintf "from %d [|%s|]" h
+           (String.concat "; " (Array.to_list (Array.map string_of_int a))))
+       QCheck.Gen.(
+         pair
+           (oneof [ return Fnv.basis; map (fun h -> h land max_int) int ])
+           (array_size (int_range 0 24)
+              (frequency
+                 [
+                   (4, return 0);
+                   (2, oneofl [ -1; min_int; max_int; 1 lsl 61 ]);
+                   (1, int);
+                 ]))))
+    (fun (h, a) ->
+      let len = Array.length a in
+      let ok = ref true in
+      for i = 0 to len do
+        let expected = ref h in
+        for n = 0 to len - i do
+          if n > 0 then expected := Fnv.combine !expected (ref_int a.(i + n - 1));
+          if Fnv.combine_ints h a i n <> !expected then ok := false
+        done
+      done;
+      !ok)
 
 let test_fnv_sub_bounds () =
   List.iter
@@ -333,7 +369,8 @@ let () =
           Alcotest.test_case "nonnegative" `Quick test_fnv_nonnegative;
           Alcotest.test_case "stack order sensitive" `Quick test_fnv_strings_order_sensitive;
           Alcotest.test_case "no concat collision" `Quick test_fnv_strings_no_concat_collision;
-          Alcotest.test_case "empty stack" `Quick test_fnv_empty_stack;
+          Alcotest.test_case "empty stack and string are the basis" `Quick
+            test_fnv_empty_stack;
           Alcotest.test_case "combine not commutative" `Quick test_fnv_combine_not_commutative;
           Alcotest.test_case "int hashing" `Quick test_fnv_int;
           qt prop_fnv_nonneg;
@@ -341,6 +378,7 @@ let () =
           qt prop_fnv_fold_split;
           qt prop_fnv_fold2;
           qt prop_fnv_int_matches_bytes;
+          qt prop_fnv_combine_ints;
           Alcotest.test_case "sub range checks" `Quick test_fnv_sub_bounds;
         ] );
       ( "rng",
