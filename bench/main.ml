@@ -10,6 +10,8 @@
                 --smoke: reduced deterministic subset; downtime also
                 accepts --workers N,N,... for the transfer worker-pool
                 sweep)
+   Some micro cases:
+     dune exec bench/main.exe -- micro:clone  # the cases whose name contains "clone"
    Regression gate:
      dune exec bench/main.exe -- check --against BENCH_downtime.json \
        --against BENCH_fleet.json --tolerance 15%
@@ -38,7 +40,7 @@ let experiments =
     ("spec", fun () -> Experiments.spec ());
     ("dirty-reduction", fun () -> Experiments.dirty_reduction ());
     ("ablation", fun () -> Experiments.ablation ());
-    ("micro", fun () -> Micro.run ());
+    ("micro", fun () -> ignore (Micro.run ()));
     ("fault-matrix", fun () -> Faultbench.run ~smoke:!smoke ());
     ("downtime", fun () -> Downtime.run ~smoke:!smoke ~workers:!workers ());
     ("fleet", fun () -> Fleetbench.run ~smoke:!smoke ());
@@ -50,6 +52,7 @@ let usage () =
   print_endline "usage: main.exe [experiment...]";
   print_endline "experiments:";
   List.iter (fun (name, _) -> print_endline ("  " ^ name)) experiments;
+  print_endline "  micro:<substring> (the micro cases whose name contains it)";
   print_endline "  all (default)";
   print_endline "  check [--against <baseline.json>]... --tolerance <pct>%"
 
@@ -121,6 +124,12 @@ let () =
         (fun name ->
           match List.assoc_opt name experiments with
           | Some f -> f ()
+          | None when String.starts_with ~prefix:"micro:" name ->
+              let only = String.sub name 6 (String.length name - 6) in
+              if not (Micro.run ~only ()) then begin
+                Printf.printf "no micro case matches %S\n" only;
+                exit 1
+              end
           | None ->
               Printf.printf "unknown experiment %S\n" name;
               usage ();

@@ -438,6 +438,10 @@ let process_exit t p status =
     List.iter (fun fd -> ignore (close_fd t p fd)) (fds p);
     (* drops every frame reference, shared ones included *)
     List.iter (fun r -> Aspace.unmap p.p_aspace r.Mcr_vmem.Region.base) (Aspace.regions p.p_aspace);
+    p.p_payload <- None;
+    p.p_interceptor <- None;
+    p.p_monitor <- None;
+    p.p_resolver <- None;
     p.p_exit_waiters <- List.filter (fun w -> not w.fired) p.p_exit_waiters;
     List.iter try_fire p.p_exit_waiters
   end

@@ -110,8 +110,9 @@ val creation_callstack : proc -> int
 
 val kill_process : t -> proc -> status:int -> unit
 (** Terminate a process from outside (MCR terminating the old version).
-    Like an exit, this closes its fds and unmaps every region of its
-    address space; the process itself stays findable, with its status. *)
+    Like an exit, this closes its fds, unmaps every region of its address
+    space and drops its {!payload}, interceptor, monitor and resolver; the
+    process itself stays findable, with its status and exit waiters. *)
 
 val fds : proc -> int list
 (** Open fd numbers, sorted. *)

@@ -116,19 +116,27 @@ let[@inline] int_nonzero n =
 let int_zero = int_nonzero 0
 let int n = if n = 0 then int_zero else int_nonzero n
 
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external swap64 : int64 -> int64 = "%bswap_int64"
+
+(* Bits 0-62 of the little-endian u64 at byte [8 * j], unchecked. *)
+let[@inline] le x = if Sys.big_endian then swap64 x else x
+let[@inline] word b j = Int64.to_int (le (get64u b (8 * j)))
+
 (* [combine acc x] is [mask ((acc * prime lxor x) * prime)]. As in [fold],
    the low 62 bits that [mask] keeps depend only on the operands' low 62
    bits, so one mask per run will do. Carrying [u = acc * prime] makes a
    word one step [u <- (u lxor x) * prime^2]; the last takes [* prime]. *)
-let combine_ints h (a : int array) i n =
+let combine_ints h (b : Bytes.t) i n =
   if n <= 0 then h
+  else if i < 0 || i > (Bytes.length b / 8) - n then invalid_arg "Fnv.combine_ints"
   else begin
     let u = ref (Int64.mul (Int64.of_int h) prime64) in
     let zero = Int64.of_int int_zero in
     for j = i to i + n - 2 do
-      let w = a.(j) in
+      let w = word b j in
       let x = if w = 0 then zero else Int64.of_int (int_nonzero w) in
       u := Int64.mul (Int64.logxor !u x) prime64_2
     done;
-    mask (Int64.to_int (Int64.mul (Int64.logxor !u (Int64.of_int (int a.(i + n - 1)))) prime64))
+    mask (Int64.to_int (Int64.mul (Int64.logxor !u (Int64.of_int (int (word b (i + n - 1))))) prime64))
   end

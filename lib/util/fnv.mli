@@ -41,11 +41,11 @@ val strings : string list -> t
 val combine : t -> t -> t
 (** [combine h1 h2] mixes two hash values. *)
 
-val combine_ints : t -> int array -> int -> int -> t
-(** [combine_ints h a i n] is [combine] folded from [h] over [int a.(j)]
-    for [j = i .. i + n - 1], and [h] when [n <= 0]: one multiplication
-    chain, a single multiplication per word.
-    @raise Invalid_argument if [n > 0] and the range is not inside [a]. *)
+val combine_ints : t -> Bytes.t -> int -> int -> t
+(** [combine_ints h b i n] is [combine] folded from [h] over [int] of words
+    [i .. i + n - 1] of [b] (bits 0-62 of each little-endian u64), and [h]
+    when [n <= 0]: one multiplication chain, one multiplication per word.
+    @raise Invalid_argument if [n > 0] and the words are not inside [b]. *)
 
 val int : int -> t
 (** [int n] is the FNV-1a hash of the 8 little-endian bytes of [n], whose

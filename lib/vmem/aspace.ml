@@ -7,27 +7,39 @@
    instead of one global soft-dirty bit, so the startup checkpoint, pre-copy
    delta rounds and benches cannot clobber each other's view.
 
-   A page that has not been stored to since it was mapped is backed, like
-   the kernel's shared zero page, by one immutable all-zero array: mapping
-   and forking cost no page copies, and a page gets a private array of its
-   own only on its first store of a non-zero word. Frame records and their
-   refcounts stay one per page whatever array backs them, so sharing,
-   copy-on-write and residency are counted exactly as for private arrays. *)
+   A frame holds its page as bytes in the image's canonical word form (bit
+   63 clear), so pages copy, clear, compare and read out as byte strings.
+   A page not stored to since it was mapped is backed, like the kernel's
+   shared zero page, by one immutable all-zero string: mapping and forking
+   cost no page copies, and a page gets private bytes of its own only on
+   its first store of a non-zero word. Frame records and their refcounts
+   stay one per page whatever bytes back them, so sharing, copy-on-write
+   and residency are counted exactly as for private bytes. *)
 
-type frame = { mutable words : int array; mutable refs : int }
+type frame = { mutable words : Bytes.t; mutable refs : int }
 
 (* Never written: every store below goes through [unshare]/[writable]. *)
-let zero_words = Array.make Addr.words_per_page 0
+let zero_words = Bytes.make Addr.page_size '\000'
 
-(* Arrays of frames that [unmap] dropped, reused before the heap is asked
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external swap64 : int64 -> int64 = "%bswap_int64"
+
+(* Word [i] of a page's bytes, and its store in the canonical form. Every
+   [i] is a word index in one page, so the accesses go unchecked. *)
+let[@inline] le x = if Sys.big_endian then swap64 x else x
+let[@inline] get b i = Int64.to_int (le (get64u b (8 * i)))
+let[@inline] set b i v = set64u b (8 * i) (le (Int64.logand (Int64.of_int v) Int64.max_int))
+
+(* Bytes of frames that [unmap] dropped, reused before the heap is asked
    for more: a fork-per-connection server unmaps as many pages per exiting
-   session as the next fork copies, and a page array is too big for the
-   minor heap. The cap bounds what a burst of exits pins (4 MiB). *)
+   session as the next fork copies, and a page is too big for the minor
+   heap. The cap bounds what a burst of exits pins (4 MiB). *)
 let spare_cap = 1024
 let spares = Array.make spare_cap zero_words
 let n_spares = ref 0
 
-(* A frame nothing references gives its array to [spares]. *)
+(* A frame nothing references gives its bytes to [spares]. *)
 let drop_ref (f : frame) =
   f.refs <- f.refs - 1;
   if f.refs = 0 && f.words != zero_words && !n_spares < spare_cap then begin
@@ -36,16 +48,13 @@ let drop_ref (f : frame) =
     f.words <- zero_words
   end
 
-(* A private array holding [src]'s words, overwriting a spare whole. The
-   loop stores ints without [Array.blit]'s per-word write barrier. *)
-let copy_of (src : int array) =
-  if !n_spares = 0 then Array.copy src
+(* Private bytes holding [src]'s page, a spare overwritten whole. *)
+let copy_of src =
+  if !n_spares = 0 then Bytes.copy src
   else begin
     decr n_spares;
     let w = spares.(!n_spares) in
-    for i = 0 to Addr.words_per_page - 1 do
-      w.(i) <- src.(i)
-    done;
+    Bytes.blit src 0 w 0 Addr.page_size;
     w
   end
 
@@ -294,20 +303,20 @@ let is_mapped_word t a =
 
 let read_word t a =
   let p = page_for t a in
-  p.frame.words.(Addr.word_index a)
+  get p.frame.words (Addr.word_index a)
 
 (* Copy-on-write: any store through a page whose frame is shared first gives
    the page a private copy, so a remapped image can never mutate the image
    it borrowed the frame from. The copy is host-side bookkeeping — the
    simulated program pays only its ordinary write cost. A shared zero page
-   stays on the zero array until something non-zero is stored. *)
+   stays on the zero bytes until something non-zero is stored. *)
 let unshare (p : page) =
   if p.frame.refs > 1 then begin
     p.frame.refs <- p.frame.refs - 1;
     p.frame <- { words = private_copy p.frame.words; refs = 1 }
   end
 
-(* The page's private array, materialising a zero page. *)
+(* The page's private bytes, materialising a zero page. *)
 let writable (p : page) =
   unshare p;
   if p.frame.words == zero_words then p.frame.words <- copy_of zero_words;
@@ -316,7 +325,7 @@ let writable (p : page) =
 (* A store of 0 into a zero page stores nothing. *)
 let store (p : page) i v =
   unshare p;
-  if v <> 0 || p.frame.words != zero_words then (writable p).(i) <- v
+  if v <> 0 || p.frame.words != zero_words then set (writable p) i v
 
 let write_word t a v =
   let p = page_for t a in
@@ -338,7 +347,7 @@ let find_word t a ~words p =
     let n = min (words - !pos) (Addr.words_per_page - i) in
     let j = ref 0 in
     while !found < 0 && !j < n do
-      if p w.(i + !j) then found := !pos + !j;
+      if p (get w (i + !j)) then found := !pos + !j;
       incr j
     done;
     pos := !pos + n;
@@ -365,38 +374,32 @@ let fold_runs t a ~words ~init ~f =
   iter_runs t a ~words (fun p i _ n -> acc := f !acc p.frame.words i n);
   !acc
 
-(* A run on the zero array holds no non-zero word. *)
+(* A run on the zero bytes holds no non-zero word. *)
 let iter_nonzero t a ~words f =
   iter_runs t a ~words (fun p i _ n ->
       let w = p.frame.words in
       if w != zero_words then
         for j = i to i + n - 1 do
-          let v = w.(j) in
+          let v = get w j in
           if v <> 0 then f v
         done)
 
-let all_zero (a : int array) pos n =
-  let rec go i = i >= pos + n || (a.(i) = 0 && go (i + 1)) in
+let all_zero w pos n =
+  let rec go i = i >= pos + n || (get w i = 0 && go (i + 1)) in
   go pos
 
-let page_is_zero t a =
-  let w = (mapped_page t a).frame.words in
-  w == zero_words || all_zero w 0 Addr.words_per_page
-
-(* Top-level, so the compare allocates no closure. *)
-let rec words_equal (x : int array) (y : int array) i =
-  i >= Addr.words_per_page || (x.(i) = y.(i) && words_equal x y (i + 1))
+let page_is_zero t a = Bytes.equal (mapped_page t a).frame.words zero_words
 
 let pages_equal t a u b =
   let x = (mapped_page t a).frame and y = (mapped_page u b).frame in
-  x == y || x.words == y.words || words_equal x.words y.words 0
+  x == y || Bytes.equal x.words y.words
 
 (* Store [n] words of [src] from [pos] at word [i] of the page; a run of
    zeros into a zero page stores nothing. *)
-let store_run (p : page) i (src : int array) pos n =
+let store_run (p : page) i src pos n =
   unshare p;
   if p.frame.words != zero_words || not (src == zero_words || all_zero src pos n) then
-    Array.blit src pos (writable p) i n;
+    Bytes.blit src (8 * pos) (writable p) (8 * i) (8 * n);
   p.touched <- true
 
 (* Walk [\[src_addr, src_addr + words)] and the destination range in the
@@ -436,8 +439,9 @@ let tracked_runs t a ~words fill =
       t.wseq <- t.wseq + n;
       p.last_write_seq <- t.wseq)
 
-(* A zero page stays on the zero array, as a store of 0 leaves it. *)
-let clear (p : page) i n = if p.frame.words != zero_words then Array.fill p.frame.words i n 0
+(* A zero page stays on the zero bytes, as a store of 0 leaves it. *)
+let clear (p : page) i n =
+  if p.frame.words != zero_words then Bytes.fill p.frame.words (8 * i) (8 * n) '\000'
 let zero_fill t a ~words = tracked_runs t a ~words (fun p i _ n -> clear p i n)
 
 let zero_untracked t a ~words =
@@ -453,29 +457,21 @@ let write_init t a ~words f =
       let k = ref 0 in
       while !k < n && p.frame.words == zero_words do
         let v = f (pos + !k) in
-        if v <> 0 then (writable p).(i + !k) <- v;
+        if v <> 0 then set (writable p) (i + !k) v;
         incr k
       done;
       let w = p.frame.words in
       for j = !k to n - 1 do
-        w.(i + j) <- f (pos + j)
+        set w (i + j) (f (pos + j))
       done)
 
-(* The byte form of words is the image's: bits 0-62 of each word as a
-   little-endian u64, so byte 7's top bit is always 0. *)
 let check_bytes fn len ~words ~pos =
   if pos < 0 || pos > len || words < 0 || words > (len - pos) / 8 then invalid_arg fn
 
 let read_bytes t a ~words buf ~pos =
   check_bytes "Aspace.read_bytes" (Bytes.length buf) ~words ~pos;
   iter_runs t a ~words (fun p i k n ->
-      let off = pos + (8 * k) and w = p.frame.words in
-      if w == zero_words then Bytes.fill buf off (8 * n) '\000'
-      else
-        for j = 0 to n - 1 do
-          Bytes.set_int64_le buf (off + (8 * j))
-            (Int64.logand (Int64.of_int w.(i + j)) Int64.max_int)
-        done)
+      Bytes.blit p.frame.words (8 * i) buf (pos + (8 * k)) (8 * n))
 
 let word_at src off = Int64.to_int (String.get_int64_le src off)
 
@@ -483,7 +479,7 @@ let zero_words_at src off n =
   let rec go j = j >= n || (word_at src (off + (8 * j)) = 0 && go (j + 1)) in
   go 0
 
-(* [store_run] with the words read from [src]. *)
+(* [store_run] with the words read from [src], bit 63 cleared one by one. *)
 let write_bytes_untracked t a ~words src ~pos =
   check_bytes "Aspace.write_bytes_untracked" (String.length src) ~words ~pos;
   iter_runs t a ~words (fun p i k n ->
@@ -492,7 +488,7 @@ let write_bytes_untracked t a ~words src ~pos =
       if p.frame.words != zero_words || not (zero_words_at src off n) then begin
         let w = writable p in
         for j = 0 to n - 1 do
-          w.(i + j) <- word_at src (off + (8 * j))
+          set w (i + j) (word_at src (off + (8 * j)))
         done
       end;
       p.touched <- true)

@@ -11,13 +11,14 @@
     write through either page copies the frame first (copy-on-write), so
     neither image can mutate the other.
 
-    A page nobody has stored a non-zero word to since it was mapped is
-    backed by one shared, immutable all-zero array, as a kernel backs such
-    pages with its zero page. This is host-side only: the frame record and
-    its refcount are still per page, so {!shared_frame_count},
-    {!resident_bytes} and copy-on-write behave as if every page had its own
-    zeroed frame. The arrays of frames that {!unmap} leaves unreferenced are
-    reused, zeroed or overwritten, by later pages and copies.
+    A frame holds its page as bytes in {!read_bytes}' word form. A page
+    nobody has stored a non-zero word to since it was mapped is backed by
+    one shared, immutable all-zero string, the zero bytes, as a kernel
+    backs such pages with its zero page. This is host-side only: the frame
+    record and its refcount are still per page, so {!shared_frame_count},
+    {!resident_bytes} and copy-on-write behave as if every page had its
+    own zeroed frame. The bytes of frames that {!unmap} leaves
+    unreferenced are reused by later pages and copies.
 
     Dirtiness mirrors the Linux soft-dirty mechanism MCR builds on, but is
     generation-based: every tracked write bumps the space-wide {!write_seq}
@@ -46,8 +47,8 @@ val layout_bias : t -> int
 val clone : t -> t
 (** Deep copy: pages, regions, epochs and dirty stamps. Every cloned page
     gets a private frame; only pages holding non-zero words copy their
-    contents, zero pages stay on the shared zero array. Used by process
-    spawn (the fork analog). *)
+    contents, zero pages stay on the zero bytes. Used by process spawn
+    (the fork analog). *)
 
 type placement =
   | Fixed of Addr.t  (** Map exactly here (MAP_FIXED); fails on overlap. *)
@@ -62,8 +63,8 @@ val ceiling : int
 val map : t -> ?name:string -> placement -> size:int -> Region.kind -> Addr.t
 (** [map t placement ~size kind] creates a zeroed mapping and returns its
     base. [size] is rounded up to whole pages. The pages start on the
-    shared zero array, so mapping allocates no page contents; each page
-    gets its own array on its first non-zero store.
+    zero bytes, so mapping allocates no page contents; each page gets
+    bytes of its own on its first non-zero store.
     @raise Invalid_argument on overlap with an existing region, or when
     the mapping would end past {!ceiling}. *)
 
@@ -105,31 +106,31 @@ val find_word : t -> Addr.t -> words:int -> (int -> bool) -> int
     before that page matched. [p] must not store into [t]. *)
 
 val fold_runs :
-  t -> Addr.t -> words:int -> init:'a -> f:('a -> int array -> int -> int -> 'a) -> 'a
+  t -> Addr.t -> words:int -> init:'a -> f:('a -> Bytes.t -> int -> int -> 'a) -> 'a
 (** [fold_runs t a ~words ~init ~f] folds [f acc page i n] over the page
-    runs covering the [words] words from [a]: each run is
-    [page.(i) .. page.(i + n - 1)]. [page] is the page's own storage, lent
-    for the call only; [f] must not write to it or keep it: after an
-    {!unmap} it may back another page.
+    runs covering the [words] words from [a]: each run is words [i] to
+    [i + n - 1] of [page], word [j] at byte [8 * j] in {!read_bytes}' form.
+    [page] is the page's own storage, lent for the call only; [f] must not
+    write to it or keep it: after an {!unmap} it may back another page.
     @raise Fault as {!read_word}. *)
 
 val iter_nonzero : t -> Addr.t -> words:int -> (int -> unit) -> unit
 (** [iter_nonzero t a ~words f] applies [f] to each non-zero word of the
     [words] words from [a], in ascending address order: exactly the calls
     of a loop applying [f] to each non-zero {!read_word} in turn, raising
-    the same {!Fault} after the same calls. A run on the zero array is
+    the same {!Fault} after the same calls. A run on the zero bytes is
     skipped without reading its words. [f] must not store into [t]. *)
 
 val page_is_zero : t -> Addr.t -> bool
 (** Whether every word of the page holding the address is 0. A page on
-    the shared zero array answers without reading its words.
+    the zero bytes answers without reading its words.
     @raise Fault if the page is unmapped. *)
 
 val pages_equal : t -> Addr.t -> t -> Addr.t -> bool
 (** [pages_equal t a u b] is whether the page holding [a] in [t] and the
     page holding [b] in [u] hold the same words: exactly the two pages'
     words read by {!read_word} and compared one by one. Pages on one frame,
-    or both on the zero array, answer without reading their words.
+    or both on the zero bytes, answer without reading their words.
     Allocates nothing. @raise Fault if either page is unmapped. *)
 
 val copy_words : src:t -> Addr.t -> dst:t -> Addr.t -> words:int -> unit
@@ -149,7 +150,7 @@ val zero_fill : t -> Addr.t -> words:int -> unit
     observable semantics of [words] {!write_word}[ _ 0] calls in ascending
     address order: the same contents, {!write_seq} advanced by [words],
     each page stamped with the sequence value after its last word, every
-    covered page touched and unshared. A page still on the zero array stays
+    covered page touched and unshared. A page still on the zero bytes stays
     there. On a range that runs into an unmapped page it raises the same
     {!Fault}, after zeroing every word before that page. Pages are resolved
     once per run, not once per word. *)
@@ -158,7 +159,7 @@ val zero_untracked : t -> Addr.t -> words:int -> unit
 (** [zero_untracked t a ~words] is {!zero_fill} without the dirty stamps:
     the exact observable semantics of [words] {!write_word_untracked}[ _ 0]
     calls in ascending address order. Every covered page is unshared and
-    touched, no stamp or {!write_seq} moves, a page on the zero array
+    touched, no stamp or {!write_seq} moves, a page on the zero bytes
     stays there without its words being read, and a range that runs into
     an unmapped page raises the same {!Fault} after the same stores. *)
 
@@ -166,7 +167,7 @@ val write_init : t -> Addr.t -> words:int -> (int -> int) -> unit
 (** [write_init t a ~words f] stores [f i] at word [i] from [a], for [i]
     from [0] to [words - 1], under the {!zero_fill} contract: the exact
     observable semantics of one {!write_word} per word in ascending
-    address order. A page still on the zero array stays there when its
+    address order. A page still on the zero bytes stays there when its
     part of the range is all zeros. [f] is applied once to the index of
     each word stored, in ascending order; on a range that runs into an
     unmapped page it is not applied to that page's words. No
@@ -176,10 +177,10 @@ val read_bytes : t -> Addr.t -> words:int -> Bytes.t -> pos:int -> unit
 (** [read_bytes t a ~words buf ~pos] writes the [words] words from [a] into
     [buf] from byte [pos], each as the 8 little-endian bytes of its bits
     0-62 (the top bit of the last byte is 0) — the checkpoint image's word
-    encoding. Word [i] of the range is [read_word t (a + 8i)]. A run on a
-    zero-array page is one fill. On a range that runs into an unmapped
-    page it raises the same {!Fault} as {!read_word}, after filling every
-    word before that page.
+    encoding. Word [i] of the range is [read_word t (a + 8i)]. A page run
+    is one blit. On a range that runs into an unmapped page it raises the
+    same {!Fault} as {!read_word}, after filling every word before that
+    page.
     @raise Invalid_argument if the [8 * words] bytes from [pos] are not
     inside [buf]. *)
 
@@ -190,7 +191,7 @@ val write_bytes_untracked : t -> Addr.t -> words:int -> string -> pos:int -> uni
     {!write_word_untracked} per word in ascending address order: the same
     contents, every covered page touched and unshared, no dirty stamp or
     {!write_seq} moved, and the same {!Fault} after the same stores on a
-    range that runs into an unmapped page. A page still on the zero array
+    range that runs into an unmapped page. A page still on the zero bytes
     stays there when its part of the range is all zeros. Pages are
     resolved once per run, not once per word.
     @raise Invalid_argument if the [8 * words] bytes from [pos] are not

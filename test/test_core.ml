@@ -153,6 +153,55 @@ let test_images_track_children () =
     (Mcr_servers.Httpd_sim.servers)
     (List.length (Manager.images m))
 
+(* main completes startup at its first wrapped wait, forks a child that
+   exits with status 7 at once, sleeps, then reaps the child. *)
+let reaper reaped =
+  let open Mcr_program in
+  P.make_version ~prog:"reaper" ~version_tag:"1" ~layout_bias:0
+    ~tyenv:(Mcr_types.Ty.env_create ()) ~globals:[] ~funcs:[ "main" ] ~strings:[]
+    ~qpoints:[ ("start", "sem_wait") ]
+    ~entries:
+      [
+        ( "main",
+          fun t ->
+            ignore
+              (Api.blocking t ~qpoint:"start"
+                 (S.Sem_wait { name = "start"; timeout_ns = Some 1_000_000 }));
+            match Api.sys t (S.Fork { entry = "child" }) with
+            | S.Ok_pid pid ->
+                ignore (Api.sys t (S.Nanosleep { ns = 5_000_000 }));
+                reaped := Some (Api.sys t (S.Waitpid { pid }));
+                ignore (Api.sys t (S.Sem_wait { name = "never"; timeout_ns = None }))
+            | _ -> () );
+        ("child", fun t -> Api.exit t 7);
+      ]
+    ()
+
+let test_exited_child_drops_image () =
+  let reaped = ref None in
+  let kernel = K.create () in
+  let m = Manager.launch kernel (reaper reaped) in
+  assert (Manager.wait_startup m ());
+  let child () =
+    List.find_opt (fun p -> K.proc_name p = "reaper:child") (K.procs kernel)
+  in
+  ignore
+    (K.run_until kernel
+       ~max_ns:(K.clock_ns kernel + 1_000_000_000)
+       (fun () -> match child () with Some c -> not (K.alive c) | None -> false));
+  let c = Option.get (child ()) in
+  Alcotest.(check (option int)) "exit status kept" (Some 7) (K.exit_status c);
+  Alcotest.(check bool) "image dropped at exit" true (P.image_of_proc c = None);
+  Alcotest.(check bool) "not reaped yet" true (!reaped = None);
+  let before = Manager.memory_stats m in
+  ignore
+    (K.run_until kernel
+       ~max_ns:(K.clock_ns kernel + 1_000_000_000)
+       (fun () -> !reaped <> None));
+  Alcotest.(check bool) "Waitpid reaps the child" true (!reaped = Some (S.Ok_status 7));
+  Alcotest.(check bool) "memory stats unchanged" true (Manager.memory_stats m = before);
+  Alcotest.(check int) "only the parent counted" 1 before.Manager.processes
+
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
@@ -286,6 +335,7 @@ let () =
           Alcotest.test_case "memory stats shape" `Quick test_memory_stats_shape;
           Alcotest.test_case "quiesce_only repeatable" `Quick test_quiesce_only_repeatable;
           Alcotest.test_case "images track children" `Quick test_images_track_children;
+          Alcotest.test_case "exited child drops its image" `Quick test_exited_child_drops_image;
           Alcotest.test_case "STATS ctl command" `Quick test_stats_command;
           Alcotest.test_case "report totals" `Quick test_report_totals_consistent;
         ] );

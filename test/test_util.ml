@@ -136,9 +136,10 @@ let prop_fnv_fold2 =
       && Fnv.fold h2 s ~pos ~len = ref_fold_from h2 copy)
 
 (* Arrays mostly of zeros and of the words whose bytes reach the edges
-   (sign bit, bit 61, all ones), from any non-negative state; every run
-   [(i, n)] of each array, the empty ones included, against [combine] over
-   the byte-loop [int]. *)
+   (sign bit, bit 61, all ones), from any non-negative state, each laid out
+   as a little-endian u64 sign-extended from 63 bits (bit 63 copies bit 62,
+   and [combine_ints] must ignore it); every run [(i, n)] of each array,
+   the empty ones included, against [combine] over the byte-loop [int]. *)
 let prop_fnv_combine_ints =
   QCheck.Test.make ~name:"fnv combine_ints = combine over byte-loop int" ~count:300
     (QCheck.make
@@ -157,12 +158,14 @@ let prop_fnv_combine_ints =
                  ]))))
     (fun (h, a) ->
       let len = Array.length a in
+      let b = Bytes.create (8 * len) in
+      Array.iteri (fun j w -> Bytes.set_int64_le b (8 * j) (Int64.of_int w)) a;
       let ok = ref true in
       for i = 0 to len do
         let expected = ref h in
         for n = 0 to len - i do
           if n > 0 then expected := Fnv.combine !expected (ref_int a.(i + n - 1));
-          if Fnv.combine_ints h a i n <> !expected then ok := false
+          if Fnv.combine_ints h b i n <> !expected then ok := false
         done
       done;
       !ok)
@@ -179,7 +182,15 @@ let test_fnv_sub_bounds () =
           ("sub", fun () -> ignore (Fnv.sub "abcdefgh" ~pos ~len));
           ("fold2", fun () -> ignore (Fnv.fold2 1 2 "abcdefgh" ~pos ~len));
         ])
-    [ (-1, 1); (0, 9); (8, 1); (3, -1); (max_int, 1); (1, max_int) ]
+    [ (-1, 1); (0, 9); (8, 1); (3, -1); (max_int, 1); (1, max_int) ];
+  (* [combine_ints] counts in words, here one, and reads them unchecked *)
+  let b = Bytes.of_string "abcdefgh" in
+  List.iter
+    (fun (i, n) ->
+      match Fnv.combine_ints 1 b i n with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "combine_ints i=%d n=%d accepted" i n)
+    [ (-1, 1); (0, 2); (1, 1); (max_int, 1); (1, max_int); (0, max_int) ]
 
 (* ------------------------------------------------------------------ *)
 (* Rng *)

@@ -1038,6 +1038,96 @@ let prop_read_bytes_lockstep =
       && Bytes.sub buf 0 (pos + (8 * filled)) = Bytes.sub expected 0 (pos + (8 * filled))
       && Bytes.sub_string buf (pos + (8 * n)) 3 = "\x5a\x5a\x5a")
 
+(* ------------------------------------------------------------------ *)
+(* Canonical byte form: a page's bytes depend on its words alone, so pages
+   stored through different paths compare, and read out, by value. *)
+
+(* The words whose byte forms reach the edges: [min_int], [max_int], all
+   ones, bit 61 alone and bit 62 alone (the sign bit, so [min_int] again). *)
+let c_edge_words = [ min_int; max_int; -1; 1 lsl 61; 1 lsl 62 ]
+
+(* A page's words: mostly zeros, some edge words, often at the page's
+   first or last word. *)
+let c_page_gen =
+  let wpp = Addr.words_per_page in
+  QCheck.Gen.(
+    map
+      (fun points ->
+        let page = Array.make wpp 0 in
+        List.iter (fun (i, v) -> page.(i) <- v) points;
+        page)
+      (small_list
+         (pair
+            (oneof [ return 0; return (wpp - 1); int_bound (wpp - 1) ])
+            (frequency [ (3, oneofl c_edge_words); (1, int_range (-9) 9) ]))))
+
+let c_space () =
+  let sp = Aspace.create () in
+  ignore (Aspace.map sp (Aspace.Fixed z_base) ~size:Addr.page_size Region.Heap);
+  sp
+
+let c_write_each sp words =
+  Array.iteri (fun i v -> Aspace.write_word sp (Addr.add_words z_base i) v) words
+
+(* Store [words] into a one-page space at [z_base], by [write_word],
+   [write_init], [copy_words] and [write_bytes_untracked]. The [write_word]
+   page is materialised first, so all-zero contents compare a private page
+   with pages still on the zero bytes; the byte source sets bit 63 of every
+   word. *)
+let c_paths : (Aspace.t -> int array -> unit) list =
+  let wpp = Addr.words_per_page in
+  [
+    (fun sp words ->
+      Aspace.write_word sp z_base 1;
+      c_write_each sp words);
+    (fun sp words -> Aspace.write_init sp z_base ~words:wpp (Array.get words));
+    (fun sp words ->
+      let src = c_space () in
+      c_write_each src words;
+      Aspace.copy_words ~src z_base ~dst:sp z_base ~words:wpp);
+    (fun sp words ->
+      let b = Bytes.create (8 * wpp) in
+      Array.iteri
+        (fun i v -> Bytes.set_int64_le b (8 * i) (Int64.logor (Int64.of_int v) Int64.min_int))
+        words;
+      Aspace.write_bytes_untracked sp z_base ~words:wpp (Bytes.to_string b) ~pos:0);
+  ]
+
+let prop_canonical_pages =
+  QCheck.Test.make ~name:"pages stored by any path compare and read out by their words"
+    ~count:200
+    (QCheck.make
+       ~print:(fun (a, b, pick) ->
+         let show p =
+           String.concat "; "
+             (List.filter_map
+                (fun i -> if p.(i) = 0 then None else Some (Printf.sprintf "%d:%d" i p.(i)))
+                (List.init Addr.words_per_page Fun.id))
+         in
+         Printf.sprintf "a [%s] b [%s] paths take %s" (show a) (show b)
+           (String.concat "" (List.map (fun x -> if x then "b" else "a") pick)))
+       QCheck.Gen.(
+         triple c_page_gen c_page_gen (list_repeat (List.length c_paths) bool)))
+    (fun (a, b, pick) ->
+      let spaces =
+        List.map2
+          (fun store x ->
+            let sp = c_space () in
+            let words = if x then b else a in
+            store sp words;
+            (sp, words))
+          c_paths pick
+      in
+      let model sp = read_each sp z_base ~words:Addr.words_per_page in
+      List.for_all
+        (fun (sp, words) ->
+          model sp = words
+          && read_bytes sp z_base ~words:Addr.words_per_page = bytes_of_words words
+          && List.for_all
+               (fun (u, _) -> Aspace.pages_equal sp z_base u z_base = (model sp = model u))
+               spaces)
+        spaces)
+
 let test_write_bytes_zero_run () =
   let sp = Aspace.create () in
   ignore (Aspace.map sp (Aspace.Fixed z_base) ~size:(z_pages * 4096) Region.Heap);
@@ -1143,4 +1233,5 @@ let () =
           Alcotest.test_case "recycled page arrays are isolated" `Quick
             test_recycled_arrays_are_isolated;
         ] );
+      ("canonical", [ qt prop_canonical_pages ]);
     ]
