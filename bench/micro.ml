@@ -67,10 +67,11 @@ let test_grab_chunk =
       Staged.stage (fun () -> Heap.free heap (Heap.malloc heap words)))
 
 (* vsftpd's session-buffer initialisation at each USER: one bulk tracked
-   store over a private 4096-word range, next to the per-word loop it
-   replaced over the same range *)
+   store of a prebuilt template over a private 4096-word range, next to
+   the per-word loop it replaced over the same range *)
 let session_words = 4096
 let session_word i = 0x76_73_66 lxor i
+let session_template = lazy (Aspace.words_of_fn session_words session_word)
 
 let session_buffer () =
   let aspace = Aspace.create () in
@@ -78,13 +79,14 @@ let session_buffer () =
     Aspace.map aspace (Aspace.Near Region.Heap) ~size:(session_words * Addr.word_size)
       Region.Heap
   in
-  Aspace.write_init aspace base ~words:session_words session_word;
+  Aspace.write_words aspace base (Lazy.force session_template);
   (aspace, base)
 
-let test_store_init =
-  case "vmem:store-init-4096" (fun () ->
+let test_store_template =
+  case "vmem:store-template-4096" (fun () ->
       let aspace, base = session_buffer () in
-      Staged.stage (fun () -> Aspace.write_init aspace base ~words:session_words session_word))
+      let w = Lazy.force session_template in
+      Staged.stage (fun () -> Aspace.write_words aspace base w))
 
 let test_write_word_loop =
   case "vmem:write-word-x4096" (fun () ->
@@ -99,12 +101,13 @@ let test_write_word_loop =
 let test_buffer_churn =
   case "vmem:buffer-churn" (fun () ->
       let aspace = Aspace.create () in
+      let w = Lazy.force session_template in
       Staged.stage (fun () ->
           let base =
             Aspace.map aspace (Aspace.Near Region.Heap) ~size:(session_words * Addr.word_size)
               Region.Heap
           in
-          Aspace.write_init aspace base ~words:session_words session_word;
+          Aspace.write_words aspace base w;
           Aspace.unmap aspace base))
 
 (* The host cost of one process-per-connection session: fork a process
@@ -168,7 +171,7 @@ let test_clone_unmap_written =
       let base =
         Aspace.map aspace (Aspace.Near Region.Heap) ~size:(words * Addr.word_size) Region.Heap
       in
-      Aspace.write_init aspace base ~words session_word;
+      Aspace.write_words aspace base (Aspace.words_of_fn words session_word);
       Staged.stage (fun () -> Aspace.unmap (Aspace.clone aspace) base))
 
 (* 4,096 [read_word]s at scattered addresses of 16 regions of 1,024
@@ -345,6 +348,13 @@ let test_image_fingerprint =
       sparse_heap asp;
       Staged.stage (fun () -> ignore (Image.aspace_fingerprint ~prog:"bench" asp)))
 
+(* Loadgen's look at one 1 KiB data reply of a RETR transfer,
+   which carries none of the codes it looks for *)
+let test_retr_reply_scan =
+  case "workloads:retr-reply-scan(1 KiB)" (fun () ->
+      let reply = String.make 1024 'd' in
+      Staged.stage (fun () -> ignore (Mcr_workloads.Client.classify_retr reply)))
+
 let test_fnv_sub =
   case "fnv:sub(1MiB, half zero)" (fun () ->
       let len = 1 lsl 20 in
@@ -353,12 +363,12 @@ let test_fnv_sub =
 
 let cases =
   [ test_callstack_hash; test_alloc_tagging; test_malloc_zeroed; test_grab_chunk;
-    test_store_init; test_write_word_loop; test_buffer_churn; test_map_clone_unmap;
+    test_store_template; test_write_word_loop; test_buffer_churn; test_map_clone_unmap;
     test_clone_unmap_written; test_read_word_scattered; test_read_word_sequential;
     test_sizeof_named; test_fork_exit; test_conservative_scan; test_conservative_scan_opaque;
     test_type_transform; test_region_lookup_linear; test_region_lookup_indexed;
     test_image_encode; test_image_decode; test_image_save_read_remove; test_image_fingerprint;
-    test_fnv_sub ]
+    test_retr_reply_scan; test_fnv_sub ]
 
 let contains ~sub s =
   let n = String.length sub in

@@ -238,7 +238,7 @@ let func_ptr t name = Symtab.func_addr t.image.i_symtab name
 
 let load t addr = Aspace.read_word t.image.i_aspace addr
 let store t addr v = Aspace.write_word t.image.i_aspace addr v
-let store_init t addr ~words f = Aspace.write_init t.image.i_aspace addr ~words f
+let store_words t addr w = Aspace.write_words t.image.i_aspace addr w
 let find_word t addr ~words p = Aspace.find_word t.image.i_aspace addr ~words p
 
 let load_field t base tyname field =

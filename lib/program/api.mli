@@ -89,10 +89,10 @@ val func_ptr : ctx -> string -> int
 val load : ctx -> Mcr_vmem.Addr.t -> int
 val store : ctx -> Mcr_vmem.Addr.t -> int -> unit
 
-val store_init : ctx -> Mcr_vmem.Addr.t -> words:int -> (int -> int) -> unit
-(** [store_init t addr ~words f] stores [f i] at word [i] from [addr]: one
-    {!store} per word in ascending order ({!Mcr_vmem.Aspace.write_init}),
-    a page at a time. Like {!store} it charges no simulated time. *)
+val store_words : ctx -> Mcr_vmem.Addr.t -> Mcr_vmem.Aspace.words -> unit
+(** [store_words t addr w] stores word [i] of [w] at word [i] from [addr]:
+    one {!store} per word in ascending order, a blit per page
+    ({!Mcr_vmem.Aspace.write_words}). It charges no simulated time. *)
 
 val find_word : ctx -> Mcr_vmem.Addr.t -> words:int -> (int -> bool) -> int
 (** [find_word t addr ~words p] is the index of the first of the [words]

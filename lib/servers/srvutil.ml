@@ -47,6 +47,15 @@ let read_request t ~qpoint fd =
 
 let reply t fd data = ignore (Api.sys t (S.Write { fd; data }))
 
+(* A session buffer's contents at login, word [i] being [seed lxor i],
+   built once per seed and size. *)
+let templates = Hashtbl.create 4
+
+let buffer_template seed n =
+  if not (Hashtbl.mem templates (seed, n)) then
+    Hashtbl.replace templates (seed, n) (Mcr_vmem.Aspace.words_of_fn n (fun i -> seed lxor i));
+  Hashtbl.find templates (seed, n)
+
 (* The first slot at or after [from] of the [capacity]-word array at [base]
    whose word satisfies [p], or -1. *)
 let find_slot t base ~capacity ?(from = 0) p =

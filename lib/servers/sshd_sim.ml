@@ -56,7 +56,8 @@ let session_body ~final t =
   Api.store_field t sess "ssh_session_t" "conn" conn;
   (* per-session transfer ballast: an opaque packet buffer sized by the
      session_buffer_words directive (0 = none). Large sizes are
-     page-segregated, so state transfer can remap them page-for-page. *)
+     page-segregated, so state transfer can remap them page-for-page.
+     AUTH stores a template built once per size, a blit per page. *)
   let conf = Api.load t (Api.global t "ssh_conf") in
   let buf_words = Api.load_field t conf "ssh_conf_t" "sess_buf_words" in
   if buf_words > 0 then
@@ -81,9 +82,9 @@ let session_body ~final t =
                  dirty and must travel with every state transfer (the
                  remap pass can share them frame-for-frame when congruent) *)
               if buf_words > 0 then
-                Api.store_init t
+                Api.store_words t
                   (Api.load_field t sess "ssh_session_t" "buf")
-                  ~words:buf_words (fun i -> 0x73_73_68 lxor i);
+                  (Srvutil.buffer_template 0x73_73_68 buf_words);
               (* privilege-separation helper: fork, let it run, reap it *)
               (match Api.sys t (S.Fork { entry = "ssh_exec_helper" }) with
               | S.Ok_pid pid -> ignore (Api.sys t (S.Waitpid { pid }))

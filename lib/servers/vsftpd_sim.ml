@@ -51,7 +51,8 @@ let session_body ~final t =
   Api.store_field t sess "vsf_session_t" "conn" conn;
   (* per-session transfer ballast: an opaque command/data buffer sized by
      the session_buffer_words directive (0 = none). Large sizes are
-     page-segregated, so state transfer can remap them page-for-page. *)
+     page-segregated, so state transfer can remap them page-for-page.
+     USER stores a template built once per size, a blit per page. *)
   let conf = Api.load t (Api.global t "vsf_conf") in
   let buf_words = Api.load_field t conf "vsf_conf_t" "sess_buf_words" in
   if buf_words > 0 then
@@ -79,9 +80,9 @@ let session_body ~final t =
                  and must travel with every state transfer (the remap
                  pass can share them frame-for-frame when congruent) *)
               if buf_words > 0 then
-                Api.store_init t
+                Api.store_words t
                   (Api.load_field t sess "vsf_session_t" "buf")
-                  ~words:buf_words (fun i -> 0x76_73_66 lxor i);
+                  (Srvutil.buffer_template 0x76_73_66 buf_words);
               let buf = Api.malloc_opaque t ~site:"vsf_user:name" 4 in
               Api.write_bytes t buf u;
               Api.store_field t sess "vsf_session_t" "user" buf;

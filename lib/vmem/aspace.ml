@@ -450,20 +450,18 @@ let zero_untracked t a ~words =
       clear p i n;
       p.touched <- true)
 
-(* Values go straight into the page: no [words]-sized source array. A zero
-   page is materialised by its first non-zero word, as [store] does. *)
-let write_init t a ~words f =
-  tracked_runs t a ~words (fun p i pos n ->
-      let k = ref 0 in
-      while !k < n && p.frame.words == zero_words do
-        let v = f (pos + !k) in
-        if v <> 0 then set (writable p) (i + !k) v;
-        incr k
-      done;
-      let w = p.frame.words in
-      for j = !k to n - 1 do
-        set w (i + j) (f (pos + j))
-      done)
+(* A word run in the frames' byte form, built once and stored by [blit]. *)
+type words = Bytes.t
+
+let words_of_fn n f =
+  let w = Bytes.create (8 * n) in
+  for i = 0 to n - 1 do
+    set w i (f i)
+  done;
+  w
+
+let write_words t a w =
+  tracked_runs t a ~words:(Bytes.length w / 8) (fun p i pos n -> store_run p i w pos n)
 
 let check_bytes fn len ~words ~pos =
   if pos < 0 || pos > len || words < 0 || words > (len - pos) / 8 then invalid_arg fn

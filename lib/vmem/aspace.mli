@@ -163,15 +163,20 @@ val zero_untracked : t -> Addr.t -> words:int -> unit
     stays there without its words being read, and a range that runs into
     an unmapped page raises the same {!Fault} after the same stores. *)
 
-val write_init : t -> Addr.t -> words:int -> (int -> int) -> unit
-(** [write_init t a ~words f] stores [f i] at word [i] from [a], for [i]
-    from [0] to [words - 1], under the {!zero_fill} contract: the exact
-    observable semantics of one {!write_word} per word in ascending
-    address order. A page still on the zero bytes stays there when its
-    part of the range is all zeros. [f] is applied once to the index of
-    each word stored, in ascending order; on a range that runs into an
-    unmapped page it is not applied to that page's words. No
-    [words]-sized array is built: values go straight into each page. *)
+type words
+(** A run of words in {!read_bytes}' byte form, built once to be stored
+    many times. *)
+
+val words_of_fn : int -> (int -> int) -> words
+(** [words_of_fn n f] is the run [f 0], ..., [f (n - 1)].
+    @raise Invalid_argument if [n] is negative. *)
+
+val write_words : t -> Addr.t -> words -> unit
+(** [write_words t a w] stores word [i] of [w] at word [i] from [a] under
+    the {!zero_fill} contract: the exact observable semantics of one
+    {!write_word} per word in ascending address order. Each page run is
+    one blit; a page still on the zero bytes stays there when its part of
+    the run is all zeros. *)
 
 val read_bytes : t -> Addr.t -> words:int -> Bytes.t -> pos:int -> unit
 (** [read_bytes t a ~words buf ~pos] writes the [words] words from [a] into

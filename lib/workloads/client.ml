@@ -28,13 +28,43 @@ let recv ?(max = 1 lsl 20) fd =
 
 let close fd = ignore (K.syscall (S.Close { fd }))
 
-(* Whether [needle] occurs in [haystack]; compares in place, allocates
-   nothing. *)
+(* Whether [needle] occurs in [haystack]: a position's first byte is
+   checked before the rest is compared, in place. *)
 let contains haystack needle =
-  let nh = String.length haystack and nn = String.length needle in
-  let rec matches_at i j = j = nn || (haystack.[i + j] = needle.[j] && matches_at i (j + 1)) in
-  let rec go i = i + nn <= nh && (matches_at i 0 || go (i + 1)) in
-  go 0
+  let n = String.length needle and get = String.unsafe_get in
+  let rec rest i j = j = n || (get haystack (i + j) = get needle j && rest i (j + 1)) in
+  let rec go i =
+    i + n <= String.length haystack && ((get haystack i = get needle 0 && rest i 1) || go (i + 1))
+  in
+  n = 0 || go 0
+
+(* A reply to RETR by the codes it carries, in one pass: "226" (transfer
+   complete) over "550" (no such file) over "150" (opening), else data. *)
+type retr_reply = Complete | Missing | Opening | Data
+
+let classify_retr reply =
+  let at i a b = String.unsafe_get reply (i + 1) = a && String.unsafe_get reply (i + 2) = b in
+  let rec go i seen =
+    if i + 3 > String.length reply then seen
+    else
+      match String.unsafe_get reply i with
+      | '2' when at i '2' '6' -> Complete
+      | '5' when at i '5' '0' -> go (i + 1) Missing
+      | '1' when seen = Data && at i '5' '0' -> go (i + 1) Opening
+      | _ -> go (i + 1) seen
+  in
+  go 0 Data
+
+(* [(ok, bytes)] of a RETR drained with [recv] up to its 226 or 550: [ok] when
+   a 150 came before the 226, [bytes] the length of every reply before the last. *)
+let drain_retr recv =
+  let rec go bytes opened =
+    match Option.map (fun r -> (classify_retr r, String.length r)) (recv ()) with
+    | Some (Complete, _) -> (opened, bytes)
+    | None | Some (Missing, _) -> (false, bytes)
+    | Some (c, len) -> go (bytes + len) (opened || c = Opening)
+  in
+  go 0 false
 
 (* drive the kernel until a predicate holds; workloads are finite so a
    generous virtual deadline doubles as a hang detector *)

@@ -18,16 +18,7 @@ let run kernel ~port ~users ?(retrievals = 1) ~file () =
                 for _ = 1 to retrievals do
                   (* drain the chunked transfer until the 226 completion *)
                   Client.send fd ("RETR " ^ file);
-                  let rec drain acc saw150 =
-                    match Client.recv fd with
-                    | Some reply when Client.contains reply "226" -> (acc, saw150)
-                    | Some reply when Client.contains reply "550" -> (acc, false)
-                    | Some reply ->
-                        drain (acc + String.length reply)
-                          (saw150 || Client.contains reply "150")
-                    | None -> (acc, false)
-                  in
-                  let got, ok150 = drain 0 false in
+                  let ok150, got = Client.drain_retr (fun () -> Client.recv fd) in
                   if ok150 then begin
                     incr ok;
                     bytes := !bytes + got

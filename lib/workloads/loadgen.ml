@@ -87,14 +87,7 @@ let dialog kernel server fd user =
         let _ = cmd (Printf.sprintf "USER user%d" user) in
         let _ = cmd "PASS secret" in
         Client.send fd "RETR big.bin";
-        let rec drain saw150 =
-          match recv () with
-          | Some reply when Client.contains reply "226" -> saw150
-          | Some reply when Client.contains reply "550" -> false
-          | Some reply -> drain (saw150 || Client.contains reply "150")
-          | None -> false
-        in
-        let ok = drain false in
+        let ok, _ = Client.drain_retr recv in
         let _ = cmd "QUIT" in
         ok
     | Testbed.Sshd -> (

@@ -391,7 +391,7 @@ type m_op =
   | M_share of m_loc * m_loc (* src page, dst page: copy, then remap *)
   | M_exit of int (* unmap every mapped slot, as a process exit does *)
   | M_zero of m_loc * int (* words *)
-  | M_init of m_loc * int array (* write_init from the array's values *)
+  | M_init of m_loc * int array (* write_words from the array's values *)
   | M_read of m_loc * int * int (* words, value: read_word each, find_word the value *)
 
 let show_loc (s, j, w) = Printf.sprintf "%d/%d/%d" s j w
@@ -559,7 +559,7 @@ let prop_zero_page_model =
         | M_init ((s, j, w), a) ->
             let n = min (Array.length a) (m_slot_words - w) in
             if mapped s j && n > 0 then begin
-              Aspace.write_init real.(s) (addr j w) ~words:n (Array.get a);
+              Aspace.write_words real.(s) (addr j w) (Aspace.words_of_fn n (Array.get a));
               break_range s j w n;
               Array.blit a 0 (content s j) w n
             end
@@ -808,6 +808,7 @@ let z_observe sp donor =
     (Aspace.shared_frame_count sp, Aspace.shared_frame_count donor),
     Aspace.epoch_dirty_pages sp ~name:"e",
     z_zero_backed sp,
+    List.init z_pages (fun k -> Aspace.page_is_zero sp (Addr.add z_base (k * Addr.page_size))),
     Aspace.resident_bytes sp )
 
 let z_print (pages, reset_at, skew, w, n) =
@@ -912,7 +913,7 @@ let prop_pages_equal_lockstep =
             ks)
         [ (sp, sp); (sp, donor); (donor, sp) ])
 
-(* The values [write_init] stores: all zeros, a few non-zero words at
+(* The values [write_words] stores: all zeros, a few non-zero words at
    random offsets (so most page runs are all zero), or a dense pattern
    that is zero only at word [s]. *)
 type w_fill = W_zeros | W_points of (int * int) list | W_dense of int
@@ -938,14 +939,38 @@ let show_w_fill = function
   | W_points l -> Printf.sprintf "points x%d" (List.length l)
   | W_dense s -> Printf.sprintf "dense %d" s
 
-let prop_write_init_lockstep =
-  QCheck.Test.make ~name:"write_init is one write_word per word" ~count:300
+let prop_write_words_lockstep =
+  QCheck.Test.make ~name:"write_words is one write_word per word" ~count:300
     (QCheck.make
        ~print:(fun (case, fill) -> z_print case ^ " " ^ show_w_fill fill)
        (QCheck.Gen.pair z_case_gen w_fill_gen))
-    (fun (case, fill) ->
+    (fun (((_, _, _, _, n) as case), fill) ->
       let f = w_value fill in
-      z_lockstep case f (fun sp a n -> Aspace.write_init sp a ~words:n f))
+      z_lockstep case f (fun sp a _ -> Aspace.write_words sp a (Aspace.words_of_fn n f)))
+
+(* The cases the property must not miss, each against the same per-word
+   stores: an unaligned start, runs from the middle of a page across page
+   boundaries, all-zero runs into zero pages, and runs over frames shared
+   with the donor, whose bytes must stay the donor's. *)
+let test_write_words_edges () =
+  let wpp = Addr.words_per_page in
+  let shared = Z_shared [ (0, 5); (wpp - 1, 7) ] in
+  List.iter
+    (fun (((_, _, _, _, n) as case), fill) ->
+      let f = w_value fill in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s %s" (z_print case) (show_w_fill fill))
+        true
+        (z_lockstep case f (fun sp a _ -> Aspace.write_words sp a (Aspace.words_of_fn n f))))
+    [
+      (([ Z_zero; Z_zero; Z_zero; Z_zero ], 0, 3, 10, 20), W_dense 1);
+      (([ Z_private [ (3, 1) ]; Z_zero; Z_zero; Z_zero ], 1, 0, wpp / 2, 2 * wpp), W_dense 0);
+      (([ Z_zero; Z_zero; Z_private [ (1, 2) ]; Z_zero ], 2, 0, 7, 3 * wpp), W_zeros);
+      (([ Z_zero; Z_zero; Z_zero; Z_zero ], 4, 0, 0, 4 * wpp), W_points [ (wpp + 2, 3) ]);
+      (([ shared; shared; Z_zero; Z_zero ], 0, 0, wpp - 3, wpp + 6), W_dense 2);
+      (([ shared; Z_shared []; Z_zero; Z_zero ], 1, 0, 0, 2 * wpp), W_zeros);
+      (([ Z_zero; Z_zero; Z_zero; shared ], 0, 0, (3 * wpp) + 1, wpp + 4), W_dense 9);
+    ]
 
 (* Lockstep for the image's byte form. The source words are zero, small,
    arbitrary 64-bit values, or only bit 63 set, which is a zero word: its
@@ -1070,7 +1095,7 @@ let c_write_each sp words =
   Array.iteri (fun i v -> Aspace.write_word sp (Addr.add_words z_base i) v) words
 
 (* Store [words] into a one-page space at [z_base], by [write_word],
-   [write_init], [copy_words] and [write_bytes_untracked]. The [write_word]
+   [write_words], [copy_words] and [write_bytes_untracked]. The [write_word]
    page is materialised first, so all-zero contents compare a private page
    with pages still on the zero bytes; the byte source sets bit 63 of every
    word. *)
@@ -1080,7 +1105,7 @@ let c_paths : (Aspace.t -> int array -> unit) list =
     (fun sp words ->
       Aspace.write_word sp z_base 1;
       c_write_each sp words);
-    (fun sp words -> Aspace.write_init sp z_base ~words:wpp (Array.get words));
+    (fun sp words -> Aspace.write_words sp z_base (Aspace.words_of_fn wpp (Array.get words)));
     (fun sp words ->
       let src = c_space () in
       c_write_each src words;
@@ -1223,7 +1248,6 @@ let () =
           qt prop_zero_untracked_lockstep;
           qt prop_iter_nonzero_lockstep;
           qt prop_pages_equal_lockstep;
-          qt prop_write_init_lockstep;
           qt prop_write_bytes_lockstep;
           qt prop_read_bytes_lockstep;
           Alcotest.test_case "all-zero bytes keep the zero array" `Quick
@@ -1234,4 +1258,9 @@ let () =
             test_recycled_arrays_are_isolated;
         ] );
       ("canonical", [ qt prop_canonical_pages ]);
+      ( "template",
+        [
+          qt prop_write_words_lockstep;
+          Alcotest.test_case "unaligned, shared and zero runs" `Quick test_write_words_edges;
+        ] );
     ]

@@ -130,6 +130,73 @@ let test_client_contains () =
   check "partial match only" false "2262" "2263";
   check "absent" false "550 no such file" "226"
 
+(* The reply scan against a naive [String.sub] reference: haystacks of
+   0-2,048 bytes over the bytes the three codes are made of, with a needle
+   put at the start, at the end or in the middle, overlapping needles such
+   as "2226" and "15150", the empty needle, and needles longer than the
+   haystack. *)
+let naive_contains haystack needle =
+  let n = String.length needle in
+  let rec at i = i + n <= String.length haystack && (String.sub haystack i n = needle || at (i + 1)) in
+  at 0
+
+let naive_classify reply =
+  if naive_contains reply "226" then W.Client.Complete
+  else if naive_contains reply "550" then W.Client.Missing
+  else if naive_contains reply "150" then W.Client.Opening
+  else W.Client.Data
+
+let scan_needles = [ ""; "226"; "550"; "150"; "2226"; "15150"; "2"; "f5"; "0150226550f" ]
+
+let prop_reply_scan =
+  let open QCheck.Gen in
+  let over_alphabet len = string_size ~gen:(oneofl [ '0'; '1'; '2'; '5'; '6'; 'f' ]) len in
+  let haystack = over_alphabet (frequency [ (1, int_bound 4); (3, int_bound 2048) ]) in
+  let needle = oneof [ oneofl scan_needles; over_alphabet (int_range 1 12) ] in
+  let place = oneofl [ `None; `Start; `End; `Middle ] in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"reply scan matches a String.sub reference" ~count:500
+       (QCheck.make
+          ~print:(fun (h, n, _) -> Printf.sprintf "%S in %S" n h)
+          (triple haystack needle place))
+       (fun (h, n, place) ->
+         let h =
+           match place with
+           | `None -> h
+           | `Start -> n ^ h
+           | `End -> h ^ n
+           | `Middle ->
+               let k = String.length h / 2 in
+               String.sub h 0 k ^ n ^ String.sub h k (String.length h - k)
+         in
+         W.Client.classify_retr h = naive_classify h
+         && List.for_all
+              (fun n -> W.Client.contains h n = naive_contains h n)
+              (n :: scan_needles)))
+
+(* [Ftp_bench]'s counts over an empty file, a 1 KiB file and a missing one
+   (550), each retrieved twice by three users. *)
+let test_ftp_bench_files () =
+  List.iter
+    (fun (name, content, requests, errors, bytes) ->
+      let kernel, _ = fresh_with Testbed.Vsftpd () in
+      Option.iter
+        (K.fs_write kernel ~path:(Mcr_servers.Vsftpd_sim.ftp_root ^ "/" ^ name))
+        content;
+      let r =
+        W.Ftp_bench.run kernel ~port:(Testbed.port Testbed.Vsftpd) ~users:3 ~retrievals:2
+          ~file:name ()
+      in
+      Alcotest.(check (triple int int int))
+        (name ^ ": requests, errors, bytes")
+        (requests, errors, bytes)
+        (r.W.Bench_result.requests, r.W.Bench_result.errors, r.W.Bench_result.bytes))
+    [
+      ("empty.bin", Some "", 6, 0, 24);
+      ("kib.bin", Some (String.make 1024 'd'), 6, 0, 6168);
+      ("missing.bin", None, 0, 6, 0);
+    ]
+
 let () =
   let per_server name f =
     List.map
@@ -146,6 +213,8 @@ let () =
           Alcotest.test_case "ssh" `Quick test_ssh_bench_completes;
           Alcotest.test_case "completion wait" `Quick test_completion_wait;
           Alcotest.test_case "client contains" `Quick test_client_contains;
+          prop_reply_scan;
+          Alcotest.test_case "ftp bench files" `Quick test_ftp_bench_files;
         ] );
       ("holders", per_server "lifecycle" test_holders_lifecycle);
       ("fig3-mechanics", per_server "update under holds" test_update_under_held_connections);
