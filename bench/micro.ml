@@ -348,6 +348,17 @@ let test_image_fingerprint =
       sparse_heap asp;
       Staged.stage (fun () -> ignore (Image.aspace_fingerprint ~prog:"bench" asp)))
 
+(* The same size with every word non-zero: each page costs its chain. *)
+let test_image_fingerprint_dense =
+  case "image:fingerprint(2Mi words, dense)" (fun () ->
+      let asp = Aspace.create () in
+      let words = 2 lsl 20 in
+      let base =
+        Aspace.map asp ~name:"bench" (Aspace.Near Region.Heap) ~size:(words * 8) Region.Heap
+      in
+      Aspace.write_words asp base (Aspace.words_of_fn words (fun i -> i + 1));
+      Staged.stage (fun () -> ignore (Image.aspace_fingerprint ~prog:"bench" asp)))
+
 (* Loadgen's look at one 1 KiB data reply of a RETR transfer,
    which carries none of the codes it looks for *)
 let test_retr_reply_scan =
@@ -368,7 +379,7 @@ let cases =
     test_sizeof_named; test_fork_exit; test_conservative_scan; test_conservative_scan_opaque;
     test_type_transform; test_region_lookup_linear; test_region_lookup_indexed;
     test_image_encode; test_image_decode; test_image_save_read_remove; test_image_fingerprint;
-    test_retr_reply_scan; test_fnv_sub ]
+    test_image_fingerprint_dense; test_retr_reply_scan; test_fnv_sub ]
 
 let contains ~sub s =
   let n = String.length sub in

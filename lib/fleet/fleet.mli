@@ -69,9 +69,10 @@ val version_tag : t -> int -> string
 val target_tag : t -> int -> string
 
 val image_fingerprint : t -> int -> int
-(** FNV hash over instance [i]'s root-process address space — every
-    region's name, base, and all its words. Identical deterministic
-    instances hash identically; the test suite uses this as the
+(** [Image.aspace_fingerprint] of instance [i]'s root-process address
+    space: every region's name, base and size, and each page holding a
+    non-zero word with its address. Identical deterministic instances
+    hash identically; the test suite uses this as the
     byte-identical-commit witness. *)
 
 val last_summary : t -> Mcr_obs.Fleet_flight.t option

@@ -9,7 +9,7 @@ module Slab = Mcr_alloc.Slab
 module Fnv = Mcr_util.Fnv
 module P = Mcr_program.Progdef
 
-let format_version = 2
+let format_version = 3
 let magic = "MCRIMAGE"
 
 type error =
@@ -130,13 +130,17 @@ let with_flight_json t json = { t with im_flight_json = Some json }
 (* ------------------------------------------------------------------ *)
 (* Fingerprint — the byte-identity witness shared with Fleet *)
 
+(* A region's base is page-aligned, so each run is a whole page at its own
+   address; an all-zero page folds nothing. *)
 let aspace_fingerprint ~prog asp =
   List.fold_left
     (fun acc (r : Region.t) ->
       let acc = Fnv.combine acc (Fnv.string r.Region.name) in
       let acc = Fnv.combine acc (Fnv.int r.Region.base) in
-      Aspace.fold_runs asp r.Region.base ~words:(r.Region.size / Addr.word_size) ~init:acc
-        ~f:Fnv.combine_ints)
+      let acc = Fnv.combine acc (Fnv.int r.Region.size) in
+      Aspace.fold_nonzero_runs asp r.Region.base ~words:(r.Region.size / Addr.word_size)
+        ~init:acc ~f:(fun acc page w i n ->
+          Fnv.combine_ints (Fnv.combine acc (Fnv.int page)) w i n))
     (Fnv.string prog) (Aspace.regions asp)
 
 (* ------------------------------------------------------------------ *)

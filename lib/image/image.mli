@@ -49,9 +49,12 @@
 module P = Mcr_program.Progdef
 
 val format_version : int
-(** Current on-disk format revision (2: regions store only their non-zero
-    pages; revision 1 stored every word and is refused with
-    {!Version_skew}). *)
+(** Current on-disk format revision (3: regions store only their non-zero
+    pages, and the recorded fingerprint is the {!aspace_fingerprint} in
+    which an all-zero page folds nothing). Revision 2 stored the same
+    pages under a fingerprint that folded every word; revision 1 also
+    stored every word. Both are refused with {!Version_skew}: a v2 image
+    would decode but could never reproduce its fingerprint at install. *)
 
 val magic : string
 (** The 8-byte magic, ["MCRIMAGE"]. *)
@@ -130,11 +133,16 @@ val layout : t -> (string * string * int) list
 
 val aspace_fingerprint : prog:string -> Mcr_vmem.Aspace.t -> int
 (** [Fnv.combine] folded from [Fnv.string prog] over, for each region in
-    address order, [Fnv.string] of its name, [Fnv.int] of its base, then
-    [Fnv.int] of each of its words in address order, zero pages included.
-    Every image stores this value and install checks it, so a changed
-    definition would make older images fail to restore. The canonical
-    byte-identity witness shared with [Fleet.image_fingerprint]. *)
+    address order, [Fnv.string] of its name, [Fnv.int] of its base and
+    [Fnv.int] of its size, then, for each page of the region holding a
+    non-zero word in address order, [Fnv.int] of the page's address
+    followed by [Fnv.int] of each of its words. A page holding only zeros
+    folds nothing, whether it is stored as a zero page or not, so the
+    cost follows the non-zero pages; the size and the page addresses keep
+    layout and position in the witness. Every image stores this value and
+    install checks it, so a changed definition bumps {!format_version}.
+    The canonical byte-identity witness shared with
+    [Fleet.image_fingerprint]. *)
 
 val capture :
   Mcr_simos.Kernel.t ->

@@ -388,6 +388,18 @@ let all_zero w pos n =
   let rec go i = i >= pos + n || (get w i = 0 && go (i + 1)) in
   go pos
 
+(* The zero bytes answer by identity, a whole private page by one compare. *)
+let run_is_zero w i n =
+  w == zero_words
+  || if n = Addr.words_per_page then Bytes.equal w zero_words else all_zero w i n
+
+let fold_nonzero_runs t a ~words ~init ~f =
+  let acc = ref init in
+  iter_runs t a ~words (fun p i pos n ->
+      let w = p.frame.words in
+      if not (run_is_zero w i n) then acc := f !acc (Addr.add_words a pos) w i n);
+  !acc
+
 let page_is_zero t a = Bytes.equal (mapped_page t a).frame.words zero_words
 
 let pages_equal t a u b =

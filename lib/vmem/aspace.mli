@@ -114,6 +114,19 @@ val fold_runs :
     write to it or keep it: after an {!unmap} it may back another page.
     @raise Fault as {!read_word}. *)
 
+val fold_nonzero_runs :
+  t -> Addr.t -> words:int -> init:'a -> f:('a -> Addr.t -> Bytes.t -> int -> int -> 'a) -> 'a
+(** [fold_nonzero_runs t a ~words ~init ~f] is {!fold_runs} over only the
+    runs that hold a non-zero word, each passed with its address:
+    [f acc addr page i n] for the run of words [i] to [i + n - 1] of
+    [page], whose first word is at [addr]. Which runs it visits depends on
+    their words alone, not on how they are stored: a run on the zero bytes
+    is skipped without reading its words, a run of private bytes is
+    skipped when it scans as zeros (a whole page by one compare). [page]
+    is lent as in {!fold_runs}.
+    @raise Fault as {!read_word}, after the calls for the runs before the
+    unmapped page. *)
+
 val iter_nonzero : t -> Addr.t -> words:int -> (int -> unit) -> unit
 (** [iter_nonzero t a ~words f] applies [f] to each non-zero word of the
     [words] words from [a], in ascending address order: exactly the calls

@@ -110,15 +110,27 @@ let test_codec_golden () =
   end;
   Alcotest.(check (list string)) "encoding matches the golden" expected actual
 
-(* The fingerprint's definition, one [read_word] at a time. *)
+(* The fingerprint's definition, one [read_word] at a time: each region's
+   name, base and size, then each page holding a non-zero word, its address
+   followed by its words. *)
 let read_word_fingerprint ~prog asp =
+  let module Addr = Mcr_vmem.Addr in
   List.fold_left
     (fun acc (r : Region.t) ->
       let acc = Fnv.combine acc (Fnv.string r.Region.name) in
-      let acc = ref (Fnv.combine acc (Fnv.int r.Region.base)) in
-      for i = 0 to (r.Region.size / Mcr_vmem.Addr.word_size) - 1 do
-        let w = Aspace.read_word asp (Mcr_vmem.Addr.add_words r.Region.base i) in
-        acc := Fnv.combine !acc (Fnv.int w)
+      let acc = Fnv.combine acc (Fnv.int r.Region.base) in
+      let acc = ref (Fnv.combine acc (Fnv.int r.Region.size)) in
+      for k = 0 to (r.Region.size / Addr.page_size) - 1 do
+        let page = Addr.add r.Region.base (k * Addr.page_size) in
+        let words =
+          List.init Addr.words_per_page (fun i -> Aspace.read_word asp (Addr.add_words page i))
+        in
+        if List.exists (( <> ) 0) words then
+          acc :=
+            List.fold_left
+              (fun acc w -> Fnv.combine acc (Fnv.int w))
+              (Fnv.combine !acc (Fnv.int page))
+              words
       done;
       !acc)
     (Fnv.string prog) (Aspace.regions asp)
@@ -142,11 +154,38 @@ let test_fingerprint_is_read_word_fold () =
   done;
   put mmap ((2 * wpp) - 1) (1 lsl 61);
   let expected = read_word_fingerprint ~prog:"sparse" asp in
-  Alcotest.(check int) "fold_runs chain = read_word fold" expected
+  Alcotest.(check int) "non-zero page fold = read_word fold" expected
+    (Image.aspace_fingerprint ~prog:"sparse" asp);
+  put heap ((4 * wpp) + 9) 5;
+  put heap ((4 * wpp) + 9) 0;
+  Alcotest.(check int) "5 then 0 into a zero page leaves it" expected
     (Image.aspace_fingerprint ~prog:"sparse" asp);
   put heap (wpp + 7) 0;
   Alcotest.(check bool) "a changed word changes it" false
     (Image.aspace_fingerprint ~prog:"sparse" asp = expected)
+
+(* One region of [pages] pages at a fixed base, word [i] of it set to [v]
+   for each [(i, v)] of [writes]. *)
+let one_region ?(name = "r") ~pages writes =
+  let module Addr = Mcr_vmem.Addr in
+  let asp = Aspace.create () in
+  let base =
+    Aspace.map asp ~name (Aspace.Fixed 0x100000) ~size:(pages * Addr.page_size) Region.Heap
+  in
+  List.iter (fun (i, v) -> Aspace.write_word asp (Addr.add_words base i) v) writes;
+  Image.aspace_fingerprint ~prog:"p" asp
+
+(* Zero pages fold nothing, so the region's size and each page's address
+   are what keep layout and position in the witness. *)
+let test_fingerprint_keeps_layout () =
+  let wpp = Mcr_vmem.Addr.words_per_page in
+  let fp = one_region ~pages:2 [ (3, 7) ] in
+  Alcotest.(check bool) "the same page at another address changes it" false
+    (one_region ~pages:2 [ (wpp + 3, 7) ] = fp);
+  Alcotest.(check bool) "one more zero page changes it" false
+    (one_region ~pages:3 [ (3, 7) ] = fp);
+  Alcotest.(check bool) "renaming the region changes it" false
+    (one_region ~name:"s" ~pages:2 [ (3, 7) ] = fp)
 
 let test_layout_names_sections () =
   let _kernel, _m, _path, img = loaded_save Testbed.Vsftpd "layout" in
@@ -187,17 +226,22 @@ let test_corruption_goldens () =
   check_rejected "flipped magic" Image.Bad_magic (flip enc 0);
   check_rejected "empty file" (Image.Truncated { section = "header" }) "";
   check_rejected "bumped format version"
-    (Image.Version_skew { found = 3; expected = 2 })
-    (set_byte enc 8 3);
+    (Image.Version_skew { found = 4; expected = 3 })
+    (set_byte enc 8 4);
   (* an image of the format that stored every word of every region *)
   check_rejected "format-1 image"
-    (Image.Version_skew { found = 1; expected = 2 })
+    (Image.Version_skew { found = 1; expected = 3 })
     (set_byte enc 8 1);
+  (* an image whose fingerprint folded every word, zero pages included:
+     refused as such rather than failing install on the fingerprint *)
+  check_rejected "format-2 image"
+    (Image.Version_skew { found = 2; expected = 3 })
+    (set_byte enc 8 2);
   (* version skew outranks every hash: a future-format image is reported
      as such even though its trailer no longer matches *)
   check_rejected "version skew beats hash check"
-    (Image.Version_skew { found = 4; expected = 2 })
-    (set_byte (flip enc 56) 8 4);
+    (Image.Version_skew { found = 5; expected = 3 })
+    (set_byte (flip enc 56) 8 5);
   check_rejected "chopped trailer"
     (Image.Truncated { section = "trailer" })
     (String.sub enc 0 (len - 1));
@@ -1232,6 +1276,8 @@ let () =
           Alcotest.test_case "codec golden" `Quick test_codec_golden;
           Alcotest.test_case "fingerprint is a read_word fold" `Quick
             test_fingerprint_is_read_word_fold;
+          Alcotest.test_case "fingerprint keeps layout and position" `Quick
+            test_fingerprint_keeps_layout;
           Alcotest.test_case "corruption goldens" `Quick test_corruption_goldens;
           Alcotest.test_case "unknown section skipped" `Quick test_unknown_section_skipped;
           Alcotest.test_case "huge length fields" `Quick test_huge_length_fields;

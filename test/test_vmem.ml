@@ -875,6 +875,67 @@ let prop_iter_nonzero_lockstep =
               if v <> 0 then f v
             done))
 
+(* The non-zero run fold against a model that reads the range one
+   [read_word] at a time, cuts it at page boundaries and keeps each run
+   holding a non-zero word, with its index among the kept runs, its
+   address, first word, length and words. On top of the lockstep state,
+   extra stores put negative, large and zero words on the pages, and
+   [cleared] pages are zeroed whole: a page written non-zero then cleared
+   keeps private all-zero bytes, a shared one is unshared first. A range
+   running into the unmapped page must fault where [read_word] does, after
+   the same runs. *)
+let prop_fold_nonzero_runs =
+  QCheck.Test.make ~name:"fold_nonzero_runs is the read_word runs holding a non-zero word"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (case, extra, cleared) ->
+         Printf.sprintf "%s extra x%d cleared [%s]" (z_print case) (List.length extra)
+           (String.concat "; " (List.map string_of_bool cleared)))
+       QCheck.Gen.(
+         triple z_case_gen
+           (small_list
+              (pair
+                 (int_bound ((z_pages * Addr.words_per_page) - 1))
+                 (oneofl [ -1; max_int; min_int; 0; 1 lsl 61; 7 ])))
+           (list_repeat z_pages (frequency [ (2, return false); (1, return true) ]))))
+    (fun ((pages, reset_at, skew, w, n), extra, cleared) ->
+      let _donor, sp = z_build pages reset_at in
+      List.iter (fun (i, v) -> Aspace.write_word sp (Addr.add_words z_base i) v) extra;
+      List.iteri
+        (fun k c ->
+          if c then
+            Aspace.zero_fill sp (Addr.add z_base (k * Addr.page_size)) ~words:Addr.words_per_page)
+        cleared;
+      let a = Addr.add_words z_base w + skew in
+      (* The fold's count of runs, or the fault that stopped it. *)
+      let outcome f = match f () with c -> Ok c | exception Aspace.Fault x -> Error x in
+      let folded = ref [] in
+      let fold_end =
+        outcome (fun () ->
+            Aspace.fold_nonzero_runs sp a ~words:n ~init:0 ~f:(fun c addr page i k ->
+                let word j = Int64.to_int (Bytes.get_int64_le page (8 * (i + j))) in
+                folded := (c, addr, i, k, List.init k word) :: !folded;
+                c + 1))
+      in
+      let model = ref [] in
+      let model_end =
+        outcome (fun () ->
+            let pos = ref 0 in
+            while !pos < n do
+              let addr = Addr.add_words a !pos in
+              (* faults first on a misaligned or unmapped address *)
+              ignore (Aspace.read_word sp addr);
+              let i = Addr.word_index addr in
+              let k = min (n - !pos) (Addr.words_per_page - i) in
+              let words = List.init k (fun j -> Aspace.read_word sp (Addr.add_words addr j)) in
+              if List.exists (( <> ) 0) words then
+                model := (List.length !model, addr, i, k, words) :: !model;
+              pos := !pos + k
+            done;
+            List.length !model)
+      in
+      fold_end = model_end && !folded = !model)
+
 (* Every pair of pages of the built space and its donor, the unmapped page
    after them included, against the two pages' words read one by one.
    Extra small stores, often at a page's first or last word, make pages
@@ -1257,6 +1318,7 @@ let () =
           Alcotest.test_case "recycled page arrays are isolated" `Quick
             test_recycled_arrays_are_isolated;
         ] );
+      ("nonzero", [ qt prop_fold_nonzero_runs ]);
       ("canonical", [ qt prop_canonical_pages ]);
       ( "template",
         [
