@@ -154,9 +154,9 @@ let build_image kernel proc version instr profiler aspace =
     i_thread_keys = Hashtbl.create 8;
   }
 
-let launch kernel ?(instr = Instr.full) ?profiler ?(extra_bias = 0) ?on_image ?force_pid version =
+let launch kernel ?(instr = Instr.full) ?profiler ?on_image ?force_pid version =
   install_spawn_hook kernel;
-  let aspace = Aspace.create ~layout_bias:(version.layout_bias + extra_bias) () in
+  let aspace = Aspace.create ~layout_bias:version.layout_bias () in
   let main_body =
     match List.assoc_opt "main" version.entries with
     | Some body -> body

@@ -9,7 +9,6 @@ val launch :
   Mcr_simos.Kernel.t ->
   ?instr:Instr.t ->
   ?profiler:Mcr_quiesce.Profiler.t ->
-  ?extra_bias:int ->
   ?on_image:(Progdef.image -> unit) ->
   ?force_pid:int ->
   Progdef.version ->
@@ -17,8 +16,7 @@ val launch :
 (** Create the root process of a program version. The process is runnable
     but has not executed yet — [on_image] fires with the fresh image before
     any program code runs, which is where the MCR runtime attaches its
-    hooks. [extra_bias] shifts the address-space layout beyond the
-    version's own bias (used by tests). *)
+    hooks. *)
 
 val run_entry : string -> Progdef.body -> Mcr_simos.Kernel.thread -> unit
 (** Wrap an entry-point body with the per-thread bookkeeping (shadow-stack

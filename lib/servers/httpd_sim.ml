@@ -156,7 +156,7 @@ let respond_get t ~slot conn path =
   Api.store t (Api.global t "ap_requests") (Api.load t (Api.global t "ap_requests") + 1);
   Api.app_work t 1;
   let n = Api.load t (Api.global t "ap_requests") in
-  Srvutil.reply t conn (Printf.sprintf "200 #%d %s" n body);
+  Srvutil.reply t conn (Srvutil.ok_reply n body);
   Api.pool_destroy t rpool
 
 let hold_worker_body t =

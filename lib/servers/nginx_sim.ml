@@ -112,7 +112,7 @@ let handle_get t conn path =
   Api.store t (Api.global t "ngx_bytes")
     (Api.load t (Api.global t "ngx_bytes") + String.length body);
   let n = Api.load t (Api.global t "ngx_requests") in
-  Srvutil.reply t conn (Printf.sprintf "200 #%d %s" n body)
+  Srvutil.reply t conn (Srvutil.ok_reply n body)
 
 let conn_slot t fd =
   let i = Srvutil.find_slot t (Api.global t "ngx_conn_fds") ~capacity:max_conns (fun v -> v = fd) in

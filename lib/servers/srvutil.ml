@@ -47,6 +47,10 @@ let read_request t ~qpoint fd =
 
 let reply t fd data = ignore (Api.sys t (S.Write { fd; data }))
 
+(* ["200 #<n> <body>"], the web servers' reply, built at its final size:
+   [Printf.sprintf] would grow a buffer past a 1 KB body on every request. *)
+let ok_reply n body = String.concat "" [ "200 #"; string_of_int n; " "; body ]
+
 (* A session buffer's contents at login, word [i] being [seed lxor i],
    built once per seed and size. *)
 let templates = Hashtbl.create 4

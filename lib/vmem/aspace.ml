@@ -12,9 +12,13 @@
    A page not stored to since it was mapped is backed, like the kernel's
    shared zero page, by one immutable all-zero string: mapping and forking
    cost no page copies, and a page gets private bytes of its own only on
-   its first store of a non-zero word. Frame records and their refcounts
-   stay one per page whatever bytes back them, so sharing, copy-on-write
-   and residency are counted exactly as for private bytes. *)
+   its first store of a non-zero word. Likewise a page nothing has
+   stored to, shared, stamped or marked is the one immutable [pristine]
+   record: mapping costs a word per page, and a page gets a record and a
+   frame of its own ([own]) only on its first mutation. Frame records and
+   their refcounts stay one per owned page whatever bytes back them, so
+   sharing, copy-on-write and residency are counted exactly as for
+   private bytes. *)
 
 type frame = { mutable words : Bytes.t; mutable refs : int }
 
@@ -67,6 +71,20 @@ type page = {
   mutable inherited : bool;
 }
 
+let fresh_page () =
+  {
+    frame = { words = zero_words; refs = 1 };
+    touched = false;
+    last_write_seq = 0;
+    inherited = false;
+  }
+
+(* A mapped page nothing has mutated: it reads as a fresh page (zero
+   bytes, untouched, stamped 0, not inherited, one frame reference) and is
+   shared by every such page of every space. Nothing stores into it: every
+   mutation takes its page through [own]. *)
+let pristine = fresh_page ()
+
 type epoch = { mutable mark : int }
 
 type t = {
@@ -78,8 +96,9 @@ type t = {
   (* The page number [find_page] last resolved to a mapped page, with its
      region's index and its index in that region's array; [min_int], which
      no page number is, when empty. Ints only, so filling the entry costs
-     no write barrier. [map] and [unmap] shift region indices, so both
-     empty it. *)
+     no write barrier, and a hit reads the live slot, which [own] may have
+     replaced since. [map] and [unmap] shift region indices, so both empty
+     it. *)
   mutable last_pn : int;
   mutable last_region : int;
   mutable last_k : int;
@@ -166,13 +185,27 @@ let find_page t pn =
       end
       else absent
 
+(* The page numbered [pn] with a record of its own, or [absent]: a
+   [pristine] page gets a fresh record in the slot [find_page] just left in
+   the cache. Every mutation takes its page through here. *)
+let own t pn =
+  let p = find_page t pn in
+  if p != pristine then p
+  else begin
+    let q = fresh_page () in
+    t.region_pages.(t.last_region).(t.last_k) <- q;
+    q
+  end
+
 let clone_page p =
-  {
-    frame = { words = private_copy p.frame.words; refs = 1 };
-    touched = p.touched;
-    last_write_seq = p.last_write_seq;
-    inherited = p.inherited;
-  }
+  if p == pristine then p
+  else
+    {
+      frame = { words = private_copy p.frame.words; refs = 1 };
+      touched = p.touched;
+      last_write_seq = p.last_write_seq;
+      inherited = p.inherited;
+    }
 
 let clone t =
   let epochs = Hashtbl.create (Hashtbl.length t.epochs) in
@@ -261,22 +294,13 @@ let map t ?(name = "") placement ~size kind =
     invalid_arg
       (Format.asprintf "Aspace.map: mapping %a+%d ends past the address-space ceiling" Addr.pp
          base size);
-  let pages =
-    Array.init (size / Addr.page_size) (fun _ ->
-        {
-          frame = { words = zero_words; refs = 1 };
-          touched = false;
-          last_write_seq = 0;
-          inherited = false;
-        })
-  in
-  insert_region t { Region.base; size; kind; name } pages;
+  insert_region t { Region.base; size; kind; name } (Array.make (size / Addr.page_size) pristine);
   base
 
 let unmap t base =
   let i = floor_index t.regions_arr base in
   if i < 0 || t.regions_arr.(i).Region.base <> base then raise Not_found;
-  Array.iter (fun p -> drop_ref p.frame) t.region_pages.(i);
+  Array.iter (fun p -> if p != pristine then drop_ref p.frame) t.region_pages.(i);
   t.regions_arr <- array_remove t.regions_arr i;
   t.region_pages <- array_remove t.region_pages i;
   t.last_pn <- min_int
@@ -288,15 +312,27 @@ let find_region t a =
   let i = floor_index arr a in
   if i >= 0 && Region.contains arr.(i) a then Some arr.(i) else None
 
-(* The mapped page holding [a], or [Fault a]. *)
+(* The mapped page holding [a], or [Fault a]; [owned_page] gives it a
+   record of its own first. *)
 let mapped_page t a =
   let p = find_page t (Addr.page_of a) in
   if p == absent then raise (Fault a);
   p
 
+let owned_page t a =
+  let p = own t (Addr.page_of a) in
+  if p == absent then raise (Fault a);
+  p
+
+let check_word a = if a <= 0 || not (Addr.is_aligned a) then raise (Fault a)
+
 let page_for t a =
-  if a <= 0 || not (Addr.is_aligned a) then raise (Fault a);
+  check_word a;
   mapped_page t a
+
+let own_page t a =
+  check_word a;
+  owned_page t a
 
 let is_mapped_word t a =
   a > 0 && Addr.is_aligned a && find_page t (Addr.page_of a) != absent
@@ -328,14 +364,14 @@ let store (p : page) i v =
   if v <> 0 || p.frame.words != zero_words then set (writable p) i v
 
 let write_word t a v =
-  let p = page_for t a in
+  let p = own_page t a in
   store p (Addr.word_index a) v;
   p.touched <- true;
   t.wseq <- t.wseq + 1;
   p.last_write_seq <- t.wseq
 
 let write_word_untracked t a v =
-  let p = page_for t a in
+  let p = own_page t a in
   store p (Addr.word_index a) v;
   p.touched <- true
 
@@ -357,17 +393,22 @@ let find_word t a ~words p =
 
 (* Visit [\[a, a + words)] a page at a time: [f page i pos n] for each run
    of [n] words that starts at word [i] of [page] and [pos] words into the
-   range. *)
-let iter_runs t a ~words f =
+   range, the page resolved by [lookup]. *)
+let[@inline] walk_runs lookup t a ~words f =
   let pos = ref 0 and addr = ref a in
   while !pos < words do
-    let p = page_for t !addr in
+    let p = lookup t !addr in
     let i = Addr.word_index !addr in
     let n = min (words - !pos) (Addr.words_per_page - i) in
     f p i !pos n;
     pos := !pos + n;
     addr := Addr.add_words !addr n
   done
+
+let iter_runs t a ~words f = walk_runs page_for t a ~words f
+
+(* [iter_runs] over pages with records of their own, for the stores. *)
+let iter_owned_runs t a ~words f = walk_runs own_page t a ~words f
 
 let fold_runs t a ~words ~init ~f =
   let acc = ref init in
@@ -420,7 +461,8 @@ let copy_runs ~src src_addr ~dst dst_addr ~words f =
   let remaining = ref words in
   let sa = ref src_addr and da = ref dst_addr in
   while !remaining > 0 do
-    let sp = page_for src !sa and dp = page_for dst !da in
+    let sp = page_for src !sa in
+    let dp = own_page dst !da in
     let si = Addr.word_index !sa and di = Addr.word_index !da in
     let n =
       min !remaining (min (Addr.words_per_page - si) (Addr.words_per_page - di))
@@ -444,7 +486,7 @@ let copy_words_tracked ~src src_addr ~dst dst_addr ~words =
    stores the run into the unshared page, then the page is touched and
    stamped as [n] single-word stores would leave it. *)
 let tracked_runs t a ~words fill =
-  iter_runs t a ~words (fun p i pos n ->
+  iter_owned_runs t a ~words (fun p i pos n ->
       unshare p;
       fill p i pos n;
       p.touched <- true;
@@ -457,7 +499,7 @@ let clear (p : page) i n =
 let zero_fill t a ~words = tracked_runs t a ~words (fun p i _ n -> clear p i n)
 
 let zero_untracked t a ~words =
-  iter_runs t a ~words (fun p i _ n ->
+  iter_owned_runs t a ~words (fun p i _ n ->
       unshare p;
       clear p i n;
       p.touched <- true)
@@ -492,7 +534,7 @@ let zero_words_at src off n =
 (* [store_run] with the words read from [src], bit 63 cleared one by one. *)
 let write_bytes_untracked t a ~words src ~pos =
   check_bytes "Aspace.write_bytes_untracked" (String.length src) ~words ~pos;
-  iter_runs t a ~words (fun p i k n ->
+  iter_owned_runs t a ~words (fun p i k n ->
       let off = pos + (8 * k) in
       unshare p;
       if p.frame.words != zero_words || not (zero_words_at src off n) then begin
@@ -549,7 +591,7 @@ let mark_inherited t a ~words =
     let first = Addr.page_of a in
     let last = Addr.page_of (Addr.add_words a (words - 1)) in
     for pn = first to last do
-      let p = find_page t pn in
+      let p = own t pn in
       if p != absent then begin
         p.inherited <- true;
         p.touched <- true
@@ -562,8 +604,8 @@ let page_inherited t a = (find_page t (Addr.page_of a)).inherited
 let share_page ~src src_addr ~dst dst_addr =
   if Addr.page_offset src_addr <> 0 || Addr.page_offset dst_addr <> 0 then
     invalid_arg "Aspace.share_page: addresses must be page-aligned";
-  let sp = mapped_page src src_addr in
-  let dp = mapped_page dst dst_addr in
+  let sp = owned_page src src_addr in
+  let dp = owned_page dst dst_addr in
   if sp.frame != dp.frame then begin
     dp.frame.refs <- dp.frame.refs - 1;
     sp.frame.refs <- sp.frame.refs + 1;
@@ -599,7 +641,7 @@ let page_states t =
 let restore_page_state t ps =
   if Addr.page_offset ps.ps_page <> 0 then
     invalid_arg "Aspace.restore_page_state: address must be page-aligned";
-  let p = mapped_page t ps.ps_page in
+  let p = owned_page t ps.ps_page in
   p.last_write_seq <- ps.ps_last_write_seq;
   p.touched <- ps.ps_touched;
   p.inherited <- ps.ps_inherited

@@ -14,10 +14,14 @@
     A frame holds its page as bytes in {!read_bytes}' word form. A page
     nobody has stored a non-zero word to since it was mapped is backed by
     one shared, immutable all-zero string, the zero bytes, as a kernel
-    backs such pages with its zero page. This is host-side only: the frame
-    record and its refcount are still per page, so {!shared_frame_count},
-    {!resident_bytes} and copy-on-write behave as if every page had its
-    own zeroed frame. The bytes of frames that {!unmap} leaves
+    backs such pages with its zero page. Likewise a page nothing has
+    stored to, shared, stamped or marked since it was mapped has no page
+    or frame record of its own: every such page shares one immutable
+    record, and a page gets its own on its first mutation. This is
+    host-side only: frame records and their refcounts are per owned page,
+    and an unowned page reads as a fresh page with its own zeroed frame,
+    so {!shared_frame_count}, {!resident_bytes} and copy-on-write behave
+    as if every page had its own. The bytes of frames that {!unmap} leaves
     unreferenced are reused by later pages and copies.
 
     Dirtiness mirrors the Linux soft-dirty mechanism MCR builds on, but is
@@ -45,10 +49,12 @@ val create : ?layout_bias:int -> unit -> t
 val layout_bias : t -> int
 
 val clone : t -> t
-(** Deep copy: pages, regions, epochs and dirty stamps. Every cloned page
-    gets a private frame; only pages holding non-zero words copy their
-    contents, zero pages stay on the zero bytes. Used by process spawn
-    (the fork analog). *)
+(** Deep copy: pages, regions, epochs and dirty stamps. Every page with
+    a record of its own gets a private record and frame; only pages
+    holding non-zero words copy their contents, zero pages stay on the
+    zero bytes. A page nothing has mutated stays on the shared record, so
+    it costs the copy one word. Used by process spawn (the fork
+    analog). *)
 
 type placement =
   | Fixed of Addr.t  (** Map exactly here (MAP_FIXED); fails on overlap. *)
@@ -63,14 +69,15 @@ val ceiling : int
 val map : t -> ?name:string -> placement -> size:int -> Region.kind -> Addr.t
 (** [map t placement ~size kind] creates a zeroed mapping and returns its
     base. [size] is rounded up to whole pages. The pages start on the
-    zero bytes, so mapping allocates no page contents; each page gets
-    bytes of its own on its first non-zero store.
+    shared record and the zero bytes, so mapping allocates one word per
+    page and no page contents; each page gets a record of its own on its
+    first mutation and bytes of its own on its first non-zero store.
     @raise Invalid_argument on overlap with an existing region, or when
     the mapping would end past {!ceiling}. *)
 
 val unmap : t -> Addr.t -> unit
-(** [unmap t base] removes the region based at [base], releasing each
-    page's frame reference.
+(** [unmap t base] removes the region based at [base], releasing the
+    frame reference of each page with a record of its own.
     @raise Not_found if no region has that base. *)
 
 val regions : t -> Region.t list

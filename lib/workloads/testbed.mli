@@ -14,6 +14,9 @@ val final_version : server -> Mcr_program.Progdef.version
 val version_series : server -> Mcr_program.Progdef.version list
 val meta : server -> Mcr_servers.Table_meta.t
 
+val html_1k : string
+(** The 1 KB HTML file the web servers serve as [/www/index.html]. *)
+
 val prepare_fs : ?config:string -> Mcr_simos.Kernel.t -> server -> unit
 (** Config files, a 1 KB HTML file ([/www/index.html]), a 1 MB FTP payload
     ([big.bin]). [?config] overrides the server's config-file content —

@@ -372,7 +372,9 @@ let read_each sp a ~words = Array.init words (fun i -> Aspace.read_word sp (Addr
    Three address spaces, each with three two-page slots at fixed bases.
    The model keeps every mapped slot's words in an array and gives every
    page a frame id with a reference count, so the remapped (shared) pages
-   are exactly the pages whose id is referenced more than once. *)
+   are exactly the pages whose id is referenced more than once. It also
+   keeps each page's stamp, touch and taint, and each space's write
+   sequence. *)
 
 let m_spaces = 3
 let m_slots = 3
@@ -388,11 +390,14 @@ type m_op =
   | M_write of bool * m_loc * int (* tracked *)
   | M_copy of bool * m_loc * m_loc * int (* tracked, src, dst, words *)
   | M_write_run of m_loc * int array
-  | M_share of m_loc * m_loc (* src page, dst page: copy, then remap *)
+  | M_share of m_loc * m_loc (* src page, dst page: copy unless equal, then remap *)
   | M_exit of int (* unmap every mapped slot, as a process exit does *)
   | M_zero of m_loc * int (* words *)
   | M_init of m_loc * int array (* write_words from the array's values *)
   | M_read of m_loc * int * int (* words, value: read_word each, find_word the value *)
+  | M_zero_u of m_loc * int (* zero_untracked, words *)
+  | M_mark of m_loc * int (* mark_inherited, words: may run past the slot *)
+  | M_restore of m_loc * int * bool * bool (* page: seq, touched, inherited *)
 
 let show_loc (s, j, w) = Printf.sprintf "%d/%d/%d" s j w
 
@@ -409,6 +414,9 @@ let show_op = function
   | M_zero (l, n) -> Printf.sprintf "zero %s x%d" (show_loc l) n
   | M_init (l, a) -> Printf.sprintf "init %s x%d" (show_loc l) (Array.length a)
   | M_read (l, n, v) -> Printf.sprintf "read %s x%d find %d" (show_loc l) n v
+  | M_zero_u (l, n) -> Printf.sprintf "zero_u %s x%d" (show_loc l) n
+  | M_mark (l, n) -> Printf.sprintf "mark %s x%d" (show_loc l) n
+  | M_restore (l, seq, t, i) -> Printf.sprintf "restore %s seq=%d t=%b i=%b" (show_loc l) seq t i
 
 let m_op_gen =
   let open QCheck.Gen in
@@ -431,6 +439,23 @@ let m_op_gen =
       (4, map3 (fun l n v -> M_read (l, n, v)) loc (int_bound 1200) value);
     ]
 
+(* [m_op_gen] with the stores and stamps that move only page state:
+   zero_untracked, mark_inherited and restore_page_state (half of them
+   back to a fresh page's state). *)
+let p_op_gen =
+  let open QCheck.Gen in
+  let space = int_bound (m_spaces - 1) and slot = int_bound (m_slots - 1) in
+  let loc = triple space slot (int_bound (m_slot_words - 1)) in
+  let page = triple space slot (int_bound 1) in
+  let state = frequency [ (1, return (0, false, false)); (1, triple (int_bound 50) bool bool) ] in
+  frequency
+    [
+      (27, m_op_gen) (* its own weights sum to 27 *);
+      (2, map2 (fun l n -> M_zero_u (l, n)) loc (int_bound 1200));
+      (3, map2 (fun l n -> M_mark (l, n)) loc (int_bound 3000));
+      (2, map2 (fun l (seq, t, i) -> M_restore (l, seq, t, i)) page state);
+    ]
+
 (* [find_word] spelled as one [read_word] per word: the index of the first
    of the [words] words from [a] that satisfies [p], [-1], or the address
    of the fault that stopped the reads. *)
@@ -444,210 +469,353 @@ let find_each sp a ~words p =
 let find_scan sp a ~words p =
   match Aspace.find_word sp a ~words p with r -> Ok r | exception Aspace.Fault x -> Error x
 
+(* Each page's dirty-tracking state in the model, and a fresh page's. *)
+type m_page = { mutable m_touched : bool; mutable m_inherited : bool; mutable m_seq : int }
+
+let m_fresh () = { m_touched = false; m_inherited = false; m_seq = 0 }
+let m_copy st = { m_touched = st.m_touched; m_inherited = st.m_inherited; m_seq = st.m_seq }
+
+(* Run [ops] on the real spaces and the model; [after_step ()] is checked
+   after every step. True when the two agree at the end (contents,
+   shared frames, page tables and page states) and every check held. *)
+let run_model ~after_step ops =
+  let real = Array.init m_spaces (fun _ -> Aspace.create ()) in
+  let words = Array.make_matrix m_spaces m_slots None in
+  let ids = Array.make_matrix m_spaces m_slots [||] in
+  let states = Array.make_matrix m_spaces m_slots [||] in
+  let wseq = Array.make m_spaces 0 in
+  let refs = Hashtbl.create 64 in
+  let next_id = ref 0 in
+  let fresh () =
+    incr next_id;
+    Hashtbl.replace refs !next_id 1;
+    !next_id
+  in
+  let count id = Hashtbl.find refs id in
+  let bump id d = Hashtbl.replace refs id (count id + d) in
+  let mapped s j = words.(s).(j) <> None in
+  let addr j w = Addr.add_words (m_slot_base j) w in
+  (* a store through a page gives it a private frame first *)
+  let break s j p =
+    let id = ids.(s).(j).(p) in
+    if count id > 1 then begin
+      bump id (-1);
+      ids.(s).(j).(p) <- fresh ()
+    end
+  in
+  let break_range s j w n =
+    for p = w / Addr.words_per_page to (w + n - 1) / Addr.words_per_page do
+      break s j p
+    done
+  in
+  (* [n] stores from word [w]: each page touched and, when tracked,
+     stamped with the sequence value after its last word *)
+  let stamp ~tracked s j w n =
+    for p = w / Addr.words_per_page to (w + n - 1) / Addr.words_per_page do
+      let st = states.(s).(j).(p) in
+      st.m_touched <- true;
+      if tracked then begin
+        let lo = max w (p * Addr.words_per_page)
+        and hi = min (w + n) ((p + 1) * Addr.words_per_page) in
+        wseq.(s) <- wseq.(s) + (hi - lo);
+        st.m_seq <- wseq.(s)
+      end
+    done
+  in
+  let map s j =
+    ignore (Aspace.map real.(s) (Aspace.Fixed (m_slot_base j)) ~size:(2 * 4096) Region.Heap);
+    words.(s).(j) <- Some (Array.make m_slot_words 0);
+    ids.(s).(j) <- Array.init 2 (fun _ -> fresh ());
+    states.(s).(j) <- Array.init 2 (fun _ -> m_fresh ())
+  in
+  let unmap s j =
+    Aspace.unmap real.(s) (m_slot_base j);
+    Array.iter (fun id -> bump id (-1)) ids.(s).(j);
+    words.(s).(j) <- None
+  in
+  let content s j = Option.get words.(s).(j) in
+  let reads_agree = ref true in
+  let step = function
+    | M_map (s, j) -> if not (mapped s j) then map s j
+    | M_unmap (s, j) -> if mapped s j then unmap s j
+    | M_clone (s, d) ->
+        if s <> d then begin
+          for j = 0 to m_slots - 1 do
+            if mapped d j then unmap d j
+          done;
+          real.(d) <- Aspace.clone real.(s);
+          wseq.(d) <- wseq.(s);
+          for j = 0 to m_slots - 1 do
+            words.(d).(j) <- Option.map Array.copy words.(s).(j);
+            if mapped s j then begin
+              ids.(d).(j) <- Array.init 2 (fun _ -> fresh ());
+              states.(d).(j) <- Array.map m_copy states.(s).(j)
+            end
+          done
+        end
+    | M_write (tracked, (s, j, w), v) ->
+        if mapped s j then begin
+          (if tracked then Aspace.write_word else Aspace.write_word_untracked)
+            real.(s) (addr j w) v;
+          break_range s j w 1;
+          stamp ~tracked s j w 1;
+          (content s j).(w) <- v
+        end
+    | M_copy (tracked, (s1, j1, w1), (s2, j2, w2), n) ->
+        let n = min n (min (m_slot_words - w1) (m_slot_words - w2)) in
+        if mapped s1 j1 && mapped s2 j2 && (s1, j1) <> (s2, j2) && n > 0 then begin
+          (if tracked then Aspace.copy_words_tracked else Aspace.copy_words)
+            ~src:real.(s1) (addr j1 w1) ~dst:real.(s2) (addr j2 w2) ~words:n;
+          break_range s2 j2 w2 n;
+          stamp ~tracked s2 j2 w2 n;
+          Array.blit (content s1 j1) w1 (content s2 j2) w2 n
+        end
+    | M_write_run ((s, j, w), a) ->
+        let a = Array.sub a 0 (min (Array.length a) (m_slot_words - w)) in
+        if mapped s j && Array.length a > 0 then begin
+          Aspace.write_bytes_untracked real.(s) (addr j w) ~words:(Array.length a)
+            (bytes_of_words a) ~pos:0;
+          break_range s j w (Array.length a);
+          stamp ~tracked:false s j w (Array.length a);
+          Array.blit a 0 (content s j) w (Array.length a)
+        end
+    | M_share ((s1, j1, p1), (s2, j2, p2)) ->
+        if mapped s1 j1 && mapped s2 j2 then begin
+          let w1 = p1 * Addr.words_per_page and w2 = p2 * Addr.words_per_page in
+          let src = addr j1 w1 and dst = addr j2 w2 in
+          (* pages already holding the same words are shared as they are *)
+          let page s j w = Array.sub (content s j) w Addr.words_per_page in
+          if page s1 j1 w1 <> page s2 j2 w2 then
+            Aspace.copy_words ~src:real.(s1) src ~dst:real.(s2) dst ~words:Addr.words_per_page;
+          Aspace.share_page ~src:real.(s1) src ~dst:real.(s2) dst;
+          break s2 j2 p2;
+          let st = states.(s2).(j2).(p2) in
+          st.m_touched <- true;
+          st.m_inherited <- true;
+          Array.blit (content s1 j1) w1 (content s2 j2) w2 Addr.words_per_page;
+          let id = ids.(s1).(j1).(p1) in
+          if ids.(s2).(j2).(p2) <> id then begin
+            bump ids.(s2).(j2).(p2) (-1);
+            bump id 1;
+            ids.(s2).(j2).(p2) <- id
+          end
+        end
+    | M_exit s ->
+        List.iter (fun r -> Aspace.unmap real.(s) r.Region.base) (Aspace.regions real.(s));
+        for j = 0 to m_slots - 1 do
+          if mapped s j then begin
+            Array.iter (fun id -> bump id (-1)) ids.(s).(j);
+            words.(s).(j) <- None
+          end
+        done
+    | M_zero ((s, j, w), n) ->
+        let n = min n (m_slot_words - w) in
+        if mapped s j && n > 0 then begin
+          Aspace.zero_fill real.(s) (addr j w) ~words:n;
+          break_range s j w n;
+          stamp ~tracked:true s j w n;
+          Array.fill (content s j) w n 0
+        end
+    | M_init ((s, j, w), a) ->
+        let n = min (Array.length a) (m_slot_words - w) in
+        if mapped s j && n > 0 then begin
+          Aspace.write_words real.(s) (addr j w) (Aspace.words_of_fn n (Array.get a));
+          break_range s j w n;
+          stamp ~tracked:true s j w n;
+          Array.blit a 0 (content s j) w n
+        end
+    | M_read ((s, j, w), n, v) ->
+        (* the model's answer: a range running past the slot's two
+           pages, or starting in an unmapped slot, faults at the first
+           unmapped word unless a word before it holds [v] *)
+        let expected =
+          match words.(s).(j) with
+          | None -> if n = 0 then Ok (-1) else Error (addr j w)
+          | Some a ->
+              let rec go i =
+                if i >= n then Ok (-1)
+                else if w + i >= m_slot_words then Error (addr j m_slot_words)
+                else if a.(w + i) = v then Ok i
+                else go (i + 1)
+              in
+              go 0
+        in
+        let p x = x = v in
+        if find_each real.(s) (addr j w) ~words:n p <> expected
+           || find_scan real.(s) (addr j w) ~words:n p <> expected
+        then reads_agree := false;
+        (* and every word of the range that the slot holds *)
+        Option.iter
+          (fun a ->
+            for i = w to min (w + n) m_slot_words - 1 do
+              if Aspace.read_word real.(s) (addr j i) <> a.(i) then reads_agree := false
+            done)
+          words.(s).(j)
+    | M_zero_u ((s, j, w), n) ->
+        let n = min n (m_slot_words - w) in
+        if mapped s j && n > 0 then begin
+          Aspace.zero_untracked real.(s) (addr j w) ~words:n;
+          break_range s j w n;
+          stamp ~tracked:false s j w n;
+          Array.fill (content s j) w n 0
+        end
+    | M_mark ((s, j, w), n) ->
+        (* pages past the slot are unmapped, and skipped *)
+        Aspace.mark_inherited real.(s) (addr j w) ~words:n;
+        if mapped s j && n > 0 then
+          for p = w / Addr.words_per_page to min 1 ((w + n - 1) / Addr.words_per_page) do
+            let st = states.(s).(j).(p) in
+            st.m_touched <- true;
+            st.m_inherited <- true
+          done
+    | M_restore ((s, j, p), seq, touched, inherited) ->
+        if mapped s j then begin
+          Aspace.restore_page_state real.(s)
+            {
+              Aspace.ps_page = addr j (p * Addr.words_per_page);
+              ps_last_write_seq = seq;
+              ps_touched = touched;
+              ps_inherited = inherited;
+            };
+          let st = states.(s).(j).(p) in
+          st.m_seq <- seq;
+          st.m_touched <- touched;
+          st.m_inherited <- inherited
+        end
+  in
+  let steps_agree = List.for_all (fun op -> step op; after_step ()) ops in
+  for s = 0 to m_spaces - 1 do
+    for j = 0 to m_slots - 1 do
+      match words.(s).(j) with
+      | None -> if Aspace.is_mapped_word real.(s) (addr j 0) then reads_agree := false
+      | Some a ->
+          if read_bytes real.(s) (addr j 0) ~words:m_slot_words <> bytes_of_words a then
+            reads_agree := false;
+          Array.iteri
+            (fun w v -> if Aspace.read_word real.(s) (addr j w) <> v then reads_agree := false)
+            a
+    done
+  done;
+  let shared_agree =
+    List.for_all
+      (fun s ->
+        let expected = ref 0 in
+        for j = 0 to m_slots - 1 do
+          if mapped s j then Array.iter (fun id -> if count id > 1 then incr expected) ids.(s).(j)
+        done;
+        Aspace.shared_frame_count real.(s) = !expected)
+      (List.init m_spaces Fun.id)
+  in
+  (* the zero array behind every unwritten page was never written *)
+  let fresh_zero =
+    let sp = Aspace.create () in
+    let base = Aspace.map sp (Aspace.Near Region.Heap) ~size:(4 * 4096) Region.Heap in
+    read_bytes sp base ~words:(4 * Addr.words_per_page)
+    = String.make (8 * 4 * Addr.words_per_page) '\000'
+  in
+  (* the page tables hold exactly the mapped slots' pages, in order *)
+  let tables_agree =
+    List.for_all
+      (fun s ->
+        let sp = real.(s) in
+        let outside a =
+          (not (Aspace.is_mapped_word sp a))
+          && match Aspace.read_word sp a with _ -> false | exception Aspace.Fault _ -> true
+        in
+        let pages =
+          List.concat_map
+            (fun j ->
+              if mapped s j then [ m_slot_base j; m_slot_base j + Addr.page_size ] else [])
+            (List.init m_slots Fun.id)
+        in
+        let rec ascending = function a :: (b :: _ as tl) -> a < b && ascending tl | _ -> true in
+        List.for_all
+          (fun j ->
+            outside (m_slot_base j - Addr.page_size)
+            && outside (m_slot_base j + (2 * Addr.page_size)))
+          (List.init m_slots Fun.id)
+        && Aspace.resident_bytes sp = List.length pages * Addr.page_size
+        && List.map (fun ps -> ps.Aspace.ps_page) (Aspace.page_states sp) = pages
+        && ascending (Aspace.epoch_dirty_pages sp ~name:"model"))
+      (List.init m_spaces Fun.id)
+  in
+  (* every mapped page carries the model's stamp, taint and touch *)
+  let states_agree =
+    List.for_all
+      (fun s ->
+        let expected =
+          List.concat_map
+            (fun j ->
+              if mapped s j then
+                List.mapi
+                  (fun p st ->
+                    {
+                      Aspace.ps_page = addr j (p * Addr.words_per_page);
+                      ps_last_write_seq = st.m_seq;
+                      ps_touched = st.m_touched;
+                      ps_inherited = st.m_inherited;
+                    })
+                  (Array.to_list states.(s).(j))
+              else [])
+            (List.init m_slots Fun.id)
+        in
+        Aspace.page_states real.(s) = expected
+        && Aspace.write_seq real.(s) = wseq.(s)
+        && Aspace.touched_bytes real.(s)
+           = Addr.page_size * List.length (List.filter (fun ps -> ps.Aspace.ps_touched) expected))
+      (List.init m_spaces Fun.id)
+  in
+  steps_agree && !reads_agree && shared_agree && fresh_zero && tables_agree && states_agree
+
+let show_ops ops = String.concat "; " (List.map show_op ops)
+
 let prop_zero_page_model =
   QCheck.Test.make ~name:"aspace agrees with a page-table model" ~count:300
-    (QCheck.make
-       ~print:(fun ops -> String.concat "; " (List.map show_op ops))
-       QCheck.Gen.(list_size (int_range 1 60) m_op_gen))
-    (fun ops ->
-      let real = Array.init m_spaces (fun _ -> Aspace.create ()) in
-      let words = Array.make_matrix m_spaces m_slots None in
-      let ids = Array.make_matrix m_spaces m_slots [||] in
-      let refs = Hashtbl.create 64 in
-      let next_id = ref 0 in
-      let fresh () =
-        incr next_id;
-        Hashtbl.replace refs !next_id 1;
-        !next_id
-      in
-      let count id = Hashtbl.find refs id in
-      let bump id d = Hashtbl.replace refs id (count id + d) in
-      let mapped s j = words.(s).(j) <> None in
-      let addr j w = Addr.add_words (m_slot_base j) w in
-      (* a store through a page gives it a private frame first *)
-      let break s j p =
-        let id = ids.(s).(j).(p) in
-        if count id > 1 then begin
-          bump id (-1);
-          ids.(s).(j).(p) <- fresh ()
-        end
-      in
-      let break_range s j w n =
-        for p = w / Addr.words_per_page to (w + n - 1) / Addr.words_per_page do
-          break s j p
-        done
-      in
-      let map s j =
-        ignore (Aspace.map real.(s) (Aspace.Fixed (m_slot_base j)) ~size:(2 * 4096) Region.Heap);
-        words.(s).(j) <- Some (Array.make m_slot_words 0);
-        ids.(s).(j) <- Array.init 2 (fun _ -> fresh ())
-      in
-      let unmap s j =
-        Aspace.unmap real.(s) (m_slot_base j);
-        Array.iter (fun id -> bump id (-1)) ids.(s).(j);
-        words.(s).(j) <- None
-      in
-      let content s j = Option.get words.(s).(j) in
-      let reads_agree = ref true in
-      let step = function
-        | M_map (s, j) -> if not (mapped s j) then map s j
-        | M_unmap (s, j) -> if mapped s j then unmap s j
-        | M_clone (s, d) ->
-            if s <> d then begin
-              for j = 0 to m_slots - 1 do
-                if mapped d j then unmap d j
-              done;
-              real.(d) <- Aspace.clone real.(s);
-              for j = 0 to m_slots - 1 do
-                words.(d).(j) <- Option.map Array.copy words.(s).(j);
-                if mapped s j then ids.(d).(j) <- Array.init 2 (fun _ -> fresh ())
-              done
-            end
-        | M_write (tracked, (s, j, w), v) ->
-            if mapped s j then begin
-              (if tracked then Aspace.write_word else Aspace.write_word_untracked)
-                real.(s) (addr j w) v;
-              break_range s j w 1;
-              (content s j).(w) <- v
-            end
-        | M_copy (tracked, (s1, j1, w1), (s2, j2, w2), n) ->
-            let n = min n (min (m_slot_words - w1) (m_slot_words - w2)) in
-            if mapped s1 j1 && mapped s2 j2 && (s1, j1) <> (s2, j2) && n > 0 then begin
-              (if tracked then Aspace.copy_words_tracked else Aspace.copy_words)
-                ~src:real.(s1) (addr j1 w1) ~dst:real.(s2) (addr j2 w2) ~words:n;
-              break_range s2 j2 w2 n;
-              Array.blit (content s1 j1) w1 (content s2 j2) w2 n
-            end
-        | M_write_run ((s, j, w), a) ->
-            let a = Array.sub a 0 (min (Array.length a) (m_slot_words - w)) in
-            if mapped s j && Array.length a > 0 then begin
-              Aspace.write_bytes_untracked real.(s) (addr j w) ~words:(Array.length a)
-                (bytes_of_words a) ~pos:0;
-              break_range s j w (Array.length a);
-              Array.blit a 0 (content s j) w (Array.length a)
-            end
-        | M_share ((s1, j1, p1), (s2, j2, p2)) ->
-            if mapped s1 j1 && mapped s2 j2 then begin
-              let w1 = p1 * Addr.words_per_page and w2 = p2 * Addr.words_per_page in
-              let src = addr j1 w1 and dst = addr j2 w2 in
-              Aspace.copy_words ~src:real.(s1) src ~dst:real.(s2) dst ~words:Addr.words_per_page;
-              Aspace.share_page ~src:real.(s1) src ~dst:real.(s2) dst;
-              break s2 j2 p2;
-              Array.blit (content s1 j1) w1 (content s2 j2) w2 Addr.words_per_page;
-              let id = ids.(s1).(j1).(p1) in
-              if ids.(s2).(j2).(p2) <> id then begin
-                bump ids.(s2).(j2).(p2) (-1);
-                bump id 1;
-                ids.(s2).(j2).(p2) <- id
-              end
-            end
-        | M_exit s ->
-            List.iter (fun r -> Aspace.unmap real.(s) r.Region.base) (Aspace.regions real.(s));
-            for j = 0 to m_slots - 1 do
-              if mapped s j then begin
-                Array.iter (fun id -> bump id (-1)) ids.(s).(j);
-                words.(s).(j) <- None
-              end
-            done
-        | M_zero ((s, j, w), n) ->
-            let n = min n (m_slot_words - w) in
-            if mapped s j && n > 0 then begin
-              Aspace.zero_fill real.(s) (addr j w) ~words:n;
-              break_range s j w n;
-              Array.fill (content s j) w n 0
-            end
-        | M_init ((s, j, w), a) ->
-            let n = min (Array.length a) (m_slot_words - w) in
-            if mapped s j && n > 0 then begin
-              Aspace.write_words real.(s) (addr j w) (Aspace.words_of_fn n (Array.get a));
-              break_range s j w n;
-              Array.blit a 0 (content s j) w n
-            end
-        | M_read ((s, j, w), n, v) ->
-            (* the model's answer: a range running past the slot's two
-               pages, or starting in an unmapped slot, faults at the first
-               unmapped word unless a word before it holds [v] *)
-            let expected =
-              match words.(s).(j) with
-              | None -> if n = 0 then Ok (-1) else Error (addr j w)
-              | Some a ->
-                  let rec go i =
-                    if i >= n then Ok (-1)
-                    else if w + i >= m_slot_words then Error (addr j m_slot_words)
-                    else if a.(w + i) = v then Ok i
-                    else go (i + 1)
-                  in
-                  go 0
-            in
-            let p x = x = v in
-            if find_each real.(s) (addr j w) ~words:n p <> expected
-               || find_scan real.(s) (addr j w) ~words:n p <> expected
-            then reads_agree := false;
-            (* and every word of the range that the slot holds *)
-            Option.iter
-              (fun a ->
-                for i = w to min (w + n) m_slot_words - 1 do
-                  if Aspace.read_word real.(s) (addr j i) <> a.(i) then reads_agree := false
-                done)
-              words.(s).(j)
-      in
-      List.iter step ops;
-      for s = 0 to m_spaces - 1 do
-        for j = 0 to m_slots - 1 do
-          match words.(s).(j) with
-          | None -> if Aspace.is_mapped_word real.(s) (addr j 0) then reads_agree := false
-          | Some a ->
-              if read_bytes real.(s) (addr j 0) ~words:m_slot_words <> bytes_of_words a then
-                reads_agree := false;
-              Array.iteri
-                (fun w v -> if Aspace.read_word real.(s) (addr j w) <> v then reads_agree := false)
-                a
-        done
-      done;
-      let shared_agree =
-        List.for_all
-          (fun s ->
-            let expected = ref 0 in
-            for j = 0 to m_slots - 1 do
-              if mapped s j then Array.iter (fun id -> if count id > 1 then incr expected) ids.(s).(j)
-            done;
-            Aspace.shared_frame_count real.(s) = !expected)
-          (List.init m_spaces Fun.id)
-      in
-      (* the zero array behind every unwritten page was never written *)
-      let fresh_zero =
-        let sp = Aspace.create () in
-        let base = Aspace.map sp (Aspace.Near Region.Heap) ~size:(4 * 4096) Region.Heap in
-        read_bytes sp base ~words:(4 * Addr.words_per_page)
-        = String.make (8 * 4 * Addr.words_per_page) '\000'
-      in
-      (* the page tables hold exactly the mapped slots' pages, in order *)
-      let tables_agree =
-        List.for_all
-          (fun s ->
-            let sp = real.(s) in
-            let outside a =
-              (not (Aspace.is_mapped_word sp a))
-              && match Aspace.read_word sp a with _ -> false | exception Aspace.Fault _ -> true
-            in
-            let pages =
-              List.concat_map
-                (fun j ->
-                  if mapped s j then [ m_slot_base j; m_slot_base j + Addr.page_size ] else [])
-                (List.init m_slots Fun.id)
-            in
-            let rec ascending = function a :: (b :: _ as tl) -> a < b && ascending tl | _ -> true in
-            List.for_all
-              (fun j ->
-                outside (m_slot_base j - Addr.page_size)
-                && outside (m_slot_base j + (2 * Addr.page_size)))
-              (List.init m_slots Fun.id)
-            && Aspace.resident_bytes sp = List.length pages * Addr.page_size
-            && List.map (fun ps -> ps.Aspace.ps_page) (Aspace.page_states sp) = pages
-            && ascending (Aspace.epoch_dirty_pages sp ~name:"model"))
-          (List.init m_spaces Fun.id)
-      in
-      !reads_agree && shared_agree && fresh_zero && tables_agree)
+    (QCheck.make ~print:show_ops QCheck.Gen.(list_size (int_range 1 60) m_op_gen))
+    (run_model ~after_step:(fun () -> true))
+
+(* ------------------------------------------------------------------ *)
+(* Pristine pages
+
+   Every mapped page nothing has mutated shares one page record. A store,
+   share, stamp or taint that reached that record instead of a record of
+   the page's own would show in every page mapped afterwards, in any
+   space: so after every step of the model a region freshly mapped in an
+   untouched space must read as a fresh page. *)
+
+let fresh_region_is_pristine () =
+  let sp = Aspace.create () in
+  let pages = 2 in
+  let base = Aspace.map sp (Aspace.Near Region.Heap) ~size:(pages * Addr.page_size) Region.Heap in
+  List.for_all
+    (fun ps ->
+      ps.Aspace.ps_last_write_seq = 0 && (not ps.ps_touched) && not ps.ps_inherited)
+    (Aspace.page_states sp)
+  && Aspace.touched_bytes sp = 0
+  && Aspace.shared_frame_count sp = 0
+  && List.for_all
+       (fun w -> Aspace.read_word sp (Addr.add_words base w) = 0)
+       (List.init (pages * Addr.words_per_page) Fun.id)
+
+let prop_pristine_model =
+  QCheck.Test.make ~name:"no step reaches the record of an unmutated page" ~count:300
+    (QCheck.make ~print:show_ops QCheck.Gen.(list_size (int_range 1 60) p_op_gen))
+    (run_model ~after_step:fresh_region_is_pristine)
+
+(* The page table of an untouched mapping holds one shared record, so its
+   fork and its unmap allocate only the arrays of their pointers. *)
+let test_untouched_page_word () =
+  let pages = 16_384 in
+  let sp = Aspace.create () in
+  (* an empty minor heap, so the counters hold only what follows *)
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  let base = Aspace.map sp (Aspace.Near Region.Heap) ~size:(pages * Addr.page_size) Region.Heap in
+  let child = Aspace.clone sp in
+  Aspace.unmap sp base;
+  Aspace.unmap child base;
+  let words = (Gc.allocated_bytes () -. before) /. 8. /. float_of_int pages in
+  if words >= 3. then Alcotest.failf "%.2f words per untouched page, want under 3" words
 
 (* ------------------------------------------------------------------ *)
 (* Recycled page arrays
@@ -1319,6 +1487,11 @@ let () =
             test_recycled_arrays_are_isolated;
         ] );
       ("nonzero", [ qt prop_fold_nonzero_runs ]);
+      ( "pristine",
+        [
+          qt prop_pristine_model;
+          Alcotest.test_case "an untouched page costs one word" `Quick test_untouched_page_word;
+        ] );
       ("canonical", [ qt prop_canonical_pages ]);
       ( "template",
         [

@@ -197,6 +197,19 @@ let test_ftp_bench_files () =
       ("missing.bin", None, 0, 6, 0);
     ]
 
+(* The web servers' reply is [Printf]'s "200 #%d %s", byte for byte. *)
+let test_ok_reply_bytes () =
+  List.iter
+    (fun body ->
+      List.iter
+        (fun n ->
+          Alcotest.(check string)
+            (Printf.sprintf "n=%d, %d-byte body" n (String.length body))
+            (Printf.sprintf "200 #%d %s" n body)
+            (Mcr_servers.Srvutil.ok_reply n body))
+        [ 0; 1; 9; 10; -1; max_int; min_int ])
+    [ ""; Testbed.html_1k; String.init (64 * 1024) (fun i -> Char.chr (i land 0xff)) ]
+
 let () =
   let per_server name f =
     List.map
@@ -215,6 +228,7 @@ let () =
           Alcotest.test_case "client contains" `Quick test_client_contains;
           prop_reply_scan;
           Alcotest.test_case "ftp bench files" `Quick test_ftp_bench_files;
+          Alcotest.test_case "web reply bytes" `Quick test_ok_reply_bytes;
         ] );
       ("holders", per_server "lifecycle" test_holders_lifecycle);
       ("fig3-mechanics", per_server "update under holds" test_update_under_held_connections);
