@@ -372,6 +372,27 @@ let test_fnv_sub =
       let s = String.init len (fun i -> if i < len / 2 then Char.chr (i land 0xff) else '\x00') in
       Staged.stage (fun () -> ignore (Fnv.sub s ~pos:0 ~len)))
 
+(* The request stamps of one 6,000-request open-loop stream, written to
+   mcr-postmortem's JSON and read back, as the benchmark's request-stamp
+   check does after its measured phase. *)
+let test_requests_roundtrip =
+  case "obs:requests-roundtrip(6000)" (fun () ->
+      let reqs =
+        List.init 6_000 (fun i ->
+            let scheduled = 20_000_000 + (i * 50_000) in
+            {
+              Mcr_obs.Client_impact.q_id = i;
+              q_scheduled_ns = scheduled;
+              q_first_byte_ns = scheduled + 41_000;
+              q_complete_ns = scheduled + 43_500 + (i mod 7 * 1_000);
+              q_retries = 0;
+              q_ok = true;
+            })
+      in
+      Staged.stage (fun () ->
+          let text = Mcr_obs.Client_impact.reqs_to_json ~server:"nginx" reqs in
+          ignore (Mcr_obs.Client_impact.reqs_of_json text)))
+
 let cases =
   [ test_callstack_hash; test_alloc_tagging; test_malloc_zeroed; test_grab_chunk;
     test_store_template; test_write_word_loop; test_buffer_churn; test_map_clone_unmap;
@@ -379,7 +400,7 @@ let cases =
     test_sizeof_named; test_fork_exit; test_conservative_scan; test_conservative_scan_opaque;
     test_type_transform; test_region_lookup_linear; test_region_lookup_indexed;
     test_image_encode; test_image_decode; test_image_save_read_remove; test_image_fingerprint;
-    test_image_fingerprint_dense; test_retr_reply_scan; test_fnv_sub ]
+    test_image_fingerprint_dense; test_retr_reply_scan; test_fnv_sub; test_requests_roundtrip ]
 
 let contains ~sub s =
   let n = String.length sub in

@@ -56,7 +56,8 @@ type summary = {
 (* Exact percentile, rank = ceil(p/100 * n) — same rule the load driver's
    [exact_percentile] uses, so report and bench numbers agree. *)
 let percentile ds p =
-  let ds = List.sort compare ds |> Array.of_list in
+  let ds = Array.of_list ds in
+  Array.sort Int.compare ds;
   let n = Array.length ds in
   if n = 0 then 0
   else
@@ -99,15 +100,60 @@ let analyze (r : Flight.record) reqs =
 (* ------------------------------------------------------------------ *)
 (* JSON: integers only, fixed field order, same dialect as Flight. *)
 
-let req_to_json q =
-  Printf.sprintf
-    {|{"id":%d,"scheduled_ns":%d,"first_byte_ns":%d,"complete_ns":%d,"retries":%d,"ok":%b}|}
-    q.q_id q.q_scheduled_ns q.q_first_byte_ns q.q_complete_ns q.q_retries q.q_ok
+(* Decimal width of [n], its sign included, counted on [-|n|] so that
+   [min_int] has one. *)
+let int_width n =
+  let rec go m w = if m > -10 then w else go (m / 10) (w + 1) in
+  if n < 0 then go n 2 else go (-n) 1
 
+(* The text of a requests file, spelled out piece by piece. *)
+let spell ~put ~put_int ~server reqs =
+  put {|{"server":"|};
+  put (Json_escape.escape server);
+  put {|","requests":[|};
+  List.iteri
+    (fun i q ->
+      if i > 0 then put ",\n";
+      put {|{"id":|};
+      put_int q.q_id;
+      put {|,"scheduled_ns":|};
+      put_int q.q_scheduled_ns;
+      put {|,"first_byte_ns":|};
+      put_int q.q_first_byte_ns;
+      put {|,"complete_ns":|};
+      put_int q.q_complete_ns;
+      put {|,"retries":|};
+      put_int q.q_retries;
+      put {|,"ok":|};
+      put (string_of_bool q.q_ok);
+      put "}")
+    reqs;
+  put "]}"
+
+(* Spelled twice: once to measure the text, once to write it into bytes
+   of exactly that length, so the whole text exists once. *)
 let reqs_to_json ~server reqs =
-  Printf.sprintf {|{"server":"%s","requests":[%s]}|}
-    (Json_escape.escape server)
-    (String.concat ",\n" (List.map req_to_json reqs))
+  let len = ref 0 in
+  spell ~server reqs
+    ~put:(fun s -> len := !len + String.length s)
+    ~put_int:(fun n -> len := !len + int_width n);
+  let b = Bytes.create !len and pos = ref 0 in
+  let put s =
+    Bytes.blit_string s 0 b !pos (String.length s);
+    pos := !pos + String.length s
+  in
+  let put_int n =
+    let w = int_width n in
+    if n < 0 then Bytes.set b !pos '-';
+    let rec digits m i =
+      Bytes.set b i (Char.unsafe_chr (Char.code '0' - (m mod 10)));
+      if m <= -10 then digits (m / 10) (i - 1)
+    in
+    digits (if n < 0 then n else -n) (!pos + w - 1);
+    pos := !pos + w
+  in
+  spell ~put ~put_int ~server reqs;
+  Bytes.unsafe_to_string b
 
 let ( let* ) = Result.bind
 
@@ -121,24 +167,25 @@ let req_of_json j =
   let* q_ok = req "ok" (Json.bool_field "ok" j) in
   Ok { q_id; q_scheduled_ns; q_first_byte_ns; q_complete_ns; q_retries; q_ok }
 
+(* The requests array streams through [Json.fold_member]: each element's
+   tree is decoded and dropped as it is parsed. A parse error comes first,
+   then a missing server, a missing array and the first bad request, as
+   when the whole tree was built. *)
 let reqs_of_json data =
-  let* j = Json.parse data in
+  let step acc item =
+    let* qs = acc in
+    let* q = req_of_json item in
+    Ok (q :: qs)
+  in
+  let* j, reqs = Json.fold_member data ~key:"requests" ~init:(Ok []) step in
   let* server =
     match Json.str_field "server" j with
     | Some s -> Ok s
     | None -> Error "requests file: missing server"
   in
-  let* items =
-    match Json.list_field "requests" j with
-    | Some l -> Ok l
-    | None -> Error "requests file: missing requests array"
-  in
   let* reqs =
-    List.fold_left
-      (fun acc item ->
-        let* acc = acc in
-        let* q = req_of_json item in
-        Ok (q :: acc))
-      (Ok []) items
+    match reqs with
+    | Some r -> r
+    | None -> Error "requests file: missing requests array"
   in
   Ok (server, List.rev reqs)

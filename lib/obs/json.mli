@@ -18,6 +18,18 @@ val parse : string -> (t, string) result
 (** Parse one JSON value spanning the whole input (surrounding whitespace
     allowed). The error carries a byte offset and a cause. *)
 
+val fold_member :
+  string -> key:string -> init:'a -> ('a -> t -> 'a) -> (t * 'a option, string) result
+(** [fold_member s ~key ~init f] is {!parse} that streams one array: when
+    the input is an object whose first member named [key] is an array,
+    each element goes to [f], in order, as soon as it is parsed, and is not
+    kept; that member reads [List []] in the returned value, and the fold's
+    result is [Some]. Otherwise the result is [None] and the value is
+    {!parse}'s. It accepts and refuses exactly what {!parse} does, with the
+    same errors, so a decoder that reads a long array through it holds one
+    element's tree at a time instead of the whole list. [f] must not
+    raise. *)
+
 (** {1 Accessors} *)
 
 val member : string -> t -> t option

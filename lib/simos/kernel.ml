@@ -58,8 +58,11 @@ and proc = {
   p_pid : int;
   p_ppid : int;
   p_name : string;
-  p_aspace : Aspace.t;
-  p_fdt : (int, desc) Hashtbl.t;
+  (* [None] once the process has exited: a dead process keeps only its
+     identity, its status and its initial thread. *)
+  mutable p_aspace : Aspace.t option;
+  (* Made at the first install, [None] again once the process has exited. *)
+  mutable p_fdt : (int, desc) Hashtbl.t option;
   mutable p_reserved_mode : bool;
   mutable p_next_reserved : int;
   mutable p_alive : bool;
@@ -338,7 +341,7 @@ let post_semaphore t name =
 let pid p = p.p_pid
 let parent_pid p = p.p_ppid
 let proc_name p = p.p_name
-let aspace p = p.p_aspace
+let aspace p = match p.p_aspace with Some asp -> asp | None -> Aspace.create ()
 let alive p = p.p_alive
 let exit_status p = p.p_status
 let procs t = List.rev t.all_procs
@@ -358,11 +361,24 @@ let set_monitor p m = p.p_monitor <- m
 let set_block_monitor t m = t.block_monitor <- m
 let set_reserved_fd_mode p b = p.p_reserved_mode <- b
 
-let fds p = Hashtbl.fold (fun fd _ acc -> fd :: acc) p.p_fdt [] |> List.sort compare
+let fold_fds p f init = match p.p_fdt with Some h -> Hashtbl.fold f h init | None -> init
+let fds p = fold_fds p (fun fd _ acc -> fd :: acc) [] |> List.sort compare
+
+(* The table an install goes into, made on the first. A descriptor
+   passed to a process after its exit ({!transfer_fd}) gets a table of the
+   process's own, which nothing else can reach. *)
+let fdt_for_install p =
+  match p.p_fdt with
+  | Some h -> h
+  | None ->
+      let h = Hashtbl.create 16 in
+      p.p_fdt <- Some h;
+      h
 
 let reserved_fd_base = 1000
 
 let alloc_fd p desc =
+  let fdt = fdt_for_install p in
   let fd =
     if p.p_reserved_mode then begin
       let fd = p.p_next_reserved in
@@ -370,22 +386,22 @@ let alloc_fd p desc =
       fd
     end
     else begin
-      let rec find n = if Hashtbl.mem p.p_fdt n then find (n + 1) else n in
+      let rec find n = if Hashtbl.mem fdt n then find (n + 1) else n in
       find 3
     end
   in
-  Hashtbl.replace p.p_fdt fd desc;
+  Hashtbl.replace fdt fd desc;
   fd
 
+let find_fd p fd = match p.p_fdt with Some h -> Hashtbl.find_opt h fd | None -> None
+
 let install_fd_at p fd desc =
-  if Hashtbl.mem p.p_fdt fd then Error S.EEXIST
+  if find_fd p fd <> None then Error S.EEXIST
   else begin
-    Hashtbl.replace p.p_fdt fd desc;
+    Hashtbl.replace (fdt_for_install p) fd desc;
     if fd >= p.p_next_reserved then p.p_next_reserved <- fd + 1;
     Ok fd
   end
-
-let find_fd p fd = Hashtbl.find_opt p.p_fdt fd
 
 let close_endpoint ep =
   ep.local_closed <- true;
@@ -426,7 +442,7 @@ let close_fd t p fd =
   match find_fd p fd with
   | None -> Error S.EBADF
   | Some desc ->
-      Hashtbl.remove p.p_fdt fd;
+      Option.iter (fun h -> Hashtbl.remove h fd) p.p_fdt;
       release_desc t desc;
       Ok ()
 
@@ -436,14 +452,22 @@ let process_exit t p status =
     p.p_status <- Some status;
     List.iter (fun th -> th.t_state <- Finished) p.p_threads;
     List.iter (fun fd -> ignore (close_fd t p fd)) (fds p);
+    p.p_fdt <- None;
     (* drops every frame reference, shared ones included *)
-    List.iter (fun r -> Aspace.unmap p.p_aspace r.Mcr_vmem.Region.base) (Aspace.regions p.p_aspace);
+    Option.iter
+      (fun asp -> List.iter (fun r -> Aspace.unmap asp r.Mcr_vmem.Region.base) (Aspace.regions asp))
+      p.p_aspace;
+    p.p_aspace <- None;
+    (* the initial thread names the process (its entry); the others go *)
+    (match List.rev p.p_threads with m :: _ :: _ -> p.p_threads <- [ m ] | _ -> ());
     p.p_payload <- None;
     p.p_interceptor <- None;
     p.p_monitor <- None;
     p.p_resolver <- None;
-    p.p_exit_waiters <- List.filter (fun w -> not w.fired) p.p_exit_waiters;
-    List.iter try_fire p.p_exit_waiters
+    (* every waiter fires now, or belongs to an exited process and never will *)
+    let ws = p.p_exit_waiters in
+    p.p_exit_waiters <- [];
+    List.iter try_fire ws
   end
 
 let kill_process t p ~status = process_exit t p status
@@ -578,18 +602,18 @@ and new_process t ?parent ?force_pid ~creation_cs ~image ~name ~entry ~main () =
   in
   let asp, fdt =
     match image with
-    | Fresh_image asp -> (asp, Hashtbl.create 16)
+    | Fresh_image asp -> (asp, None)
     | Clone_image src ->
-        let fdt = Hashtbl.copy src.p_fdt in
-        Hashtbl.iter (fun _ d -> d.refs <- d.refs + 1) fdt;
-        (Aspace.clone src.p_aspace, fdt)
+        let fdt = Option.map Hashtbl.copy src.p_fdt in
+        Option.iter (Hashtbl.iter (fun _ d -> d.refs <- d.refs + 1)) fdt;
+        (Aspace.clone (aspace src), fdt)
   in
   let p =
     {
       p_pid = pid;
       p_ppid = (match parent with Some pp -> pp.p_pid | None -> 0);
       p_name = name;
-      p_aspace = asp;
+      p_aspace = Some asp;
       p_fdt = fdt;
       p_reserved_mode = (match parent with Some pp -> pp.p_reserved_mode | None -> false);
       p_next_reserved = (match parent with Some pp -> pp.p_next_reserved | None -> reserved_fd_base);
@@ -777,13 +801,13 @@ and execute_call t th call (k : (S.result, unit) Effect.Deep.continuation) =
       ret (S.Ok_fd (alloc_fd proc desc))
   | S.Bind { fd; port } -> begin
       match find_fd proc fd with
-      | Some ({ obj = Tcp r; _ } as _d) ->
+      | Some ({ obj = Tcp r; _ } as d) ->
           if Hashtbl.mem t.ports port then ret (S.Err S.EADDRINUSE)
           else begin
             match r.role with
             | Unbound ->
                 r.role <- Bound (Port port);
-                Hashtbl.replace t.ports port (Hashtbl.find proc.p_fdt fd);
+                Hashtbl.replace t.ports port d;
                 ret S.Ok_unit
             | Bound _ | Listening _ | Stream _ -> ret (S.Err S.EINVAL)
           end
@@ -987,7 +1011,7 @@ let transfer_fd t ~src ~fd ~dst ~at =
   match find_fd src fd with
   | None -> Error S.EBADF
   | Some desc ->
-      if Hashtbl.mem dst.p_fdt at then Error S.EEXIST
+      if find_fd dst at <> None then Error S.EEXIST
       else begin
         desc.refs <- desc.refs + 1;
         ignore (install_fd_at dst at desc);
@@ -1001,13 +1025,13 @@ let close_fd_external t p fd = ignore (close_fd t p fd)
 (* Connection parking (controller-side) *)
 
 let proc_listeners p =
-  Hashtbl.fold
+  fold_fds p
     (fun _ desc acc ->
       match desc.obj with
       | Tcp { role = Listening l } when not l.l_closed ->
           if List.memq l acc then acc else l :: acc
       | _ -> acc)
-    p.p_fdt []
+    []
 
 let park_listeners _t p =
   List.fold_left

@@ -90,7 +90,8 @@ val pid : proc -> int
 val parent_pid : proc -> int
 val proc_name : proc -> string
 val aspace : proc -> Mcr_vmem.Aspace.t
-(** Empty once the process has exited: exit unmaps every region. *)
+(** An exited process has none: each call returns a new empty space, so
+    nothing stored into it reaches another process. *)
 
 val alive : proc -> bool
 val exit_status : proc -> int option
@@ -98,7 +99,15 @@ val procs : t -> proc list
 (** All processes ever created, in creation order. *)
 
 val find_proc : t -> int -> proc option
-(** The process with that pid, exited ones included. Constant time. *)
+(** The process with that pid, exited ones included. Constant time.
+
+    An exited process keeps only what [Waitpid] and the lookups read: its
+    pid, {!proc_name}, {!parent_pid}, {!exit_status},
+    {!creation_callstack} and its initial thread (whose name is the
+    process's entry). Like Linux's [do_exit], which frees a zombie's mm and
+    file table before [wait], the exit drops its fd table, its address
+    space, its other threads and its exit waiters, so a process that has
+    exited costs a few dozen host words. *)
 
 val proc_threads : proc -> thread list
 val payload : proc -> payload option
@@ -111,11 +120,12 @@ val creation_callstack : proc -> int
 val kill_process : t -> proc -> status:int -> unit
 (** Terminate a process from outside (MCR terminating the old version).
     Like an exit, this closes its fds, unmaps every region of its address
-    space and drops its {!payload}, interceptor, monitor and resolver; the
-    process itself stays findable, with its status and exit waiters. *)
+    space and drops its fd table, address space, {!payload}, interceptor,
+    monitor and resolver; the process itself stays findable, with its
+    status. *)
 
 val fds : proc -> int list
-(** Open fd numbers, sorted. *)
+(** Open fd numbers, sorted; none once the process has exited. *)
 
 val set_reserved_fd_mode : proc -> bool -> unit
 (** When on, new fds are allocated from a reserved high range "at the end of
@@ -229,7 +239,8 @@ val transfer_fd :
     builds on, and the kernel's only way to pass a descriptor between
     processes): install [src]'s descriptor [fd] into [dst] at exactly
     [at], sharing the open file description with the source — the old and
-    new versions "share" the object until one of them closes it. Errors:
+    new versions "share" the object until one of them closes it. A [dst]
+    that has exited gets a table of its own for it. Errors:
     [EBADF] if [fd] is not open in [src], [EEXIST] if [at] is taken in
     [dst]. *)
 

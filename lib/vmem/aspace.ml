@@ -92,7 +92,7 @@ type t = {
   mutable region_pages : page array array; (* region [i]'s pages, in address order *)
   bias : int;
   mutable wseq : int;
-  epochs : (string, epoch) Hashtbl.t;
+  mutable epochs : (string * epoch) list; (* a handful of consumers' names *)
   (* The page number [find_page] last resolved to a mapped page, with its
      region's index and its index in that region's array; [min_int], which
      no page number is, when empty. Ints only, so filling the entry costs
@@ -112,7 +112,7 @@ let create ?(layout_bias = 0) () =
     region_pages = [||];
     bias = layout_bias;
     wseq = 0;
-    epochs = Hashtbl.create 4;
+    epochs = [];
     last_pn = min_int;
     last_region = 0;
     last_k = 0;
@@ -208,14 +208,12 @@ let clone_page p =
     }
 
 let clone t =
-  let epochs = Hashtbl.create (Hashtbl.length t.epochs) in
-  Hashtbl.iter (fun name e -> Hashtbl.add epochs name { mark = e.mark }) t.epochs;
   {
     regions_arr = Array.copy t.regions_arr;
     region_pages = Array.map (Array.map clone_page) t.region_pages;
     bias = t.bias;
     wseq = t.wseq;
-    epochs;
+    epochs = List.map (fun (name, e) -> (name, { mark = e.mark })) t.epochs;
     last_pn = min_int;
     last_region = 0;
     last_k = 0;
@@ -549,19 +547,19 @@ let write_bytes_untracked t a ~words src ~pos =
 (* Dirty epochs *)
 
 let epoch t ~name =
-  match Hashtbl.find_opt t.epochs name with
+  match List.assoc_opt name t.epochs with
   | Some e -> e
   | None ->
       let e = { mark = 0 } in
-      Hashtbl.replace t.epochs name e;
+      t.epochs <- (name, e) :: t.epochs;
       e
 
 let epoch_reset t ~name = (epoch t ~name).mark <- t.wseq
 let epoch_mark t ~name = (epoch t ~name).mark
-let epoch_remove t ~name = Hashtbl.remove t.epochs name
+let epoch_remove t ~name = t.epochs <- List.remove_assoc name t.epochs
 
 let epoch_find t ~name =
-  Option.map (fun e -> e.mark) (Hashtbl.find_opt t.epochs name)
+  Option.map (fun e -> e.mark) (List.assoc_opt name t.epochs)
 
 let epoch_dirty_pages t ~name =
   let mark = epoch_mark t ~name in
@@ -638,22 +636,42 @@ let page_states t =
       :: acc)
   |> List.rev
 
+(* A page restored to a fresh page's state that holds only zeros in a
+   frame of its own reads as [pristine], and becomes it again: an image
+   restore zeroes every page no saved run covers, then puts back the
+   state of the many that were never touched. *)
 let restore_page_state t ps =
   if Addr.page_offset ps.ps_page <> 0 then
     invalid_arg "Aspace.restore_page_state: address must be page-aligned";
   let p = owned_page t ps.ps_page in
-  p.last_write_seq <- ps.ps_last_write_seq;
-  p.touched <- ps.ps_touched;
-  p.inherited <- ps.ps_inherited
+  if
+    ps.ps_last_write_seq = 0 && (not ps.ps_touched) && (not ps.ps_inherited)
+    && p.frame.refs = 1
+    && (p.frame.words == zero_words || Bytes.equal p.frame.words zero_words)
+  then begin
+    drop_ref p.frame;
+    t.region_pages.(t.last_region).(t.last_k) <- pristine
+  end
+  else begin
+    p.last_write_seq <- ps.ps_last_write_seq;
+    p.touched <- ps.ps_touched;
+    p.inherited <- ps.ps_inherited
+  end
 
-let epochs t =
-  Hashtbl.fold (fun name e acc -> (name, e.mark) :: acc) t.epochs [] |> List.sort compare
+let epochs t = List.map (fun (name, e) -> (name, e.mark)) t.epochs |> List.sort compare
 
 let set_write_seq t seq = t.wseq <- seq
 
+(* A name given twice keeps its last mark: sorted stably from the last
+   entry, the first of each name wins. *)
 let restore_epochs t entries =
-  Hashtbl.reset t.epochs;
-  List.iter (fun (name, mark) -> Hashtbl.replace t.epochs name { mark }) entries
+  t.epochs <-
+    List.rev entries
+    |> List.stable_sort (fun (a, _) (b, _) -> String.compare a b)
+    |> List.fold_left
+         (fun acc (name, mark) ->
+           match acc with (n, _) :: _ when n = name -> acc | _ -> (name, { mark }) :: acc)
+         []
 
 let resident_bytes t =
   Array.fold_left (fun acc pages -> acc + Array.length pages) 0 t.region_pages * Addr.page_size

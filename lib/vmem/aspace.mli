@@ -314,7 +314,9 @@ val page_states : t -> page_state list
 
 val restore_page_state : t -> page_state -> unit
 (** Re-stamp the page based at [ps_page] with the saved state. Does not
-    touch page contents.
+    touch page contents. A fresh page's state (stamp 0, untouched, not
+    inherited) put back on a page whose frame is unshared and all zero
+    returns it to the shared untouched record, one word of host memory.
     @raise Invalid_argument unless the address is page-aligned.
     @raise Fault if the page is unmapped. *)
 
@@ -330,7 +332,8 @@ val set_write_seq : t -> int -> unit
 val restore_epochs : t -> (string * int) list -> unit
 (** Replace the whole epoch table with the given [(name, mark)] entries —
     the restore-side counterpart of {!epochs}. Epochs the live space had
-    but the checkpoint did not are forgotten. *)
+    but the checkpoint did not are forgotten; a name given twice keeps its
+    last mark. *)
 
 val resident_bytes : t -> int
 (** Total bytes of mapped pages. *)

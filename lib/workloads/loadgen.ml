@@ -233,29 +233,37 @@ let refused_retries t = !(t.refused_retries)
    when the scheduler got around to running its thread — the same
    no-coordinated-omission rule the latency stamps follow. Classic
    max-overlap sweep over the completed records; requests still on the
-   wire count from their schedule to now. *)
+   wire count from their schedule to now. An event is one int, [2 * time]
+   for an arrival and [2 * time + 1] for a completion, so one sort of an
+   int array puts them in time order, arrivals first at equal times. *)
 let peak_in_flight t =
   let now = K.clock_ns t.kernel in
-  let events = ref [] in
+  let events = Array.make (2 * Array.length t.records) max_int in
+  let n = ref 0 in
+  let add time d =
+    events.(!n) <- (2 * time) + d;
+    incr n
+  in
   Array.iteri
     (fun i r ->
       match r with
       | Some r ->
-          events := (r.rq_scheduled_ns, 1) :: (r.rq_complete_ns, -1) :: !events
+          add r.rq_scheduled_ns 0;
+          add r.rq_complete_ns 1
       | None ->
           (* still on the wire: outstanding from its schedule until now *)
           let sched = !(t.base) + t.offsets.(i) in
-          if sched <= now then events := (sched, 1) :: (now, -1) :: !events)
+          if sched <= now then begin
+            add sched 0;
+            add now 1
+          end)
     t.records;
-  let events =
-    List.sort (fun (a, da) (b, db) -> if a <> b then compare a b else compare db da) !events
-  in
+  Array.sort Int.compare events;
   let cur = ref 0 and peak = ref 0 in
-  List.iter
-    (fun (_, d) ->
-      cur := !cur + d;
-      if !cur > !peak then peak := !cur)
-    events;
+  for i = 0 to !n - 1 do
+    cur := !cur + if events.(i) land 1 = 0 then 1 else -1;
+    if !cur > !peak then peak := !cur
+  done;
   !peak
 let latency t = Stats.hist_copy t.latency
 let summary t = Stats.hist_summary t.latency
@@ -265,32 +273,44 @@ let summary t = Stats.hist_summary t.latency
    can tie two genuinely different tails; comparisons gate on this. *)
 let exact_percentile t p =
   if p < 0. || p > 100. then invalid_arg "Loadgen.exact_percentile";
-  let ds =
-    Array.to_list t.records
-    |> List.filter_map (Option.map (fun r -> r.rq_complete_ns - r.rq_scheduled_ns))
-    |> List.sort compare |> Array.of_list
-  in
-  let n = Array.length ds in
+  let n = Array.fold_left (fun n r -> if Option.is_some r then n + 1 else n) 0 t.records in
   if n = 0 then 0
-  else
+  else begin
+    let ds = Array.make n 0 and k = ref 0 in
+    Array.iter
+      (function
+        | Some r ->
+            ds.(!k) <- r.rq_complete_ns - r.rq_scheduled_ns;
+            incr k
+        | None -> ())
+      t.records;
+    Array.sort Int.compare ds;
     let rank = max 1 (int_of_float (ceil (p /. 100. *. float_of_int n))) in
     ds.(min (n - 1) (rank - 1))
-let records t = Array.to_list t.records |> List.filter_map Fun.id
+  end
+
+let records t =
+  Array.fold_right (fun r acc -> match r with Some r -> r :: acc | None -> acc) t.records []
 
 (* The per-request stamps in mcr-postmortem's --requests dialect: feed this
    plus the update's flight record to [Postmortem.render_client_impact] to
    see which waterfall segment stalled which requests. *)
 let requests_json t =
   Mcr_obs.Client_impact.reqs_to_json ~server:(Testbed.name t.server)
-    (records t
-    |> List.map (fun r ->
-           {
-             Mcr_obs.Client_impact.q_id = r.rq_id;
-             q_scheduled_ns = r.rq_scheduled_ns;
-             q_first_byte_ns = r.rq_first_byte_ns;
-             q_complete_ns = r.rq_complete_ns;
-             q_retries = r.rq_retries;
-             q_ok = r.rq_ok;
-           }))
+    (Array.fold_right
+       (fun r acc ->
+         match r with
+         | Some r ->
+             {
+               Mcr_obs.Client_impact.q_id = r.rq_id;
+               q_scheduled_ns = r.rq_scheduled_ns;
+               q_first_byte_ns = r.rq_first_byte_ns;
+               q_complete_ns = r.rq_complete_ns;
+               q_retries = r.rq_retries;
+               q_ok = r.rq_ok;
+             }
+             :: acc
+         | None -> acc)
+       t.records [])
 let server t = t.server
 let total t = t.total

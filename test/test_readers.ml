@@ -246,6 +246,59 @@ let prop_policy =
     ~decode:(Policy.of_kv ~base:Policy.default) ~render:(fun p -> ignore (Policy.to_kv p))
 
 (* ------------------------------------------------------------------ *)
+(* Request stamps: the writer's bytes and the streamed reader
+
+   [reqs_to_json] writes into bytes measured up front; its text must be
+   what one [Printf] per request joined by [String.concat] gave, and
+   [reqs_of_json], which streams the requests array through
+   [Json.fold_member], must invert it. *)
+
+let printf_reqs_json ~server reqs =
+  let req_to_json (q : Client_impact.req) =
+    Printf.sprintf
+      {|{"id":%d,"scheduled_ns":%d,"first_byte_ns":%d,"complete_ns":%d,"retries":%d,"ok":%b}|}
+      q.q_id q.q_scheduled_ns q.q_first_byte_ns q.q_complete_ns q.q_retries q.q_ok
+  in
+  Printf.sprintf {|{"server":"%s","requests":[%s]}|}
+    (Mcr_obs.Json_escape.escape server)
+    (String.concat ",\n" (List.map req_to_json reqs))
+
+let gen_stamps =
+  QCheck.Gen.(
+    let stamp = frequency [ (2, oneofl [ -1; 0; 9; 10; max_int; min_int ]); (3, int); (3, nat) ] in
+    let req =
+      map
+        (fun ((q_id, q_scheduled_ns, q_first_byte_ns), (q_complete_ns, q_retries, q_ok)) ->
+          { Client_impact.q_id; q_scheduled_ns; q_first_byte_ns; q_complete_ns; q_retries; q_ok })
+        (pair (triple stamp stamp stamp) (triple stamp stamp bool))
+    in
+    let server =
+      oneof
+        [ oneofl [ "nginx"; ""; {|a"b\c|}; "tab\there\nnl"; "\001\031\127"; "caf\xc3\xa9" ];
+          string_size ~gen:char (int_bound 12) ]
+    in
+    pair server (frequency [ (1, return []); (4, list_size (int_bound 40) req) ]))
+
+let show_stamps (server, rs) =
+  Printf.sprintf "server %S, %d requests: %s" server (List.length rs)
+    (String.concat "; "
+       (List.map
+          (fun (q : Client_impact.req) ->
+            Printf.sprintf "%d %d %d %d %d %b" q.q_id q.q_scheduled_ns q.q_first_byte_ns
+              q.q_complete_ns q.q_retries q.q_ok)
+          rs))
+
+let prop_requests_roundtrip =
+  QCheck.Test.make ~count:500 ~name:"reqs_to_json writes the Printf bytes and reads back"
+    (QCheck.make ~print:show_stamps gen_stamps) (fun (server, rs) ->
+      let text = Client_impact.reqs_to_json ~server rs in
+      let expected = printf_reqs_json ~server rs in
+      if text <> expected then QCheck.Test.fail_reportf "wrote %S, Printf gives %S" text expected;
+      match Client_impact.reqs_of_json text with
+      | Ok (s, qs) -> s = server && qs = rs
+      | Error e -> QCheck.Test.fail_reportf "read back: %s" e)
+
+(* ------------------------------------------------------------------ *)
 (* The overflow the waterfall once had *)
 
 let contains haystack needle =
@@ -333,6 +386,7 @@ let () =
       ( "total",
         [ qt prop_flight; qt prop_flight_list; qt prop_fleet; qt prop_client_impact; qt prop_policy ]
       );
+      ("requests", [ qt prop_requests_roundtrip ]);
       ("postmortem", [ Alcotest.test_case "huge component renders" `Quick test_huge_component_renders ]);
       ( "flight",
         [

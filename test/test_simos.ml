@@ -1025,6 +1025,51 @@ let test_exit_and_kill_unmap_memory () =
       Alcotest.failf "waitpid: %s"
         (String.concat ", " (List.map (Format.asprintf "%a" S.pp_result) rs))
 
+(* An exited process keeps its pid, name, parent, status and initial
+   thread, and drops its fd table and address space: 2,000 exited clients
+   that each held a socket cost at most 40 live words apiece (the process
+   and thread records and the kernel's two indexes of them). *)
+let test_exited_process_footprint () =
+  let n = 2_000 in
+  let k = fresh () in
+  Gc.full_major ();
+  let before = (Gc.stat ()).Gc.live_words in
+  for i = 1 to n do
+    ignore
+      (spawn k "client" (fun _ ->
+           ignore (K.syscall S.Socket);
+           ignore (K.syscall (S.Exit { status = i land 7 }))))
+  done;
+  K.run k;
+  Gc.full_major ();
+  let words = float_of_int ((Gc.stat ()).Gc.live_words - before) /. float_of_int n in
+  if words > 40. then Alcotest.failf "%.1f live words per exited process, want at most 40" words;
+  (* the dead keep what Waitpid and the lookups read *)
+  let procs = K.procs k in
+  Alcotest.(check int) "every client found" n (List.length procs);
+  List.iteri
+    (fun i p ->
+      Alcotest.(check (option int)) "status kept" (Some ((i + 1) land 7)) (K.exit_status p);
+      Alcotest.(check bool) "found by pid" true
+        (match K.find_proc k (K.pid p) with Some q -> q == p | None -> false))
+    procs;
+  (* a descriptor passed to one exited process reaches no other *)
+  match procs with
+  | a :: b :: _ ->
+      let holder =
+        spawn k "holder" (fun _ ->
+            ignore (K.syscall S.Socket);
+            ignore (K.syscall (S.Sem_wait { name = "never"; timeout_ns = None })))
+      in
+      K.run k;
+      let fd = List.hd (K.fds holder) in
+      Alcotest.(check bool) "install into an exited process" true
+        (K.transfer_fd k ~src:holder ~fd ~dst:a ~at:7 = Ok 7);
+      Alcotest.(check (list int)) "it holds the descriptor" [ 7 ] (K.fds a);
+      Alcotest.(check (list int)) "another exited process holds none" [] (K.fds b);
+      Alcotest.(check int) "nor any space" 0 (List.length (Aspace.regions (K.aspace b)))
+  | _ -> Alcotest.fail "no clients"
+
 let () =
   Alcotest.run "mcr_simos"
     [
@@ -1102,6 +1147,8 @@ let () =
         [
           Alcotest.test_case "kill closes fds" `Quick test_kill_process_closes_fds_and_wakes_peer;
           Alcotest.test_case "exit and kill unmap memory" `Quick test_exit_and_kill_unmap_memory;
+          Alcotest.test_case "an exited process drops its tables" `Quick
+            test_exited_process_footprint;
         ] );
       ( "descriptions",
         [

@@ -206,7 +206,17 @@ let test_named_epochs_independent () =
   Alcotest.(check bool) "b saw the write" true (Aspace.epoch_page_dirty sp ~name:"b" base);
   Alcotest.(check bool) "a reset past it" false (Aspace.epoch_page_dirty sp ~name:"a" base);
   Alcotest.(check (list int)) "b's dirty page list" [ Addr.page_base base ]
-    (Aspace.epoch_dirty_pages sp ~name:"b")
+    (Aspace.epoch_dirty_pages sp ~name:"b");
+  (* a clone copies the marks; a restore replaces them, the last of a
+     repeated name winning *)
+  let child = Aspace.clone sp in
+  Aspace.write_word sp base 4;
+  Aspace.epoch_reset sp ~name:"a";
+  Alcotest.(check (list (pair string int))) "clone keeps its marks"
+    [ ("a", 3); ("b", 2) ] (Aspace.epochs child);
+  Aspace.restore_epochs child [ ("c", 1); ("a", 5); ("c", 7); ("a", 4) ];
+  Alcotest.(check (list (pair string int))) "restore" [ ("a", 4); ("c", 7) ]
+    (Aspace.epochs child)
 
 let test_epoch_never_created_sees_everything () =
   let sp = Aspace.create () in
@@ -398,6 +408,7 @@ type m_op =
   | M_zero_u of m_loc * int (* zero_untracked, words *)
   | M_mark of m_loc * int (* mark_inherited, words: may run past the slot *)
   | M_restore of m_loc * int * bool * bool (* page: seq, touched, inherited *)
+  | M_install of m_loc (* page: zero_untracked, then restore a fresh page's state *)
 
 let show_loc (s, j, w) = Printf.sprintf "%d/%d/%d" s j w
 
@@ -417,6 +428,7 @@ let show_op = function
   | M_zero_u (l, n) -> Printf.sprintf "zero_u %s x%d" (show_loc l) n
   | M_mark (l, n) -> Printf.sprintf "mark %s x%d" (show_loc l) n
   | M_restore (l, seq, t, i) -> Printf.sprintf "restore %s seq=%d t=%b i=%b" (show_loc l) seq t i
+  | M_install l -> Printf.sprintf "install %s" (show_loc l)
 
 let m_op_gen =
   let open QCheck.Gen in
@@ -441,7 +453,9 @@ let m_op_gen =
 
 (* [m_op_gen] with the stores and stamps that move only page state:
    zero_untracked, mark_inherited and restore_page_state (half of them
-   back to a fresh page's state). *)
+   back to a fresh page's state), and an image restore's install of a
+   page no saved run covers (zeroed, then put back to a fresh page's
+   state, which makes it [pristine] again unless its frame is shared). *)
 let p_op_gen =
   let open QCheck.Gen in
   let space = int_bound (m_spaces - 1) and slot = int_bound (m_slots - 1) in
@@ -454,6 +468,7 @@ let p_op_gen =
       (2, map2 (fun l n -> M_zero_u (l, n)) loc (int_bound 1200));
       (3, map2 (fun l n -> M_mark (l, n)) loc (int_bound 3000));
       (2, map2 (fun l (seq, t, i) -> M_restore (l, seq, t, i)) page state);
+      (2, map (fun l -> M_install l) page);
     ]
 
 (* [find_word] spelled as one [read_word] per word: the index of the first
@@ -682,6 +697,21 @@ let run_model ~after_step ops =
           st.m_touched <- touched;
           st.m_inherited <- inherited
         end
+    | M_install (s, j, p) ->
+        if mapped s j then begin
+          let w = p * Addr.words_per_page in
+          Aspace.zero_untracked real.(s) (addr j w) ~words:Addr.words_per_page;
+          Aspace.restore_page_state real.(s)
+            {
+              Aspace.ps_page = addr j w;
+              ps_last_write_seq = 0;
+              ps_touched = false;
+              ps_inherited = false;
+            };
+          break s j p;
+          Array.fill (content s j) w Addr.words_per_page 0;
+          states.(s).(j).(p) <- m_fresh ()
+        end
   in
   let steps_agree = List.for_all (fun op -> step op; after_step ()) ops in
   for s = 0 to m_spaces - 1 do
@@ -816,6 +846,45 @@ let test_untouched_page_word () =
   Aspace.unmap child base;
   let words = (Gc.allocated_bytes () -. before) /. 8. /. float_of_int pages in
   if words >= 3. then Alcotest.failf "%.2f words per untouched page, want under 3" words
+
+(* An image restore zeroes every page no saved run covers, then puts
+   back each page's saved state: a page restored to a fresh page's state
+   costs one live word again, as an untouched page does. *)
+let test_restored_page_word () =
+  let pages = 16_384 in
+  Gc.full_major ();
+  let before = (Gc.stat ()).Gc.live_words in
+  let sp = Aspace.create () in
+  let base = Aspace.map sp (Aspace.Near Region.Heap) ~size:(pages * Addr.page_size) Region.Heap in
+  Aspace.zero_untracked sp base ~words:(pages * Addr.words_per_page);
+  for i = 0 to pages - 1 do
+    Aspace.restore_page_state sp
+      {
+        Aspace.ps_page = base + (i * Addr.page_size);
+        ps_last_write_seq = 0;
+        ps_touched = false;
+        ps_inherited = false;
+      }
+  done;
+  Gc.full_major ();
+  let words = float_of_int ((Gc.stat ()).Gc.live_words - before) /. float_of_int pages in
+  ignore (Sys.opaque_identity sp);
+  if words >= 3. then Alcotest.failf "%.2f live words per restored fresh page, want under 3" words;
+  (* a frame shared with another space, or a non-zero page, stays its own *)
+  let fresh_state a =
+    { Aspace.ps_page = a; ps_last_write_seq = 0; ps_touched = false; ps_inherited = false }
+  in
+  let src = Aspace.create () and dst = Aspace.create () in
+  let a = Aspace.map src (Aspace.Near Region.Heap) ~size:(2 * Addr.page_size) Region.Heap in
+  let b = Aspace.map dst (Aspace.Fixed a) ~size:(2 * Addr.page_size) Region.Heap in
+  Aspace.share_page ~src a ~dst b;
+  Aspace.restore_page_state dst (fresh_state b);
+  Alcotest.(check (pair int int)) "a shared zero frame stays shared" (1, 1)
+    (Aspace.shared_frame_count src, Aspace.shared_frame_count dst);
+  let c = a + Addr.page_size in
+  Aspace.write_word src c 7;
+  Aspace.restore_page_state src (fresh_state c);
+  Alcotest.(check int) "a non-zero page keeps its words" 7 (Aspace.read_word src c)
 
 (* ------------------------------------------------------------------ *)
 (* Recycled page arrays
@@ -1491,6 +1560,7 @@ let () =
         [
           qt prop_pristine_model;
           Alcotest.test_case "an untouched page costs one word" `Quick test_untouched_page_word;
+          Alcotest.test_case "a restored fresh page costs one word" `Quick test_restored_page_word;
         ] );
       ("canonical", [ qt prop_canonical_pages ]);
       ( "template",
