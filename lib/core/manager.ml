@@ -13,6 +13,7 @@ module Heap = Mcr_alloc.Heap
 module Pool = Mcr_alloc.Pool
 module Aspace = Mcr_vmem.Aspace
 module Addr = Mcr_vmem.Addr
+module Region = Mcr_vmem.Region
 module Trace = Mcr_obs.Trace
 module Metrics = Mcr_obs.Metrics
 module Flight = Mcr_obs.Flight
@@ -611,6 +612,21 @@ let restart a : restarted stage_result =
             [] (images t)
           |> List.rev
         in
+        (* fixed-address inheritance: every old process's pinned pages,
+           once each, reserved in the new version before its heaps exist *)
+        let reserved =
+          let seen = Hashtbl.create 16 in
+          List.concat_map
+            (fun (im : P.image) ->
+              List.filter
+                (fun (r : Region.t) ->
+                  r.Region.name = Objgraph.pin_region
+                  && (not (Hashtbl.mem seen r.Region.base))
+                  && (Hashtbl.replace seen r.Region.base ();
+                      true))
+                (Aspace.regions im.P.i_aspace))
+            (images t)
+        in
         let new_members = ref [] and root_slot = ref None and in_update = ref true in
         (* fault injection: new-version threads decline their startup
            barrier *)
@@ -618,7 +634,7 @@ let restart a : restarted stage_result =
           Barrier.set_refusal img.P.i_barrier (refusal a Fault.Startup_hang)
         in
         let new_proc =
-          Loader.launch k ~instr:t.instr a.target ~on_image:(fun img ->
+          Loader.launch k ~instr:t.instr ~reserved a.target ~on_image:(fun img ->
               root_slot := Some img;
               track_members ?trace:a.t.lin.trace new_members img;
               (* reinitiate quiescence detection before startup runs, so

@@ -9,7 +9,7 @@
 type conflict_obj = {
   co_kind : string;
       (** Conflict class: ["nonupdatable_changed"], ["no_plan"],
-          ["missing_type"] or ["injected"]. *)
+          ["missing_type"], ["pin_overlap"] or ["injected"]. *)
   co_addr : int;  (** Old-version payload address (0 for injected faults). *)
   co_ty : string option;  (** Type tag, when the object was typed. *)
   co_callstack : int;  (** Allocation call-stack ID (0 if n/a). *)

@@ -13,6 +13,7 @@ module Slab = Mcr_alloc.Slab
 module Sites = Mcr_alloc.Sites
 module Aspace = Mcr_vmem.Aspace
 module Addr = Mcr_vmem.Addr
+module Region = Mcr_vmem.Region
 module Barrier = Mcr_quiesce.Barrier
 module Profiler = Mcr_quiesce.Profiler
 open Progdef
@@ -118,7 +119,7 @@ let build_image kernel proc version instr profiler aspace =
       ~size:(version.heap_words * Addr.word_size) ()
   in
   let lib_heap =
-    Heap.create aspace ~kind:Mcr_vmem.Region.Lib ~instrumented:false ~name:"libheap"
+    Heap.create aspace ~kind:Region.Lib ~instrumented:false ~name:"libheap"
       ~size:(version.lib_heap_words * Addr.word_size) ()
   in
   (* lib allocations never carry type tags and are exempt from startup
@@ -154,9 +155,16 @@ let build_image kernel proc version instr profiler aspace =
     i_thread_keys = Hashtbl.create 8;
   }
 
-let launch kernel ?(instr = Instr.full) ?profiler ?on_image ?force_pid version =
+let launch kernel ?(instr = Instr.full) ?profiler ?on_image ?force_pid ?(reserved = [])
+    version =
   install_spawn_hook kernel;
   let aspace = Aspace.create ~layout_bias:version.layout_bias () in
+  (* fixed-address memory inherited from the previous version: mapped
+     before the heaps, so their placement goes around it *)
+  List.iter
+    (fun (r : Region.t) ->
+      ignore (Aspace.map aspace ~name:r.Region.name (Aspace.Fixed r.Region.base) ~size:r.Region.size r.Region.kind))
+    reserved;
   let main_body =
     match List.assoc_opt "main" version.entries with
     | Some body -> body

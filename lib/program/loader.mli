@@ -11,12 +11,17 @@ val launch :
   ?profiler:Mcr_quiesce.Profiler.t ->
   ?on_image:(Progdef.image -> unit) ->
   ?force_pid:int ->
+  ?reserved:Mcr_vmem.Region.t list ->
   Progdef.version ->
   Mcr_simos.Kernel.proc
 (** Create the root process of a program version. The process is runnable
     but has not executed yet — [on_image] fires with the fresh image before
     any program code runs, which is where the MCR runtime attaches its
-    hooks. *)
+    hooks. [reserved] regions are mapped at their own bases, under their
+    own names and kinds, before the heaps are built: a live update passes
+    the old tree's [mcr:pin] regions, so no heap of the new version can be
+    placed where a pinned old object must stay. Forked children inherit
+    them with the address space. *)
 
 val run_entry : string -> Progdef.body -> Mcr_simos.Kernel.thread -> unit
 (** Wrap an entry-point body with the per-thread bookkeeping (shadow-stack

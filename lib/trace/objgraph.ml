@@ -64,6 +64,8 @@ type t = {
   injected_pin : obj option;
 }
 
+let pin_region = "mcr:pin"
+
 let new_side () =
   { ptr = 0; src_static = 0; src_dynamic = 0; targ_static = 0; targ_dynamic = 0; targ_lib = 0 }
 
@@ -197,7 +199,7 @@ let enumerate (image : P.image) =
      region, so chained updates re-discover (and re-pin) it *)
   List.iter
     (fun (r : Region.t) ->
-      if r.Region.name = "mcr:pin" then
+      if r.Region.name = pin_region then
         ignore
           (add ~addr:r.Region.base ~words:(r.Region.size / Addr.word_size) ~ty:None
              ~ty_name:None ~origin:O_pinned ~region:r.Region.kind ~startup:false ~site:None

@@ -27,6 +27,10 @@ type origin =
           region): carried opaquely so chained updates keep immutable
           objects alive across any number of versions. *)
 
+val pin_region : string
+(** ["mcr:pin"], the name of every region that holds memory pinned at its
+    old address by an update. *)
+
 type obj = {
   id : int;
   addr : Mcr_vmem.Addr.t;

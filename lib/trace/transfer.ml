@@ -25,6 +25,7 @@ type conflict =
       { addr : Addr.t; ty_name : string; detail : string; prov : provenance }
   | No_plan of { addr : Addr.t; ty_name : string; detail : string; prov : provenance }
   | Missing_type of { addr : Addr.t; ty_name : string; prov : provenance }
+  | Pin_overlap of { page : Addr.t; region : string; source : string; prov : provenance }
   | Injected of { detail : string }
 
 type outcome = {
@@ -438,15 +439,33 @@ let plan ~old_image ~new_image ~analysis ?(dirty_only = true) ?(remap = false) ?
             | _ -> copy o addr (Verbatim (min o.words (extent new_env o ty))))
         | D_in_place -> copy o o.addr (Verbatim o.words)
         | D_string _ | D_dropped | D_unreachable -> Keep));
-  (* every page of each in-place object *)
+  (* every page of each in-place object. A page the new image already
+     maps must be a pin or the object's own region rebuilt under the same
+     name; any other mapping is the new version's live memory. *)
+  let region_name im a =
+    Option.fold (Aspace.find_region im.P.i_aspace a) ~none:"" ~some:(fun r -> r.Region.name)
+  in
+  let overlapped = Hashtbl.create 8 in
   let pins (o : obj) =
     let kind = match o.region with Region.Lib -> Region.Lib | _ -> Region.Mmap in
+    let source = region_name old_image o.addr in
     let rec from page =
       if page >= Addr.add_words o.addr o.words then []
-      else (page, kind) :: from (Addr.add page Addr.page_size)
+      else begin
+        let region = region_name new_image page in
+        if
+          region <> "" && region <> Objgraph.pin_region && region <> source
+          && not (Hashtbl.mem overlapped page)
+        then begin
+          Hashtbl.replace overlapped page ();
+          conflict (Pin_overlap { page; region; source; prov = provenance o })
+        end;
+        (page, kind) :: from (Addr.add page Addr.page_size)
+      end
     in
     match dest.(o.id) with D_in_place -> from (Addr.page_base o.addr) | _ -> []
   in
+  let pins = List.concat_map pins (Objgraph.reachable_objects analysis) in
   {
     old_image;
     new_image;
@@ -456,7 +475,7 @@ let plan ~old_image ~new_image ~analysis ?(dirty_only = true) ?(remap = false) ?
     shards;
     dest;
     move;
-    pins = List.concat_map pins (Objgraph.reachable_objects analysis);
+    pins;
     conflicts = List.rev !conflicts;
   }
 
@@ -546,7 +565,8 @@ let store p =
   List.iter
     (fun (page, kind) ->
       if not (Aspace.is_mapped_word dst page) then
-        ignore (Aspace.map dst ~name:"mcr:pin" (Aspace.Fixed page) ~size:Addr.page_size kind))
+        ignore
+          (Aspace.map dst ~name:Objgraph.pin_region (Aspace.Fixed page) ~size:Addr.page_size kind))
     p.pins;
   Objgraph.iter_reachable p.analysis (fun o ->
       match p.move.(o.id) with
@@ -777,6 +797,13 @@ let conflict_obj c =
   | No_plan { addr; ty_name; detail; prov } -> obj "no_plan" addr ty_name prov detail
   | Missing_type { addr; ty_name; prov } ->
       obj "missing_type" addr ty_name prov "dirty object's type is absent from the new version"
+  | Pin_overlap { page; region; source; prov } ->
+      {
+        (obj "pin_overlap" page "" prov
+           (Printf.sprintf "pinned %s page already mapped by %s" source region))
+        with
+        co_ty = None;
+      }
   | Injected { detail } ->
       { (obj "injected" 0 "" { shard = -1; round = 0; callstack = 0 } detail) with co_ty = None }
 
@@ -794,4 +821,7 @@ let pp_conflict ppf = function
   | Missing_type { addr; ty_name; _ } ->
       Format.fprintf ppf "dirty object %a has type %s absent from the new version" Addr.pp addr
         ty_name
+  | Pin_overlap { page; region; source; _ } ->
+      Format.fprintf ppf "pinned %s page %a is already mapped by %s in the new version" source
+        Addr.pp page region
   | Injected { detail } -> Format.fprintf ppf "injected conflict: %s" detail

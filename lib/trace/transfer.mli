@@ -45,6 +45,16 @@ type conflict =
     }  (** No automatic transformation exists and no handler was supplied. *)
   | Missing_type of { addr : Mcr_vmem.Addr.t; ty_name : string; prov : provenance }
       (** A dirty object's type no longer exists in the new version. *)
+  | Pin_overlap of {
+      page : Mcr_vmem.Addr.t;
+      region : string;
+      source : string;
+      prov : provenance;
+    }
+      (** An in-place object's [page] is already mapped in the new version
+          by [region], which is neither a pin nor the object's own
+          [source] region rebuilt under the same name: pinning the old
+          words there would overwrite the new version's live memory. *)
   | Injected of { detail : string }
       (** A synthetic conflict from the fault harness
           ({!Mcr_fault.Fault.Transfer_conflict}). *)
