@@ -312,15 +312,10 @@ let control_migration () =
     let kernel = K.create () in
     Testbed.prepare_fs kernel server;
     let t0 = K.clock_ns kernel in
-    let members = ref [] in
-    let track img =
-      members := !members @ [ img ];
-      img.P.i_child_hooks <- (fun c -> members := !members @ [ c ]) :: img.P.i_child_hooks
-    in
     let proc =
       Mcr_program.Loader.launch kernel ~instr:Instr.full (Testbed.base_version server)
-        ~on_image:track
     in
+    let tree = (P.image_of_proc_exn proc).P.i_tree in
     (* balance the manager's controller thread so only recording differs *)
     ignore
       (K.spawn_thread kernel proc ~name:"ctl-balance" (fun _ ->
@@ -329,9 +324,7 @@ let control_migration () =
                ignore
                  (K.syscall (Mcr_simos.Sysdefs.Accept { fd; nonblock = false }))
            | _ -> ()));
-    let images () =
-      List.filter (fun (im : P.image) -> K.alive im.P.i_proc) !members
-    in
+    let images () = P.Tree.images tree in
     ignore
       (K.run_until kernel ~max_ns:(t0 + 5_000_000_000)
          (settled images (expected_tree server)));
@@ -620,15 +613,14 @@ let ablation () =
         (* re-record a fresh session to get raw entries *)
         let kernel3 = K.create () in
         K.fs_write kernel3 ~path:Mcr_servers.Listing1.config_path "welcome=hi";
-        let img = ref None in
-        ignore
-          (Mcr_program.Loader.launch kernel3 (Mcr_servers.Listing1.v1 ())
-             ~on_image:(fun i -> img := Some i));
-        let session = Mcr_replay.Record.start kernel3 (Option.get !img) in
+        let img =
+          P.image_of_proc_exn (Mcr_program.Loader.launch kernel3 (Mcr_servers.Listing1.v1 ()))
+        in
+        let session = Mcr_replay.Record.start kernel3 img in
         ignore
           (K.run_until kernel3
              ~max_ns:(K.clock_ns kernel3 + 10_000_000_000)
-             (fun () -> (Option.get !img).P.i_startup_complete));
+             (fun () -> img.P.i_startup_complete));
         match Mcr_replay.Record.logs session with
         | [ l ] -> l.Mcr_replay.Logdefs.entries
         | _ -> [])

@@ -116,7 +116,6 @@ type t = {
   instr : Instr.t;
   prog_version : P.version;
   root_image : P.image;
-  members : P.image list ref;
   log_source : log_source;
   (* this incarnation's parked mcr-ctl UPDATE *)
   ctl : Ctl_server.pending;
@@ -146,12 +145,12 @@ type report = {
   client_latency : Mcr_util.Stats.hist_summary option;
 }
 
-let live members = List.filter (fun (im : P.image) -> K.alive im.P.i_proc) !members
 let kernel t = t.kernel
 let root_proc t = t.root_image.P.i_proc
 let root_image t = t.root_image
 let version t = t.prog_version
-let images t = live t.members
+let tree t = t.root_image.P.i_tree
+let images t = P.Tree.images (tree t)
 let ctl_path t = t.lin.ctl_path
 let update_requested t = Ctl_server.waiting t.ctl
 let trace t = t.lin.trace
@@ -160,15 +159,15 @@ let policy t = t.lin.policy
 let set_policy t p = t.lin.policy <- p
 
 (* refreshes the process gauge first *)
-let snapshot lin members =
-  Metrics.set lin.mset.m_processes (List.length (live members));
+let snapshot lin tree =
+  Metrics.set lin.mset.m_processes (P.Tree.count tree);
   Metrics.snapshot lin.metrics
 
-let metrics_snapshot (t : t) = snapshot t.lin t.members
+let metrics_snapshot (t : t) = snapshot t.lin (tree t)
 let flight_records t = t.lin.flight_log
 
 (* ------------------------------------------------------------------ *)
-(* Image bookkeeping hooks *)
+(* Process-tree subscriptions *)
 
 let first_quiesce_heap_hook (im : P.image) =
   Heap.end_startup im.P.i_heap;
@@ -177,17 +176,13 @@ let first_quiesce_heap_hook (im : P.image) =
      consumer can clobber another's dirty baseline *)
   Aspace.epoch_reset im.P.i_aspace ~name:"startup"
 
-(* Dead members are dropped as children join, so the list stays the
-   size of the live set. *)
-let track_members ?trace members (img : P.image) =
-  members := !members @ [ img ];
-  Barrier.set_trace img.P.i_barrier trace;
-  img.P.i_first_quiesce_hooks <- first_quiesce_heap_hook :: img.P.i_first_quiesce_hooks;
-  img.P.i_child_hooks <-
-    (fun child ->
-      members := live members @ [ child ];
-      Barrier.set_trace child.P.i_barrier trace)
-    :: img.P.i_child_hooks
+(* The manager's own subscriptions on a freshly launched tree, made before
+   any other: every barrier traces, every startup ends in a checkpoint. *)
+let subscribe ?trace (root : P.image) =
+  let tree = root.P.i_tree in
+  Barrier.set_trace root.P.i_barrier trace;
+  P.Tree.on_first_quiesce tree first_quiesce_heap_hook;
+  P.Tree.on_fork tree (fun child -> Barrier.set_trace child.P.i_barrier trace)
 
 (* ------------------------------------------------------------------ *)
 (* Controller thread (the libmcr side of mcr-ctl) *)
@@ -209,12 +204,12 @@ let install_members img members =
   if members = [] then Error "program not running"
   else Result.map_error Image.error_to_string (Image.install img ~members)
 
-let dispatch kernel lin ctl members =
+let dispatch kernel lin ctl tree =
   let reply = function Ok v -> Frame.ok_inline v | Error e -> Frame.err e in
   function
   | Frame.Update -> Ctl_server.await ctl
   (* metrics snapshots are cheap and never block on the update semaphore *)
-  | Frame.Stats -> Frame.ok_payload (Metrics.render (snapshot lin members))
+  | Frame.Stats -> Frame.ok_payload (Metrics.render (snapshot lin tree))
   (* EXPLAIN serves the flight-recorder ring: 1 is the newest record *)
   | Frame.Explain n -> (
       let n = Option.value n ~default:1 in
@@ -228,7 +223,7 @@ let dispatch kernel lin ctl members =
       reply
         (Result.map
            (fun img -> string_of_int (Image.fingerprint img))
-           (save_members kernel lin.policy (live members) ~path))
+           (save_members kernel lin.policy (P.Tree.images tree) ~path))
   | Frame.Restore path ->
       reply
         (Result.bind (Result.map_error Image.error_to_string (Image.read ~path)) (fun img ->
@@ -237,7 +232,7 @@ let dispatch kernel lin ctl members =
                  Printf.sprintf "paired=%d skipped=%d unmatched=%d fingerprint=%d"
                    r.Image.paired_procs r.Image.skipped_saved_procs r.Image.unmatched_live_procs
                    (Image.fingerprint img))
-               (install_members img (live members))))
+               (install_members img (P.Tree.images tree))))
   | Frame.Policy kv -> (
       match Policy.of_kv ~base:lin.policy kv with
       | Ok p ->
@@ -248,9 +243,11 @@ let dispatch kernel lin ctl members =
 
 (* Start [proc]'s controller thread on the lineage's socket (Ctl_server
    unlinks a stale socket name before binding). *)
-let spawn_ctl kernel proc lin members =
+let spawn_ctl kernel (root : P.image) lin =
+  let proc = root.P.i_proc in
   let ctl = Ctl_server.pending ~sem:(Printf.sprintf "mcr.ctl.done.%d" (K.pid proc)) in
-  Ctl_server.spawn kernel proc ~path:lin.ctl_path ~dispatch:(dispatch kernel lin ctl members) ();
+  let dispatch = dispatch kernel lin ctl root.P.i_tree in
+  Ctl_server.spawn kernel proc ~path:lin.ctl_path ~dispatch ();
   ctl
 
 (* ------------------------------------------------------------------ *)
@@ -258,13 +255,8 @@ let spawn_ctl kernel proc lin members =
 
 let launch kernel ?(instr = Instr.full) ?profiler ?trace ?(policy = Policy.default)
     prog_version =
-  let members = ref [] and image_slot = ref None in
-  let proc =
-    Loader.launch kernel ~instr ?profiler prog_version ~on_image:(fun img ->
-        image_slot := Some img;
-        track_members ?trace members img)
-  in
-  let image = Option.get !image_slot in
+  let image = P.image_of_proc_exn (Loader.launch kernel ~instr ?profiler prog_version) in
+  subscribe ?trace image;
   let recorder = Record.start kernel image in
   let metrics = Metrics.create () in
   let lin =
@@ -283,9 +275,8 @@ let launch kernel ?(instr = Instr.full) ?profiler ?trace ?(policy = Policy.defau
     instr;
     prog_version;
     root_image = image;
-    members;
     log_source = Recorder recorder;
-    ctl = spawn_ctl kernel proc lin members;
+    ctl = spawn_ctl kernel image lin;
     lin;
   }
 
@@ -299,8 +290,7 @@ let wait_startup t ?(max_ns = 10_000_000_000) () =
 
 let request_all t = List.iter (fun (im : P.image) -> Barrier.request im.P.i_barrier) (images t)
 
-let all_quiesced t =
-  List.for_all (fun (im : P.image) -> Barrier.quiesced im.P.i_barrier) (images t)
+let all_quiesced t = P.Tree.for_all (tree t) (fun im -> Barrier.quiesced im.P.i_barrier)
 
 let release_all t =
   List.iter
@@ -404,7 +394,6 @@ let memory_stats t =
 (* The new version, once the restart stage has launched it. *)
 type restarted = {
   new_root : P.image;
-  new_members : P.image list ref;
   new_ctl : Ctl_server.pending;
   rep : Replayer.t;
   logs : Logdefs.plog list;
@@ -578,12 +567,9 @@ let quiesce a : unit stage_result =
   else Ok ()
 
 let new_quiesced r =
-  match live r.new_members with
-  | [] -> false
-  | imgs ->
-      List.for_all
-        (fun (im : P.image) -> im.P.i_startup_complete && Barrier.quiesced im.P.i_barrier)
-        imgs
+  let tree = r.new_root.P.i_tree in
+  P.Tree.count tree > 0
+  && P.Tree.for_all tree (fun im -> im.P.i_startup_complete && Barrier.quiesced im.P.i_barrier)
 
 (* ---- restart: launch the new version under replay. Without pre-copy
    this elapses inside the window. ---- *)
@@ -627,34 +613,24 @@ let restart a : restarted stage_result =
                 (Aspace.regions im.P.i_aspace))
             (images t)
         in
-        let new_members = ref [] and root_slot = ref None and in_update = ref true in
-        (* fault injection: new-version threads decline their startup
-           barrier *)
-        let arm_startup_hang (img : P.image) =
+        let in_update = ref true in
+        let new_root = P.image_of_proc_exn (Loader.launch k ~instr:t.instr ~reserved a.target) in
+        let new_proc = new_root.P.i_proc and new_tree = new_root.P.i_tree in
+        subscribe ?trace:a.t.lin.trace new_root;
+        (* reinitiate quiescence detection before startup runs, so the new
+           version is never exposed to external events (Section 5); fault
+           injection: new-version threads decline their startup barrier *)
+        let hold (img : P.image) =
+          Barrier.request img.P.i_barrier;
           Barrier.set_refusal img.P.i_barrier (refusal a Fault.Startup_hang)
         in
-        let new_proc =
-          Loader.launch k ~instr:t.instr ~reserved a.target ~on_image:(fun img ->
-              root_slot := Some img;
-              track_members ?trace:a.t.lin.trace new_members img;
-              (* reinitiate quiescence detection before startup runs, so
-                 the new version is never exposed to external events
-                 (Section 5) *)
-              Barrier.request img.P.i_barrier;
-              arm_startup_hang img;
-              img.P.i_child_hooks <-
-                (fun child ->
-                  if !in_update then begin
-                    Barrier.request child.P.i_barrier;
-                    arm_startup_hang child
-                  end)
-                :: img.P.i_child_hooks)
-        in
+        hold new_root;
+        P.Tree.on_fork new_tree (fun child -> if !in_update then hold child);
         List.iter
           (fun (fd, src) -> ignore (K.transfer_fd k ~src ~fd ~dst:new_proc ~at:fd))
           inherited;
         let rep =
-          Replayer.start k ?trace:a.t.lin.trace ?fault:a.fault (Option.get !root_slot) ~logs
+          Replayer.start k ?trace:a.t.lin.trace ?fault:a.fault new_root ~logs
             ~inherited:(List.map fst inherited)
         in
         (* fault injection: syscall-level failures, scoped to new-version
@@ -667,18 +643,16 @@ let restart a : restarted stage_result =
             K.set_fault_hook k
               (Some
                  (fun th call ->
-                   let pid = K.pid (K.thread_proc th) in
-                   if List.exists (fun (im : P.image) -> K.pid im.P.i_proc = pid) !new_members
-                   then Fault.syscall_result f ~call
-                   else None))
+                   match P.image_of_proc (K.thread_proc th) with
+                   | Some im when im.P.i_tree == new_tree -> Fault.syscall_result f ~call
+                   | Some _ | None -> None))
         | _ -> ());
         (* the new version gets its own controller thread; its replayed
            unix_listen inherits the control socket *)
         let r =
           {
-            new_root = Option.get !root_slot;
-            new_members;
-            new_ctl = spawn_ctl k new_proc t.lin new_members;
+            new_root;
+            new_ctl = spawn_ctl k new_root t.lin;
             rep;
             logs;
             in_update;
@@ -696,7 +670,7 @@ let restart a : restarted stage_result =
               new_quiesced r || (not (K.alive new_proc)) || Replayer.conflicts rep <> [])
         in
         ignore (consume a Fault.Startup_hang);
-        set_refusals !new_members None;
+        set_refusals (P.Tree.images new_tree) None;
         ((r, ok), []))
   in
   let failed reason = Error (reason, "restart_replay") in
@@ -928,7 +902,7 @@ let state_transfer a r : unit stage_result =
                         K.push_frame th ("reinit:" ^ name);
                         run { P.kernel = k; thread = th; proc = im.P.i_proc; image = im }))
                   (P.reinit_handlers im.P.i_version))
-              (live r.new_members)
+              (P.Tree.images r.new_root.P.i_tree)
         in
         (* wait until every handler has run to completion (or parked) AND
            the processes they re-created have quiesced — the bare
@@ -1085,12 +1059,11 @@ let finish a ~attempt ~prior outcome =
                on the survivor so the next update starts it afresh *)
             Aspace.epoch_reset im.P.i_aspace ~name:"mcr.transfer";
             Barrier.release im.P.i_barrier)
-          (live r.new_members);
+          (P.Tree.images r.new_root.P.i_tree);
         {
           t with
           prog_version = a.target;
           root_image = r.new_root;
-          members = r.new_members;
           log_source = Replayed r.rep;
           ctl = r.new_ctl;
         }
@@ -1098,7 +1071,7 @@ let finish a ~attempt ~prior outcome =
         r.in_update := false;
         K.set_fault_hook k None;
         span_begin a ~args:[ ("reason", Err.to_string reason) ] "rollback";
-        retire k !(r.new_members) ~status:1;
+        retire k (P.Tree.images r.new_root.P.i_tree) ~status:1;
         release_all t;
         t
     | None, _ ->

@@ -73,7 +73,7 @@ let qpoint_instrumented t ~qpoint call =
 let mark_first_quiesce t =
   if not t.image.i_startup_complete then begin
     t.image.i_startup_complete <- true;
-    List.iter (fun f -> f t.image) (List.rev t.image.i_first_quiesce_hooks)
+    Tree.notify t.image.i_tree.tr_first_quiesce t.image
   end
 
 let register_barrier_once t =

@@ -87,27 +87,19 @@ let fork_image parent child_proc =
     }
   in
   K.set_payload child_proc (P_image child);
-  List.iter (fun hook -> hook child) parent.i_child_hooks;
+  Tree.add child;
+  Tree.notify child.i_tree.tr_fork child;
   child
 
-(* One kernel-wide spawn hook propagates images into forked children.
-   Tracked by kernel id so retired kernels are not kept alive. *)
-let hooked_kernels : (int, unit) Hashtbl.t = Hashtbl.create 8
+(* Two kernel-wide hooks carry images along the process tree: a forked
+   child of an imaged process gets its image, and an exiting process leaves
+   its tree. They hold nothing per launch, so every launch sets them. *)
+let on_spawn kernel child =
+  match (Option.bind (K.find_proc kernel (K.parent_pid child)) image_of_proc, K.payload child) with
+  | Some parent, None -> ignore (fork_image parent child)
+  | _, _ -> ()
 
-let install_spawn_hook kernel =
-  if not (Hashtbl.mem hooked_kernels (K.id kernel)) then begin
-    Hashtbl.replace hooked_kernels (K.id kernel) ();
-    K.set_spawn_hook kernel
-      (Some
-         (fun child ->
-           match K.find_proc kernel (K.parent_pid child) with
-           | Some parent -> begin
-               match (image_of_proc parent, K.payload child) with
-               | Some pimg, None -> ignore (fork_image pimg child)
-               | _, _ -> ()
-             end
-           | None -> ()))
-  end
+let on_exit proc = Option.iter Tree.remove (image_of_proc proc)
 
 let build_image kernel proc version instr profiler aspace =
   let symtab =
@@ -145,8 +137,7 @@ let build_image kernel proc version instr profiler aspace =
     i_barrier = Barrier.create kernel ~pid:(K.pid proc);
     i_profiler = profiler;
     i_startup_complete = false;
-    i_first_quiesce_hooks = [];
-    i_child_hooks = [];
+    i_tree = Tree.create ();
     i_registered = Hashtbl.create 8;
     i_qpoint_now = Hashtbl.create 8;
     i_stack_cursors = Hashtbl.create 8;
@@ -155,9 +146,9 @@ let build_image kernel proc version instr profiler aspace =
     i_thread_keys = Hashtbl.create 8;
   }
 
-let launch kernel ?(instr = Instr.full) ?profiler ?on_image ?force_pid ?(reserved = [])
-    version =
-  install_spawn_hook kernel;
+let launch kernel ?(instr = Instr.full) ?profiler ?force_pid ?(reserved = []) version =
+  K.set_spawn_hook kernel (Some (on_spawn kernel));
+  K.set_exit_hook kernel (Some on_exit);
   let aspace = Aspace.create ~layout_bias:version.layout_bias () in
   (* fixed-address memory inherited from the previous version: mapped
      before the heaps, so their placement goes around it *)
@@ -176,6 +167,6 @@ let launch kernel ?(instr = Instr.full) ?profiler ?on_image ?force_pid ?(reserve
   in
   let image = build_image kernel proc version instr profiler aspace in
   K.set_payload proc (P_image image);
+  Tree.add image;
   K.set_entry_resolver proc (resolver_of version);
-  (match on_image with Some f -> f image | None -> ());
   proc

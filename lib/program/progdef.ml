@@ -7,6 +7,10 @@
    process: address space, heaps, symbol table, barrier — roughly what
    libmcr.so plus the static instrumentation maintain per process.
 
+   Every image of one launch shares one [tree]: the launch's live images
+   and the MCR runtime's lifecycle subscribers, registered once per tree
+   rather than copied into each process.
+
    The types are mutually recursive because entry-point bodies receive a
    [ctx] that exposes the image. *)
 
@@ -22,6 +26,7 @@ module Aspace = Mcr_vmem.Aspace
 module Addr = Mcr_vmem.Addr
 module Barrier = Mcr_quiesce.Barrier
 module Profiler = Mcr_quiesce.Profiler
+module Pidmap = Map.Make (Int)
 
 type version = {
   prog : string;  (** Program name, e.g. "nginx". *)
@@ -67,18 +72,26 @@ and image = {
   i_barrier : Barrier.t;
   i_profiler : Profiler.t option;
   mutable i_startup_complete : bool;
-  mutable i_first_quiesce_hooks : (image -> unit) list;
-      (** MCR runtime callbacks: the process reached its first quiescent
-          point — end of startup. Inherited by forked children (each child
-          fires them for its own image). *)
-  mutable i_child_hooks : (image -> unit) list;
-      (** Invoked with each forked child's image; inherited by children. *)
+  i_tree : tree;  (** The launch's process tree; a forked child joins its parent's. *)
   i_registered : (int, unit) Hashtbl.t;  (** tids registered at the barrier. *)
   i_qpoint_now : (int, string) Hashtbl.t;  (** tid -> qpoint currently waited at. *)
   i_stack_cursors : (int, Addr.t ref * Addr.t) Hashtbl.t;
   mutable i_stack_roots : (string * Ty.t * Addr.t) list;
   i_thread_ordinals : (string, int) Hashtbl.t;
   i_thread_keys : (int, string) Hashtbl.t;  (** tid -> "class#ordinal". *)
+}
+
+(* The process tree of one launch. [Loader] adds the root at launch and a
+   forked child before the fork subscribers run; an exit removes it. *)
+and tree = {
+  mutable tr_live : image Pidmap.t;
+      (** Live images by pid: a child's pid is above every pid in its tree,
+          so key order is creation order, root first. *)
+  mutable tr_fork : (image -> unit) list;
+      (** Run with each forked child's image, newest subscriber first. *)
+  mutable tr_first_quiesce : (image -> unit) list;
+      (** Run with the image of each process that reaches its first
+          quiescent point (the end of its startup), in registration order. *)
 }
 
 and annot =
@@ -106,6 +119,27 @@ let image_of_proc_exn proc =
   match image_of_proc proc with
   | Some img -> img
   | None -> invalid_arg "Progdef.image_of_proc_exn: process has no MCR image"
+
+(* ------------------------------------------------------------------ *)
+(* Process trees *)
+
+module Tree = struct
+  let create () = { tr_live = Pidmap.empty; tr_fork = []; tr_first_quiesce = [] }
+  let add im = im.i_tree.tr_live <- Pidmap.add (K.pid im.i_proc) im im.i_tree.tr_live
+  let remove im = im.i_tree.tr_live <- Pidmap.remove (K.pid im.i_proc) im.i_tree.tr_live
+
+  (* the live images, root first *)
+  let images tr = List.map snd (Pidmap.bindings tr.tr_live)
+
+  let count tr = Pidmap.cardinal tr.tr_live
+  let for_all tr f = Pidmap.for_all (fun _ im -> f im) tr.tr_live
+
+  (* run the subscribers [subs], in list order, with [im] *)
+  let rec notify subs im = match subs with [] -> () | f :: fs -> f im; notify fs im
+
+  let on_fork tr f = tr.tr_fork <- f :: tr.tr_fork
+  let on_first_quiesce tr f = tr.tr_first_quiesce <- tr.tr_first_quiesce @ [ f ]
+end
 
 (* ------------------------------------------------------------------ *)
 (* Version construction *)

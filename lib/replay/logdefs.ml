@@ -22,6 +22,14 @@ type plog = {
   mutable closed : bool;  (** Startup finished; no more recording. *)
 }
 
+(* A forked child's key; [ordinals] counts the children seen per
+   creation call stack, in creation order. *)
+let child_key ordinals proc =
+  let cs = Mcr_simos.Kernel.creation_callstack proc in
+  let ordinal = Option.value (Hashtbl.find_opt ordinals cs) ~default:0 + 1 in
+  Hashtbl.replace ordinals cs ordinal;
+  Child { creation_callstack = cs; ordinal }
+
 let pp_key ppf = function
   | Root -> Format.pp_print_string ppf "root"
   | Child { creation_callstack; ordinal } ->

@@ -227,51 +227,36 @@ let intercept t ps th call =
         live_interception t call
   end
 
-let finish_proc t ps (image : P.image) =
-  if not ps.finished then begin
-    ps.finished <- true;
-    let proc = image.P.i_proc in
-    (* conservative omission detection: every unreplayed replay-class entry
-       is a conflict (Section 5) *)
-    Array.iteri
-      (fun idx e ->
-        if (not ps.consumed.(idx)) && replay_class e.call then
-          conflict t (Omitted { pid = ps.ps_pid; callstack = e.callstack; call = e.call }))
-      ps.entries;
-    (* garbage-collect inherited descriptors neither this process's replay
-       nor any ancestor's (pre-fork) replay referenced *)
-    List.iter
-      (fun fd ->
-        if
-          fd >= reserved_base && Hashtbl.mem t.inherited fd
-          && (not (Hashtbl.mem ps.touched fd))
-          && not (Hashtbl.mem ps.created fd)
-        then K.close_fd_external t.kernel proc fd)
-      (K.fds proc);
-    K.set_reserved_fd_mode proc false;
-    K.set_monitor proc None
-  end
-
-let attach_proc t ?parent (image : P.image) plog_opt key =
+(* A process reached its first quiescent point: its replay is over. *)
+let finish_proc t (image : P.image) =
   let proc = image.P.i_proc in
-  let ps = build_pstate ?parent plog_opt (K.pid proc) key in
-  t.pstates <- ps :: t.pstates;
-  Hashtbl.replace t.pstate_by_pid (K.pid proc) ps;
-  K.set_reserved_fd_mode proc true;
-  K.set_interceptor proc (Some (fun th call -> intercept t ps th call));
-  (* live fd creations are tracked for garbage-collection accounting *)
-  K.set_monitor proc
-    (Some
-       (fun th call result ->
-         if not ps.finished then begin
-           out ps ~callstack:(K.callstack_id th) call result;
-           match result with S.Ok_fd fd -> Hashtbl.replace ps.created fd () | _ -> ()
-         end));
-  image.P.i_first_quiesce_hooks <-
-    (fun (img : P.image) ->
-      if K.pid img.P.i_proc = K.pid proc then finish_proc t ps img)
-    :: image.P.i_first_quiesce_hooks;
-  ps
+  match Hashtbl.find_opt t.pstate_by_pid (K.pid proc) with
+  | Some ps when not ps.finished ->
+      ps.finished <- true;
+      (* conservative omission detection: every unreplayed replay-class entry
+         is a conflict (Section 5) *)
+      Array.iteri
+        (fun idx e ->
+          if (not ps.consumed.(idx)) && replay_class e.call then
+            conflict t (Omitted { pid = ps.ps_pid; callstack = e.callstack; call = e.call }))
+        ps.entries;
+      (* garbage-collect inherited descriptors neither this process's replay
+         nor any ancestor's (pre-fork) replay referenced *)
+      List.iter
+        (fun fd ->
+          if
+            fd >= reserved_base && Hashtbl.mem t.inherited fd
+            && (not (Hashtbl.mem ps.touched fd))
+            && not (Hashtbl.mem ps.created fd)
+          then K.close_fd_external t.kernel proc fd)
+        (K.fds proc);
+      K.set_reserved_fd_mode proc false;
+      (* a finished process's calls all execute: stop intercepting them *)
+      K.set_interceptor proc None;
+      K.set_monitor proc None
+  | Some _ | None -> ()
+
+let pstate_of t th = Hashtbl.find_opt t.pstate_by_pid (K.pid (K.thread_proc th))
 
 let start ?trace ?fault kernel (root : P.image) ~logs ~inherited =
   let t =
@@ -298,20 +283,33 @@ let start ?trace ?fault kernel (root : P.image) ~logs ~inherited =
   (match root_log with
   | Some l -> Hashtbl.replace t.pid_map l.pid (K.pid root.P.i_proc)
   | None -> ());
-  ignore (attach_proc t root root_log Root);
-  root.P.i_child_hooks <-
-    (fun (child : P.image) ->
-      let cs = K.creation_callstack child.P.i_proc in
-      let ordinal =
-        let n = Option.value (Hashtbl.find_opt t.child_ordinals cs) ~default:0 + 1 in
-        Hashtbl.replace t.child_ordinals cs n;
-        n
-      in
-      let key = Child { creation_callstack = cs; ordinal } in
-      let log = Hashtbl.find_opt by_key key in
+  (* the interceptor and monitor every replaying process shares *)
+  let interceptor th call =
+    match pstate_of t th with Some ps -> intercept t ps th call | None -> K.Execute
+  in
+  let monitor th call result =
+    (* live fd creations are tracked for garbage-collection accounting *)
+    match pstate_of t th with
+    | Some ps when not ps.finished -> (
+        out ps ~callstack:(K.callstack_id th) call result;
+        match result with S.Ok_fd fd -> Hashtbl.replace ps.created fd () | _ -> ())
+    | Some _ | None -> ()
+  in
+  let attach ?parent (image : P.image) plog_opt key =
+    let proc = image.P.i_proc in
+    let ps = build_pstate ?parent plog_opt (K.pid proc) key in
+    t.pstates <- ps :: t.pstates;
+    Hashtbl.replace t.pstate_by_pid ps.ps_pid ps;
+    K.set_reserved_fd_mode proc true;
+    K.set_interceptor proc (Some interceptor);
+    K.set_monitor proc (Some monitor)
+  in
+  attach root root_log Root;
+  P.Tree.on_fork root.P.i_tree (fun child ->
+      let key = child_key t.child_ordinals child.P.i_proc in
       let parent = Hashtbl.find_opt t.pstate_by_pid (K.parent_pid child.P.i_proc) in
-      ignore (attach_proc t ?parent child log key))
-    :: root.P.i_child_hooks;
+      attach ?parent child (Hashtbl.find_opt by_key key) key);
+  P.Tree.on_first_quiesce root.P.i_tree (finish_proc t);
   t
 
 let conflicts t = List.rev t.conflicts

@@ -13,10 +13,17 @@
     for calls like [waitpid].
 
     Call {!start} on a launched-but-not-yet-run root image, after the
-    inherited descriptors have been installed. When each process reaches its
-    first quiescent point the replayer checks for omitted calls, applies
-    startup-deferred closes, and garbage-collects inherited descriptors the
-    replay never referenced. *)
+    inherited descriptors have been installed. It follows the root's
+    {!Mcr_program.Progdef.tree}: every process forked in it, during the
+    update or long after, is replayed against the log its key names until
+    its own first quiescent point. There the replayer checks for omitted
+    calls, applies startup-deferred closes, garbage-collects inherited
+    descriptors the replay never referenced, and stops intercepting the
+    process.
+
+    Per process, dead or alive, it keeps the replay state (with its
+    reconstructed log, the next update's input) and the pairing key; an
+    exited process's state is never dropped. *)
 
 type conflict =
   | Arg_mismatch of {

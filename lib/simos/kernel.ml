@@ -148,7 +148,6 @@ module Theap = struct
 end
 
 type t = {
-  kid : int;
   costs : Costs.t;
   mutable clock : int;
   mutable idle : int;
@@ -164,6 +163,7 @@ type t = {
   fs : (string, string) Hashtbl.t;
   mutable block_monitor : (thread -> S.call -> blocked_ns:int -> unit) option;
   mutable spawn_hook : (proc -> unit) option;
+  mutable exit_hook : (proc -> unit) option;
   mutable fault_hook : (thread -> S.call -> S.result option) option;
   shm_ids : (int, int) Hashtbl.t; (* key -> globally-unique id; no namespaces *)
   mutable next_shm_id : int;
@@ -181,12 +181,8 @@ type image = Fresh_image of Aspace.t | Clone_image of proc
 
 type _ Effect.t += Sys : S.call -> S.result Effect.t
 
-let next_kid = ref 0
-
 let create ?(costs = Costs.default) () =
-  incr next_kid;
   {
-    kid = !next_kid;
     costs;
     clock = 0;
     idle = 0;
@@ -202,6 +198,7 @@ let create ?(costs = Costs.default) () =
     fs = Hashtbl.create 16;
     block_monitor = None;
     spawn_hook = None;
+    exit_hook = None;
     fault_hook = None;
     shm_ids = Hashtbl.create 8;
     next_shm_id = 100;
@@ -210,7 +207,6 @@ let create ?(costs = Costs.default) () =
     aborted_total = 0;
   }
 
-let id t = t.kid
 let clock_ns t = t.clock
 let costs t = t.costs
 let idle_ns t = t.idle
@@ -449,6 +445,7 @@ let close_fd t p fd =
 let process_exit t p status =
   if p.p_alive then begin
     p.p_alive <- false;
+    (match t.exit_hook with Some h -> h p | None -> ());
     p.p_status <- Some status;
     List.iter (fun th -> th.t_state <- Finished) p.p_threads;
     List.iter (fun fd -> ignore (close_fd t p fd)) (fds p);
@@ -998,6 +995,7 @@ let spawn_process t ?parent ?force_pid ~image ~name ~entry ~main () =
   new_process t ?parent ?force_pid ~creation_cs:0 ~image ~name ~entry ~main ()
 
 let set_spawn_hook t h = t.spawn_hook <- h
+let set_exit_hook t h = t.exit_hook <- h
 let set_fault_hook t h = t.fault_hook <- h
 
 let unlink_path t ~path = Hashtbl.remove t.paths path

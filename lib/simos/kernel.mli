@@ -22,9 +22,6 @@ type payload = ..
 
 val create : ?costs:Costs.t -> unit -> t
 
-val id : t -> int
-(** Unique identity of this kernel instance (monotonic across creates). *)
-
 (** {1 Clock} *)
 
 val clock_ns : t -> int
@@ -185,6 +182,11 @@ val set_spawn_hook : t -> (proc -> unit) option -> unit
     syscall), before its first thread runs. The MCR runtime uses this to
     attach instrumentation (interceptors, recorders) to children — the
     preloaded-library analog. *)
+
+val set_exit_hook : t -> (proc -> unit) option -> unit
+(** Invoked once for every process that exits or is killed, before its
+    payload and tables are dropped. The MCR runtime uses this to take the
+    process out of its process tree. *)
 
 val set_fault_hook :
   t -> (thread -> Sysdefs.call -> Sysdefs.result option) option -> unit

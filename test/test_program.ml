@@ -28,13 +28,10 @@ let tiny_version ?(qpoints = []) ?(annotations = []) body =
 
 let run_tiny ?(instr = Instr.full) ?qpoints body =
   let kernel = K.create () in
-  let image = ref None in
-  let proc =
-    Loader.launch kernel ~instr (tiny_version ?qpoints body) ~on_image:(fun i ->
-        image := Some i)
-  in
+  let proc = Loader.launch kernel ~instr (tiny_version ?qpoints body) in
+  let image = P.image_of_proc_exn proc in
   K.run kernel;
-  (kernel, proc, Option.get !image)
+  (kernel, proc, image)
 
 (* Block forever on a semaphore nobody posts: a test that inspects the
    process's memory afterwards keeps it alive, since exit unmaps it. *)
@@ -220,7 +217,6 @@ let test_wrapped_sem_wait_honors_total_timeout () =
       (tiny_version ~qpoints:[ ("w", "sem_wait") ] (fun t ->
            result :=
              Api.blocking t ~qpoint:"w" (S.Sem_wait { name = "never"; timeout_ns = Some 25_000_000 })))
-      ~on_image:(fun _ -> ())
   in
   K.run kernel;
   Alcotest.(check bool) "ETIMEDOUT surfaces" true (!result = S.Err S.ETIMEDOUT);
@@ -276,10 +272,9 @@ let test_fork_image_isolates_runtime_state () =
         ]
       ()
   in
-  let image = ref None in
-  let proc = Loader.launch kernel version ~on_image:(fun i -> image := Some i) in
+  let proc = Loader.launch kernel version in
+  let parent = P.image_of_proc_exn proc in
   K.run kernel;
-  let parent = Option.get !image in
   let child_proc =
     List.find (fun p -> K.parent_pid p = K.pid proc) (K.procs kernel)
   in

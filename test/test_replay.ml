@@ -95,17 +95,11 @@ let request kernel =
 let record_listing1 () =
   let kernel = K.create () in
   K.fs_write kernel ~path:Listing1.config_path "welcome=hi";
-  let image = ref None in
-  let _proc =
-    Mcr_program.Loader.launch kernel (Listing1.v1 ()) ~on_image:(fun i -> image := Some i)
-  in
-  let image = Option.get !image in
-  (* the manager normally installs this first-quiesce processing *)
-  image.P.i_first_quiesce_hooks <-
-    (fun (im : P.image) ->
+  let image = P.image_of_proc_exn (Mcr_program.Loader.launch kernel (Listing1.v1 ())) in
+  (* the manager normally subscribes this first-quiesce processing *)
+  P.Tree.on_first_quiesce image.P.i_tree (fun im ->
       Mcr_alloc.Heap.end_startup im.P.i_heap;
-      Aspace.epoch_reset im.P.i_aspace ~name:"startup")
-    :: image.P.i_first_quiesce_hooks;
+      Aspace.epoch_reset im.P.i_aspace ~name:"startup");
   let session = Record.start kernel image in
   ignore
     (K.run_until kernel
