@@ -149,6 +149,40 @@ let test_fork_exit =
       done;
       Staged.stage fork_exit)
 
+(* One session's fork and reap in a recorded process tree (a manager's
+   launch: the startup recorder and the manager subscribe to the tree)
+   after [n] sessions have been forked and reaped: the image re-bind, the
+   tree's fork subscribers and the exit notification. A per-fork cost
+   that grows with the sessions ever forked shows as a slope in [n]. *)
+let test_fork_after_reaped (label, n) =
+  case (Printf.sprintf "simos:fork-after-reaped(%s)" label) (fun () ->
+      let kernel = K.create () in
+      let version =
+        Mcr_program.Progdef.make_version ~prog:"forker" ~version_tag:"1" ~layout_bias:0
+          ~tyenv:(Ty.env_create ()) ~globals:[] ~funcs:[ "main" ] ~strings:[]
+          ~entries:
+            [ ("main",
+               fun _ ->
+                 ignore
+                   (K.syscall (Mcr_simos.Sysdefs.Sem_wait { name = "never"; timeout_ns = None })))
+            ]
+          ()
+      in
+      let root = Manager.root_proc (Manager.launch kernel version) in
+      K.run kernel;
+      let fork_reap () =
+        let child =
+          K.spawn_process kernel ~parent:root ~image:(K.Clone_image root) ~name:"session"
+            ~entry:"main" ~main:ignore ()
+        in
+        K.kill_process kernel child ~status:0;
+        K.run kernel
+      in
+      for _ = 1 to n do
+        fork_reap ()
+      done;
+      Staged.stage fork_reap)
+
 (* The page table's per-operation cost at one 8 Mi-word heap (16,384
    pages): map it, fork it, unmap both copies, as a process that forks
    and exits with a large heap does. *)
@@ -397,7 +431,9 @@ let cases =
   [ test_callstack_hash; test_alloc_tagging; test_malloc_zeroed; test_grab_chunk;
     test_store_template; test_write_word_loop; test_buffer_churn; test_map_clone_unmap;
     test_clone_unmap_written; test_read_word_scattered; test_read_word_sequential;
-    test_sizeof_named; test_fork_exit; test_conservative_scan; test_conservative_scan_opaque;
+    test_sizeof_named; test_fork_exit ]
+  @ List.map test_fork_after_reaped [ ("100", 100); ("1k", 1_000); ("10k", 10_000) ]
+  @ [ test_conservative_scan; test_conservative_scan_opaque;
     test_type_transform; test_region_lookup_linear; test_region_lookup_indexed;
     test_image_encode; test_image_decode; test_image_save_read_remove; test_image_fingerprint;
     test_image_fingerprint_dense; test_retr_reply_scan; test_fnv_sub; test_requests_roundtrip ]

@@ -6,7 +6,7 @@ open Logdefs
 type t = {
   kernel : K.t;
   mutable plogs : plog list; (* reversed creation order *)
-  by_pid : (int, plog) Hashtbl.t;
+  by_pid : (int, plog) Hashtbl.t; (* the logs still open *)
   child_ordinals : (int, int) Hashtbl.t; (* creation callstack -> count *)
   mutable seq : int;
 }
@@ -24,12 +24,14 @@ let record t th call result =
         { seq = next_seq t; callstack = K.callstack_id th; call; result } :: plog.entries
   | Some _ | None -> ()
 
-(* A process reached its first quiescent point: its log is complete. *)
+(* A process reached its first quiescent point: its log is complete, and
+   only [plogs] keeps it. *)
 let close t (image : P.image) =
   let proc = image.P.i_proc in
   match Hashtbl.find_opt t.by_pid (K.pid proc) with
   | Some plog ->
       plog.closed <- true;
+      Hashtbl.remove t.by_pid plog.pid;
       K.set_reserved_fd_mode proc false;
       K.set_monitor proc None
   | None -> ()

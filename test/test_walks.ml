@@ -123,7 +123,7 @@ let print_walk (server, hops) =
     (String.concat " -> " (List.map string_of_int hops))
 
 let prop_walks =
-  QCheck.Test.make ~name:"random version walks keep every heap valid" ~count:12
+  QCheck.Test.make ~name:"random version walks keep every heap valid" ~count:12 ~long_factor:10
     (QCheck.make ~print:print_walk
        ~shrink:(fun (server, hops) ->
          QCheck.Iter.map (fun h -> (server, h)) (QCheck.Shrink.list hops))
