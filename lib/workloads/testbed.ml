@@ -1,5 +1,6 @@
 module K = Mcr_simos.Kernel
 module Manager = Mcr_core.Manager
+module P = Mcr_program.Progdef
 module Nginx = Mcr_servers.Nginx_sim
 module Httpd = Mcr_servers.Httpd_sim
 module Vsftpd = Mcr_servers.Vsftpd_sim
@@ -78,7 +79,7 @@ let launch ?instr ?profiler ?version ?trace ?config kernel server =
   ignore
     (K.run_until kernel
        ~max_ns:(K.clock_ns kernel + 5_000_000_000)
-       (fun () -> List.length (Manager.images m) >= expected_procs server));
+       (fun () -> P.Tree.count (Manager.root_image m).P.i_tree >= expected_procs server));
   ignore (K.run_until kernel ~max_ns:(K.clock_ns kernel + 200_000_000) (fun () -> false));
   m
 
