@@ -237,6 +237,39 @@ let test_read_word_sequential =
       let aspace, bases = sixteen_regions () in
       read_words aspace (Array.init 4096 (fun i -> Addr.add_words bases.(7) i)))
 
+(* The same 4,096 scattered [read_word]s over pages that each hold 16
+   non-zero words, kept as entries: the search every load of a sparsely
+   used page pays *)
+let test_read_word_sparse =
+  case "vmem:read-word-sparse" (fun () ->
+      let aspace, bases = sixteen_regions () in
+      Array.iter
+        (fun base ->
+          for k = 0 to 1023 do
+            for j = 0 to 15 do
+              Aspace.write_word aspace
+                (Addr.add_words (Addr.add base (k * Addr.page_size)) (j * 31))
+                (j + 1)
+            done
+          done)
+        bases;
+      read_words aspace
+        (Array.init 4096 (fun i ->
+             let h = (i * 0x9e3779b1) land 0x3fff_ffff in
+             Addr.add_words bases.(h mod 16) ((h / 16) mod (1024 * Addr.words_per_page)))))
+
+(* 32 tracked stores that fill an empty sparse page to its 32 entries, in
+   an order that inserts between entries, then one [zero_fill] that drops
+   them all *)
+let test_store_sparse =
+  case "vmem:store-sparse-x32" (fun () ->
+      let aspace = Aspace.create () in
+      let page = Aspace.map aspace (Aspace.Near Region.Heap) ~size:Addr.page_size Region.Heap in
+      let addrs = Array.init 32 (fun j -> Addr.add_words page ((j * 13 mod 32) * 16)) in
+      Staged.stage (fun () ->
+          Array.iteri (fun j a -> Aspace.write_word aspace a (j + 1)) addrs;
+          Aspace.zero_fill aspace page ~words:Addr.words_per_page))
+
 (* The size of nginx's request struct, which every accepted connection's
    [palloc] asks for *)
 let test_sizeof_named =
@@ -431,6 +464,7 @@ let cases =
   [ test_callstack_hash; test_alloc_tagging; test_malloc_zeroed; test_grab_chunk;
     test_store_template; test_write_word_loop; test_buffer_churn; test_map_clone_unmap;
     test_clone_unmap_written; test_read_word_scattered; test_read_word_sequential;
+    test_read_word_sparse; test_store_sparse;
     test_sizeof_named; test_fork_exit ]
   @ List.map test_fork_after_reaped [ ("100", 100); ("1k", 1_000); ("10k", 10_000) ]
   @ [ test_conservative_scan; test_conservative_scan_opaque;

@@ -157,35 +157,55 @@ let reqs_to_json ~server reqs =
 
 let ( let* ) = Result.bind
 
+exception Missing of string
+
+(* [key]'s value among a request's members, the first if it repeats, as
+   [Json.member] finds it; [Missing key] when it is absent or of another
+   type. A well-formed request decodes with no allocation but its record. *)
+let rec member key = function
+  | [] -> raise (Missing key)
+  | (k, v) :: rest -> if String.equal k key then v else member key rest
+
+let int_member key kvs = match member key kvs with Json.Int n -> n | _ -> raise (Missing key)
+let bool_member key kvs = match member key kvs with Json.Bool b -> b | _ -> raise (Missing key)
+
+(* The fields are read in order, so the first missing one is named. *)
 let req_of_json j =
-  let req what = function Some v -> Ok v | None -> Error ("request: missing " ^ what) in
-  let* q_id = req "id" (Json.int_field "id" j) in
-  let* q_scheduled_ns = req "scheduled_ns" (Json.int_field "scheduled_ns" j) in
-  let* q_first_byte_ns = req "first_byte_ns" (Json.int_field "first_byte_ns" j) in
-  let* q_complete_ns = req "complete_ns" (Json.int_field "complete_ns" j) in
-  let* q_retries = req "retries" (Json.int_field "retries" j) in
-  let* q_ok = req "ok" (Json.bool_field "ok" j) in
-  Ok { q_id; q_scheduled_ns; q_first_byte_ns; q_complete_ns; q_retries; q_ok }
+  let kvs = match j with Json.Obj kvs -> kvs | _ -> [] in
+  let q_id = int_member "id" kvs in
+  let q_scheduled_ns = int_member "scheduled_ns" kvs in
+  let q_first_byte_ns = int_member "first_byte_ns" kvs in
+  let q_complete_ns = int_member "complete_ns" kvs in
+  let q_retries = int_member "retries" kvs in
+  let q_ok = bool_member "ok" kvs in
+  { q_id; q_scheduled_ns; q_first_byte_ns; q_complete_ns; q_retries; q_ok }
 
 (* The requests array streams through [Json.fold_member]: each element's
-   tree is decoded and dropped as it is parsed. A parse error comes first,
-   then a missing server, a missing array and the first bad request, as
-   when the whole tree was built. *)
+   tree is decoded and dropped as it is parsed, and the first bad request
+   is kept aside while the parse goes on. A parse error comes first, then
+   a missing server, a missing array and the first bad request, as when
+   the whole tree was built. *)
 let reqs_of_json data =
-  let step acc item =
-    let* qs = acc in
-    let* q = req_of_json item in
-    Ok (q :: qs)
+  let bad = ref None in
+  let step qs item =
+    if Option.is_some !bad then qs
+    else
+      match req_of_json item with
+      | q -> q :: qs
+      | exception Missing what ->
+          bad := Some ("request: missing " ^ what);
+          qs
   in
-  let* j, reqs = Json.fold_member data ~key:"requests" ~init:(Ok []) step in
+  let* j, reqs = Json.fold_member data ~key:"requests" ~init:[] step in
   let* server =
     match Json.str_field "server" j with
     | Some s -> Ok s
     | None -> Error "requests file: missing server"
   in
   let* reqs =
-    match reqs with
-    | Some r -> r
-    | None -> Error "requests file: missing requests array"
+    match (reqs, !bad) with
+    | None, _ -> Error "requests file: missing requests array"
+    | Some _, Some e -> Error e
+    | Some r, None -> Ok r
   in
   Ok (server, List.rev reqs)

@@ -7,38 +7,107 @@
    instead of one global soft-dirty bit, so the startup checkpoint, pre-copy
    delta rounds and benches cannot clobber each other's view.
 
-   A frame holds its page as bytes in the image's canonical word form (bit
-   63 clear), so pages copy, clear, compare and read out as byte strings.
-   A page not stored to since it was mapped is backed, like the kernel's
-   shared zero page, by one immutable all-zero string: mapping and forking
-   cost no page copies, and a page gets private bytes of its own only on
-   its first store of a non-zero word. Likewise a page nothing has
-   stored to, shared, stamped or marked is the one immutable [pristine]
-   record: mapping costs a word per page, and a page gets a record and a
-   frame of its own ([own]) only on its first mutation. Frame records and
-   their refcounts stay one per owned page whatever bytes back them, so
-   sharing, copy-on-write and residency are counted exactly as for
-   private bytes. *)
+   A frame holds its page in one of three forms, and host memory follows
+   the words a page holds rather than the pages stored to:
+   - the zero bytes: like the kernel's shared zero page, one immutable
+     all-zero string backs every page not stored a non-zero word since it
+     was mapped, so mapping and forking cost no page copies;
+   - sparse: a page's first non-zero store gives it a short sorted array of
+     (word index, value) entries, one per non-zero word, at most
+     [sparse_cap] of them;
+   - bytes of its own, in the image's canonical word form (bit 63 clear),
+     once a store would pass [sparse_cap] entries. A page never leaves its
+     bytes.
+   The bytes-based readers lend a sparse frame spelled out in one scratch
+   page. Likewise a page nothing has stored to, shared, stamped or marked
+   is the one immutable [pristine] record: mapping costs a word per page,
+   and a page gets a record and a frame of its own ([own]) only on its
+   first mutation. Frame records and their refcounts stay one per owned
+   page whatever backs them, so sharing, copy-on-write and residency are
+   counted exactly as for private bytes. *)
 
-type frame = { mutable words : Bytes.t; mutable refs : int }
+(* The zero bytes: [words == zero_words], [ents == no_ents], [n = 0].
+   Sparse: [words == zero_words]; word [ents.(2k)] of the page holds
+   [ents.(2k + 1)] for each [k < n], indices ascending, no value 0, and
+   every other word is 0. Bytes: [words] the page's own, [ents == no_ents],
+   [n = 0]. *)
+type frame = {
+  mutable words : Bytes.t;
+  mutable ents : int array;
+  mutable n : int;
+  mutable refs : int;
+}
 
-(* Never written: every store below goes through [unshare]/[writable]. *)
+(* Never written: every store below goes through [unshare]. *)
 let zero_words = Bytes.make Addr.page_size '\000'
+let no_ents = [||]
+
+(* The most entries a sparse frame holds, and the room its first store
+   gives it. *)
+let sparse_cap = 32
+let sparse_room = 8
 
 external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 external swap64 : int64 -> int64 = "%bswap_int64"
 
 (* Word [i] of a page's bytes, and its store in the canonical form. Every
-   [i] is a word index in one page, so the accesses go unchecked. *)
+   [i] is a word index in one page, and every byte offset [off] one the
+   caller has checked, so the accesses go unchecked. *)
 let[@inline] le x = if Sys.big_endian then swap64 x else x
-let[@inline] get b i = Int64.to_int (le (get64u b (8 * i)))
+let[@inline] get_at b off = Int64.to_int (le (get64u b off))
+let[@inline] get b i = get_at b (8 * i)
 let[@inline] set b i v = set64u b (8 * i) (le (Int64.logand (Int64.of_int v) Int64.max_int))
+
+(* The first of [f]'s entries whose word index is at least [i], or [f.n]. *)
+let lower_bound f i =
+  let lo = ref 0 and hi = ref f.n in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if f.ents.(2 * mid) < i then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* Word [i] of the page [f] holds. *)
+let[@inline] word_of f i =
+  if f.ents == no_ents then get f.words i
+  else
+    let k = lower_bound f i in
+    if k < f.n && f.ents.(2 * k) = i then f.ents.((2 * k) + 1) else 0
+
+(* Whether [f] has an entry for a word of [\[i, i + n)]. *)
+let has_entry_in f i n =
+  let k = lower_bound f i in
+  k < f.n && f.ents.(2 * k) < i + n
+
+(* The page a sparse frame lends to the bytes-based readers, rewritten at
+   each lend: [spelled] holds the word indices the last lend set, which
+   the next clears. *)
+let scratch = Bytes.make Addr.page_size '\000'
+let spelled = Array.make sparse_cap 0
+let n_spelled = ref 0
+
+(* [f]'s words as page bytes, lent until the next lend. *)
+let bytes_of f =
+  if f.ents == no_ents then f.words
+  else begin
+    for k = 0 to !n_spelled - 1 do
+      set scratch spelled.(k) 0
+    done;
+    for k = 0 to f.n - 1 do
+      let i = f.ents.(2 * k) in
+      set scratch i f.ents.((2 * k) + 1);
+      spelled.(k) <- i
+    done;
+    n_spelled := f.n;
+    scratch
+  end
 
 (* Bytes of frames that [unmap] dropped, reused before the heap is asked
    for more: a fork-per-connection server unmaps as many pages per exiting
    session as the next fork copies, and a page is too big for the minor
-   heap. The cap bounds what a burst of exits pins (4 MiB). *)
+   heap. The cap bounds what a burst of exits pins (4 MiB). Sparse frames
+   give nothing back: their entries are small enough for the minor heap. *)
 let spare_cap = 1024
 let spares = Array.make spare_cap zero_words
 let n_spares = ref 0
@@ -62,7 +131,105 @@ let copy_of src =
     w
   end
 
-let private_copy w = if w == zero_words then zero_words else copy_of w
+(* A private frame holding [f]'s words: the zero bytes stay shared, and
+   entries are copied with room for what they hold. *)
+let copy_frame f =
+  if f.ents != no_ents then
+    { words = zero_words; ents = Array.sub f.ents 0 (2 * max f.n sparse_room); n = f.n; refs = 1 }
+  else
+    {
+      words = (if f.words == zero_words then zero_words else copy_of f.words);
+      ents = no_ents;
+      n = 0;
+      refs = 1;
+    }
+
+(* [f]'s entries moved to bytes of its own, which it returns. *)
+let densify f =
+  let w = copy_of zero_words in
+  for k = 0 to f.n - 1 do
+    set w f.ents.(2 * k) f.ents.((2 * k) + 1)
+  done;
+  f.words <- w;
+  f.ents <- no_ents;
+  f.n <- 0;
+  w
+
+(* Entries [lo, hi) of the zero or sparse frame [f] replaced by room for
+   [add] entries at [lo], which the caller fills: the entries from [hi]
+   move by [d] slots, and the array grows, doubling from [sparse_room],
+   when the [sparse_cap] or fewer entries left do not fit. Returns the
+   array; an array grows only for [d > 0]. The moves are loops:
+   [Array.blit] into an array in the major heap pays a write barrier per
+   slot. *)
+let splice f lo hi add =
+  let n = f.n - (hi - lo) + add in
+  let ents = f.ents in
+  let room = Array.length ents / 2 in
+  let out =
+    if n <= room then ents
+    else begin
+      let grown = max n (if room = 0 then sparse_room else min sparse_cap (2 * room)) in
+      let out = Array.make (2 * grown) 0 in
+      for j = 0 to (2 * lo) - 1 do
+        out.(j) <- ents.(j)
+      done;
+      out
+    end
+  in
+  let d = 2 * (lo + add - hi) in
+  if d > 0 then
+    for j = (2 * f.n) - 1 downto 2 * hi do
+      out.(j + d) <- ents.(j)
+    done
+  else if d < 0 then
+    for j = 2 * hi to (2 * f.n) - 1 do
+      out.(j + d) <- ents.(j)
+    done;
+  f.ents <- out;
+  f.n <- n;
+  out
+
+(* How many of the [n] words at byte [off] of [src] are non-zero, counted
+   no further than [limit + 1]. *)
+let count_nonzero src off n limit =
+  let c = ref 0 and j = ref 0 in
+  while !j < n && !c <= limit do
+    if get_at src (off + (8 * !j)) <> 0 then incr c;
+    incr j
+  done;
+  !c
+
+(* Store the [n] words at byte [off] of [src] (bit 63 ignored) at word [i]
+   of the zero or sparse frame [f]: the entries in the range go in one
+   pass and only the source's non-zero words come in, so a run of zeros
+   into the zero bytes stores nothing. [false] when that would pass
+   [sparse_cap] entries: [f] has then moved to bytes, and the caller
+   stores the run there. *)
+let store_entries f i src off n =
+  let lo = lower_bound f i in
+  let hi = lower_bound f (i + n) in
+  let kept = f.n - (hi - lo) in
+  let add = if src == zero_words then 0 else count_nonzero src off n (sparse_cap - kept) in
+  if kept + add > sparse_cap then begin
+    ignore (densify f);
+    false
+  end
+  else begin
+    if add > 0 || lo < hi then begin
+      let ents = splice f lo hi add in
+      let k = ref lo in
+      for j = 0 to n - 1 do
+        let v = get_at src (off + (8 * j)) in
+        if v <> 0 then begin
+          ents.(2 * !k) <- i + j;
+          ents.((2 * !k) + 1) <- v;
+          incr k
+        end
+      done
+    end;
+    true
+  end
 
 type page = {
   mutable frame : frame;
@@ -73,7 +240,7 @@ type page = {
 
 let fresh_page () =
   {
-    frame = { words = zero_words; refs = 1 };
+    frame = { words = zero_words; ents = no_ents; n = 0; refs = 1 };
     touched = false;
     last_write_seq = 0;
     inherited = false;
@@ -124,7 +291,7 @@ let layout_bias t = t.bias
    touched or inherited. Callers must not store into it. *)
 let absent =
   {
-    frame = { words = zero_words; refs = 0 };
+    frame = { words = zero_words; ents = no_ents; n = 0; refs = 0 };
     touched = false;
     last_write_seq = min_int;
     inherited = false;
@@ -201,7 +368,7 @@ let clone_page p =
   if p == pristine then p
   else
     {
-      frame = { words = private_copy p.frame.words; refs = 1 };
+      frame = copy_frame p.frame;
       touched = p.touched;
       last_write_seq = p.last_write_seq;
       inherited = p.inherited;
@@ -337,7 +504,7 @@ let is_mapped_word t a =
 
 let read_word t a =
   let p = page_for t a in
-  get p.frame.words (Addr.word_index a)
+  word_of p.frame (Addr.word_index a)
 
 (* Copy-on-write: any store through a page whose frame is shared first gives
    the page a private copy, so a remapped image can never mutate the image
@@ -347,19 +514,27 @@ let read_word t a =
 let unshare (p : page) =
   if p.frame.refs > 1 then begin
     p.frame.refs <- p.frame.refs - 1;
-    p.frame <- { words = private_copy p.frame.words; refs = 1 }
+    p.frame <- copy_frame p.frame
   end
 
-(* The page's private bytes, materialising a zero page. *)
-let writable (p : page) =
-  unshare p;
-  if p.frame.words == zero_words then p.frame.words <- copy_of zero_words;
-  p.frame.words
-
-(* A store of 0 into a zero page stores nothing. *)
+(* A store of 0 into a zero page stores nothing; one into a sparse page
+   drops the word's entry. *)
 let store (p : page) i v =
   unshare p;
-  if v <> 0 || p.frame.words != zero_words then set (writable p) i v
+  let f = p.frame in
+  if f.words != zero_words then set f.words i v
+  else begin
+    let k = lower_bound f i in
+    if k < f.n && f.ents.(2 * k) = i then
+      if v <> 0 then f.ents.((2 * k) + 1) <- v else ignore (splice f k (k + 1) 0)
+    else if v <> 0 then
+      if f.n = sparse_cap then set (densify f) i v
+      else begin
+        let ents = splice f k k 1 in
+        ents.(2 * k) <- i;
+        ents.((2 * k) + 1) <- v
+      end
+  end
 
 let write_word t a v =
   let p = own_page t a in
@@ -376,14 +551,30 @@ let write_word_untracked t a v =
 let find_word t a ~words p =
   let found = ref (-1) and pos = ref 0 and addr = ref a in
   while !found < 0 && !pos < words do
-    let w = (page_for t !addr).frame.words in
+    let f = (page_for t !addr).frame in
     let i = Addr.word_index !addr in
     let n = min (words - !pos) (Addr.words_per_page - i) in
     let j = ref 0 in
-    while !found < 0 && !j < n do
-      if p (get w (i + !j)) then found := !pos + !j;
-      incr j
-    done;
+    if f.ents == no_ents then
+      while !found < 0 && !j < n do
+        if p (get f.words (i + !j)) then found := !pos + !j;
+        incr j
+      done
+    else begin
+      (* [k] is the first entry at or past word [i + j] *)
+      let k = ref (lower_bound f i) in
+      while !found < 0 && !j < n do
+        let v =
+          if !k < f.n && f.ents.(2 * !k) = i + !j then begin
+            incr k;
+            f.ents.((2 * !k) - 1)
+          end
+          else 0
+        in
+        if p v then found := !pos + !j;
+        incr j
+      done
+    end;
     pos := !pos + n;
     addr := Addr.add_words !addr n
   done;
@@ -410,16 +601,24 @@ let iter_owned_runs t a ~words f = walk_runs own_page t a ~words f
 
 let fold_runs t a ~words ~init ~f =
   let acc = ref init in
-  iter_runs t a ~words (fun p i _ n -> acc := f !acc p.frame.words i n);
+  iter_runs t a ~words (fun p i _ n -> acc := f !acc (bytes_of p.frame) i n);
   !acc
 
-(* A run on the zero bytes holds no non-zero word. *)
+(* A run on the zero bytes holds no non-zero word, and a sparse run's are
+   its entries. *)
 let iter_nonzero t a ~words f =
   iter_runs t a ~words (fun p i _ n ->
-      let w = p.frame.words in
-      if w != zero_words then
+      let fr = p.frame in
+      if fr.ents != no_ents then begin
+        let k = ref (lower_bound fr i) in
+        while !k < fr.n && fr.ents.(2 * !k) < i + n do
+          f fr.ents.((2 * !k) + 1);
+          incr k
+        done
+      end
+      else if fr.words != zero_words then
         for j = i to i + n - 1 do
-          let v = get w j in
+          let v = get fr.words j in
           if v <> 0 then f v
         done)
 
@@ -427,30 +626,44 @@ let all_zero w pos n =
   let rec go i = i >= pos + n || (get w i = 0 && go (i + 1)) in
   go pos
 
-(* The zero bytes answer by identity, a whole private page by one compare. *)
-let run_is_zero w i n =
-  w == zero_words
-  || if n = Addr.words_per_page then Bytes.equal w zero_words else all_zero w i n
+(* The zero bytes answer by identity, a sparse run by its entries, a whole
+   private page by one compare. *)
+let run_is_zero f i n =
+  if f.ents != no_ents then not (has_entry_in f i n)
+  else
+    f.words == zero_words
+    || if n = Addr.words_per_page then Bytes.equal f.words zero_words else all_zero f.words i n
 
 let fold_nonzero_runs t a ~words ~init ~f =
   let acc = ref init in
   iter_runs t a ~words (fun p i pos n ->
-      let w = p.frame.words in
-      if not (run_is_zero w i n) then acc := f !acc (Addr.add_words a pos) w i n);
+      let fr = p.frame in
+      if not (run_is_zero fr i n) then acc := f !acc (Addr.add_words a pos) (bytes_of fr) i n);
   !acc
 
-let page_is_zero t a = Bytes.equal (mapped_page t a).frame.words zero_words
+let frame_is_zero f = run_is_zero f 0 Addr.words_per_page
+let page_is_zero t a = frame_is_zero (mapped_page t a).frame
 
+(* Entries are canonical, so two sparse frames compare entry by entry;
+   otherwise at most one side is spelled into the scratch page. *)
 let pages_equal t a u b =
   let x = (mapped_page t a).frame and y = (mapped_page u b).frame in
-  x == y || Bytes.equal x.words y.words
+  x == y
+  ||
+  if x.ents != no_ents && y.ents != no_ents then
+    x.n = y.n
+    &&
+    let rec same k = k >= 2 * x.n || (x.ents.(k) = y.ents.(k) && same (k + 1)) in
+    same 0
+  else Bytes.equal (bytes_of x) (bytes_of y)
 
 (* Store [n] words of [src] from [pos] at word [i] of the page; a run of
    zeros into a zero page stores nothing. *)
 let store_run (p : page) i src pos n =
   unshare p;
-  if p.frame.words != zero_words || not (src == zero_words || all_zero src pos n) then
-    Bytes.blit src (8 * pos) (writable p) (8 * i) (8 * n);
+  let f = p.frame in
+  if f.words != zero_words || not (store_entries f i src (8 * pos) n) then
+    Bytes.blit src (8 * pos) f.words (8 * i) (8 * n);
   p.touched <- true
 
 (* Walk [\[src_addr, src_addr + words)] and the destination range in the
@@ -465,7 +678,7 @@ let copy_runs ~src src_addr ~dst dst_addr ~words f =
     let n =
       min !remaining (min (Addr.words_per_page - si) (Addr.words_per_page - di))
     in
-    store_run dp di sp.frame.words si n;
+    store_run dp di (bytes_of sp.frame) si n;
     f dp n;
     remaining := !remaining - n;
     sa := Addr.add_words !sa n;
@@ -491,9 +704,12 @@ let tracked_runs t a ~words fill =
       t.wseq <- t.wseq + n;
       p.last_write_seq <- t.wseq)
 
-(* A zero page stays on the zero bytes, as a store of 0 leaves it. *)
+(* A zero page stays on the zero bytes, as a store of 0 leaves it, and a
+   sparse page drops the range's entries in one pass. *)
 let clear (p : page) i n =
-  if p.frame.words != zero_words then Bytes.fill p.frame.words (8 * i) (8 * n) '\000'
+  let f = p.frame in
+  if f.words != zero_words then Bytes.fill f.words (8 * i) (8 * n) '\000'
+  else ignore (store_entries f i zero_words 0 n)
 let zero_fill t a ~words = tracked_runs t a ~words (fun p i _ n -> clear p i n)
 
 let zero_untracked t a ~words =
@@ -521,26 +737,20 @@ let check_bytes fn len ~words ~pos =
 let read_bytes t a ~words buf ~pos =
   check_bytes "Aspace.read_bytes" (Bytes.length buf) ~words ~pos;
   iter_runs t a ~words (fun p i k n ->
-      Bytes.blit p.frame.words (8 * i) buf (pos + (8 * k)) (8 * n))
-
-let word_at src off = Int64.to_int (String.get_int64_le src off)
-
-let zero_words_at src off n =
-  let rec go j = j >= n || (word_at src (off + (8 * j)) = 0 && go (j + 1)) in
-  go 0
+      Bytes.blit (bytes_of p.frame) (8 * i) buf (pos + (8 * k)) (8 * n))
 
 (* [store_run] with the words read from [src], bit 63 cleared one by one. *)
 let write_bytes_untracked t a ~words src ~pos =
   check_bytes "Aspace.write_bytes_untracked" (String.length src) ~words ~pos;
+  let src = Bytes.unsafe_of_string src in
   iter_owned_runs t a ~words (fun p i k n ->
       let off = pos + (8 * k) in
       unshare p;
-      if p.frame.words != zero_words || not (zero_words_at src off n) then begin
-        let w = writable p in
+      let f = p.frame in
+      if f.words != zero_words || not (store_entries f i src off n) then
         for j = 0 to n - 1 do
-          set w (i + j) (word_at src (off + (8 * j)))
-        done
-      end;
+          set f.words (i + j) (get_at src (off + (8 * j)))
+        done;
       p.touched <- true)
 
 (* ------------------------------------------------------------------ *)
@@ -646,8 +856,7 @@ let restore_page_state t ps =
   let p = owned_page t ps.ps_page in
   if
     ps.ps_last_write_seq = 0 && (not ps.ps_touched) && (not ps.ps_inherited)
-    && p.frame.refs = 1
-    && (p.frame.words == zero_words || Bytes.equal p.frame.words zero_words)
+    && p.frame.refs = 1 && frame_is_zero p.frame
   then begin
     drop_ref p.frame;
     t.region_pages.(t.last_region).(t.last_k) <- pristine

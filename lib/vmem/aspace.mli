@@ -11,18 +11,24 @@
     write through either page copies the frame first (copy-on-write), so
     neither image can mutate the other.
 
-    A frame holds its page as bytes in {!read_bytes}' word form. A page
-    nobody has stored a non-zero word to since it was mapped is backed by
-    one shared, immutable all-zero string, the zero bytes, as a kernel
-    backs such pages with its zero page. Likewise a page nothing has
-    stored to, shared, stamped or marked since it was mapped has no page
-    or frame record of its own: every such page shares one immutable
-    record, and a page gets its own on its first mutation. This is
-    host-side only: frame records and their refcounts are per owned page,
-    and an unowned page reads as a fresh page with its own zeroed frame,
-    so {!shared_frame_count}, {!resident_bytes} and copy-on-write behave
-    as if every page had its own. The bytes of frames that {!unmap} leaves
-    unreferenced are reused by later pages and copies.
+    A frame holds its page in one of three forms, so that host memory
+    follows the words a page holds rather than the pages stored to. A
+    page nobody has stored a non-zero word to since it was mapped is
+    backed by one shared, immutable all-zero string, the zero bytes, as a
+    kernel backs such pages with its zero page. Its first non-zero store
+    makes it sparse: a short sorted list of its non-zero words with their
+    indices, at most 32, read by binary search. A store that would pass 32
+    non-zero words moves the page to bytes of its own in {!read_bytes}'
+    word form, where it stays. Likewise a page nothing has stored to,
+    shared, stamped or marked since it was mapped has no page or frame
+    record of its own: every such page shares one immutable record, and a
+    page gets its own on its first mutation. This is host-side only: no
+    reader, fingerprint or image depends on the form, frame records and
+    their refcounts are per owned page, and an unowned page reads as a
+    fresh page with its own zeroed frame, so {!shared_frame_count},
+    {!resident_bytes} and copy-on-write behave as if every page had its
+    own bytes. The bytes of frames that {!unmap} leaves unreferenced are
+    reused by later pages and copies.
 
     Dirtiness mirrors the Linux soft-dirty mechanism MCR builds on, but is
     generation-based: every tracked write bumps the space-wide {!write_seq}
@@ -51,8 +57,8 @@ val layout_bias : t -> int
 val clone : t -> t
 (** Deep copy: pages, regions, epochs and dirty stamps. Every page with
     a record of its own gets a private record and frame; only pages
-    holding non-zero words copy their contents, zero pages stay on the
-    zero bytes. A page nothing has mutated stays on the shared record, so
+    holding non-zero words copy their contents (a sparse page only its
+    entries), zero pages stay on the zero bytes. A page nothing has mutated stays on the shared record, so
     it costs the copy one word. Used by process spawn (the fork
     analog). *)
 
@@ -71,7 +77,8 @@ val map : t -> ?name:string -> placement -> size:int -> Region.kind -> Addr.t
     base. [size] is rounded up to whole pages. The pages start on the
     shared record and the zero bytes, so mapping allocates one word per
     page and no page contents; each page gets a record of its own on its
-    first mutation and bytes of its own on its first non-zero store.
+    first mutation, entries on its first non-zero store and bytes of its
+    own past 32 non-zero words.
     @raise Invalid_argument on overlap with an existing region, or when
     the mapping would end past {!ceiling}. *)
 
@@ -117,8 +124,10 @@ val fold_runs :
 (** [fold_runs t a ~words ~init ~f] folds [f acc page i n] over the page
     runs covering the [words] words from [a]: each run is words [i] to
     [i + n - 1] of [page], word [j] at byte [8 * j] in {!read_bytes}' form.
-    [page] is the page's own storage, lent for the call only; [f] must not
-    write to it or keep it: after an {!unmap} it may back another page.
+    [page] is lent for the call only, and is valid only during it: it is
+    the page's own bytes, the zero bytes, or for a sparse page one scratch
+    page that the next lend of a sparse page rewrites, this fold's next
+    run or a reader [f] calls. [f] must not write to [page] or keep it.
     @raise Fault as {!read_word}. *)
 
 val fold_nonzero_runs :
@@ -129,8 +138,9 @@ val fold_nonzero_runs :
     [page], whose first word is at [addr]. Which runs it visits depends on
     their words alone, not on how they are stored: a run on the zero bytes
     is skipped without reading its words, a run of private bytes is
-    skipped when it scans as zeros (a whole page by one compare). [page]
-    is lent as in {!fold_runs}.
+    skipped when it scans as zeros (a whole page by one compare), a sparse
+    run when no entry falls in it. [page] is lent as in {!fold_runs}:
+    valid only during the call, never to be kept.
     @raise Fault as {!read_word}, after the calls for the runs before the
     unmapped page. *)
 
@@ -139,18 +149,20 @@ val iter_nonzero : t -> Addr.t -> words:int -> (int -> unit) -> unit
     [words] words from [a], in ascending address order: exactly the calls
     of a loop applying [f] to each non-zero {!read_word} in turn, raising
     the same {!Fault} after the same calls. A run on the zero bytes is
-    skipped without reading its words. [f] must not store into [t]. *)
+    skipped without reading its words, and a sparse run visits only its
+    entries. [f] must not store into [t]. *)
 
 val page_is_zero : t -> Addr.t -> bool
 (** Whether every word of the page holding the address is 0. A page on
-    the zero bytes answers without reading its words.
+    the zero bytes, or a sparse one, answers without reading its words.
     @raise Fault if the page is unmapped. *)
 
 val pages_equal : t -> Addr.t -> t -> Addr.t -> bool
 (** [pages_equal t a u b] is whether the page holding [a] in [t] and the
     page holding [b] in [u] hold the same words: exactly the two pages'
     words read by {!read_word} and compared one by one. Pages on one frame,
-    or both on the zero bytes, answer without reading their words.
+    or both on the zero bytes, answer without reading their words, and
+    two sparse pages compare their entries.
     Allocates nothing. @raise Fault if either page is unmapped. *)
 
 val copy_words : src:t -> Addr.t -> dst:t -> Addr.t -> words:int -> unit
@@ -194,16 +206,17 @@ val words_of_fn : int -> (int -> int) -> words
 val write_words : t -> Addr.t -> words -> unit
 (** [write_words t a w] stores word [i] of [w] at word [i] from [a] under
     the {!zero_fill} contract: the exact observable semantics of one
-    {!write_word} per word in ascending address order. Each page run is
-    one blit; a page still on the zero bytes stays there when its part of
-    the run is all zeros. *)
+    {!write_word} per word in ascending address order. Each page run into
+    bytes is one blit, and a run into a sparse page drops the run's
+    entries in one pass and adds only its non-zero words; a page still on
+    the zero bytes stays there when its part of the run is all zeros. *)
 
 val read_bytes : t -> Addr.t -> words:int -> Bytes.t -> pos:int -> unit
 (** [read_bytes t a ~words buf ~pos] writes the [words] words from [a] into
     [buf] from byte [pos], each as the 8 little-endian bytes of its bits
     0-62 (the top bit of the last byte is 0) — the checkpoint image's word
     encoding. Word [i] of the range is [read_word t (a + 8i)]. A page run
-    is one blit. On a range that runs into an unmapped page it raises the
+    is one blit, from the scratch page a sparse page is spelled into. On a range that runs into an unmapped page it raises the
     same {!Fault} as {!read_word}, after filling every word before that
     page.
     @raise Invalid_argument if the [8 * words] bytes from [pos] are not

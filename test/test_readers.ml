@@ -298,6 +298,34 @@ let prop_requests_roundtrip =
       | Ok (s, qs) -> s = server && qs = rs
       | Error e -> QCheck.Test.fail_reportf "read back: %s" e)
 
+(* A bad requests file names its first fault: a parse error, then a
+   missing server, a missing array, then the first bad request in order,
+   a field of the wrong type counting as missing. *)
+let test_requests_errors () =
+  let full = {|{"id":1,"scheduled_ns":2,"first_byte_ns":3,"complete_ns":4,"retries":0,"ok":true}|} in
+  let file reqs = Printf.sprintf {|{"server":"s","requests":[%s]}|} (String.concat "," reqs) in
+  List.iter
+    (fun (text, want) ->
+      let got =
+        match Client_impact.reqs_of_json text with
+        | Ok (_, qs) -> Printf.sprintf "ok %d" (List.length qs)
+        | Error e -> e
+      in
+      Alcotest.(check string) text want got)
+    [
+      (file [ full; full ], "ok 2");
+      (file [ full; {|{"id":1,"scheduled_ns":2}|}; {|{}|} ], "request: missing first_byte_ns");
+      (file [ {|{"id":1,"scheduled_ns":2,"first_byte_ns":3,"complete_ns":4,"retries":0,"ok":1}|} ],
+       "request: missing ok");
+      (file [ {|{"id":true}|} ], "request: missing id");
+      (file [ {|[1]|} ], "request: missing id");
+      ({|{"requests":[{}]}|}, "requests file: missing server");
+      ({|{"server":"s"}|}, "requests file: missing requests array");
+    ];
+  match Client_impact.reqs_of_json ({|{"requests":[{}],|}) with
+  | Error e when not (String.starts_with ~prefix:"request" e) -> ()
+  | Ok _ | Error _ -> Alcotest.fail "a parse error must come before a bad request"
+
 (* ------------------------------------------------------------------ *)
 (* The overflow the waterfall once had *)
 
@@ -386,7 +414,11 @@ let () =
       ( "total",
         [ qt prop_flight; qt prop_flight_list; qt prop_fleet; qt prop_client_impact; qt prop_policy ]
       );
-      ("requests", [ qt prop_requests_roundtrip ]);
+      ( "requests",
+        [
+          qt prop_requests_roundtrip;
+          Alcotest.test_case "first fault named" `Quick test_requests_errors;
+        ] );
       ("postmortem", [ Alcotest.test_case "huge component renders" `Quick test_huge_component_renders ]);
       ( "flight",
         [

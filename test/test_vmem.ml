@@ -910,15 +910,19 @@ let r_dirty_space base v =
 
 let test_recycled_arrays_are_isolated () =
   let base = 0x200000 and words = r_pages * Addr.words_per_page in
-  (* 1. dirty pages freed by unmap come back all zero *)
+  (* 1. dirty pages freed by unmap come back all zero: 64 non-zero words
+     a page are more than a page keeps as entries, so each page takes a
+     recycled array *)
   Aspace.unmap (r_dirty_space base 1) base;
   let fresh = Aspace.create () in
   ignore (Aspace.map fresh (Aspace.Fixed base) ~size:(r_pages * 4096) Region.Heap);
   for k = 0 to r_pages - 1 do
-    Aspace.write_word fresh (Addr.add_words base ((k * Addr.words_per_page) + 1)) 7
+    for j = 0 to 63 do
+      Aspace.write_word fresh (Addr.add_words base ((k * Addr.words_per_page) + (8 * j) + 1)) 7
+    done
   done;
   Array.iteri
-    (fun i v -> Alcotest.(check int) "fresh mapping reads zero" (if i mod Addr.words_per_page = 1 then 7 else 0) v)
+    (fun i v -> Alcotest.(check int) "fresh mapping reads zero" (if i mod 8 = 1 then 7 else 0) v)
     (read_each fresh base ~words);
   (* 2. a frame shared with an exiting space is never recycled, whichever
      side of [share_page] exits *)
@@ -1481,6 +1485,278 @@ let test_bytes_range_checks () =
           Aspace.write_bytes_untracked sp z_base ~words (String.make 16 'x') ~pos))
     [ (-1, 1); (0, 3); (9, 1); (0, -1); (17, 0); (8, (max_int / 8) + 1); (0, max_int) ]
 
+(* ------------------------------------------------------------------ *)
+(* Sparse pages: a page holding few non-zero words keeps them as entries,
+   and moves to bytes of its own past 32 of them. Every reader must answer
+   from the words alone, whatever backs the page.
+
+   Two pages of one space and the same two of a donor space are driven by
+   stores that cross the 32-entry cap both ways (runs of mostly non-zero
+   words, then zeros over them), copies between the spaces in both
+   directions, a shared page stored to afterwards, forks and page-state
+   restores. After each step every reader is checked against a plain
+   array of each space's words. A fork's parent is kept with the words it
+   had, and must keep them whatever the fork is stored to next. *)
+
+let s_words = 2 * Addr.words_per_page
+
+type s_op =
+  | S_write of int * int
+  | S_zero of int * int
+  | S_words of int * int list
+  | S_bytes of int * int list
+  | S_copy_in of int * int * int (* donor word, word, count *)
+  | S_copy_out of int * int * int (* word, donor word, count *)
+  | S_donor of int * int list
+  | S_share of int
+  | S_clone
+  | S_restore of int * bool
+
+let s_value_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, return 0);
+        (3, int_range 1 9);
+        (1, oneofl [ -1; min_int; max_int; 1 lsl 61; 1 lsl 62 ]);
+      ])
+
+(* Words cluster at each page's first 64, so entries are updated and
+   dropped as well as added. *)
+let s_word_gen =
+  QCheck.Gen.(
+    map2
+      (fun k i -> (k * Addr.words_per_page) + i)
+      (int_bound 1)
+      (frequency [ (3, int_bound 63); (1, int_bound (Addr.words_per_page - 1)) ]))
+
+(* A run from [w] that ends inside the two pages: mostly non-zero, mostly
+   zero, or all zero. *)
+let s_run_gen =
+  QCheck.Gen.(
+    s_word_gen >>= fun w ->
+    int_range 1 (min 80 (s_words - w)) >>= fun n ->
+    frequency
+      [
+        (2, list_repeat n (frequency [ (4, int_range 1 9); (1, return 0) ]));
+        (2, list_repeat n s_value_gen);
+        (1, return (List.init n (fun _ -> 0)));
+      ]
+    >|= fun vs -> (w, vs))
+
+let s_copy_gen =
+  QCheck.Gen.(
+    triple s_word_gen s_word_gen (int_range 1 80) >|= fun (a, b, n) ->
+    (a, b, min n (s_words - max a b)))
+
+let s_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map2 (fun w v -> S_write (w, v)) s_word_gen s_value_gen);
+        (2, s_copy_gen >|= fun (w, _, n) -> S_zero (w, n));
+        (3, s_run_gen >|= fun (w, vs) -> S_words (w, vs));
+        (2, s_run_gen >|= fun (w, vs) -> S_bytes (w, vs));
+        (2, s_copy_gen >|= fun (a, b, n) -> S_copy_in (a, b, n));
+        (2, s_copy_gen >|= fun (a, b, n) -> S_copy_out (a, b, n));
+        (2, s_run_gen >|= fun (w, vs) -> S_donor (w, vs));
+        (1, map (fun k -> S_share k) (int_bound 1));
+        (1, return S_clone);
+        (1, map2 (fun k fresh -> S_restore (k, fresh)) (int_bound 1) bool);
+      ])
+
+let show_s_op = function
+  | S_write (w, v) -> Printf.sprintf "write %d:%d" w v
+  | S_zero (w, n) -> Printf.sprintf "zero %d x%d" w n
+  | S_words (w, vs) -> Printf.sprintf "words %d x%d" w (List.length vs)
+  | S_bytes (w, vs) -> Printf.sprintf "bytes %d x%d" w (List.length vs)
+  | S_copy_in (a, b, n) -> Printf.sprintf "copy donor %d -> %d x%d" a b n
+  | S_copy_out (a, b, n) -> Printf.sprintf "copy %d -> donor %d x%d" a b n
+  | S_donor (w, vs) -> Printf.sprintf "donor words %d x%d" w (List.length vs)
+  | S_share k -> Printf.sprintf "share %d" k
+  | S_clone -> "clone"
+  | S_restore (k, fresh) -> Printf.sprintf "restore %d %s" k (if fresh then "fresh" else "as is")
+
+let s_base = 0x300000
+let s_addr w = Addr.add_words s_base w
+let s_page k = Addr.add s_base (k * Addr.page_size)
+
+let s_space () =
+  let sp = Aspace.create () in
+  ignore (Aspace.map sp (Aspace.Fixed s_base) ~size:(2 * Addr.page_size) Region.Heap);
+  sp
+
+(* A space holding [model]'s words with both pages on bytes of their own:
+   every word is stored non-zero first. *)
+let s_dense_twin model =
+  let sp = s_space () in
+  Aspace.write_words sp s_base (Aspace.words_of_fn s_words (fun _ -> 1));
+  Aspace.write_words sp s_base (Aspace.words_of_fn s_words (Array.get model));
+  sp
+
+(* The runs [fold_nonzero_runs] must visit over [\[w, w + n)]: page runs
+   holding a non-zero word, with their address, first index and words. *)
+let s_model_runs model w n =
+  let rec go pos acc =
+    if pos >= n then List.rev acc
+    else
+      let i = (w + pos) mod Addr.words_per_page in
+      let k = min (n - pos) (Addr.words_per_page - i) in
+      let words = Array.to_list (Array.sub model (w + pos) k) in
+      go (pos + k) (if List.exists (( <> ) 0) words then (s_addr (w + pos), i, words) :: acc else acc)
+  in
+  go 0 []
+
+(* Every reader of [sp] over [\[w, w + n)] and over each whole page
+   against [model]; [others] are spaces to compare pages with. *)
+let s_readers_agree sp model (w, n) others =
+  let range w n = Array.sub model w n in
+  let ranges = [ (w, n); (0, s_words); (0, Addr.words_per_page); (Addr.words_per_page, Addr.words_per_page) ] in
+  let find w n p =
+    let expected =
+      let rec go j = if j >= n then -1 else if p model.(w + j) then j else go (j + 1) in
+      go 0
+    in
+    Aspace.find_word sp (s_addr w) ~words:n p = expected
+  in
+  let range_ok (w, n) =
+    read_each sp (s_addr w) ~words:n = range w n
+    && find w n (( <> ) 0)
+    && find w n (( = ) 0)
+    && (n = 0 || find w n (( = ) model.(w + n - 1)))
+    && (let seen = ref [] in
+        Aspace.iter_nonzero sp (s_addr w) ~words:n (fun v -> seen := v :: !seen);
+        List.rev !seen = List.filter (( <> ) 0) (Array.to_list (range w n)))
+    && Aspace.fold_nonzero_runs sp (s_addr w) ~words:n ~init:[] ~f:(fun acc addr page i k ->
+           (addr, i, List.init k (fun j -> Int64.to_int (Bytes.get_int64_le page (8 * (i + j)))))
+           :: acc)
+       |> List.rev = s_model_runs model w n
+    && read_bytes sp (s_addr w) ~words:n = bytes_of_words (range w n)
+  in
+  let page_words k = range (k * Addr.words_per_page) Addr.words_per_page in
+  List.for_all range_ok ranges
+  && List.for_all
+       (fun k -> Aspace.page_is_zero sp (s_page k) = Array.for_all (( = ) 0) (page_words k))
+       [ 0; 1 ]
+  && List.for_all
+       (fun (u, umodel) ->
+         List.for_all
+           (fun (j, k) ->
+             Aspace.pages_equal sp (s_page j) u (s_page k)
+             = (page_words j = Array.sub umodel (k * Addr.words_per_page) Addr.words_per_page))
+           [ (0, 0); (0, 1); (1, 0); (1, 1) ])
+       ((sp, model) :: others)
+  && Mcr_image.Image.aspace_fingerprint ~prog:"sparse" sp
+     = Mcr_image.Image.aspace_fingerprint ~prog:"sparse" (s_dense_twin model)
+
+let s_run ops probe =
+  let sp = ref (s_space ()) and donor = s_space () in
+  let m = Array.make s_words 0 and d = Array.make s_words 0 in
+  let parents = ref [] in
+  let store_list f w vs = List.iteri (fun j v -> f (w + j) v) vs in
+  let step op =
+    let sp_ = !sp in
+    match op with
+    | S_write (w, v) ->
+        Aspace.write_word sp_ (s_addr w) v;
+        m.(w) <- v
+    | S_zero (w, n) ->
+        Aspace.zero_fill sp_ (s_addr w) ~words:n;
+        Array.fill m w n 0
+    | S_words (w, vs) ->
+        let a = Array.of_list vs in
+        Aspace.write_words sp_ (s_addr w) (Aspace.words_of_fn (Array.length a) (Array.get a));
+        store_list (Array.set m) w vs
+    | S_bytes (w, vs) ->
+        (* bit 63 set on every word: outside the word, so it must not show *)
+        let src =
+          String.concat ""
+            (List.map
+               (fun v ->
+                 let b = Bytes.create 8 in
+                 Bytes.set_int64_le b 0 (Int64.logor (Int64.of_int v) Int64.min_int);
+                 Bytes.to_string b)
+               vs)
+        in
+        Aspace.write_bytes_untracked sp_ (s_addr w) ~words:(List.length vs) src ~pos:0;
+        store_list (Array.set m) w vs
+    | S_copy_in (a, b, n) ->
+        Aspace.copy_words ~src:donor (s_addr a) ~dst:sp_ (s_addr b) ~words:n;
+        Array.blit d a m b n
+    | S_copy_out (a, b, n) ->
+        Aspace.copy_words_tracked ~src:sp_ (s_addr a) ~dst:donor (s_addr b) ~words:n;
+        Array.blit m a d b n
+    | S_donor (w, vs) ->
+        let a = Array.of_list vs in
+        Aspace.write_words donor (s_addr w) (Aspace.words_of_fn (Array.length a) (Array.get a));
+        store_list (Array.set d) w vs
+    | S_share k ->
+        let w = k * Addr.words_per_page in
+        Aspace.copy_words ~src:donor (s_page k) ~dst:sp_ (s_page k) ~words:Addr.words_per_page;
+        Aspace.share_page ~src:donor (s_page k) ~dst:sp_ (s_page k);
+        Array.blit d w m w Addr.words_per_page
+    | S_clone ->
+        parents := (sp_, Array.copy m) :: !parents;
+        sp := Aspace.clone sp_
+    | S_restore (k, fresh) ->
+        let ps = List.nth (Aspace.page_states sp_) k in
+        Aspace.restore_page_state sp_
+          (if fresh then
+             { ps with Aspace.ps_last_write_seq = 0; ps_touched = false; ps_inherited = false }
+           else ps)
+  in
+  List.for_all
+    (fun op ->
+      step op;
+      s_readers_agree !sp m probe [ (donor, d) ]
+      && read_each donor s_base ~words:s_words = d
+      && List.for_all (fun (p, pm) -> read_each p s_base ~words:s_words = pm) !parents)
+    ops
+
+let prop_sparse_model =
+  QCheck.Test.make ~name:"every reader answers from the words, sparse or not" ~count:200
+    (QCheck.make
+       ~print:(fun (ops, (w, n)) ->
+         Printf.sprintf "[%s] probe %d x%d" (String.concat "; " (List.map show_s_op ops)) w n)
+       QCheck.Gen.(
+         pair
+           (list_size (int_range 1 30) s_op_gen)
+           (s_word_gen >>= fun w -> int_bound (s_words - w) >|= fun n -> (w, n))))
+    (fun (ops, probe) -> s_run ops probe)
+
+(* Host words a page costs beyond an untouched page's one, by
+   [Obj.reachable_words] of a space of [pages] such pages against an
+   untouched space of as many. *)
+let s_page_cost ~pages store =
+  let untouched = Aspace.create () and sp = Aspace.create () in
+  let size = pages * Addr.page_size in
+  let base = Aspace.map untouched (Aspace.Near Region.Heap) ~size Region.Heap in
+  ignore (Aspace.map sp (Aspace.Fixed base) ~size Region.Heap);
+  for k = 0 to pages - 1 do
+    store sp (Addr.add base (k * Addr.page_size))
+  done;
+  float_of_int (Obj.reachable_words (Obj.repr sp) - Obj.reachable_words (Obj.repr untouched))
+  /. float_of_int pages
+
+(* A page holding 8 non-zero words costs tens of host words, as a process
+   that has exited costs a few dozen (test_simos); a page holding a
+   non-zero word in each of its 512 still costs its 4 KiB. *)
+let test_sparse_page_cost () =
+  let pages = 256 in
+  let sparse =
+    s_page_cost ~pages (fun sp page ->
+        for j = 0 to 7 do
+          Aspace.write_word sp (Addr.add_words page (j * 61)) (j + 1)
+        done)
+  in
+  if sparse > 40. then Alcotest.failf "%.1f host words per 8-word page, want at most 40" sparse;
+  let full =
+    s_page_cost ~pages (fun sp page ->
+        Aspace.write_words sp page (Aspace.words_of_fn Addr.words_per_page (fun j -> j + 1)))
+  in
+  if full < float_of_int Addr.words_per_page then
+    Alcotest.failf "%.1f host words per full page, want at least %d" full Addr.words_per_page
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "mcr_vmem"
@@ -1565,6 +1841,11 @@ let () =
           Alcotest.test_case "a restored fresh page costs one word" `Quick test_restored_page_word;
         ] );
       ("canonical", [ qt prop_canonical_pages ]);
+      ( "sparse",
+        [
+          qt prop_sparse_model;
+          Alcotest.test_case "an 8-word page costs tens of words" `Quick test_sparse_page_cost;
+        ] );
       ( "template",
         [
           qt prop_write_words_lockstep;
