@@ -11,17 +11,23 @@ type conflict =
   | Unsupported of { pid : int; callstack : int; call : S.call }
   | Injected of { pid : int; callstack : int; call : S.call }
 
-type pstate = {
-  ps_pid : int;
-  ps_key : proc_key;
+(* What matching a process's calls against its recorded log needs; only
+   {!finish_proc} reads it after the replay is over, and then drops it. *)
+type matching = {
   entries : entry array;
   consumed : bool array;
   queues : (int * string, int Queue.t) Hashtbl.t; (* (callstack, kind) -> indices *)
+  created : (int, unit) Hashtbl.t;
+}
+
+type pstate = {
+  ps_pid : int;
+  ps_key : proc_key;
   touched : (int, unit) Hashtbl.t;
       (* fds participating in replay — including those an ancestor's replay
-         touched before the fork (fork semantics propagate them) *)
-  created : (int, unit) Hashtbl.t;
-  mutable finished : bool;
+         touched before the fork (fork semantics propagate them); a child
+         forked after this replay finished still copies them *)
+  mutable matching : matching option; (* [None] once the replay is over *)
   mutable out_entries : entry list; (* reconstructed startup log, reversed *)
   mutable out_seq : int;
 }
@@ -87,32 +93,29 @@ let build_pstate ?parent plog_opt pid key =
     | Some (p : pstate) -> Hashtbl.copy p.touched
     | None -> Hashtbl.create 16
   in
-  {
-    ps_pid = pid;
-    ps_key = key;
-    entries;
-    consumed = Array.make (Array.length entries) false;
-    queues;
-    touched;
-    created = Hashtbl.create 16;
-    finished = false;
-    out_entries = [];
-    out_seq = 0;
-  }
+  let matching =
+    {
+      entries;
+      consumed = Array.make (Array.length entries) false;
+      queues;
+      created = Hashtbl.create 16;
+    }
+  in
+  { ps_pid = pid; ps_key = key; touched; matching = Some matching; out_entries = []; out_seq = 0 }
 
 (* First unconsumed entry recorded at this (call-stack ID, call kind). *)
-let pop_match ps ~callstack call =
-  match Hashtbl.find_opt ps.queues (callstack, S.call_name call) with
+let pop_match m ~callstack call =
+  match Hashtbl.find_opt m.queues (callstack, S.call_name call) with
   | None -> None
   | Some q ->
       let rec pop () =
         if Queue.is_empty q then None
         else begin
           let idx = Queue.pop q in
-          if ps.consumed.(idx) then pop ()
+          if m.consumed.(idx) then pop ()
           else begin
-            ps.consumed.(idx) <- true;
-            Some ps.entries.(idx)
+            m.consumed.(idx) <- true;
+            Some m.entries.(idx)
           end
         end
       in
@@ -195,51 +198,51 @@ let replay_effect t ps ~callstack ~proc call (e : entry) =
       K.Execute
 
 let intercept t ps th call =
-  if ps.finished then K.Execute
-  else begin
-    K.charge t.kernel (K.costs t.kernel).Mcr_simos.Costs.replay_match_ns;
-    let callstack = K.callstack_id th in
-    (match t.fault with
-    | Some f when F.consume f F.Replay_conflict ->
-        conflict t (Injected { pid = ps.ps_pid; callstack; call })
-    | _ -> ());
-    match pop_match ps ~callstack call with
-    | Some e when replay_class e.call ->
-        if deep_equal e.call call then
-          replay_effect t ps ~callstack ~proc:(K.thread_proc th) call e
-        else begin
-          conflict t
-            (Arg_mismatch { pid = ps.ps_pid; callstack; recorded = e.call; observed = call });
-          K.Short_circuit e.result
-        end
-    | Some _ ->
-        (* live-class entry: consumed for omission accounting, executed live *)
-        t.live <- t.live + 1;
-        Trace.instant t.trace ~pid:ps.ps_pid ~cat:"replay" "replay.live"
-          ~args:[ ("call", S.call_name call); ("callstack", string_of_int callstack) ];
-        live_interception t call
-    | None ->
-        (* a call the old version never made: execute live *)
-        t.live <- t.live + 1;
-        Trace.instant t.trace ~pid:ps.ps_pid ~cat:"replay" "replay.live"
-          ~args:[ ("call", S.call_name call); ("callstack", string_of_int callstack);
-                  ("recorded", "no") ];
-        live_interception t call
-  end
+  match ps.matching with
+  | None -> K.Execute
+  | Some m ->
+      K.charge t.kernel (K.costs t.kernel).Mcr_simos.Costs.replay_match_ns;
+      let callstack = K.callstack_id th in
+      (match t.fault with
+      | Some f when F.consume f F.Replay_conflict ->
+          conflict t (Injected { pid = ps.ps_pid; callstack; call })
+      | _ -> ());
+      match pop_match m ~callstack call with
+      | Some e when replay_class e.call ->
+          if deep_equal e.call call then
+            replay_effect t ps ~callstack ~proc:(K.thread_proc th) call e
+          else begin
+            conflict t
+              (Arg_mismatch { pid = ps.ps_pid; callstack; recorded = e.call; observed = call });
+            K.Short_circuit e.result
+          end
+      | Some _ ->
+          (* live-class entry: consumed for omission accounting, executed live *)
+          t.live <- t.live + 1;
+          Trace.instant t.trace ~pid:ps.ps_pid ~cat:"replay" "replay.live"
+            ~args:[ ("call", S.call_name call); ("callstack", string_of_int callstack) ];
+          live_interception t call
+      | None ->
+          (* a call the old version never made: execute live *)
+          t.live <- t.live + 1;
+          Trace.instant t.trace ~pid:ps.ps_pid ~cat:"replay" "replay.live"
+            ~args:[ ("call", S.call_name call); ("callstack", string_of_int callstack);
+                    ("recorded", "no") ];
+          live_interception t call
 
 (* A process reached its first quiescent point: its replay is over. *)
 let finish_proc t (image : P.image) =
   let proc = image.P.i_proc in
   match Hashtbl.find_opt t.pstate_by_pid (K.pid proc) with
-  | Some ps when not ps.finished ->
-      ps.finished <- true;
+  | Some ({ matching = Some m; _ } as ps) ->
+      ps.matching <- None;
       (* conservative omission detection: every unreplayed replay-class entry
          is a conflict (Section 5) *)
       Array.iteri
         (fun idx e ->
-          if (not ps.consumed.(idx)) && replay_class e.call then
+          if (not m.consumed.(idx)) && replay_class e.call then
             conflict t (Omitted { pid = ps.ps_pid; callstack = e.callstack; call = e.call }))
-        ps.entries;
+        m.entries;
       (* garbage-collect inherited descriptors neither this process's replay
          nor any ancestor's (pre-fork) replay referenced *)
       List.iter
@@ -247,7 +250,7 @@ let finish_proc t (image : P.image) =
           if
             fd >= reserved_base && Hashtbl.mem t.inherited fd
             && (not (Hashtbl.mem ps.touched fd))
-            && not (Hashtbl.mem ps.created fd)
+            && not (Hashtbl.mem m.created fd)
           then K.close_fd_external t.kernel proc fd)
         (K.fds proc);
       K.set_reserved_fd_mode proc false;
@@ -290,9 +293,9 @@ let start ?trace ?fault kernel (root : P.image) ~logs ~inherited =
   let monitor th call result =
     (* live fd creations are tracked for garbage-collection accounting *)
     match pstate_of t th with
-    | Some ps when not ps.finished -> (
+    | Some ({ matching = Some m; _ } as ps) -> (
         out ps ~callstack:(K.callstack_id th) call result;
-        match result with S.Ok_fd fd -> Hashtbl.replace ps.created fd () | _ -> ())
+        match result with S.Ok_fd fd -> Hashtbl.replace m.created fd () | _ -> ())
     | Some _ | None -> ()
   in
   let attach ?parent (image : P.image) plog_opt key =
@@ -320,7 +323,12 @@ let live_calls t = t.live
 let new_logs t =
   List.rev_map
     (fun ps ->
-      { key = ps.ps_key; pid = ps.ps_pid; entries = List.rev ps.out_entries; closed = ps.finished })
+      {
+        key = ps.ps_key;
+        pid = ps.ps_pid;
+        entries = List.rev ps.out_entries;
+        closed = Option.is_none ps.matching;
+      })
     t.pstates
 
 let pairs t = List.rev_map (fun ps -> (ps.ps_key, ps.ps_pid)) t.pstates

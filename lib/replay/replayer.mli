@@ -21,9 +21,11 @@
     descriptors the replay never referenced, and stops intercepting the
     process.
 
-    Per process, dead or alive, it keeps the replay state (with its
-    reconstructed log, the next update's input) and the pairing key; an
-    exited process's state is never dropped. *)
+    Per process, dead or alive, it keeps the pairing key, the
+    reconstructed log (the next update's input) and the descriptors its
+    replay touched (a child forked later copies them). What matching
+    needed, the recorded entries and their index, is dropped when the
+    process's replay finishes. *)
 
 type conflict =
   | Arg_mismatch of {

@@ -181,6 +181,13 @@ type image = Fresh_image of Aspace.t | Clone_image of proc
 
 type _ Effect.t += Sys : S.call -> S.result Effect.t
 
+(* What a completed call resumes: the fiber suspended in it, or, for a
+   thread's first call made before it had a fiber, its body, which starts
+   then. *)
+type resume =
+  | Fiber of (S.result, unit) Effect.Deep.continuation
+  | Start of t * thread * (thread -> unit)
+
 let create ?(costs = Costs.default) () =
   {
     costs;
@@ -532,40 +539,56 @@ let syscall call = Effect.perform (Sys call)
 (* Mutual recursion: starting threads needs the syscall handler, which can
    fork, which starts threads. *)
 
-let rec start_thread t (th : thread) body =
-  let open Effect.Deep in
+let rec start_thread ?first_call t (th : thread) body =
   schedule t (fun () ->
       if th.t_proc.p_alive then
-        match_with
-          (fun () ->
-            body th;
-            th.t_state <- Finished;
-            (* C semantics: the initial thread returning ends the process *)
-            if th.t_tid = (match List.rev th.t_proc.p_threads with m :: _ -> m.t_tid | [] -> th.t_tid)
-            then process_exit t th.t_proc 0)
-          ()
-          {
-            retc = Fun.id;
-            exnc =
-              (fun e ->
-                th.t_state <- Finished;
-                match e with
-                | S.Program_exit status -> process_exit t th.t_proc status
-                | e ->
-                    Logs.err (fun m ->
-                        m "thread %s/%d crashed: %s" th.t_name th.t_tid (Printexc.to_string e));
-                    process_exit t th.t_proc 139);
-            effc =
-              (fun (type a) (eff : a Effect.t) ->
-                match eff with
-                | Sys call ->
-                    Some
-                      (fun (k : (a, unit) continuation) ->
-                        (* the Sys match refines a = S.result *)
-                        let k : (S.result, unit) continuation = k in
-                        handle_syscall t th call k)
-                | _ -> None);
-          })
+        let first = match first_call with Some f -> f th | None -> None in
+        match first with
+        | Some call -> handle_syscall t th call (Start (t, th, body))
+        | None -> run_fiber t th body)
+
+and run_fiber t th body =
+  let open Effect.Deep in
+  (* One handler per fiber, not a closure and an option per call: [effc]
+     leaves the call in [pending], and the runtime applies the handler to
+     the continuation at once, before the fiber can perform again. *)
+  let pending = ref S.Getpid in
+  let on_sys = Some (fun k -> handle_syscall t th !pending (Fiber k)) in
+  match_with
+    (fun () ->
+      body th;
+      th.t_state <- Finished;
+      (* C semantics: the initial thread returning ends the process *)
+      if th.t_tid = (match List.rev th.t_proc.p_threads with m :: _ -> m.t_tid | [] -> th.t_tid)
+      then process_exit t th.t_proc 0)
+    ()
+    {
+      retc = Fun.id;
+      exnc =
+        (fun e ->
+          th.t_state <- Finished;
+          match e with
+          | S.Program_exit status -> process_exit t th.t_proc status
+          | e ->
+              Logs.err (fun m ->
+                  m "thread %s/%d crashed: %s" th.t_name th.t_tid (Printexc.to_string e));
+              process_exit t th.t_proc 139);
+      effc =
+        (fun (type a) (eff : a Effect.t) ->
+          match eff with
+          | Sys call ->
+              pending := call;
+              (* the Sys match refines a = S.result *)
+              (on_sys : ((a, unit) continuation -> unit) option)
+          | _ -> None);
+    }
+
+(* The job that resumes a thread with [r]. A fiber's job captures only its
+   continuation and [r], as a job that continued it directly would. *)
+and resume k r =
+  match k with
+  | Fiber k -> fun () -> Effect.Deep.continue k r
+  | Start (t, th, body) -> fun () -> run_fiber t th body
 
 and make_thread t p ~name =
   let th = { t_tid = t.next_tid; t_name = name; t_proc = p; t_state = Running; t_stack = []; t_result_map = None; t_call_report = None; t_blocked_since = 0 } in
@@ -581,7 +604,7 @@ and spawn_thread t p ~name body =
 
 (* The one constructor of a process. [creation_cs] is the call-stack id of
    the thread whose [Fork] creates it; [spawn_process] passes 0. *)
-and new_process t ?parent ?force_pid ~creation_cs ~image ~name ~entry ~main () =
+and new_process t ?parent ?force_pid ?first_call ~creation_cs ~image ~name ~entry ~main () =
   charge t t.costs.Costs.spawn_ns;
   let pid =
     match force_pid with
@@ -628,7 +651,7 @@ and new_process t ?parent ?force_pid ~creation_cs ~image ~name ~entry ~main () =
   register t p;
   (match t.spawn_hook with Some h -> h p | None -> ());
   let th = make_thread t p ~name:entry in
-  start_thread t th main;
+  start_thread ?first_call t th main;
   p
 
 and resolve_entry p entry = match p.p_resolver with Some resolve -> resolve entry | None -> None
@@ -645,7 +668,7 @@ and fork_process t (parent_thread : thread) entry =
 (* ---------------------------------------------------------------- *)
 (* Blocking helpers *)
 
-and park t th call (k : (S.result, unit) Effect.Deep.continuation) ~check ~registers ~timeout =
+and park t th call (k : resume) ~check ~registers ~timeout =
   let since = t.clock in
   th.t_state <- Blocked call;
   th.t_blocked_since <- since;
@@ -664,7 +687,7 @@ and park t th call (k : (S.result, unit) Effect.Deep.continuation) ~check ~regis
 (* ---------------------------------------------------------------- *)
 (* Syscall execution *)
 
-and handle_syscall t th call (k : (S.result, unit) Effect.Deep.continuation) =
+and handle_syscall t th call (k : resume) =
   charge t t.costs.Costs.syscall_ns;
   let proc = th.t_proc in
   if not proc.p_alive then th.t_state <- Finished
@@ -673,7 +696,7 @@ and handle_syscall t th call (k : (S.result, unit) Effect.Deep.continuation) =
       match proc.p_interceptor with Some i -> i th call | None -> Execute
     in
     match interception with
-    | Short_circuit r -> schedule t (fun () -> Effect.Deep.continue k r)
+    | Short_circuit r -> schedule t (resume k r)
     | Execute -> execute_faultable t th call k
     | Rewrite call' ->
         th.t_call_report <- Some call;
@@ -690,7 +713,7 @@ and handle_syscall t th call (k : (S.result, unit) Effect.Deep.continuation) =
    syscall completion — through the result map and the process monitor —
    so recording and replay see injected failures as ordinary outcomes.
    [Exit] is never faultable: its continuation is abandoned by design. *)
-and execute_faultable t th call (k : (S.result, unit) Effect.Deep.continuation) =
+and execute_faultable t th call (k : resume) =
   match t.fault_hook with
   | Some h when (match call with S.Exit _ -> false | _ -> true) -> begin
       match h th call with
@@ -702,7 +725,7 @@ and execute_faultable t th call (k : (S.result, unit) Effect.Deep.continuation) 
 (* Every completion — immediate, after a park ([blocked_since]), or
    injected — maps the result, reports the original call to the monitors
    and resumes the thread. *)
-and finish ?blocked_since t th call (k : (S.result, unit) Effect.Deep.continuation) r =
+and finish ?blocked_since t th call (k : resume) r =
   let r = match th.t_result_map with Some f -> th.t_result_map <- None; f r | None -> r in
   let call =
     match th.t_call_report with
@@ -715,7 +738,7 @@ and finish ?blocked_since t th call (k : (S.result, unit) Effect.Deep.continuati
   | Some since, Some m -> m th call ~blocked_ns:(t.clock - since)
   | _ -> ());
   (match th.t_proc.p_monitor with Some m -> m th call r | None -> ());
-  schedule t (fun () -> Effect.Deep.continue k r)
+  schedule t (resume k r)
 
 and stream_of_fd p fd =
   match find_fd p fd with
@@ -789,7 +812,7 @@ and do_read t p fd max =
 
 and max_int_0 n = if n < 0 then 0 else n
 
-and execute_call t th call (k : (S.result, unit) Effect.Deep.continuation) =
+and execute_call t th call (k : resume) =
   let proc = th.t_proc in
   let ret r = finish t th call k r in
   match call with
@@ -991,8 +1014,8 @@ and execute_call t th call (k : (S.result, unit) Effect.Deep.continuation) =
           ret (S.Ok_len id)
     end
 
-let spawn_process t ?parent ?force_pid ~image ~name ~entry ~main () =
-  new_process t ?parent ?force_pid ~creation_cs:0 ~image ~name ~entry ~main ()
+let spawn_process t ?parent ?force_pid ?first_call ~image ~name ~entry ~main () =
+  new_process t ?parent ?force_pid ?first_call ~creation_cs:0 ~image ~name ~entry ~main ()
 
 let set_spawn_hook t h = t.spawn_hook <- h
 let set_exit_hook t h = t.exit_hook <- h

@@ -49,7 +49,6 @@ val charge_concurrent : t -> int -> unit
 
 val fs_write : t -> path:string -> string -> unit
 val fs_read : t -> path:string -> string option
-val fs_exists : t -> path:string -> bool
 
 (** {1 Processes} *)
 
@@ -61,6 +60,7 @@ val spawn_process :
   t ->
   ?parent:proc ->
   ?force_pid:int ->
+  ?first_call:(thread -> Sysdefs.call option) ->
   image:image ->
   name:string ->
   entry:string ->
@@ -77,7 +77,16 @@ val spawn_process :
     ["parent:entry"]; only a forked child records a creation call stack
     ({!creation_callstack}). [force_pid] implements pid-namespace forcing;
     @raise Invalid_argument if the pid is taken. The process starts
-    runnable. *)
+    runnable.
+
+    [first_call], when given, is evaluated when the initial thread is first
+    dispatched (it must not raise). [Some call] issues [call] as the
+    thread's first system call before [main] has a fiber: it is charged,
+    intercepted, fault-hooked, monitored and may block exactly as if [main]
+    had made it, its result is discarded, and [main] starts when it
+    completes, in the scheduling step that would have resumed it. A thread
+    sleeping in that call holds no fiber or continuation. [None] starts
+    [main] at once. *)
 
 val set_entry_resolver : proc -> (string -> (thread -> unit) option) -> unit
 (** How [Fork]/[Thread_create] syscalls resolve their [entry] names. The

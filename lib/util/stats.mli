@@ -74,8 +74,6 @@ val log_ns_bounds : int array
 
 val hist_observe : hist -> int -> unit
 
-val hist_copy : hist -> hist
-
 val hist_merge : hist -> hist -> hist
 (** Pointwise sum. @raise Invalid_argument when the bounds differ. *)
 

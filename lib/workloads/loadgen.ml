@@ -11,7 +11,11 @@
 
    All client processes are pre-spawned before the run starts (spawning
    costs virtual time; paying it at arrival time would serialize the
-   arrival process) and each sleeps until its scheduled arrival. *)
+   arrival process) and each sleeps until its scheduled arrival. That
+   sleep is the client thread's first call ([Kernel.spawn_process
+   ?first_call]), made before the thread has a fiber: a client that has
+   not arrived yet holds no fiber and no continuation, only its process,
+   its thread and its timer. *)
 
 module K = Mcr_simos.Kernel
 module S = Mcr_simos.Sysdefs
@@ -145,83 +149,98 @@ let start kernel ~server ?(seed = 1) ?metrics ?trace ~rate ~requests () =
     | Testbed.Vsftpd -> "request.ftp"
     | Testbed.Sshd -> "request.ssh"
   in
+  (* Clients are spawned one after another, so client [i] has pid
+     [first_pid + i]: one body and one first call serve them all, and a
+     client carries no closure of its own. *)
+  let first_pid = ref 0 in
+  let index th = K.pid (K.thread_proc th) - !first_pid in
+  let scheduled_ns i = !base + offsets.(i) in
+  (* The pre-arrival sleep is the thread's first call, made before the
+     client has a fiber, so a client that has not arrived holds none. *)
+  let first_call th =
+    let ns = scheduled_ns (index th) - K.clock_ns kernel in
+    if ns > 0 then Some (S.Nanosleep { ns }) else None
+  in
+  let body th =
+    let i = index th in
+    let scheduled = scheduled_ns i in
+    incr t.issued;
+    Option.iter Metrics.incr issued_c;
+    incr t.in_flight;
+    if !(t.in_flight) > !(t.peak_in_flight) then t.peak_in_flight := !(t.in_flight);
+    Option.iter (fun g -> Metrics.set g !(t.in_flight)) inflight_g;
+    let retries = ref 0 in
+    (* Exponential backoff on refused connects (1 ms doubling to a 64 ms
+       cap), the standard client response to an overloaded accept queue.
+       This is what makes refusal expensive at the tail: a client refused
+       by an update window sleeps past the window's end by up to its whole
+       last backoff interval. *)
+    let backoff = ref 1_000_000 in
+    let rec connect n =
+      match K.syscall (S.Connect { port }) with
+      | S.Ok_fd fd -> Some fd
+      | S.Err S.ECONNREFUSED when n > 0 ->
+          incr retries;
+          incr t.refused_retries;
+          ignore (K.syscall (S.Nanosleep { ns = !backoff }));
+          backoff := min (2 * !backoff) 64_000_000;
+          connect (n - 1)
+      | _ -> None
+    in
+    let ok, fb =
+      match connect 2000 with
+      | None -> (false, -1)
+      | Some fd ->
+          let ok, fb = dialog kernel server fd i in
+          Client.close fd;
+          (ok, fb)
+    in
+    let finish = K.clock_ns kernel in
+    decr t.in_flight;
+    Option.iter (fun g -> Metrics.set g !(t.in_flight)) inflight_g;
+    let d = finish - scheduled in
+    Stats.hist_observe t.latency d;
+    Option.iter (fun h -> Metrics.observe h d) lat_metric;
+    if ok then begin
+      incr t.completed;
+      Option.iter Metrics.incr completed_c
+    end
+    else begin
+      incr t.errored;
+      Option.iter Metrics.incr errored_c
+    end;
+    (* the span's arguments are built only for a sink that keeps them *)
+    if Option.is_some trace then
+      Trace.complete trace ~pid:(K.pid (K.thread_proc th))
+        ~cat:"request"
+        ~args:
+          [ ("id", string_of_int i);
+            ("server", Testbed.name server);
+            ("ok", if ok then "yes" else "no");
+            ("retries", string_of_int !retries) ]
+        ~dur_ns:d span_name;
+    t.records.(i) <-
+      Some
+        {
+          rq_id = i;
+          rq_scheduled_ns = scheduled;
+          rq_first_byte_ns = fb;
+          rq_complete_ns = finish;
+          rq_retries = !retries;
+          rq_ok = ok;
+        }
+  in
   let procs =
     List.init requests (fun i ->
-        Client.spawn kernel
-          (Printf.sprintf "load-%d" i)
-          (fun th ->
-            let scheduled = !base + offsets.(i) in
-            let now = K.clock_ns kernel in
-            if scheduled > now then ignore (K.syscall (S.Nanosleep { ns = scheduled - now }));
-            incr t.issued;
-            Option.iter Metrics.incr issued_c;
-            incr t.in_flight;
-            if !(t.in_flight) > !(t.peak_in_flight) then t.peak_in_flight := !(t.in_flight);
-            Option.iter (fun g -> Metrics.set g !(t.in_flight)) inflight_g;
-            let retries = ref 0 in
-            (* Exponential backoff on refused connects (1 ms doubling to a
-               64 ms cap), the standard client response to an overloaded
-               accept queue. This is what makes refusal expensive at the
-               tail: a client refused by an update window sleeps past the
-               window's end by up to its whole last backoff interval. *)
-            let backoff = ref 1_000_000 in
-            let rec connect n =
-              match K.syscall (S.Connect { port }) with
-              | S.Ok_fd fd -> Some fd
-              | S.Err S.ECONNREFUSED when n > 0 ->
-                  incr retries;
-                  incr t.refused_retries;
-                  ignore (K.syscall (S.Nanosleep { ns = !backoff }));
-                  backoff := min (2 * !backoff) 64_000_000;
-                  connect (n - 1)
-              | _ -> None
-            in
-            let ok, fb =
-              match connect 2000 with
-              | None -> (false, -1)
-              | Some fd ->
-                  let ok, fb = dialog kernel server fd i in
-                  Client.close fd;
-                  (ok, fb)
-            in
-            let finish = K.clock_ns kernel in
-            decr t.in_flight;
-            Option.iter (fun g -> Metrics.set g !(t.in_flight)) inflight_g;
-            let d = finish - scheduled in
-            Stats.hist_observe t.latency d;
-            Option.iter (fun h -> Metrics.observe h d) lat_metric;
-            if ok then begin
-              incr t.completed;
-              Option.iter Metrics.incr completed_c
-            end
-            else begin
-              incr t.errored;
-              Option.iter Metrics.incr errored_c
-            end;
-            Trace.complete trace ~pid:(K.pid (K.thread_proc th))
-              ~cat:"request"
-              ~args:
-                [ ("id", string_of_int i);
-                  ("server", Testbed.name server);
-                  ("ok", if ok then "yes" else "no");
-                  ("retries", string_of_int !retries) ]
-              ~dur_ns:d span_name;
-            t.records.(i) <-
-              Some
-                {
-                  rq_id = i;
-                  rq_scheduled_ns = scheduled;
-                  rq_first_byte_ns = fb;
-                  rq_complete_ns = finish;
-                  rq_retries = !retries;
-                  rq_ok = ok;
-                }))
+        let p = Client.spawn kernel ~first_call ("load-" ^ string_of_int i) body in
+        if i = 0 then first_pid := K.pid p;
+        assert (K.pid p = !first_pid + i);
+        p)
   in
   base := K.clock_ns kernel;
   { t with exits = Client.exits procs }
 
-let finished t = Client.all_exited t.exits
-let drive ?max_s t = ignore (Client.drive ?max_s t.kernel (fun () -> finished t))
+let drive ?max_s t = ignore (Client.drive ?max_s t.kernel (fun () -> Client.all_exited t.exits))
 
 let issued t = !(t.issued)
 let completed t = !(t.completed)
@@ -265,7 +284,7 @@ let peak_in_flight t =
     if !cur > !peak then peak := !cur
   done;
   !peak
-let latency t = Stats.hist_copy t.latency
+
 let summary t = Stats.hist_summary t.latency
 
 (* Exact (unbucketed) percentile over the per-request records — the
@@ -312,5 +331,5 @@ let requests_json t =
              :: acc
          | None -> acc)
        t.records [])
-let server t = t.server
+
 let total t = t.total

@@ -8,7 +8,8 @@
     which is what a client fleet actually observes at p99/p99.9.
 
     All client processes are pre-spawned (spawning costs virtual time)
-    and sleep until their scheduled arrival, so the driver sustains
+    and sleep until their scheduled arrival, the sleep being each client
+    thread's first call, made before it has a fiber; the driver sustains
     10k+ concurrent in-flight requests on the virtual clock. Each request
     is stamped submit / first-byte / complete in its {!record}, and its
     latency goes into an HDR-style log-bucketed histogram
@@ -49,12 +50,9 @@ val start :
     [mcr-ctl STATS] and [Manager.report]; give the driver its own [trace]
     sink so request spans don't evict update-pipeline spans. *)
 
-val finished : t -> bool
-(** Every client process has exited. *)
-
 val drive : ?max_s:int -> t -> unit
-(** Run the kernel until {!finished} (bounded by [max_s] virtual seconds,
-    default 3600). *)
+(** Run the kernel until every client process has exited (bounded by
+    [max_s] virtual seconds, default 3600). *)
 
 val issued : t -> int
 val completed : t -> int
@@ -70,11 +68,8 @@ val peak_in_flight : t -> int
     arrival until completion (max-overlap sweep over the records), the
     same no-coordinated-omission rule the latency stamps follow. *)
 
-val latency : t -> Mcr_util.Stats.hist
-(** Scheduled-arrival -> completion histogram (copy). *)
-
 val summary : t -> Mcr_util.Stats.hist_summary
-(** Tail summary of {!latency}. *)
+(** Tail summary of the scheduled-arrival -> completion histogram. *)
 
 val exact_percentile : t -> float -> int
 (** Exact percentile over the per-request records (no bucket error) —
@@ -91,5 +86,4 @@ val requests_json : t -> string
 val latency_metric : string
 (** The registry histogram name ([mcr_request_latency_ns]). *)
 
-val server : t -> Testbed.server
 val total : t -> int

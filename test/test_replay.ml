@@ -305,6 +305,31 @@ let test_pid_virtualization () =
     (Some (string_of_int old_pid))
     (K.fs_read kernel ~path:"/var/run/httpd.pid")
 
+(* A finished replay keeps its key, its reconstructed log and the
+   descriptors it touched; the recorded entries, their index and the
+   created-fd set go when the process reaches its first quiescent point.
+   Every vsftpd session forks a process whose replay finishes; the words
+   reachable from the replayer but not from the kernel, once every process
+   has exited, are what the finished states retain. *)
+let test_finished_replay_footprint () =
+  let module Testbed = Mcr_workloads.Testbed in
+  let kernel = K.create () in
+  Testbed.prepare_fs kernel Testbed.Vsftpd;
+  let root = P.image_of_proc_exn (Mcr_program.Loader.launch kernel (Testbed.base_version Testbed.Vsftpd)) in
+  let r = Replayer.start kernel root ~logs:[] ~inherited:[] in
+  let sessions = 40 in
+  ignore (Mcr_workloads.Ftp_bench.run kernel ~port:Mcr_servers.Vsftpd_sim.port ~users:sessions ~file:"big.bin" ());
+  List.iter (fun p -> K.kill_process kernel p ~status:0) (K.procs kernel);
+  let states = List.length (Replayer.pairs r) in
+  Alcotest.(check bool) "a state per session" true (states > sessions);
+  Alcotest.(check bool) "every replay finished" true
+    (List.for_all (fun (l : Logdefs.plog) -> l.Logdefs.closed) (Replayer.new_logs r));
+  let words = Obj.reachable_words (Obj.repr r) - Obj.reachable_words (Obj.repr kernel) in
+  let per_state = float_of_int words /. float_of_int states in
+  if per_state <= 0. then Alcotest.failf "%d words retained: the kernel still reaches the replayer" words;
+  if per_state > 80. then
+    Alcotest.failf "%.1f words retained per finished replay state, want at most 80" per_state
+
 let () =
   Alcotest.run "mcr_replay"
     [
@@ -330,5 +355,7 @@ let () =
           Alcotest.test_case "unsupported shm object" `Quick test_unsupported_shm_conflict;
           Alcotest.test_case "reconstructed log equivalence" `Quick
             test_reconstructed_log_equivalent_for_same_version;
+          Alcotest.test_case "a finished replay keeps only its log" `Quick
+            test_finished_replay_footprint;
         ] );
     ]

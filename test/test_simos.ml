@@ -1070,6 +1070,220 @@ let test_exited_process_footprint () =
       Alcotest.(check int) "nor any space" 0 (List.length (Aspace.regions (K.aspace b)))
   | _ -> Alcotest.fail "no clients"
 
+(* ------------------------------------------------------------------ *)
+(* A thread's first call, made before it has a fiber *)
+
+let spawn_first k name ~first_call main =
+  K.spawn_process k ~first_call ~image:(K.Fresh_image (Aspace.create ())) ~name ~entry:"main"
+    ~main ()
+
+(* Exactly one scheduling step (or none, when nothing is left to run). *)
+let step k =
+  let asked = ref false in
+  ignore
+    (K.run_until k (fun () ->
+         let again = !asked in
+         asked := true;
+         again))
+
+type fc_client = { fc_offset_ns : int; fc_rounds : int; fc_faulted : bool }
+
+(* What the monitors saw, in order: the thread, the call, its result or the
+   time it blocked, and the clock. *)
+type fc_event =
+  | Completed of int * S.call * S.result * int
+  | Unblocked of int * S.call * int * int
+
+(* A server that answers each connection after 50 us of work, and one
+   client per [fc_client] that arrives [fc_offset_ns] after the last
+   spawn (a negative offset arrives late: no sleep at all), then makes
+   [fc_rounds] request rounds. With [first], the pre-arrival sleep is the
+   client's first call; without, its body sleeps, as open-loop clients did
+   before there were first calls. A faulted client's first sleep is ended
+   at once by the fault hook. *)
+let fc_kernel ~first clients =
+  let k = fresh () in
+  let events = ref [] in
+  K.set_block_monitor k
+    (Some
+       (fun th call ~blocked_ns ->
+         events := Unblocked (K.tid th, call, blocked_ns, K.clock_ns k) :: !events));
+  let monitor th call r = events := Completed (K.tid th, call, r, K.clock_ns k) :: !events in
+  let _ =
+    spawn k "server" (fun _ ->
+        let fd = expect_fd (K.syscall S.Socket) in
+        ignore (K.syscall (S.Bind { fd; port = 80 }));
+        ignore (K.syscall (S.Listen { fd; backlog = 64 }));
+        while true do
+          let c = expect_fd (K.syscall (S.Accept { fd; nonblock = false })) in
+          ignore (K.syscall (S.Read { fd = c; max = 64; nonblock = false }));
+          ignore (K.syscall (S.Nanosleep { ns = 50_000 }));
+          ignore (K.syscall (S.Write { fd = c; data = "ok" }));
+          ignore (K.syscall (S.Close { fd = c }))
+        done)
+  in
+  let base = ref 0 in
+  let faulted = Hashtbl.create 8 in
+  K.set_fault_hook k
+    (Some
+       (fun th call ->
+         match call with
+         | S.Nanosleep _ when Hashtbl.mem faulted (K.tid th) ->
+             Hashtbl.remove faulted (K.tid th);
+             Some (S.Err S.EINTR)
+         | _ -> None));
+  let procs =
+    List.mapi
+      (fun i c ->
+        let sleep_ns () = !base + c.fc_offset_ns - K.clock_ns k in
+        let rounds _ =
+          for _ = 1 to c.fc_rounds do
+            let fd = connect_retry 80 in
+            ignore (K.syscall (S.Write { fd; data = "req" }));
+            ignore (K.syscall (S.Read { fd; max = 64; nonblock = false }));
+            ignore (K.syscall (S.Close { fd }));
+            ignore (K.syscall (S.Nanosleep { ns = 20_000 }))
+          done
+        in
+        let name = "client-" ^ string_of_int i in
+        let p =
+          if first then
+            spawn_first k name rounds ~first_call:(fun _ ->
+                let ns = sleep_ns () in
+                if ns > 0 then Some (S.Nanosleep { ns }) else None)
+          else
+            spawn k name (fun th ->
+                let ns = sleep_ns () in
+                if ns > 0 then ignore (K.syscall (S.Nanosleep { ns }));
+                rounds th)
+        in
+        if c.fc_faulted then Hashtbl.replace faulted (K.tid (List.hd (K.proc_threads p))) ();
+        K.set_monitor p (Some monitor);
+        p)
+      clients
+  in
+  base := K.clock_ns k;
+  (k, List.map (fun p -> List.hd (K.proc_threads p)) procs, events)
+
+let fc_client_gen =
+  QCheck.Gen.(
+    map3
+      (fun fc_offset_ns fc_rounds fc_faulted -> { fc_offset_ns; fc_rounds; fc_faulted })
+      (int_range (-2_000_000) 8_000_000)
+      (int_range 0 3)
+      (map (fun n -> n = 0) (int_bound 4)))
+
+let fc_print cs =
+  String.concat "; "
+    (List.map
+       (fun c -> Printf.sprintf "%d/%d%s" c.fc_offset_ns c.fc_rounds (if c.fc_faulted then "!" else ""))
+       cs)
+
+let prop_first_call_lockstep =
+  QCheck.Test.make ~name:"a first call runs as the body's first syscall would" ~count:200
+    (QCheck.make ~print:fc_print QCheck.Gen.(list_size (int_range 1 24) fc_client_gen))
+    (fun clients ->
+      let ka, ta, ea = fc_kernel ~first:false clients in
+      let kb, tb, eb = fc_kernel ~first:true clients in
+      let steps = ref 0 in
+      while not (K.quiescent_system ka && K.quiescent_system kb) do
+        step ka;
+        step kb;
+        incr steps;
+        if K.clock_ns ka <> K.clock_ns kb || K.idle_ns ka <> K.idle_ns kb then
+          QCheck.Test.fail_reportf "step %d: clock %d/%d idle %d/%d" !steps (K.clock_ns ka)
+            (K.clock_ns kb) (K.idle_ns ka) (K.idle_ns kb);
+        List.iter2
+          (fun a b ->
+            if K.blocked_in a <> K.blocked_in b || K.blocked_since a <> K.blocked_since b then
+              QCheck.Test.fail_reportf "step %d: thread %d blocks differently" !steps (K.tid a))
+          ta tb;
+        if !steps > 1_000_000 then QCheck.Test.fail_report "no end"
+      done;
+      if !ea <> !eb then QCheck.Test.fail_report "the monitors saw different events";
+      List.for_all (fun th -> not (K.thread_alive th)) tb)
+
+let test_first_call_exit_skips_body () =
+  let k = fresh () in
+  let ran = ref [] in
+  let body name _ = ran := name :: !ran in
+  let sleeper =
+    spawn_first k "sleeper" (body "sleeper") ~first_call:(fun _ ->
+        Some (S.Nanosleep { ns = 1_000_000 }))
+  in
+  let exiter =
+    spawn_first k "exiter" (body "exiter") ~first_call:(fun _ -> Some (S.Exit { status = 3 }))
+  in
+  K.run_for k 500_000;
+  let th = List.hd (K.proc_threads sleeper) in
+  Alcotest.(check bool) "asleep in its first call" true
+    (K.blocked_in th = Some (S.Nanosleep { ns = 1_000_000 }));
+  K.kill_process k sleeper ~status:9;
+  K.run k;
+  Alcotest.(check (list string)) "no body ran" [] !ran;
+  Alcotest.(check (option int)) "killed while asleep" (Some 9) (K.exit_status sleeper);
+  Alcotest.(check (option int)) "exited in its first call" (Some 3) (K.exit_status exiter);
+  Alcotest.(check bool) "the sleeper's thread is over" false (K.thread_alive th)
+
+let test_first_call_fault_same_instant () =
+  let run ~first =
+    let k = fresh () in
+    let seen = ref [] in
+    K.set_fault_hook k
+      (Some (fun _ call -> match call with S.Nanosleep _ -> Some (S.Err S.EINTR) | _ -> None));
+    let started = ref (-1) in
+    let body _ = started := K.clock_ns k in
+    let sleep = S.Nanosleep { ns = 1_000_000 } in
+    let p =
+      if first then spawn_first k "c" body ~first_call:(fun _ -> Some sleep)
+      else
+        spawn k "c" (fun th ->
+            ignore (K.syscall sleep);
+            body th)
+    in
+    K.set_monitor p (Some (fun _ call r -> seen := (call, r) :: !seen));
+    K.run k;
+    (!started, !seen)
+  in
+  let at_body, seen_body = run ~first:false and at_first, seen_first = run ~first:true in
+  Alcotest.(check int) "resumed at the same instant" at_body at_first;
+  Alcotest.(check bool) "before the sleep would have ended" true (at_first < 1_000_000);
+  Alcotest.(check bool) "the monitor saw the injected result" true
+    (seen_body = seen_first && seen_first = [ (S.Nanosleep { ns = 1_000_000 }, S.Err S.EINTR) ])
+
+(* Live words per client once every client sleeps in its first call, over
+   what the same clients held spawned and not yet run: the kernel's side of
+   the sleep (its waiter, timer and the body to start). A body that sleeps
+   needs a fiber for it, whose continuation and handlers stay live too, on
+   top of the stack the fiber holds outside the heap. *)
+let test_sleeping_client_words () =
+  let n = 2_000 in
+  let sleep = S.Nanosleep { ns = 1_000_000_000 } in
+  let words ~first =
+    let k = fresh () in
+    let procs =
+      List.init n (fun _ ->
+          if first then spawn_first k "client" ignore ~first_call:(fun _ -> Some sleep)
+          else spawn k "client" (fun _ -> ignore (K.syscall sleep)))
+    in
+    Gc.full_major ();
+    let spawned = (Gc.stat ()).Gc.live_words in
+    K.run_for k 100_000_000;
+    Gc.full_major ();
+    let asleep = (Gc.stat ()).Gc.live_words in
+    (* the kernel, and with it every sleep, is still live here *)
+    Alcotest.(check bool) "every client asleep" true
+      (List.for_all (fun p -> K.blocked_in (List.hd (K.proc_threads p)) = Some sleep) procs
+      && not (K.quiescent_system k));
+    float_of_int (asleep - spawned) /. float_of_int n
+  in
+  let in_body = words ~first:false and in_first_call = words ~first:true in
+  if in_first_call > 24. then
+    Alcotest.failf "%.1f live words per client asleep in its first call, want at most 24"
+      in_first_call;
+  if in_first_call >= in_body then
+    Alcotest.failf "asleep in its first call %.1f words, in its body %.1f" in_first_call in_body
+
 let () =
   Alcotest.run "mcr_simos"
     [
@@ -1163,5 +1377,15 @@ let () =
           Alcotest.test_case "charge vs charge_concurrent" `Quick
             test_charge_vs_charge_concurrent;
           Alcotest.test_case "callstack hash" `Quick test_callstack_id_matches_manual_hash;
+        ] );
+      ( "first-call",
+        [
+          QCheck_alcotest.to_alcotest prop_first_call_lockstep;
+          Alcotest.test_case "an exit during the first call skips the body" `Quick
+            test_first_call_exit_skips_body;
+          Alcotest.test_case "a faulted first call resumes at the same instant" `Quick
+            test_first_call_fault_same_instant;
+          Alcotest.test_case "a sleeping client costs at most 24 live words" `Quick
+            test_sleeping_client_words;
         ] );
     ]
