@@ -181,12 +181,7 @@ type image = Fresh_image of Aspace.t | Clone_image of proc
 
 type _ Effect.t += Sys : S.call -> S.result Effect.t
 
-(* What a completed call resumes: the fiber suspended in it, or, for a
-   thread's first call made before it had a fiber, its body, which starts
-   then. *)
-type resume =
-  | Fiber of (S.result, unit) Effect.Deep.continuation
-  | Start of t * thread * (thread -> unit)
+type resume = (S.result, unit) Effect.Deep.continuation
 
 let create ?(costs = Costs.default) () =
   {
@@ -539,13 +534,8 @@ let syscall call = Effect.perform (Sys call)
 (* Mutual recursion: starting threads needs the syscall handler, which can
    fork, which starts threads. *)
 
-let rec start_thread ?first_call t (th : thread) body =
-  schedule t (fun () ->
-      if th.t_proc.p_alive then
-        let first = match first_call with Some f -> f th | None -> None in
-        match first with
-        | Some call -> handle_syscall t th call (Start (t, th, body))
-        | None -> run_fiber t th body)
+let rec start_thread t (th : thread) body =
+  schedule t (fun () -> if th.t_proc.p_alive then run_fiber t th body)
 
 and run_fiber t th body =
   let open Effect.Deep in
@@ -553,7 +543,7 @@ and run_fiber t th body =
      leaves the call in [pending], and the runtime applies the handler to
      the continuation at once, before the fiber can perform again. *)
   let pending = ref S.Getpid in
-  let on_sys = Some (fun k -> handle_syscall t th !pending (Fiber k)) in
+  let on_sys = Some (fun (k : resume) -> handle_syscall t th !pending k) in
   match_with
     (fun () ->
       body th;
@@ -583,16 +573,12 @@ and run_fiber t th body =
           | _ -> None);
     }
 
-(* The job that resumes a thread with [r]. A fiber's job captures only its
-   continuation and [r], as a job that continued it directly would. *)
-and resume k r =
-  match k with
-  | Fiber k -> fun () -> Effect.Deep.continue k r
-  | Start (t, th, body) -> fun () -> run_fiber t th body
+and resume k r () = Effect.Deep.continue k r
 
-and make_thread t p ~name =
-  let th = { t_tid = t.next_tid; t_name = name; t_proc = p; t_state = Running; t_stack = []; t_result_map = None; t_call_report = None; t_blocked_since = 0 } in
-  t.next_tid <- t.next_tid + 1;
+(* A reserved [tid] ({!spawn_at}) is below [next_tid]. *)
+and make_thread t ?(tid = t.next_tid) p ~name =
+  if tid = t.next_tid then t.next_tid <- tid + 1;
+  let th = { t_tid = tid; t_name = name; t_proc = p; t_state = Running; t_stack = []; t_result_map = None; t_call_report = None; t_blocked_since = 0 } in
   p.p_threads <- th :: p.p_threads;
   th
 
@@ -603,9 +589,10 @@ and spawn_thread t p ~name body =
   th
 
 (* The one constructor of a process. [creation_cs] is the call-stack id of
-   the thread whose [Fork] creates it; [spawn_process] passes 0. *)
-and new_process t ?parent ?force_pid ?first_call ~creation_cs ~image ~name ~entry ~main () =
-  charge t t.costs.Costs.spawn_ns;
+   the thread whose [Fork] creates it; [spawn_process] passes 0. A [tid]
+   reserved by {!spawn_at} was paid for there; [now] runs [main] at once. *)
+and new_process t ?parent ?force_pid ?tid ?(now = false) ~creation_cs ~image ~name ~entry ~main () =
+  if tid = None then charge t t.costs.Costs.spawn_ns;
   let pid =
     match force_pid with
     | Some pid ->
@@ -650,8 +637,8 @@ and new_process t ?parent ?force_pid ?first_call ~creation_cs ~image ~name ~entr
   in
   register t p;
   (match t.spawn_hook with Some h -> h p | None -> ());
-  let th = make_thread t p ~name:entry in
-  start_thread ?first_call t th main;
+  let th = make_thread t ?tid p ~name:entry in
+  if now then run_fiber t th main else start_thread t th main;
   p
 
 and resolve_entry p entry = match p.p_resolver with Some resolve -> resolve entry | None -> None
@@ -1014,8 +1001,27 @@ and execute_call t th call (k : resume) =
           ret (S.Ok_len id)
     end
 
-let spawn_process t ?parent ?force_pid ?first_call ~image ~name ~entry ~main () =
-  new_process t ?parent ?force_pid ?first_call ~creation_cs:0 ~image ~name ~entry ~main ()
+let spawn_process t ?parent ?force_pid ~image ~name ~entry ~main () =
+  new_process t ?parent ?force_pid ~creation_cs:0 ~image ~name ~entry ~main ()
+
+(* The pid and tid are taken and the spawn paid now; the first dispatch
+   pays the sleep's one syscall and arms its timer, as a body whose first
+   call slept until [arrival] would; the process exists from then on. *)
+let spawn_at t ~arrival ~name ~entry ~main () =
+  charge t t.costs.Costs.spawn_ns;
+  let pid = t.next_pid and tid = t.next_tid in
+  t.next_pid <- pid + 1;
+  t.next_tid <- tid + 1;
+  let start now () =
+    ignore (new_process t ~force_pid:pid ~tid ~now ~creation_cs:0 ~image:(Fresh_image (Aspace.create ())) ~name ~entry ~main ()) in
+  schedule t (fun () ->
+      let ns = arrival pid - t.clock in
+      if ns <= 0 then start true ()
+      else begin
+        charge t t.costs.Costs.syscall_ns;
+        add_timer t ~at:(t.clock + ns) (start false)
+      end);
+  pid
 
 let set_spawn_hook t h = t.spawn_hook <- h
 let set_exit_hook t h = t.exit_hook <- h

@@ -60,7 +60,6 @@ val spawn_process :
   t ->
   ?parent:proc ->
   ?force_pid:int ->
-  ?first_call:(thread -> Sysdefs.call option) ->
   image:image ->
   name:string ->
   entry:string ->
@@ -77,16 +76,19 @@ val spawn_process :
     ["parent:entry"]; only a forked child records a creation call stack
     ({!creation_callstack}). [force_pid] implements pid-namespace forcing;
     @raise Invalid_argument if the pid is taken. The process starts
-    runnable.
+    runnable. *)
 
-    [first_call], when given, is evaluated when the initial thread is first
-    dispatched (it must not raise). [Some call] issues [call] as the
-    thread's first system call before [main] has a fiber: it is charged,
-    intercepted, fault-hooked, monitored and may block exactly as if [main]
-    had made it, its result is discarded, and [main] starts when it
-    completes, in the scheduling step that would have resumed it. A thread
-    sleeping in that call holds no fiber or continuation. [None] starts
-    [main] at once. *)
+val spawn_at :
+  t -> arrival:(int -> int) -> name:string -> entry:string -> main:(thread -> unit) -> unit -> int
+(** A deferred start: runs as a fresh-image {!spawn_process} whose [main]
+    first sleeps until [arrival pid] if that is still ahead, but the
+    process exists only from its arrival. The spawn is charged and the pid
+    (returned) and tid taken now; [arrival] is read at the first dispatch
+    (it must not raise), where a passed arrival builds the process and
+    runs [main] at once, and a later one costs the sleep's syscall and
+    arms its timer, which builds the process (running the spawn hook) and
+    starts [main] in the next step. Until built it is in neither {!procs}
+    nor {!find_proc}, and no hook, monitor or fault sees the sleep. *)
 
 val set_entry_resolver : proc -> (string -> (thread -> unit) option) -> unit
 (** How [Fork]/[Thread_create] syscalls resolve their [entry] names. The
@@ -102,7 +104,9 @@ val aspace : proc -> Mcr_vmem.Aspace.t
 val alive : proc -> bool
 val exit_status : proc -> int option
 val procs : t -> proc list
-(** All processes ever created, in creation order. *)
+(** All processes ever built, in the order they were built. A process of
+    {!spawn_at} is built at its arrival, so pids need not increase along
+    the list. *)
 
 val find_proc : t -> int -> proc option
 (** The process with that pid, exited ones included. Constant time.

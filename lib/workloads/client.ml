@@ -4,11 +4,8 @@ module K = Mcr_simos.Kernel
 module S = Mcr_simos.Sysdefs
 module Aspace = Mcr_vmem.Aspace
 
-(* [first_call] as in [Kernel.spawn_process]: the thread's first call,
-   issued before [body] has a fiber. *)
-let spawn kernel ?first_call name body =
-  K.spawn_process kernel ?first_call ~image:(K.Fresh_image (Aspace.create ())) ~name
-    ~entry:"main" ~main:body ()
+let spawn kernel name body =
+  K.spawn_process kernel ~image:(K.Fresh_image (Aspace.create ())) ~name ~entry:"main" ~main:body ()
 
 let connect ?(attempts = 500) port =
   let rec go n =

@@ -9,13 +9,12 @@
    schedule, so a 40 ms update window is charged to every request whose
    arrival it delayed.
 
-   All client processes are pre-spawned before the run starts (spawning
-   costs virtual time; paying it at arrival time would serialize the
-   arrival process) and each sleeps until its scheduled arrival. That
-   sleep is the client thread's first call ([Kernel.spawn_process
-   ?first_call]), made before the thread has a fiber: a client that has
-   not arrived yet holds no fiber and no continuation, only its process,
-   its thread and its timer. *)
+   Every client is spawned before the run starts (spawning costs virtual
+   time; paying it at arrival time would serialize the arrival process)
+   and sleeps until its scheduled arrival, as one deferred start
+   ([Kernel.spawn_at]): its process is built only at the arrival, so a
+   client that has not arrived holds its pid and tid, its timer and the
+   job that arms it, and nothing of a process. *)
 
 module K = Mcr_simos.Kernel
 module S = Mcr_simos.Sysdefs
@@ -49,7 +48,7 @@ type t = {
   records : record option array;
   offsets : int array;
   base : int ref;  (* absolute schedule origin, set once spawning is done *)
-  exits : Client.exits;
+  finished : int ref;  (* clients whose body has returned or raised *)
 }
 
 (* Seeded exponential inter-arrivals; same seed, same schedule. *)
@@ -140,7 +139,7 @@ let start kernel ~server ?(seed = 1) ?metrics ?trace ~rate ~requests () =
       records = Array.make requests None;
       offsets;
       base;
-      exits = Client.exits [];
+      finished = ref 0;
     }
   in
   let span_name =
@@ -150,18 +149,13 @@ let start kernel ~server ?(seed = 1) ?metrics ?trace ~rate ~requests () =
     | Testbed.Sshd -> "request.ssh"
   in
   (* Clients are spawned one after another, so client [i] has pid
-     [first_pid + i]: one body and one first call serve them all, and a
+     [first_pid + i]: one body and one arrival serve them all, and a
      client carries no closure of its own. *)
   let first_pid = ref 0 in
   let index th = K.pid (K.thread_proc th) - !first_pid in
   let scheduled_ns i = !base + offsets.(i) in
-  (* The pre-arrival sleep is the thread's first call, made before the
-     client has a fiber, so a client that has not arrived holds none. *)
-  let first_call th =
-    let ns = scheduled_ns (index th) - K.clock_ns kernel in
-    if ns > 0 then Some (S.Nanosleep { ns }) else None
-  in
-  let body th =
+  let arrival pid = scheduled_ns (pid - !first_pid) in
+  let request th =
     let i = index th in
     let scheduled = scheduled_ns i in
     incr t.issued;
@@ -230,17 +224,16 @@ let start kernel ~server ?(seed = 1) ?metrics ?trace ~rate ~requests () =
           rq_ok = ok;
         }
   in
-  let procs =
-    List.init requests (fun i ->
-        let p = Client.spawn kernel ~first_call ("load-" ^ string_of_int i) body in
-        if i = 0 then first_pid := K.pid p;
-        assert (K.pid p = !first_pid + i);
-        p)
-  in
+  let main th = Fun.protect ~finally:(fun () -> incr t.finished) (fun () -> request th) in
+  for i = 0 to requests - 1 do
+    let pid = K.spawn_at kernel ~arrival ~name:("load-" ^ string_of_int i) ~entry:"main" ~main () in
+    if i = 0 then first_pid := pid;
+    assert (pid = !first_pid + i)
+  done;
   base := K.clock_ns kernel;
-  { t with exits = Client.exits procs }
+  t
 
-let drive ?max_s t = ignore (Client.drive ?max_s t.kernel (fun () -> Client.all_exited t.exits))
+let drive ?max_s t = ignore (Client.drive ?max_s t.kernel (fun () -> !(t.finished) = t.total))
 
 let issued t = !(t.issued)
 let completed t = !(t.completed)

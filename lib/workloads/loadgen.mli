@@ -7,14 +7,13 @@
     arrival — so an update window is charged to every request it delayed,
     which is what a client fleet actually observes at p99/p99.9.
 
-    All client processes are pre-spawned (spawning costs virtual time)
-    and sleep until their scheduled arrival, the sleep being each client
-    thread's first call, made before it has a fiber; the driver sustains
-    10k+ concurrent in-flight requests on the virtual clock. Each request
-    is stamped submit / first-byte / complete in its {!record}, and its
-    latency goes into an HDR-style log-bucketed histogram
-    ({!Mcr_util.Stats.log_ns_bounds}), optionally mirrored into
-    a metrics registry as [mcr_request_latency_ns] (plus
+    All clients are pre-spawned (spawning costs virtual time) as deferred
+    starts ({!Mcr_simos.Kernel.spawn_at}), each a process only from its
+    scheduled arrival; the driver sustains 10k+ concurrent in-flight
+    requests on the virtual clock. Each request is stamped submit /
+    first-byte / complete in its {!record}, and its latency goes into an
+    HDR-style log-bucketed histogram ({!Mcr_util.Stats.log_ns_bounds}),
+    optionally mirrored into a metrics registry as [mcr_request_latency_ns] (plus
     [mcr_requests_issued/completed/errored_total] and the
     [mcr_requests_in_flight] gauge) and emitted as [request.*] trace
     spans (category ["request"]).
@@ -51,8 +50,8 @@ val start :
     sink so request spans don't evict update-pipeline spans. *)
 
 val drive : ?max_s:int -> t -> unit
-(** Run the kernel until every client process has exited (bounded by
-    [max_s] virtual seconds, default 3600). *)
+(** Run the kernel until every client's body has returned or raised
+    (bounded by [max_s] virtual seconds, default 3600). *)
 
 val issued : t -> int
 val completed : t -> int

@@ -345,6 +345,68 @@ let test_fleet_client_latency_merge () =
   Alcotest.(check bool) "status_text surfaces client latency" true
     (contains status "client latency:")
 
+(* ------------------------------------------------------------------ *)
+(* Clients that have not arrived *)
+
+(* Live words per client from before [Loadgen.start], once every client
+   has been spawned and again once each has had its first dispatch and
+   sleeps toward its arrival (a process spawned after them has run, so
+   every dispatch has): a client that has not arrived is no process yet. *)
+let test_unarrived_client_words () =
+  let n = 2_000 in
+  let kernel = K.create () in
+  let words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let before = words () in
+  let lg = Loadgen.start kernel ~server:Testbed.Nginx ~seed:1 ~rate:1 ~requests:n () in
+  let spawned = words () in
+  let probe =
+    K.spawn_process kernel ~image:(K.Fresh_image (Mcr_vmem.Aspace.create ())) ~name:"probe"
+      ~entry:"main" ~main:ignore ()
+  in
+  K.run_for kernel 100_000_000;
+  let asleep = words () in
+  Alcotest.(check bool) "every client dispatched, none arrived" true
+    (K.exit_status probe = Some 0 && Loadgen.issued lg = 0
+    && List.map K.pid (K.procs kernel) = [ K.pid probe ]
+    && not (K.quiescent_system kernel));
+  let per w = float_of_int (w - before) /. float_of_int n in
+  if per spawned > 28. || per asleep > 28. then
+    Alcotest.failf "%.1f live words per client spawned, %.1f asleep; want at most 28"
+      (per spawned) (per asleep)
+
+(* A client whose body raises (here, in the trace sink's clock) counts as
+   finished: [drive] returns once the last client is done, although a
+   ticking process would keep the kernel running to the horizon. *)
+let test_drive_with_raising_body () =
+  let kernel = K.create () in
+  let _m = Testbed.launch kernel Testbed.Nginx in
+  let _ticker =
+    K.spawn_process kernel ~image:(K.Fresh_image (Mcr_vmem.Aspace.create ())) ~name:"ticker"
+      ~entry:"main"
+      ~main:(fun _ ->
+        while true do
+          ignore (K.syscall (Mcr_simos.Sysdefs.Nanosleep { ns = 1_000_000 }))
+        done)
+      ()
+  in
+  let trace = Mcr_obs.Trace.create ~clock:(fun () -> failwith "trace clock") () in
+  let requests = 40 in
+  let lg = Loadgen.start kernel ~server:Testbed.Nginx ~trace ~rate:20_000 ~requests () in
+  let start = K.clock_ns kernel in
+  Loadgen.drive ~max_s:60 lg;
+  let clients =
+    List.filter (fun p -> String.starts_with ~prefix:"load-" (K.proc_name p)) (K.procs kernel)
+  in
+  Alcotest.(check int) "every client issued" requests (Loadgen.issued lg);
+  Alcotest.(check (list (option int))) "every client crashed in its body"
+    (List.init requests (fun _ -> Some 139))
+    (List.map K.exit_status clients);
+  Alcotest.(check bool) "drive returned at the last exit, not at its horizon" true
+    (K.clock_ns kernel - start < 1_000_000_000)
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "mcr_latency"
@@ -353,6 +415,10 @@ let () =
         [
           Alcotest.test_case "poisson determinism" `Quick test_poisson_determinism;
           qt prop_conservation;
+          Alcotest.test_case "an unarrived client costs at most 28 words" `Quick
+            test_unarrived_client_words;
+          Alcotest.test_case "drive completes when a body raises" `Quick
+            test_drive_with_raising_body;
         ] );
       ( "client-impact",
         [

@@ -1071,11 +1071,9 @@ let test_exited_process_footprint () =
   | _ -> Alcotest.fail "no clients"
 
 (* ------------------------------------------------------------------ *)
-(* A thread's first call, made before it has a fiber *)
+(* Deferred starts: a process that exists only from its arrival *)
 
-let spawn_first k name ~first_call main =
-  K.spawn_process k ~first_call ~image:(K.Fresh_image (Aspace.create ())) ~name ~entry:"main"
-    ~main ()
+let spawn_at k name ~arrival main = K.spawn_at k ~arrival ~name ~entry:"main" ~main ()
 
 (* Exactly one scheduling step (or none, when nothing is left to run). *)
 let step k =
@@ -1086,30 +1084,33 @@ let step k =
          asked := true;
          again))
 
-type fc_client = { fc_offset_ns : int; fc_rounds : int; fc_faulted : bool }
+type dc_client = { dc_offset_ns : int; dc_rounds : int }
 
 (* What the monitors saw, in order: the thread, the call, its result or the
    time it blocked, and the clock. *)
-type fc_event =
+type dc_event =
   | Completed of int * S.call * S.result * int
   | Unblocked of int * S.call * int * int
 
 (* A server that answers each connection after 50 us of work, and one
-   client per [fc_client] that arrives [fc_offset_ns] after the last
-   spawn (a negative offset arrives late: no sleep at all), then makes
-   [fc_rounds] request rounds. With [first], the pre-arrival sleep is the
-   client's first call; without, its body sleeps, as open-loop clients did
-   before there were first calls. A faulted client's first sleep is ended
-   at once by the fault hook. *)
-let fc_kernel ~first clients =
+   client per [dc_client] that arrives [dc_offset_ns] after the last
+   spawn (a negative offset has passed by its first dispatch), then makes
+   [dc_rounds] request rounds. With [deferred], a client is a
+   [K.spawn_at] start; without, a process whose body first sleeps until
+   its arrival. The spawn hook sets the monitors, which keep the events
+   of the server and of clients whose body has started. Returns the
+   kernel, each client's pid, its thread once its body has started, and
+   the events. *)
+let dc_kernel ~deferred clients =
   let k = fresh () in
   let events = ref [] in
+  let arrived = Hashtbl.create 8 in
+  let note th e = if Hashtbl.mem arrived (K.tid th) then events := e :: !events in
   K.set_block_monitor k
-    (Some
-       (fun th call ~blocked_ns ->
-         events := Unblocked (K.tid th, call, blocked_ns, K.clock_ns k) :: !events));
-  let monitor th call r = events := Completed (K.tid th, call, r, K.clock_ns k) :: !events in
-  let _ =
+    (Some (fun th call ~blocked_ns -> note th (Unblocked (K.tid th, call, blocked_ns, K.clock_ns k))));
+  let monitor th call r = note th (Completed (K.tid th, call, r, K.clock_ns k)) in
+  K.set_spawn_hook k (Some (fun p -> K.set_monitor p (Some monitor)));
+  let server =
     spawn k "server" (fun _ ->
         let fd = expect_fd (K.syscall S.Socket) in
         ignore (K.syscall (S.Bind { fd; port = 80 }));
@@ -1122,22 +1123,17 @@ let fc_kernel ~first clients =
           ignore (K.syscall (S.Close { fd = c }))
         done)
   in
+  Hashtbl.replace arrived (K.tid (List.hd (K.proc_threads server))) ();
   let base = ref 0 in
-  let faulted = Hashtbl.create 8 in
-  K.set_fault_hook k
-    (Some
-       (fun th call ->
-         match call with
-         | S.Nanosleep _ when Hashtbl.mem faulted (K.tid th) ->
-             Hashtbl.remove faulted (K.tid th);
-             Some (S.Err S.EINTR)
-         | _ -> None));
-  let procs =
+  let threads = Array.make (List.length clients) None in
+  let pids =
     List.mapi
       (fun i c ->
-        let sleep_ns () = !base + c.fc_offset_ns - K.clock_ns k in
-        let rounds _ =
-          for _ = 1 to c.fc_rounds do
+        let arrival _ = !base + c.dc_offset_ns in
+        let rounds th =
+          Hashtbl.replace arrived (K.tid th) ();
+          threads.(i) <- Some th;
+          for _ = 1 to c.dc_rounds do
             let fd = connect_retry 80 in
             ignore (K.syscall (S.Write { fd; data = "req" }));
             ignore (K.syscall (S.Read { fd; max = 64; nonblock = false }));
@@ -1146,45 +1142,35 @@ let fc_kernel ~first clients =
           done
         in
         let name = "client-" ^ string_of_int i in
-        let p =
-          if first then
-            spawn_first k name rounds ~first_call:(fun _ ->
-                let ns = sleep_ns () in
-                if ns > 0 then Some (S.Nanosleep { ns }) else None)
-          else
-            spawn k name (fun th ->
-                let ns = sleep_ns () in
-                if ns > 0 then ignore (K.syscall (S.Nanosleep { ns }));
-                rounds th)
-        in
-        if c.fc_faulted then Hashtbl.replace faulted (K.tid (List.hd (K.proc_threads p))) ();
-        K.set_monitor p (Some monitor);
-        p)
+        if deferred then spawn_at k name ~arrival rounds
+        else
+          K.pid
+            (spawn k name (fun th ->
+                 let ns = arrival 0 - K.clock_ns k in
+                 if ns > 0 then ignore (K.syscall (S.Nanosleep { ns }));
+                 rounds th)))
       clients
   in
   base := K.clock_ns k;
-  (k, List.map (fun p -> List.hd (K.proc_threads p)) procs, events)
+  (k, pids, threads, events)
 
-let fc_client_gen =
+let dc_client_gen =
   QCheck.Gen.(
-    map3
-      (fun fc_offset_ns fc_rounds fc_faulted -> { fc_offset_ns; fc_rounds; fc_faulted })
+    map2
+      (fun dc_offset_ns dc_rounds -> { dc_offset_ns; dc_rounds })
       (int_range (-2_000_000) 8_000_000)
-      (int_range 0 3)
-      (map (fun n -> n = 0) (int_bound 4)))
+      (int_range 0 3))
 
-let fc_print cs =
-  String.concat "; "
-    (List.map
-       (fun c -> Printf.sprintf "%d/%d%s" c.fc_offset_ns c.fc_rounds (if c.fc_faulted then "!" else ""))
-       cs)
+let dc_print cs =
+  String.concat "; " (List.map (fun c -> Printf.sprintf "%d/%d" c.dc_offset_ns c.dc_rounds) cs)
 
-let prop_first_call_lockstep =
-  QCheck.Test.make ~name:"a first call runs as the body's first syscall would" ~count:200
-    (QCheck.make ~print:fc_print QCheck.Gen.(list_size (int_range 1 24) fc_client_gen))
+let prop_deferred_lockstep =
+  QCheck.Test.make ~name:"a deferred start runs as a body that sleeps first" ~count:200
+    (QCheck.make ~print:dc_print QCheck.Gen.(list_size (int_range 1 24) dc_client_gen))
     (fun clients ->
-      let ka, ta, ea = fc_kernel ~first:false clients in
-      let kb, tb, eb = fc_kernel ~first:true clients in
+      let ka, pa, ta, ea = dc_kernel ~deferred:false clients in
+      let kb, pb, tb, eb = dc_kernel ~deferred:true clients in
+      if pa <> pb then QCheck.Test.fail_report "the clients have different pids";
       let steps = ref 0 in
       while not (K.quiescent_system ka && K.quiescent_system kb) do
         step ka;
@@ -1193,96 +1179,62 @@ let prop_first_call_lockstep =
         if K.clock_ns ka <> K.clock_ns kb || K.idle_ns ka <> K.idle_ns kb then
           QCheck.Test.fail_reportf "step %d: clock %d/%d idle %d/%d" !steps (K.clock_ns ka)
             (K.clock_ns kb) (K.idle_ns ka) (K.idle_ns kb);
-        List.iter2
-          (fun a b ->
-            if K.blocked_in a <> K.blocked_in b || K.blocked_since a <> K.blocked_since b then
-              QCheck.Test.fail_reportf "step %d: thread %d blocks differently" !steps (K.tid a))
-          ta tb;
+        Array.iteri
+          (fun i a ->
+            match (a, tb.(i)) with
+            | None, None -> ()
+            | Some a, Some b ->
+                if K.tid a <> K.tid b || K.pid (K.thread_proc a) <> K.pid (K.thread_proc b) then
+                  QCheck.Test.fail_reportf "client %d: tid %d/%d" i (K.tid a) (K.tid b);
+                if K.blocked_in a <> K.blocked_in b || K.blocked_since a <> K.blocked_since b then
+                  QCheck.Test.fail_reportf "step %d: client %d blocks differently" !steps i
+            | Some _, None | None, Some _ ->
+                QCheck.Test.fail_reportf "step %d: client %d arrives in one kernel only" !steps i)
+          ta;
         if !steps > 1_000_000 then QCheck.Test.fail_report "no end"
       done;
       if !ea <> !eb then QCheck.Test.fail_report "the monitors saw different events";
-      List.for_all (fun th -> not (K.thread_alive th)) tb)
+      Array.for_all (function Some th -> not (K.thread_alive th) | None -> false) tb)
 
-let test_first_call_exit_skips_body () =
+(* A client whose arrival has passed at its first dispatch starts its body
+   in that step, with no sleep charged; one that has not arrived is in no
+   process list until its sleep ends, and the spawn hook meets it then. *)
+let test_deferred_late_arrival () =
   let k = fresh () in
-  let ran = ref [] in
-  let body name _ = ran := name :: !ran in
-  let sleeper =
-    spawn_first k "sleeper" (body "sleeper") ~first_call:(fun _ ->
-        Some (S.Nanosleep { ns = 1_000_000 }))
-  in
-  let exiter =
-    spawn_first k "exiter" (body "exiter") ~first_call:(fun _ -> Some (S.Exit { status = 3 }))
-  in
-  K.run_for k 500_000;
-  let th = List.hd (K.proc_threads sleeper) in
-  Alcotest.(check bool) "asleep in its first call" true
-    (K.blocked_in th = Some (S.Nanosleep { ns = 1_000_000 }));
-  K.kill_process k sleeper ~status:9;
+  let costs = K.costs k in
+  let started = ref [] in
+  let hooked = ref [] in
+  K.set_spawn_hook k (Some (fun p -> hooked := (K.pid p, K.clock_ns k) :: !hooked));
+  let main th = started := (K.tid th, K.clock_ns k) :: !started in
+  let late = spawn_at k "late" ~arrival:(fun _ -> 0) main in
+  let on_time = spawn_at k "on-time" ~arrival:(fun _ -> 5_000_000) main in
+  let spawned = K.clock_ns k in
+  Alcotest.(check int) "each spawn charged once" (2 * costs.Costs.spawn_ns) spawned;
+  Alcotest.(check (list int)) "pids in spawn order" [ late + 1 ] [ on_time ];
+  Alcotest.(check bool) "nothing built before the first dispatch" true
+    (K.procs k = [] && K.find_proc k late = None && !hooked = []);
+  step k;
+  let at_body = spawned + costs.Costs.switch_ns in
+  Alcotest.(check (list (pair int int))) "the late body ran at its dispatch" [ (1, at_body) ]
+    !started;
+  Alcotest.(check (list int)) "only the late client is built" [ late ] (List.map K.pid (K.procs k));
+  Alcotest.(check bool) "late client exited" true
+    (match K.find_proc k late with Some p -> K.exit_status p = Some 0 | None -> false);
+  step k;
+  Alcotest.(check int) "the on-time dispatch charges its one syscall"
+    (at_body + costs.Costs.switch_ns + costs.Costs.syscall_ns)
+    (K.clock_ns k);
+  Alcotest.(check bool) "and builds nothing" true (K.find_proc k on_time = None);
   K.run k;
-  Alcotest.(check (list string)) "no body ran" [] !ran;
-  Alcotest.(check (option int)) "killed while asleep" (Some 9) (K.exit_status sleeper);
-  Alcotest.(check (option int)) "exited in its first call" (Some 3) (K.exit_status exiter);
-  Alcotest.(check bool) "the sleeper's thread is over" false (K.thread_alive th)
-
-let test_first_call_fault_same_instant () =
-  let run ~first =
-    let k = fresh () in
-    let seen = ref [] in
-    K.set_fault_hook k
-      (Some (fun _ call -> match call with S.Nanosleep _ -> Some (S.Err S.EINTR) | _ -> None));
-    let started = ref (-1) in
-    let body _ = started := K.clock_ns k in
-    let sleep = S.Nanosleep { ns = 1_000_000 } in
-    let p =
-      if first then spawn_first k "c" body ~first_call:(fun _ -> Some sleep)
-      else
-        spawn k "c" (fun th ->
-            ignore (K.syscall sleep);
-            body th)
-    in
-    K.set_monitor p (Some (fun _ call r -> seen := (call, r) :: !seen));
-    K.run k;
-    (!started, !seen)
-  in
-  let at_body, seen_body = run ~first:false and at_first, seen_first = run ~first:true in
-  Alcotest.(check int) "resumed at the same instant" at_body at_first;
-  Alcotest.(check bool) "before the sleep would have ended" true (at_first < 1_000_000);
-  Alcotest.(check bool) "the monitor saw the injected result" true
-    (seen_body = seen_first && seen_first = [ (S.Nanosleep { ns = 1_000_000 }, S.Err S.EINTR) ])
-
-(* Live words per client once every client sleeps in its first call, over
-   what the same clients held spawned and not yet run: the kernel's side of
-   the sleep (its waiter, timer and the body to start). A body that sleeps
-   needs a fiber for it, whose continuation and handlers stay live too, on
-   top of the stack the fiber holds outside the heap. *)
-let test_sleeping_client_words () =
-  let n = 2_000 in
-  let sleep = S.Nanosleep { ns = 1_000_000_000 } in
-  let words ~first =
-    let k = fresh () in
-    let procs =
-      List.init n (fun _ ->
-          if first then spawn_first k "client" ignore ~first_call:(fun _ -> Some sleep)
-          else spawn k "client" (fun _ -> ignore (K.syscall sleep)))
-    in
-    Gc.full_major ();
-    let spawned = (Gc.stat ()).Gc.live_words in
-    K.run_for k 100_000_000;
-    Gc.full_major ();
-    let asleep = (Gc.stat ()).Gc.live_words in
-    (* the kernel, and with it every sleep, is still live here *)
-    Alcotest.(check bool) "every client asleep" true
-      (List.for_all (fun p -> K.blocked_in (List.hd (K.proc_threads p)) = Some sleep) procs
-      && not (K.quiescent_system k));
-    float_of_int (asleep - spawned) /. float_of_int n
-  in
-  let in_body = words ~first:false and in_first_call = words ~first:true in
-  if in_first_call > 24. then
-    Alcotest.failf "%.1f live words per client asleep in its first call, want at most 24"
-      in_first_call;
-  if in_first_call >= in_body then
-    Alcotest.failf "asleep in its first call %.1f words, in its body %.1f" in_first_call in_body
+  let woke = 5_000_000 + costs.Costs.syscall_ns in
+  Alcotest.(check (list (pair int int))) "built at the end of its sleep"
+    [ (on_time, woke); (late, spawned + costs.Costs.switch_ns) ]
+    !hooked;
+  Alcotest.(check (list (pair int int))) "its body ran in the next step"
+    [ (2, woke + costs.Costs.switch_ns); (1, at_body) ]
+    !started;
+  Alcotest.(check (list int)) "procs in the order they were built" [ late; on_time ]
+    (List.map K.pid (K.procs k))
 
 let () =
   Alcotest.run "mcr_simos"
@@ -1378,14 +1330,10 @@ let () =
             test_charge_vs_charge_concurrent;
           Alcotest.test_case "callstack hash" `Quick test_callstack_id_matches_manual_hash;
         ] );
-      ( "first-call",
+      ( "deferred-start",
         [
-          QCheck_alcotest.to_alcotest prop_first_call_lockstep;
-          Alcotest.test_case "an exit during the first call skips the body" `Quick
-            test_first_call_exit_skips_body;
-          Alcotest.test_case "a faulted first call resumes at the same instant" `Quick
-            test_first_call_fault_same_instant;
-          Alcotest.test_case "a sleeping client costs at most 24 live words" `Quick
-            test_sleeping_client_words;
+          QCheck_alcotest.to_alcotest prop_deferred_lockstep;
+          Alcotest.test_case "a late arrival starts at its first dispatch" `Quick
+            test_deferred_late_arrival;
         ] );
     ]
