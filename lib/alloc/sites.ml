@@ -12,12 +12,14 @@ type t = {
 
 let create () = { next = 1; by_id = Hashtbl.create 32; by_label = Hashtbl.create 32 }
 
+(* A hit allocates nothing: no option, and no new site unless the type
+   changed. *)
 let register t ~label ~ty_id =
-  match Hashtbl.find_opt t.by_label label with
-  | Some id ->
-      Hashtbl.replace t.by_id id { id; label; ty_id };
+  match Hashtbl.find t.by_label label with
+  | id ->
+      if (Hashtbl.find t.by_id id).ty_id <> ty_id then Hashtbl.replace t.by_id id { id; label; ty_id };
       id
-  | None ->
+  | exception Not_found ->
       let id = t.next in
       t.next <- id + 1;
       Hashtbl.replace t.by_id id { id; label; ty_id };

@@ -19,7 +19,7 @@ val create : unit -> t
 val register : t -> label:string -> ty_id:int -> int
 (** Assigns (or returns the existing) site id for [label]. Re-registering
     with a new [ty_id] updates the type (an update changed the allocation's
-    type). *)
+    type); with the same one it changes and allocates nothing. *)
 
 val find : t -> int -> site
 (** @raise Not_found. *)

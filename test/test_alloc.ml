@@ -463,6 +463,25 @@ let test_sites_update_changes_type () =
   Alcotest.(check int) "id stable across update" id id';
   Alcotest.(check int) "type updated" 2 (Sites.find t id).Sites.ty_id
 
+(* Every [Api.malloc] registers its site, so a repeated registration must
+   leave the registry as it was, the site record included, and allocate
+   nothing. *)
+let test_sites_repeat_is_a_no_op () =
+  let t = Sites.create () in
+  let id = Sites.register t ~label:"handle_event:node" ~ty_id:5 in
+  let other = Sites.register t ~label:"server_init:conf" ~ty_id:4 in
+  let site = Sites.find t id in
+  let words = Gc.minor_words () in
+  for _ = 1 to 1_000 do
+    ignore (Sites.register t ~label:"handle_event:node" ~ty_id:5)
+  done;
+  let allocated = Gc.minor_words () -. words in
+  Alcotest.(check int) "same id" id (Sites.register t ~label:"handle_event:node" ~ty_id:5);
+  Alcotest.(check int) "count unchanged" 2 (Sites.count t);
+  Alcotest.(check bool) "the same site record" true (Sites.find t id == site);
+  Alcotest.(check int) "the other site untouched" 4 (Sites.find t other).Sites.ty_id;
+  if allocated > 100. then Alcotest.failf "1000 repeated registrations allocated %.0f words" allocated
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "mcr_alloc"
@@ -537,5 +556,7 @@ let () =
         [
           Alcotest.test_case "stable ids" `Quick test_sites_stable_ids;
           Alcotest.test_case "update changes type" `Quick test_sites_update_changes_type;
+          Alcotest.test_case "a repeated registration is a no-op" `Quick
+            test_sites_repeat_is_a_no_op;
         ] );
     ]
