@@ -114,7 +114,11 @@ let shrink_ftp_payload kernel server =
         (String.make 1024 'f')
   | _ -> ()
 
+(* A cell's kernel, manager and stream are garbage once it returns; the
+   collection at the start of the next keeps a sweep's peak at its largest
+   cell instead of that cell on top of the previous one's garbage. *)
 let measure server ~parking ~requests ~rate () =
+  Gc.full_major ();
   let kernel = K.create () in
   let base_version, final_version = versions server in
   let m = Testbed.launch ~version:base_version kernel server in
@@ -251,8 +255,6 @@ let run ?(smoke = false) () =
   in
   List.iter
     (fun server ->
-      let off, off_flight, off_reqs = measure server ~parking:false ~requests ~rate () in
-      let on, on_flight, on_reqs = measure server ~parking:true ~requests ~rate () in
       let slug =
         match server with
         | Testbed.Nginx -> "nginx"
@@ -260,10 +262,16 @@ let run ?(smoke = false) () =
         | Testbed.Vsftpd -> "vsftpd"
         | Testbed.Sshd -> "sshd"
       in
-      write_artifact (Printf.sprintf "latency_flight_%s_off.json" slug) off_flight;
-      write_artifact (Printf.sprintf "latency_requests_%s_off.json" slug) off_reqs;
-      write_artifact (Printf.sprintf "latency_flight_%s_on.json" slug) on_flight;
-      write_artifact (Printf.sprintf "latency_requests_%s_on.json" slug) on_reqs;
+      (* a cell's artifacts are written before the next cell runs *)
+      let cell parking =
+        let c, flight, reqs = measure server ~parking ~requests ~rate () in
+        let side = if parking then "on" else "off" in
+        write_artifact (Printf.sprintf "latency_flight_%s_%s.json" slug side) flight;
+        write_artifact (Printf.sprintf "latency_requests_%s_%s.json" slug side) reqs;
+        c
+      in
+      let off = cell false in
+      let on = cell true in
       List.iter
         (fun c ->
           violations := !violations + conservation_violations server c;
