@@ -102,11 +102,9 @@ val metrics_snapshot : t -> Mcr_obs.Metrics.snapshot
 
     Migration and warm-standby failover on top of
     {!Mcr_image.Image}: the control-socket spellings are
-    [FLEET SAVE <i> <path>] and [FLEET MIGRATE <i> <path>]. *)
-
-val save_instance : t -> int -> path:string -> (Mcr_image.Image.t, string) result
-(** Quiesce instance [i] and write its persistent checkpoint image to the
-    host [path] ({!Mcr_core.Manager.save_image}). *)
+    [FLEET SAVE <i> <path>] (quiesce instance [i] and write its image to
+    the host [path], {!Mcr_core.Manager.save_image}) and
+    [FLEET MIGRATE <i> <path>]. *)
 
 val migrate_instance : t -> int -> path:string -> (int, string) result
 (** Move instance [i] onto a fresh kernel through an on-disk image: drain

@@ -241,12 +241,8 @@ val epoch_reset : t -> name:string -> unit
 (** Begin (or restart) the named consumer's tracking epoch: its mark
     becomes the current {!write_seq}. Creating an epoch is implicit. *)
 
-val epoch_mark : t -> name:string -> int
-(** The named epoch's mark (0 if it was never reset — everything ever
-    written counts as dirty). *)
-
 val epoch_find : t -> name:string -> int option
-(** Like {!epoch_mark} but [None] when the epoch has never been created —
+(** The named epoch's mark, [None] when the epoch has never been created —
     lets a delta-round consumer distinguish "first round" from "mark 0". *)
 
 val epoch_remove : t -> name:string -> unit
