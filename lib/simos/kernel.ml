@@ -1006,14 +1006,17 @@ let spawn_process t ?parent ?force_pid ~image ~name ~entry ~main () =
 
 (* The pid and tid are taken and the spawn paid now; the first dispatch
    pays the sleep's one syscall and arms its timer, as a body whose first
-   call slept until [arrival] would; the process exists from then on. *)
+   call slept until [arrival] would; the timer builds the process. *)
 let spawn_at t ~arrival ~name ~entry ~main () =
   charge t t.costs.Costs.spawn_ns;
   let pid = t.next_pid and tid = t.next_tid in
   t.next_pid <- pid + 1;
   t.next_tid <- tid + 1;
   let start now () =
-    ignore (new_process t ~force_pid:pid ~tid ~now ~creation_cs:0 ~image:(Fresh_image (Aspace.create ())) ~name ~entry ~main ()) in
+    ignore
+      (new_process t ~force_pid:pid ~tid ~now ~creation_cs:0
+         ~image:(Fresh_image (Aspace.create ())) ~name ~entry ~main ())
+  in
   schedule t (fun () ->
       let ns = arrival pid - t.clock in
       if ns <= 0 then start true ()

@@ -124,8 +124,8 @@ val payload : proc -> payload option
 val set_payload : proc -> payload -> unit
 val creation_callstack : proc -> int
 (** Call-stack id ({!callstack_id}) of the thread whose [Fork] created this
-    process, taken at the fork; 0 for processes made by {!spawn_process}.
-    Used to pair processes across versions (Section 6). *)
+    process, taken at the fork; 0 for processes made by {!spawn_process}
+    and {!spawn_at}. Used to pair processes across versions (Section 6). *)
 
 val kill_process : t -> proc -> status:int -> unit
 (** Terminate a process from outside (MCR terminating the old version).
@@ -191,10 +191,10 @@ val set_block_monitor :
     quiescence profiler's statistical input. *)
 
 val set_spawn_hook : t -> (proc -> unit) option -> unit
-(** Invoked for every process created ({!spawn_process} or a [Fork]
-    syscall), before its first thread runs. The MCR runtime uses this to
-    attach instrumentation (interceptors, recorders) to children — the
-    preloaded-library analog. *)
+(** Invoked for every process created ({!spawn_process}, {!spawn_at} at
+    the arrival, or a [Fork] syscall), before its first thread runs. The
+    MCR runtime uses this to attach instrumentation (interceptors,
+    recorders) to children — the preloaded-library analog. *)
 
 val set_exit_hook : t -> (proc -> unit) option -> unit
 (** Invoked once for every process that exits or is killed, before its
