@@ -1196,9 +1196,10 @@ let prop_deferred_lockstep =
       if !ea <> !eb then QCheck.Test.fail_report "the monitors saw different events";
       Array.for_all (function Some th -> not (K.thread_alive th) | None -> false) tb)
 
-(* A client whose arrival has passed at its first dispatch starts its body
-   in that step, with no sleep charged; one that has not arrived is in no
-   process list until its sleep ends, and the spawn hook meets it then. *)
+(* A client whose arrival has come by its first dispatch (here, at that
+   very instant; the property draws past ones) starts its body in that
+   step, with no sleep charged; one that has not arrived is in no process
+   list until its sleep ends, and the spawn hook meets it then. *)
 let test_deferred_late_arrival () =
   let k = fresh () in
   let costs = K.costs k in
@@ -1206,7 +1207,8 @@ let test_deferred_late_arrival () =
   let hooked = ref [] in
   K.set_spawn_hook k (Some (fun p -> hooked := (K.pid p, K.clock_ns k) :: !hooked));
   let main th = started := (K.tid th, K.clock_ns k) :: !started in
-  let late = spawn_at k "late" ~arrival:(fun _ -> 0) main in
+  let dispatch = (2 * costs.Costs.spawn_ns) + costs.Costs.switch_ns in
+  let late = spawn_at k "late" ~arrival:(fun _ -> dispatch) main in
   let on_time = spawn_at k "on-time" ~arrival:(fun _ -> 5_000_000) main in
   let spawned = K.clock_ns k in
   Alcotest.(check int) "each spawn charged once" (2 * costs.Costs.spawn_ns) spawned;
